@@ -12,6 +12,12 @@ longer than the input, used standalone and in unit tests) and a
 Trevisan-style construction (short seed, the one actually usable in
 the strong-extractor composition, where the seed is produced by the
 two-source core and is therefore much shorter than the input).
+
+All polynomial arithmetic goes through :mod:`qx2src.gf2`.  A Toeplitz
+matrix-vector product is one carry-less product of x with the seed
+laid out diagonal by diagonal, and the weak design, the
+Reed-Solomon/Hadamard code and the Trevisan extractor share one
+Horner evaluator, :meth:`_SmallField.eval`.
 """
 
 from __future__ import annotations
@@ -120,6 +126,11 @@ def toeplitz_extract(x: BitVector, seed: BitVector, m: int) -> BitVector:
     T[i][0] = seed[i] going down the first column and
     T[0][j] = seed[m-1+j] going across the first row, so the seed must
     have n + m - 1 bits.
+
+    Diagonal k = i - j of T is stored at bit k + n - 1 of a polynomial
+    r: the low n - 1 bits are seed bits m .. n+m-2 reversed, the next m
+    bits are seed bits 0 .. m-1.  Then (T x)_i is coefficient i + n - 1
+    of the carry-less product x * r.
     """
     n = x.length
     if m < 1:
@@ -127,15 +138,9 @@ def toeplitz_extract(x: BitVector, seed: BitVector, m: int) -> BitVector:
     if seed.length != n + m - 1:
         raise ParameterError(
             f"seed length {seed.length} != n + m - 1 = {n + m - 1}")
-    out = 0
-    for i in range(m):
-        row = 0
-        for j in range(n):
-            bit = seed.bit(i - j) if i >= j else seed.bit(m - 1 + j - i)
-            row |= bit << j
-        if (row & x.value).bit_count() & 1:
-            out |= 1 << i
-    return BitVector(m, out)
+    above = int(format(seed.value >> m, "b").zfill(n - 1)[::-1], 2)
+    r = above | (seed.value & ((1 << m) - 1)) << (n - 1)
+    return BitVector(m, (gf2.poly_mul(x.value, r) >> (n - 1)) & ((1 << m) - 1))
 
 
 def toeplitz_row(seed: BitVector, m: int, i: int, n: int) -> BitVector:
@@ -175,6 +180,13 @@ class _SmallField:
             return gf2.poly_mod(gf2.poly_mul(a, b), self._mod)
         return (a * b) % self.t
 
+    def eval(self, coeffs, point: int) -> int:
+        """Value at point of the polynomial with coeffs[j] on point^j (Horner)."""
+        acc = 0
+        for coef in reversed(coeffs):
+            acc = self.add(self.mul(acc, point), coef)
+        return acc
+
 
 def _is_prime(t: int) -> bool:
     if t < 2:
@@ -198,23 +210,13 @@ def weak_design(m: int, t: int, c: int | None = None) -> tuple:
     """
     field = _SmallField(t)
     if c is None:
-        c = max(1, math.ceil(math.log(max(m, 2)) / math.log(t)))
+        c = _default_degree_bound(m, t)
     if m > t ** c:
         raise ParameterError(f"m={m} exceeds t^c={t ** c} polynomials")
     sets = []
     for idx in range(m):
-        coeffs = []
-        v = idx
-        for _ in range(c):
-            coeffs.append(v % t)
-            v //= t
-        members = []
-        for a in range(t):
-            acc = 0
-            for coef in reversed(coeffs):
-                acc = field.add(field.mul(acc, a), coef)
-            members.append(a * t + acc)
-        sets.append(tuple(sorted(members)))
+        coeffs = [idx // t ** j % t for j in range(c)]
+        sets.append(tuple(sorted(a * t + field.eval(coeffs, a) for a in range(t))))
     return tuple(sets)
 
 
@@ -256,8 +258,7 @@ class SeededExtractorSpec:
                 raise ParameterError(
                     f"message of {_rs_symbols(self.n, w)} symbols does not fit "
                     f"GF(2^{w}); increase t")
-            c = self.c or _default_degree_bound(self.m, self.t)
-            if self.m > self.t ** c:
+            if self.m > self.t ** self.degree_bound:
                 raise ParameterError("m exceeds the weak design capacity")
 
     @property
@@ -286,16 +287,13 @@ def rs_hadamard_codeword(x: BitVector, w: int) -> BitVector:
     polynomial over GF(2^w) whose coefficients are the w-bit symbols
     of x and u ranges over the field.
     """
+    field = _SmallField(1 << w)
     symbols = _message_symbols(x, w)
-    modulus = gf2.find_irreducible(w).value if w > 1 else 2
     size = 1 << w
     bits = []
     for u in range(size):
-        acc = 0
-        for sym in reversed(symbols):
-            acc = gf2.poly_mod(gf2.poly_mul(acc, u), modulus) ^ sym
-        for z in range(size):
-            bits.append((acc & z).bit_count() & 1)
+        acc = field.eval(symbols, u)
+        bits.extend((acc & z).bit_count() & 1 for z in range(size))
     return BitVector.from_bits(bits)
 
 
@@ -303,13 +301,6 @@ def _message_symbols(x: BitVector, w: int) -> List[int]:
     count = _rs_symbols(x.length, w)
     mask = (1 << w) - 1
     return [(x.value >> (j * w)) & mask for j in range(count)]
-
-
-def _code_bit(x: BitVector, w: int, u: int, z: int, modulus: int) -> int:
-    acc = 0
-    for sym in reversed(_message_symbols(x, w)):
-        acc = gf2.poly_mod(gf2.poly_mul(acc, u), modulus) ^ sym
-    return (acc & z).bit_count() & 1
 
 
 def trevisan_extract(x: BitVector, seed: BitVector, spec: SeededExtractorSpec) -> BitVector:
@@ -321,7 +312,8 @@ def trevisan_extract(x: BitVector, seed: BitVector, spec: SeededExtractorSpec) -
     if seed.length != spec.d:
         raise ParameterError(f"seed length {seed.length} != spec d {spec.d}")
     w = spec.t // 2
-    modulus = gf2.find_irreducible(w).value if w > 1 else 2
+    field = _SmallField(1 << w)
+    symbols = _message_symbols(x, w)
     design = weak_design(spec.m, spec.t, spec.degree_bound)
     out = 0
     for i, positions in enumerate(design):
@@ -330,7 +322,7 @@ def trevisan_extract(x: BitVector, seed: BitVector, spec: SeededExtractorSpec) -
             sub |= seed.bit(pos) << j
         u = sub >> w
         z = sub & ((1 << w) - 1)
-        if _code_bit(x, w, u, z, modulus):
+        if (field.eval(symbols, u) & z).bit_count() & 1:
             out |= 1 << i
     return BitVector(spec.m, out)
 

@@ -88,10 +88,6 @@ class BitVector:
             raise DimensionError("length mismatch in xor")
         return BitVector(self.length, self.value ^ other.value)
 
-    def concat(self, other: "BitVector") -> "BitVector":
-        return BitVector(self.length + other.length,
-                         self.value | (other.value << self.length))
-
 
 def inner_product(x: BitVector, y: BitVector) -> int:
     """Parity of the bitwise AND of two equal-length vectors."""
@@ -203,10 +199,6 @@ def rank(a: BitMatrix) -> int:
     return rk
 
 
-def is_full_rank(a: BitMatrix) -> bool:
-    return rank(a) == min(a.rows, a.cols)
-
-
 # --------------------------------------------------------------------------
 # polynomials over GF(2), packed as ints (bit j = coefficient of x^j)
 
@@ -224,9 +216,6 @@ class Gf2Poly:
     @property
     def degree(self) -> int:
         return self.value.bit_length() - 1
-
-    def is_monic(self) -> bool:
-        return self.value != 0
 
     def to_str(self) -> str:
         """Big-endian coefficient string, highest degree first."""
@@ -368,7 +357,15 @@ def find_irreducible(n: int) -> Gf2Poly:
         return Gf2Poly(2)  # x comes before x + 1
     if n in _KNOWN_TAILS:
         return Gf2Poly((1 << n) | _KNOWN_TAILS[n])
+    return Gf2Poly(_search_irreducible(n))
 
+
+def _search_irreducible(n: int) -> int:
+    """The live scan behind find_irreducible, for degree n >= 2.
+
+    Bypasses the memo table and the cache, so tests can re-derive the
+    frozen tails.
+    """
     # Trial divisors: precompute x^n mod p once per small irreducible p,
     # so each candidate x^n + tail only costs a tiny reduction of tail.
     trial = []
@@ -394,7 +391,7 @@ def find_irreducible(n: int) -> Gf2Poly:
         if any(poly_mod(tail, p) == r for p, r in trial):
             continue
         if is_irreducible(f):
-            return Gf2Poly(f)
+            return f
 
 
 # --------------------------------------------------------------------------
@@ -405,12 +402,8 @@ def alpha_powers(n: int, count: int) -> List[int]:
     """Coefficient vectors of alpha^0 .. alpha^(count-1) in GF(2^n)."""
     modulus = find_irreducible(n).value
     powers = [1]
-    p = 1
     for _ in range(count - 1):
-        p <<= 1
-        if p >> n:
-            p ^= modulus
-        powers.append(p)
+        powers.append(multiply_by_alpha(powers[-1], n, modulus))
     return powers
 
 

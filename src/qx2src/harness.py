@@ -10,6 +10,7 @@ between identical runs.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -65,7 +66,14 @@ class Report:
 
     def to_json(self, include_wall_clock: bool = True) -> str:
         return json.dumps(self.to_dict(include_wall_clock),
-                          sort_keys=True, indent=2) + "\n"
+                          sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _require_counts(**counts) -> None:
+    """Reject trial counts below 1, so no check can pass without running."""
+    for name, value in counts.items():
+        if not isinstance(value, int) or value < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -76,6 +84,7 @@ def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
                        random_ns: Sequence[int] = (32, 64),
                        random_trials: int = 10000) -> Report:
     """Full-rank property of every subset XOR of the multiplier family."""
+    _require_counts(exhaustive_max_n=exhaustive_max_n, random_trials=random_trials)
     t0 = time.perf_counter()
     report = Report("verify:matrices", {
         "seed": seed, "exhaustive_max_n": exhaustive_max_n,
@@ -112,6 +121,7 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
                   equality_trials: int = 200, max_m: int = 3,
                   max_d: int = 3, atol: float = 1e-8) -> Report:
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
+    _require_counts(trials=trials, equality_trials=equality_trials)
     t0 = time.perf_counter()
     report = Report("verify:xor", {
         "seed": seed, "trials": trials, "equality_trials": equality_trials,
@@ -148,6 +158,7 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
 def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
                  max_m: int = 3, max_d: int = 3, atol: float = 1e-8) -> Report:
     """Quantum-to-classical reduction through the square-root measurement."""
+    _require_counts(trials=trials)
     t0 = time.perf_counter()
     report = Report("verify:reduction", {
         "seed": seed, "trials": trials, "max_m": max_m, "max_d": max_d,
@@ -168,6 +179,7 @@ def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
 def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
                      max_d: int = 3, atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
+    _require_counts(trials=trials)
     t0 = time.perf_counter()
     report = Report("verify:normbound", {
         "seed": seed, "trials": trials, "max_d": max_d, "atol": atol,
@@ -191,6 +203,7 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
                        n: int = 4, k: int = 3, b: int = 1,
                        atol: float = 1e-8) -> Report:
     """Exact one-bit distances never exceed the bias bound, per flavor."""
+    _require_counts(instances=instances)
     t0 = time.perf_counter()
     report = Report("verify:security", {
         "seed": seed, "instances": instances, "n": n, "k": k, "b": b,
@@ -228,6 +241,11 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
     if suite not in VERIFY_SUITES:
         raise ParameterError(
             f"unknown suite {suite!r}; choose from {sorted(VERIFY_SUITES)}")
+    known = inspect.signature(VERIFY_SUITES[suite]).parameters
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise ParameterError(
+            f"unknown parameter(s) for verify {suite}: {', '.join(unknown)}")
     return VERIFY_SUITES[suite](seed=seed, **overrides)
 
 
@@ -406,18 +424,21 @@ def _echo_config(cfg: dict) -> dict:
 
 def bounds_table(config: dict) -> dict:
     """Evaluate every calculator on a point or a one-parameter sweep."""
-    base = {k: config[k] for k in
-            ("n", "k1", "k2", "b1", "b2", "m", "eps", "c_poly", "c_o1")
-            if k in config}
+    fields = ("n", "k1", "k2", "b1", "b2", "m", "eps", "c_poly", "c_o1")
+    base = {k: config[k] for k in fields if k in config}
     sweep = config.get("sweep", {})
     points = [base]
     if sweep:
         if len(sweep) != 1:
             raise ParameterError("sweep must vary exactly one parameter")
         (name, values), = sweep.items()
+        if name not in fields:
+            raise ParameterError(f"cannot sweep unknown parameter {name!r}")
         points = [dict(base, **{name: v}) for v in values]
     rows = []
     for point in points:
+        if any(k not in point for k in ("n", "k1", "k2")):
+            raise ParameterError("bounds needs at least --n, --k1, --k2")
         p = bounds.ParamSet(**point)
         row = {"params": point}
         row["ip_bias_product"] = bounds.ip_bias_bound(p, min(p.b1, p.b2), False)

@@ -309,11 +309,6 @@ def _split_label(label) -> Tuple[str, object]:
     return label, None
 
 
-def _out_strings(m: int):
-    for v in range(1 << m):
-        yield BitVector(m, v).to_str()
-
-
 def cq_distance_from_uniform(s: CqState, label_bits: int) -> float:
     """Trace distance of a cq-state from uniform-output times its marginal.
 

@@ -1,6 +1,8 @@
 """Extractor primitives: inner product, multi-bit core, Toeplitz, Trevisan."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qx2src import bounds, extractors, gf2
 from qx2src.errors import DimensionError, ParameterError
@@ -122,6 +124,40 @@ def test_toeplitz_seed_length_error():
         toeplitz_extract(bv("101"), bv("10"), 2)
 
 
+def _toeplitz_oracle(x, seed, m, rows):
+    """Bits of T x at the given rows, each from an explicit toeplitz_row."""
+    return {i: (toeplitz_row(seed, m, i, x.length).value & x.value).bit_count() & 1
+            for i in rows}
+
+
+def test_toeplitz_matches_row_oracle_exhaustive():
+    for n in range(1, 6):
+        for m in range(1, 4):
+            d = n + m - 1
+            for sv in range(1 << d):
+                for xv in range(1 << n):
+                    x, seed = BitVector(n, xv), BitVector(d, sv)
+                    want = _toeplitz_oracle(x, seed, m, range(m))
+                    assert toeplitz_extract(x, seed, m).value == sum(
+                        bit << i for i, bit in want.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_toeplitz_matches_row_oracle_property(data):
+    n = data.draw(st.integers(1, 4096), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1), label="x"))
+    seed = BitVector(n + m - 1,
+                     data.draw(st.integers(0, (1 << (n + m - 1)) - 1), label="seed"))
+    rows = {0, m - 1} | set(data.draw(
+        st.lists(st.integers(0, m - 1), max_size=6), label="rows"))
+    out = toeplitz_extract(x, seed, m)
+    assert out.length == m
+    for i, bit in _toeplitz_oracle(x, seed, m, rows).items():
+        assert out.bit(i) == bit
+
+
 def test_toeplitz_two_universality_exhaustive():
     n, m = 4, 2
     d = n + m - 1
@@ -184,21 +220,41 @@ def test_rs_hadamard_distance_exhaustive():
             assert (words[i] ^ words[j]).bit_count() >= min_frac * length
 
 
+def _assert_trevisan_bits_are_code_lookups(spec, x, seed):
+    w = spec.t // 2
+    code = rs_hadamard_codeword(x, w)
+    out = trevisan_extract(x, seed, spec)
+    for i, positions in enumerate(weak_design(spec.m, spec.t, spec.degree_bound)):
+        sub = sum(seed.bit(pos) << k for k, pos in enumerate(positions))
+        assert out.bit(i) == code.bit(sub)
+
+
 def test_trevisan_single_bit_is_code_lookup():
     spec = SeededExtractorSpec(kind="trevisan", n=8, m=1, t=8, c=1)
     rng = derive_rng(9, 3)
-    design = weak_design(1, 8, 1)
-    w = 4
     for _ in range(50):
         x = BitVector(8, int(rng.integers(0, 256)))
         seed = BitVector(spec.d,
                          int.from_bytes(rng.bytes(spec.d // 8), "little"))
-        out = trevisan_extract(x, seed, spec)
-        sub = 0
-        for k, pos in enumerate(design[0]):
-            sub |= seed.bit(pos) << k
-        code = rs_hadamard_codeword(x, w)
-        assert out.bit(0) == code.bit(sub)
+        _assert_trevisan_bits_are_code_lookups(spec, x, seed)
+
+
+def test_trevisan_multibit_is_code_lookup_t2_exhaustive():
+    # w = 1: the Reed-Solomon alphabet is GF(2), so n <= 2
+    spec = SeededExtractorSpec(kind="trevisan", n=2, m=4, t=2)
+    for xv in range(1 << spec.n):
+        for sv in range(1 << spec.d):
+            _assert_trevisan_bits_are_code_lookups(
+                spec, BitVector(spec.n, xv), BitVector(spec.d, sv))
+
+
+def test_trevisan_multibit_is_code_lookup_t8():
+    spec = SeededExtractorSpec(kind="trevisan", n=12, m=20, t=8)
+    rng = derive_rng(9, 5)
+    for _ in range(50):
+        x = BitVector(spec.n, int(rng.integers(0, 1 << spec.n)))
+        seed = BitVector(spec.d, int.from_bytes(rng.bytes(spec.d // 8), "little"))
+        _assert_trevisan_bits_are_code_lookups(spec, x, seed)
 
 
 def test_trevisan_deterministic():

@@ -154,40 +154,12 @@ def test_find_irreducible_mid_degree_live():
 def test_memoized_tails_match_live_search():
     # recompute the frozen 1024/2048 entries with the scan itself
     for n in (1024, 2048):
-        tail = gf2._KNOWN_TAILS[n]
-        trial = []
-        for p in gf2._small_irreducibles(13):
-            dp = p.bit_length() - 1
-            red = gf2._make_reducer(p)
-            r, base, e = 1, 2, n
-            while e:
-                if e & 1:
-                    r = gf2._poly_mulmod(r, base, red)
-                base = gf2._poly_mulmod(base, base, red)
-                e >>= 1
-            trial.append((p, r))
-        t = 1
-        while True:
-            t += 2
-            f = (1 << n) | t
-            if f.bit_count() % 2 == 0:
-                continue
-            if any(gf2.poly_mod(t, p) == r for p, r in trial):
-                continue
-            if gf2.is_irreducible(f):
-                break
-        assert t == tail
+        assert gf2._search_irreducible(n) == (1 << n) | gf2._KNOWN_TAILS[n]
 
 
 @pytest.mark.skipif("not __import__('os').environ.get('QX2SRC_SLOW_TESTS')")
 def test_memoized_tail_4096_matches_live_search():
-    tail = gf2._KNOWN_TAILS.pop(4096)
-    gf2.find_irreducible.cache_clear()
-    try:
-        assert gf2.find_irreducible(4096).value == (1 << 4096) | tail
-    finally:
-        gf2._KNOWN_TAILS[4096] = tail
-        gf2.find_irreducible.cache_clear()
+    assert gf2._search_irreducible(4096) == (1 << 4096) | gf2._KNOWN_TAILS[4096]
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from qx2src import cli, harness
+from qx2src.errors import (CapabilityError, DimensionError, ParameterError,
+                           ValidationError)
 
 
 def run_cli(*argv):
@@ -241,3 +243,79 @@ def test_report_pass_flag_consistency():
     assert rep.passed
     rep.add("bad", 2.0, 1.0, False)
     assert not rep.passed
+
+
+# --------------------------------------------------------------------------
+# bad input: exit 1 with a one-line message, never a traceback or a vacuous pass
+
+
+def _assert_one_line_error(capsys, *needles):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_cli_verify_security_zero_instances_exit_1(capsys):
+    assert run_cli("verify", "security", "--instances", "0") == 1
+    _assert_one_line_error(capsys, "instances")
+
+
+def test_cli_verify_xor_negative_trials_exit_1(capsys):
+    assert run_cli("verify", "xor", "--trials", "-5") == 1
+    _assert_one_line_error(capsys, "trials")
+
+
+@pytest.mark.parametrize("suite, param", [
+    ("matrices", "exhaustive_max_n"), ("matrices", "random_trials"),
+    ("xor", "trials"), ("xor", "equality_trials"), ("reduction", "trials"),
+    ("normbound", "trials"), ("security", "instances"),
+])
+def test_suite_counts_below_one_rejected(suite, param):
+    for bad in (0, -1):
+        with pytest.raises(ParameterError, match=param):
+            harness.run_verify(suite, **{param: bad})
+
+
+def test_report_json_is_strict():
+    rep = harness.Report("demo", {"seed": 1})
+    rep.add("nan", float("nan"), 0.0, False)
+    with pytest.raises(ValueError):
+        rep.to_json()
+
+
+def test_cli_bounds_missing_k_exit_1(capsys):
+    assert run_cli("bounds", "--n", "10") == 1
+    _assert_one_line_error(capsys, "--k1")
+
+
+def test_bounds_table_rejects_unknown_sweep():
+    with pytest.raises(ParameterError, match="k3"):
+        harness.bounds_table({"n": 64, "k1": 60, "k2": 60, "sweep": {"k3": [1]}})
+
+
+def test_cli_verify_unknown_config_key_exit_1(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"n": 4})
+    assert run_cli("verify", "xor", "--config", str(cfg)) == 1
+    _assert_one_line_error(capsys, "n")
+
+
+def test_cli_extract_non_integer_config_exit_1(tmp_path, capsys):
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(4))
+    cfg = _write_config(tmp_path, {"m": "abc"})
+    assert run_cli("extract", "--x", str(x), "--y", str(x), "--n", "32",
+                   "--config", str(cfg)) == 1
+    _assert_one_line_error(capsys, "abc")
+
+
+@pytest.mark.parametrize("exc", [DimensionError, ValidationError, CapabilityError])
+def test_cli_maps_value_errors_to_exit_1(monkeypatch, capsys, exc):
+    def broken_suite(seed=0):
+        raise exc("broken input")
+
+    monkeypatch.setitem(harness.VERIFY_SUITES, "demo", broken_suite)
+    assert run_cli("verify", "demo") == 1
+    _assert_one_line_error(capsys, "broken input")
