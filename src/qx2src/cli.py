@@ -12,6 +12,7 @@ warning (extraction output still produced), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -128,8 +129,11 @@ def main(argv=None) -> int:
         if args.command == "attack":
             cfg = _merge(config, args,
                          ("seed", "n", "k1", "k2", "b1", "b2", "setting", "branch"))
-            seed = cfg.pop("seed", harness.DEFAULT_SEED)
             kind = args.kind
+            harness.reject_unknown_keys(
+                f"attack {kind}", cfg,
+                inspect.signature(harness.ATTACKS[kind]).parameters)
+            seed = cfg.pop("seed", harness.DEFAULT_SEED)
             if kind == "smp":
                 report = harness.run_smp_attack(
                     ns=tuple(cfg.get("ns", (2, 4, 6))), seed=seed)

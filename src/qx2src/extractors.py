@@ -13,11 +13,14 @@ Trevisan-style construction (short seed, the one actually usable in
 the strong-extractor composition, where the seed is produced by the
 two-source core and is therefore much shorter than the input).
 
-All polynomial arithmetic goes through :mod:`qx2src.gf2`.  A Toeplitz
-matrix-vector product is one carry-less product of x with the seed
-laid out diagonal by diagonal, and the weak design, the
-Reed-Solomon/Hadamard code and the Trevisan extractor share one
-Horner evaluator, :meth:`_SmallField.eval`.
+Two kernels carry the polynomial arithmetic.  A Toeplitz matrix-vector
+product is one carry-less product (:func:`qx2src.gf2.poly_mul`) of x
+with the seed laid out diagonal by diagonal.  The weak design, the
+Reed-Solomon/Hadamard code and the Trevisan extractor share one Horner
+evaluator, :meth:`_SmallField.eval`, which evaluates a polynomial at
+all requested points at once; in GF(2^w) with w <= 16 each Horner step
+is one numpy gather through log/antilog tables, built once per w on
+first use.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import List
+
+import numpy as np
 
 from . import gf2
 from .errors import DimensionError, ParameterError
@@ -180,12 +185,87 @@ class _SmallField:
             return gf2.poly_mod(gf2.poly_mul(a, b), self._mod)
         return (a * b) % self.t
 
-    def eval(self, coeffs, point: int) -> int:
-        """Value at point of the polynomial with coeffs[j] on point^j (Horner)."""
-        acc = 0
-        for coef in reversed(coeffs):
-            acc = self.add(self.mul(acc, point), coef)
-        return acc
+    def eval(self, coeffs, points) -> List[int]:
+        """Values at each of points of the polynomial with coeffs[j] on x^j.
+
+        One Horner pass: in GF(2^w) with w <= _TABLE_MAX_W it runs over all
+        points at once through log/antilog tables, otherwise point by point
+        with mul and add.
+        """
+        if self._binary and self._w <= _TABLE_MAX_W:
+            antilog, log = _log_tables(self._w, self._mod)
+            log_points = log[np.asarray(points, dtype=np.int64)]
+            acc = np.zeros(len(log_points), dtype=antilog.dtype)
+            for coef in reversed(coeffs):
+                acc = antilog[log[acc] + log_points] ^ coef
+            return acc.tolist()
+        out = []
+        for point in points:
+            acc = 0
+            for coef in reversed(coeffs):
+                acc = self.add(self.mul(acc, point), coef)
+            out.append(acc)
+        return out
+
+
+# Largest w for which GF(2^w) multiplies through tables; at w = 16 they
+# take 768 KB, and each further bit of w doubles them.
+_TABLE_MAX_W = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _log_tables(w: int, modulus: int) -> tuple:
+    """(antilog, log) tables of GF(2^w) modulo the given polynomial.
+
+    antilog[i] = g^i for 0 <= i < 2(q - 1), with q = 2^w and g the
+    smallest generator of the multiplicative group, and log inverts it
+    on the non-zero elements.  log[0] points past those entries into a
+    run of zeros, so antilog[log[a] + log[b]] = a * b for every a, b.
+    """
+    q = 1 << w
+    for g in range(1, q):
+        powers = _generator_powers(g, w, modulus)
+        if powers is not None:
+            break
+    zero = 2 * q - 2
+    antilog = np.zeros(2 * zero + 1, dtype=np.uint16)
+    antilog[:q - 1] = powers
+    antilog[q - 1:2 * q - 2] = powers
+    del powers          # peak memory: log is built from antilog instead
+    log = np.empty(q, dtype=np.int32)
+    log[antilog[:q - 1]] = np.arange(q - 1, dtype=np.int32)
+    log[0] = zero
+    return antilog, log
+
+
+def _generator_powers(g: int, w: int, modulus: int):
+    """g^0 .. g^(q-2) in GF(2^w), or None when g does not generate GF(2^w)*.
+
+    Doubles the known prefix each round: the next block is the prefix
+    times g^len(prefix).
+    """
+    count = (1 << w) - 1
+    powers = np.ones(count, dtype=np.int32)
+    filled = 1
+    while filled < count:
+        step = _times(powers[filled - 1:filled], g, w, modulus)[0]     # g^filled
+        block = _times(powers[:min(filled, count - filled)], int(step), w, modulus)
+        powers[filled:filled + len(block)] = block
+        filled += len(block)
+        if (powers[1:filled] == 1).any():
+            return None
+    return powers
+
+
+def _times(values: np.ndarray, c: int, w: int, modulus: int) -> np.ndarray:
+    """Each entry of values times the field element c, bit-serially."""
+    out = np.zeros_like(values)
+    for bit in range(w):
+        if (c >> bit) & 1:
+            out ^= values
+        values = values << 1
+        values ^= (values >> w) * modulus
+    return out
 
 
 def _is_prime(t: int) -> bool:
@@ -216,7 +296,8 @@ def weak_design(m: int, t: int, c: int | None = None) -> tuple:
     sets = []
     for idx in range(m):
         coeffs = [idx // t ** j % t for j in range(c)]
-        sets.append(tuple(sorted(a * t + field.eval(coeffs, a) for a in range(t))))
+        values = field.eval(coeffs, range(t))
+        sets.append(tuple(sorted(a * t + v for a, v in enumerate(values))))
     return tuple(sets)
 
 
@@ -291,8 +372,7 @@ def rs_hadamard_codeword(x: BitVector, w: int) -> BitVector:
     symbols = _message_symbols(x, w)
     size = 1 << w
     bits = []
-    for u in range(size):
-        acc = field.eval(symbols, u)
+    for acc in field.eval(symbols, range(size)):
         bits.extend((acc & z).bit_count() & 1 for z in range(size))
     return BitVector.from_bits(bits)
 
@@ -315,14 +395,15 @@ def trevisan_extract(x: BitVector, seed: BitVector, spec: SeededExtractorSpec) -
     field = _SmallField(1 << w)
     symbols = _message_symbols(x, w)
     design = weak_design(spec.m, spec.t, spec.degree_bound)
+    # sub-seed i has bit j = seed bit design[i][j]; seed_bits[k] is seed bit k
+    seed_bits = format(seed.value, "b").zfill(seed.length)[::-1]
+    subs = [int("".join([seed_bits[pos] for pos in reversed(positions)]), 2)
+            for positions in design]
+    values = field.eval(symbols, [sub >> w for sub in subs])
+    mask = (1 << w) - 1
     out = 0
-    for i, positions in enumerate(design):
-        sub = 0
-        for j, pos in enumerate(positions):
-            sub |= seed.bit(pos) << j
-        u = sub >> w
-        z = sub & ((1 << w) - 1)
-        if (field.eval(symbols, u) & z).bit_count() & 1:
+    for i, (sub, value) in enumerate(zip(subs, values)):
+        if (value & sub & mask).bit_count() & 1:
             out |= 1 << i
     return BitVector(spec.m, out)
 

@@ -11,6 +11,11 @@ alpha^i in the basis (1, alpha, ..., alpha^(n-1)) of GF(2)[x] modulo a
 fixed irreducible polynomial.  The XOR of any non-empty subset of the
 family is multiplication by a non-zero field element and therefore
 invertible, which is the property the extractor needs.
+
+One carry-less product, :func:`poly_mul`, serves all polynomial work:
+the irreducible-modulus search (Ben-Or's test, gcds over windows of
+16 Frobenius steps) and the Toeplitz hash.  Sparse operands take a
+shift-xor loop over set bits, dense ones a byte-windowed table walk.
 """
 
 from __future__ import annotations
@@ -233,18 +238,47 @@ def poly_mod(a: int, b: int) -> int:
 
 
 def poly_gcd(a: int, b: int) -> int:
+    """Euclid's algorithm, with the remainder steps of poly_mod inlined."""
     while b:
-        a, b = b, poly_mod(a, b)
+        db = b.bit_length()
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
     return a
 
 
+# Set bits in the sparser operand from which poly_mul walks bytes through
+# a table: building the table costs about as much as 75 shifted xors.
+_WINDOW_MIN_WEIGHT = 80
+
+
 def poly_mul(a: int, b: int) -> int:
-    """Carry-less product."""
+    """Carry-less product.
+
+    Walks the operand with fewer set bits.  With few set bits it xors
+    one shifted copy of the other operand per set bit; otherwise it
+    walks the bytes from the top through a 256-entry table of the other
+    operand's products with every byte, as acc = (acc << 8) ^ T[byte].
+    The choice follows the set-bit count, not the length, because a long
+    sparse operand such as x^1000 costs one xor in the first loop.
+    """
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
     acc = 0
-    while a:
-        low = a & -a
-        acc ^= b << (low.bit_length() - 1)
-        a ^= low
+    if a.bit_count() < _WINDOW_MIN_WEIGHT:
+        while a:
+            low = a & -a
+            acc ^= b << (low.bit_length() - 1)
+            a ^= low
+        return acc
+    table = [0, b]
+    for k in range(1, 8):
+        shifted = b << k
+        table += [shifted ^ v for v in table]
+    for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
+        acc = (acc << 8) ^ table[byte]
     return acc
 
 
@@ -289,19 +323,29 @@ def _poly_mulmod(a: int, b: int, reduce) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _small_irreducibles(max_deg: int) -> tuple:
-    """All irreducible polynomials of degree 2..max_deg, by sieve."""
-    known: List[int] = []
-    out: List[int] = []
-    for d in range(1, max_deg + 1):
-        for f in range(1 << d, 1 << (d + 1)):
-            if not f & 1:
-                continue
-            if any(poly_mod(f, g) == 0
-                   for g in known if 2 * (g.bit_length() - 1) <= d):
-                continue
-            known.append(f)
-            if d >= 2:
-                out.append(f)
+    """All irreducible polynomials of degree 2..max_deg, by sieve.
+
+    Walking up from x, a polynomial that no smaller one has marked is
+    irreducible.  Every composite of degree <= max_deg has a factor of
+    degree <= max_deg / 2, so only those factors mark their multiples:
+    the span of their shifts, enumerated in Gray-code order.
+    """
+    size = 1 << (max_deg + 1)
+    composite = bytearray(size)
+    out = []
+    for f in range(2, size):
+        if composite[f]:
+            continue
+        d = f.bit_length() - 1
+        if d >= 2:
+            out.append(f)
+        if 2 * d > max_deg:
+            continue
+        shifts = [f << k for k in range(max_deg + 1 - d)]
+        multiple = 0
+        for i in range(1, 1 << len(shifts)):
+            multiple ^= shifts[(i & -i).bit_length() - 1]
+            composite[multiple] = 1
     return tuple(out)
 
 
@@ -358,6 +402,11 @@ def find_irreducible(n: int) -> Gf2Poly:
     if n in _KNOWN_TAILS:
         return Gf2Poly((1 << n) | _KNOWN_TAILS[n])
     return Gf2Poly(_search_irreducible(n))
+
+
+def modulus_source(n: int) -> str:
+    """"search" when find_irreducible(n) scans candidates, "memo" when it does not."""
+    return "search" if n > 1 and n not in _KNOWN_TAILS else "memo"
 
 
 def _search_irreducible(n: int) -> int:

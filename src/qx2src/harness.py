@@ -15,7 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,10 +41,14 @@ class CheckRecord:
 
 @dataclass
 class Report:
+    """A command's checks; wall_clock_s and timings differ between identical runs."""
+
     command: str
     config: Dict
     records: List[CheckRecord] = field(default_factory=list)
     wall_clock_s: float = 0.0
+    modulus: Optional[Dict] = None     # the GF(2^n) modulus an extraction used
+    timings: Dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -60,13 +64,25 @@ class Report:
             "records": [r.to_dict() for r in self.records],
             "passed": self.passed,
         }
+        if self.modulus is not None:
+            out["modulus"] = self.modulus
         if include_wall_clock:
             out["wall_clock_s"] = self.wall_clock_s
+            if self.timings:
+                out["timings"] = self.timings
         return out
 
     def to_json(self, include_wall_clock: bool = True) -> str:
         return json.dumps(self.to_dict(include_wall_clock),
                           sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def reject_unknown_keys(command: str, config, known) -> None:
+    """Raise ParameterError naming every key of config that is not in known."""
+    unknown = sorted(set(config) - set(known))
+    if unknown:
+        raise ParameterError(
+            f"unknown parameter(s) for {command}: {', '.join(unknown)}")
 
 
 def _require_counts(**counts) -> None:
@@ -241,11 +257,8 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
     if suite not in VERIFY_SUITES:
         raise ParameterError(
             f"unknown suite {suite!r}; choose from {sorted(VERIFY_SUITES)}")
-    known = inspect.signature(VERIFY_SUITES[suite]).parameters
-    unknown = sorted(set(overrides) - set(known))
-    if unknown:
-        raise ParameterError(
-            f"unknown parameter(s) for verify {suite}: {', '.join(unknown)}")
+    reject_unknown_keys(f"verify {suite}", overrides,
+                        inspect.signature(VERIFY_SUITES[suite]).parameters)
     return VERIFY_SUITES[suite](seed=seed, **overrides)
 
 
@@ -354,29 +367,48 @@ ATTACKS = {
 # extraction runs
 
 
+# every config key run_extract reads, plus the seed the CLI passes through
+_EXTRACT_KEYS = ("x_path", "y_path", "out_path", "n", "m", "format",
+                 "extractor", "which", "seeded", "k1", "k2", "b1", "b2", "eps",
+                 "c_poly", "c_o1", "entangled", "seed")
+
+
 def run_extract(config: dict) -> tuple:
     """Extract bits from two source files; returns (exit_code, report).
 
     Exit 0 on success, 2 when the declared parameters fail the matching
     feasibility condition (output still produced, flagged in the
-    report).  Missing or short input raises ParameterError/OSError,
-    which the CLI maps to exit 1.
+    report).  Unknown config keys, missing or short input raise
+    ParameterError/OSError, which the CLI maps to exit 1.  Multibit and
+    composed reports name the GF(2^n) modulus and where it came from;
+    the time spent finding it is under timings.
     """
     t0 = time.perf_counter()
     cfg = dict(config)
+    reject_unknown_keys("extract", cfg, _EXTRACT_KEYS)
+    seeded = cfg.get("seeded", {})
+    if not isinstance(seeded, dict):
+        raise ParameterError(f"seeded must be an object, got {seeded!r}")
+    reject_unknown_keys("extract seeded", seeded, ("kind", "t", "c"))
     n = int(cfg["n"])
     m = int(cfg.get("m", 1))
     fmt = cfg.get("format", "raw")
     kind = cfg.get("extractor", "multibit")
     x = bitio.read_bits(cfg["x_path"], n, fmt)
     y = bitio.read_bits(cfg["y_path"], n, fmt)
+    report = Report("extract", _echo_config(cfg))
+    if kind in ("multibit", "composed"):
+        start = time.perf_counter()
+        modulus = gf2.find_irreducible(n).value
+        report.timings["modulus_s"] = time.perf_counter() - start
+        report.modulus = {"degree": n, "tail": hex(modulus ^ (1 << n)),
+                          "source": gf2.modulus_source(n)}
 
     if kind == "ip":
         out = BitVector(1, extractors.ip_extract(x, y))
     elif kind == "multibit":
         out = extractors.multibit_extract(x, y, m)
     elif kind == "composed":
-        seeded = cfg.get("seeded", {})
         spec = extractors.SeededExtractorSpec(
             kind=seeded.get("kind", "trevisan"), n=n, m=m,
             t=int(seeded.get("t", 0)), c=int(seeded.get("c", 0)))
@@ -406,7 +438,6 @@ def run_extract(config: dict) -> tuple:
             params, "entangled" if entangled else "storage")
         capacity = feas.value if feas.satisfied else 0
 
-    report = Report("extract", _echo_config(cfg))
     report.add("declared m within computed capacity", m, capacity, m <= capacity)
     report.add("output bits", out.length, m, out.length == m)
     report.wall_clock_s = time.perf_counter() - t0

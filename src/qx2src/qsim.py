@@ -28,6 +28,7 @@ HERMITIAN_ATOL = 1e-10
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 POVM_SUM_ATOL = 1e-9
+PROB_ATOL = 1e-9          # rounding allowed outside [0, 1] in a probability
 PINV_CUTOFF = 1e-10
 
 # --------------------------------------------------------------------------
@@ -448,6 +449,9 @@ def guess_success(s: CqState, m: Povm) -> float:
         if e.label not in table:
             raise ParameterError(f"POVM lacks element for label {e.label!r}")
         total += e.prob * float(np.real(np.trace(table[e.label] @ e.rho)))
+    if not -PROB_ATOL <= total <= 1.0 + PROB_ATOL:
+        raise ParameterError(
+            f"success probability {total!r} is outside [0, 1]; the POVM is not valid")
     return min(max(total, 0.0), 1.0)
 
 

@@ -257,6 +257,94 @@ def test_trevisan_multibit_is_code_lookup_t8():
         _assert_trevisan_bits_are_code_lookups(spec, x, seed)
 
 
+def _horner_oracle(coeffs, point, w):
+    """p(point) in GF(2^w), each Horner step one gf2.poly_mul and one gf2.poly_mod."""
+    modulus = gf2.find_irreducible(w).value
+    acc = 0
+    for coef in reversed(coeffs):
+        acc = gf2.poly_mod(gf2.poly_mul(acc, point), modulus) ^ coef
+    return acc
+
+
+def _trevisan_oracle(x, seed, spec):
+    """trevisan_extract from its definition, with the design built here too.
+
+    The design lives in GF(t), the code in GF(2^w) with t = 2w.
+    """
+    w = spec.t // 2
+    c = spec.degree_bound
+    design_w = spec.t.bit_length() - 1
+    symbols = [(x.value >> (j * w)) & ((1 << w) - 1)
+               for j in range(-(-spec.n // w))]
+    out = 0
+    for i in range(spec.m):
+        coeffs = [i // spec.t ** j % spec.t for j in range(c)]
+        positions = sorted(a * spec.t + _horner_oracle(coeffs, a, design_w)
+                           for a in range(spec.t))
+        sub = sum(seed.bit(pos) << k for k, pos in enumerate(positions))
+        value = _horner_oracle(symbols, sub >> w, w)
+        out |= ((value & sub & ((1 << w) - 1)).bit_count() & 1) << i
+    return out
+
+
+def test_trevisan_matches_oracle_t2_exhaustive():
+    for n in (1, 2):
+        spec = SeededExtractorSpec(kind="trevisan", n=n, m=4, t=2)
+        for xv in range(1 << n):
+            for sv in range(1 << spec.d):
+                x, seed = BitVector(n, xv), BitVector(spec.d, sv)
+                assert trevisan_extract(x, seed, spec).value == \
+                    _trevisan_oracle(x, seed, spec)
+
+
+def test_trevisan_matches_oracle_t4_exhaustive():
+    # every input, and every sub-seed value on all four (disjoint) design sets
+    spec = SeededExtractorSpec(kind="trevisan", n=8, m=4, t=4)
+    design = weak_design(spec.m, spec.t, spec.degree_bound)
+    assert sorted(pos for positions in design for pos in positions) == list(range(16))
+    for sub in range(16):
+        sv = sum(((sub >> k) & 1) << pos
+                 for positions in design for k, pos in enumerate(positions))
+        seed = BitVector(spec.d, sv)
+        for xv in range(1 << spec.n):
+            x = BitVector(spec.n, xv)
+            assert trevisan_extract(x, seed, spec).value == \
+                _trevisan_oracle(x, seed, spec)
+
+
+def test_trevisan_matches_oracle_t32_n4096():
+    spec = SeededExtractorSpec(kind="trevisan", n=4096, m=96, t=32)
+    rng = derive_rng(9, 7)
+    for _ in range(3):
+        x = BitVector(spec.n, int.from_bytes(rng.bytes(spec.n // 8), "little"))
+        seed = BitVector(spec.d, int.from_bytes(rng.bytes(spec.d // 8), "little"))
+        assert trevisan_extract(x, seed, spec).value == _trevisan_oracle(x, seed, spec)
+
+
+def _prime_divisors(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def test_field_tables_generator_has_full_order():
+    for w in range(1, 17):
+        q = 1 << w
+        modulus = gf2.find_irreducible(w).value
+        antilog, log = extractors._log_tables(w, modulus)
+        g = int(antilog[1 % (q - 1)])
+
+        def power(e):
+            return _horner_oracle([0] * e + [1], g, w) if e else 1
+        assert power(q - 1) == 1
+        assert all(power((q - 1) // p) != 1 for p in _prime_divisors(q - 1))
+        assert sorted(antilog[:q - 1].tolist()) == list(range(1, q))
+        if w <= 6:
+            for a in range(q):
+                for b in range(q):
+                    assert int(antilog[log[a] + log[b]]) == \
+                        _horner_oracle([0, a], b, w)
+
+
 def test_trevisan_deterministic():
     spec = SeededExtractorSpec(kind="trevisan", n=12, m=5, t=8)
     x = bv("101101001110")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qx2src import gf2
 from qx2src.errors import DimensionError, ParameterError
@@ -115,6 +117,54 @@ def test_transpose_adjoint_identity():
 
 
 # --------------------------------------------------------------------------
+# carry-less product, against oracles written here
+
+
+def _oracle_mul(a, b):
+    """Shift-xor over the set bits of a."""
+    acc = 0
+    for j in range(a.bit_length()):
+        if (a >> j) & 1:
+            acc ^= b << j
+    return acc
+
+
+def _oracle_mod(a, f):
+    """Long division, one leading bit at a time."""
+    df = f.bit_length() - 1
+    for j in range(a.bit_length() - 1, df - 1, -1):
+        if (a >> j) & 1:
+            a ^= f << (j - df)
+    return a
+
+
+def test_poly_mul_matches_oracle_exhaustive_7_bits():
+    for a in range(1 << 7):
+        for b in range(1 << 7):
+            assert gf2.poly_mul(a, b) == _oracle_mul(a, b)
+
+
+_CUTOFF = gf2._WINDOW_MIN_WEIGHT
+_OPERANDS = st.one_of(
+    st.just(0),
+    st.integers(0, 8191).map(lambda k: 1 << k),
+    # dense, of any length up to 8192 bits
+    st.integers(0, 8192).flatmap(lambda k: st.integers((1 << k) >> 1, (1 << k) - 1)),
+    # set-bit counts on both sides of the cutoff
+    st.lists(st.integers(0, 8191), min_size=_CUTOFF - 1, max_size=_CUTOFF + 1,
+             unique=True).map(lambda ks: sum(1 << k for k in ks)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_OPERANDS, b=_OPERANDS)
+def test_poly_mul_matches_oracle_property(a, b):
+    # both orders: the kernel walks whichever operand has fewer set bits
+    want = _oracle_mul(a, b)
+    assert gf2.poly_mul(a, b) == want
+    assert gf2.poly_mul(b, a) == want
+
+
+# --------------------------------------------------------------------------
 # irreducible polynomials
 
 
@@ -143,12 +193,54 @@ def test_find_irreducible_brute_force_check():
             assert _has_nontrivial_factor(candidate)
 
 
+def _prime_divisors(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _frobenius(k, f):
+    """x^(2^k) mod f by k oracle squarings."""
+    s = 2
+    for _ in range(k):
+        s = _oracle_mod(_oracle_mul(s, s), f)
+    return s
+
+
+def _oracle_gcd(a, b):
+    while b:
+        a, b = b, _oracle_mod(a, b)
+    return a
+
+
+def _rabin_irreducible(f):
+    """Rabin's test: x^(2^n) = x mod f, and x^(2^(n/p)) - x is prime to f."""
+    n = f.bit_length() - 1
+    if _frobenius(n, f) != 2:
+        return False
+    return all(_oracle_gcd(f, _frobenius(n // p, f) ^ 2) == 1
+               for p in _prime_divisors(n))
+
+
+def test_rabin_oracle_on_small_degrees():
+    for n in range(2, 9):
+        for f in range(1 << n, 1 << (n + 1)):
+            assert _rabin_irreducible(f) == (not _has_nontrivial_factor(f))
+
+
 def test_find_irreducible_mid_degree_live():
     # degrees outside the memo exercise the full scan path
     for n in (96, 200):
         f = gf2.find_irreducible(n).value
         assert f.bit_length() - 1 == n
         assert gf2.is_irreducible(f)
+        assert _rabin_irreducible(f)
+
+
+def test_live_search_tails_are_pinned():
+    # live results of the shift-xor search, which the windowed product must keep
+    for n, tail in ((768, 0x16C1), (1536, 0x54B)):
+        assert gf2.modulus_source(n) == "search"
+        assert gf2._search_irreducible(n) == (1 << n) | tail
 
 
 def test_memoized_tails_match_live_search():

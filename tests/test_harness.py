@@ -319,3 +319,44 @@ def test_cli_maps_value_errors_to_exit_1(monkeypatch, capsys, exc):
     monkeypatch.setitem(harness.VERIFY_SUITES, "demo", broken_suite)
     assert run_cli("verify", "demo") == 1
     _assert_one_line_error(capsys, "broken input")
+
+
+@pytest.mark.parametrize("payload, needle", [
+    ({"mm": 5}, "mm"),
+    ({"seeded": {"kind": "trevisan", "tt": 4}}, "tt"),
+    ({"seeded": 4}, "seeded"),
+])
+def test_cli_extract_unknown_config_key_exit_1(tmp_path, capsys, payload, needle):
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(4))
+    cfg = _write_config(tmp_path, payload)
+    assert run_cli("extract", "--x", str(x), "--y", str(x), "--n", "16",
+                   "--config", str(cfg)) == 1
+    _assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("attack", "smp", "--n", "4"), "n"),
+    (("attack", "knowledge", "--n", "4", "--k1", "3"), "k1"),
+    (("attack", "superdense", "--config", "CONFIG"), "max_m"),
+])
+def test_cli_attack_unknown_config_key_exit_1(tmp_path, capsys, argv, needle):
+    cfg = _write_config(tmp_path, {"max_m": 4})
+    argv = [str(cfg) if arg == "CONFIG" else arg for arg in argv]
+    assert run_cli(*argv) == 1
+    _assert_one_line_error(capsys, needle)
+
+
+def test_extract_report_names_modulus(tmp_path):
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(range(128)))
+    base = {"x_path": str(x), "y_path": str(x), "m": 4}
+    _, ip = harness.run_extract(dict(base, n=16, extractor="ip"))
+    assert "modulus" not in ip.to_dict()
+    for n, source, tail in ((16, "search", "0x2b"), (1024, "memo", "0x2cd")):
+        _, report = harness.run_extract(dict(base, n=n))
+        doc = report.to_dict()
+        assert doc["modulus"] == {"degree": n, "tail": tail, "source": source}
+        assert doc["timings"]["modulus_s"] >= 0
+        assert "timings" not in report.to_dict(include_wall_clock=False)
+        assert report.to_dict(include_wall_clock=False)["modulus"] == doc["modulus"]

@@ -452,3 +452,12 @@ def test_cq_state_validation():
 def test_povm_validation():
     with pytest.raises(ValidationError):
         qsim.Povm((("0", np.eye(2) * 0.7), ("1", np.eye(2) * 0.7)))
+
+
+def test_guess_success_rejects_broken_povm():
+    # 2 I passes no Povm validation, so build it around __post_init__
+    s = qsim.CqState.from_entries([("0", 0.5, KET0), ("1", 0.5, KET1)])
+    broken = object.__new__(qsim.Povm)
+    object.__setattr__(broken, "elements", (("0", 2 * np.eye(2)), ("1", 2 * np.eye(2))))
+    with pytest.raises(ParameterError, match="2.0"):
+        qsim.guess_success(s, broken)
