@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Literal, Optional, Sequence, Tuple, get_args
 
 import numpy as np
 
@@ -143,21 +143,16 @@ class StorageStrategy:
         self._state_fn = state_fn
         self._full_a_fn = full_a_fn
         self._full_b_fn = full_b_fn
-        self._cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     @property
     def dim(self) -> int:
         return 1 << (self.b1 + self.b2)
 
     def state_for(self, x: BitVector, y: BitVector) -> np.ndarray:
-        key = (x.value, y.value)
-        rho = self._cache.get(key)
-        if rho is None:
-            rho = np.asarray(self._state_fn(x, y), dtype=complex)
-            if rho.shape != (self.dim, self.dim):
-                raise DimensionError(
-                    f"strategy produced dim {rho.shape[0]}, budget dim {self.dim}")
-            self._cache[key] = rho
+        rho = np.asarray(self._state_fn(x, y), dtype=complex)
+        if rho.shape != (self.dim, self.dim):
+            raise DimensionError(
+                f"strategy produced dim {rho.shape[0]}, budget dim {self.dim}")
         return rho
 
     def has_full_side(self, side: str) -> bool:
@@ -576,8 +571,10 @@ class TightnessAttack:
     bias_found: Optional[float] = None
 
 
-SETTINGS = ("entangled", "non-entangled", "superstrong-entangled",
-            "superstrong-non-entangled")
+Setting = Literal["entangled", "non-entangled", "superstrong-entangled",
+                  "superstrong-non-entangled"]
+SETTINGS = get_args(Setting)
+Branch = Literal["auto", "exact", "biased"]
 
 
 def _effective_block(setting: str, b1: int, b2: int) -> int:
@@ -606,7 +603,7 @@ def _attack_storage(setting: str, n: int, x_block: List[int], y_block: List[int]
 
 
 def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
-                     setting: str, branch: str = "auto",
+                     setting: Setting, branch: Branch = "auto",
                      seed: int = 0) -> TightnessAttack:
     """Sources plus storage sitting at the security frontier.
 
@@ -624,7 +621,7 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
         raise ParameterError(f"unknown setting {setting!r}")
     if not (0 < k1 <= n and 0 < k2 <= n):
         raise ParameterError("need 0 < k1, k2 <= n")
-    if branch not in ("auto", "exact", "biased"):
+    if branch not in get_args(Branch):
         raise ParameterError("branch must be auto, exact, or biased")
     if setting.startswith("superstrong") and b1 < b2:
         # the construction stores the x side; with the larger budget on the

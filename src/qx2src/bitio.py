@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import binascii
 from pathlib import Path
+from typing import Literal, get_args
 
 from .errors import ParameterError
 from .gf2 import BitVector
 
-FORMATS = ("raw", "hex")
+Format = Literal["raw", "hex"]
+FORMATS = get_args(Format)
 
 
-def read_bits(path, n: int, fmt: str = "raw") -> BitVector:
+def read_bits(path, n: int, fmt: Format = "raw") -> BitVector:
     """First n bits of a file in the packed little-endian convention."""
     if fmt not in FORMATS:
         raise ParameterError(f"unknown format {fmt!r}")
@@ -33,7 +35,7 @@ def read_bits(path, n: int, fmt: str = "raw") -> BitVector:
     return BitVector.from_bytes(data, n)
 
 
-def write_bits(path, bits: BitVector, fmt: str = "raw") -> None:
+def write_bits(path, bits: BitVector, fmt: Format = "raw") -> None:
     if fmt not in FORMATS:
         raise ParameterError(f"unknown format {fmt!r}")
     data = bits.to_bytes()

@@ -111,7 +111,10 @@ def one_bit_condition(p: ParamSet, variant: str, entangled: bool) -> BoundReport
     factor = 2 if entangled else 1
     lhs = p.k1 + p.k2 - factor * s
     rhs = p.n - 2 + 2 * p.log_inv_eps
-    threshold = 2.0 ** (-(lhs - p.n + 2) / 2)
+    try:
+        threshold = 2.0 ** (-(lhs - p.n + 2) / 2)
+    except OverflowError:
+        raise ParameterError(f"eps threshold out of float range at {p}") from None
     return BoundReport(
         name=f"one-bit {variant} {'entangled' if entangled else 'product'}",
         satisfied=lhs >= rhs,
@@ -165,38 +168,25 @@ def _composed_side(p: ParamSet, setting: str, side: str):
     """(condition lhs-rhs slack, output length) for one composition side."""
     L = p.log_inv_eps
     poly = _poly_threshold(p)
-    k_self, k_opp = (p.k1, p.k2) if side == "X" else (p.k2, p.k1)
-    b_self, b_opp = (p.b1, p.b2) if side == "X" else (p.b2, p.b1)
+    k_self, b_self, b_opp = (p.k1, p.b1, p.b2) if side == "X" else (p.k2, p.b2, p.b1)
+    # per setting: the multiple of b_opp the condition charges, the entropy
+    # left on this side, and the inner extractor's output length
     if setting == "storage":
-        slack = (p.k1 + p.k2 - b_opp) - (p.n + poly)
-        loss = k_self - b_self
-        if loss < 1:
-            return slack, None
-        inner = 0.5 * (p.k1 + p.k2 - b_opp - p.n - 2 * L)
-        m = inner + loss - 8 * math.log2(loss) - 8 * L - p.c_o1
+        f, loss, inner = 1, k_self - b_self, 0.5 * (p.k1 + p.k2 - b_opp - p.n - 2 * L)
     elif setting == "entangled":
-        slack = (p.k1 + p.k2 - 2 * b_opp) - (p.n + poly)
-        loss = k_self - p.b1 - p.b2
-        if loss < 1:
-            return slack, None
+        f, loss = 2, k_self - p.b1 - p.b2
         inner = 0.5 * (p.k1 + p.k2 - 2 * b_opp - p.n - 2 * L)
-        m = inner + loss - 8 * math.log2(loss) - 8 * L - p.c_o1
     elif setting == "knowledge":
-        slack = (p.k1 + p.k2) - (p.n + poly)
-        if k_self < 1:
-            return slack, None
-        inner = (p.k1 + p.k2 - p.n - 6 * L) / 6
-        m = inner + k_self - 8 * math.log2(k_self) - 8 * L - p.c_o1
+        f, loss, inner = 0, k_self, (p.k1 + p.k2 - p.n - 6 * L) / 6
     elif setting == "classical-reduction":
-        slack = (p.k1 + p.k2 - 10 * b_opp) - (p.n + poly)
-        loss = k_self - b_self
-        if loss < 1:
-            return slack, None
+        f, loss = 10, k_self - b_self
         inner = p.k1 + p.k2 - 10 * b_opp - p.n - 4 - 3 * L
-        m = inner + loss - 8 * math.log2(loss) - 8 * L - p.c_o1
     else:
         raise ParameterError(f"unknown setting {setting!r}")
-    return slack, m
+    slack = (p.k1 + p.k2 - f * b_opp) - (p.n + poly)
+    if loss < 1:
+        return slack, None
+    return slack, inner + loss - 8 * math.log2(loss) - 8 * L - p.c_o1
 
 
 def composed_output_len(p: ParamSet, setting: str) -> BoundReport:
@@ -206,26 +196,18 @@ def composed_output_len(p: ParamSet, setting: str) -> BoundReport:
     reports the chosen side's feasibility slack.  An unsatisfied side
     condition yields an infeasible report with value 0, not an error.
     """
-    results = {}
-    for side in ("X", "Y"):
-        slack, m = _composed_side(p, setting, side)
-        feasible = slack > 0 and m is not None
-        results[side] = (feasible, slack, m if m is not None else float("-inf"))
-    feasible_sides = [s for s in ("X", "Y") if results[s][0]]
-    details = {f"m_{s}": results[s][2] for s in ("X", "Y")
-               if results[s][2] != float("-inf")}
-    details.update({f"slack_{s}": results[s][1] for s in ("X", "Y")})
-    if not feasible_sides:
-        best_side = max(("X", "Y"), key=lambda s: results[s][1])
-        return BoundReport(name=f"composed {setting}", satisfied=False,
-                           slack=results[best_side][1], value=0,
-                           side=best_side, details=details)
-    best_side = max(feasible_sides, key=lambda s: results[s][2])
-    m_val = results[best_side][2]
-    return BoundReport(name=f"composed {setting}", satisfied=True,
-                       slack=results[best_side][1],
-                       value=max(0, math.floor(m_val)),
-                       side=best_side, details=details)
+    sides = {side: _composed_side(p, setting, side) for side in ("X", "Y")}
+    details = {f"m_{s}": m for s, (_, m) in sides.items() if m is not None}
+    details.update({f"slack_{s}": slack for s, (slack, _) in sides.items()})
+    feasible = [s for s, (slack, m) in sides.items() if slack > 0 and m is not None]
+    if feasible:
+        side = max(feasible, key=lambda s: sides[s][1])
+    else:
+        side = max(sides, key=lambda s: sides[s][0])
+    slack, m = sides[side]
+    return BoundReport(name=f"composed {setting}", satisfied=bool(feasible),
+                       slack=slack, value=max(0, math.floor(m)) if feasible else 0,
+                       side=side, details=details)
 
 
 # --------------------------------------------------------------------------
@@ -258,13 +240,9 @@ def knowledge_transfer(k1: float, k2: float, eps: float,
         raise ParameterError("eps must lie in (0, 1]")
     L = -math.log2(eps)
     if variant == "weak":
-        eps_out = math.sqrt(1.5 * eps)
-        out = TransferredParams(k1=k1 + L, k2=k2 + L, eps=eps_out,
-                                vacuous=eps_out > 0.5)
+        k1_out, eps_out = k1 + L, math.sqrt(1.5 * eps)
     elif variant == "x-strong":
-        eps_out = math.sqrt(eps)
-        out = TransferredParams(k1=k1, k2=k2 + L, eps=eps_out,
-                                vacuous=eps_out > 0.5)
+        k1_out, eps_out = k1, math.sqrt(eps)
     else:
         raise ParameterError(f"unknown variant {variant!r}")
-    return out
+    return TransferredParams(k1=k1_out, k2=k2 + L, eps=eps_out, vacuous=eps_out > 0.5)

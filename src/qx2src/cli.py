@@ -1,171 +1,153 @@
 """Command-line interface.
 
-    qx2src extract --x FILE --y FILE [--out FILE] [--config FILE] ...
-    qx2src verify {xor,reduction,normbound,security,matrices} [--seed N] [--out FILE]
-    qx2src attack {smp,superdense,tightness,knowledge} [--seed N] ...
-    qx2src bounds [--config FILE] [--n N --k1 K ...]
+Exit codes: 0 all checks pass, 1 usage or input error (one ``error:``
+line on stderr), 2 feasibility warning (extraction output still
+produced), 3 verification failure.
 
-Exit codes: 0 all checks pass, 1 usage or input error, 2 feasibility
-warning (extraction output still produced), 3 verification failure.
+One subcommand per entry of ``harness.COMMANDS``, whose flags are its
+handler's parameters (``_`` spelled ``-``; x_path, y_path and out_path
+spelled --x, --y and --output; ``config:`` ones set in the config only).
+Each also takes --config FILE, a JSON object of the same parameters that
+flags override, and --out FILE for the report.  tests/test_cli.py checks
+these usage lines against the registry:
+
+    qx2src extract --x STR --y STR --n INT [--m INT]
+        [--extractor {ip,multibit,composed}] [--format {raw,hex}] [--which {X,Y}]
+        [config:seeded] [--output STR] [--entangled] [--k1 INT] [--k2 INT] [--b1 INT]
+        [--b2 INT] [--eps FLOAT] [--c-poly FLOAT] [--c-o1 FLOAT]
+    qx2src verify matrices [--seed INT] [--exhaustive-max-n INT] [--random-ns INT ...]
+        [--random-trials INT]
+    qx2src verify xor [--seed INT] [--trials INT] [--equality-trials INT] [--max-m INT]
+        [--max-d INT] [--atol FLOAT]
+    qx2src verify reduction [--seed INT] [--trials INT] [--max-m INT] [--max-d INT]
+        [--atol FLOAT]
+    qx2src verify normbound [--seed INT] [--trials INT] [--max-d INT] [--atol FLOAT]
+    qx2src verify security [--seed INT] [--instances INT] [--n INT] [--k INT] [--b INT]
+        [--atol FLOAT]
+    qx2src attack smp [--ns INT ...] [--seed INT]
+    qx2src attack superdense [--max-n INT] [--seed INT]
+    qx2src attack tightness --n INT --k1 INT --k2 INT --b1 INT --b2 INT --setting
+        {entangled,non-entangled,superstrong-entangled,superstrong-non-entangled}
+        [--branch {auto,exact,biased}] [--seed INT]
+    qx2src attack knowledge --n INT [--seed INT]
+    qx2src bounds --n INT --k1 INT --k2 INT [--b1 INT] [--b2 INT] [--m INT]
+        [--eps FLOAT] [--c-poly FLOAT] [--c-o1 FLOAT] [config:sweep]
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
+import collections.abc
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import harness
-from .errors import SearchExhaustedError
+from .errors import ParameterError, SearchExhaustedError
+
+# parameters whose flag is not the parameter name
+ALIASES = {"x_path": "--x", "y_path": "--y", "out_path": "--output"}
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
+def flag(name: str) -> str:
+    return ALIASES.get(name, "--" + name.replace("_", "-"))
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _flag_kwargs(tp):
+    """argparse keywords for a parameter of type tp; None for config-only ones."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is bool:
+        return {"action": "store_true"}
+    if origin is typing.Literal:
+        return {"choices": args, "metavar": "{" + ",".join(args) + "}"}
+    if origin is collections.abc.Sequence:
+        return {"type": args[0], "nargs": "+", "metavar": args[0].__name__.upper()}
+    return {"type": tp, "metavar": tp.__name__.upper()} if tp in (int, float, str) else None
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int, help="base RNG seed (64-bit)")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+def synopsis(command: str) -> str:
+    """The command's usage line, built from its handler's parameters."""
+    words = [f"qx2src {command}"]
+    for name, (tp, required) in harness.parameters(command).items():
+        kwargs = _flag_kwargs(tp)
+        word = f"config:{name}" if kwargs is None else " ".join(filter(None, [
+            flag(name), kwargs.get("metavar"), "..." if "nargs" in kwargs else ""]))
+        words.append(word if required else f"[{word}]")
+    return " ".join(words)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exact flags only (--n must not pass for --ns); usage errors raise."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ParameterError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qx2src")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ext = sub.add_parser("extract", help="run an extractor over two bit files")
-    _add_common(p_ext)
-    p_ext.add_argument("--x", dest="x_path", help="first source file")
-    p_ext.add_argument("--y", dest="y_path", help="second source file")
-    p_ext.add_argument("--output", dest="out_path", help="extracted bits file")
-    p_ext.add_argument("--n", type=int)
-    p_ext.add_argument("--m", type=int)
-    p_ext.add_argument("--format", choices=("raw", "hex"))
-    p_ext.add_argument("--extractor", choices=("ip", "multibit", "composed"))
-    p_ext.add_argument("--which", choices=("X", "Y"))
-    p_ext.add_argument("--k1", type=int)
-    p_ext.add_argument("--k2", type=int)
-    p_ext.add_argument("--b1", type=int)
-    p_ext.add_argument("--b2", type=int)
-    p_ext.add_argument("--eps", type=float)
-    p_ext.add_argument("--entangled", action="store_true", default=None)
-
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", choices=sorted(harness.VERIFY_SUITES))
-    _add_common(p_ver)
-    p_ver.add_argument("--trials", type=int)
-    p_ver.add_argument("--instances", type=int)
-
-    p_att = sub.add_parser("attack", help="build and evaluate an attack")
-    p_att.add_argument("kind", choices=sorted(harness.ATTACKS))
-    _add_common(p_att)
-    p_att.add_argument("--n", type=int)
-    p_att.add_argument("--k1", type=int)
-    p_att.add_argument("--k2", type=int)
-    p_att.add_argument("--b1", type=int)
-    p_att.add_argument("--b2", type=int)
-    p_att.add_argument("--setting", choices=harness.adversaries.SETTINGS)
-    p_att.add_argument("--branch", choices=("auto", "exact", "biased"))
-
-    p_bnd = sub.add_parser("bounds", help="evaluate bound calculators")
-    _add_common(p_bnd)
-    for name in ("n", "k1", "k2", "b1", "b2", "m"):
-        p_bnd.add_argument(f"--{name}", type=int)
-    p_bnd.add_argument("--eps", type=float)
-    p_bnd.add_argument("--c-poly", dest="c_poly", type=float)
-    p_bnd.add_argument("--c-o1", dest="c_o1", type=float)
+    parser = _Parser(prog="qx2src")
+    verbs = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for command in harness.COMMANDS:
+        verb, _, name = command.partition(" ")
+        if not name:
+            sub = verbs.add_parser(verb)
+        else:
+            if verb not in groups:
+                groups[verb] = verbs.add_parser(verb).add_subparsers(
+                    dest="subcommand", required=True)
+            sub = groups[verb].add_parser(name)
+        sub.set_defaults(handler=command)
+        sub.add_argument("--config", metavar="FILE",
+                         help="JSON object of parameters; flags override it")
+        sub.add_argument("--out", metavar="FILE",
+                         help="write the report here instead of stdout")
+        for param, (tp, _) in harness.parameters(command).items():
+            kwargs = _flag_kwargs(tp)
+            if kwargs is not None:
+                sub.add_argument(flag(param), dest=param,
+                                 default=argparse.SUPPRESS, **kwargs)
     return parser
 
 
-def _merge(config: dict, args, keys) -> dict:
-    merged = dict(config)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+def parse(argv=None) -> tuple:
+    """(command, config, report path) of a command line; flags override --config."""
+    args = vars(build_parser().parse_args(argv))
+    command = args["handler"]
+    config = json.loads(Path(args["config"]).read_text()) if args.get("config") else {}
+    if not isinstance(config, dict):
+        raise ParameterError(f"config must hold a JSON object, got {config!r}")
+    params = harness.parameters(command)
+    config.update((k, v) for k, v in args.items() if k in params)
+    missing = [flag(k) for k, (_, required) in params.items()
+               if required and k not in config]
+    if missing:
+        raise ParameterError(f"{command} needs {', '.join(missing)}")
+    return command, config, args.get("out")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if args.command == "extract":
-            cfg = _merge(config, args,
-                         ("x_path", "y_path", "out_path", "n", "m", "format",
-                          "extractor", "which", "k1", "k2", "b1", "b2", "eps",
-                          "entangled", "seed"))
-            if "x_path" not in cfg or "y_path" not in cfg or "n" not in cfg:
-                print("error: extract needs --x, --y and --n", file=sys.stderr)
-                return 1
-            code, report = harness.run_extract(cfg)
-            _emit(report.to_json(), args.out)
-            return code
-
-        if args.command == "verify":
-            cfg = _merge(config, args, ("seed", "trials", "instances"))
-            seed = cfg.pop("seed", harness.DEFAULT_SEED)
-            report = harness.run_verify(args.suite, seed=seed, **cfg)
-            _emit(report.to_json(), args.out)
-            return 0 if report.passed else 3
-
-        if args.command == "attack":
-            cfg = _merge(config, args,
-                         ("seed", "n", "k1", "k2", "b1", "b2", "setting", "branch"))
-            kind = args.kind
-            harness.reject_unknown_keys(
-                f"attack {kind}", cfg,
-                inspect.signature(harness.ATTACKS[kind]).parameters)
-            seed = cfg.pop("seed", harness.DEFAULT_SEED)
-            if kind == "smp":
-                report = harness.run_smp_attack(
-                    ns=tuple(cfg.get("ns", (2, 4, 6))), seed=seed)
-            elif kind == "superdense":
-                report = harness.run_superdense_attack(
-                    max_n=cfg.get("max_n", 8), seed=seed)
-            elif kind == "tightness":
-                needed = ("n", "k1", "k2", "b1", "b2", "setting")
-                if any(k not in cfg for k in needed):
-                    print(f"error: tightness needs {needed}", file=sys.stderr)
-                    return 1
-                report = harness.run_tightness_attack(
-                    cfg["n"], cfg["k1"], cfg["k2"], cfg["b1"], cfg["b2"],
-                    cfg["setting"], branch=cfg.get("branch", "auto"), seed=seed)
-            else:
-                if "n" not in cfg:
-                    print("error: knowledge attack needs --n", file=sys.stderr)
-                    return 1
-                report = harness.run_knowledge_attack(cfg["n"], seed=seed)
-            _emit(report.to_json(), args.out)
-            return 0 if report.passed else 3
-
-        # bounds
-        cfg = _merge(config, args,
-                     ("n", "k1", "k2", "b1", "b2", "m", "eps", "c_poly", "c_o1"))
-        table = harness.bounds_table(cfg)
-        _emit(json.dumps(table, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-
+        command, config, out_path = parse(argv)
+        result = harness.dispatch(command, config)
+        if command == "bounds":
+            code = 0
+            text = json.dumps(result, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        else:
+            code, report = result if command == "extract" else (
+                0 if result.passed else 3, result)
+            text = report.to_json()
+        if out_path:
+            Path(out_path).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, SearchExhaustedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

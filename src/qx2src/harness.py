@@ -10,12 +10,16 @@ between identical runs.
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
 import inspect
 import json
 import math
+import numbers
 import time
+import typing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Literal, Optional, Sequence, TypedDict
 
 import numpy as np
 
@@ -44,15 +48,21 @@ class Report:
     """A command's checks; wall_clock_s and timings differ between identical runs."""
 
     command: str
-    config: Dict
+    config: Dict        # the parameters the command ran with
     records: List[CheckRecord] = field(default_factory=list)
     wall_clock_s: float = 0.0
     modulus: Optional[Dict] = None     # the GF(2^n) modulus an extraction used
     timings: Dict[str, float] = field(default_factory=dict)
+    opened: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        """True when there are checks and every one passed."""
+        return bool(self.records) and all(r.passed for r in self.records)
+
+    def stop(self) -> None:
+        """Record the wall clock since the report was opened."""
+        self.wall_clock_s = time.perf_counter() - self.opened
 
     def add(self, name: str, measured: float, bound: float, passed: bool) -> None:
         self.records.append(CheckRecord(name, float(measured), float(bound), passed))
@@ -77,19 +87,11 @@ class Report:
                           sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def reject_unknown_keys(command: str, config, known) -> None:
-    """Raise ParameterError naming every key of config that is not in known."""
-    unknown = sorted(set(config) - set(known))
-    if unknown:
-        raise ParameterError(
-            f"unknown parameter(s) for {command}: {', '.join(unknown)}")
-
-
-def _require_counts(**counts) -> None:
-    """Reject trial counts below 1, so no check can pass without running."""
-    for name, value in counts.items():
-        if not isinstance(value, int) or value < 1:
-            raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+def _require_at_least(low: int, **values) -> None:
+    """Reject values below low; a trial count of 0 would pass without running."""
+    for name, value in values.items():
+        if not isinstance(value, int) or value < low:
+            raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -100,12 +102,8 @@ def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
                        random_ns: Sequence[int] = (32, 64),
                        random_trials: int = 10000) -> Report:
     """Full-rank property of every subset XOR of the multiplier family."""
-    _require_counts(exhaustive_max_n=exhaustive_max_n, random_trials=random_trials)
-    t0 = time.perf_counter()
-    report = Report("verify:matrices", {
-        "seed": seed, "exhaustive_max_n": exhaustive_max_n,
-        "random_ns": list(random_ns), "random_trials": random_trials,
-    })
+    report = Report("verify:matrices", dict(locals()))
+    _require_at_least(1, exhaustive_max_n=exhaustive_max_n, random_trials=random_trials)
     for n in range(1, exhaustive_max_n + 1):
         mats = gf2.multiplier_matrices(n, n)
         good = sum(
@@ -125,7 +123,7 @@ def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
                 good += 1
         report.add(f"random subset ranks n={n}", good, random_trials,
                    good == random_trials)
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
 
 
@@ -137,12 +135,9 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
                   equality_trials: int = 200, max_m: int = 3,
                   max_d: int = 3, atol: float = 1e-8) -> Report:
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
-    _require_counts(trials=trials, equality_trials=equality_trials)
-    t0 = time.perf_counter()
-    report = Report("verify:xor", {
-        "seed": seed, "trials": trials, "equality_trials": equality_trials,
-        "max_m": max_m, "max_d": max_d, "atol": atol,
-    })
+    report = Report("verify:xor", dict(locals()))
+    _require_at_least(1, trials=trials, equality_trials=equality_trials, max_m=max_m)
+    _require_at_least(0, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         m, d = _trial_shape(t, max_m, max_d)
@@ -157,29 +152,22 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
         f = qsim.random_boolean_fn(m, seed, stream=t)
         reduced = qsim.boolean_reduce(state, f)
         lhs = 2 * qsim.cq_distance_from_uniform(reduced, 1)
-        rho = {0: None, 1: None}
+        rho = np.zeros((2, state.dim, state.dim), dtype=complex)
         for e in state.entries:
-            b = 1 if f(e.label) else 0
-            rho[b] = e.prob * e.rho if rho[b] is None else rho[b] + e.prob * e.rho
-        dim = state.dim
-        diff = ((rho[0] if rho[0] is not None else np.zeros((dim, dim)))
-                - (rho[1] if rho[1] is not None else np.zeros((dim, dim))))
-        worst_eq = max(worst_eq, abs(lhs - qsim.l1_norm(diff)))
+            rho[int(bool(f(e.label)))] += e.prob * e.rho
+        worst_eq = max(worst_eq, abs(lhs - qsim.l1_norm(rho[0] - rho[1])))
     report.add("one-bit merge identity max deviation", worst_eq, 1e-9,
                worst_eq <= 1e-9)
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
 
 
 def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
                  max_m: int = 3, max_d: int = 3, atol: float = 1e-8) -> Report:
     """Quantum-to-classical reduction through the square-root measurement."""
-    _require_counts(trials=trials)
-    t0 = time.perf_counter()
-    report = Report("verify:reduction", {
-        "seed": seed, "trials": trials, "max_m": max_m, "max_d": max_d,
-        "atol": atol,
-    })
+    report = Report("verify:reduction", dict(locals()))
+    _require_at_least(1, trials=trials, max_m=max_m)
+    _require_at_least(0, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         m, d = _trial_shape(t, max_m, max_d)
@@ -188,18 +176,15 @@ def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
         res = qsim.pgm_reduction_check(state, f)
         worst = max(worst, res.lhs - res.bound)
     report.add("pgm reduction max violation", worst, atol, worst <= atol)
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
 
 
 def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
                      max_d: int = 3, atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
-    _require_counts(trials=trials)
-    t0 = time.perf_counter()
-    report = Report("verify:normbound", {
-        "seed": seed, "trials": trials, "max_d": max_d, "atol": atol,
-    })
+    report = Report("verify:normbound", dict(locals()))
+    _require_at_least(1, trials=trials, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         d = 1 + t % max_d
@@ -211,7 +196,7 @@ def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
         lhs, rhs = qsim.trace_norm_weighted_l2_bound(s_op, sigma)
         worst = max(worst, lhs - rhs)
     report.add("weighted l2 bound max violation", worst, atol, worst <= atol)
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
 
 
@@ -219,12 +204,8 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
                        n: int = 4, k: int = 3, b: int = 1,
                        atol: float = 1e-8) -> Report:
     """Exact one-bit distances never exceed the bias bound, per flavor."""
-    _require_counts(instances=instances)
-    t0 = time.perf_counter()
-    report = Report("verify:security", {
-        "seed": seed, "instances": instances, "n": n, "k": k, "b": b,
-        "atol": atol,
-    })
+    report = Report("verify:security", dict(locals()))
+    _require_at_least(1, instances=instances)
     params = bounds.ParamSet(n=n, k1=k, k2=k, b1=b, b2=b)
     for flavor, entangled in (("product", False), ("entangled", True)):
         bound = bounds.ip_bias_bound(params, b, entangled=entangled)
@@ -240,26 +221,12 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
             worst = max(worst, dist - bound)
         report.add(f"ip distance within bound ({flavor})", worst, atol,
                    worst <= atol)
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
 
 
-VERIFY_SUITES = {
-    "matrices": run_matrices_suite,
-    "xor": run_xor_suite,
-    "reduction": run_reduction_suite,
-    "normbound": run_normbound_suite,
-    "security": run_security_suite,
-}
-
-
 def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
-    if suite not in VERIFY_SUITES:
-        raise ParameterError(
-            f"unknown suite {suite!r}; choose from {sorted(VERIFY_SUITES)}")
-    reject_unknown_keys(f"verify {suite}", overrides,
-                        inspect.signature(VERIFY_SUITES[suite]).parameters)
-    return VERIFY_SUITES[suite](seed=seed, **overrides)
+    return dispatch(f"verify {suite}", dict(overrides, seed=seed))
 
 
 # --------------------------------------------------------------------------
@@ -267,8 +234,7 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
 
 
 def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> Report:
-    t0 = time.perf_counter()
-    report = Report("attack:smp", {"ns": list(ns), "seed": seed})
+    report = Report("attack:smp", dict(locals()))
     for n in ns:
         worst_p = 1.0
         correct = 0
@@ -288,13 +254,12 @@ def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> R
                    abs(worst_p - 1.0) <= 1e-9)
         report.add(f"smp qubits per party n={n}", qubits, n // 2 + 2,
                    qubits == n // 2 + 2)
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
 
 
 def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
-    t0 = time.perf_counter()
-    report = Report("attack:superdense", {"max_n": max_n, "seed": seed})
+    report = Report("attack:superdense", dict(locals()))
     ok2 = sum(adversaries.superdense_roundtrip(f"{a}{b}") == f"{a}{b}"
               for a in "01" for b in "01")
     report.add("two-bit roundtrips", ok2, 4, ok2 == 4)
@@ -303,18 +268,15 @@ def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
             adversaries.superdense_roundtrip_vector(BitVector(n, v)).value == v
             for v in range(1 << n))
         report.add(f"{n}-bit roundtrips", good, 1 << n, good == (1 << n))
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
 
 
 def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
-                         setting: str, branch: str = "auto",
+                         setting: adversaries.Setting,
+                         branch: adversaries.Branch = "auto",
                          seed: int = DEFAULT_SEED) -> Report:
-    t0 = time.perf_counter()
-    report = Report("attack:tightness", {
-        "n": n, "k1": k1, "k2": k2, "b1": b1, "b2": b2,
-        "setting": setting, "branch": branch, "seed": seed,
-    })
+    report = Report("attack:tightness", dict(locals()))
     attack = adversaries.tightness_attack(n, k1, k2, b1, b2, setting,
                                           branch=branch, seed=seed)
     measured = adversaries.measure_attack_advantage(attack)
@@ -336,13 +298,12 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
     threshold = bounds.one_bit_condition(params, variant, entangled).value
     report.add("advantage within security threshold", measured, threshold,
                measured <= threshold + 1e-9)
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
 
 
 def run_knowledge_attack(n: int, seed: int = DEFAULT_SEED) -> Report:
-    t0 = time.perf_counter()
-    report = Report("attack:knowledge", {"n": n, "seed": seed})
+    report = Report("attack:knowledge", dict(locals()))
     res = adversaries.guessing_entropy_counterexample(n)
     report.add("referee correctness", res.referee_correct_fraction, 1.0,
                res.referee_correct_fraction == 1.0)
@@ -351,125 +312,107 @@ def run_knowledge_attack(n: int, seed: int = DEFAULT_SEED) -> Report:
     report.add("combined-storage guessing entropy floor",
                res.guessing_entropy_combined, n - 4,
                res.guessing_entropy_combined >= n - 4)
-    report.wall_clock_s = time.perf_counter() - t0
+    report.stop()
     return report
-
-
-ATTACKS = {
-    "smp": run_smp_attack,
-    "superdense": run_superdense_attack,
-    "tightness": run_tightness_attack,
-    "knowledge": run_knowledge_attack,
-}
 
 
 # --------------------------------------------------------------------------
 # extraction runs
 
 
-# every config key run_extract reads, plus the seed the CLI passes through
-_EXTRACT_KEYS = ("x_path", "y_path", "out_path", "n", "m", "format",
-                 "extractor", "which", "seeded", "k1", "k2", "b1", "b2", "eps",
-                 "c_poly", "c_o1", "entangled", "seed")
+class Seeded(TypedDict, total=False):
+    """The seeded half of a composed extraction; t and c as in SeededExtractorSpec."""
+    kind: Literal["toeplitz", "trevisan"]
+    t: int
+    c: int
 
 
-def run_extract(config: dict) -> tuple:
+_PARAM_FIELDS = {f.name for f in dataclasses.fields(bounds.ParamSet)}
+
+
+def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
+                extractor: Optional[Literal["ip", "multibit", "composed"]] = None,
+                format: Optional[bitio.Format] = None,
+                which: Optional[Literal["X", "Y"]] = None,
+                seeded: Optional[Seeded] = None, out_path: Optional[str] = None,
+                entangled: Optional[bool] = None, k1: Optional[int] = None,
+                k2: Optional[int] = None, b1: Optional[int] = None,
+                b2: Optional[int] = None, eps: Optional[float] = None,
+                c_poly: Optional[float] = None,
+                c_o1: Optional[float] = None) -> tuple:
     """Extract bits from two source files; returns (exit_code, report).
 
-    Exit 0 on success, 2 when the declared parameters fail the matching
-    feasibility condition (output still produced, flagged in the
-    report).  Unknown config keys, missing or short input raise
-    ParameterError/OSError, which the CLI maps to exit 1.  Multibit and
-    composed reports name the GF(2^n) modulus and where it came from;
-    the time spent finding it is under timings.
+    Parameters left at None are not echoed and take their defaults:
+    k1 = k2 = n, the other bound parameters (m among them) as in
+    bounds.ParamSet, multibit, raw files, side X, no entanglement and
+    Trevisan.  Exit 0 on success, 2 when the declared parameters fail
+    their feasibility condition (output still written, flagged in the
+    report).  Multibit and composed reports name the GF(2^n) modulus and
+    where it came from; the time spent finding it is under timings.
     """
-    t0 = time.perf_counter()
-    cfg = dict(config)
-    reject_unknown_keys("extract", cfg, _EXTRACT_KEYS)
-    seeded = cfg.get("seeded", {})
-    if not isinstance(seeded, dict):
-        raise ParameterError(f"seeded must be an object, got {seeded!r}")
-    reject_unknown_keys("extract seeded", seeded, ("kind", "t", "c"))
-    n = int(cfg["n"])
-    m = int(cfg.get("m", 1))
-    fmt = cfg.get("format", "raw")
-    kind = cfg.get("extractor", "multibit")
-    x = bitio.read_bits(cfg["x_path"], n, fmt)
-    y = bitio.read_bits(cfg["y_path"], n, fmt)
-    report = Report("extract", _echo_config(cfg))
-    if kind in ("multibit", "composed"):
+    report = Report("extract", {k: v for k, v in locals().items() if v is not None})
+    params = bounds.ParamSet(**{"k1": n, "k2": n, **{
+        k: v for k, v in report.config.items() if k in _PARAM_FIELDS}})
+    m, entangled = params.m, bool(entangled)
+    extractor = extractor or "multibit"
+    x = bitio.read_bits(x_path, n, format or "raw")
+    y = bitio.read_bits(y_path, n, format or "raw")
+    if extractor != "ip":
         start = time.perf_counter()
         modulus = gf2.find_irreducible(n).value
         report.timings["modulus_s"] = time.perf_counter() - start
         report.modulus = {"degree": n, "tail": hex(modulus ^ (1 << n)),
                           "source": gf2.modulus_source(n)}
 
-    if kind == "ip":
+    if extractor == "ip":
         out = BitVector(1, extractors.ip_extract(x, y))
-    elif kind == "multibit":
+        capacity = int(bounds.one_bit_condition(params, "weak-min", entangled).satisfied)
+    elif extractor == "multibit":
         out = extractors.multibit_extract(x, y, m)
-    elif kind == "composed":
+        capacity = min(bounds.strong_output_len(params, side, entangled)
+                       for side in "XY")
+    else:
         spec = extractors.SeededExtractorSpec(
-            kind=seeded.get("kind", "trevisan"), n=n, m=m,
-            t=int(seeded.get("t", 0)), c=int(seeded.get("c", 0)))
-        out = extractors.compose_two_source(x, y, cfg.get("which", "X"), spec)
-    else:
-        raise ParameterError(f"unknown extractor {kind!r}")
-
-    if "out_path" in cfg:
-        bitio.write_bits(cfg["out_path"], out, fmt)
-
-    params = bounds.ParamSet(
-        n=n, k1=int(cfg.get("k1", n)), k2=int(cfg.get("k2", n)),
-        b1=int(cfg.get("b1", 0)), b2=int(cfg.get("b2", 0)), m=m,
-        eps=float(cfg.get("eps", 2.0 ** -10)),
-        c_poly=float(cfg.get("c_poly", 1.0)),
-        c_o1=float(cfg.get("c_o1", 0.0)))
-    entangled = bool(cfg.get("entangled", False))
-    if kind == "ip":
-        feas = bounds.one_bit_condition(params, "weak-min", entangled)
-        capacity = 1 if feas.satisfied else 0
-    elif kind == "multibit":
-        capacity = min(
-            bounds.strong_output_len(params, "X", entangled),
-            bounds.strong_output_len(params, "Y", entangled))
-    else:
+            **{"kind": "trevisan", **(seeded or {})}, n=n, m=m)
+        out = extractors.compose_two_source(x, y, which or "X", spec)
         feas = bounds.composed_output_len(
             params, "entangled" if entangled else "storage")
         capacity = feas.value if feas.satisfied else 0
-
+    if out_path is not None:
+        bitio.write_bits(out_path, out, format or "raw")
     report.add("declared m within computed capacity", m, capacity, m <= capacity)
     report.add("output bits", out.length, m, out.length == m)
-    report.wall_clock_s = time.perf_counter() - t0
-    exit_code = 0 if report.passed else 2
-    return exit_code, report
-
-
-def _echo_config(cfg: dict) -> dict:
-    return {k: (str(v) if isinstance(v, (bytes,)) else v) for k, v in cfg.items()}
+    report.stop()
+    return (0 if report.passed else 2), report
 
 
 # --------------------------------------------------------------------------
 # bounds tables
 
 
-def bounds_table(config: dict) -> dict:
-    """Evaluate every calculator on a point or a one-parameter sweep."""
-    fields = ("n", "k1", "k2", "b1", "b2", "m", "eps", "c_poly", "c_o1")
-    base = {k: config[k] for k in fields if k in config}
-    sweep = config.get("sweep", {})
+def bounds_table(n: int, k1: int, k2: int, b1: Optional[int] = None,
+                 b2: Optional[int] = None, m: Optional[int] = None,
+                 eps: Optional[float] = None, c_poly: Optional[float] = None,
+                 c_o1: Optional[float] = None,
+                 sweep: Optional[Dict[str, Sequence[float]]] = None) -> dict:
+    """Evaluate every calculator on a point or a one-parameter sweep.
+
+    Parameters left at None take bounds.ParamSet's defaults and are not
+    echoed.  A sweep maps one parameter to the values it takes; each
+    point is checked like the command's own config.
+    """
+    config = {k: v for k, v in locals().items() if v is not None}
+    base = {k: v for k, v in config.items() if k != "sweep"}
     points = [base]
     if sweep:
         if len(sweep) != 1:
             raise ParameterError("sweep must vary exactly one parameter")
         (name, values), = sweep.items()
-        if name not in fields:
-            raise ParameterError(f"cannot sweep unknown parameter {name!r}")
         points = [dict(base, **{name: v}) for v in values]
+        for point in points:
+            check("bounds", point)
     rows = []
     for point in points:
-        if any(k not in point for k in ("n", "k1", "k2")):
-            raise ParameterError("bounds needs at least --n, --k1, --k2")
         p = bounds.ParamSet(**point)
         row = {"params": point}
         row["ip_bias_product"] = bounds.ip_bias_bound(p, min(p.b1, p.b2), False)
@@ -485,3 +428,95 @@ def bounds_table(config: dict) -> dict:
         row["strong_m_knowledge"] = bounds.strong_output_len(p, "X", False, knowledge=True)
         rows.append(row)
     return {"command": "bounds", "config": config, "rows": rows}
+
+
+# --------------------------------------------------------------------------
+# the command registry: each handler's signature is its parameter schema
+
+
+COMMANDS = {
+    "extract": run_extract,
+    "verify matrices": run_matrices_suite,
+    "verify xor": run_xor_suite,
+    "verify reduction": run_reduction_suite,
+    "verify normbound": run_normbound_suite,
+    "verify security": run_security_suite,
+    "attack smp": run_smp_attack,
+    "attack superdense": run_superdense_attack,
+    "attack tightness": run_tightness_attack,
+    "attack knowledge": run_knowledge_attack,
+    "bounds": bounds_table,
+}
+
+
+def parameters(command: str) -> dict:
+    """name -> (type, required) for each parameter of the command's handler.
+
+    Optional[X] reads as X: None only marks a parameter as optional.
+    """
+    if command not in COMMANDS:
+        raise ParameterError(
+            f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+    handler = inspect.unwrap(COMMANDS[command])
+    spec = inspect.getfullargspec(handler)
+    hints = typing.get_type_hints(handler)
+    n_required = len(spec.args) - len(spec.defaults or ())
+    return {name: (_non_none(hints[name]), i < n_required)
+            for i, name in enumerate(spec.args)}
+
+
+def _non_none(tp):
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is typing.Union and type(None) in args:
+        (tp,) = [a for a in args if a is not type(None)]
+    return tp
+
+
+def check(command: str, config) -> None:
+    """Raise ParameterError naming the first key of config the command cannot take.
+
+    Keys the handler lacks, required ones absent, and values of the wrong
+    type are bad: bool is not int, int passes for float, and None never
+    passes (a None default only marks a parameter as optional).
+    """
+    _check(command, config, parameters(command))
+
+
+def _check(where: str, config, params: dict) -> None:
+    if not isinstance(config, dict):
+        raise ParameterError(f"{where}: expected a JSON object, got {config!r}")
+    unknown = sorted(set(config) - set(params))
+    if unknown:
+        raise ParameterError(f"unknown parameter(s) for {where}: {', '.join(unknown)}")
+    missing = [k for k, (_, required) in params.items() if required and k not in config]
+    if missing:
+        raise ParameterError(f"{where} needs {', '.join(missing)}")
+    for key, value in config.items():
+        tp = params[key][0]
+        if typing.is_typeddict(tp):
+            _check(f"{where} {key}", value, {
+                k: (v, k in tp.__required_keys__)
+                for k, v in typing.get_type_hints(tp).items()})
+        elif not _fits(value, tp):
+            name = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+            raise ParameterError(f"{where}: {key} must be {name}, got {value!r}")
+
+
+def _fits(value, tp) -> bool:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Literal:
+        return value in args
+    if origin is collections.abc.Sequence:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(tp, tp))
+
+
+def dispatch(command: str, config: dict):
+    """Run the command's handler on config, once config fits its signature."""
+    check(command, config)
+    return COMMANDS[command](**config)

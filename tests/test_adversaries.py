@@ -1,5 +1,7 @@
 """Storage strategies, Bell-pair protocols, and attack constructions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,22 @@ def test_tightness_storage_respects_budgets():
                                    attack.y_source.vectors()[5])
     assert rho.shape == (1 << 8, 1 << 8)
     qsim.DensityMatrix(rho)
+
+
+def test_output_state_keeps_no_per_pair_matrices():
+    # 1,024 source pairs at d = 64: one 64 KiB matrix per pair would be 64 MiB
+    attack = tightness_attack(8, 5, 5, 3, 3, "entangled")
+    assert attack.storage.dim == 64 and attack.branch == "exact"
+    tracemalloc.start()
+    try:
+        state = qsim.extractor_output_state(ip_extract, attack.x_source,
+                                            attack.y_source, attack.storage,
+                                            mode=attack.mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert qsim.cq_distance_from_uniform(state, 1) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_tightness_parameter_errors():

@@ -23,7 +23,7 @@ def test_extract_zero_files_multibit(tmp_path):
     out = tmp_path / "out.bin"
     x.write_bytes(bytes(2))
     y.write_bytes(bytes(2))
-    code, report = harness.run_extract({
+    code, report = harness.run_extract(**{
         "x_path": str(x), "y_path": str(y), "out_path": str(out),
         "n": 16, "m": 8, "extractor": "multibit",
         "k1": 16, "k2": 16, "eps": 0.5,
@@ -41,7 +41,7 @@ def test_extract_deterministic(tmp_path):
     outs = []
     for name in ("o1.bin", "o2.bin"):
         out = tmp_path / name
-        code, _ = harness.run_extract({
+        code, _ = harness.run_extract(**{
             "x_path": str(x), "y_path": str(y), "out_path": str(out),
             "n": 32, "m": 16, "extractor": "multibit",
             "k1": 32, "k2": 32, "eps": 0.5,
@@ -57,7 +57,7 @@ def test_extract_infeasible_warning_exit_2(tmp_path):
     out = tmp_path / "out.bin"
     x.write_bytes(bytes(4))
     y.write_bytes(bytes(4))
-    code, report = harness.run_extract({
+    code, report = harness.run_extract(**{
         "x_path": str(x), "y_path": str(y), "out_path": str(out),
         "n": 32, "m": 16, "extractor": "multibit",
         "k1": 8, "k2": 8, "eps": 2.0 ** -10,
@@ -115,7 +115,7 @@ def test_extract_ip_one_bit(tmp_path):
     y = tmp_path / "y.bin"
     x.write_bytes(b"\xff")
     y.write_bytes(b"\x01")
-    code, report = harness.run_extract({
+    code, report = harness.run_extract(**{
         "x_path": str(x), "y_path": str(y),
         "n": 8, "m": 1, "extractor": "ip", "k1": 8, "k2": 8, "eps": 0.25,
     })
@@ -186,12 +186,12 @@ def test_cli_attack_missing_params():
 
 
 def test_cli_exit_3_on_verification_failure(monkeypatch, tmp_path):
-    def failing_suite(seed=0, **kwargs):
+    def failing_suite(seed: int = 0):
         rep = harness.Report("verify:demo", {"seed": seed})
         rep.add("always fails", 1.0, 0.0, False)
         return rep
 
-    monkeypatch.setitem(harness.VERIFY_SUITES, "demo", failing_suite)
+    monkeypatch.setitem(harness.COMMANDS, "verify demo", failing_suite)
     out = tmp_path / "rep.json"
     assert run_cli("verify", "demo", "--out", str(out)) == 3
     assert json.loads(out.read_text())["passed"] is False
@@ -210,16 +210,16 @@ def test_cli_bounds_table(tmp_path):
 
 
 def test_bounds_table_sweep_and_empty():
-    table = harness.bounds_table({"n": 64, "k1": 60, "k2": 60,
+    table = harness.bounds_table(**{"n": 64, "k1": 60, "k2": 60,
                                   "sweep": {"b2": [0, 1, 2]}})
     assert len(table["rows"]) == 3
-    empty = harness.bounds_table({"n": 64, "k1": 60, "k2": 60,
+    empty = harness.bounds_table(**{"n": 64, "k1": 60, "k2": 60,
                                   "sweep": {"b2": []}})
     assert empty["rows"] == []
 
 
 def test_bounds_single_point_echoes_calculator():
-    table = harness.bounds_table({"n": 100, "k1": 100, "k2": 100,
+    table = harness.bounds_table(**{"n": 100, "k1": 100, "k2": 100,
                                   "eps": 2.0 ** -10})
     assert table["rows"][0]["strong_m_X_entangled"] == 41
 
@@ -293,7 +293,7 @@ def test_cli_bounds_missing_k_exit_1(capsys):
 
 def test_bounds_table_rejects_unknown_sweep():
     with pytest.raises(ParameterError, match="k3"):
-        harness.bounds_table({"n": 64, "k1": 60, "k2": 60, "sweep": {"k3": [1]}})
+        harness.bounds_table(**{"n": 64, "k1": 60, "k2": 60, "sweep": {"k3": [1]}})
 
 
 def test_cli_verify_unknown_config_key_exit_1(tmp_path, capsys):
@@ -313,10 +313,10 @@ def test_cli_extract_non_integer_config_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("exc", [DimensionError, ValidationError, CapabilityError])
 def test_cli_maps_value_errors_to_exit_1(monkeypatch, capsys, exc):
-    def broken_suite(seed=0):
+    def broken_suite(seed: int = 0):
         raise exc("broken input")
 
-    monkeypatch.setitem(harness.VERIFY_SUITES, "demo", broken_suite)
+    monkeypatch.setitem(harness.COMMANDS, "verify demo", broken_suite)
     assert run_cli("verify", "demo") == 1
     _assert_one_line_error(capsys, "broken input")
 
@@ -351,10 +351,10 @@ def test_extract_report_names_modulus(tmp_path):
     x = tmp_path / "x.bin"
     x.write_bytes(bytes(range(128)))
     base = {"x_path": str(x), "y_path": str(x), "m": 4}
-    _, ip = harness.run_extract(dict(base, n=16, extractor="ip"))
+    _, ip = harness.run_extract(**dict(base, n=16, extractor="ip"))
     assert "modulus" not in ip.to_dict()
     for n, source, tail in ((16, "search", "0x2b"), (1024, "memo", "0x2cd")):
-        _, report = harness.run_extract(dict(base, n=n))
+        _, report = harness.run_extract(**dict(base, n=n))
         doc = report.to_dict()
         assert doc["modulus"] == {"degree": n, "tail": tail, "source": source}
         assert doc["timings"]["modulus_s"] >= 0
