@@ -718,14 +718,17 @@ def guessing_entropy_counterexample(n: int) -> CounterexampleReport:
     vals = np.arange(size)
     pop = np.array([int(v).bit_count() for v in range(size)])
 
-    # referee correctness over all (x, y, r)
-    x = vals[:, None, None]
-    y = vals[None, :, None]
-    r = vals[None, None, :]
-    recon = (x ^ r) ^ (y ^ r)
-    out = ((pop[x] % 4 + pop[y] % 4 - pop[recon]) % 4) // 2
+    # referee correctness over all (x, y, r), one pad r at a time so the
+    # arrays stay (2^n)^2 rather than (2^n)^3
+    x = vals[:, None]
+    y = vals[None, :]
+    weights = pop[x] % 4 + pop[y] % 4
     truth = pop[x & y] % 2
-    correct = float(np.mean(out == truth))
+    agree = 0
+    for r in range(size):
+        out = ((weights - pop[(x ^ r) ^ (y ^ r)]) % 4) // 2
+        agree += int(np.count_nonzero(out == truth))
+    correct = agree / size ** 3
 
     # H_g(X <- (x xor r, |x| mod 4)): the posterior given any transcript is
     # uniform on a weight class, so p_guess = (#classes) / 2^n exactly

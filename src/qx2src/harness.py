@@ -94,6 +94,10 @@ def _require_at_least(low: int, **values) -> None:
             raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+# the security suite's entangled flavor builds 2^(2b+2)-square matrices: 1024 at b = 4
+MAX_SECURITY_B = 4
+
+
 # --------------------------------------------------------------------------
 # verification suites
 
@@ -153,8 +157,7 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
         reduced = qsim.boolean_reduce(state, f)
         lhs = 2 * qsim.cq_distance_from_uniform(reduced, 1)
         rho = np.zeros((2, state.dim, state.dim), dtype=complex)
-        for e in state.entries:
-            rho[int(bool(f(e.label)))] += e.prob * e.rho
+        np.add.at(rho, f[state.labels], state.weighted())
         worst_eq = max(worst_eq, abs(lhs - qsim.l1_norm(rho[0] - rho[1])))
     report.add("one-bit merge identity max deviation", worst_eq, 1e-9,
                worst_eq <= 1e-9)
@@ -206,6 +209,10 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
     """Exact one-bit distances never exceed the bias bound, per flavor."""
     report = Report("verify:security", dict(locals()))
     _require_at_least(1, instances=instances)
+    if not 0 <= b <= MAX_SECURITY_B:
+        raise ParameterError(
+            f"b must be between 0 and {MAX_SECURITY_B} (the entangled flavor "
+            f"builds 2^(2b+2)-square matrices), got {b}")
     params = bounds.ParamSet(n=n, k1=k, k2=k, b1=b, b2=b)
     for flavor, entangled in (("product", False), ("entangled", True)):
         bound = bounds.ip_bias_bound(params, b, entangled=entangled)
@@ -260,6 +267,7 @@ def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> R
 
 def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:superdense", dict(locals()))
+    _require_at_least(2, max_n=max_n)
     ok2 = sum(adversaries.superdense_roundtrip(f"{a}{b}") == f"{a}{b}"
               for a in "01" for b in "01")
     report.add("two-bit roundtrips", ok2, 4, ok2 == 4)
@@ -355,6 +363,10 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
         k: v for k, v in report.config.items() if k in _PARAM_FIELDS}})
     m, entangled = params.m, bool(entangled)
     extractor = extractor or "multibit"
+    ignored = [k for k in ("which", "seeded") if k in report.config]
+    if ignored and extractor != "composed":
+        raise ParameterError(f"{', '.join(ignored)}: used only by the composed "
+                             f"extractor, not {extractor}")
     x = bitio.read_bits(x_path, n, format or "raw")
     y = bitio.read_bits(y_path, n, format or "raw")
     if extractor != "ip":

@@ -3,8 +3,16 @@
 Density matrices are dense complex numpy arrays; every norm is computed
 from a full Hermitian eigendecomposition, so all checks are exact up to
 double-precision roundoff.  Throughout, "trace distance" denotes half
-the sum of absolute eigenvalues of the difference, and a cq-state pairs
-classical labels with probabilities and quantum states.
+the sum of absolute eigenvalues of the difference.
+
+A cq-state is array-shaped: K int labels of a fixed bit width (bit j is
+coordinate j, as in BitVector), their probabilities (K,) and quantum
+states (K, d, d), plus the exposed source value of each entry in the
+strong modes.  Labels and source values are int64, or Python ints once
+one needs 64 bits, so the strong modes take sources of any length.  Consumers work on these arrays by index; every sum over
+entries runs left to right in entry order (np.add.at, np.add.accumulate
+or Python's sum, never np.sum's pairwise order), so the numbers match
+a per-entry loop bit for bit.
 
 The sizes handled here are deliberately small (states up to a few
 qubits, label sets up to a few thousand): the inequalities being
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,18 +44,19 @@ PINV_CUTOFF = 1e-10
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
+    """Real eigenvalues of a Hermitian matrix, or of each in a stack, descending."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError("matrix must be square")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL:
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > HERMITIAN_ATOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
-    return np.sort(np.linalg.eigvalsh(m))[::-1]
+    return np.sort(np.linalg.eigvalsh(m), axis=-1)[..., ::-1]
 
 
-def l1_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues (trace norm, unhalved)."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(m))))
+def l1_norm(m: np.ndarray):
+    """Sum of absolute eigenvalues (trace norm, unhalved); an array for a stack."""
+    norms = np.sum(np.abs(hermitian_eigenvalues(m)), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -152,95 +161,108 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return rho
 
 
-Label = object  # a bit string, or a (output, exposed-side) tuple of bit strings
+def _int_array(values) -> np.ndarray:
+    """values as int64, or as Python ints when one needs 64 bits or more."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-@dataclass(frozen=True)
-class CqEntry:
-    label: Label
-    prob: float
-    rho: np.ndarray
+def _square_stack(mats, what: str) -> np.ndarray:
+    """A nonempty sequence of equal-sized square matrices as one (K, d, d) stack."""
+    if len({np.shape(m) for m in mats}) > 1:
+        raise ValidationError(f"{what} differ in dimension")
+    stack = np.asarray(mats, dtype=complex)
+    if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+        raise ValidationError(f"{what} must be a nonempty stack of square matrices")
+    return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqState:
-    """Classical-quantum ensemble {(label, p, rho)} with matching dims."""
+    """Classical-quantum ensemble: label k has probability probs[k] and state rhos[k].
 
-    entries: tuple
+    labels are width-bit ints, bit j holding coordinate j as in BitVector.
+    In the strong modes sides holds the source value exposed with each
+    entry, and (label, side) pairs are distinct; weak states have none.
+    """
+
+    labels: np.ndarray                   # (K,) int
+    probs: np.ndarray                    # (K,)
+    rhos: np.ndarray                     # (K, d, d) complex
+    width: int
+    sides: Optional[np.ndarray] = None   # (K,) int
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValidationError("cq-state needs at least one entry")
-        labels = [e.label for e in self.entries]
-        if len(set(labels)) != len(labels):
+        labels = _int_array(self.labels)
+        probs = np.asarray(self.probs, dtype=float)
+        rhos = _square_stack(self.rhos, "states")
+        sides = np.zeros_like(labels) if self.sides is None else _int_array(self.sides)
+        k = len(labels)
+        if probs.shape != (k,) or sides.shape != (k,) or labels.shape != (k,) \
+                or len(rhos) != k:
+            raise ValidationError("labels, sides, probs and states differ in length")
+        if int(labels.min()) < 0 or int(labels.max()) >> self.width:
+            raise ValidationError(f"label out of range for {self.width} bits")
+        if len(set(zip(labels.tolist(), sides.tolist()))) != k:
             raise ValidationError("duplicate labels in cq-state")
-        dim = self.entries[0].rho.shape[0]
-        total = 0.0
-        for e in self.entries:
-            if e.prob < -1e-15:
-                raise ValidationError("negative probability")
-            if e.rho.shape != (dim, dim):
-                raise ValidationError("states differ in dimension")
-            total += e.prob
+        if probs.min() < -1e-15:
+            raise ValidationError("negative probability")
+        total = float(np.add.accumulate(probs)[-1])
         if abs(total - 1.0) > TRACE_ATOL:
             raise ValidationError(f"probabilities sum to {total}, not 1")
-
-    @classmethod
-    def from_entries(cls, entries, validate_states: bool = False) -> "CqState":
-        items = tuple(CqEntry(lbl, float(p), np.asarray(rho, dtype=complex))
-                      for (lbl, p, rho) in entries)
-        state = cls(items)
-        if validate_states:
-            for e in items:
-                DensityMatrix(e.rho)
-        return state
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "rhos", rhos)
+        if self.sides is not None:
+            object.__setattr__(self, "sides", sides)
 
     @property
     def dim(self) -> int:
-        return self.entries[0].rho.shape[0]
+        return self.rhos.shape[1]
+
+    @property
+    def entries(self) -> tuple:
+        """(label, prob, rho) per entry, views into the arrays."""
+        return tuple(zip(self.labels, self.probs, self.rhos))
+
+    def weighted(self) -> np.ndarray:
+        """The stack p(z) rho_z."""
+        return self.probs[:, None, None] * self.rhos
 
     def average_state(self) -> np.ndarray:
-        return sum(e.prob * e.rho for e in self.entries)
+        return sum(self.weighted())
 
     def min_entropy(self) -> float:
-        return -math.log2(max(e.prob for e in self.entries))
+        return -math.log2(float(self.probs.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """POVM {(label, element)}: PSD elements summing to the identity."""
+    """PSD elements (K, d, d) summing to the identity; element k answers label k."""
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
-        if not self.elements:
-            raise ValidationError("POVM needs at least one element")
-        dim = self.elements[0][1].shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for _, el in self.elements:
-            if el.shape != (dim, dim):
-                raise ValidationError("POVM elements differ in dimension")
-            if np.linalg.eigvalsh(el).min() < -PSD_ATOL:
-                raise ValidationError("POVM element not PSD")
-            acc += el
-        if np.max(np.abs(acc - np.eye(dim))) > POVM_SUM_ATOL:
+        els = _square_stack(self.elements, "POVM elements")
+        if np.linalg.eigvalsh(els).min() < -PSD_ATOL:
+            raise ValidationError("POVM element not PSD")
+        if np.max(np.abs(sum(els) - np.eye(els.shape[1]))) > POVM_SUM_ATOL:
             raise ValidationError("POVM elements do not sum to identity")
-
-    def element(self, label) -> np.ndarray:
-        table = self.as_dict()
-        if label not in table:
-            raise ParameterError(f"no POVM element labeled {label!r}")
-        return table[label]
-
-    def as_dict(self) -> dict:
-        return {lbl: el for lbl, el in self.elements}
+        object.__setattr__(self, "elements", els)
 
 
 # --------------------------------------------------------------------------
 # building cq-states from extractors and storage
 
 
-MODES = ("weak", "X-strong", "Y-strong", "X-superstrong", "Y-superstrong")
+def _lex_rank(value: int, width: int) -> int:
+    """Bit reversal within width: the rank of value's coordinate-0-first string."""
+    rank = 0
+    for j in range(width):
+        rank = rank << 1 | (value >> j & 1)
+    return rank
 
 
 def extractor_output_state(extractor: Callable[[BitVector, BitVector], object],
@@ -248,130 +270,97 @@ def extractor_output_state(extractor: Callable[[BitVector, BitVector], object],
                            storage, mode: str = "weak") -> CqState:
     """Joint state of the extractor output with the adversaries' storage.
 
-    In weak mode the label is the output string e and the state is the
+    In weak mode the label is the output e and the state is the
     normalized mixture of storage states over extractor preimages.  The
-    strong modes expose one source value in the label; the superstrong
-    modes additionally replace the stored state by the strategy's
-    full-side state for that side.
+    strong modes expose one source value as the entry's side; the
+    superstrong modes additionally replace the stored state by the
+    strategy's full-side state for that side.  Entries are ordered by
+    output, then side, each compared as its coordinate-0-first string.
     """
-    if mode not in MODES:
+    state_fns = {"weak": storage.state_for, "X-strong": storage.state_for,
+                 "Y-strong": storage.state_for, "X-superstrong": storage.full_state_a,
+                 "Y-superstrong": storage.full_state_b}
+    if mode not in state_fns:
         raise ParameterError(f"unknown mode {mode!r}")
-    if mode.endswith("superstrong"):
-        side = mode[0]
-        if not storage.has_full_side(side):
-            raise CapabilityError(
-                f"strategy retains no full {side}-side states")
+    exposed = None if mode == "weak" else mode[0]
+    if mode.endswith("superstrong") and not storage.has_full_side(exposed):
+        raise CapabilityError(f"strategy retains no full {exposed}-side states")
+    state_fn = state_fns[mode]
+    side_width = {"X": x_source.n, "Y": y_source.n}.get(exposed, 0)
     p_pair = x_source.probability() * y_source.probability()
-    acc: Dict[object, list] = {}
+    # one running sum per (output, side): per-pair matrices are never kept
+    acc: Dict[Tuple[int, int], list] = {}
     for xv in x_source.vectors():
         for yv in y_source.vectors():
             out = extractor(xv, yv)
             if isinstance(out, int):
                 out = BitVector(1, out)
-            if mode == "weak":
-                label = out.to_str()
-                rho = storage.state_for(xv, yv)
-            elif mode == "X-strong":
-                label = (out.to_str(), xv.to_str())
-                rho = storage.state_for(xv, yv)
-            elif mode == "Y-strong":
-                label = (out.to_str(), yv.to_str())
-                rho = storage.state_for(xv, yv)
-            elif mode == "X-superstrong":
-                label = (out.to_str(), xv.to_str())
-                rho = storage.full_state_a(xv, yv)
-            else:
-                label = (out.to_str(), yv.to_str())
-                rho = storage.full_state_b(xv, yv)
-            slot = acc.get(label)
+            side = xv.value if exposed == "X" else yv.value if exposed == "Y" else 0
+            rho = state_fn(xv, yv)
+            slot = acc.get((out.value, side))
             if slot is None:
-                acc[label] = [p_pair, rho.astype(complex, copy=True)]
+                acc[(out.value, side)] = [p_pair, rho.astype(complex, copy=True)]
             else:
                 slot[0] += p_pair
                 slot[1] += rho
-    entries = []
-    for label in sorted(acc, key=_label_sort_key):
-        p, total = acc[label]
-        entries.append((label, p, total * p_pair / p))
-    return CqState.from_entries(entries)
-
-
-def _label_sort_key(label):
-    return (0, label) if isinstance(label, str) else (1,) + tuple(label)
+    width = out.length
+    keys = sorted(acc, key=lambda k: (_lex_rank(k[0], width), _lex_rank(k[1], side_width)))
+    probs = [acc[k][0] for k in keys]
+    rhos = [acc[k][1] * p_pair / acc[k][0] for k in keys]
+    return CqState([k[0] for k in keys], probs, rhos, width,
+                   [k[1] for k in keys] if exposed else None)
 
 
 # --------------------------------------------------------------------------
 # distances
 
 
-def _split_label(label) -> Tuple[str, object]:
-    if isinstance(label, tuple):
-        return label[0], label[1:]
-    return label, None
-
-
 def cq_distance_from_uniform(s: CqState, label_bits: int) -> float:
     """Trace distance of a cq-state from uniform-output times its marginal.
 
-    Works block by block: within each group of labels sharing the same
+    Works block by block: within each group of entries sharing the same
     exposed side value, the block for output e is p(e)rho_e minus
     2^-m times the group marginal; the distance is half the total
     1-norm.  Outputs absent from a group contribute the marginal term
     alone.
     """
-    groups: Dict[object, Dict[str, CqEntry]] = {}
-    for e in s.entries:
-        out, side = _split_label(e.label)
-        if len(out) != label_bits:
-            raise ValidationError(
-                f"label {out!r} is not a {label_bits}-bit string")
-        groups.setdefault(side, {})[out] = e
-    m_scale = 1.0 / (1 << label_bits)
+    if s.width != label_bits:
+        raise ValidationError(f"labels are {s.width}-bit, not {label_bits}-bit")
+    if s.sides is None:
+        first, group = [0], np.zeros(len(s.labels), dtype=np.intp)
+    else:
+        _, first, group = np.unique(s.sides, return_index=True, return_inverse=True)
+    weighted = s.weighted()
+    margs = np.zeros((len(first), s.dim, s.dim), dtype=complex)
+    np.add.at(margs, group, weighted)
+    scale = 1.0 / (1 << label_bits)
+    norms = l1_norm(weighted - scale * margs[group])
+    counts = np.bincount(group)
+    traces = np.real(np.trace(margs, axis1=1, axis2=2))
     total = 0.0
-    for outs in groups.values():
-        marg = sum(e.prob * e.rho for e in outs.values())
-        marg_trace = float(np.real(np.trace(marg)))
-        present = 0
-        for out, e in outs.items():
-            total += l1_norm(e.prob * e.rho - m_scale * marg)
-            present += 1
-        total += ((1 << label_bits) - present) * m_scale * marg_trace
-    return 0.5 * total
+    for g in np.argsort(first):     # groups in order of first appearance
+        for norm in norms[group == g]:
+            total += norm
+        total += ((1 << label_bits) - int(counts[g])) * scale * traces[g]
+    return 0.5 * float(total)
 
 
-def boolean_reduce(s: CqState, f: Callable[[str], int]) -> CqState:
-    """Merge a cq-state's labels through a Boolean function into {0, 1}."""
-    parts = {0: [0.0, None], 1: [0.0, None]}
-    dim = s.dim
-    for e in s.entries:
-        out, side = _split_label(e.label)
-        if side is not None:
-            raise ParameterError("boolean_reduce expects simple labels")
-        b = 1 if f(out) else 0
-        parts[b][0] += e.prob
-        if parts[b][1] is None:
-            parts[b][1] = e.prob * e.rho.astype(complex, copy=True)
-        else:
-            parts[b][1] += e.prob * e.rho
-    entries = []
-    for b in (0, 1):
-        p, total = parts[b]
-        if p > 0:
-            entries.append((str(b), p, total / p))
-    return CqState.from_entries(entries)
+def boolean_reduce(s: CqState, f: np.ndarray) -> CqState:
+    """Merge a cq-state's labels into {0, 1} through f, a 0/1 table indexed by label."""
+    if s.sides is not None:
+        raise ParameterError("boolean_reduce expects simple labels")
+    bits = np.asarray(f)[s.labels]
+    probs = np.zeros(2)
+    np.add.at(probs, bits, s.probs)
+    weighted = s.weighted()
+    kept = [b for b in (0, 1) if probs[b] > 0]
+    rhos = [np.add.accumulate(weighted[bits == b], axis=0)[-1] / probs[b] for b in kept]
+    return CqState(kept, probs[kept], rhos, 1)
 
 
-def parity_mask_fn(mask: int) -> Callable[[str], int]:
-    """The character z -> parity of the mask-selected bits of z."""
-
-    def f(label: str) -> int:
-        acc = 0
-        for j, ch in enumerate(label):
-            if (mask >> j) & 1 and ch == "1":
-                acc ^= 1
-        return acc
-
-    return f
+def character(labels: np.ndarray, mask: int) -> np.ndarray:
+    """chi_S(z) as 0/1: the parity of the mask-selected bits of each label."""
+    return np.bitwise_count(labels & mask) & 1
 
 
 @dataclass(frozen=True)
@@ -393,14 +382,15 @@ def xor_lemma_check(s: CqState) -> XorLemmaResult:
     state dimension, the other 2^m in the label length; the headline
     bound takes the smaller factor.
     """
-    m = len(s.entries[0].label)
-    if any(len(e.label) != m or not isinstance(e.label, str) for e in s.entries):
+    if s.sides is not None:
         raise ValidationError("xor lemma needs simple m-bit labels")
+    m = s.width
     d = s.dim.bit_length() - 1
     lhs = cq_distance_from_uniform(s, m)
+    every_label = np.arange(1 << m)
     char_sum = 0.0
     for mask in range(1, 1 << m):
-        reduced = boolean_reduce(s, parity_mask_fn(mask))
+        reduced = boolean_reduce(s, character(every_label, mask))
         char_sum += cq_distance_from_uniform(reduced, 1) ** 2
     return XorLemmaResult(
         lhs_squared=lhs * lhs,
@@ -431,24 +421,18 @@ def pgm(s: CqState) -> Povm:
     of the average state; the kernel projector is split evenly across
     elements so they sum to the identity exactly.
     """
-    avg = s.average_state()
-    r, kernel = _pinv_sqrt_and_kernel(avg)
-    n = len(s.entries)
-    elements = []
-    for e in s.entries:
-        el = e.prob * (r @ e.rho @ r) + kernel / n
-        elements.append((e.label, 0.5 * (el + el.conj().T)))
-    return Povm(tuple(elements))
+    r, kernel = _pinv_sqrt_and_kernel(s.average_state())
+    el = s.probs[:, None, None] * (r @ s.rhos @ r) + kernel / len(s.probs)
+    return Povm(0.5 * (el + el.conj().swapaxes(1, 2)))
 
 
 def guess_success(s: CqState, m: Povm) -> float:
     """Probability that measuring with m recovers the label."""
-    table = m.as_dict()
-    total = 0.0
-    for e in s.entries:
-        if e.label not in table:
-            raise ParameterError(f"POVM lacks element for label {e.label!r}")
-        total += e.prob * float(np.real(np.trace(table[e.label] @ e.rho)))
+    if m.elements.shape != s.rhos.shape:
+        raise ParameterError(f"POVM elements {m.elements.shape} do not match "
+                             f"the state's labels and states {s.rhos.shape}")
+    traces = np.real(np.trace(m.elements @ s.rhos, axis1=1, axis2=2))
+    total = float(np.add.accumulate(s.probs * traces)[-1])
     if not -PROB_ATOL <= total <= 1.0 + PROB_ATOL:
         raise ParameterError(
             f"success probability {total!r} is outside [0, 1]; the POVM is not valid")
@@ -505,29 +489,26 @@ class PgmReductionResult:
         return self.lhs <= self.bound + atol
 
 
-def pgm_reduction_check(s: CqState, f: Callable[[str], int]) -> PgmReductionResult:
+def pgm_reduction_check(s: CqState, f: np.ndarray) -> PgmReductionResult:
     """Quantum-to-classical reduction through the square-root measurement.
 
-    lhs is the trace distance of the reduced bit from uniform; the
-    classical side measures the joint of f(Z) with the measurement
-    outcome against an independent uniform bit, as a variational
-    distance; the claimed bound is sqrt(half the classical distance).
+    f is a 0/1 table indexed by label.  lhs is the trace distance of the
+    reduced bit from uniform; the classical side measures the joint of
+    f(Z) with the measurement outcome against an independent uniform
+    bit, as a variational distance; the claimed bound is sqrt(half the
+    classical distance).
     """
     lhs = cq_distance_from_uniform(boolean_reduce(s, f), 1)
-    measurement = pgm(s)
-    joint: Dict[Tuple[int, object], float] = {}
-    marg: Dict[object, float] = {}
-    for e in s.entries:
-        b = 1 if f(e.label) else 0
-        for lbl, el in measurement.elements:
-            q = e.prob * float(np.real(np.trace(el @ e.rho)))
-            joint[(b, lbl)] = joint.get((b, lbl), 0.0) + q
-            marg[lbl] = marg.get(lbl, 0.0) + q
-    dist = 0.0
-    for w, pw in marg.items():
-        for b in (0, 1):
-            dist += abs(joint.get((b, w), 0.0) - 0.5 * pw)
-    classical = 0.5 * dist
+    elements = pgm(s).elements
+    # q[k, w] = p(z_k) tr(E_w rho_k): label k measured as outcome w, one row at a time
+    q = np.array([p * np.real(np.trace(elements @ rho, axis1=1, axis2=2))
+                  for p, rho in zip(s.probs, s.rhos)])
+    joint = np.zeros((2, len(elements)))
+    np.add.at(joint, np.asarray(f)[s.labels], q)
+    marg = np.add.accumulate(q, axis=0)[-1]
+    # summed outcome by outcome, bit 0 before bit 1
+    dist = np.add.accumulate(np.abs(joint - 0.5 * marg).T.ravel())[-1]
+    classical = 0.5 * float(dist)
     return PgmReductionResult(lhs=lhs, classical_distance=classical,
                               bound=math.sqrt(0.5 * classical))
 
@@ -578,16 +559,10 @@ def random_cq_state(label_bits: int, qubits: int, seed: int, stream: int = 0) ->
     count = 1 << label_bits
     dim = 1 << qubits
     probs = rng.dirichlet(np.ones(count))
-    entries = []
-    for v in range(count):
-        entries.append((BitVector(label_bits, v).to_str(), float(probs[v]),
-                        random_density(dim, rng)))
-    return CqState.from_entries(entries)
+    rhos = [random_density(dim, rng) for _ in range(count)]
+    return CqState(np.arange(count), probs, rhos, label_bits)
 
 
-def random_boolean_fn(label_bits: int, seed: int, stream: int = 0) -> Callable[[str], int]:
-    rng = derive_rng(seed, 0xB001, stream)
-    table = rng.integers(0, 2, size=1 << label_bits)
-    values = {BitVector(label_bits, v).to_str(): int(table[v])
-              for v in range(1 << label_bits)}
-    return lambda label: values[label]
+def random_boolean_fn(label_bits: int, seed: int, stream: int = 0) -> np.ndarray:
+    """Seeded Boolean function on label_bits-bit labels, as a 0/1 table indexed by label."""
+    return derive_rng(seed, 0xB001, stream).integers(0, 2, size=1 << label_bits)

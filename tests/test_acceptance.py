@@ -110,9 +110,9 @@ def test_criterion_8_pgm():
         p0 = float(rng.uniform(0.15, 0.85))
         rho0 = qsim.random_density(dim, rng)
         rho1 = qsim.random_density(dim, rng)
-        s = qsim.CqState.from_entries([("0", p0, rho0), ("1", 1 - p0, rho1)])
+        s = qsim.CqState([0, 1], [p0, 1 - p0], [rho0, rho1], 1)
         m = qsim.pgm(s)
-        total = sum(el for _, el in m.elements)
+        total = sum(m.elements)
         completeness_worst = max(completeness_worst,
                                  float(np.max(np.abs(total - np.eye(dim)))))
         p_pgm = qsim.guess_success(s, m)

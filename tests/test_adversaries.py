@@ -295,6 +295,18 @@ def test_counterexample_small(n, expect):
     assert rep.weight_classes == 4
 
 
+def test_counterexample_referee_check_memory():
+    # all 2^24 (x, y, r) triples at n = 8; (2^n)^3 int64 arrays would be 128 MiB each
+    tracemalloc.start()
+    try:
+        rep = guessing_entropy_counterexample(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.triples_checked == 2 ** 24 and rep.referee_correct_fraction == 1.0
+    assert peak < 8 * 2 ** 20
+
+
 def test_counterexample_combined_entropy_reference():
     rep = guessing_entropy_counterexample(4)
     # combined storage still leaves nearly full entropy: n - O(1)

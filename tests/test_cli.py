@@ -45,6 +45,11 @@ BAD_CONFIGS = [
     (("attack", "knowledge"), {"n": "abc"}, "n must"),
     (("attack", "tightness"), {"n": 4, "k1": 4, "k2": 4, "b1": 4, "b2": 4,
                                "setting": "sideways"}, "setting must"),
+    (("extract", "--x", "X", "--y", "X", "--n", "16", "--extractor", "multibit"),
+     {"seeded": {"t": 8}}, "seeded: used only by the composed"),
+    (("extract", "--x", "X", "--y", "X", "--n", "16"), {"which": "Y"}, "which: used only"),
+    (("extract", "--x", "X", "--y", "X", "--n", "16", "--extractor", "ip"),
+     {"which": "X", "seeded": {"kind": "toeplitz"}}, "which, seeded: used only"),
 ]
 
 
@@ -79,6 +84,9 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("verify", "normbound", "--max-d", "0"), "max_d"),
     (("attack", "tightness", "--n", "4"), "--setting"),
     (("extract", "--n", "8"), "--x, --y"),
+    (("verify", "security", "--b", "9", "--instances", "1"), "b must be between 0 and 4"),
+    (("verify", "security", "--b", "-1"), "b must be between 0 and 4"),
+    (("attack", "superdense", "--max-n", "1"), "max_n must be an integer >= 2"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

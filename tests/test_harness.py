@@ -1,16 +1,21 @@
 """CLI commands, reports, exit codes, reproducibility."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
-from qx2src import cli, harness
+from qx2src import cli, harness, qsim
 from qx2src.errors import (CapabilityError, DimensionError, ParameterError,
                            ValidationError)
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # --------------------------------------------------------------------------
@@ -360,3 +365,39 @@ def test_extract_report_names_modulus(tmp_path):
         assert doc["timings"]["modulus_s"] >= 0
         assert "timings" not in report.to_dict(include_wall_clock=False)
         assert report.to_dict(include_wall_clock=False)["modulus"] == doc["modulus"]
+
+
+# --------------------------------------------------------------------------
+# the benchmark's per-layer tracer
+
+
+def test_benchmark_tracer_runs_over_the_suites(monkeypatch, capsys):
+    # the --trace 1 benchmark run at its warm-up sizes: a renamed layer, or a
+    # CqState without dim or entries, fails here rather than in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    verify = workloads.VerifyWorkload
+    original = qsim.cq_distance_from_uniform
+    t = tracer.Tracer()
+    t.install()
+    t.active = True
+    try:
+        reports = [harness.run_verify(suite, seed=1, **verify.WARMUP[suite])
+                   for suite, _ in verify.SUITES]
+        code = cli.main(["attack", "tightness", "--n", "4", "--k1", "4", "--k2", "4",
+                         "--b1", "4", "--b2", "4", "--setting", "entangled"])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0 and all(r.passed for r in reports)
+    assert qsim.cq_distance_from_uniform is original
+    calls = dict(zip(tracer.SPAN_NAMES, t.calls))
+    for name in tracer.LAYERS["qsim"]:
+        if name not in ("random_unitary", "partial_trace"):
+            assert calls[f"qsim.{name}"] > 0, name
+    assert calls["adversaries.tightness_attack"] == 1
+    assert t.max_dim >= 8 and t.max_labels >= 8
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    metrics = tracer.layer_metrics(t.snapshot(), 1.0, 1.0)
+    assert {m["name"] for m in spec["per_layer"]} <= set(metrics)

@@ -1,13 +1,16 @@
 """Exact quantum numerics: distances, measurements, reduction lemmas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qx2src import adversaries, qsim
 from qx2src.errors import CapabilityError, ParameterError, ValidationError
-from qx2src.extractors import FlatSource, ip_extract
+from qx2src.extractors import FlatSource, ip_extract, multibit_extract, random_flat_source
 from qx2src.gf2 import BitVector
 from qx2src.rng import derive_rng
 
@@ -90,9 +93,9 @@ def test_output_state_constant_extractor():
     y = FlatSource.uniform(2)
     storage = adversaries.trivial_storage(2)
     state = qsim.extractor_output_state(lambda a, b: BitVector(1, 0), x, y, storage)
-    assert len(state.entries) == 1
-    assert state.entries[0].label == "0"
-    assert abs(state.entries[0].prob - 1.0) <= 1e-12
+    assert len(state.labels) == 1
+    assert state.labels[0] == 0
+    assert abs(state.probs[0] - 1.0) <= 1e-12
     assert abs(qsim.cq_distance_from_uniform(state, 1) - 0.5) <= 1e-12
 
 
@@ -100,9 +103,9 @@ def test_output_state_ip_uniform_n2():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
     state = qsim.extractor_output_state(ip_extract, x, y, adversaries.trivial_storage(2))
-    probs = {e.label: e.prob for e in state.entries}
-    assert abs(probs["0"] - 5 / 8) <= 1e-12
-    assert abs(probs["1"] - 3 / 8) <= 1e-12
+    probs = dict(zip(state.labels.tolist(), state.probs))
+    assert abs(probs[0] - 5 / 8) <= 1e-12
+    assert abs(probs[1] - 3 / 8) <= 1e-12
     assert abs(qsim.cq_distance_from_uniform(state, 1) - 0.125) <= 1e-12
 
 
@@ -111,8 +114,7 @@ def test_output_state_perfect_classical_encoding():
     y = FlatSource.uniform(2)
     storage = adversaries.classical_joint_storage(2, lambda a, b: ip_extract(a, b), 1)
     state = qsim.extractor_output_state(ip_extract, x, y, storage)
-    rho0 = state.entries[0].rho
-    rho1 = state.entries[1].rho
+    rho0, rho1 = state.rhos
     assert abs(np.trace(rho0 @ rho1)) <= 1e-12  # orthogonal supports
     assert abs(qsim.cq_distance_from_uniform(state, 1) - 0.5) <= 1e-12
 
@@ -131,8 +133,87 @@ def test_strong_mode_labels():
     state = qsim.extractor_output_state(ip_extract, x, y,
                                         adversaries.trivial_storage(1),
                                         mode="X-strong")
-    labels = {e.label for e in state.entries}
-    assert ("1", "1") in labels and ("0", "0") in labels
+    labels = set(zip(state.labels.tolist(), state.sides.tolist()))
+    assert (1, 1) in labels and (0, 0) in labels
+
+
+def _string_label_oracle(extractor, xs, ys, storage, mode):
+    """The state as a dict of string labels, built entry by entry.
+
+    Labels are coordinate-0-first bit strings, (output, side) tuples in
+    the strong modes, sorted as strings; each matrix is the running sum
+    of its pairs' storage states, renormalized once at the end.
+    """
+    state_fn = {"X-superstrong": storage.full_state_a,
+                "Y-superstrong": storage.full_state_b}.get(mode, storage.state_for)
+    p_pair = xs.probability() * ys.probability()
+    acc = {}
+    for xv in xs.vectors():
+        for yv in ys.vectors():
+            out = extractor(xv, yv)
+            out = BitVector(1, out) if isinstance(out, int) else out
+            side = {"X": xv, "Y": yv}.get(mode[0])
+            label = out.to_str() if mode == "weak" else (out.to_str(), side.to_str())
+            rho = state_fn(xv, yv)
+            if label in acc:
+                acc[label][0] += p_pair
+                acc[label][1] += rho
+            else:
+                acc[label] = [p_pair, rho.astype(complex, copy=True)]
+    return [(label, p, total * p_pair / p) for label, (p, total) in sorted(acc.items())]
+
+
+def _assert_matches_oracle(state, expect, n, mode):
+    outs = [BitVector(state.width, v).to_str() for v in state.labels]
+    if mode == "weak":
+        assert state.sides is None
+        labels = outs
+    else:
+        labels = list(zip(outs, [BitVector(n, v).to_str() for v in state.sides]))
+    assert labels == [label for label, _, _ in expect]
+    assert state.probs.tolist() == [p for _, p, _ in expect]
+    assert state.rhos.tobytes() == np.array([rho for _, _, rho in expect]).tobytes()
+
+
+MODES = ["weak", "X-strong", "Y-strong", "X-superstrong", "Y-superstrong"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_output_state_matches_string_label_oracle(mode):
+    for n in (1, 2, 3):
+        extractors = [ip_extract] + [
+            lambda x, y, m=m: multibit_extract(x, y, m) for m in range(1, n + 1)]
+        sources = [(FlatSource.uniform(n), FlatSource.uniform(n)),
+                   (random_flat_source(n, n - 1, 7, 1), random_flat_source(n, 1, 7, 2))]
+        for flavor in ("product", "entangled", "classical"):
+            storage = adversaries.random_storage(n, 1, 1, flavor, seed=5 + n)
+            if mode.endswith("superstrong") and not storage.has_full_side(mode[0]):
+                continue
+            for extractor in extractors:
+                for xs, ys in sources:
+                    state = qsim.extractor_output_state(extractor, xs, ys, storage, mode)
+                    expect = _string_label_oracle(extractor, xs, ys, storage, mode)
+                    _assert_matches_oracle(state, expect, n, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_output_state_matches_string_label_oracle_at_64_bits(mode):
+    # k1 = k2 = 2 sources whose values need all 64 bits, where int64 labels
+    # would overflow and bit 63 would flip the order
+    xs = FlatSource.from_values(64, [1, 1 << 63, 3 << 62, (1 << 64) - 1])
+    ys = FlatSource.from_values(64, [2, 1 << 63, 5 << 60, (1 << 64) - 2])
+    extractors = [ip_extract, lambda x, y: multibit_extract(x, y, 64)]
+    for flavor in ("product", "entangled", "classical"):
+        storage = adversaries.random_storage(64, 1, 1, flavor, seed=11)
+        if mode.endswith("superstrong") and not storage.has_full_side(mode[0]):
+            continue
+        for extractor in extractors:
+            state = qsim.extractor_output_state(extractor, xs, ys, storage, mode)
+            expect = _string_label_oracle(extractor, xs, ys, storage, mode)
+            _assert_matches_oracle(state, expect, 64, mode)
+        ip_state = qsim.extractor_output_state(ip_extract, xs, ys, storage, mode)
+        assert abs(qsim.cq_distance_from_uniform(ip_state, 1)
+                   - _global_distance_oracle(ip_state, 1)) <= 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -146,15 +227,15 @@ def _global_distance_oracle(state, label_bits):
     takes half its 1-norm, independently of the per-block evaluation.
     """
     groups = {}
-    for e in state.entries:
-        out, side = (e.label, None) if isinstance(e.label, str) else (e.label[0], e.label[1:])
-        groups.setdefault(side, {})[out] = (e.prob, e.rho)
+    sides = state.labels * 0 if state.sides is None else state.sides
+    for out, side, p, rho in zip(state.labels.tolist(), sides.tolist(),
+                                 state.probs, state.rhos):
+        groups.setdefault(side, {})[out] = (p, rho)
     dim = state.dim
     blocks = []
     for side, outs in groups.items():
         marg = sum(p * rho for p, rho in outs.values())
-        for v in range(1 << label_bits):
-            out = BitVector(label_bits, v).to_str()
+        for out in range(1 << label_bits):
             p, rho = outs.get(out, (0.0, np.zeros((dim, dim), complex)))
             blocks.append(p * rho - marg / (1 << label_bits))
     full = np.zeros((dim * len(blocks), dim * len(blocks)), dtype=complex)
@@ -172,6 +253,27 @@ def test_cq_distance_matches_global_eigendecomposition():
         assert abs(qsim.cq_distance_from_uniform(s, m) - direct) <= 1e-10
 
 
+def test_cq_distance_matches_per_entry_loop():
+    # the block sums in entry order, side groups in order of first appearance
+    storage = adversaries.random_storage(3, 1, 1, "product", seed=29)
+    xs, ys = random_flat_source(3, 2, 3, 1), random_flat_source(3, 2, 3, 2)
+    for mode in MODES:
+        for m in (1, 2, 3):
+            s = qsim.extractor_output_state(
+                lambda x, y, m=m: multibit_extract(x, y, m), xs, ys, storage, mode)
+            sides = [None] * len(s.labels) if s.sides is None else s.sides.tolist()
+            groups = {}
+            for side, p, rho in zip(sides, s.probs.tolist(), s.rhos):
+                groups.setdefault(side, []).append(p * rho)
+            total = 0.0
+            for blocks in groups.values():
+                marg = sum(blocks)
+                for blk in blocks:
+                    total += qsim.l1_norm(blk - marg / (1 << m))
+                total += ((1 << m) - len(blocks)) / (1 << m) * float(np.real(np.trace(marg)))
+            assert qsim.cq_distance_from_uniform(s, m) == 0.5 * total
+
+
 def test_cq_distance_strong_mode_matches_oracle():
     from qx2src import adversaries
     from qx2src.extractors import FlatSource, ip_extract
@@ -186,7 +288,7 @@ def test_cq_distance_strong_mode_matches_oracle():
 
 def test_boolean_reduce_constant():
     s = qsim.random_cq_state(2, 1, seed=77)
-    reduced = qsim.boolean_reduce(s, lambda z: 1)
+    reduced = qsim.boolean_reduce(s, np.ones(4, dtype=int))
     assert abs(qsim.cq_distance_from_uniform(reduced, 1) - 0.5) <= 1e-12
 
 
@@ -198,8 +300,8 @@ def test_boolean_reduce_merge_identity():
         reduced = qsim.boolean_reduce(s, f)
         dim = s.dim
         rho = {0: np.zeros((dim, dim), complex), 1: np.zeros((dim, dim), complex)}
-        for e in s.entries:
-            rho[1 if f(e.label) else 0] += e.prob * e.rho
+        for z, p, r in zip(s.labels, s.probs, s.rhos):
+            rho[f[z]] += p * r
         lhs = 2 * qsim.cq_distance_from_uniform(reduced, 1)
         assert abs(lhs - qsim.l1_norm(rho[0] - rho[1])) <= 1e-9
 
@@ -209,15 +311,87 @@ def test_boolean_reduce_preserves_probability_and_average():
         s = qsim.random_cq_state(2, 2, seed=888, stream=t)
         f = qsim.random_boolean_fn(2, seed=888, stream=t)
         reduced = qsim.boolean_reduce(s, f)
-        assert abs(sum(e.prob for e in reduced.entries) - 1.0) <= 1e-12
+        assert abs(sum(reduced.probs) - 1.0) <= 1e-12
         assert np.max(np.abs(reduced.average_state() - s.average_state())) <= 1e-12
 
 
 def test_parity_mask_fn():
-    f = qsim.parity_mask_fn(0b101)
-    assert f("101") == 0
-    assert f("100") == 1
-    assert f("001") == 1
+    # labels "101", "100", "001" with coordinate 0 in bit 0
+    assert qsim.character(np.array([0b101, 0b001, 0b100]), 0b101).tolist() == [0, 1, 1]
+
+
+def _reduce_loop(s, f):
+    """boolean_reduce entry by entry: per bit, the running sum of p rho over p."""
+    parts = {}
+    for z, p, rho in zip(s.labels.tolist(), s.probs.tolist(), s.rhos):
+        b = f[z]
+        if b in parts:
+            parts[b][0] += p
+            parts[b][1] += p * rho
+        else:
+            parts[b] = [p, p * rho]
+    return [(b, parts[b][0], parts[b][1] / parts[b][0]) for b in (0, 1)
+            if b in parts and parts[b][0] > 0]
+
+
+def _parity_loop(z, mask, m):
+    acc = 0
+    for j in range(m):
+        acc ^= (z >> j) & (mask >> j) & 1
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), qubits=st.integers(0, 2),
+       stream=st.integers(0, 2 ** 16), data=st.data())
+def test_reduction_and_characters_match_per_label_loops(m, qubits, stream, data):
+    s = qsim.random_cq_state(m, qubits, seed=4242, stream=stream)
+    f = np.array(data.draw(st.lists(st.integers(0, 1), min_size=1 << m,
+                                    max_size=1 << m)))
+    reduced = qsim.boolean_reduce(s, f)
+    expect = _reduce_loop(s, f)
+    assert reduced.labels.tolist() == [b for b, _, _ in expect]
+    assert reduced.probs.tolist() == [p for _, p, _ in expect]
+    assert reduced.rhos.tobytes() == np.array([r for _, _, r in expect]).tobytes()
+    char_sum = 0.0
+    for mask in range(1, 1 << m):
+        table = [_parity_loop(z, mask, m) for z in range(1 << m)]
+        assert qsim.character(np.arange(1 << m), mask).tolist() == table
+        merged = qsim.boolean_reduce(s, np.array(table))
+        char_sum += qsim.cq_distance_from_uniform(merged, 1) ** 2
+    assert qsim.xor_lemma_check(s).character_sum == char_sum
+
+
+def test_pgm_reduction_matches_per_entry_loop():
+    for t in range(30):
+        m = 1 + t % 3
+        s = qsim.random_cq_state(m, t % 3, seed=808, stream=t)
+        f = qsim.random_boolean_fn(m, seed=808, stream=t)
+        elements = qsim.pgm(s).elements
+        joint, marg = {}, {}
+        for z, p, rho in zip(s.labels.tolist(), s.probs.tolist(), s.rhos):
+            for w, el in enumerate(elements):
+                q = p * float(np.real(np.trace(el @ rho)))
+                joint[(f[z], w)] = joint.get((f[z], w), 0.0) + q
+                marg[w] = marg.get(w, 0.0) + q
+        dist = 0.0
+        for w, pw in marg.items():
+            for b in (0, 1):
+                dist += abs(joint.get((b, w), 0.0) - 0.5 * pw)
+        assert qsim.pgm_reduction_check(s, f).classical_distance == 0.5 * dist
+
+
+def test_pgm_reduction_memory_linear_in_labels():
+    # 256 labels at d = 2: the (K, K, d, d) product stack alone would be 4 MiB
+    s = qsim.random_cq_state(8, 1, seed=31)
+    f = qsim.random_boolean_fn(8, seed=31)
+    tracemalloc.start()
+    try:
+        qsim.pgm_reduction_check(s, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_xor_lemma_single_bit_case():
@@ -233,9 +407,7 @@ def test_xor_lemma_classical_embedding():
     # diagonal one-dimensional side information: factor 2^min(0, m) = 1
     rng = derive_rng(31, 0)
     probs = rng.dirichlet(np.ones(4))
-    entries = [(BitVector(2, v).to_str(), float(probs[v]), np.array([[1.0 + 0j]]))
-               for v in range(4)]
-    s = qsim.CqState.from_entries(entries)
+    s = qsim.CqState(np.arange(4), probs, np.ones((4, 1, 1)), 2)
     res = qsim.xor_lemma_check(s)
     assert res.rhs_bound == res.character_sum
     assert res.lhs_squared <= res.character_sum + 1e-10
@@ -258,9 +430,9 @@ def test_xor_lemma_character_sum_matches_direct_fourier():
         direct = 0.0
         for mask in range(1, 1 << m):
             acc = np.zeros((s.dim, s.dim), dtype=complex)
-            for e in s.entries:
-                sign = (-1) ** qsim.parity_mask_fn(mask)(e.label)
-                acc += sign * e.prob * e.rho
+            for z, p, rho in zip(s.labels.tolist(), s.probs, s.rhos):
+                sign = (-1) ** (bin(z & mask).count("1") % 2)
+                acc += sign * p * rho
             direct += (0.5 * qsim.l1_norm(acc)) ** 2
         res = qsim.xor_lemma_check(s)
         assert abs(res.character_sum - direct) <= 1e-10
@@ -283,25 +455,23 @@ def test_xor_lemma_both_proof_branches_hold():
 
 
 def test_pgm_orthogonal_states():
-    entries = [("0", 0.5, KET0), ("1", 0.5, KET1)]
-    s = qsim.CqState.from_entries(entries)
+    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
     m = qsim.pgm(s)
-    assert np.allclose(m.element("0"), KET0)
+    assert np.allclose(m.elements[0], KET0)
     assert abs(qsim.guess_success(s, m) - 1.0) <= 1e-12
 
 
 def test_pgm_identical_states():
     rho = np.eye(2) / 2
-    s = qsim.CqState.from_entries([("0", 0.25, rho), ("1", 0.25, rho),
-                                   ("10", 0.25, rho), ("11", 0.25, rho)])
+    s = qsim.CqState([0, 1, 2, 3], [0.25] * 4, [rho] * 4, 2)
     m = qsim.pgm(s)
-    for lbl, el in m.elements:
+    for el in m.elements:
         assert np.allclose(el, np.eye(2) / 4)
     assert abs(qsim.guess_success(s, m) - 0.25) <= 1e-12
 
 
 def test_pgm_two_pure_states_matches_helstrom():
-    s = qsim.CqState.from_entries([("0", 0.5, KET0), ("1", 0.5, PLUS)])
+    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, PLUS], 1)
     p = qsim.guess_success(s, qsim.pgm(s))
     expected = 0.5 * (1 + 1 / math.sqrt(2))
     assert abs(p - expected) <= 1e-9
@@ -309,8 +479,8 @@ def test_pgm_two_pure_states_matches_helstrom():
 
 
 def test_guess_success_uniform_povm():
-    s = qsim.CqState.from_entries([("0", 0.5, KET0), ("1", 0.5, KET1)])
-    m = qsim.Povm((("0", np.eye(2) / 2), ("1", np.eye(2) / 2)))
+    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
+    m = qsim.Povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
     assert abs(qsim.guess_success(s, m) - 0.5) <= 1e-12
 
 
@@ -321,7 +491,7 @@ def test_pgm_within_square_of_optimal_binary():
         p0 = float(rng.uniform(0.1, 0.9))
         rho0 = qsim.random_density(dim, rng)
         rho1 = qsim.random_density(dim, rng)
-        s = qsim.CqState.from_entries([("0", p0, rho0), ("1", 1 - p0, rho1)])
+        s = qsim.CqState([0, 1], [p0, 1 - p0], [rho0, rho1], 1)
         p_pgm = qsim.guess_success(s, qsim.pgm(s))
         p_opt = qsim.helstrom_advantage(p0, rho0, 1 - p0, rho1)
         assert p_pgm <= p_opt + 1e-9
@@ -338,15 +508,14 @@ def test_helstrom_examples():
 def test_guessing_entropy_identical_scalar_states():
     k = 3
     one = np.array([[1.0 + 0j]])
-    entries = [(BitVector(k, v).to_str(), 1 / 2 ** k, one) for v in range(2 ** k)]
-    s = qsim.CqState.from_entries(entries)
+    s = qsim.CqState(np.arange(2 ** k), [1 / 2 ** k] * 2 ** k, [one] * 2 ** k, k)
     bracket = qsim.guessing_entropy_bounds(s)
     assert abs(bracket.lower - k) <= 1e-9
     assert abs(bracket.upper - k) <= 1e-9
 
 
 def test_guessing_entropy_orthogonal_states():
-    s = qsim.CqState.from_entries([("0", 0.5, KET0), ("1", 0.5, KET1)])
+    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
     bracket = qsim.guessing_entropy_bounds(s)
     assert abs(bracket.lower) <= 1e-9
     assert abs(bracket.upper) <= 1e-9
@@ -358,7 +527,7 @@ def test_guessing_entropy_bracket_contains_optimal_binary():
         p0 = float(rng.uniform(0.2, 0.8))
         rho0 = qsim.random_density(2, rng)
         rho1 = qsim.random_density(2, rng)
-        s = qsim.CqState.from_entries([("0", p0, rho0), ("1", 1 - p0, rho1)])
+        s = qsim.CqState([0, 1], [p0, 1 - p0], [rho0, rho1], 1)
         h_opt = -math.log2(qsim.helstrom_advantage(p0, rho0, 1 - p0, rho1))
         bracket = qsim.guessing_entropy_bounds(s)
         assert bracket.lower - 1e-9 <= h_opt <= bracket.upper + 1e-9
@@ -375,8 +544,8 @@ def test_pgm_povm_invariants():
 
 
 def test_pgm_reduction_orthogonal_classical():
-    s = qsim.CqState.from_entries([("0", 0.5, KET0), ("1", 0.5, KET1)])
-    res = qsim.pgm_reduction_check(s, lambda z: int(z))
+    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
+    res = qsim.pgm_reduction_check(s, np.array([0, 1]))
     assert abs(res.lhs - 0.5) <= 1e-9
     assert abs(res.bound - 0.5) <= 1e-9
     assert res.holds()
@@ -384,7 +553,7 @@ def test_pgm_reduction_orthogonal_classical():
 
 def test_pgm_reduction_constant_function():
     s = qsim.random_cq_state(2, 1, seed=55)
-    res = qsim.pgm_reduction_check(s, lambda z: 0)
+    res = qsim.pgm_reduction_check(s, np.zeros(4, dtype=int))
     assert abs(res.lhs - 0.5) <= 1e-9
     assert abs(res.classical_distance - 0.5) <= 1e-9
     assert abs(res.bound - 0.5) <= 1e-9
@@ -444,20 +613,24 @@ def test_density_matrix_validation():
 
 def test_cq_state_validation():
     with pytest.raises(ValidationError):
-        qsim.CqState.from_entries([("0", 0.7, KET0), ("1", 0.7, KET1)])
+        qsim.CqState([0, 1], [0.7, 0.7], [KET0, KET1], 1)
     with pytest.raises(ValidationError):
-        qsim.CqState.from_entries([("0", 0.5, KET0), ("0", 0.5, KET1)])
+        qsim.CqState([0, 0], [0.5, 0.5], [KET0, KET1], 1)
+    with pytest.raises(ValidationError, match="differ in dimension"):
+        qsim.CqState([0, 1], [0.5, 0.5], [KET0, np.eye(4) / 4], 1)
 
 
 def test_povm_validation():
     with pytest.raises(ValidationError):
-        qsim.Povm((("0", np.eye(2) * 0.7), ("1", np.eye(2) * 0.7)))
+        qsim.Povm(np.array([np.eye(2) * 0.7, np.eye(2) * 0.7]))
+    with pytest.raises(ValidationError, match="differ in dimension"):
+        qsim.Povm([np.eye(2), np.zeros((4, 4))])
 
 
 def test_guess_success_rejects_broken_povm():
     # 2 I passes no Povm validation, so build it around __post_init__
-    s = qsim.CqState.from_entries([("0", 0.5, KET0), ("1", 0.5, KET1)])
+    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
     broken = object.__new__(qsim.Povm)
-    object.__setattr__(broken, "elements", (("0", 2 * np.eye(2)), ("1", 2 * np.eye(2))))
+    object.__setattr__(broken, "elements", np.array([2 * np.eye(2), 2 * np.eye(2)], dtype=complex))
     with pytest.raises(ParameterError, match="2.0"):
         qsim.guess_success(s, broken)
