@@ -8,18 +8,23 @@ quantum verifier (:mod:`qx2src.qsim`) with concrete adversaries
 (:mod:`qx2src.cli`, :mod:`qx2src.harness`).
 """
 
-from .bounds import BoundReport, ParamSet
+from .bounds import (BoundReport, ParamSet, knowledge_transfer, storage_transfer,
+                     transmission_guess_bound)
 from .extractors import (FlatSource, SeededExtractorSpec, compose_two_source,
                          ip_extract, multibit_extract, toeplitz_extract,
-                         transformed_ip_extract, trevisan_extract, weak_design)
+                         trevisan_extract, weak_design)
 from .gf2 import BitMatrix, BitVector, Gf2Poly, find_irreducible, inner_product
+from .qsim import guessing_entropy_bounds, helstrom_advantage
 
 __version__ = "0.1.0"
 
+# The public API.  Every other public definition in the package has a
+# caller in src/ or perfbench/ (tests/test_surface.py checks this).
 __all__ = [
     "BitMatrix", "BitVector", "BoundReport", "FlatSource", "Gf2Poly",
     "ParamSet", "SeededExtractorSpec", "compose_two_source",
-    "find_irreducible", "inner_product", "ip_extract", "multibit_extract",
-    "toeplitz_extract", "transformed_ip_extract", "trevisan_extract",
-    "weak_design", "__version__",
+    "find_irreducible", "guessing_entropy_bounds", "helstrom_advantage",
+    "inner_product", "ip_extract", "knowledge_transfer", "multibit_extract",
+    "storage_transfer", "toeplitz_extract", "transmission_guess_bound",
+    "trevisan_extract", "weak_design", "__version__",
 ]

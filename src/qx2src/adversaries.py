@@ -1,11 +1,14 @@
 """Concrete storage strategies and attacks.
 
 A storage strategy maps source pairs (x, y) to a joint stored state on
-b1 + b2 qubits, Alice's qubits first.  Strategies here cover seeded
-random adversaries (product, entangled, classical), the exact
+b1 + b2 qubits, Alice's qubits first, and, where one party keeps its
+whole state, to that full-side state as well.  Strategies here cover
+seeded random adversaries (product, entangled, classical), the exact
 Bell-pair protocol that computes the inner product in the simultaneous
 message passing model, superdense coding, and the source/storage
-constructions that sit right at the security bounds.
+constructions that sit right at the security bounds.  The protocols
+report only what the attacks check: the output, its probability and
+the qubits each party sends.
 """
 
 from __future__ import annotations
@@ -48,12 +51,8 @@ def bell_outcome(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[Tuple[int, int
 @dataclass(frozen=True)
 class SmpOutcome:
     output: int
-    xor_string: BitVector
-    bell_outcomes: tuple
     success_probability: float
     qubits_per_party: int
-    weight_a_mod4: int
-    weight_b_mod4: int
 
 
 def smp_ip_protocol(x: BitVector, y: BitVector) -> SmpOutcome:
@@ -73,45 +72,30 @@ def smp_ip_protocol(x: BitVector, y: BitVector) -> SmpOutcome:
     if n % 2:
         xb.append(0)
         yb.append(0)
-    outcomes = []
-    xor_bits = []
+    w_xor = 0
     p_total = 1.0
     for i in range(0, len(xb), 2):
         c, p = bell_outcome((xb[i], xb[i + 1]), (yb[i], yb[i + 1]))
-        outcomes.append(c)
-        xor_bits.extend(c)
+        w_xor += sum(c)
         p_total *= p
-    w1 = x.weight() % 4
-    w2 = y.weight() % 4
-    w_xor = sum(xor_bits)
-    output = ((w1 + w2 - w_xor) % 4) // 2
-    return SmpOutcome(output=output,
-                      xor_string=BitVector.from_bits(xor_bits[:n]),
-                      bell_outcomes=tuple(outcomes),
-                      success_probability=p_total,
-                      qubits_per_party=len(xb) // 2 + 2,
-                      weight_a_mod4=w1, weight_b_mod4=w2)
+    output = ((x.weight() % 4 + y.weight() % 4 - w_xor) % 4) // 2
+    return SmpOutcome(output=output, success_probability=p_total,
+                      qubits_per_party=len(xb) // 2 + 2)
 
 
-def superdense_roundtrip(bits: str) -> str:
-    """Encode a 2-bit message on one EPR half, Bell-decode it."""
-    if len(bits) != 2 or any(ch not in "01" for ch in bits):
-        raise ParameterError("message must be a 2-bit string")
-    a = (int(bits[0]), int(bits[1]))
-    c, p = bell_outcome(a, (0, 0))
-    if p < 1 - 1e-9:
-        raise AssertionError("Bell states failed to be distinguishable")
-    return f"{c[0]}{c[1]}"
+def superdense_roundtrip(message: BitVector) -> BitVector:
+    """Round-trip an even-length message through pairwise superdense coding.
 
-
-def superdense_roundtrip_vector(message: BitVector) -> BitVector:
-    """Round-trip an even-length message through pairwise superdense coding."""
+    Each pair of bits is encoded on one EPR half and Bell-decoded.
+    """
     if message.length % 2:
         raise ParameterError("message length must be even")
     out_bits = []
     for i in range(0, message.length, 2):
-        decoded = superdense_roundtrip(f"{message.bit(i)}{message.bit(i + 1)}")
-        out_bits.extend(int(ch) for ch in decoded)
+        c, p = bell_outcome((message.bit(i), message.bit(i + 1)), (0, 0))
+        if p < 1 - 1e-9:
+            raise AssertionError("Bell states failed to be distinguishable")
+        out_bits.extend(c)
     return BitVector.from_bits(out_bits)
 
 
@@ -128,18 +112,14 @@ class StorageStrategy:
     for superstrong evaluation.
     """
 
-    def __init__(self, n: int, b1: int, b2: int, flavor: str,
+    def __init__(self, n: int, b1: int, b2: int,
                  state_fn: Callable[[BitVector, BitVector], np.ndarray],
-                 full_a_fn=None, full_b_fn=None, description: str = ""):
-        if flavor not in ("product", "entangled", "classical"):
-            raise ParameterError(f"unknown flavor {flavor!r}")
+                 full_a_fn=None, full_b_fn=None):
         if b1 < 0 or b2 < 0:
             raise ParameterError("budgets must be nonnegative")
         self.n = n
         self.b1 = b1
         self.b2 = b2
-        self.flavor = flavor
-        self.description = description
         self._state_fn = state_fn
         self._full_a_fn = full_a_fn
         self._full_b_fn = full_b_fn
@@ -167,30 +147,6 @@ class StorageStrategy:
         if self._full_b_fn is None:
             raise CapabilityError("strategy retains no full Y-side states")
         return np.asarray(self._full_b_fn(x, y), dtype=complex)
-
-
-def trivial_storage(n: int) -> StorageStrategy:
-    """Zero-qubit storage; every stored state is the scalar 1."""
-    one = qsim.scalar_state()
-    return StorageStrategy(n, 0, 0, "product", lambda x, y: one,
-                           full_a_fn=lambda x, y: one,
-                           full_b_fn=lambda x, y: one,
-                           description="trivial")
-
-
-def product_factorization_error(strategy: StorageStrategy,
-                                xs: Sequence[BitVector],
-                                ys: Sequence[BitVector]) -> float:
-    """Largest deviation of stored states from an x-factor tensor y-factor."""
-    da, db = 1 << strategy.b1, 1 << strategy.b2
-    worst = 0.0
-    for x in xs:
-        for y in ys:
-            rho = strategy.state_for(x, y)
-            rho_a = qsim.partial_trace(rho, [da, db], [0])
-            rho_b = qsim.partial_trace(rho, [da, db], [1])
-            worst = max(worst, float(np.max(np.abs(rho - np.kron(rho_a, rho_b)))))
-    return worst
 
 
 def random_storage(n: int, b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
@@ -226,9 +182,7 @@ def random_storage(n: int, b1: int, b2: int, flavor: str, seed: int) -> StorageS
             rho = qsim.partial_trace(full, dims, keep_full_a)
             return 0.5 * (rho + rho.conj().T)
 
-        return StorageStrategy(n, b1, b2, "entangled", state_fn,
-                               full_a_fn=full_a_fn,
-                               description=f"random entangled seed={seed}")
+        return StorageStrategy(n, b1, b2, state_fn, full_a_fn=full_a_fn)
 
     if flavor == "product":
         def side_states(value, stream, b):
@@ -254,9 +208,8 @@ def random_storage(n: int, b1: int, b2: int, flavor: str, seed: int) -> StorageS
             _, fb = side_states(y.value, 0xB0B, b2)
             return np.kron(ra, fb)
 
-        return StorageStrategy(n, b1, b2, "product", state_fn,
-                               full_a_fn=full_a_fn, full_b_fn=full_b_fn,
-                               description=f"random product seed={seed}")
+        return StorageStrategy(n, b1, b2, state_fn,
+                               full_a_fn=full_a_fn, full_b_fn=full_b_fn)
 
     if flavor == "classical":
         def state_fn(x, y):
@@ -264,8 +217,7 @@ def random_storage(n: int, b1: int, b2: int, flavor: str, seed: int) -> StorageS
             hb = int(derive_rng(seed, 0xB0B, y.value).integers(0, 1 << b2)) if b2 else 0
             return qsim.basis_state(1 << (b1 + b2), (ha << b2) | hb)
 
-        return StorageStrategy(n, b1, b2, "classical", state_fn,
-                               description=f"random classical seed={seed}")
+        return StorageStrategy(n, b1, b2, state_fn)
 
     raise ParameterError(f"unknown flavor {flavor!r}")
 
@@ -296,23 +248,8 @@ def classical_block_storage(n: int, x_bits: Sequence[int], y_bits: Sequence[int]
         # classical storage: the full side equals the stored side
         return state_fn(x, y)
 
-    return StorageStrategy(n, b1, b2, "classical", state_fn,
-                           full_a_fn=full_b_fn, full_b_fn=full_b_fn,
-                           description=f"classical blocks x={list(x_bits)} y={list(y_bits)}")
-
-
-def classical_joint_storage(n: int, fn: Callable[[BitVector, BitVector], int],
-                            bits: int) -> StorageStrategy:
-    """Test helper: store a joint classical function of both inputs.
-
-    Not realizable as a (b1, b2) product storage; used to exercise the
-    verifier on states that perfectly encode the extractor output.
-    """
-    def state_fn(x, y):
-        return qsim.basis_state(1 << bits, fn(x, y))
-
-    return StorageStrategy(n, bits, 0, "classical", state_fn,
-                           description="joint classical function (test helper)")
+    return StorageStrategy(n, b1, b2, state_fn,
+                           full_a_fn=full_b_fn, full_b_fn=full_b_fn)
 
 
 def smp_block_storage(n: int, x_bits: Sequence[int], y_bits: Sequence[int],
@@ -366,9 +303,8 @@ def smp_block_storage(n: int, x_bits: Sequence[int], y_bits: Sequence[int],
         vec = qsim.permute_qubits_vector(vec, order)
         return np.outer(vec, vec.conj())
 
-    return StorageStrategy(n, b1, b2, "entangled", state_fn,
-                           full_a_fn=state_fn, full_b_fn=state_fn,
-                           description=f"SMP protocol on {len(block)}-bit block")
+    return StorageStrategy(n, b1, b2, state_fn,
+                           full_a_fn=state_fn, full_b_fn=state_fn)
 
 
 def superdense_block_storage(n: int, x_bits: Sequence[int],
@@ -425,9 +361,7 @@ def superdense_block_storage(n: int, x_bits: Sequence[int],
             full_vec = qsim.permute_qubits_vector(full_vec, order)
         return np.outer(full_vec, full_vec.conj())
 
-    return StorageStrategy(n, b1, b2, "entangled", state_fn,
-                           full_b_fn=full_b_fn,
-                           description=f"superdense coding of a {len(block)}-bit x-block")
+    return StorageStrategy(n, b1, b2, state_fn, full_b_fn=full_b_fn)
 
 
 # --------------------------------------------------------------------------

@@ -66,17 +66,6 @@ def _flag_kwargs(tp):
     return {"type": tp, "metavar": tp.__name__.upper()} if tp in (int, float, str) else None
 
 
-def synopsis(command: str) -> str:
-    """The command's usage line, built from its handler's parameters."""
-    words = [f"qx2src {command}"]
-    for name, (tp, required) in harness.parameters(command).items():
-        kwargs = _flag_kwargs(tp)
-        word = f"config:{name}" if kwargs is None else " ".join(filter(None, [
-            flag(name), kwargs.get("metavar"), "..." if "nargs" in kwargs else ""]))
-        words.append(word if required else f"[{word}]")
-    return " ".join(words)
-
-
 class _Parser(argparse.ArgumentParser):
     """Exact flags only (--n must not pass for --ns); usage errors raise."""
 

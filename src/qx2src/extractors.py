@@ -15,12 +15,13 @@ two-source core and is therefore much shorter than the input).
 
 Two kernels carry the polynomial arithmetic.  A Toeplitz matrix-vector
 product is one carry-less product (:func:`qx2src.gf2.poly_mul`) of x
-with the seed laid out diagonal by diagonal.  The weak design, the
-Reed-Solomon/Hadamard code and the Trevisan extractor share one Horner
-evaluator, :meth:`_SmallField.eval`, which evaluates a polynomial at
-all requested points at once; in GF(2^w) with w <= 16 each Horner step
-is one numpy gather through log/antilog tables, built once per w on
-first use.
+with the seed laid out diagonal by diagonal.  The weak design and the
+Trevisan extractor's Reed-Solomon/Hadamard code share one Horner
+evaluator over GF(2^w), :func:`_horner`, which evaluates a polynomial
+at all requested points at once; for w <= 16 each Horner step is one
+numpy gather through log/antilog tables, built once per w on first
+use, and above that one poly_mul and one poly_mod per point.  The
+seeded composition at t >= 64 (w >= 32) takes that second path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import gf2
 from .errors import DimensionError, ParameterError
-from .gf2 import BitMatrix, BitVector, inner_product, mat_vec_mul
+from .gf2 import BitVector, inner_product
 from .rng import derive_rng
 
 # --------------------------------------------------------------------------
@@ -90,13 +91,6 @@ def random_flat_source(n: int, k: int, seed: int, *streams: int) -> FlatSource:
 def ip_extract(x: BitVector, y: BitVector) -> int:
     """One-bit extractor x . y."""
     return inner_product(x, y)
-
-
-def transformed_ip_extract(a: BitMatrix, x: BitVector, y: BitVector) -> int:
-    """One-bit extractor (A x) . y for a full-rank square matrix."""
-    if a.rows != a.cols:
-        raise DimensionError("transform matrix must be square")
-    return inner_product(mat_vec_mul(a, x), y)
 
 
 def multibit_extract(x: BitVector, y: BitVector, m: int) -> BitVector:
@@ -156,56 +150,32 @@ def toeplitz_row(seed: BitVector, m: int, i: int, n: int) -> BitVector:
 
 
 # --------------------------------------------------------------------------
-# small finite fields for the weak design
+# polynomial evaluation in GF(2^w)
 
 
-class _SmallField:
-    """GF(t) for t prime or a power of two, elements encoded as 0..t-1."""
+def _horner(w: int, coeffs, points) -> List[int]:
+    """Values at each of points of the polynomial with coeffs[j] on x^j, in GF(2^w).
 
-    def __init__(self, t: int):
-        if t < 2:
-            raise ParameterError("field size must be at least 2")
-        if _is_prime(t):
-            self.t = t
-            self._binary = False
-        elif t & (t - 1) == 0:
-            self.t = t
-            self._binary = True
-            self._w = t.bit_length() - 1
-            self._mod = gf2.find_irreducible(self._w).value
-        else:
-            raise ParameterError(
-                f"field size {t} not supported (must be prime or a power of two)")
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b if self._binary else (a + b) % self.t
-
-    def mul(self, a: int, b: int) -> int:
-        if self._binary:
-            return gf2.poly_mod(gf2.poly_mul(a, b), self._mod)
-        return (a * b) % self.t
-
-    def eval(self, coeffs, points) -> List[int]:
-        """Values at each of points of the polynomial with coeffs[j] on x^j.
-
-        One Horner pass: in GF(2^w) with w <= _TABLE_MAX_W it runs over all
-        points at once through log/antilog tables, otherwise point by point
-        with mul and add.
-        """
-        if self._binary and self._w <= _TABLE_MAX_W:
-            antilog, log = _log_tables(self._w, self._mod)
-            log_points = log[np.asarray(points, dtype=np.int64)]
-            acc = np.zeros(len(log_points), dtype=antilog.dtype)
-            for coef in reversed(coeffs):
-                acc = antilog[log[acc] + log_points] ^ coef
-            return acc.tolist()
-        out = []
-        for point in points:
-            acc = 0
-            for coef in reversed(coeffs):
-                acc = self.add(self.mul(acc, point), coef)
-            out.append(acc)
-        return out
+    Elements are w-bit ints modulo find_irreducible(w).  One Horner pass:
+    with w <= _TABLE_MAX_W it runs over all points at once through
+    log/antilog tables, otherwise point by point, each step one poly_mul
+    and one poly_mod.
+    """
+    modulus = gf2.find_irreducible(w).value
+    if w <= _TABLE_MAX_W:
+        antilog, log = _log_tables(w, modulus)
+        log_points = log[np.asarray(points, dtype=np.int64)]
+        acc = np.zeros(len(log_points), dtype=antilog.dtype)
+        for coef in reversed(coeffs):
+            acc = antilog[log[acc] + log_points] ^ coef
+        return acc.tolist()
+    out = []
+    for point in points:
+        acc = 0
+        for coef in reversed(coeffs):
+            acc = gf2.poly_mod(gf2.poly_mul(acc, point), modulus) ^ coef
+        out.append(acc)
+    return out
 
 
 # Largest w for which GF(2^w) multiplies through tables; at w = 16 they
@@ -268,27 +238,18 @@ def _times(values: np.ndarray, c: int, w: int, modulus: int) -> np.ndarray:
     return out
 
 
-def _is_prime(t: int) -> bool:
-    if t < 2:
-        return False
-    f = 2
-    while f * f <= t:
-        if t % f == 0:
-            return False
-        f += 1
-    return True
-
-
 @functools.lru_cache(maxsize=64)
 def weak_design(m: int, t: int, c: int | None = None) -> tuple:
     """Polynomial weak design: m subsets of [t^2], each of size t.
 
-    Set p is the graph {(a, p(a)) : a in GF(t)} of the p-th polynomial
-    of degree < c in lexicographic coefficient order, flattened as
-    a * t + p(a).  Two distinct polynomials of degree < c agree on at
-    most c - 1 points, so pairwise intersections are at most c - 1.
+    t is a power of two.  Set p is the graph {(a, p(a)) : a in GF(t)} of
+    the p-th polynomial of degree < c in lexicographic coefficient
+    order, flattened as a * t + p(a).  Two distinct polynomials of
+    degree < c agree on at most c - 1 points, so pairwise intersections
+    are at most c - 1.
     """
-    field = _SmallField(t)
+    if t < 2 or t & (t - 1):
+        raise ParameterError(f"field size {t} must be a power of two >= 2")
     if c is None:
         c = _default_degree_bound(m, t)
     if m > t ** c:
@@ -296,7 +257,7 @@ def weak_design(m: int, t: int, c: int | None = None) -> tuple:
     sets = []
     for idx in range(m):
         coeffs = [idx // t ** j % t for j in range(c)]
-        values = field.eval(coeffs, range(t))
+        values = _horner(t.bit_length() - 1, coeffs, range(t))
         sets.append(tuple(sorted(a * t + v for a, v in enumerate(values))))
     return tuple(sets)
 
@@ -361,28 +322,6 @@ def _rs_symbols(n: int, w: int) -> int:
     return (n + w - 1) // w
 
 
-def rs_hadamard_codeword(x: BitVector, w: int) -> BitVector:
-    """Concatenated Reed-Solomon/Hadamard encoding of x, as 2^(2w) bits.
-
-    Bit (u, z) (flattened z + u * 2^w) is <p_x(u), z> where p_x is the
-    polynomial over GF(2^w) whose coefficients are the w-bit symbols
-    of x and u ranges over the field.
-    """
-    field = _SmallField(1 << w)
-    symbols = _message_symbols(x, w)
-    size = 1 << w
-    bits = []
-    for acc in field.eval(symbols, range(size)):
-        bits.extend((acc & z).bit_count() & 1 for z in range(size))
-    return BitVector.from_bits(bits)
-
-
-def _message_symbols(x: BitVector, w: int) -> List[int]:
-    count = _rs_symbols(x.length, w)
-    mask = (1 << w) - 1
-    return [(x.value >> (j * w)) & mask for j in range(count)]
-
-
 def trevisan_extract(x: BitVector, seed: BitVector, spec: SeededExtractorSpec) -> BitVector:
     """Bit i = code bit of x indexed by the seed restricted to design set i."""
     if spec.kind != "trevisan":
@@ -392,26 +331,19 @@ def trevisan_extract(x: BitVector, seed: BitVector, spec: SeededExtractorSpec) -
     if seed.length != spec.d:
         raise ParameterError(f"seed length {seed.length} != spec d {spec.d}")
     w = spec.t // 2
-    field = _SmallField(1 << w)
-    symbols = _message_symbols(x, w)
+    mask = (1 << w) - 1
+    symbols = [(x.value >> (j * w)) & mask for j in range(_rs_symbols(x.length, w))]
     design = weak_design(spec.m, spec.t, spec.degree_bound)
     # sub-seed i has bit j = seed bit design[i][j]; seed_bits[k] is seed bit k
     seed_bits = format(seed.value, "b").zfill(seed.length)[::-1]
     subs = [int("".join([seed_bits[pos] for pos in reversed(positions)]), 2)
             for positions in design]
-    values = field.eval(symbols, [sub >> w for sub in subs])
-    mask = (1 << w) - 1
+    values = _horner(w, symbols, [sub >> w for sub in subs])
     out = 0
     for i, (sub, value) in enumerate(zip(subs, values)):
         if (value & sub & mask).bit_count() & 1:
             out |= 1 << i
     return BitVector(spec.m, out)
-
-
-def apply_seeded(spec: SeededExtractorSpec, x: BitVector, seed: BitVector) -> BitVector:
-    if spec.kind == "toeplitz":
-        return toeplitz_extract(x, seed, spec.m)
-    return trevisan_extract(x, seed, spec)
 
 
 # --------------------------------------------------------------------------
@@ -438,4 +370,6 @@ def compose_two_source(x: BitVector, y: BitVector, which: str,
             f"inner extractor emits at most n={n} bits but spec needs d={d}")
     seed = multibit_extract(x, y, d)
     side = x if which == "X" else y
-    return apply_seeded(spec, side, seed)
+    if spec.kind == "toeplitz":
+        return toeplitz_extract(side, seed, spec.m)
+    return trevisan_extract(side, seed, spec)

@@ -64,10 +64,6 @@ class BitVector:
         return cls(len(seq), value)
 
     @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls(length, 0)
-
-    @classmethod
     def from_bytes(cls, data: bytes, length: int) -> "BitVector":
         if 8 * len(data) < length:
             raise ParameterError("not enough bytes for requested length")
@@ -122,65 +118,6 @@ class BitMatrix:
             if r < 0 or r >> self.cols:
                 raise ParameterError("row has bits beyond cols")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], cols: int) -> "BitMatrix":
-        return cls(len(rows), cols, tuple(rows))
-
-    @classmethod
-    def from_row_strs(cls, rows: Sequence[str]) -> "BitMatrix":
-        vecs = [BitVector.from_str(r) for r in rows]
-        return cls(len(vecs), vecs[0].length, tuple(v.value for v in vecs))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "BitMatrix":
-        cols = rows if cols is None else cols
-        return cls(rows, cols, (0,) * rows)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_values[i])
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_values[i] >> j) & 1
-
-    def column(self, j: int) -> BitVector:
-        value = 0
-        for i, r in enumerate(self.row_values):
-            if (r >> j) & 1:
-                value |= 1 << i
-        return BitVector(self.rows, value)
-
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            v = 0
-            for i, r in enumerate(self.row_values):
-                if (r >> j) & 1:
-                    v |= 1 << i
-            cols.append(v)
-        return BitMatrix(self.cols, self.rows, tuple(cols))
-
-    def __xor__(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in xor")
-        return BitMatrix(self.rows, self.cols,
-                         tuple(a ^ b for a, b in zip(self.row_values, other.row_values)))
-
-
-def mat_vec_mul(a: BitMatrix, x: BitVector) -> BitVector:
-    """y with y_i = <row i of a, x> over GF(2)."""
-    if a.cols != x.length:
-        raise DimensionError(f"matrix cols {a.cols} != vector length {x.length}")
-    value = 0
-    xv = x.value
-    for i, r in enumerate(a.row_values):
-        if (r & xv).bit_count() & 1:
-            value |= 1 << i
-    return BitVector(a.rows, value)
-
 
 def rank(a: BitMatrix) -> int:
     """GF(2) rank by bitwise Gaussian elimination on packed rows."""
@@ -213,20 +150,6 @@ class Gf2Poly:
     """Polynomial over GF(2); value bit j is the coefficient of x^j."""
 
     value: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ParameterError("polynomial value must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        return self.value.bit_length() - 1
-
-    def to_str(self) -> str:
-        """Big-endian coefficient string, highest degree first."""
-        if self.value == 0:
-            return "0"
-        return bin(self.value)[2:]
 
 
 def poly_mod(a: int, b: int) -> int:
@@ -504,40 +427,3 @@ def subset_matrix(mats: Sequence[BitMatrix], subset_mask: int) -> BitMatrix:
             for r in range(shape[0]):
                 acc[r] ^= mat.row_values[r]
     return BitMatrix(shape[0], shape[1], tuple(acc))
-
-
-# --------------------------------------------------------------------------
-# text serialization: first line "n m", then n '0'/'1' rows per matrix,
-# matrices separated by blank lines
-
-
-def matrices_to_text(mats: Sequence[BitMatrix]) -> str:
-    n = mats[0].rows
-    lines = [f"{n} {len(mats)}"]
-    for k, mat in enumerate(mats):
-        if mat.rows != n or mat.cols != n:
-            raise DimensionError("serialized matrices must be square and uniform")
-        if k:
-            lines.append("")
-        for i in range(n):
-            lines.append(mat.row(i).to_str())
-    return "\n".join(lines) + "\n"
-
-
-def matrices_from_text(text: str) -> List[BitMatrix]:
-    lines = text.splitlines()
-    if not lines:
-        raise ParameterError("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParameterError("missing 'n m' header")
-    n, m = int(head[0]), int(head[1])
-    rows = [ln.strip() for ln in lines[1:] if ln.strip()]
-    if len(rows) != n * m:
-        raise ParameterError(f"expected {n * m} rows, found {len(rows)}")
-    mats = []
-    for k in range(m):
-        mats.append(BitMatrix.from_row_strs(rows[k * n:(k + 1) * n]))
-        if mats[-1].cols != n:
-            raise ParameterError("row width disagrees with header")
-    return mats

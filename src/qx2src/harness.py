@@ -87,15 +87,34 @@ class Report:
                           sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _require_at_least(low: int, **values) -> None:
-    """Reject values below low; a trial count of 0 would pass without running."""
+def _require_range(low: int, high: Optional[int] = None, **values) -> None:
+    """Reject values below low, or above high when given.
+
+    A trial count of 0 would pass without running; the upper limits below
+    keep each enumerating command within seconds and memory.
+    """
     for name, value in values.items():
         if not isinstance(value, int) or value < low:
             raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+        if high is not None and value > high:
+            raise ParameterError(f"{name} must be between {low} and {high}, got {value!r}")
 
 
 # the security suite's entangled flavor builds 2^(2b+2)-square matrices: 1024 at b = 4
 MAX_SECURITY_B = 4
+# security sources are drawn from range(2^n), which numpy takes only below 2^63
+MAX_SECURITY_N = 62
+# each security instance enumerates 2^(2k) source pairs: 3.2 s per instance at k = 6
+MAX_SECURITY_K = 6
+# smp enumerates all 2^(2n) input pairs, one Bell measurement per qubit pair each
+MAX_SMP_N = 8
+# superdense round-trips every n-bit message for each even n up to max_n: 7.5 s at 14
+MAX_SUPERDENSE_N = 14
+# the knowledge counterexample holds (2^n)^2 arrays per pad: 20 s at n = 10
+MAX_KNOWLEDGE_N = 10
+# tightness storage is 2^(b1+b2)-dimensional, summed over 2^(k1+k2) source pairs
+MAX_TIGHTNESS_B = 10
+MAX_TIGHTNESS_K = 20
 
 
 # --------------------------------------------------------------------------
@@ -107,7 +126,7 @@ def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
                        random_trials: int = 10000) -> Report:
     """Full-rank property of every subset XOR of the multiplier family."""
     report = Report("verify:matrices", dict(locals()))
-    _require_at_least(1, exhaustive_max_n=exhaustive_max_n, random_trials=random_trials)
+    _require_range(1, exhaustive_max_n=exhaustive_max_n, random_trials=random_trials)
     for n in range(1, exhaustive_max_n + 1):
         mats = gf2.multiplier_matrices(n, n)
         good = sum(
@@ -140,8 +159,8 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
                   max_d: int = 3, atol: float = 1e-8) -> Report:
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
     report = Report("verify:xor", dict(locals()))
-    _require_at_least(1, trials=trials, equality_trials=equality_trials, max_m=max_m)
-    _require_at_least(0, max_d=max_d)
+    _require_range(1, trials=trials, equality_trials=equality_trials, max_m=max_m)
+    _require_range(0, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         m, d = _trial_shape(t, max_m, max_d)
@@ -169,8 +188,8 @@ def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
                  max_m: int = 3, max_d: int = 3, atol: float = 1e-8) -> Report:
     """Quantum-to-classical reduction through the square-root measurement."""
     report = Report("verify:reduction", dict(locals()))
-    _require_at_least(1, trials=trials, max_m=max_m)
-    _require_at_least(0, max_d=max_d)
+    _require_range(1, trials=trials, max_m=max_m)
+    _require_range(0, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         m, d = _trial_shape(t, max_m, max_d)
@@ -187,7 +206,7 @@ def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
                      max_d: int = 3, atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
     report = Report("verify:normbound", dict(locals()))
-    _require_at_least(1, trials=trials, max_d=max_d)
+    _require_range(1, trials=trials, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         d = 1 + t % max_d
@@ -208,7 +227,9 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
                        atol: float = 1e-8) -> Report:
     """Exact one-bit distances never exceed the bias bound, per flavor."""
     report = Report("verify:security", dict(locals()))
-    _require_at_least(1, instances=instances)
+    _require_range(1, instances=instances)
+    _require_range(1, MAX_SECURITY_N, n=n)
+    _require_range(0, MAX_SECURITY_K, k=k)
     if not 0 <= b <= MAX_SECURITY_B:
         raise ParameterError(
             f"b must be between 0 and {MAX_SECURITY_B} (the entangled flavor "
@@ -243,6 +264,8 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
 def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:smp", dict(locals()))
     for n in ns:
+        _require_range(1, MAX_SMP_N, ns=n)
+    for n in ns:
         worst_p = 1.0
         correct = 0
         total = 0
@@ -259,21 +282,22 @@ def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> R
         report.add(f"smp correctness n={n}", correct, total, correct == total)
         report.add(f"smp simulation probability n={n}", worst_p, 1.0,
                    abs(worst_p - 1.0) <= 1e-9)
-        report.add(f"smp qubits per party n={n}", qubits, n // 2 + 2,
-                   qubits == n // 2 + 2)
+        # odd n is padded with one zero bit: ceil(n/2) EPR pairs plus 2 weight qubits
+        want = (n + 1) // 2 + 2
+        report.add(f"smp qubits per party n={n}", qubits, want, qubits == want)
     report.stop()
     return report
 
 
 def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:superdense", dict(locals()))
-    _require_at_least(2, max_n=max_n)
-    ok2 = sum(adversaries.superdense_roundtrip(f"{a}{b}") == f"{a}{b}"
-              for a in "01" for b in "01")
+    _require_range(2, MAX_SUPERDENSE_N, max_n=max_n)
+    ok2 = sum(adversaries.superdense_roundtrip(BitVector(2, v)).value == v
+              for v in range(4))
     report.add("two-bit roundtrips", ok2, 4, ok2 == 4)
     for n in range(2, max_n + 1, 2):
         good = sum(
-            adversaries.superdense_roundtrip_vector(BitVector(n, v)).value == v
+            adversaries.superdense_roundtrip(BitVector(n, v)).value == v
             for v in range(1 << n))
         report.add(f"{n}-bit roundtrips", good, 1 << n, good == (1 << n))
     report.stop()
@@ -285,6 +309,8 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
                          branch: adversaries.Branch = "auto",
                          seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:tightness", dict(locals()))
+    _require_range(0, MAX_TIGHTNESS_B, **{"b1 + b2": b1 + b2})
+    _require_range(0, MAX_TIGHTNESS_K, **{"k1 + k2": k1 + k2})
     attack = adversaries.tightness_attack(n, k1, k2, b1, b2, setting,
                                           branch=branch, seed=seed)
     measured = adversaries.measure_attack_advantage(attack)
@@ -312,6 +338,7 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
 
 def run_knowledge_attack(n: int, seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:knowledge", dict(locals()))
+    _require_range(3, MAX_KNOWLEDGE_N, n=n)
     res = adversaries.guessing_entropy_counterexample(n)
     report.add("referee correctness", res.referee_correct_fraction, 1.0,
                res.referee_correct_fraction == 1.0)

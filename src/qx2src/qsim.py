@@ -1,18 +1,20 @@
 """Exact finite-dimensional quantum numerics.
 
-Density matrices are dense complex numpy arrays; every norm is computed
-from a full Hermitian eigendecomposition, so all checks are exact up to
-double-precision roundoff.  Throughout, "trace distance" denotes half
-the sum of absolute eigenvalues of the difference.
+Density matrices are plain dense complex numpy arrays; every norm is
+computed from a full Hermitian eigendecomposition, so all checks are
+exact up to double-precision roundoff.  Throughout, "trace distance"
+denotes half the sum of absolute eigenvalues of the difference, that is
+0.5 * l1_norm(a - b).
 
 A cq-state is array-shaped: K int labels of a fixed bit width (bit j is
 coordinate j, as in BitVector), their probabilities (K,) and quantum
 states (K, d, d), plus the exposed source value of each entry in the
 strong modes.  Labels and source values are int64, or Python ints once
-one needs 64 bits, so the strong modes take sources of any length.  Consumers work on these arrays by index; every sum over
-entries runs left to right in entry order (np.add.at, np.add.accumulate
-or Python's sum, never np.sum's pairwise order), so the numbers match
-a per-entry loop bit for bit.
+one needs 64 bits, so the strong modes take sources of any length.
+Consumers work on these arrays by index; every sum over entries runs
+left to right in entry order (np.add.at, np.add.accumulate or Python's
+sum, never np.sum's pairwise order), so the numbers match a per-entry
+loop bit for bit.
 
 The sizes handled here are deliberately small (states up to a few
 qubits, label sets up to a few thousand): the inequalities being
@@ -59,22 +61,6 @@ def l1_norm(m: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the 1-norm of the difference of two operators."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * l1_norm(a - b)
-
-
-def tensor(*mats: np.ndarray) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return u @ rho @ u.conj().T
 
@@ -118,41 +104,6 @@ PAULIS: Dict[Tuple[int, int], np.ndarray] = {
 
 # --------------------------------------------------------------------------
 # density matrices, cq-states, POVMs
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian PSD unit-trace operator on a power-of-two dimension."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("density matrix must be square")
-        d = m.shape[0]
-        if d & (d - 1):
-            raise ValidationError("dimension must be a power of two")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValidationError("density matrix not Hermitian")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -PSD_ATOL:
-            raise ValidationError(f"density matrix not PSD (min eig {evals.min():.3e})")
-        if abs(float(np.real(np.trace(m))) - 1.0) > TRACE_ATOL:
-            raise ValidationError("density matrix trace differs from 1")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
-
-def scalar_state() -> np.ndarray:
-    return np.array([[1.0 + 0j]])
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -371,9 +322,6 @@ class XorLemmaResult:
     rhs_bound_labels: float   # 2^m variant
     character_sum: float
 
-    def holds(self, atol: float = 1e-8) -> bool:
-        return self.lhs_squared <= self.rhs_bound + atol
-
 
 def xor_lemma_check(s: CqState) -> XorLemmaResult:
     """Multi-bit distance squared vs the character-sum bound.
@@ -484,9 +432,6 @@ class PgmReductionResult:
     lhs: float                 # quantum distance of f(Z) from uniform
     classical_distance: float  # variational distance after the PGM
     bound: float               # sqrt(classical_distance / 2)
-
-    def holds(self, atol: float = 1e-8) -> bool:
-        return self.lhs <= self.bound + atol
 
 
 def pgm_reduction_check(s: CqState, f: np.ndarray) -> PgmReductionResult:

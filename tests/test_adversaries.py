@@ -10,7 +10,7 @@ from qx2src.adversaries import (biased_product_sources, bell_outcome,
                                 guessing_entropy_counterexample,
                                 measure_attack_advantage, random_storage,
                                 smp_ip_protocol, superdense_roundtrip,
-                                superdense_roundtrip_vector, tightness_attack)
+                                tightness_attack)
 from qx2src.errors import ParameterError, SearchExhaustedError
 from qx2src.extractors import ip_extract
 from qx2src.gf2 import BitVector
@@ -63,16 +63,18 @@ def test_smp_odd_length_pads():
 
 
 def test_superdense_two_bit_roundtrips():
-    assert superdense_roundtrip("00") == "00"
+    assert superdense_roundtrip(bv("00")).to_str() == "00"
     for a in "01":
         for b in "01":
-            assert superdense_roundtrip(a + b) == a + b
+            assert superdense_roundtrip(bv(a + b)).to_str() == a + b
 
 
 def test_superdense_vector_roundtrip():
     for n in (2, 4):
         for v in range(1 << n):
-            assert superdense_roundtrip_vector(BitVector(n, v)).value == v
+            assert superdense_roundtrip(BitVector(n, v)).value == v
+    with pytest.raises(ParameterError):
+        superdense_roundtrip(bv("101"))
 
 
 # --------------------------------------------------------------------------
@@ -98,29 +100,35 @@ def test_random_storage_determinism():
                 assert np.array_equal(a.state_for(x, y), b.state_for(x, y))
 
 
-def test_random_storage_states_are_valid():
+def test_random_storage_states_are_valid(check_density_matrix):
     for flavor in ("product", "entangled", "classical"):
         s = random_storage(2, 1, 2, flavor, seed=5)
         for xv in range(4):
             for yv in range(4):
                 rho = s.state_for(BitVector(2, xv), BitVector(2, yv))
                 assert rho.shape == (s.dim, s.dim) == (8, 8)
-                qsim.DensityMatrix(rho)
+                check_density_matrix(rho)
+    with pytest.raises(ParameterError, match="unknown flavor"):
+        random_storage(2, 1, 2, "quantum", seed=5)
 
 
 def test_product_flavor_factorizes():
+    # every stored state is its x-side marginal tensor its y-side marginal
     s = random_storage(2, 1, 1, "product", seed=3)
-    xs = [BitVector(2, v) for v in range(4)]
-    err = adversaries.product_factorization_error(s, xs, xs)
-    assert err <= 1e-9
+    for xv in range(4):
+        for yv in range(4):
+            rho = s.state_for(BitVector(2, xv), BitVector(2, yv))
+            rho_a = qsim.partial_trace(rho, [2, 2], [0])
+            rho_b = qsim.partial_trace(rho, [2, 2], [1])
+            assert np.max(np.abs(rho - np.kron(rho_a, rho_b))) <= 1e-9
 
 
-def test_entangled_flavor_full_side_dims():
+def test_entangled_flavor_full_side_dims(check_density_matrix):
     s = random_storage(2, 1, 1, "entangled", seed=4)
     assert s.has_full_side("X")
     full = s.full_state_a(bv("01"), bv("10"))
     assert full.shape == (8, 8)  # two working qubits for Alice + one for Bob
-    qsim.DensityMatrix(full)
+    check_density_matrix(full)
 
 
 def test_smp_block_storage_budget_check():
@@ -205,12 +213,12 @@ def test_tightness_min_entropy_audit():
     assert len(attack.x_source.support) == 32
 
 
-def test_tightness_storage_respects_budgets():
+def test_tightness_storage_respects_budgets(check_density_matrix):
     attack = tightness_attack(4, 4, 4, 4, 4, "entangled")
     rho = attack.storage.state_for(attack.x_source.vectors()[3],
                                    attack.y_source.vectors()[5])
     assert rho.shape == (1 << 8, 1 << 8)
-    qsim.DensityMatrix(rho)
+    check_density_matrix(rho)
 
 
 def test_output_state_keeps_no_per_pair_matrices():

@@ -87,6 +87,17 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("verify", "security", "--b", "9", "--instances", "1"), "b must be between 0 and 4"),
     (("verify", "security", "--b", "-1"), "b must be between 0 and 4"),
     (("attack", "superdense", "--max-n", "1"), "max_n must be an integer >= 2"),
+    # size limits: each of these used to hang or end in a traceback
+    (("verify", "security", "--n", "63", "--k", "1"), "n must be between 1 and 62"),
+    (("verify", "security", "--n", "70"), "n must be between 1 and 62"),
+    (("verify", "security", "--n", "16", "--k", "9"), "k must be between 0 and 6"),
+    (("attack", "smp", "--ns", "4", "10"), "ns must be between 1 and 8, got 10"),
+    (("attack", "superdense", "--max-n", "40"), "max_n must be between 2 and 14"),
+    (("attack", "knowledge", "--n", "20"), "n must be between 3 and 10"),
+    (("attack", "tightness", "--n", "8", "--k1", "5", "--k2", "5", "--b1", "12",
+      "--b2", "12", "--setting", "non-entangled"), "b1 + b2 must be between 0 and 10"),
+    (("attack", "tightness", "--n", "30", "--k1", "30", "--k2", "1", "--b1", "1",
+      "--b2", "1", "--setting", "entangled"), "k1 + k2 must be between 0 and 20"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1
@@ -207,10 +218,21 @@ def _normalized(text):
     return " ".join(text.split())
 
 
+def _synopsis(command):
+    """The command's usage line, built from its handler's parameters."""
+    words = [f"qx2src {command}"]
+    for name, (tp, required) in harness.parameters(command).items():
+        kwargs = cli._flag_kwargs(tp)
+        word = f"config:{name}" if kwargs is None else " ".join(filter(None, [
+            cli.flag(name), kwargs.get("metavar"), "..." if "nargs" in kwargs else ""]))
+        words.append(word if required else f"[{word}]")
+    return " ".join(words)
+
+
 def test_usage_lines_in_docs_match_registry():
     readme = _normalized(README.read_text())
     for command in harness.COMMANDS:
-        line = cli.synopsis(command)
+        line = _synopsis(command)
         assert line in _normalized(cli.__doc__), line
         assert line in readme, line
 

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from qx2src import bounds, extractors, gf2
 from qx2src.errors import DimensionError, ParameterError
 from qx2src.extractors import (FlatSource, SeededExtractorSpec,
-                               compose_two_source,
-                               multibit_extract, rs_hadamard_codeword,
-                               toeplitz_extract, toeplitz_row,
-                               transformed_ip_extract, trevisan_extract,
-                               weak_design)
+                               compose_two_source, ip_extract,
+                               multibit_extract, toeplitz_extract, toeplitz_row,
+                               trevisan_extract, weak_design)
 from qx2src.gf2 import BitMatrix, BitVector
 from qx2src.rng import derive_rng
 
@@ -24,14 +22,25 @@ def bv(s):
 # one-bit extractors
 
 
+def _transformed_ip(a, x, y):
+    """(A x) . y over GF(2) for a square matrix A, from its packed rows."""
+    if not a.rows == a.cols == x.length == y.length:
+        raise DimensionError("need a square matrix and vectors of its size")
+    ax = sum(((row & x.value).bit_count() & 1) << i for i, row in enumerate(a.row_values))
+    return (ax & y.value).bit_count() & 1
+
+
 def test_transformed_ip_identity_matrix():
-    assert transformed_ip_extract(BitMatrix.identity(4), bv("1011"), bv("1110")) == 0
-    assert transformed_ip_extract(BitMatrix.identity(4), bv("0000"), bv("1110")) == 0
+    identity = BitMatrix(4, 4, tuple(1 << i for i in range(4)))
+    for x in (bv("1011"), bv("0000")):
+        assert _transformed_ip(identity, x, bv("1110")) == ip_extract(x, bv("1110")) == 0
+    with pytest.raises(DimensionError):
+        _transformed_ip(identity, bv("101"), bv("101"))
 
 
 def test_transformed_ip_alpha_matrix():
     a1 = gf2.multiplier_matrices(3, 2)[1]
-    assert transformed_ip_extract(a1, bv("100"), bv("010")) == 1
+    assert _transformed_ip(a1, bv("100"), bv("010")) == 1
 
 
 # --------------------------------------------------------------------------
@@ -55,7 +64,7 @@ def test_multibit_matches_explicit_matrices():
             y = BitVector(n, int(rng.integers(0, 1 << n)))
             out = multibit_extract(x, y, n)
             for i in range(n):
-                assert out.bit(i) == transformed_ip_extract(mats[i], x, y)
+                assert out.bit(i) == _transformed_ip(mats[i], x, y)
 
 
 def test_multibit_character_identity_exhaustive_n4():
@@ -67,7 +76,7 @@ def test_multibit_character_identity_exhaustive_n4():
             x, y = BitVector(n, xv), BitVector(n, yv)
             e = multibit_extract(x, y, m)
             for mask in range(1, 1 << m):
-                expect = transformed_ip_extract(gf2.subset_matrix(mats, mask), x, y)
+                expect = _transformed_ip(gf2.subset_matrix(mats, mask), x, y)
                 assert ((e.value & mask).bit_count() & 1) == expect
 
 
@@ -185,19 +194,25 @@ def test_weak_design_single_set():
     assert len(only) == 2
 
 
-def test_weak_design_t3_overlaps():
-    sets = weak_design(9, 3, 2)
-    assert len(sets) == 9
-    for i in range(9):
-        assert len(sets[i]) == 3
-        assert all(0 <= v < 9 for v in sets[i])
-        for j in range(i + 1, 9):
+def test_weak_design_t4_overlaps():
+    sets = weak_design(16, 4, 2)
+    assert len(sets) == 16
+    for i in range(16):
+        assert len(sets[i]) == 4
+        assert all(0 <= v < 16 for v in sets[i])
+        for j in range(i + 1, 16):
             assert len(set(sets[i]) & set(sets[j])) <= 1
 
 
 def test_weak_design_rejects_non_prime_power():
     with pytest.raises(ParameterError):
         weak_design(4, 6)
+
+
+def test_weak_design_rejects_odd_prime():
+    # the design field is GF(2^w): an odd prime t has no caller
+    with pytest.raises(ParameterError, match="power of two"):
+        weak_design(4, 3)
 
 
 def test_weak_design_capacity_error():
@@ -209,10 +224,26 @@ def test_weak_design_capacity_error():
 # Reed-Solomon/Hadamard code and the Trevisan extractor
 
 
+def _rs_hadamard_codeword(x, w):
+    """Concatenated Reed-Solomon/Hadamard encoding of x, as 2^(2w) bits.
+
+    Bit (u, z) (flattened z + u * 2^w) is <p_x(u), z> where p_x is the
+    polynomial over GF(2^w) whose coefficients are the w-bit symbols
+    of x and u ranges over the field.
+    """
+    size = 1 << w
+    symbols = [(x.value >> (j * w)) & (size - 1) for j in range(-(-x.length // w))]
+    bits = []
+    for u in range(size):
+        acc = _horner_oracle(symbols, u, w)
+        bits.extend((acc & z).bit_count() & 1 for z in range(size))
+    return BitVector.from_bits(bits)
+
+
 def test_rs_hadamard_distance_exhaustive():
     # n=8 over GF(16): distinct messages differ on >= (1/2 - 2/16) of bits
     w = 4
-    words = [rs_hadamard_codeword(BitVector(8, v), w).value for v in range(256)]
+    words = [_rs_hadamard_codeword(BitVector(8, v), w).value for v in range(256)]
     length = 1 << (2 * w)
     min_frac = 0.5 - 2 / 16
     for i in range(256):
@@ -222,7 +253,7 @@ def test_rs_hadamard_distance_exhaustive():
 
 def _assert_trevisan_bits_are_code_lookups(spec, x, seed):
     w = spec.t // 2
-    code = rs_hadamard_codeword(x, w)
+    code = _rs_hadamard_codeword(x, w)
     out = trevisan_extract(x, seed, spec)
     for i, positions in enumerate(weak_design(spec.m, spec.t, spec.degree_bound)):
         sub = sum(seed.bit(pos) << k for k, pos in enumerate(positions))

@@ -157,6 +157,14 @@ def test_attack_reports_pass():
     assert harness.run_tightness_attack(4, 4, 4, 4, 4, "non-entangled").passed
 
 
+def test_smp_attack_passes_at_odd_n():
+    # odd n is padded to n + 1 bits: ceil(n/2) EPR pairs plus 2 weight qubits
+    rep = harness.run_smp_attack(ns=(3, 5))
+    assert rep.passed
+    qubits = {r.name: (r.measured, r.bound) for r in rep.records if "qubits" in r.name}
+    assert qubits == {"smp qubits per party n=3": (4, 4), "smp qubits per party n=5": (5, 5)}
+
+
 def test_cli_verify_exit_codes(tmp_path):
     out = tmp_path / "rep.json"
     code = run_cli("verify", "matrices", "--seed", "3", "--out", str(out),
