@@ -1,18 +1,20 @@
 """Concrete storage strategies and attacks.
 
-A storage strategy maps source pairs (x, y) to a joint stored state on
-b1 + b2 qubits, Alice's qubits first, and, where one party keeps its
-whole state, to that full-side state as well.  Strategies here cover
-seeded random adversaries (product, entangled, classical), the exact
-Bell-pair protocol that computes the inner product in the simultaneous
-message passing model, superdense coding, and the source/storage
-constructions that sit right at the security bounds.  The protocols
-report only what the attacks check: the output, its probability and
-the qubits each party sends.
+A storage strategy is a state map: called on a source pair (x, y) it
+returns the joint stored state on b1 + b2 qubits, Alice's qubits first,
+checked against the budgets.  The superdense strategy, in which Bob
+keeps his whole state, also maps (x, y) to that full Y-side state.
+Strategies here cover seeded random adversaries (product and
+entangled), classical blocks, the exact Bell-pair protocol that
+computes the inner product in the simultaneous message passing model,
+superdense coding, and the source/storage constructions that sit right
+at the security bounds.  The protocols report only what the attacks
+check: the output, its probability and the qubits each party sends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Literal, Optional, Sequence, Tuple, get_args
@@ -20,7 +22,7 @@ from typing import Callable, List, Literal, Optional, Sequence, Tuple, get_args
 import numpy as np
 
 from . import qsim
-from .errors import CapabilityError, DimensionError, ParameterError, SearchExhaustedError
+from .errors import DimensionError, ParameterError, SearchExhaustedError
 from .extractors import FlatSource, ip_extract
 from .gf2 import BitVector
 from .rng import derive_rng
@@ -103,126 +105,106 @@ def superdense_roundtrip(message: BitVector) -> BitVector:
 # storage strategies
 
 
+@dataclass(frozen=True)
 class StorageStrategy:
     """Map from source pairs to stored states within declared qubit budgets.
 
-    state_for(x, y) returns a density matrix of dimension exactly
-    2^(b1+b2), Alice's qubits first.  Strategies that model one party
-    keeping its whole state also provide full_state_a / full_state_b
-    for superstrong evaluation.
+    Calling the strategy on (x, y) returns stored(x, y), checked to be a
+    2^(b1+b2)-square matrix, Alice's qubits first.  A strategy in which
+    Bob keeps his whole state also has full_b(x, y): Alice's stored
+    qubits followed by all of Bob's, for evaluation with Y exposed.
     """
 
-    def __init__(self, n: int, b1: int, b2: int,
-                 state_fn: Callable[[BitVector, BitVector], np.ndarray],
-                 full_a_fn=None, full_b_fn=None):
-        if b1 < 0 or b2 < 0:
+    b1: int
+    b2: int
+    stored: Callable[[BitVector, BitVector], np.ndarray]
+    full_b: Optional[Callable[[BitVector, BitVector], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.b1 < 0 or self.b2 < 0:
             raise ParameterError("budgets must be nonnegative")
-        self.n = n
-        self.b1 = b1
-        self.b2 = b2
-        self._state_fn = state_fn
-        self._full_a_fn = full_a_fn
-        self._full_b_fn = full_b_fn
 
-    @property
-    def dim(self) -> int:
-        return 1 << (self.b1 + self.b2)
-
-    def state_for(self, x: BitVector, y: BitVector) -> np.ndarray:
-        rho = np.asarray(self._state_fn(x, y), dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionError(
-                f"strategy produced dim {rho.shape[0]}, budget dim {self.dim}")
+    def __call__(self, x: BitVector, y: BitVector) -> np.ndarray:
+        rho = np.asarray(self.stored(x, y), dtype=complex)
+        dim = 1 << (self.b1 + self.b2)
+        if rho.shape != (dim, dim):
+            raise DimensionError(f"strategy produced dim {rho.shape[0]}, budget dim {dim}")
         return rho
 
-    def has_full_side(self, side: str) -> bool:
-        return (self._full_a_fn if side == "X" else self._full_b_fn) is not None
 
-    def full_state_a(self, x: BitVector, y: BitVector) -> np.ndarray:
-        if self._full_a_fn is None:
-            raise CapabilityError("strategy retains no full X-side states")
-        return np.asarray(self._full_a_fn(x, y), dtype=complex)
-
-    def full_state_b(self, x: BitVector, y: BitVector) -> np.ndarray:
-        if self._full_b_fn is None:
-            raise CapabilityError("strategy retains no full Y-side states")
-        return np.asarray(self._full_b_fn(x, y), dtype=complex)
-
-
-def random_storage(n: int, b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
+def random_storage(b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
     """Seeded random strategy of the requested flavor.
 
     Entangled: a fixed Gaussian-random shared pure state with one extra
     working qubit per side, per-input Haar-ish local unitaries, then a
     partial trace down to the budgets.  Product: an independent
-    per-input purification per side, traced to the budget.  Classical:
-    per-input uniformly random basis states.
+    per-input purification per side, traced to the budget.  Each side's
+    factor is computed once per source value and kept for the life of
+    the strategy.
     """
     if flavor == "entangled":
         wa, wb = b1 + 1, b2 + 1
         rng = derive_rng(seed, 0xE27)
         g = rng.normal(size=1 << (wa + wb)) + 1j * rng.normal(size=1 << (wa + wb))
         shared = g / np.linalg.norm(g)
+        pure = np.outer(shared, shared.conj())
         dims = [2] * (wa + wb)
         keep = list(range(b1)) + [wa + i for i in range(b2)]
-        keep_full_a = list(range(wa)) + [wa + i for i in range(b2)]
 
-        def unitaries(x, y):
-            ua = qsim.random_unitary(1 << wa, derive_rng(seed, 0xA11CE, x.value))
-            ub = qsim.random_unitary(1 << wb, derive_rng(seed, 0xB0B, y.value))
-            return np.kron(ua, ub)
+        @functools.cache
+        def ua(v):
+            return qsim.random_unitary(1 << wa, derive_rng(seed, 0xA11CE, v))
 
-        def state_fn(x, y):
-            full = qsim.conjugate(unitaries(x, y), np.outer(shared, shared.conj()))
+        @functools.cache
+        def ub(v):
+            return qsim.random_unitary(1 << wb, derive_rng(seed, 0xB0B, v))
+
+        def stored(x, y):
+            full = qsim.conjugate(np.kron(ua(x.value), ub(y.value)), pure)
             rho = qsim.partial_trace(full, dims, keep)
             return 0.5 * (rho + rho.conj().T)
 
-        def full_a_fn(x, y):
-            full = qsim.conjugate(unitaries(x, y), np.outer(shared, shared.conj()))
-            rho = qsim.partial_trace(full, dims, keep_full_a)
-            return 0.5 * (rho + rho.conj().T)
-
-        return StorageStrategy(n, b1, b2, state_fn, full_a_fn=full_a_fn)
+        return StorageStrategy(b1, b2, stored)
 
     if flavor == "product":
-        def side_states(value, stream, b):
-            rng = derive_rng(seed, stream, value)
+        @functools.cache
+        def side(stream, b, v):
+            rng = derive_rng(seed, stream, v)
             g = rng.normal(size=1 << (b + 1)) + 1j * rng.normal(size=1 << (b + 1))
             pure = g / np.linalg.norm(g)
-            full = np.outer(pure, pure.conj())
-            kept = qsim.partial_trace(full, [1 << b, 2], [0])
-            return 0.5 * (kept + kept.conj().T), full
+            kept = qsim.partial_trace(np.outer(pure, pure.conj()), [1 << b, 2], [0])
+            return 0.5 * (kept + kept.conj().T)
 
-        def state_fn(x, y):
-            ra, _ = side_states(x.value, 0xA11CE, b1)
-            rb, _ = side_states(y.value, 0xB0B, b2)
-            return np.kron(ra, rb)
+        def stored(x, y):
+            return np.kron(side(0xA11CE, b1, x.value), side(0xB0B, b2, y.value))
 
-        def full_a_fn(x, y):
-            _, fa = side_states(x.value, 0xA11CE, b1)
-            rb, _ = side_states(y.value, 0xB0B, b2)
-            return np.kron(fa, rb)
-
-        def full_b_fn(x, y):
-            ra, _ = side_states(x.value, 0xA11CE, b1)
-            _, fb = side_states(y.value, 0xB0B, b2)
-            return np.kron(ra, fb)
-
-        return StorageStrategy(n, b1, b2, state_fn,
-                               full_a_fn=full_a_fn, full_b_fn=full_b_fn)
-
-    if flavor == "classical":
-        def state_fn(x, y):
-            ha = int(derive_rng(seed, 0xA11CE, x.value).integers(0, 1 << b1)) if b1 else 0
-            hb = int(derive_rng(seed, 0xB0B, y.value).integers(0, 1 << b2)) if b2 else 0
-            return qsim.basis_state(1 << (b1 + b2), (ha << b2) | hb)
-
-        return StorageStrategy(n, b1, b2, state_fn)
+        return StorageStrategy(b1, b2, stored)
 
     raise ParameterError(f"unknown flavor {flavor!r}")
 
 
-def classical_block_storage(n: int, x_bits: Sequence[int], y_bits: Sequence[int],
+def _block_bits(v: BitVector, positions: Sequence[int]) -> List[int]:
+    """v's bits at positions, padded with one zero to an even count."""
+    bits = [v.bit(p) for p in positions]
+    return bits + [0] * (len(bits) % 2)
+
+
+def _basis_vec(qubits: int, index: int) -> np.ndarray:
+    vec = np.zeros(1 << qubits, dtype=complex)
+    vec[index] = 1.0
+    return vec
+
+
+def _bell_pairs(bits: Sequence[int]) -> np.ndarray:
+    """One Bell pair per two bits, Pauli-coded by them, Alice's halves first."""
+    vec = np.array([1.0 + 0j])
+    for c in zip(bits[::2], bits[1::2]):
+        vec = np.kron(vec, _BELL_BASIS[c])
+    p = len(bits) // 2
+    return qsim.permute_qubits_vector(vec, [*range(0, 2 * p, 2), *range(1, 2 * p, 2)])
+
+
+def classical_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
                             b1: int, b2: int) -> StorageStrategy:
     """Each party stores a fixed block of its own input in basis states.
 
@@ -233,26 +215,19 @@ def classical_block_storage(n: int, x_bits: Sequence[int], y_bits: Sequence[int]
     if len(x_bits) > b1 or len(y_bits) > b2:
         raise ParameterError("block does not fit the declared budget")
 
-    def block_value(v: BitVector, bits: Sequence[int]) -> int:
+    def index(v, positions):
         acc = 0
-        for j, pos in enumerate(bits):
+        for j, pos in enumerate(positions):
             acc |= v.bit(pos) << j
         return acc
 
-    def state_fn(x, y):
-        idx_a = block_value(x, x_bits)
-        idx_b = block_value(y, y_bits)
-        return qsim.basis_state(1 << (b1 + b2), (idx_a << b2) | idx_b)
+    def stored(x, y):
+        return qsim.basis_state(1 << (b1 + b2), index(x, x_bits) << b2 | index(y, y_bits))
 
-    def full_b_fn(x, y):
-        # classical storage: the full side equals the stored side
-        return state_fn(x, y)
-
-    return StorageStrategy(n, b1, b2, state_fn,
-                           full_a_fn=full_b_fn, full_b_fn=full_b_fn)
+    return StorageStrategy(b1, b2, stored)
 
 
-def smp_block_storage(n: int, x_bits: Sequence[int], y_bits: Sequence[int],
+def smp_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
                       b1: int, b2: int) -> StorageStrategy:
     """Entangled storage realizing the SMP inner-product protocol on a block.
 
@@ -262,106 +237,55 @@ def smp_block_storage(n: int, x_bits: Sequence[int], y_bits: Sequence[int],
     """
     if len(x_bits) != len(y_bits):
         raise ParameterError("blocks must have equal length")
-    block = list(x_bits)
-    padded = len(block) + (len(block) % 2)
-    pairs = padded // 2
+    pairs = (len(x_bits) + 1) // 2
     used = pairs + 2
     if used > b1 or used > b2:
         raise ParameterError(
             f"protocol needs {used} qubits per party, budgets are ({b1}, {b2})")
-    pad_a = b1 - used
-    pad_b = b2 - used
+    pad_a, pad_b = b1 - used, b2 - used
+    # [A halves, B halves, A dits + pad, B dits + pad] -> Alice's qubits first
+    order = [*range(pairs), *range(2 * pairs, pairs + b1),
+             *range(pairs, 2 * pairs), *range(pairs + b1, b1 + b2)]
 
-    def state_fn(x, y):
-        xa = [x.bit(p) for p in x_bits] + [0] * (padded - len(block))
-        yb = [y.bit(p) for p in y_bits] + [0] * (padded - len(block))
-        pair_vec = np.array([1.0 + 0j])
-        for i in range(0, padded, 2):
-            c = (xa[i] ^ yb[i], xa[i + 1] ^ yb[i + 1])
-            pair_vec = np.kron(pair_vec, _BELL_BASIS[c])
-        def basis_vec(dim, index):
-            v = np.zeros(dim, dtype=complex)
-            v[index] = 1.0
-            return v
-
-        w1 = sum(xa) % 4
-        w2 = sum(yb) % 4
-        vec = pair_vec
-        vec = np.kron(vec, basis_vec(4, w1))
-        if pad_a:
-            vec = np.kron(vec, basis_vec(1 << pad_a, 0))
-        vec = np.kron(vec, basis_vec(4, w2))
-        if pad_b:
-            vec = np.kron(vec, basis_vec(1 << pad_b, 0))
-        # current qubit order: A1 B1 A2 B2 ... AP BP, dits A, pad A, dits B, pad B
-        order = []
-        order.extend(range(0, 2 * pairs, 2))                       # Alice halves
-        order.extend(range(2 * pairs, 2 * pairs + 2 + pad_a))      # Alice dits+pad
-        order.extend(range(1, 2 * pairs, 2))                       # Bob halves
-        order.extend(range(2 * pairs + 2 + pad_a,
-                           2 * pairs + 4 + pad_a + pad_b))         # Bob dits+pad
-        vec = qsim.permute_qubits_vector(vec, order)
+    def stored(x, y):
+        xa, yb = _block_bits(x, x_bits), _block_bits(y, y_bits)
+        dits = np.kron(_basis_vec(2 + pad_a, sum(xa) % 4 << pad_a),
+                       _basis_vec(2 + pad_b, sum(yb) % 4 << pad_b))
+        pairs_vec = _bell_pairs([a ^ b for a, b in zip(xa, yb)])
+        vec = qsim.permute_qubits_vector(np.kron(pairs_vec, dits), order)
         return np.outer(vec, vec.conj())
 
-    return StorageStrategy(n, b1, b2, state_fn,
-                           full_a_fn=state_fn, full_b_fn=state_fn)
+    return StorageStrategy(b1, b2, stored)
 
 
-def superdense_block_storage(n: int, x_bits: Sequence[int],
-                             b1: int, b2: int) -> StorageStrategy:
+def superdense_block_storage(x_bits: Sequence[int], b1: int, b2: int) -> StorageStrategy:
     """Alice superdense-encodes a block of x; the halves only pair up with
     Bob's full state.
 
     Alice's budget holds her encoded EPR halves (two block bits per
     qubit).  The budget-limited joint state traces Bob's halves out, so
-    it is maximally mixed on Alice's halves; the Y-side full state
-    retains Bob's halves and lets the referee decode the block exactly.
+    it is maximally mixed on Alice's halves; full_b retains Bob's halves
+    and lets the referee decode the block exactly.
     """
-    block = list(x_bits)
-    padded = len(block) + (len(block) % 2)
-    pairs = padded // 2
+    pairs = (len(x_bits) + 1) // 2
     if pairs > b1:
         raise ParameterError(f"need {pairs} qubits for Alice, budget {b1}")
     pad_a = b1 - pairs
-    dim_budget = 1 << (b1 + b2)
+    # [A halves, B halves, A pad] -> Alice's budget qubits, then Bob's halves
+    order = [*range(pairs), *range(2 * pairs, 2 * pairs + pad_a), *range(pairs, 2 * pairs)]
 
-    def joint_vec(x):
-        bits = [x.bit(p) for p in block] + [0] * (padded - len(block))
-        pair_vec = np.array([1.0 + 0j])
-        for i in range(0, padded, 2):
-            c = (bits[i], bits[i + 1])
-            pair_vec = np.kron(pair_vec, _BELL_BASIS[c])
-        # order: A1 B1 ... AP BP -> A..., B...
-        order = list(range(0, 2 * pairs, 2)) + list(range(1, 2 * pairs, 2))
-        return qsim.permute_qubits_vector(pair_vec, order)
+    def stored(x, y):
+        vec = _bell_pairs(_block_bits(x, x_bits))
+        alice = qsim.partial_trace(np.outer(vec, vec.conj()), [1 << pairs] * 2, [0])
+        return np.kron(alice, qsim.basis_state(1 << (pad_a + b2), 0))
 
-    def state_fn(x, y):
-        vec = joint_vec(x)
-        rho_pairs = np.outer(vec, vec.conj())
-        dims = [1 << pairs, 1 << pairs]
-        alice = qsim.partial_trace(rho_pairs, dims, [0])
-        rho = alice
+    def full_b(x, y):
+        vec = _bell_pairs(_block_bits(x, x_bits))
         if pad_a:
-            rho = np.kron(rho, qsim.basis_state(1 << pad_a, 0))
-        if b2:
-            rho = np.kron(rho, qsim.basis_state(1 << b2, 0))
-        return rho
+            vec = qsim.permute_qubits_vector(np.kron(vec, _basis_vec(pad_a, 0)), order)
+        return np.outer(vec, vec.conj())
 
-    def full_b_fn(x, y):
-        # layout [Alice halves, Alice pad, Bob halves]: Alice's budget
-        # qubits followed by Bob's entire state
-        full_vec = joint_vec(x)
-        if pad_a:
-            pad_state = np.zeros(1 << pad_a, dtype=complex)
-            pad_state[0] = 1.0
-            full_vec = np.kron(full_vec, pad_state)
-            order = (list(range(pairs)) +
-                     list(range(2 * pairs, 2 * pairs + pad_a)) +
-                     list(range(pairs, 2 * pairs)))
-            full_vec = qsim.permute_qubits_vector(full_vec, order)
-        return np.outer(full_vec, full_vec.conj())
-
-    return StorageStrategy(n, b1, b2, state_fn, full_b_fn=full_b_fn)
+    return StorageStrategy(b1, b2, stored, full_b)
 
 
 # --------------------------------------------------------------------------
@@ -379,17 +303,8 @@ class BiasedSourcePair:
 
 def _ip_zero_table(l: int) -> np.ndarray:
     """table[i, j] = 1 when the l-bit inner product of i and j is zero."""
-    vals = np.arange(1 << l, dtype=np.uint32)
-    table = np.empty((1 << l, 1 << l), dtype=np.int32)
-    for i in range(1 << l):
-        anded = vals & np.uint32(i)
-        parity = np.zeros_like(anded)
-        v = anded.copy()
-        while v.any():
-            parity ^= v & 1
-            v >>= np.uint32(1)
-        table[i] = 1 - parity.astype(np.int32)
-    return table
+    v = np.arange(1 << l, dtype=np.uint32)
+    return (1 - (np.bitwise_count(v[:, None] & v[None, :]) & 1)).astype(np.int32)
 
 
 def _hill_climb(l: int, seed: int, restarts: int, iters: int) -> Tuple[float, tuple, tuple]:
@@ -496,10 +411,12 @@ class TightnessAttack:
     x_source: FlatSource
     y_source: FlatSource
     storage: StorageStrategy
+    measured: Callable[[BitVector, BitVector], np.ndarray]  # the state map measured
+    exposed: Optional[str]   # the source held with the output, if any
+    entangled: bool
+    superstrong: bool
     predicted_advantage: float
     branch: str            # "exact" or "biased"
-    setting: str
-    mode: str              # evaluation mode for the advantage measurement
     effective_block: int   # b, the number of inner-product bits the storage covers
     l: Optional[int] = None
     bias_found: Optional[float] = None
@@ -511,29 +428,20 @@ SETTINGS = get_args(Setting)
 Branch = Literal["auto", "exact", "biased"]
 
 
-def _effective_block(setting: str, b1: int, b2: int) -> int:
-    if setting == "entangled":
-        return max(0, 2 * (min(b1, b2) - 2))
-    if setting == "non-entangled":
-        return min(b1, b2)
-    if setting == "superstrong-entangled":
-        return 2 * max(b1, b2)
-    return max(b1, b2)
-
-
-def _attack_storage(setting: str, n: int, x_block: List[int], y_block: List[int],
-                    b1: int, b2: int) -> Tuple[StorageStrategy, str]:
-    """Storage computing the block inner product, and the mode to measure in."""
-    if setting == "non-entangled":
-        return classical_block_storage(n, x_block, y_block, b1, b2), "weak"
-    if setting == "entangled":
-        return smp_block_storage(n, x_block, y_block, b1, b2), "weak"
-    if setting == "superstrong-non-entangled":
+def _attack_storage(entangled: bool, superstrong: bool, block: List[int],
+                    b1: int, b2: int) -> Tuple[StorageStrategy, Callable, Optional[str]]:
+    """Storage computing the block inner product, the state map the
+    advantage is measured on, and the source exposed with the output."""
+    if superstrong and entangled:
+        storage = superdense_block_storage(block, b1, b2)
+        return storage, storage.full_b, "Y"
+    if superstrong:
         # one-way: Alice stores her block, the y side is exposed anyway
-        strat = classical_block_storage(n, x_block, [], b1, b2)
-        return strat, "Y-strong"
-    strat = superdense_block_storage(n, x_block, b1, b2)
-    return strat, "Y-superstrong"
+        storage = classical_block_storage(block, [], b1, b2)
+        return storage, storage, "Y"
+    build = smp_block_storage if entangled else classical_block_storage
+    storage = build(block, block, b1, b2)
+    return storage, storage, None
 
 
 def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
@@ -557,16 +465,28 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
         raise ParameterError("need 0 < k1, k2 <= n")
     if branch not in get_args(Branch):
         raise ParameterError("branch must be auto, exact, or biased")
-    if setting.startswith("superstrong") and b1 < b2:
+    entangled = "non-" not in setting
+    superstrong = setting.startswith("superstrong")
+    if superstrong and b1 < b2:
         # the construction stores the x side; with the larger budget on the
         # y side, swap the sources and attack the mirrored property instead
         raise ParameterError("superstrong attack assumes b1 >= b2; "
                              "swap the roles of the sources to mirror it")
-    b = _effective_block(setting, b1, b2)
+    # b, the block the storage covers.  In the weak settings both parties
+    # store it, so the smaller budget counts; the SMP protocol spends two
+    # qubits per party on its weight mod 4 and carries two block bits per
+    # remaining EPR pair.  In the superstrong settings Bob's state is
+    # exposed whole, so Alice's budget counts, and superdense coding
+    # carries two block bits per qubit.
+    if superstrong:
+        b = 2 * b1 if entangled else b1
+    else:
+        b = max(0, 2 * (min(b1, b2) - 2)) if entangled else min(b1, b2)
     delta = k1 + k2 - n
     if branch == "auto":
         branch = "exact" if delta <= b else "biased"
 
+    l = bias_found = None
     if branch == "exact":
         if delta > b:
             raise ParameterError(
@@ -574,49 +494,46 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
         x_source = FlatSource.from_values(n, range(1 << k1))
         y_source = FlatSource.from_values(
             n, (v << (n - k2) for v in range(1 << k2)))
-        overlap = list(range(n - k2, k1))  # may be empty when Delta <= 0
-        storage, mode = _attack_storage(setting, n, overlap, overlap, b1, b2)
-        return TightnessAttack(x_source=x_source, y_source=y_source,
-                               storage=storage, predicted_advantage=0.5,
-                               branch="exact", setting=setting, mode=mode,
-                               effective_block=b)
-
-    l = delta + 6 - b
-    len2 = k1 - delta - 3           # equals n - k2 - 3
-    len4 = n - k1 - 3               # equals k2 - delta - 3
-    if l < 4 or len2 < 0 or len4 < 0:
-        raise ParameterError(
-            f"biased construction infeasible: l={l}, filler lengths ({len2}, {len4})")
-    if b + len2 + l + len4 != n:
-        raise ParameterError("internal block accounting error")
-    biased = biased_product_sources(l, seed=seed)
-    shift3 = b + len2
-    x_vals = []
-    for x3 in biased.x.support:
-        for x2 in range(1 << len2):
-            for x1 in range(1 << b):
-                x_vals.append(x1 | (x2 << b) | (x3 << shift3))
-    y_vals = []
-    for y3 in biased.y.support:
-        for y4 in range(1 << len4):
-            for y1 in range(1 << b):
-                y_vals.append(y1 | (y3 << shift3) | (y4 << (shift3 + l)))
-    x_source = FlatSource.from_values(n, x_vals)
-    y_source = FlatSource.from_values(n, y_vals)
-    block = list(range(b))
-    storage, mode = _attack_storage(setting, n, block, block, b1, b2)
-    predicted = 2.0 ** (-(k1 + k2 - b - n + 5) / 2)
-    return TightnessAttack(x_source=x_source, y_source=y_source,
-                           storage=storage, predicted_advantage=predicted,
-                           branch="biased", setting=setting, mode=mode,
-                           effective_block=b, l=l, bias_found=biased.prob_zero)
+        block = list(range(n - k2, k1))  # the overlap, empty when Delta <= 0
+        predicted = 0.5
+    else:
+        l = delta + 6 - b
+        len2 = k1 - delta - 3           # equals n - k2 - 3
+        len4 = n - k1 - 3               # equals k2 - delta - 3
+        if l < 4 or len2 < 0 or len4 < 0:
+            raise ParameterError(
+                f"biased construction infeasible: l={l}, filler lengths ({len2}, {len4})")
+        if b + len2 + l + len4 != n:
+            raise ParameterError("internal block accounting error")
+        biased = biased_product_sources(l, seed=seed)
+        shift3 = b + len2
+        x_vals = []
+        for x3 in biased.x.support:
+            for x2 in range(1 << len2):
+                for x1 in range(1 << b):
+                    x_vals.append(x1 | (x2 << b) | (x3 << shift3))
+        y_vals = []
+        for y3 in biased.y.support:
+            for y4 in range(1 << len4):
+                for y1 in range(1 << b):
+                    y_vals.append(y1 | (y3 << shift3) | (y4 << (shift3 + l)))
+        x_source = FlatSource.from_values(n, x_vals)
+        y_source = FlatSource.from_values(n, y_vals)
+        block = list(range(b))
+        predicted = 2.0 ** (-(k1 + k2 - b - n + 5) / 2)
+        bias_found = biased.prob_zero
+    storage, measured, exposed = _attack_storage(entangled, superstrong, block, b1, b2)
+    return TightnessAttack(x_source=x_source, y_source=y_source, storage=storage,
+                           measured=measured, exposed=exposed, entangled=entangled,
+                           superstrong=superstrong, predicted_advantage=predicted,
+                           branch=branch, effective_block=b, l=l,
+                           bias_found=bias_found)
 
 
 def measure_attack_advantage(attack: TightnessAttack) -> float:
     """Exact distance from uniform of the inner-product bit given the storage."""
-    state = qsim.extractor_output_state(ip_extract, attack.x_source,
-                                        attack.y_source, attack.storage,
-                                        mode=attack.mode)
+    state = qsim.extractor_output_state(ip_extract, attack.x_source, attack.y_source,
+                                        attack.measured, attack.exposed)
     return qsim.cq_distance_from_uniform(state, 1)
 
 

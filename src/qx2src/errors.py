@@ -13,10 +13,6 @@ class ValidationError(ValueError):
     """A value violates a structural invariant (Hermiticity, PSD, ...)."""
 
 
-class CapabilityError(ValueError):
-    """An operation requires data the object was not built with."""
-
-
 class SearchExhaustedError(RuntimeError):
     """A randomized search ran out of budget; carries the best value found."""
 

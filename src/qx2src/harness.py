@@ -106,6 +106,15 @@ MAX_SECURITY_B = 4
 MAX_SECURITY_N = 62
 # each security instance enumerates 2^(2k) source pairs: 3.2 s per instance at k = 6
 MAX_SECURITY_K = 6
+# exhaustive subset ranks enumerate 2^n - 1 masks: about 11 s at n = 16
+MAX_EXHAUSTIVE_N = 16
+# the acceptance sizes; each random n builds n matrices of n x n bits
+MAX_RANDOM_N = 64
+# xor, reduction and normbound draw states on up to max_d qubits with up to
+# 2^max_m labels: verify xor takes about 25 s at 6/6, and normbound's Wishart
+# sigma grows ill-conditioned with d (at d = 13 below the pseudo-inverse cutoff)
+MAX_CQ_M = 6
+MAX_CQ_D = 6
 # smp enumerates all 2^(2n) input pairs, one Bell measurement per qubit pair each
 MAX_SMP_N = 8
 # superdense round-trips every n-bit message for each even n up to max_n: 7.5 s at 14
@@ -126,7 +135,10 @@ def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
                        random_trials: int = 10000) -> Report:
     """Full-rank property of every subset XOR of the multiplier family."""
     report = Report("verify:matrices", dict(locals()))
-    _require_range(1, exhaustive_max_n=exhaustive_max_n, random_trials=random_trials)
+    _require_range(1, MAX_EXHAUSTIVE_N, exhaustive_max_n=exhaustive_max_n)
+    _require_range(1, random_trials=random_trials)
+    for n in random_ns:
+        _require_range(1, MAX_RANDOM_N, random_ns=n)
     for n in range(1, exhaustive_max_n + 1):
         mats = gf2.multiplier_matrices(n, n)
         good = sum(
@@ -159,8 +171,9 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
                   max_d: int = 3, atol: float = 1e-8) -> Report:
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
     report = Report("verify:xor", dict(locals()))
-    _require_range(1, trials=trials, equality_trials=equality_trials, max_m=max_m)
-    _require_range(0, max_d=max_d)
+    _require_range(1, trials=trials, equality_trials=equality_trials)
+    _require_range(1, MAX_CQ_M, max_m=max_m)
+    _require_range(0, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         m, d = _trial_shape(t, max_m, max_d)
@@ -188,8 +201,9 @@ def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
                  max_m: int = 3, max_d: int = 3, atol: float = 1e-8) -> Report:
     """Quantum-to-classical reduction through the square-root measurement."""
     report = Report("verify:reduction", dict(locals()))
-    _require_range(1, trials=trials, max_m=max_m)
-    _require_range(0, max_d=max_d)
+    _require_range(1, trials=trials)
+    _require_range(1, MAX_CQ_M, max_m=max_m)
+    _require_range(0, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         m, d = _trial_shape(t, max_m, max_d)
@@ -206,7 +220,8 @@ def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
                      max_d: int = 3, atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
     report = Report("verify:normbound", dict(locals()))
-    _require_range(1, trials=trials, max_d=max_d)
+    _require_range(1, trials=trials)
+    _require_range(1, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         d = 1 + t % max_d
@@ -241,10 +256,8 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
         for i in range(instances):
             xs = extractors.random_flat_source(n, k, seed, 1, i)
             ys = extractors.random_flat_source(n, k, seed, 2, i)
-            strategy = adversaries.random_storage(
-                n, b, b, flavor, seed=(seed ^ 0xF1A) + i)
-            state = qsim.extractor_output_state(
-                extractors.ip_extract, xs, ys, strategy, mode="weak")
+            strategy = adversaries.random_storage(b, b, flavor, seed=(seed ^ 0xF1A) + i)
+            state = qsim.extractor_output_state(extractors.ip_extract, xs, ys, strategy)
             dist = qsim.cq_distance_from_uniform(state, 1)
             worst = max(worst, dist - bound)
         report.add(f"ip distance within bound ({flavor})", worst, atol,
@@ -327,9 +340,8 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
     # bounds and attacks bracket each other: the measured advantage cannot
     # exceed the security threshold, and no smaller error is attainable
     params = bounds.ParamSet(n=n, k1=k1, k2=k2, b1=b1, b2=b2)
-    entangled = "non" not in attack.setting
-    variant = "superstrong-max" if "superstrong" in setting else "weak-min"
-    threshold = bounds.one_bit_condition(params, variant, entangled).value
+    variant = "superstrong-max" if attack.superstrong else "weak-min"
+    threshold = bounds.one_bit_condition(params, variant, attack.entangled).value
     report.add("advantage within security threshold", measured, threshold,
                measured <= threshold + 1e-9)
     report.stop()

@@ -8,9 +8,11 @@ denotes half the sum of absolute eigenvalues of the difference, that is
 
 A cq-state is array-shaped: K int labels of a fixed bit width (bit j is
 coordinate j, as in BitVector), their probabilities (K,) and quantum
-states (K, d, d), plus the exposed source value of each entry in the
-strong modes.  Labels and source values are int64, or Python ints once
-one needs 64 bits, so the strong modes take sources of any length.
+states (K, d, d), plus the exposed source value of each entry when one
+source is exposed with the output.  Labels and source values are int64,
+or Python ints once one needs 64 bits, so an exposed source may have any
+length.  extractor_output_state builds one from any state map (x, y) ->
+stored state, usually an adversaries.StorageStrategy.
 Consumers work on these arrays by index; every sum over entries runs
 left to right in entry order (np.add.at, np.add.accumulate or Python's
 sum, never np.sum's pairwise order), so the numbers match a per-entry
@@ -29,7 +31,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, ParameterError, ValidationError
 from .extractors import FlatSource
 from .gf2 import BitVector
 from .rng import derive_rng
@@ -135,8 +137,8 @@ class CqState:
     """Classical-quantum ensemble: label k has probability probs[k] and state rhos[k].
 
     labels are width-bit ints, bit j holding coordinate j as in BitVector.
-    In the strong modes sides holds the source value exposed with each
-    entry, and (label, side) pairs are distinct; weak states have none.
+    When a source is exposed, sides holds its value for each entry and
+    (label, side) pairs are distinct; otherwise sides is None.
     """
 
     labels: np.ndarray                   # (K,) int
@@ -218,25 +220,20 @@ def _lex_rank(value: int, width: int) -> int:
 
 def extractor_output_state(extractor: Callable[[BitVector, BitVector], object],
                            x_source: FlatSource, y_source: FlatSource,
-                           storage, mode: str = "weak") -> CqState:
-    """Joint state of the extractor output with the adversaries' storage.
+                           stored: Callable[[BitVector, BitVector], np.ndarray],
+                           exposed: Optional[str] = None) -> CqState:
+    """Joint state of the extractor output with what the adversaries store.
 
-    In weak mode the label is the output e and the state is the
-    normalized mixture of storage states over extractor preimages.  The
-    strong modes expose one source value as the entry's side; the
-    superstrong modes additionally replace the stored state by the
-    strategy's full-side state for that side.  Entries are ordered by
-    output, then side, each compared as its coordinate-0-first string.
+    stored(x, y) is the adversaries' state for the source pair (x, y).
+    The label is the output e and the state is the normalized mixture of
+    stored states over extractor preimages.  With exposed = "X" or "Y"
+    that source's value is held with the output as the entry's side; a
+    superstrong evaluation passes a map that keeps that side's whole
+    state.  Entries are ordered by output, then side, each compared as
+    its coordinate-0-first string.
     """
-    state_fns = {"weak": storage.state_for, "X-strong": storage.state_for,
-                 "Y-strong": storage.state_for, "X-superstrong": storage.full_state_a,
-                 "Y-superstrong": storage.full_state_b}
-    if mode not in state_fns:
-        raise ParameterError(f"unknown mode {mode!r}")
-    exposed = None if mode == "weak" else mode[0]
-    if mode.endswith("superstrong") and not storage.has_full_side(exposed):
-        raise CapabilityError(f"strategy retains no full {exposed}-side states")
-    state_fn = state_fns[mode]
+    if exposed not in (None, "X", "Y"):
+        raise ParameterError(f"exposed side must be None, 'X' or 'Y', got {exposed!r}")
     side_width = {"X": x_source.n, "Y": y_source.n}.get(exposed, 0)
     p_pair = x_source.probability() * y_source.probability()
     # one running sum per (output, side): per-pair matrices are never kept
@@ -247,7 +244,7 @@ def extractor_output_state(extractor: Callable[[BitVector, BitVector], object],
             if isinstance(out, int):
                 out = BitVector(1, out)
             side = xv.value if exposed == "X" else yv.value if exposed == "Y" else 0
-            rho = state_fn(xv, yv)
+            rho = stored(xv, yv)
             slot = acc.get((out.value, side))
             if slot is None:
                 acc[(out.value, side)] = [p_pair, rho.astype(complex, copy=True)]

@@ -13,7 +13,7 @@ from qx2src.adversaries import (biased_product_sources, bell_outcome,
                                 tightness_attack)
 from qx2src.errors import ParameterError, SearchExhaustedError
 from qx2src.extractors import ip_extract
-from qx2src.gf2 import BitVector
+from qx2src.gf2 import BitVector, inner_product
 
 
 def bv(s):
@@ -83,8 +83,8 @@ def test_superdense_vector_roundtrip():
 
 def test_zero_budget_storage_is_scalar():
     for flavor in ("product", "entangled"):
-        s = random_storage(3, 0, 0, flavor, seed=1)
-        rho = s.state_for(bv("101"), bv("011"))
+        s = random_storage(0, 0, flavor, seed=1)
+        rho = s(bv("101"), bv("011"))
         assert rho.shape == (1, 1)
         assert abs(rho[0, 0] - 1.0) <= 1e-9
 
@@ -92,52 +92,86 @@ def test_zero_budget_storage_is_scalar():
 def test_random_storage_determinism():
     xs = [BitVector(3, v) for v in range(8)]
     ys = [BitVector(3, v) for v in range(8)]
-    for flavor in ("product", "entangled", "classical"):
-        a = random_storage(3, 1, 1, flavor, seed=9)
-        b = random_storage(3, 1, 1, flavor, seed=9)
+    for flavor in ("product", "entangled"):
+        a = random_storage(1, 1, flavor, seed=9)
+        b = random_storage(1, 1, flavor, seed=9)
         for x in xs[:4]:
             for y in ys[:4]:
-                assert np.array_equal(a.state_for(x, y), b.state_for(x, y))
+                assert np.array_equal(a(x, y), b(x, y))
 
 
 def test_random_storage_states_are_valid(check_density_matrix):
-    for flavor in ("product", "entangled", "classical"):
-        s = random_storage(2, 1, 2, flavor, seed=5)
+    for flavor in ("product", "entangled"):
+        s = random_storage(1, 2, flavor, seed=5)
         for xv in range(4):
             for yv in range(4):
-                rho = s.state_for(BitVector(2, xv), BitVector(2, yv))
-                assert rho.shape == (s.dim, s.dim) == (8, 8)
+                rho = s(BitVector(2, xv), BitVector(2, yv))
+                assert rho.shape == (8, 8)
                 check_density_matrix(rho)
-    with pytest.raises(ParameterError, match="unknown flavor"):
-        random_storage(2, 1, 2, "quantum", seed=5)
+    for flavor in ("quantum", "classical"):
+        with pytest.raises(ParameterError, match="unknown flavor"):
+            random_storage(1, 2, flavor, seed=5)
+
+
+def test_random_storage_draws_each_side_once_per_value(monkeypatch):
+    # 16 pairs of 2-bit values need 4 x-side and 4 y-side unitaries
+    calls = []
+    draw = qsim.random_unitary
+    monkeypatch.setattr(qsim, "random_unitary", lambda *a: calls.append(1) or draw(*a))
+    s = random_storage(1, 1, "entangled", seed=2)
+    for xv in range(4):
+        for yv in range(4):
+            s(BitVector(2, xv), BitVector(2, yv))
+    assert len(calls) == 8
 
 
 def test_product_flavor_factorizes():
     # every stored state is its x-side marginal tensor its y-side marginal
-    s = random_storage(2, 1, 1, "product", seed=3)
+    s = random_storage(1, 1, "product", seed=3)
     for xv in range(4):
         for yv in range(4):
-            rho = s.state_for(BitVector(2, xv), BitVector(2, yv))
+            rho = s(BitVector(2, xv), BitVector(2, yv))
             rho_a = qsim.partial_trace(rho, [2, 2], [0])
             rho_b = qsim.partial_trace(rho, [2, 2], [1])
             assert np.max(np.abs(rho - np.kron(rho_a, rho_b))) <= 1e-9
 
 
-def test_entangled_flavor_full_side_dims(check_density_matrix):
-    s = random_storage(2, 1, 1, "entangled", seed=4)
-    assert s.has_full_side("X")
-    full = s.full_state_a(bv("01"), bv("10"))
-    assert full.shape == (8, 8)  # two working qubits for Alice + one for Bob
-    check_density_matrix(full)
-
-
 def test_smp_block_storage_budget_check():
     with pytest.raises(ParameterError):
-        adversaries.smp_block_storage(4, [0, 1], [0, 1], 2, 2)  # needs 3 each
+        adversaries.smp_block_storage([0, 1], [0, 1], 2, 2)  # needs 3 each
+    with pytest.raises(ParameterError):
+        adversaries.superdense_block_storage([0, 1, 2], 1, 0)  # needs 2 qubits
+    with pytest.raises(ParameterError):
+        adversaries.classical_block_storage([0, 1], [0], 1, 1)
+
+
+def test_superdense_budget_state_is_full_b_without_bobs_halves(check_density_matrix):
+    # three block bits on two pairs, one pad qubit for Alice, one qubit for Bob
+    s = adversaries.superdense_block_storage([0, 1, 2], 3, 1)
+    pad_and_bob = qsim.basis_state(4, 0)
+    for xv in range(8):
+        x, y = BitVector(3, xv), BitVector(3, 7 - xv)
+        rho = s(x, y)
+        check_density_matrix(rho)
+        # maximally mixed on Alice's halves, |0> on her pad and on Bob's qubit
+        assert np.max(np.abs(rho - np.kron(np.eye(4) / 4, pad_and_bob))) <= 1e-12
+        full = s.full_b(x, y)          # [Alice's halves, pad, Bob's halves]
+        check_density_matrix(full)
+        alice = qsim.partial_trace(full, [8, 4], [0])
+        assert np.max(np.abs(rho - np.kron(alice, qsim.basis_state(2, 0)))) <= 1e-12
 
 
 # --------------------------------------------------------------------------
 # biased product sources
+
+
+def test_ip_zero_table_matches_inner_product():
+    for l in range(1, 7):
+        table = adversaries._ip_zero_table(l)
+        assert table.dtype == np.int32 and table.shape == (1 << l, 1 << l)
+        for i in range(1 << l):
+            for j in range(1 << l):
+                assert table[i, j] == 1 - inner_product(BitVector(l, i), BitVector(l, j))
 
 
 def test_biased_sources_l4_exhaustive():
@@ -183,6 +217,8 @@ def test_biased_sources_range_errors():
 def test_tightness_exact_branch_classical():
     attack = tightness_attack(4, 4, 4, 4, 4, "non-entangled")
     assert attack.branch == "exact"
+    assert attack.exposed is None and attack.measured is attack.storage
+    assert not attack.entangled and not attack.superstrong
     measured = measure_attack_advantage(attack)
     assert abs(measured - 0.5) <= 1e-9
 
@@ -215,8 +251,7 @@ def test_tightness_min_entropy_audit():
 
 def test_tightness_storage_respects_budgets(check_density_matrix):
     attack = tightness_attack(4, 4, 4, 4, 4, "entangled")
-    rho = attack.storage.state_for(attack.x_source.vectors()[3],
-                                   attack.y_source.vectors()[5])
+    rho = attack.storage(attack.x_source.vectors()[3], attack.y_source.vectors()[5])
     assert rho.shape == (1 << 8, 1 << 8)
     check_density_matrix(rho)
 
@@ -224,12 +259,11 @@ def test_tightness_storage_respects_budgets(check_density_matrix):
 def test_output_state_keeps_no_per_pair_matrices():
     # 1,024 source pairs at d = 64: one 64 KiB matrix per pair would be 64 MiB
     attack = tightness_attack(8, 5, 5, 3, 3, "entangled")
-    assert attack.storage.dim == 64 and attack.branch == "exact"
+    assert attack.storage.b1 + attack.storage.b2 == 6 and attack.branch == "exact"
     tracemalloc.start()
     try:
         state = qsim.extractor_output_state(ip_extract, attack.x_source,
-                                            attack.y_source, attack.storage,
-                                            mode=attack.mode)
+                                            attack.y_source, attack.storage)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -256,7 +290,8 @@ def test_tightness_biased_infeasible_blocks():
 def test_tightness_superstrong_non_entangled():
     # one-way: Alice stores the overlap, the y side is exposed in the label
     attack = tightness_attack(2, 2, 2, 2, 0, "superstrong-non-entangled")
-    assert attack.mode == "Y-strong"
+    assert attack.exposed == "Y" and attack.measured is attack.storage
+    assert not attack.entangled and attack.superstrong
     assert abs(measure_attack_advantage(attack) - 0.5) <= 1e-9
 
 
@@ -264,7 +299,8 @@ def test_tightness_superstrong_entangled_superdense():
     # 1 qubit of Alice storage covers 2 overlap bits once Bob's halves are
     # exposed, exactly the superdense factor
     attack = tightness_attack(2, 2, 2, 1, 0, "superstrong-entangled")
-    assert attack.mode == "Y-superstrong"
+    assert attack.exposed == "Y" and attack.measured == attack.storage.full_b
+    assert attack.entangled and attack.superstrong
     assert attack.effective_block == 2
     assert abs(measure_attack_advantage(attack) - 0.5) <= 1e-9
 

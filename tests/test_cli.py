@@ -98,6 +98,15 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
       "--b2", "12", "--setting", "non-entangled"), "b1 + b2 must be between 0 and 10"),
     (("attack", "tightness", "--n", "30", "--k1", "30", "--k2", "1", "--b1", "1",
       "--b2", "1", "--setting", "entangled"), "k1 + k2 must be between 0 and 20"),
+    (("verify", "matrices", "--exhaustive-max-n", "22"),
+     "exhaustive_max_n must be between 1 and 16, got 22"),
+    (("verify", "matrices", "--random-ns", "32", "3000"),
+     "random_ns must be between 1 and 64, got 3000"),
+    (("verify", "xor", "--max-m", "7"), "max_m must be between 1 and 6"),
+    (("verify", "xor", "--max-d", "13"), "max_d must be between 0 and 6"),
+    (("verify", "reduction", "--max-m", "7"), "max_m must be between 1 and 6"),
+    (("verify", "reduction", "--max-d", "7"), "max_d must be between 0 and 6"),
+    (("verify", "normbound", "--max-d", "13"), "max_d must be between 1 and 6"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 from qx2src import cli, harness, qsim
-from qx2src.errors import (CapabilityError, DimensionError, ParameterError,
-                           ValidationError)
+from qx2src.errors import DimensionError, ParameterError, ValidationError
 
 
 def run_cli(*argv):
@@ -324,7 +323,7 @@ def test_cli_extract_non_integer_config_exit_1(tmp_path, capsys):
     _assert_one_line_error(capsys, "abc")
 
 
-@pytest.mark.parametrize("exc", [DimensionError, ValidationError, CapabilityError])
+@pytest.mark.parametrize("exc", [DimensionError, ValidationError])
 def test_cli_maps_value_errors_to_exit_1(monkeypatch, capsys, exc):
     def broken_suite(seed: int = 0):
         raise exc("broken input")

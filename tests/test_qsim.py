@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qx2src import adversaries, qsim
-from qx2src.errors import CapabilityError, ParameterError, ValidationError
+from qx2src.errors import DimensionError, ParameterError, ValidationError
 from qx2src.extractors import FlatSource, ip_extract, multibit_extract, random_flat_source
 from qx2src.gf2 import BitVector
 from qx2src.rng import derive_rng
@@ -86,28 +86,26 @@ def test_permute_qubits_vector():
 # cq-states from extractors
 
 
-def _trivial_storage(n):
+def _trivial_storage():
     """Zero-qubit storage; every stored state is the scalar 1."""
     one = np.ones((1, 1), dtype=complex)
-    return adversaries.StorageStrategy(n, 0, 0, lambda x, y: one,
-                                       full_a_fn=lambda x, y: one,
-                                       full_b_fn=lambda x, y: one)
+    return adversaries.StorageStrategy(0, 0, lambda x, y: one)
 
 
-def _classical_joint_storage(n, fn, bits):
+def _classical_joint_storage(fn, bits):
     """Stores a joint classical function of both inputs as a basis state.
 
     Not realizable as a (b1, b2) product storage; exercises the verifier
     on states that perfectly encode the extractor output.
     """
     return adversaries.StorageStrategy(
-        n, bits, 0, lambda x, y: qsim.basis_state(1 << bits, fn(x, y)))
+        bits, 0, lambda x, y: qsim.basis_state(1 << bits, fn(x, y)))
 
 
 def test_output_state_constant_extractor():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
-    storage = _trivial_storage(2)
+    storage = _trivial_storage()
     state = qsim.extractor_output_state(lambda a, b: BitVector(1, 0), x, y, storage)
     assert len(state.labels) == 1
     assert state.labels[0] == 0
@@ -118,7 +116,7 @@ def test_output_state_constant_extractor():
 def test_output_state_ip_uniform_n2():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
-    state = qsim.extractor_output_state(ip_extract, x, y, _trivial_storage(2))
+    state = qsim.extractor_output_state(ip_extract, x, y, _trivial_storage())
     probs = dict(zip(state.labels.tolist(), state.probs))
     assert abs(probs[0] - 5 / 8) <= 1e-12
     assert abs(probs[1] - 3 / 8) <= 1e-12
@@ -128,49 +126,57 @@ def test_output_state_ip_uniform_n2():
 def test_output_state_perfect_classical_encoding():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
-    storage = _classical_joint_storage(2, lambda a, b: ip_extract(a, b), 1)
+    storage = _classical_joint_storage(lambda a, b: ip_extract(a, b), 1)
     state = qsim.extractor_output_state(ip_extract, x, y, storage)
     rho0, rho1 = state.rhos
     assert abs(np.trace(rho0 @ rho1)) <= 1e-12  # orthogonal supports
     assert abs(qsim.cq_distance_from_uniform(state, 1) - 0.5) <= 1e-12
 
 
-def test_superstrong_mode_requires_full_side():
+def test_unknown_exposed_side_rejected():
     x = FlatSource.uniform(1)
     y = FlatSource.uniform(1)
-    storage = _classical_joint_storage(1, lambda a, b: 0, 1)
-    with pytest.raises(CapabilityError):
-        qsim.extractor_output_state(ip_extract, x, y, storage, mode="X-superstrong")
+    for exposed in ("Z", "weak", "X-strong"):
+        with pytest.raises(ParameterError, match="exposed side"):
+            qsim.extractor_output_state(ip_extract, x, y, _trivial_storage(), exposed)
+
+
+def test_strategy_checks_its_budget_dimension():
+    x, y = BitVector(1, 0), BitVector(1, 1)
+    half = adversaries.StorageStrategy(1, 1, lambda x, y: np.eye(2) / 2)
+    with pytest.raises(DimensionError, match="budget dim 4"):
+        half(x, y)
+    with pytest.raises(DimensionError):
+        qsim.extractor_output_state(ip_extract, FlatSource.uniform(1),
+                                    FlatSource.uniform(1), half)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        adversaries.StorageStrategy(-1, 0, lambda x, y: np.eye(1))
 
 
 def test_strong_mode_labels():
     x = FlatSource.uniform(1)
     y = FlatSource.uniform(1)
-    state = qsim.extractor_output_state(ip_extract, x, y,
-                                        _trivial_storage(1),
-                                        mode="X-strong")
+    state = qsim.extractor_output_state(ip_extract, x, y, _trivial_storage(), "X")
     labels = set(zip(state.labels.tolist(), state.sides.tolist()))
     assert (1, 1) in labels and (0, 0) in labels
 
 
-def _string_label_oracle(extractor, xs, ys, storage, mode):
+def _string_label_oracle(extractor, xs, ys, state_map, exposed):
     """The state as a dict of string labels, built entry by entry.
 
-    Labels are coordinate-0-first bit strings, (output, side) tuples in
-    the strong modes, sorted as strings; each matrix is the running sum
-    of its pairs' storage states, renormalized once at the end.
+    Labels are coordinate-0-first bit strings, (output, side) tuples when
+    a source is exposed, sorted as strings; each matrix is the running
+    sum of its pairs' stored states, renormalized once at the end.
     """
-    state_fn = {"X-superstrong": storage.full_state_a,
-                "Y-superstrong": storage.full_state_b}.get(mode, storage.state_for)
     p_pair = xs.probability() * ys.probability()
     acc = {}
     for xv in xs.vectors():
         for yv in ys.vectors():
             out = extractor(xv, yv)
             out = BitVector(1, out) if isinstance(out, int) else out
-            side = {"X": xv, "Y": yv}.get(mode[0])
-            label = out.to_str() if mode == "weak" else (out.to_str(), side.to_str())
-            rho = state_fn(xv, yv)
+            side = {"X": xv, "Y": yv}.get(exposed)
+            label = out.to_str() if exposed is None else (out.to_str(), side.to_str())
+            rho = state_map(xv, yv)
             if label in acc:
                 acc[label][0] += p_pair
                 acc[label][1] += rho
@@ -179,9 +185,9 @@ def _string_label_oracle(extractor, xs, ys, storage, mode):
     return [(label, p, total * p_pair / p) for label, (p, total) in sorted(acc.items())]
 
 
-def _assert_matches_oracle(state, expect, n, mode):
+def _assert_matches_oracle(state, expect, n, exposed):
     outs = [BitVector(state.width, v).to_str() for v in state.labels]
-    if mode == "weak":
+    if exposed is None:
         assert state.sides is None
         labels = outs
     else:
@@ -191,43 +197,58 @@ def _assert_matches_oracle(state, expect, n, mode):
     assert state.rhos.tobytes() == np.array([rho for _, _, rho in expect]).tobytes()
 
 
-MODES = ["weak", "X-strong", "Y-strong", "X-superstrong", "Y-superstrong"]
+# the security notions: the side exposed with the output, and whether the
+# state map keeps that side's whole state
+NOTIONS = {"weak": (None, False), "X-strong": ("X", False), "Y-strong": ("Y", False),
+           "X-superstrong": ("X", True), "Y-superstrong": ("Y", True)}
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_output_state_matches_string_label_oracle(mode):
+def _state_maps(notion, n, seed):
+    """The state maps the oracle tests run for a notion on n-bit sources.
+
+    The superstrong maps keep one side's whole state: the superdense
+    strategy's full_b for Y, and for X the same strategy with the
+    sources' roles swapped.
+    """
+    exposed, whole = NOTIONS[notion]
+    if whole:
+        full_b = adversaries.superdense_block_storage(sorted({0, n - 1}), 1, 1).full_b
+        return [full_b if exposed == "Y" else lambda x, y: full_b(y, x)]
+    return [adversaries.random_storage(1, 1, "product", seed),
+            adversaries.random_storage(1, 1, "entangled", seed),
+            adversaries.classical_block_storage([0], [n - 1], 1, 1)]
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_output_state_matches_string_label_oracle(notion):
+    exposed = NOTIONS[notion][0]
     for n in (1, 2, 3):
         extractors = [ip_extract] + [
             lambda x, y, m=m: multibit_extract(x, y, m) for m in range(1, n + 1)]
         sources = [(FlatSource.uniform(n), FlatSource.uniform(n)),
                    (random_flat_source(n, n - 1, 7, 1), random_flat_source(n, 1, 7, 2))]
-        for flavor in ("product", "entangled", "classical"):
-            storage = adversaries.random_storage(n, 1, 1, flavor, seed=5 + n)
-            if mode.endswith("superstrong") and not storage.has_full_side(mode[0]):
-                continue
+        for state_map in _state_maps(notion, n, seed=5 + n):
             for extractor in extractors:
                 for xs, ys in sources:
-                    state = qsim.extractor_output_state(extractor, xs, ys, storage, mode)
-                    expect = _string_label_oracle(extractor, xs, ys, storage, mode)
-                    _assert_matches_oracle(state, expect, n, mode)
+                    state = qsim.extractor_output_state(extractor, xs, ys, state_map, exposed)
+                    expect = _string_label_oracle(extractor, xs, ys, state_map, exposed)
+                    _assert_matches_oracle(state, expect, n, exposed)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_output_state_matches_string_label_oracle_at_64_bits(mode):
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_output_state_matches_string_label_oracle_at_64_bits(notion):
     # k1 = k2 = 2 sources whose values need all 64 bits, where int64 labels
     # would overflow and bit 63 would flip the order
+    exposed = NOTIONS[notion][0]
     xs = FlatSource.from_values(64, [1, 1 << 63, 3 << 62, (1 << 64) - 1])
     ys = FlatSource.from_values(64, [2, 1 << 63, 5 << 60, (1 << 64) - 2])
     extractors = [ip_extract, lambda x, y: multibit_extract(x, y, 64)]
-    for flavor in ("product", "entangled", "classical"):
-        storage = adversaries.random_storage(64, 1, 1, flavor, seed=11)
-        if mode.endswith("superstrong") and not storage.has_full_side(mode[0]):
-            continue
+    for state_map in _state_maps(notion, 64, seed=11):
         for extractor in extractors:
-            state = qsim.extractor_output_state(extractor, xs, ys, storage, mode)
-            expect = _string_label_oracle(extractor, xs, ys, storage, mode)
-            _assert_matches_oracle(state, expect, 64, mode)
-        ip_state = qsim.extractor_output_state(ip_extract, xs, ys, storage, mode)
+            state = qsim.extractor_output_state(extractor, xs, ys, state_map, exposed)
+            expect = _string_label_oracle(extractor, xs, ys, state_map, exposed)
+            _assert_matches_oracle(state, expect, 64, exposed)
+        ip_state = qsim.extractor_output_state(ip_extract, xs, ys, state_map, exposed)
         assert abs(qsim.cq_distance_from_uniform(ip_state, 1)
                    - _global_distance_oracle(ip_state, 1)) <= 1e-10
 
@@ -271,12 +292,12 @@ def test_cq_distance_matches_global_eigendecomposition():
 
 def test_cq_distance_matches_per_entry_loop():
     # the block sums in entry order, side groups in order of first appearance
-    storage = adversaries.random_storage(3, 1, 1, "product", seed=29)
+    storage = adversaries.random_storage(1, 1, "product", seed=29)
     xs, ys = random_flat_source(3, 2, 3, 1), random_flat_source(3, 2, 3, 2)
-    for mode in MODES:
+    for exposed in (None, "X", "Y"):
         for m in (1, 2, 3):
             s = qsim.extractor_output_state(
-                lambda x, y, m=m: multibit_extract(x, y, m), xs, ys, storage, mode)
+                lambda x, y, m=m: multibit_extract(x, y, m), xs, ys, storage, exposed)
             sides = [None] * len(s.labels) if s.sides is None else s.sides.tolist()
             groups = {}
             for side, p, rho in zip(sides, s.probs.tolist(), s.rhos):
@@ -295,9 +316,9 @@ def test_cq_distance_strong_mode_matches_oracle():
     from qx2src.extractors import FlatSource, ip_extract
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
-    storage = adversaries.random_storage(2, 1, 1, "entangled", seed=13)
-    for mode in ("weak", "X-strong", "Y-strong"):
-        s = qsim.extractor_output_state(ip_extract, x, y, storage, mode=mode)
+    storage = adversaries.random_storage(1, 1, "entangled", seed=13)
+    for exposed in (None, "X", "Y"):
+        s = qsim.extractor_output_state(ip_extract, x, y, storage, exposed)
         direct = _global_distance_oracle(s, 1)
         assert abs(qsim.cq_distance_from_uniform(s, 1) - direct) <= 1e-10
 
