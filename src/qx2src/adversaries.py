@@ -2,8 +2,9 @@
 
 A storage strategy is a state map: called on a source pair (x, y) it
 returns the joint stored state on b1 + b2 qubits, Alice's qubits first,
-checked against the budgets.  The superdense strategy, in which Bob
-keeps his whole state, also maps (x, y) to that full Y-side state.
+checked against the budgets.  In the superdense strategy Bob keeps his
+whole state, so b2 counts all of his qubits.  Every attack measures the
+strategy itself, so every measured state has its dimension checked.
 Strategies here cover seeded random adversaries (product and
 entangled), classical blocks, the exact Bell-pair protocol that
 computes the inner product in the simultaneous message passing model,
@@ -110,15 +111,12 @@ class StorageStrategy:
     """Map from source pairs to stored states within declared qubit budgets.
 
     Calling the strategy on (x, y) returns stored(x, y), checked to be a
-    2^(b1+b2)-square matrix, Alice's qubits first.  A strategy in which
-    Bob keeps his whole state also has full_b(x, y): Alice's stored
-    qubits followed by all of Bob's, for evaluation with Y exposed.
+    2^(b1+b2)-square matrix, Alice's qubits first.
     """
 
     b1: int
     b2: int
     stored: Callable[[BitVector, BitVector], np.ndarray]
-    full_b: Optional[Callable[[BitVector, BitVector], np.ndarray]] = None
 
     def __post_init__(self):
         if self.b1 < 0 or self.b2 < 0:
@@ -216,10 +214,7 @@ def classical_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
         raise ParameterError("block does not fit the declared budget")
 
     def index(v, positions):
-        acc = 0
-        for j, pos in enumerate(positions):
-            acc |= v.bit(pos) << j
-        return acc
+        return sum(bit << j for j, bit in enumerate(_block_bits(v, positions)))
 
     def stored(x, y):
         return qsim.basis_state(1 << (b1 + b2), index(x, x_bits) << b2 | index(y, y_bits))
@@ -258,14 +253,13 @@ def smp_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
     return StorageStrategy(b1, b2, stored)
 
 
-def superdense_block_storage(x_bits: Sequence[int], b1: int, b2: int) -> StorageStrategy:
-    """Alice superdense-encodes a block of x; the halves only pair up with
-    Bob's full state.
+def superdense_block_storage(x_bits: Sequence[int], b1: int) -> StorageStrategy:
+    """Alice superdense-encodes a block of x; Bob keeps his whole state.
 
-    Alice's budget holds her encoded EPR halves (two block bits per
-    qubit).  The budget-limited joint state traces Bob's halves out, so
-    it is maximally mixed on Alice's halves; full_b retains Bob's halves
-    and lets the referee decode the block exactly.
+    Alice's b1 qubits hold her encoded EPR halves (two block bits per
+    qubit) and zero padding.  Bob's state is the other halves, one qubit
+    per pair, so the strategy's b2 is the pair count.  Together they let
+    the referee decode the block exactly when Y is exposed.
     """
     pairs = (len(x_bits) + 1) // 2
     if pairs > b1:
@@ -276,16 +270,11 @@ def superdense_block_storage(x_bits: Sequence[int], b1: int, b2: int) -> Storage
 
     def stored(x, y):
         vec = _bell_pairs(_block_bits(x, x_bits))
-        alice = qsim.partial_trace(np.outer(vec, vec.conj()), [1 << pairs] * 2, [0])
-        return np.kron(alice, qsim.basis_state(1 << (pad_a + b2), 0))
-
-    def full_b(x, y):
-        vec = _bell_pairs(_block_bits(x, x_bits))
         if pad_a:
             vec = qsim.permute_qubits_vector(np.kron(vec, _basis_vec(pad_a, 0)), order)
         return np.outer(vec, vec.conj())
 
-    return StorageStrategy(b1, b2, stored, full_b)
+    return StorageStrategy(b1, pairs, stored)
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +296,8 @@ def _ip_zero_table(l: int) -> np.ndarray:
     return (1 - (np.bitwise_count(v[:, None] & v[None, :]) & 1)).astype(np.int32)
 
 
-def _hill_climb(l: int, seed: int, restarts: int, iters: int) -> Tuple[float, tuple, tuple]:
+def _hill_climb(l: int, seed: int) -> Tuple[float, tuple, tuple]:
+    restarts, iters = 4, 4000
     size = 1 << (l - 3)
     univ = 1 << l
     table = _ip_zero_table(l)
@@ -358,41 +348,23 @@ def _hill_climb(l: int, seed: int, restarts: int, iters: int) -> Tuple[float, tu
     return best_overall
 
 
-def biased_product_sources(l: int, seed: int = 0, restarts: int = 4,
-                           iters: int = 4000) -> BiasedSourcePair:
+def biased_product_sources(l: int, seed: int = 0) -> BiasedSourcePair:
     """Flat l-bit sources of min-entropy l - 3 with Pr[X . Y = 0] beyond
     1/2 + 2^(-(l-1)/2).
 
-    l = 4 is found by exhaustive search over all support pairs; larger l
-    (up to 10) by seeded hill-climbing over single-element support
-    swaps.  The achieved probability is measured on the returned pair
-    and must clear the bound, otherwise a search-exhausted error
-    carrying the best value found is raised.
+    Found for 4 <= l <= 10 by seeded hill-climbing over single-element
+    support swaps.  The first start is orthogonal: at l = 4 it is
+    X = {0, 1}, Y = {0, 2}, where every inner product is 0, so the
+    optimum Pr = 1 is returned.  The achieved probability is measured on
+    the returned pair and must clear the bound, otherwise a
+    search-exhausted error carrying the best value found is raised.
     """
     if l < 4:
         raise ParameterError("need l >= 4")
-    bound = 0.5 + 2 ** (-(l - 1) / 2)
-    if l == 4:
-        from itertools import combinations
-        table = _ip_zero_table(4)
-        best = (-1, None, None)
-        pairs = list(combinations(range(16), 2))
-        for xs in pairs:
-            col = table[xs[0]] + table[xs[1]]
-            for ys in pairs:
-                score = int(col[ys[0]] + col[ys[1]])
-                if score > best[0]:
-                    best = (score, xs, ys)
-                    if score == 4:
-                        break
-            if best[0] == 4:
-                break
-        prob = best[0] / 4.0
-        xsup, ysup = best[1], best[2]
-    elif l <= 10:
-        prob, xsup, ysup = _hill_climb(l, seed, restarts, iters)
-    else:
+    if l > 10:
         raise SearchExhaustedError(f"l={l} beyond the supported search range", best=None)
+    bound = 0.5 + 2 ** (-(l - 1) / 2)
+    prob, xsup, ysup = _hill_climb(l, seed)
     if prob <= bound:
         raise SearchExhaustedError(
             f"search stalled at Pr={prob:.6f} <= bound {bound:.6f} for l={l}",
@@ -410,8 +382,7 @@ def biased_product_sources(l: int, seed: int = 0, restarts: int = 4,
 class TightnessAttack:
     x_source: FlatSource
     y_source: FlatSource
-    storage: StorageStrategy
-    measured: Callable[[BitVector, BitVector], np.ndarray]  # the state map measured
+    storage: StorageStrategy  # the state map measured
     exposed: Optional[str]   # the source held with the output, if any
     entangled: bool
     superstrong: bool
@@ -429,19 +400,16 @@ Branch = Literal["auto", "exact", "biased"]
 
 
 def _attack_storage(entangled: bool, superstrong: bool, block: List[int],
-                    b1: int, b2: int) -> Tuple[StorageStrategy, Callable, Optional[str]]:
-    """Storage computing the block inner product, the state map the
-    advantage is measured on, and the source exposed with the output."""
+                    b1: int, b2: int) -> Tuple[StorageStrategy, Optional[str]]:
+    """Storage computing the block inner product, and the source exposed
+    with the output."""
     if superstrong and entangled:
-        storage = superdense_block_storage(block, b1, b2)
-        return storage, storage.full_b, "Y"
+        return superdense_block_storage(block, b1), "Y"
     if superstrong:
         # one-way: Alice stores her block, the y side is exposed anyway
-        storage = classical_block_storage(block, [], b1, b2)
-        return storage, storage, "Y"
+        return classical_block_storage(block, [], b1, b2), "Y"
     build = smp_block_storage if entangled else classical_block_storage
-    storage = build(block, block, b1, b2)
-    return storage, storage, None
+    return build(block, block, b1, b2), None
 
 
 def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
@@ -503,8 +471,6 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
         if l < 4 or len2 < 0 or len4 < 0:
             raise ParameterError(
                 f"biased construction infeasible: l={l}, filler lengths ({len2}, {len4})")
-        if b + len2 + l + len4 != n:
-            raise ParameterError("internal block accounting error")
         biased = biased_product_sources(l, seed=seed)
         shift3 = b + len2
         x_vals = []
@@ -522,9 +488,9 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
         block = list(range(b))
         predicted = 2.0 ** (-(k1 + k2 - b - n + 5) / 2)
         bias_found = biased.prob_zero
-    storage, measured, exposed = _attack_storage(entangled, superstrong, block, b1, b2)
+    storage, exposed = _attack_storage(entangled, superstrong, block, b1, b2)
     return TightnessAttack(x_source=x_source, y_source=y_source, storage=storage,
-                           measured=measured, exposed=exposed, entangled=entangled,
+                           exposed=exposed, entangled=entangled,
                            superstrong=superstrong, predicted_advantage=predicted,
                            branch=branch, effective_block=b, l=l,
                            bias_found=bias_found)
@@ -533,7 +499,7 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
 def measure_attack_advantage(attack: TightnessAttack) -> float:
     """Exact distance from uniform of the inner-product bit given the storage."""
     state = qsim.extractor_output_state(ip_extract, attack.x_source, attack.y_source,
-                                        attack.measured, attack.exposed)
+                                        attack.storage, attack.exposed)
     return qsim.cq_distance_from_uniform(state, 1)
 
 

@@ -112,7 +112,7 @@ def one_bit_condition(p: ParamSet, variant: str, entangled: bool) -> BoundReport
     lhs = p.k1 + p.k2 - factor * s
     rhs = p.n - 2 + 2 * p.log_inv_eps
     try:
-        threshold = 2.0 ** (-(lhs - p.n + 2) / 2)
+        threshold = ip_bias_bound(p, s, entangled, clamp=False)
     except OverflowError:
         raise ParameterError(f"eps threshold out of float range at {p}") from None
     return BoundReport(

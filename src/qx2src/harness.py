@@ -124,6 +124,15 @@ MAX_KNOWLEDGE_N = 10
 # tightness storage is 2^(b1+b2)-dimensional, summed over 2^(k1+k2) source pairs
 MAX_TIGHTNESS_B = 10
 MAX_TIGHTNESS_K = 20
+# the measured work, source pairs times the 4^q entries of a state on the q
+# qubits the strategy holds (Bob's whole state in the superdense one): 3-10 s
+# at 2^30 on two cores, against 16 GiB for one state at q = 15
+MAX_TIGHTNESS_WORK = 1 << 30
+# one xor trial costs about 1.2 ms at the default sizes, a random rank trial
+# at n = 64 under 1 ms, so 100,000 trials take about two minutes
+MAX_TRIALS = 100_000
+# one security instance costs about 20 ms at the default sizes: 200 s at 10,000
+MAX_SECURITY_INSTANCES = 10_000
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +145,7 @@ def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
     """Full-rank property of every subset XOR of the multiplier family."""
     report = Report("verify:matrices", dict(locals()))
     _require_range(1, MAX_EXHAUSTIVE_N, exhaustive_max_n=exhaustive_max_n)
-    _require_range(1, random_trials=random_trials)
+    _require_range(1, MAX_TRIALS, random_trials=random_trials)
     for n in random_ns:
         _require_range(1, MAX_RANDOM_N, random_ns=n)
     for n in range(1, exhaustive_max_n + 1):
@@ -171,7 +180,7 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
                   max_d: int = 3, atol: float = 1e-8) -> Report:
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
     report = Report("verify:xor", dict(locals()))
-    _require_range(1, trials=trials, equality_trials=equality_trials)
+    _require_range(1, MAX_TRIALS, trials=trials, equality_trials=equality_trials)
     _require_range(1, MAX_CQ_M, max_m=max_m)
     _require_range(0, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
@@ -201,7 +210,7 @@ def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
                  max_m: int = 3, max_d: int = 3, atol: float = 1e-8) -> Report:
     """Quantum-to-classical reduction through the square-root measurement."""
     report = Report("verify:reduction", dict(locals()))
-    _require_range(1, trials=trials)
+    _require_range(1, MAX_TRIALS, trials=trials)
     _require_range(1, MAX_CQ_M, max_m=max_m)
     _require_range(0, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
@@ -220,7 +229,7 @@ def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
                      max_d: int = 3, atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
     report = Report("verify:normbound", dict(locals()))
-    _require_range(1, trials=trials)
+    _require_range(1, MAX_TRIALS, trials=trials)
     _require_range(1, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
@@ -242,7 +251,7 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
                        atol: float = 1e-8) -> Report:
     """Exact one-bit distances never exceed the bias bound, per flavor."""
     report = Report("verify:security", dict(locals()))
-    _require_range(1, instances=instances)
+    _require_range(1, MAX_SECURITY_INSTANCES, instances=instances)
     _require_range(1, MAX_SECURITY_N, n=n)
     _require_range(0, MAX_SECURITY_K, k=k)
     if not 0 <= b <= MAX_SECURITY_B:
@@ -326,6 +335,10 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
     _require_range(0, MAX_TIGHTNESS_K, **{"k1 + k2": k1 + k2})
     attack = adversaries.tightness_attack(n, k1, k2, b1, b2, setting,
                                           branch=branch, seed=seed)
+    pairs = len(attack.x_source.support) * len(attack.y_source.support)
+    qubits = attack.storage.b1 + attack.storage.b2
+    _require_range(0, MAX_TIGHTNESS_WORK,
+                   **{"source pairs x 4^stored qubits": pairs * 4 ** qubits})
     measured = adversaries.measure_attack_advantage(attack)
     if attack.branch == "exact":
         report.add("exact-branch advantage", measured, 0.5,

@@ -465,15 +465,13 @@ def trace_norm_weighted_l2_bound(s_op: np.ndarray, sigma: np.ndarray) -> Tuple[f
     """
     s_op = np.asarray(s_op, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if np.max(np.abs(s_op - s_op.conj().T)) > HERMITIAN_ATOL:
-        raise ValidationError("operator is not Hermitian")
+    lhs = 0.5 * l1_norm(s_op)  # checks that s_op is Hermitian
     sig_vals = np.linalg.eigvalsh(sigma)
     if sig_vals.min() < -PSD_ATOL:
         raise ValidationError("sigma is not PSD")
     r, kernel = _pinv_sqrt_and_kernel(sigma)
     if np.max(np.abs(kernel @ s_op)) > 1e-8:
         raise ValidationError("support of the operator leaks outside sigma")
-    lhs = 0.5 * l1_norm(s_op)
     inner = float(np.real(np.trace(r @ s_op @ r @ s_op)))
     rhs = 0.5 * math.sqrt(max(float(np.real(np.trace(sigma))), 0.0) * max(inner, 0.0))
     return lhs, rhs

@@ -1,5 +1,6 @@
 """Storage strategies, Bell-pair protocols, and attack constructions."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -140,25 +141,27 @@ def test_smp_block_storage_budget_check():
     with pytest.raises(ParameterError):
         adversaries.smp_block_storage([0, 1], [0, 1], 2, 2)  # needs 3 each
     with pytest.raises(ParameterError):
-        adversaries.superdense_block_storage([0, 1, 2], 1, 0)  # needs 2 qubits
+        adversaries.superdense_block_storage([0, 1, 2], 1)  # needs 2 qubits
     with pytest.raises(ParameterError):
         adversaries.classical_block_storage([0, 1], [0], 1, 1)
 
 
-def test_superdense_budget_state_is_full_b_without_bobs_halves(check_density_matrix):
-    # three block bits on two pairs, one pad qubit for Alice, one qubit for Bob
-    s = adversaries.superdense_block_storage([0, 1, 2], 3, 1)
-    pad_and_bob = qsim.basis_state(4, 0)
+def test_superdense_strategy_holds_alices_budget_and_bobs_halves(check_density_matrix):
+    # three block bits on two pairs, one pad qubit for Alice
+    s = adversaries.superdense_block_storage([0, 1, 2], 3)
+    assert (s.b1, s.b2) == (3, 2)
+    states = []
     for xv in range(8):
         x, y = BitVector(3, xv), BitVector(3, 7 - xv)
-        rho = s(x, y)
+        rho = s(x, y)                  # [Alice's halves, pad, Bob's halves]
         check_density_matrix(rho)
-        # maximally mixed on Alice's halves, |0> on her pad and on Bob's qubit
-        assert np.max(np.abs(rho - np.kron(np.eye(4) / 4, pad_and_bob))) <= 1e-12
-        full = s.full_b(x, y)          # [Alice's halves, pad, Bob's halves]
-        check_density_matrix(full)
-        alice = qsim.partial_trace(full, [8, 4], [0])
-        assert np.max(np.abs(rho - np.kron(alice, qsim.basis_state(2, 0)))) <= 1e-12
+        # traced over Bob's halves: maximally mixed on Alice's, |0> on her pad
+        alice = qsim.partial_trace(rho, [8, 4], [0])
+        assert np.max(np.abs(alice - np.kron(np.eye(4) / 4, qsim.basis_state(2, 0)))) <= 1e-12
+        states.append(rho)
+    # pure and pairwise orthogonal, so the referee decodes all three block bits
+    overlaps = np.array([[np.trace(a @ b).real for b in states] for a in states])
+    assert np.max(np.abs(overlaps - np.eye(8))) <= 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -184,6 +187,23 @@ def test_biased_sources_l4_exhaustive():
     zeros = sum((xv & yv).bit_count() % 2 == 0
                 for xv in pair.x.support for yv in pair.y.support)
     assert zeros == 4
+
+
+def _exhaustive_l4_optimum():
+    """The first pair of 2-element supports, in lexicographic order, with
+    the most inner-product-zero pairs, and its Pr[X . Y = 0]."""
+    supports = list(itertools.combinations(range(16), 2))
+    score, neg_i, neg_j = max(
+        (sum((a & b).bit_count() % 2 == 0 for a in xs for b in ys), -i, -j)
+        for i, xs in enumerate(supports) for j, ys in enumerate(supports))
+    return supports[-neg_i], supports[-neg_j], score / 4
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_biased_sources_l4_match_exhaustive_optimum(seed):
+    xs, ys, prob = _exhaustive_l4_optimum()
+    pair = biased_product_sources(4, seed)
+    assert (pair.x.support, pair.y.support, pair.prob_zero) == (xs, ys, prob)
 
 
 @pytest.mark.parametrize("l", [5, 6, 7, 8])
@@ -217,7 +237,7 @@ def test_biased_sources_range_errors():
 def test_tightness_exact_branch_classical():
     attack = tightness_attack(4, 4, 4, 4, 4, "non-entangled")
     assert attack.branch == "exact"
-    assert attack.exposed is None and attack.measured is attack.storage
+    assert attack.exposed is None
     assert not attack.entangled and not attack.superstrong
     measured = measure_attack_advantage(attack)
     assert abs(measured - 0.5) <= 1e-9
@@ -290,7 +310,7 @@ def test_tightness_biased_infeasible_blocks():
 def test_tightness_superstrong_non_entangled():
     # one-way: Alice stores the overlap, the y side is exposed in the label
     attack = tightness_attack(2, 2, 2, 2, 0, "superstrong-non-entangled")
-    assert attack.exposed == "Y" and attack.measured is attack.storage
+    assert attack.exposed == "Y" and (attack.storage.b1, attack.storage.b2) == (2, 0)
     assert not attack.entangled and attack.superstrong
     assert abs(measure_attack_advantage(attack) - 0.5) <= 1e-9
 
@@ -299,7 +319,7 @@ def test_tightness_superstrong_entangled_superdense():
     # 1 qubit of Alice storage covers 2 overlap bits once Bob's halves are
     # exposed, exactly the superdense factor
     attack = tightness_attack(2, 2, 2, 1, 0, "superstrong-entangled")
-    assert attack.exposed == "Y" and attack.measured == attack.storage.full_b
+    assert attack.exposed == "Y" and (attack.storage.b1, attack.storage.b2) == (1, 1)
     assert attack.entangled and attack.superstrong
     assert attack.effective_block == 2
     assert abs(measure_attack_advantage(attack) - 0.5) <= 1e-9

@@ -107,6 +107,22 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("verify", "reduction", "--max-m", "7"), "max_m must be between 1 and 6"),
     (("verify", "reduction", "--max-d", "7"), "max_d must be between 0 and 6"),
     (("verify", "normbound", "--max-d", "13"), "max_d must be between 1 and 6"),
+    # work limits: 2^20 source pairs of 1024-dim states, and a 2^15-dim superdense state
+    (("attack", "tightness", "--n", "15", "--k1", "10", "--k2", "10", "--b1", "5",
+      "--b2", "5", "--setting", "non-entangled"),
+     "source pairs x 4^stored qubits must be between 0 and 1073741824, got 1099511627776"),
+    (("attack", "tightness", "--n", "10", "--k1", "10", "--k2", "10", "--b1", "10",
+      "--b2", "0", "--setting", "superstrong-entangled"),
+     "source pairs x 4^stored qubits must be between 0 and 1073741824, got 1125899906842624"),
+    (("verify", "xor", "--trials", "100000000", "--equality-trials", "1"),
+     "trials must be between 1 and 100000, got 100000000"),
+    (("verify", "xor", "--equality-trials", "100001"),
+     "equality_trials must be between 1 and 100000, got 100001"),
+    (("verify", "matrices", "--exhaustive-max-n", "1", "--random-ns", "64",
+      "--random-trials", "100000000"),
+     "random_trials must be between 1 and 100000, got 100000000"),
+    (("verify", "security", "--instances", "100000000"),
+     "instances must be between 1 and 10000, got 100000000"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

@@ -90,6 +90,40 @@ def test_rank_matches_naive_oracle():
         assert gf2.rank(mat) == _naive_rank(rows, cols)
 
 
+def _span_rank(rows):
+    """log2 of the number of distinct XORs of subsets of rows."""
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    return len(span).bit_length() - 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_rank_exhaustive_against_span_size(n):
+    for entries in range(1 << (n * n)):
+        rows = tuple(entries >> (n * i) & ((1 << n) - 1) for i in range(n))
+        assert gf2.rank(BitMatrix(n, n, rows)) == _span_rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank_matches_column_scan_property(data):
+    # k free rows, the rest XORs of them, so most stacks are rank-deficient
+    cols = data.draw(st.integers(1, 64))
+    rows_n = data.draw(st.integers(1, 64))
+    k = data.draw(st.integers(0, rows_n))
+    free = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=k, max_size=k))
+    masks = data.draw(st.lists(st.integers(0, (1 << k) - 1),
+                               min_size=rows_n - k, max_size=rows_n - k))
+    combos = [0] * len(masks)
+    for j, mask in enumerate(masks):
+        for i, row in enumerate(free):
+            if mask >> i & 1:
+                combos[j] ^= row
+    rows = data.draw(st.permutations(free + combos))
+    assert gf2.rank(BitMatrix(rows_n, cols, tuple(rows))) == _naive_rank(rows, cols)
+
+
 # --------------------------------------------------------------------------
 # carry-less product, against oracles written here
 

@@ -207,13 +207,13 @@ def _state_maps(notion, n, seed):
     """The state maps the oracle tests run for a notion on n-bit sources.
 
     The superstrong maps keep one side's whole state: the superdense
-    strategy's full_b for Y, and for X the same strategy with the
-    sources' roles swapped.
+    strategy for Y, and for X the same strategy with the sources' roles
+    swapped.
     """
     exposed, whole = NOTIONS[notion]
     if whole:
-        full_b = adversaries.superdense_block_storage(sorted({0, n - 1}), 1, 1).full_b
-        return [full_b if exposed == "Y" else lambda x, y: full_b(y, x)]
+        superdense = adversaries.superdense_block_storage(sorted({0, n - 1}), 1)
+        return [superdense if exposed == "Y" else lambda x, y: superdense(y, x)]
     return [adversaries.random_storage(1, 1, "product", seed),
             adversaries.random_storage(1, 1, "entangled", seed),
             adversaries.classical_block_storage([0], [n - 1], 1, 1)]
