@@ -13,6 +13,7 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import numbers
@@ -106,7 +107,8 @@ MAX_SECURITY_B = 4
 MAX_SECURITY_N = 62
 # each security instance enumerates 2^(2k) source pairs: 3.2 s per instance at k = 6
 MAX_SECURITY_K = 6
-# exhaustive subset ranks enumerate 2^n - 1 masks: about 11 s at n = 16
+# exhaustive subset ranks enumerate 2^n - 1 masks: about 0.2 s at n = 16 on
+# two cores, doubling with each further n
 MAX_EXHAUSTIVE_N = 16
 # the acceptance sizes; each random n builds n matrices of n x n bits
 MAX_RANDOM_N = 64
@@ -115,7 +117,8 @@ MAX_RANDOM_N = 64
 # sigma grows ill-conditioned with d (at d = 13 below the pseudo-inverse cutoff)
 MAX_CQ_M = 6
 MAX_CQ_D = 6
-# smp enumerates all 2^(2n) input pairs, one Bell measurement per qubit pair each
+# smp enumerates all 2^(2n) input pairs, one Bell measurement per qubit pair each,
+# and the 4^n pairs summed over ns are capped at one n = 8 run
 MAX_SMP_N = 8
 # superdense round-trips every n-bit message for each even n up to max_n: 7.5 s at 14
 MAX_SUPERDENSE_N = 14
@@ -128,9 +131,13 @@ MAX_TIGHTNESS_K = 20
 # qubits the strategy holds (Bob's whole state in the superdense one): 3-10 s
 # at 2^30 on two cores, against 16 GiB for one state at q = 15
 MAX_TIGHTNESS_WORK = 1 << 30
-# one xor trial costs about 1.2 ms at the default sizes, a random rank trial
-# at n = 64 under 1 ms, so 100,000 trials take about two minutes
+# one xor trial costs about 1.2 ms at the default sizes, so 100,000 trials take
+# about two minutes; a random rank trial at n = 64 costs about 35 us, and the cap
+# holds for random_trials summed over random_ns
 MAX_TRIALS = 100_000
+# masks ranked per batch: (1024, 64) uint64 rows and their scratch copies hold
+# the suite to a few MB at any trial count
+RANK_CHUNK = 1024
 # one security instance costs about 20 ms at the default sizes: 200 s at 10,000
 MAX_SECURITY_INSTANCES = 10_000
 
@@ -148,27 +155,41 @@ def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
     _require_range(1, MAX_TRIALS, random_trials=random_trials)
     for n in random_ns:
         _require_range(1, MAX_RANDOM_N, random_ns=n)
+    _require_range(0, MAX_TRIALS, **{"len(random_ns) x random_trials":
+                                     len(random_ns) * random_trials})
     for n in range(1, exhaustive_max_n + 1):
-        mats = gf2.multiplier_matrices(n, n)
-        good = sum(
-            gf2.rank(gf2.subset_matrix(mats, mask)) == n
-            for mask in range(1, 1 << n))
+        good = _full_rank_subsets(n, range(1, 1 << n))
         report.add(f"exhaustive subset ranks n={n}", good, (1 << n) - 1,
                    good == (1 << n) - 1)
     for n in random_ns:
-        mats = gf2.multiplier_matrices(n, n)
-        rng = derive_rng(seed, 0x5E7, n)
-        good = 0
-        for _ in range(random_trials):
-            mask = 0
-            while mask == 0:
-                mask = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
-            if gf2.rank(gf2.subset_matrix(mats, mask)) == n:
-                good += 1
+        good = _full_rank_subsets(n, _random_masks(seed, n, random_trials))
         report.add(f"random subset ranks n={n}", good, random_trials,
                    good == random_trials)
     report.stop()
     return report
+
+
+def _random_masks(seed: int, n: int, count: int):
+    """count non-empty n-bit subset masks, one rng.bytes draw per attempt."""
+    rng = derive_rng(seed, 0x5E7, n)
+    for _ in range(count):
+        mask = 0
+        while mask == 0:
+            mask = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+        yield mask
+
+
+def _full_rank_subsets(n: int, masks) -> int:
+    """How many of the masks select a full-rank subset XOR of the n x n family."""
+    mats = gf2.multiplier_matrices(n, n)
+    masks = iter(masks)
+    good = 0
+    while True:
+        chunk = np.fromiter(itertools.islice(masks, RANK_CHUNK), dtype=np.uint64)
+        if not chunk.size:
+            return good
+        ranks = gf2.batched_rank(gf2.subset_rows(mats, chunk))
+        good += int(np.count_nonzero(ranks == n))
 
 
 def _trial_shape(t: int, max_m: int, max_d: int):
@@ -287,6 +308,7 @@ def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> R
     report = Report("attack:smp", dict(locals()))
     for n in ns:
         _require_range(1, MAX_SMP_N, ns=n)
+    _require_range(0, 4 ** MAX_SMP_N, **{"sum of 4^n over ns": sum(4 ** n for n in ns)})
     for n in ns:
         worst_p = 1.0
         correct = 0

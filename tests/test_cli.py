@@ -123,6 +123,11 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
      "random_trials must be between 1 and 100000, got 100000000"),
     (("verify", "security", "--instances", "100000000"),
      "instances must be between 1 and 10000, got 100000000"),
+    # total work over list-valued sizes: each element passes on its own
+    (("verify", "matrices", "--random-ns", *["64"] * 50),
+     "len(random_ns) x random_trials must be between 0 and 100000, got 500000"),
+    (("attack", "smp", "--ns", "8", "8"),
+     "sum of 4^n over ns must be between 0 and 65536, got 131072"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

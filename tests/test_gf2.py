@@ -105,23 +105,91 @@ def test_rank_exhaustive_against_span_size(n):
         assert gf2.rank(BitMatrix(n, n, rows)) == _span_rank(rows)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_rank_matches_column_scan_property(data):
-    # k free rows, the rest XORs of them, so most stacks are rank-deficient
-    cols = data.draw(st.integers(1, 64))
-    rows_n = data.draw(st.integers(1, 64))
-    k = data.draw(st.integers(0, rows_n))
-    free = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=k, max_size=k))
-    masks = data.draw(st.lists(st.integers(0, (1 << k) - 1),
-                               min_size=rows_n - k, max_size=rows_n - k))
+@st.composite
+def _deficient_rows(draw, rows_n, cols):
+    """k free rows, some with the top column set, and rows_n - k XORs of them."""
+    k = draw(st.integers(0, rows_n))
+    row = st.integers(0, (1 << cols) - 1) | st.integers(1 << (cols - 1), (1 << cols) - 1)
+    free = draw(st.lists(row, min_size=k, max_size=k))
+    masks = draw(st.lists(st.integers(0, (1 << k) - 1),
+                          min_size=rows_n - k, max_size=rows_n - k))
     combos = [0] * len(masks)
     for j, mask in enumerate(masks):
         for i, row in enumerate(free):
             if mask >> i & 1:
                 combos[j] ^= row
-    rows = data.draw(st.permutations(free + combos))
+    return draw(st.permutations(free + combos))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank_matches_column_scan_property(data):
+    # most matrices are rank-deficient
+    cols = data.draw(st.integers(1, 64))
+    rows_n = data.draw(st.integers(1, 64))
+    rows = data.draw(_deficient_rows(rows_n, cols))
     assert gf2.rank(BitMatrix(rows_n, cols, tuple(rows))) == _naive_rank(rows, cols)
+
+
+# --------------------------------------------------------------------------
+# the batched kernels behind the matrices suite, against rank and subset_matrix
+
+
+def _rank_of(rows):
+    return gf2.rank(BitMatrix(len(rows), 64, tuple(int(r) for r in rows)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_rank_exhaustive(n):
+    # every n x n matrix, all in one stack
+    entries = np.arange(1 << (n * n), dtype=np.uint64)[:, None]
+    shifts = np.arange(0, n * n, n, dtype=np.uint64)
+    stack = entries >> shifts & np.uint64((1 << n) - 1)
+    assert gf2.batched_rank(stack).tolist() == [_rank_of(rows) for rows in stack]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batched_rank_matches_rank_property(data):
+    # random and rank-deficient stacks, often 64 columns wide with bit 63 set
+    cols = data.draw(st.just(64) | st.integers(1, 64))
+    rows_n = data.draw(st.integers(1, 64))
+    stack = data.draw(st.lists(_deficient_rows(rows_n, cols), min_size=1, max_size=6))
+    got = gf2.batched_rank(np.array(stack, dtype=np.uint64))
+    assert got.tolist() == [_rank_of(rows) for rows in stack]
+
+
+def test_batched_rank_of_empty_and_zero_stacks():
+    assert gf2.batched_rank(np.zeros((0, 5), dtype=np.uint64)).tolist() == []
+    assert gf2.batched_rank(np.zeros((3, 5), dtype=np.uint64)).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n, m", [(n, n) for n in range(1, 9)] + [(10, 10), (12, 9)])
+def test_subset_rows_match_subset_matrix_exhaustive(n, m):
+    mats = gf2.multiplier_matrices(n, m)
+    rows = gf2.subset_rows(mats, np.arange(1, 1 << m, dtype=np.uint64))
+    assert [tuple(r) for r in rows.tolist()] == [
+        gf2.subset_matrix(mats, mask).row_values for mask in range(1, 1 << m)]
+
+
+def test_subset_rows_match_subset_matrix_n64():
+    mats = gf2.multiplier_matrices(64, 64)
+    masks = derive_rng(11, 3).integers(1, 1 << 64, size=200, dtype=np.uint64)
+    masks[::2] |= np.uint64(1 << 63)
+    masks = np.append(masks, np.array([1 << 63, (1 << 64) - 1], dtype=np.uint64))
+    rows = gf2.subset_rows(mats, masks)
+    for mask, got in zip(masks.tolist(), rows.tolist()):
+        want = gf2.subset_matrix(mats, mask)
+        assert tuple(got) == want.row_values
+    assert gf2.batched_rank(rows).tolist() == [_rank_of(r) for r in rows]
+
+
+def test_subset_rows_errors():
+    mats = gf2.multiplier_matrices(4, 3)
+    with pytest.raises(ParameterError, match="empty"):
+        gf2.subset_rows(mats, np.array([1, 0], dtype=np.uint64))
+    with pytest.raises(ParameterError, match="beyond"):
+        gf2.subset_rows(mats, np.array([0b1000], dtype=np.uint64))
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qx2src import cli, harness, qsim
+from qx2src import cli, gf2, harness, qsim
 from qx2src.errors import DimensionError, ParameterError, ValidationError
 
 
@@ -142,6 +142,32 @@ def test_verify_suite_smoke(tmp_path):
     assert rep.passed
     rep = harness.run_verify("security", seed=7, instances=4)
     assert rep.passed
+
+
+def test_matrices_suite_counts_rank_deficient_subsets(monkeypatch, tmp_path):
+    # a family whose first matrix is repeated: every subset holding both
+    # copies loses them, and those holding nothing else are zero
+    original = gf2.multiplier_matrices
+
+    def repeated(n, m):
+        mats = original(n, m)
+        return mats[:1] + mats[:-1]
+
+    monkeypatch.setattr(gf2, "multiplier_matrices", repeated)
+    rep = harness.run_matrices_suite(seed=7, exhaustive_max_n=6, random_ns=(8,),
+                                     random_trials=200)
+    by_name = {r.name: r for r in rep.records}
+    for n in range(2, 7):
+        mats = repeated(n, n)
+        want = sum(gf2.rank(gf2.subset_matrix(mats, mask)) == n
+                   for mask in range(1, 1 << n))
+        record = by_name[f"exhaustive subset ranks n={n}"]
+        assert record.measured == want < (1 << n) - 1
+        assert not record.passed
+    assert not rep.passed
+    out = tmp_path / "rep.json"
+    assert run_cli("verify", "matrices", "--exhaustive-max-n", "4", "--out", str(out)) == 3
+    assert json.loads(out.read_text())["passed"] is False
 
 
 def test_verify_unknown_suite():
