@@ -1,8 +1,9 @@
 """Concrete storage strategies and attacks.
 
-A storage strategy is a state map: called on a source pair (x, y) it
-returns the joint stored state on b1 + b2 qubits, Alice's qubits first,
-checked against the budgets.  In the superdense strategy Bob keeps his
+A storage strategy is a state map: called on int arrays (xs, ys) of
+source values it returns the stack of joint stored states on b1 + b2
+qubits, one per pair (xs[i], ys[i]), Alice's qubits first, checked
+against the budgets.  In the superdense strategy Bob keeps his
 whole state, so b2 counts all of his qubits.  Every attack measures the
 strategy itself, so every measured state has its dimension checked.
 Strategies here cover seeded random adversaries (product and
@@ -110,24 +111,32 @@ def superdense_roundtrip(message: BitVector) -> BitVector:
 class StorageStrategy:
     """Map from source pairs to stored states within declared qubit budgets.
 
-    Calling the strategy on (x, y) returns stored(x, y), checked to be a
-    2^(b1+b2)-square matrix, Alice's qubits first.
+    Calling the strategy on int arrays (xs, ys) of source values returns
+    stored(xs, ys), checked to be a (P, 2^(b1+b2), 2^(b1+b2)) stack, one
+    state per pair, Alice's qubits first.  A single pair is a batch of one.
     """
 
     b1: int
     b2: int
-    stored: Callable[[BitVector, BitVector], np.ndarray]
+    stored: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.b1 < 0 or self.b2 < 0:
             raise ParameterError("budgets must be nonnegative")
 
-    def __call__(self, x: BitVector, y: BitVector) -> np.ndarray:
-        rho = np.asarray(self.stored(x, y), dtype=complex)
+    def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        rhos = np.asarray(self.stored(xs, ys), dtype=complex)
         dim = 1 << (self.b1 + self.b2)
-        if rho.shape != (dim, dim):
-            raise DimensionError(f"strategy produced dim {rho.shape[0]}, budget dim {dim}")
-        return rho
+        if rhos.shape != (len(xs), dim, dim):
+            raise DimensionError(f"strategy produced states of shape {rhos.shape[1:]} "
+                                 f"for {len(xs)} pairs, budget dim {dim}")
+        return rhos
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each pair in two equally long stacks of matrices."""
+    (p, ra, ca), (_, rb, cb) = a.shape, b.shape
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(p, ra * rb, ca * cb)
 
 
 def random_storage(b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
@@ -138,7 +147,8 @@ def random_storage(b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
     partial trace down to the budgets.  Product: an independent
     per-input purification per side, traced to the budget.  Each side's
     factor is computed once per source value and kept for the life of
-    the strategy.
+    the strategy.  The entangled flavor conjugates and traces its
+    2^(b1+b2+2)-square joint states in chunks of qsim.STACK_BYTES.
     """
     if flavor == "entangled":
         wa, wb = b1 + 1, b2 + 1
@@ -157,10 +167,14 @@ def random_storage(b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
         def ub(v):
             return qsim.random_unitary(1 << wb, derive_rng(seed, 0xB0B, v))
 
-        def stored(x, y):
-            full = qsim.conjugate(np.kron(ua(x.value), ub(y.value)), pure)
-            rho = qsim.partial_trace(full, dims, keep)
-            return 0.5 * (rho + rho.conj().T)
+        def stored(xs, ys):
+            out = np.empty((len(xs), 1 << (b1 + b2), 1 << (b1 + b2)), dtype=complex)
+            for part in qsim.stack_chunks(len(xs), pure.nbytes):
+                u = _kron(np.array([ua(v) for v in xs[part].tolist()]),
+                          np.array([ub(v) for v in ys[part].tolist()]))
+                rho = qsim.partial_trace(qsim.conjugate(u, pure), dims, keep)
+                out[part] = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+            return out
 
         return StorageStrategy(b1, b2, stored)
 
@@ -173,17 +187,18 @@ def random_storage(b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
             kept = qsim.partial_trace(np.outer(pure, pure.conj()), [1 << b, 2], [0])
             return 0.5 * (kept + kept.conj().T)
 
-        def stored(x, y):
-            return np.kron(side(0xA11CE, b1, x.value), side(0xB0B, b2, y.value))
+        def stored(xs, ys):
+            return _kron(np.array([side(0xA11CE, b1, v) for v in xs.tolist()]),
+                         np.array([side(0xB0B, b2, v) for v in ys.tolist()]))
 
         return StorageStrategy(b1, b2, stored)
 
     raise ParameterError(f"unknown flavor {flavor!r}")
 
 
-def _block_bits(v: BitVector, positions: Sequence[int]) -> List[int]:
+def _block_bits(v: int, positions: Sequence[int]) -> List[int]:
     """v's bits at positions, padded with one zero to an even count."""
-    bits = [v.bit(p) for p in positions]
+    bits = [v >> p & 1 for p in positions]
     return bits + [0] * (len(bits) % 2)
 
 
@@ -213,13 +228,23 @@ def classical_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
     if len(x_bits) > b1 or len(y_bits) > b2:
         raise ParameterError("block does not fit the declared budget")
 
-    def index(v, positions):
-        return sum(bit << j for j, bit in enumerate(_block_bits(v, positions)))
+    def index(vs, positions):
+        return sum((vs >> p & 1) << j for j, p in enumerate(positions))
 
-    def stored(x, y):
-        return qsim.basis_state(1 << (b1 + b2), index(x, x_bits) << b2 | index(y, y_bits))
+    def stored(xs, ys):
+        dim = 1 << (b1 + b2)
+        diag = np.asarray(index(xs, x_bits) << b2 | index(ys, y_bits), dtype=np.intp)
+        rhos = np.zeros((len(xs), dim, dim), dtype=complex)
+        rhos[np.arange(len(xs)), diag, diag] = 1.0
+        return rhos
 
     return StorageStrategy(b1, b2, stored)
+
+
+def _outer_stack(vecs: Sequence[np.ndarray]) -> np.ndarray:
+    """The pure states |v><v| of a sequence of state vectors, as a stack."""
+    vecs = np.array(vecs)
+    return vecs[:, :, None] * vecs.conj()[:, None, :]
 
 
 def smp_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
@@ -242,15 +267,15 @@ def smp_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
     order = [*range(pairs), *range(2 * pairs, pairs + b1),
              *range(pairs, 2 * pairs), *range(pairs + b1, b1 + b2)]
 
-    def stored(x, y):
+    def state(x, y):
         xa, yb = _block_bits(x, x_bits), _block_bits(y, y_bits)
         dits = np.kron(_basis_vec(2 + pad_a, sum(xa) % 4 << pad_a),
                        _basis_vec(2 + pad_b, sum(yb) % 4 << pad_b))
         pairs_vec = _bell_pairs([a ^ b for a, b in zip(xa, yb)])
-        vec = qsim.permute_qubits_vector(np.kron(pairs_vec, dits), order)
-        return np.outer(vec, vec.conj())
+        return qsim.permute_qubits_vector(np.kron(pairs_vec, dits), order)
 
-    return StorageStrategy(b1, b2, stored)
+    return StorageStrategy(b1, b2, lambda xs, ys: _outer_stack(
+        [state(x, y) for x, y in zip(xs.tolist(), ys.tolist())]))
 
 
 def superdense_block_storage(x_bits: Sequence[int], b1: int) -> StorageStrategy:
@@ -259,7 +284,8 @@ def superdense_block_storage(x_bits: Sequence[int], b1: int) -> StorageStrategy:
     Alice's b1 qubits hold her encoded EPR halves (two block bits per
     qubit) and zero padding.  Bob's state is the other halves, one qubit
     per pair, so the strategy's b2 is the pair count.  Together they let
-    the referee decode the block exactly when Y is exposed.
+    the referee decode the block exactly when Y is exposed.  The state
+    depends on x alone and is built once per value.
     """
     pairs = (len(x_bits) + 1) // 2
     if pairs > b1:
@@ -268,13 +294,15 @@ def superdense_block_storage(x_bits: Sequence[int], b1: int) -> StorageStrategy:
     # [A halves, B halves, A pad] -> Alice's budget qubits, then Bob's halves
     order = [*range(pairs), *range(2 * pairs, 2 * pairs + pad_a), *range(pairs, 2 * pairs)]
 
-    def stored(x, y):
+    @functools.cache
+    def state(x):
         vec = _bell_pairs(_block_bits(x, x_bits))
         if pad_a:
             vec = qsim.permute_qubits_vector(np.kron(vec, _basis_vec(pad_a, 0)), order)
-        return np.outer(vec, vec.conj())
+        return vec
 
-    return StorageStrategy(b1, pairs, stored)
+    return StorageStrategy(b1, pairs, lambda xs, ys: _outer_stack(
+        [state(x) for x in xs.tolist()]))
 
 
 # --------------------------------------------------------------------------

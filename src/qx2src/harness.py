@@ -105,7 +105,8 @@ def _require_range(low: int, high: Optional[int] = None, **values) -> None:
 MAX_SECURITY_B = 4
 # security sources are drawn from range(2^n), which numpy takes only below 2^63
 MAX_SECURITY_N = 62
-# each security instance enumerates 2^(2k) source pairs: 3.2 s per instance at k = 6
+# each security instance enumerates 2^(2k) source pairs: about 0.16 s per
+# instance at k = 6, b = 1 on two cores
 MAX_SECURITY_K = 6
 # exhaustive subset ranks enumerate 2^n - 1 masks: about 0.2 s at n = 16 on
 # two cores, doubling with each further n
@@ -113,7 +114,7 @@ MAX_EXHAUSTIVE_N = 16
 # the acceptance sizes; each random n builds n matrices of n x n bits
 MAX_RANDOM_N = 64
 # xor, reduction and normbound draw states on up to max_d qubits with up to
-# 2^max_m labels: verify xor takes about 25 s at 6/6, and normbound's Wishart
+# 2^max_m labels: verify xor takes about 15 s at 6/6, and normbound's Wishart
 # sigma grows ill-conditioned with d (at d = 13 below the pseudo-inverse cutoff)
 MAX_CQ_M = 6
 MAX_CQ_D = 6
@@ -131,15 +132,20 @@ MAX_TIGHTNESS_K = 20
 # qubits the strategy holds (Bob's whole state in the superdense one): 3-10 s
 # at 2^30 on two cores, against 16 GiB for one state at q = 15
 MAX_TIGHTNESS_WORK = 1 << 30
-# one xor trial costs about 1.2 ms at the default sizes, so 100,000 trials take
-# about two minutes; a random rank trial at n = 64 costs about 35 us, and the cap
+# one xor trial costs about 0.5 ms at the default sizes, so 100,000 trials take
+# about a minute; a random rank trial at n = 64 costs about 35 us, and the cap
 # holds for random_trials summed over random_ns
 MAX_TRIALS = 100_000
 # masks ranked per batch: (1024, 64) uint64 rows and their scratch copies hold
 # the suite to a few MB at any trial count
 RANK_CHUNK = 1024
-# one security instance costs about 20 ms at the default sizes: 200 s at 10,000
+# one security instance costs about 5 ms at the default sizes: 50 s at 10,000
 MAX_SECURITY_INSTANCES = 10_000
+# the security suite's work, instances x 4^k source pairs x the 4^(2b+2)
+# entries of the entangled flavor's joint state per pair: at 2^28 a run takes
+# 10-70 s for b >= 1 on two cores (0.26 s per pair at b = 4), and up to 8 min
+# at b = 0, k = 6, where per-pair overhead sets the cost
+MAX_SECURITY_WORK = 1 << 28
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +285,8 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
         raise ParameterError(
             f"b must be between 0 and {MAX_SECURITY_B} (the entangled flavor "
             f"builds 2^(2b+2)-square matrices), got {b}")
+    _require_range(0, MAX_SECURITY_WORK, **{"instances x 4^k pairs x 4^(2b+2)":
+                                            instances * 4 ** k * 4 ** (2 * b + 2)})
     params = bounds.ParamSet(n=n, k1=k, k2=k, b1=b, b2=b)
     for flavor, entangled in (("product", False), ("entangled", True)):
         bound = bounds.ip_bias_bound(params, b, entangled=entangled)

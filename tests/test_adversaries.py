@@ -13,12 +13,18 @@ from qx2src.adversaries import (biased_product_sources, bell_outcome,
                                 smp_ip_protocol, superdense_roundtrip,
                                 tightness_attack)
 from qx2src.errors import ParameterError, SearchExhaustedError
-from qx2src.extractors import ip_extract
+from qx2src.extractors import ip_extract, random_flat_source
 from qx2src.gf2 import BitVector, inner_product
+from qx2src.rng import derive_rng
 
 
 def bv(s):
     return BitVector.from_str(s)
+
+
+def _stored(strategy, x: BitVector, y: BitVector) -> np.ndarray:
+    """The strategy's state for the single pair (x, y), a batch of one."""
+    return strategy(np.array([x.value]), np.array([y.value]))[0]
 
 
 # --------------------------------------------------------------------------
@@ -85,7 +91,7 @@ def test_superdense_vector_roundtrip():
 def test_zero_budget_storage_is_scalar():
     for flavor in ("product", "entangled"):
         s = random_storage(0, 0, flavor, seed=1)
-        rho = s(bv("101"), bv("011"))
+        rho = _stored(s, bv("101"), bv("011"))
         assert rho.shape == (1, 1)
         assert abs(rho[0, 0] - 1.0) <= 1e-9
 
@@ -98,7 +104,7 @@ def test_random_storage_determinism():
         b = random_storage(1, 1, flavor, seed=9)
         for x in xs[:4]:
             for y in ys[:4]:
-                assert np.array_equal(a(x, y), b(x, y))
+                assert np.array_equal(_stored(a, x, y), _stored(b, x, y))
 
 
 def test_random_storage_states_are_valid(check_density_matrix):
@@ -106,12 +112,53 @@ def test_random_storage_states_are_valid(check_density_matrix):
         s = random_storage(1, 2, flavor, seed=5)
         for xv in range(4):
             for yv in range(4):
-                rho = s(BitVector(2, xv), BitVector(2, yv))
+                rho = _stored(s, BitVector(2, xv), BitVector(2, yv))
                 assert rho.shape == (8, 8)
                 check_density_matrix(rho)
     for flavor in ("quantum", "classical"):
         with pytest.raises(ParameterError, match="unknown flavor"):
             random_storage(1, 2, flavor, seed=5)
+
+
+def _random_storage_oracle(b1, b2, flavor, seed):
+    """random_storage's state for one pair of source values, built from
+    single matrices with np.kron, qsim.conjugate and qsim.partial_trace."""
+    if flavor == "entangled":
+        wa, wb = b1 + 1, b2 + 1
+        rng = derive_rng(seed, 0xE27)
+        g = rng.normal(size=1 << (wa + wb)) + 1j * rng.normal(size=1 << (wa + wb))
+        shared = g / np.linalg.norm(g)
+        pure = np.outer(shared, shared.conj())
+
+        def state(x, y):
+            u = np.kron(qsim.random_unitary(1 << wa, derive_rng(seed, 0xA11CE, x)),
+                        qsim.random_unitary(1 << wb, derive_rng(seed, 0xB0B, y)))
+            rho = qsim.partial_trace(qsim.conjugate(u, pure), [2] * (wa + wb),
+                                     list(range(b1)) + [wa + i for i in range(b2)])
+            return 0.5 * (rho + rho.conj().T)
+        return state
+
+    def side(stream, b, v):
+        rng = derive_rng(seed, stream, v)
+        g = rng.normal(size=1 << (b + 1)) + 1j * rng.normal(size=1 << (b + 1))
+        pure = g / np.linalg.norm(g)
+        kept = qsim.partial_trace(np.outer(pure, pure.conj()), [1 << b, 2], [0])
+        return 0.5 * (kept + kept.conj().T)
+    return lambda x, y: np.kron(side(0xA11CE, b1, x), side(0xB0B, b2, y))
+
+
+@pytest.mark.parametrize("flavor", ["product", "entangled"])
+@pytest.mark.parametrize("stack_bytes", [qsim.STACK_BYTES, 1])
+def test_random_storage_stacks_match_per_pair_products(flavor, stack_bytes, monkeypatch):
+    # at STACK_BYTES = 1 the entangled flavor conjugates one pair at a time
+    monkeypatch.setattr(qsim, "STACK_BYTES", stack_bytes)
+    xs, ys = np.array([0, 5, 3, 5, 7, 0]), np.array([1, 1, 6, 2, 0, 7])
+    for b1, b2 in itertools.product(range(3), repeat=2):
+        stack = random_storage(b1, b2, flavor, seed=17)(xs, ys)
+        oracle = _random_storage_oracle(b1, b2, flavor, seed=17)
+        expect = np.array([oracle(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+        assert stack.shape == (6, 1 << (b1 + b2), 1 << (b1 + b2))
+        assert stack.tobytes() == expect.tobytes()
 
 
 def test_random_storage_draws_each_side_once_per_value(monkeypatch):
@@ -122,7 +169,7 @@ def test_random_storage_draws_each_side_once_per_value(monkeypatch):
     s = random_storage(1, 1, "entangled", seed=2)
     for xv in range(4):
         for yv in range(4):
-            s(BitVector(2, xv), BitVector(2, yv))
+            _stored(s, BitVector(2, xv), BitVector(2, yv))
     assert len(calls) == 8
 
 
@@ -131,10 +178,21 @@ def test_product_flavor_factorizes():
     s = random_storage(1, 1, "product", seed=3)
     for xv in range(4):
         for yv in range(4):
-            rho = s(BitVector(2, xv), BitVector(2, yv))
+            rho = _stored(s, BitVector(2, xv), BitVector(2, yv))
             rho_a = qsim.partial_trace(rho, [2, 2], [0])
             rho_b = qsim.partial_trace(rho, [2, 2], [1])
             assert np.max(np.abs(rho - np.kron(rho_a, rho_b))) <= 1e-9
+
+
+def test_classical_block_storage_stacks_basis_states():
+    # b1 != b2, so Alice's and Bob's block indices cannot trade places unseen
+    s = adversaries.classical_block_storage([0, 2], [1], 3, 1)
+    xs, ys = np.array([0, 1, 4, 5, 7]), np.array([0, 2, 2, 0, 3])
+    expect = np.zeros((5, 16, 16))
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        k = (x & 1 | (x >> 2 & 1) << 1) << 1 | y >> 1 & 1
+        expect[i, k, k] = 1.0
+    assert np.array_equal(s(xs, ys), expect)
 
 
 def test_smp_block_storage_budget_check():
@@ -153,11 +211,11 @@ def test_superdense_strategy_holds_alices_budget_and_bobs_halves(check_density_m
     states = []
     for xv in range(8):
         x, y = BitVector(3, xv), BitVector(3, 7 - xv)
-        rho = s(x, y)                  # [Alice's halves, pad, Bob's halves]
+        rho = _stored(s, x, y)         # [Alice's halves, pad, Bob's halves]
         check_density_matrix(rho)
         # traced over Bob's halves: maximally mixed on Alice's, |0> on her pad
         alice = qsim.partial_trace(rho, [8, 4], [0])
-        assert np.max(np.abs(alice - np.kron(np.eye(4) / 4, qsim.basis_state(2, 0)))) <= 1e-12
+        assert np.max(np.abs(alice - np.kron(np.eye(4) / 4, np.diag([1.0, 0.0])))) <= 1e-12
         states.append(rho)
     # pure and pairwise orthogonal, so the referee decodes all three block bits
     overlaps = np.array([[np.trace(a @ b).real for b in states] for a in states])
@@ -271,7 +329,7 @@ def test_tightness_min_entropy_audit():
 
 def test_tightness_storage_respects_budgets(check_density_matrix):
     attack = tightness_attack(4, 4, 4, 4, 4, "entangled")
-    rho = attack.storage(attack.x_source.vectors()[3], attack.y_source.vectors()[5])
+    rho = _stored(attack.storage, attack.x_source.vectors()[3], attack.y_source.vectors()[5])
     assert rho.shape == (1 << 8, 1 << 8)
     check_density_matrix(rho)
 
@@ -289,6 +347,23 @@ def test_output_state_keeps_no_per_pair_matrices():
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
     assert qsim.cq_distance_from_uniform(state, 1) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("k, b", [(3, 3), (6, 1)])
+def test_security_output_state_memory_stays_within_the_chunk_budget(k, b):
+    # whole stacks would be 4^k pairs of 2^(2b+2)-square joint states: 64 MiB at
+    # (3, 3) and 16 MiB at (6, 1), each with three products of that size.  Chunked,
+    # the peak is the output chunk, one joint-state chunk and its three products.
+    xs, ys = random_flat_source(8, k, 5, 1), random_flat_source(8, k, 5, 2)
+    storage = random_storage(b, b, "entangled", seed=5)
+    tracemalloc.start()
+    try:
+        state = qsim.extractor_output_state(ip_extract, xs, ys, storage)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * qsim.STACK_BYTES + (1 << 20)
+    assert qsim.cq_distance_from_uniform(state, 1) <= 0.5
 
 
 def test_tightness_parameter_errors():

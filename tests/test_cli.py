@@ -128,6 +128,10 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
      "len(random_ns) x random_trials must be between 0 and 100000, got 500000"),
     (("attack", "smp", "--ns", "8", "8"),
      "sum of 4^n over ns must be between 0 and 65536, got 131072"),
+    # each flag in range, but about 0.26 s per pair at b = 4: days of work
+    (("verify", "security", "--b", "4", "--k", "6", "--instances", "10000"),
+     "instances x 4^k pairs x 4^(2b+2) must be between 0 and 268435456, "
+     "got 42949672960000"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

@@ -2,6 +2,9 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,6 +276,23 @@ def test_reports_reproducible_excluding_wall_clock():
     c = harness.run_tightness_attack(4, 4, 4, 4, 4, "entangled", seed=11)
     d = harness.run_tightness_attack(4, 4, 4, 4, 4, "entangled", seed=11)
     assert c.to_json(include_wall_clock=False) == d.to_json(include_wall_clock=False)
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # b = 2 conjugates 64-square joint states, large enough for a threaded zgemm
+    script = ("import sys; from qx2src import harness; sys.stdout.write('\\0'.join(["
+              "harness.run_verify('xor', seed=5, trials=120, equality_trials=30)"
+              ".to_json(include_wall_clock=False), "
+              "harness.run_verify('security', seed=5, instances=4, b=2)"
+              ".to_json(include_wall_clock=False)]))")
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(PERFBENCH.parent / "src"))
+        reports.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                      capture_output=True, text=True, timeout=300).stdout)
+    assert reports[0] == reports[1]
+    assert all(json.loads(doc)["passed"] for doc in reports[0].split("\0"))
 
 
 def test_report_pass_flag_consistency():

@@ -1,5 +1,6 @@
 """Exact quantum numerics: distances, measurements, reduction lemmas."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -88,18 +89,23 @@ def test_permute_qubits_vector():
 
 def _trivial_storage():
     """Zero-qubit storage; every stored state is the scalar 1."""
-    one = np.ones((1, 1), dtype=complex)
-    return adversaries.StorageStrategy(0, 0, lambda x, y: one)
+    return adversaries.StorageStrategy(0, 0, lambda xs, ys: np.ones((len(xs), 1, 1)))
 
 
-def _classical_joint_storage(fn, bits):
-    """Stores a joint classical function of both inputs as a basis state.
+def _classical_joint_storage(fn, n, bits):
+    """Stores a joint classical function of both n-bit inputs as a basis state.
 
     Not realizable as a (b1, b2) product storage; exercises the verifier
     on states that perfectly encode the extractor output.
     """
-    return adversaries.StorageStrategy(
-        bits, 0, lambda x, y: qsim.basis_state(1 << bits, fn(x, y)))
+    return adversaries.StorageStrategy(bits, 0, lambda xs, ys: np.array([
+        np.diag(np.eye(1 << bits)[fn(BitVector(n, x), BitVector(n, y))])
+        for x, y in zip(xs.tolist(), ys.tolist())]))
+
+
+def _stored(state_map, x: BitVector, y: BitVector) -> np.ndarray:
+    """The state map on the single pair (x, y), a batch of one."""
+    return state_map(np.array([x.value], dtype=object), np.array([y.value], dtype=object))[0]
 
 
 def test_output_state_constant_extractor():
@@ -126,7 +132,7 @@ def test_output_state_ip_uniform_n2():
 def test_output_state_perfect_classical_encoding():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
-    storage = _classical_joint_storage(lambda a, b: ip_extract(a, b), 1)
+    storage = _classical_joint_storage(ip_extract, 2, 1)
     state = qsim.extractor_output_state(ip_extract, x, y, storage)
     rho0, rho1 = state.rhos
     assert abs(np.trace(rho0 @ rho1)) <= 1e-12  # orthogonal supports
@@ -142,15 +148,18 @@ def test_unknown_exposed_side_rejected():
 
 
 def test_strategy_checks_its_budget_dimension():
-    x, y = BitVector(1, 0), BitVector(1, 1)
-    half = adversaries.StorageStrategy(1, 1, lambda x, y: np.eye(2) / 2)
+    xs, ys = np.array([0, 1]), np.array([1, 1])
+    half = adversaries.StorageStrategy(1, 1, lambda xs, ys: np.array([np.eye(2) / 2] * len(xs)))
     with pytest.raises(DimensionError, match="budget dim 4"):
-        half(x, y)
+        half(xs, ys)
+    one_short = adversaries.StorageStrategy(0, 0, lambda xs, ys: np.ones((len(xs) - 1, 1, 1)))
+    with pytest.raises(DimensionError, match="for 2 pairs"):
+        one_short(xs, ys)
     with pytest.raises(DimensionError):
         qsim.extractor_output_state(ip_extract, FlatSource.uniform(1),
                                     FlatSource.uniform(1), half)
     with pytest.raises(ParameterError, match="nonnegative"):
-        adversaries.StorageStrategy(-1, 0, lambda x, y: np.eye(1))
+        adversaries.StorageStrategy(-1, 0, lambda xs, ys: np.ones((len(xs), 1, 1)))
 
 
 def test_strong_mode_labels():
@@ -176,7 +185,7 @@ def _string_label_oracle(extractor, xs, ys, state_map, exposed):
             out = BitVector(1, out) if isinstance(out, int) else out
             side = {"X": xv, "Y": yv}.get(exposed)
             label = out.to_str() if exposed is None else (out.to_str(), side.to_str())
-            rho = state_map(xv, yv)
+            rho = _stored(state_map, xv, yv)
             if label in acc:
                 acc[label][0] += p_pair
                 acc[label][1] += rho
@@ -213,7 +222,7 @@ def _state_maps(notion, n, seed):
     exposed, whole = NOTIONS[notion]
     if whole:
         superdense = adversaries.superdense_block_storage(sorted({0, n - 1}), 1)
-        return [superdense if exposed == "Y" else lambda x, y: superdense(y, x)]
+        return [superdense if exposed == "Y" else lambda xs, ys: superdense(ys, xs)]
     return [adversaries.random_storage(1, 1, "product", seed),
             adversaries.random_storage(1, 1, "entangled", seed),
             adversaries.classical_block_storage([0], [n - 1], 1, 1)]
@@ -251,6 +260,23 @@ def test_output_state_matches_string_label_oracle_at_64_bits(notion):
         ip_state = qsim.extractor_output_state(ip_extract, xs, ys, state_map, exposed)
         assert abs(qsim.cq_distance_from_uniform(ip_state, 1)
                    - _global_distance_oracle(ip_state, 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_output_state_is_the_same_in_any_chunking(notion, monkeypatch):
+    # chunks of 1 and 3 pairs against the default, where all 32 pairs fit one
+    exposed = NOTIONS[notion][0]
+    xs, ys = FlatSource.uniform(3), random_flat_source(3, 2, 7, 2)
+    extractor = lambda x, y: multibit_extract(x, y, 2)  # noqa: E731
+    for state_map in _state_maps(notion, 3, seed=9):
+        whole = qsim.extractor_output_state(extractor, xs, ys, state_map, exposed)
+        for pairs in (1, 3):
+            monkeypatch.setattr(qsim, "STACK_BYTES", pairs * whole.rhos[0].nbytes)
+            chunked = qsim.extractor_output_state(extractor, xs, ys, state_map, exposed)
+            monkeypatch.undo()
+            for field in ("labels", "sides", "probs", "rhos"):
+                a, b = getattr(whole, field), getattr(chunked, field)
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), field
 
 
 # --------------------------------------------------------------------------
@@ -397,6 +423,76 @@ def test_reduction_and_characters_match_per_label_loops(m, qubits, stream, data)
         merged = qsim.boolean_reduce(s, np.array(table))
         char_sum += qsim.cq_distance_from_uniform(merged, 1) ** 2
     assert qsim.xor_lemma_check(s).character_sum == char_sum
+
+
+def _character_sum_loop(s):
+    """The xor lemma's character sum mask by mask, through boolean_reduce
+    and cq_distance_from_uniform."""
+    every_label = np.arange(1 << s.width)
+    char_sum = 0.0
+    for mask in range(1, 1 << s.width):
+        reduced = qsim.boolean_reduce(s, qsim.character(every_label, mask))
+        char_sum += qsim.cq_distance_from_uniform(reduced, 1) ** 2
+    return char_sum
+
+
+def _with_labels(s, keep):
+    """s restricted to the labels in keep, renormalized."""
+    keep = np.asarray(sorted(keep))
+    probs = s.probs[keep]
+    return qsim.CqState(s.labels[keep], probs / np.add.accumulate(probs)[-1],
+                        s.rhos[keep], s.width)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 4), qubits=st.integers(0, 3),
+       stream=st.integers(0, 2 ** 16), data=st.data())
+def test_batched_characters_match_the_per_mask_loop(m, qubits, stream, data):
+    # labels left out make characters one-sided: every label of a character
+    # on one side, the other side absent from the reduced state
+    s = qsim.random_cq_state(m, qubits, seed=2718, stream=stream)
+    keep = data.draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1))
+    if len(keep) < 1 << m:
+        s = _with_labels(s, keep)
+    res = qsim.xor_lemma_check(s)
+    char_sum = _character_sum_loop(s)
+    lhs = qsim.cq_distance_from_uniform(s, m)
+    assert res.character_sum == char_sum
+    assert res.lhs_squared == lhs * lhs
+    assert res.rhs_bound == (1 << min(qubits, m)) * char_sum
+
+
+def test_one_sided_characters():
+    # one label: every character is one-sided, its reduced state one entry of
+    # probability 1 at distance 1/2 (half the block plus half the missing side)
+    s = qsim.random_cq_state(3, 2, seed=8, stream=1)
+    single = _with_labels(s, [5])
+    char_sum = qsim.xor_lemma_check(single).character_sum
+    assert char_sum == _character_sum_loop(single) == pytest.approx(7 * 0.25, abs=1e-12)
+    # labels 0 and 3 of two bits: mask 3 sees parity 0 on both, masks 1 and 2 both sides
+    pair = _with_labels(qsim.random_cq_state(2, 1, seed=8, stream=2), [0, 3])
+    assert qsim.xor_lemma_check(pair).character_sum == _character_sum_loop(pair)
+
+
+def test_xor_lemma_checks_each_character_probability_sum():
+    # the check boolean_reduce's CqState makes, on a state built around __post_init__
+    s = qsim.random_cq_state(2, 1, seed=4)
+    broken = object.__new__(qsim.CqState)
+    for name, value in (("labels", s.labels), ("probs", 0.9 * s.probs), ("rhos", s.rhos),
+                        ("width", 2), ("sides", None)):
+        object.__setattr__(broken, name, value)
+    with pytest.raises(ValidationError, match="probabilities sum to 0.8999"):
+        qsim.xor_lemma_check(broken)
+
+
+def test_random_cq_state_is_the_per_label_density_draw():
+    for m, qubits in itertools.product(range(1, 4), range(4)):
+        s = qsim.random_cq_state(m, qubits, seed=61, stream=4 * m + qubits)
+        rng = derive_rng(61, 0xC05, 4 * m + qubits)
+        probs = rng.dirichlet(np.ones(1 << m))
+        rhos = [qsim.random_density(1 << qubits, rng) for _ in range(1 << m)]
+        assert s.probs.tobytes() == probs.tobytes()
+        assert s.rhos.tobytes() == np.array(rhos).tobytes()
 
 
 def test_pgm_reduction_matches_per_entry_loop():
