@@ -291,8 +291,10 @@ class SeededExtractorSpec:
         if self.kind == "trevisan" and self.m > self.t * self.t + self.n:
             raise ParameterError("cannot output more than d + n bits")
         if self.kind == "trevisan":
-            if self.t < 2 or self.t % 2:
-                raise ParameterError("trevisan needs even t = 2w >= 2")
+            if self.t < 4 or self.t % 2:
+                # t = 2 fits no composition: GF(2^1) holds at most n = 2 input
+                # bits, and compose_two_source needs d = t^2 = 4 <= n
+                raise ParameterError("trevisan needs even t = 2w >= 4")
             if self.t & (self.t - 1):
                 raise ParameterError("trevisan t must be a power of two")
             w = self.t // 2

@@ -21,11 +21,18 @@ One carry-less product, :func:`poly_mul`, serves all polynomial work:
 the irreducible-modulus search (Ben-Or's test, gcds over windows of
 16 Frobenius steps) and the Toeplitz hash.  Sparse operands take a
 shift-xor loop over set bits, dense ones a byte-windowed table walk.
+
+The search for a degree-n modulus first sieves its candidate tails in
+numpy, blocks of 2^14 at a time: every irreducible p of degree
+2..min(16, n // 2) marks the tails t with p | x^n + t, a coset of p's
+multiples.  Only unmarked tails reach Ben-Or's test, which then skips
+the products for the degrees the sieve already covered.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
@@ -205,21 +212,20 @@ def poly_mul(a: int, b: int) -> int:
     return acc
 
 
+def _square_lanes(r: np.ndarray) -> np.ndarray:
+    """r*r over GF(2) for r below 2^16 in uint64 lanes: bit j moves to bit 2j."""
+    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
+        r = (r | (r << shift)) & mask
+    return r
+
+
 # zero-interleave table: squaring a GF(2) polynomial spreads its bits
-_SPREAD_BYTES = []
-for _b in range(256):
-    _s = 0
-    for _j in range(8):
-        if (_b >> _j) & 1:
-            _s |= 1 << (2 * _j)
-    _SPREAD_BYTES.append(_s.to_bytes(2, "little"))
+_SPREAD = _square_lanes(np.arange(256, dtype=np.uint64)).astype("<u2")
 
 
 def poly_square(p: int) -> int:
-    if p == 0:
-        return 0
-    raw = p.to_bytes((p.bit_length() + 7) // 8, "little")
-    return int.from_bytes(b"".join(_SPREAD_BYTES[byte] for byte in raw), "little")
+    raw = np.frombuffer(p.to_bytes((p.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return int.from_bytes(_SPREAD[raw].tobytes(), "little")
 
 
 def _make_reducer(modulus: int):
@@ -240,40 +246,14 @@ def _make_reducer(modulus: int):
     return reduce
 
 
-@functools.lru_cache(maxsize=None)
-def _small_irreducibles(max_deg: int) -> tuple:
-    """All irreducible polynomials of degree 2..max_deg, by sieve.
-
-    Walking up from x, a polynomial that no smaller one has marked is
-    irreducible.  Every composite of degree <= max_deg has a factor of
-    degree <= max_deg / 2, so only those factors mark their multiples:
-    the span of their shifts, enumerated in Gray-code order.
-    """
-    size = 1 << (max_deg + 1)
-    composite = bytearray(size)
-    out = []
-    for f in range(2, size):
-        if composite[f]:
-            continue
-        d = f.bit_length() - 1
-        if d >= 2:
-            out.append(f)
-        if 2 * d > max_deg:
-            continue
-        shifts = [f << k for k in range(max_deg + 1 - d)]
-        multiple = 0
-        for i in range(1, 1 << len(shifts)):
-            multiple ^= shifts[(i & -i).bit_length() - 1]
-            composite[multiple] = 1
-    return tuple(out)
-
-
-def is_irreducible(f: int) -> bool:
+def is_irreducible(f: int, sieved: int = 0) -> bool:
     """Deterministic irreducibility test for a monic polynomial over GF(2).
 
     Checks that f has no irreducible factor of degree at most deg(f)/2
     by walking the Frobenius chain x^(2^d) mod f and taking gcds of
-    windowed products of x^(2^d) - x with f.
+    windowed products of x^(2^d) - x with f (Ben-Or's test).  A caller
+    that has ruled out every factor of degree <= sieved passes it: the
+    chain still starts at d = 1, the products and windows at sieved + 1.
     """
     n = f.bit_length() - 1
     if n <= 0:
@@ -284,6 +264,8 @@ def is_irreducible(f: int) -> bool:
         return False
     if f.bit_count() % 2 == 0:  # f(1) = 0, divisible by x + 1
         return False
+    if sieved >= n // 2:
+        return True
     reduce = _make_reducer(f)
     s = 2  # the polynomial x
     prod = 1
@@ -291,6 +273,8 @@ def is_irreducible(f: int) -> bool:
     window = 16
     for d in range(1, n // 2 + 1):
         s = reduce(poly_square(s))
+        if d <= sieved:
+            continue
         prod = reduce(poly_mul(prod, s ^ 2))
         pending += 1
         if pending == window or d == n // 2:
@@ -300,10 +284,89 @@ def is_irreducible(f: int) -> bool:
     return True
 
 
+# The live search sieves candidate tails by every irreducible polynomial of
+# degree 2.._SIEVE_DEG, 2^_SIEVE_BLOCK_BITS consecutive tails at a time.
+# At degree 16 the sieve's arrays stay under 1 MB.  Degree 20 (111k
+# irreducibles) took ~13% off the searches but peaked at ~7 MB.
+_SIEVE_DEG = 16
+_SIEVE_BLOCK_BITS = 14
+
+
+def _clmul_lanes(a, b, bits: int):
+    """Carry-less products a*b over numpy lanes, for b below 2^bits."""
+    acc = 0
+    for j in range(bits):
+        acc = acc ^ (a << j) * ((b >> j) & 1)
+    return acc
+
+
+def _mod_lanes(v: np.ndarray, p: np.ndarray, d: int, top: int) -> np.ndarray:
+    """v mod p over uint64 lanes, where each p has degree d and each v degree <= top."""
+    for j in range(top, d - 1, -1):
+        v = v ^ (p << (j - d)) * ((v >> j) & 1)
+    return v
+
+
+@functools.lru_cache(maxsize=None)
+def _small_irreducibles(max_deg: int) -> dict:
+    """The irreducible polynomials of degree 2..max_deg, by a numpy sieve.
+
+    Maps each degree d to a uint64 array of those of degree d.  The sieve
+    starts from the polynomials with a constant term and odd weight, so
+    with no factor x or x + 1.  Walking up from x^2 + x + 1, one that no
+    smaller one has marked is irreducible.  Every composite of degree
+    <= max_deg has a factor q of degree <= max_deg / 2, so only those mark
+    their multiples q*h, each h also free of x and x + 1.
+    """
+    odd_weight = np.zeros(1, dtype=bool)
+    for _ in range(max_deg + 1):
+        odd_weight = np.concatenate([odd_weight, ~odd_weight])
+    odd_weight[::2] = False
+    prime = odd_weight.copy()
+    for q in range(7, 2 << max_deg // 2, 2):
+        if prime[q]:
+            bits = q.bit_length()
+            h = np.flatnonzero(odd_weight[2:2 << (max_deg + 1 - bits)]) + 2
+            prime[_clmul_lanes(h, q, bits)] = False
+    return {d: np.flatnonzero(prime[1 << d:2 << d]).astype(np.uint64) + (1 << d)
+            for d in range(2, max_deg + 1)}
+
+
+def _sieve_blocks(n: int, max_deg: int):
+    """Yield (start, marked) for the blocks of 2^_SIEVE_BLOCK_BITS tails from 0 up.
+
+    marked[u] is True when x^n + (start + u) has an irreducible factor p of
+    degree 2..max_deg below n, that is when start + u = x^n mod p.  Each
+    p's residue x^n mod p comes once, by square-and-multiply in uint64
+    lanes.  In a block, with r = (x^n + start) mod p, the marked tails
+    are start + (r + p*h): every h when deg p < _SIEVE_BLOCK_BITS, and h = 0
+    alone, if r fits the block, otherwise.
+    """
+    size = 1 << _SIEVE_BLOCK_BITS
+    groups = []
+    for d, polys in _small_irreducibles(max_deg).items():
+        if d >= n:
+            break
+        r = np.ones_like(polys)
+        for bit in bin(n)[2:]:
+            r = _square_lanes(r) << int(bit)
+            r = _mod_lanes(r, polys, d, 2 * d - 1)
+        span = max(_SIEVE_BLOCK_BITS - d, 0)
+        multiples = _clmul_lanes(polys[:, None], np.arange(1 << span, dtype=np.uint64), span)
+        groups.append((d, polys, r, multiples))
+    for start in itertools.count(0, size):
+        marked = np.zeros(size, dtype=bool)
+        for d, polys, r, multiples in groups:
+            r = _mod_lanes(r ^ start, polys, d, start.bit_length() - 1)
+            marks = (r[:, None] ^ multiples).ravel()
+            marked[marks[marks < size]] = True
+        yield start, marked
+
+
 # Memoized outputs of find_irreducible for large degrees where the scan
 # is slow; each entry is the tail (modulus minus the leading x^n term)
 # and was produced by this module's own search.  Verified by tests at
-# 1024/2048 and, behind QX2SRC_SLOW_TESTS=1, at 4096.
+# 1024, 2048 and 4096.
 _KNOWN_TAILS = {1024: 0x2CD, 2048: 0xBC7, 4096: 0xA93}
 
 
@@ -332,34 +395,24 @@ def _search_irreducible(n: int) -> int:
     """The live scan behind find_irreducible, for degree n >= 2.
 
     Bypasses the memo table and the cache, so tests can re-derive the
-    frozen tails.
+    frozen tails.  Tails go up from 0 in blocks of 2^_SIEVE_BLOCK_BITS.
+    The sieve (_sieve_blocks) marks those where x^n + tail has an
+    irreducible factor of degree <= min(_SIEVE_DEG, n // 2).  The cap at
+    n // 2 suffices, as in Ben-Or's test, and keeps small fields such as
+    GF(2^16) and GF(32) cheap.  The unmarked tails that are odd and of
+    even weight (so no factor x or x + 1) go to Ben-Or's test in
+    increasing order, which skips the products the sieve made needless.
+    The answer's tail is below 2^n, so every tail tested before it is too.
     """
-    # Trial divisors: precompute x^n mod p once per small irreducible p,
-    # so each candidate x^n + tail only costs a tiny reduction of tail.
-    trial = []
-    for p in _small_irreducibles(13):
-        dp = p.bit_length() - 1
-        if dp >= n:
-            continue
-        red_p = _make_reducer(p)
-        r, base, e = 1, 2, n
-        while e:
-            if e & 1:
-                r = red_p(poly_mul(r, base))
-            base = red_p(poly_mul(base, base))
-            e >>= 1
-        trial.append((p, r))
-
-    tail = 1
-    while True:
-        tail += 2
-        f = (1 << n) | tail
-        if f.bit_count() % 2 == 0:
-            continue
-        if any(poly_mod(tail, p) == r for p, r in trial):
-            continue
-        if is_irreducible(f):
-            return f
+    sieved = min(_SIEVE_DEG, n // 2)
+    u = np.arange(1 << _SIEVE_BLOCK_BITS, dtype=np.uint64)
+    odd, parity = (u & 1) == 1, np.bitwise_count(u) & 1
+    for start, marked in _sieve_blocks(n, sieved):
+        survivors = np.flatnonzero(~marked & odd & (parity == start.bit_count() % 2))
+        for tail in (survivors + start).tolist():
+            f = (1 << n) | tail
+            if is_irreducible(f, sieved=sieved):
+                return f
 
 
 # --------------------------------------------------------------------------

@@ -50,6 +50,8 @@ BAD_CONFIGS = [
     (("extract", "--x", "X", "--y", "X", "--n", "16"), {"which": "Y"}, "which: used only"),
     (("extract", "--x", "X", "--y", "X", "--n", "16", "--extractor", "ip"),
      {"which": "X", "seeded": {"kind": "toeplitz"}}, "which, seeded: used only"),
+    (("extract", "--x", "X", "--y", "X", "--n", "8", "--extractor", "composed"),
+     {"seeded": {"kind": "trevisan", "t": 2}}, "trevisan needs even t = 2w >= 4"),
 ]
 
 

@@ -270,15 +270,6 @@ def test_trevisan_single_bit_is_code_lookup():
         _assert_trevisan_bits_are_code_lookups(spec, x, seed)
 
 
-def test_trevisan_multibit_is_code_lookup_t2_exhaustive():
-    # w = 1: the Reed-Solomon alphabet is GF(2), so n <= 2
-    spec = SeededExtractorSpec(kind="trevisan", n=2, m=4, t=2)
-    for xv in range(1 << spec.n):
-        for sv in range(1 << spec.d):
-            _assert_trevisan_bits_are_code_lookups(
-                spec, BitVector(spec.n, xv), BitVector(spec.d, sv))
-
-
 def test_trevisan_multibit_is_code_lookup_t8():
     spec = SeededExtractorSpec(kind="trevisan", n=12, m=20, t=8)
     rng = derive_rng(9, 5)
@@ -318,14 +309,11 @@ def _trevisan_oracle(x, seed, spec):
     return out
 
 
-def test_trevisan_matches_oracle_t2_exhaustive():
+def test_trevisan_spec_rejects_t2():
+    # the sizes t = 2 allows (n <= 2) are below the d = t^2 = 4 <= n composition needs
     for n in (1, 2):
-        spec = SeededExtractorSpec(kind="trevisan", n=n, m=4, t=2)
-        for xv in range(1 << n):
-            for sv in range(1 << spec.d):
-                x, seed = BitVector(n, xv), BitVector(spec.d, sv)
-                assert trevisan_extract(x, seed, spec).value == \
-                    _trevisan_oracle(x, seed, spec)
+        with pytest.raises(ParameterError, match=r"t = 2w >= 4"):
+            SeededExtractorSpec(kind="trevisan", n=n, m=4, t=2)
 
 
 def test_trevisan_matches_oracle_t4_exhaustive():
@@ -386,9 +374,9 @@ def test_trevisan_deterministic():
 def test_trevisan_spec_validation():
     with pytest.raises(ParameterError):
         SeededExtractorSpec(kind="trevisan", n=8, m=1, t=3)
-    with pytest.raises(ParameterError):
-        # 2^1 field cannot hold a 4-symbol message
-        SeededExtractorSpec(kind="trevisan", n=4, m=1, t=2)
+    with pytest.raises(ParameterError, match="does not fit"):
+        # 2^2 field cannot hold a 5-symbol message
+        SeededExtractorSpec(kind="trevisan", n=10, m=1, t=4)
 
 
 # --------------------------------------------------------------------------

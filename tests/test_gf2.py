@@ -1,5 +1,7 @@
 """Bit-level linear algebra and the multiplier matrix family."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,9 +327,86 @@ def test_memoized_tails_match_live_search():
         assert gf2._search_irreducible(n) == (1 << n) | gf2._KNOWN_TAILS[n]
 
 
-@pytest.mark.skipif("not __import__('os').environ.get('QX2SRC_SLOW_TESTS')")
 def test_memoized_tail_4096_matches_live_search():
     assert gf2._search_irreducible(4096) == (1 << 4096) | gf2._KNOWN_TAILS[4096]
+
+
+@functools.cache
+def _oracle_irreducibles(max_deg):
+    """Irreducibles of degree 2..max_deg, in increasing order.
+
+    Walking up from x, a polynomial that no smaller irreducible has marked
+    is irreducible.  Those of degree <= max_deg / 2 mark their products
+    with every polynomial of degree >= 1.
+    """
+    composite = bytearray(2 << max_deg)
+    for a in range(2, 2 << max_deg // 2):
+        if not composite[a]:
+            for b in range(2, 2 << (max_deg - (a.bit_length() - 1))):
+                composite[_oracle_mul(a, b)] = 1
+    return [a for a in range(4, 2 << max_deg) if not composite[a]]
+
+
+def _oracle_x_power(n, p):
+    """x^n mod p by square-and-multiply with the oracles."""
+    r = 1
+    for bit in bin(n)[2:]:
+        r = _oracle_mod(_oracle_mul(r, r) << int(bit), p)
+    return r
+
+
+def test_small_irreducibles_match_oracle():
+    listed = [int(p) for polys in gf2._small_irreducibles(16).values() for p in polys]
+    assert listed == _oracle_irreducibles(16)
+    assert len(listed) == 8798
+
+
+@pytest.mark.parametrize("n", [5, 16, 17, 33, 40, 768])
+def test_sieve_marks_exactly_the_tails_a_small_irreducible_divides(n):
+    # trial division, done the other way round: the tails t in the first two
+    # blocks with p | x^n + t are x^n mod p plus each multiple of p there.
+    # p of degree >= n marks nothing: x^n + t may be p itself.
+    bits = gf2._SIEVE_BLOCK_BITS + 1
+    want = np.zeros(1 << bits, dtype=bool)
+    for p in _oracle_irreducibles(16):
+        dp = p.bit_length() - 1
+        if dp >= n:
+            continue
+        r = _oracle_x_power(n, p)
+        for h in range(1 << max(bits - dp, 0)):
+            t = r ^ _oracle_mul(h, p)
+            if t >> bits == 0:
+                want[t] = True
+    blocks = gf2._sieve_blocks(n, 16)
+    got = np.concatenate([next(blocks)[1], next(blocks)[1]])
+    assert np.array_equal(got, want)
+    if n == 5:
+        assert not got[0b00101]  # x^5 + x^2 + 1 is irreducible, of degree 5
+
+
+def _oracle_search(n):
+    """The first odd-weight x^n + tail, tails going up, that passes Rabin's test."""
+    for tail in range(1 << n):
+        f = (1 << n) | tail
+        if f.bit_count() % 2 and _rabin_irreducible(f):
+            return f
+
+
+def test_search_matches_oracle_search():
+    for n in range(2, 65):
+        assert gf2._search_irreducible(n) == _oracle_search(n), n
+
+
+def test_sieved_ben_or_agrees_with_full_test():
+    n = 200
+    _, marked = next(gf2._sieve_blocks(n, 16))
+    survivors = [t for t in np.flatnonzero(~marked).tolist()
+                 if t & 1 and t.bit_count() % 2 == 0][:50]
+    assert len(survivors) == 50
+    answer = gf2._search_irreducible(n)
+    for f in [(1 << n) | t for t in survivors] + [answer]:
+        assert gf2.is_irreducible(f, sieved=16) == gf2.is_irreducible(f)
+    assert gf2.is_irreducible(answer, sieved=16)
 
 
 # --------------------------------------------------------------------------
