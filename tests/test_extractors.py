@@ -270,6 +270,13 @@ def test_trevisan_single_bit_is_code_lookup():
         _assert_trevisan_bits_are_code_lookups(spec, x, seed)
 
 
+def test_trevisan_multibit_is_code_lookup_t2_exhaustive():
+    # w = 1 (a GF(2) alphabet, n <= 2) fits no composition, so the spec is
+    # rejected; the t = 8 test below keeps the multi-bit code-lookup check
+    with pytest.raises(ParameterError, match=r"t = 2w >= 4"):
+        SeededExtractorSpec(kind="trevisan", n=2, m=4, t=2)
+
+
 def test_trevisan_multibit_is_code_lookup_t8():
     spec = SeededExtractorSpec(kind="trevisan", n=12, m=20, t=8)
     rng = derive_rng(9, 5)
@@ -309,8 +316,9 @@ def _trevisan_oracle(x, seed, spec):
     return out
 
 
-def test_trevisan_spec_rejects_t2():
-    # the sizes t = 2 allows (n <= 2) are below the d = t^2 = 4 <= n composition needs
+def test_trevisan_matches_oracle_t2_exhaustive():
+    # t = 2 is rejected: the sizes it allows (n <= 2) are below the
+    # d = t^2 = 4 <= n composition needs, so no t = 2 output exists to compare
     for n in (1, 2):
         with pytest.raises(ParameterError, match=r"t = 2w >= 4"):
             SeededExtractorSpec(kind="trevisan", n=n, m=4, t=2)
