@@ -4,8 +4,11 @@ A storage strategy is a state map: called on int arrays (xs, ys) of
 source values it returns the stack of joint stored states on b1 + b2
 qubits, one per pair (xs[i], ys[i]), Alice's qubits first, checked
 against the budgets.  In the superdense strategy Bob keeps his
-whole state, so b2 counts all of his qubits.  Every attack measures the
-strategy itself, so every measured state has its dimension checked.
+whole state, so b2 counts all of his qubits.  The block strategies of
+the tightness attacks are basis strategies: each pair's state is one
+vector of a fixed orthonormal basis of the budget space, named by a
+basis index, so an attack measures the strategy by exact counts over
+those indices and builds no state.
 Strategies here cover seeded random adversaries (product and
 entangled), classical blocks, the exact Bell-pair protocol that
 computes the inner product in the simultaneous message passing model,
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import qsim
 from .errors import DimensionError, ParameterError, SearchExhaustedError
-from .extractors import FlatSource, ip_extract
+from .extractors import FlatSource
 from .gf2 import BitVector
 from .rng import derive_rng
 
@@ -36,12 +39,14 @@ _EPR = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 _BELL_BASIS = {c: np.kron(qsim.PAULIS[c], np.eye(2)) @ _EPR for c in qsim.PAULIS}
 
 
+@functools.cache
 def bell_outcome(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[Tuple[int, int], float]:
     """Bell measurement after Alice applies sigma_a and Bob sigma_b.
 
     Returns the most likely outcome and its probability; the encoding
     leaves the pair in an exact Bell state, so the probability is 1 up
-    to roundoff and the outcome equals a xor b.
+    to roundoff and the outcome equals a xor b.  Each of the 16 Pauli
+    pairs is simulated once and its result kept.
     """
     state = np.kron(qsim.PAULIS[a], qsim.PAULIS[b]) @ _EPR
     best, best_p = None, -1.0
@@ -114,11 +119,15 @@ class StorageStrategy:
     Calling the strategy on int arrays (xs, ys) of source values returns
     stored(xs, ys), checked to be a (P, 2^(b1+b2), 2^(b1+b2)) stack, one
     state per pair, Alice's qubits first.  A single pair is a batch of one.
+    A basis strategy also has index(xs, ys), the int64 rows of the
+    orthonormal table basis() whose pure states stored returns.
     """
 
     b1: int
     b2: int
     stored: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    index: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    basis: Optional[Callable[[], np.ndarray]] = None
 
     def __post_init__(self):
         if self.b1 < 0 or self.b2 < 0:
@@ -196,25 +205,47 @@ def random_storage(b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
     raise ParameterError(f"unknown flavor {flavor!r}")
 
 
-def _block_bits(v: int, positions: Sequence[int]) -> List[int]:
-    """v's bits at positions, padded with one zero to an even count."""
-    bits = [v >> p & 1 for p in positions]
-    return bits + [0] * (len(bits) % 2)
+def _basis_strategy(b1: int, b2: int, basis: Callable[[], np.ndarray],
+                    index: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> StorageStrategy:
+    """The strategy storing row index(xs, ys) of the orthonormal table
+    basis(), which is built on first use and kept read-only."""
+    @functools.cache
+    def table():
+        rows = basis()
+        rows.flags.writeable = False
+        return rows
+
+    def stored(xs, ys):
+        rows = table()[index(xs, ys)]
+        return rows[:, :, None] * rows.conj()[:, None, :]
+
+    return StorageStrategy(b1, b2, stored, index, table)
 
 
-def _basis_vec(qubits: int, index: int) -> np.ndarray:
-    vec = np.zeros(1 << qubits, dtype=complex)
-    vec[index] = 1.0
-    return vec
+def _block_code(vs: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Bit positions[j] of each v as bit j of an int64 code; vs may hold
+    Python ints of any length."""
+    code = np.zeros(len(vs), dtype=np.int64)
+    for j, p in enumerate(positions):
+        code |= (vs >> p & 1).astype(np.int64) << j
+    return code
 
 
-def _bell_pairs(bits: Sequence[int]) -> np.ndarray:
-    """One Bell pair per two bits, Pauli-coded by them, Alice's halves first."""
-    vec = np.array([1.0 + 0j])
-    for c in zip(bits[::2], bits[1::2]):
-        vec = np.kron(vec, _BELL_BASIS[c])
-    p = len(bits) // 2
-    return qsim.permute_qubits_vector(vec, [*range(0, 2 * p, 2), *range(1, 2 * p, 2)])
+def _pair_code(vs: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """The block bits of each v, padded with one zero to an even count, as
+    a code with the first bit most significant: the row of _bell_table
+    holding the pairs they Pauli-code."""
+    return _block_code(vs, positions[::-1]) << len(positions) % 2
+
+
+def _bell_table(pairs: int) -> np.ndarray:
+    """Row c: one Bell pair per two bits of c, Pauli-coded by them with the
+    first pair the most significant, Alice's halves first."""
+    table = np.ones((1, 1), dtype=complex)
+    for _ in range(pairs):
+        table = np.kron(table, np.array(list(_BELL_BASIS.values())))
+    return qsim.permute_qubits_vector(
+        table, [*range(0, 2 * pairs, 2), *range(1, 2 * pairs, 2)])
 
 
 def classical_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
@@ -227,24 +258,9 @@ def classical_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
     """
     if len(x_bits) > b1 or len(y_bits) > b2:
         raise ParameterError("block does not fit the declared budget")
-
-    def index(vs, positions):
-        return sum((vs >> p & 1) << j for j, p in enumerate(positions))
-
-    def stored(xs, ys):
-        dim = 1 << (b1 + b2)
-        diag = np.asarray(index(xs, x_bits) << b2 | index(ys, y_bits), dtype=np.intp)
-        rhos = np.zeros((len(xs), dim, dim), dtype=complex)
-        rhos[np.arange(len(xs)), diag, diag] = 1.0
-        return rhos
-
-    return StorageStrategy(b1, b2, stored)
-
-
-def _outer_stack(vecs: Sequence[np.ndarray]) -> np.ndarray:
-    """The pure states |v><v| of a sequence of state vectors, as a stack."""
-    vecs = np.array(vecs)
-    return vecs[:, :, None] * vecs.conj()[:, None, :]
+    return _basis_strategy(
+        b1, b2, lambda: np.eye(1 << (b1 + b2), dtype=complex),
+        lambda xs, ys: _block_code(xs, x_bits) << b2 | _block_code(ys, y_bits))
 
 
 def smp_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
@@ -253,7 +269,8 @@ def smp_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
 
     Alice keeps her Pauli-encoded EPR halves plus her block weight mod 4
     in two qubits; Bob symmetrically.  Qubit order inside each party:
-    pair halves, weight dits, zero padding.
+    pair halves, weight dits, zero padding.  The basis index is the xor
+    of the two blocks' pair codes, then Alice's weight, then Bob's.
     """
     if len(x_bits) != len(y_bits):
         raise ParameterError("blocks must have equal length")
@@ -267,15 +284,15 @@ def smp_block_storage(x_bits: Sequence[int], y_bits: Sequence[int],
     order = [*range(pairs), *range(2 * pairs, pairs + b1),
              *range(pairs, 2 * pairs), *range(pairs + b1, b1 + b2)]
 
-    def state(x, y):
-        xa, yb = _block_bits(x, x_bits), _block_bits(y, y_bits)
-        dits = np.kron(_basis_vec(2 + pad_a, sum(xa) % 4 << pad_a),
-                       _basis_vec(2 + pad_b, sum(yb) % 4 << pad_b))
-        pairs_vec = _bell_pairs([a ^ b for a, b in zip(xa, yb)])
-        return qsim.permute_qubits_vector(np.kron(pairs_vec, dits), order)
+    def basis():
+        dits = np.kron(np.eye(4 << pad_a)[::1 << pad_a], np.eye(4 << pad_b)[::1 << pad_b])
+        return qsim.permute_qubits_vector(np.kron(_bell_table(pairs), dits), order)
 
-    return StorageStrategy(b1, b2, lambda xs, ys: _outer_stack(
-        [state(x, y) for x, y in zip(xs.tolist(), ys.tolist())]))
+    def index(xs, ys):
+        cx, cy = _pair_code(xs, x_bits), _pair_code(ys, y_bits)
+        return (cx ^ cy) << 4 | np.bitwise_count(cx) % 4 << 2 | np.bitwise_count(cy) % 4
+
+    return _basis_strategy(b1, b2, basis, index)
 
 
 def superdense_block_storage(x_bits: Sequence[int], b1: int) -> StorageStrategy:
@@ -285,7 +302,7 @@ def superdense_block_storage(x_bits: Sequence[int], b1: int) -> StorageStrategy:
     qubit) and zero padding.  Bob's state is the other halves, one qubit
     per pair, so the strategy's b2 is the pair count.  Together they let
     the referee decode the block exactly when Y is exposed.  The state
-    depends on x alone and is built once per value.
+    depends on x alone; its basis index is the block's pair code.
     """
     pairs = (len(x_bits) + 1) // 2
     if pairs > b1:
@@ -293,16 +310,11 @@ def superdense_block_storage(x_bits: Sequence[int], b1: int) -> StorageStrategy:
     pad_a = b1 - pairs
     # [A halves, B halves, A pad] -> Alice's budget qubits, then Bob's halves
     order = [*range(pairs), *range(2 * pairs, 2 * pairs + pad_a), *range(pairs, 2 * pairs)]
-
-    @functools.cache
-    def state(x):
-        vec = _bell_pairs(_block_bits(x, x_bits))
-        if pad_a:
-            vec = qsim.permute_qubits_vector(np.kron(vec, _basis_vec(pad_a, 0)), order)
-        return vec
-
-    return StorageStrategy(b1, pairs, lambda xs, ys: _outer_stack(
-        [state(x) for x in xs.tolist()]))
+    return _basis_strategy(
+        b1, pairs,
+        lambda: qsim.permute_qubits_vector(
+            np.kron(_bell_table(pairs), np.eye(1 << pad_a)[:1]), order),
+        lambda xs, ys: _pair_code(xs, x_bits))
 
 
 # --------------------------------------------------------------------------
@@ -525,10 +537,34 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
 
 
 def measure_attack_advantage(attack: TightnessAttack) -> float:
-    """Exact distance from uniform of the inner-product bit given the storage."""
-    state = qsim.extractor_output_state(ip_extract, attack.x_source, attack.y_source,
-                                        attack.storage, attack.exposed)
-    return qsim.cq_distance_from_uniform(state, 1)
+    """Exact distance from uniform of the inner-product bit given the storage.
+
+    The strategy stores one vector of an orthonormal basis per pair, so
+    every block of the cq-state is diagonal in that basis, and the trace
+    distance is a total-variation distance over (side, basis index).
+    With c0 and c1 the pairs of each group whose inner product is 0 and
+    1, it is sum |c0 - c1| / (2 |X| |Y|), integers up to one division.
+    The exposed side is keyed by its position in its source's support.
+    """
+    storage = attack.storage
+    xs = qsim._int_array(attack.x_source.support)
+    ys = qsim._int_array(attack.y_source.support)
+    xv, yv = np.repeat(xs, len(ys)), np.tile(ys, len(xs))      # the pairs, x-major
+    odd = qsim.character(xv, yv) == 1
+    key = storage.index(xv, yv)
+    del xv, yv                  # before np.unique makes its copies of key
+    dim = 1 << (storage.b1 + storage.b2)
+    if int(key.min()) < 0 or int(key.max()) >= dim:
+        raise DimensionError(f"basis index beyond the budget dim {dim}")
+    if attack.exposed == "X":
+        key += np.repeat(np.arange(len(xs)) * dim, len(ys))
+    elif attack.exposed == "Y":
+        key += np.tile(np.arange(len(ys)) * dim, len(xs))
+    _, group = np.unique(key, return_inverse=True)
+    del key
+    pairs = np.bincount(group)
+    ones = np.bincount(group[odd], minlength=len(pairs))
+    return int(np.abs(pairs - 2 * ones).sum()) / (2 * len(xs) * len(ys))
 
 
 # --------------------------------------------------------------------------
@@ -581,12 +617,12 @@ def guessing_entropy_counterexample(n: int) -> CounterexampleReport:
     h_single = n - math.log2(classes)
 
     # H_g(X <- combined storage): the transcript (a, w1, b, w2) pins c = a xor b
-    # and leaves X uniform on {x : |x| = w1, |x xor c| = w2 (mod 4)}
-    total_classes = 0
-    for c in range(size):
-        pairs = set((int(pop[v]) % 4, int(pop[v ^ c]) % 4) for v in range(size))
-        total_classes += len(pairs)
-    p_combined = total_classes / size / size
+    # and leaves X uniform on {x : |x| = w1, |x xor c| = w2 (mod 4)}: count the
+    # (c, w1, w2) that occur
+    w = pop % 4
+    seen = np.zeros((size, 16), dtype=bool)
+    seen[vals[:, None], w[None, :] * 4 + w[vals[:, None] ^ vals[None, :]]] = True
+    p_combined = int(np.count_nonzero(seen)) / size / size
     h_combined = -math.log2(p_combined)
 
     return CounterexampleReport(n=n,

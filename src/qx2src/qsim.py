@@ -11,9 +11,12 @@ coordinate j, as in BitVector), their probabilities (K,) and quantum
 states (K, d, d), plus the exposed source value of each entry when one
 source is exposed with the output.  Labels and source values are int64,
 or Python ints once one needs 64 bits, so an exposed source may have any
-length.  extractor_output_state builds one from any state map, arrays of
-source values (xs, ys) -> the stack of stored states of the pairs
-(xs[i], ys[i]), usually an adversaries.StorageStrategy.
+length.  extractor_output_state builds the inner-product bit's state from
+any state map, arrays of source values (xs, ys) -> the stack of stored
+states of the pairs (xs[i], ys[i]), usually an adversaries.StorageStrategy;
+the security suite measures random strategies this way.  The tightness
+attacks' strategies store basis vectors, and adversaries measures them by
+exact counts without building a state.
 Consumers work on these arrays by index; every sum over entries runs
 left to right in entry order (np.add.at, np.add.accumulate or Python's
 sum, never np.sum's pairwise order), so the numbers match a per-entry
@@ -38,7 +41,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidationError
 from .extractors import FlatSource
-from .gf2 import BitVector
 from .rng import derive_rng
 
 HERMITIAN_ATOL = 1e-10
@@ -103,15 +105,18 @@ def stack_chunks(count: int, item_bytes: int) -> list:
 
 
 def permute_qubits_vector(vec: np.ndarray, new_order: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors of a state vector of qubits.
+    """Reorder tensor factors of a state vector of qubits, or of each row
+    of a stack of them.
 
     new_order[k] is the old position of the qubit that ends up at
     position k (position 0 = leftmost/kron-first factor).
     """
     q = len(new_order)
-    if vec.shape != (1 << q,):
+    if vec.shape[-1:] != (1 << q,):
         raise DimensionError("vector length disagrees with qubit count")
-    return vec.reshape([2] * q).transpose(new_order).reshape(-1)
+    batch = vec.shape[:-1]
+    axes = [*range(len(batch)), *(len(batch) + k for k in new_order)]
+    return vec.reshape((*batch, *[2] * q)).transpose(axes).reshape((*batch, 1 << q))
 
 
 PAULIS: Dict[Tuple[int, int], np.ndarray] = {
@@ -240,61 +245,56 @@ def _add_in_order(sums: list, rows: np.ndarray, states: np.ndarray) -> None:
         sums[row] += state
 
 
-def extractor_output_state(extractor: Callable[[BitVector, BitVector], object],
-                           x_source: FlatSource, y_source: FlatSource,
+def extractor_output_state(x_source: FlatSource, y_source: FlatSource,
                            stored: Callable[[np.ndarray, np.ndarray], np.ndarray],
                            exposed: Optional[str] = None) -> CqState:
-    """Joint state of the extractor output with what the adversaries store.
+    """Joint state of the inner-product bit with what the adversaries store.
 
     stored(xs, ys) maps int arrays of source values to the (P, d, d)
     stack of the adversaries' states for the pairs (xs[i], ys[i]).  The
-    label is the output e and the state is the normalized mixture of
-    stored states over extractor preimages.  With exposed = "X" or "Y"
-    that source's value is held with the output as the entry's side; a
+    label is the output x . y and the state is the normalized mixture of
+    stored states over its preimages.  With exposed = "X" or "Y" that
+    source's value is held with the output as the entry's side; a
     superstrong evaluation passes a map that keeps that side's whole
-    state.  Entries are ordered by output, then side, each compared as
-    its coordinate-0-first string.
+    state.  Entries are ordered by output, then side, the side compared
+    as its coordinate-0-first string.
 
-    The extractor runs on every pair first; the pairs then go to stored
-    in x-major order, one pair and then chunks of STACK_BYTES, and each
-    chunk is added into one running sum per (output, side).
+    The pairs go to stored in x-major order, one pair and then chunks of
+    STACK_BYTES, and each chunk is added into one running sum per
+    (output, side).
     """
     if exposed not in (None, "X", "Y"):
         raise ParameterError(f"exposed side must be None, 'X' or 'Y', got {exposed!r}")
-    side_width = {"X": x_source.n, "Y": y_source.n}.get(exposed, 0)
-    p_pair = x_source.probability() * y_source.probability()
-    slots: Dict[Tuple[int, int], int] = {}     # (output, side) -> its running sum
-    rows = []
-    y_vectors = y_source.vectors()
-    for xv in x_source.vectors():
-        for yv in y_vectors:
-            out = extractor(xv, yv)
-            if isinstance(out, int):
-                out = BitVector(1, out)
-            side = xv.value if exposed == "X" else yv.value if exposed == "Y" else 0
-            rows.append(slots.setdefault((out.value, side), len(slots)))
-    width = out.length
-    rows = np.array(rows)
     xs, ys = _int_array(x_source.support), _int_array(y_source.support)
-    probs = np.zeros(len(slots))
+    xi = np.repeat(np.arange(len(xs)), len(ys))
+    yi = np.tile(np.arange(len(ys)), len(xs))
+    if exposed is None:
+        values, at, side_width = np.zeros(1, dtype=np.int64), np.zeros_like(xi), 0
+    else:
+        values, at, side_width = ((xs, xi, x_source.n) if exposed == "X"
+                                  else (ys, yi, y_source.n))
+    # rank[v]: the position of value v's coordinate-0-first string among the side's
+    by_rank = np.argsort([_lex_rank(v, side_width) for v in values.tolist()])
+    rank = np.argsort(by_rank)
+    keys, rows = np.unique(character(xs[xi], ys[yi]) * len(values) + rank[at],
+                           return_inverse=True)
+    p_pair = x_source.probability() * y_source.probability()
+    probs = np.zeros(len(keys))
     np.add.at(probs, rows, p_pair)
     # the first pair alone gives the state size; -0.0 is the exact identity of
     # +, so each sum equals its pairs' states added left to right
     first = stored(xs[:1], ys[:1])
     size = first.nbytes
-    sums = [np.full(first.shape[1:], complex(-0.0, -0.0)) for _ in slots]
+    sums = [np.full(first.shape[1:], complex(-0.0, -0.0)) for _ in keys]
     _add_in_order(sums, rows[:1], first)
     del first                   # one chunk of states is alive at a time
     rest = np.arange(1, len(rows))
     for part in stack_chunks(len(rest), size):
         pairs = rest[part]
-        _add_in_order(sums, rows[pairs], stored(xs[pairs // len(ys)], ys[pairs % len(ys)]))
-    keys = list(slots)
-    order = sorted(range(len(keys)), key=lambda i: (_lex_rank(keys[i][0], width),
-                                                    _lex_rank(keys[i][1], side_width)))
-    return CqState([keys[i][0] for i in order], probs[order],
-                   [sums[i] * p_pair / probs[i] for i in order], width,
-                   [keys[i][1] for i in order] if exposed else None)
+        _add_in_order(sums, rows[pairs], stored(xs[xi[pairs]], ys[yi[pairs]]))
+    return CqState(keys // len(values), probs,
+                   [total * p_pair / p for total, p in zip(sums, probs)], 1,
+                   values[by_rank[keys % len(values)]] if exposed else None)
 
 
 # --------------------------------------------------------------------------
@@ -344,9 +344,15 @@ def boolean_reduce(s: CqState, f: np.ndarray) -> CqState:
     return CqState(kept, probs[kept], rhos, 1)
 
 
-def character(labels: np.ndarray, mask: int) -> np.ndarray:
-    """chi_S(z) as 0/1: the parity of the mask-selected bits of each label."""
-    return np.bitwise_count(labels & mask) & 1
+def character(labels: np.ndarray, mask) -> np.ndarray:
+    """chi_S(z) as int64 0/1: the parity of the mask-selected bits of each
+    label, which is also the inner product z . S over GF(2).  Labels or
+    masks of 64 bits or more are Python ints in object arrays."""
+    bits = labels & mask
+    if bits.dtype == object:
+        return np.array([int(v).bit_count() & 1 for v in bits.ravel().tolist()],
+                        dtype=np.int64).reshape(bits.shape)
+    return (np.bitwise_count(bits) & 1).astype(np.int64)
 
 
 @dataclass(frozen=True)

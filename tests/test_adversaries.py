@@ -1,7 +1,11 @@
 """Storage strategies, Bell-pair protocols, and attack constructions."""
 
+import dataclasses
+import functools
+import importlib
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +16,13 @@ from qx2src.adversaries import (biased_product_sources, bell_outcome,
                                 measure_attack_advantage, random_storage,
                                 smp_ip_protocol, superdense_roundtrip,
                                 tightness_attack)
-from qx2src.errors import ParameterError, SearchExhaustedError
+from qx2src.errors import DimensionError, ParameterError, SearchExhaustedError
 from qx2src.extractors import ip_extract, random_flat_source
 from qx2src.gf2 import BitVector, inner_product
 from qx2src.rng import derive_rng
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def bv(s):
@@ -222,6 +229,91 @@ def test_superdense_strategy_holds_alices_budget_and_bobs_halves(check_density_m
     assert np.max(np.abs(overlaps - np.eye(8))) <= 1e-12
 
 
+def _bell_pairs(bits):
+    """One Bell pair per two bits, Pauli-coded by them, Alice's halves first,
+    as one np.kron chain."""
+    vec = np.array([1.0 + 0j])
+    for c in zip(bits[::2], bits[1::2]):
+        vec = np.kron(vec, adversaries._BELL_BASIS[c])
+    p = len(bits) // 2
+    return qsim.permute_qubits_vector(vec, [*range(0, 2 * p, 2), *range(1, 2 * p, 2)])
+
+
+def _basis_vec(qubits, index):
+    vec = np.zeros(1 << qubits, dtype=complex)
+    vec[index] = 1.0
+    return vec
+
+
+def _block_bits(v, positions):
+    bits = [v >> p & 1 for p in positions]
+    return bits + [0] * (len(bits) % 2)
+
+
+def _smp_vector(x_bits, y_bits, b1, b2, x, y):
+    """The SMP block strategy's state vector for one pair, built per pair."""
+    pairs = (len(x_bits) + 1) // 2
+    pad_a, pad_b = b1 - pairs - 2, b2 - pairs - 2
+    xa, yb = _block_bits(x, x_bits), _block_bits(y, y_bits)
+    dits = np.kron(_basis_vec(2 + pad_a, sum(xa) % 4 << pad_a),
+                   _basis_vec(2 + pad_b, sum(yb) % 4 << pad_b))
+    order = [*range(pairs), *range(2 * pairs, pairs + b1),
+             *range(pairs, 2 * pairs), *range(pairs + b1, b1 + b2)]
+    return qsim.permute_qubits_vector(
+        np.kron(_bell_pairs([a ^ b for a, b in zip(xa, yb)]), dits), order)
+
+
+def _superdense_vector(x_bits, b1, x):
+    """The superdense block strategy's state vector for one x, built per value."""
+    pairs = (len(x_bits) + 1) // 2
+    pad_a = b1 - pairs
+    order = [*range(pairs), *range(2 * pairs, 2 * pairs + pad_a), *range(pairs, 2 * pairs)]
+    return qsim.permute_qubits_vector(
+        np.kron(_bell_pairs(_block_bits(x, x_bits)), _basis_vec(pad_a, 0)), order)
+
+
+BASIS_STRATEGIES = [
+    ("classical", ([0, 2], [1], 3, 1)), ("classical", ([3], [], 2, 2)),
+    ("smp", ([], [], 2, 3)), ("smp", ([1], [2], 3, 3)), ("smp", ([0, 1], [0, 1], 3, 4)),
+    ("smp", ([0, 2, 3], [3, 1, 0], 5, 4)),
+    ("superdense", ([], 0)), ("superdense", ([2], 1)), ("superdense", ([0, 1, 3], 3)),
+]
+
+
+def _build(kind, args):
+    return {"classical": adversaries.classical_block_storage,
+            "smp": adversaries.smp_block_storage,
+            "superdense": adversaries.superdense_block_storage}[kind](*args)
+
+
+@pytest.mark.parametrize("kind, args", BASIS_STRATEGIES)
+def test_basis_strategies_store_orthonormal_rows_of_their_table(kind, args):
+    s = _build(kind, args)
+    table = s.basis()
+    dim = 1 << (s.b1 + s.b2)
+    assert table.shape[1] == dim and len(table) <= dim
+    assert np.max(np.abs(table @ table.conj().T - np.eye(len(table)))) <= 1e-12
+    xs, ys = (np.repeat(np.arange(16), 16), np.tile(np.arange(16), 16))
+    rows = s.index(xs, ys)
+    assert rows.dtype == np.int64 and rows.min() >= 0 and rows.max() < len(table)
+    # the same indices from Python ints, as for sources of 64 bits or more
+    assert np.array_equal(s.index(xs.astype(object), ys.astype(object)), rows)
+    if kind == "classical":
+        x_bits, y_bits, b1, b2 = args
+        expect = [sum((x >> p & 1) << j for j, p in enumerate(x_bits)) << b2
+                  | sum((y >> p & 1) << j for j, p in enumerate(y_bits))
+                  for x, y in zip(xs.tolist(), ys.tolist())]
+        assert rows.tolist() == expect
+    else:
+        vector = (functools.partial(_smp_vector, *args) if kind == "smp" else
+                  lambda x, y: _superdense_vector(*args, x))
+        expect = np.array([vector(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+        assert np.array_equal(table[rows], expect)
+    pick = [0, 37, 255]
+    stack = s(xs[pick], ys[pick])
+    assert np.array_equal(stack, np.array([np.outer(v, v.conj()) for v in table[rows[pick]]]))
+
+
 # --------------------------------------------------------------------------
 # biased product sources
 
@@ -340,8 +432,8 @@ def test_output_state_keeps_no_per_pair_matrices():
     assert attack.storage.b1 + attack.storage.b2 == 6 and attack.branch == "exact"
     tracemalloc.start()
     try:
-        state = qsim.extractor_output_state(ip_extract, attack.x_source,
-                                            attack.y_source, attack.storage)
+        state = qsim.extractor_output_state(attack.x_source, attack.y_source,
+                                            attack.storage)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -358,7 +450,7 @@ def test_security_output_state_memory_stays_within_the_chunk_budget(k, b):
     storage = random_storage(b, b, "entangled", seed=5)
     tracemalloc.start()
     try:
-        state = qsim.extractor_output_state(ip_extract, xs, ys, storage)
+        state = qsim.extractor_output_state(xs, ys, storage)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -419,6 +511,72 @@ def test_tightness_biased_hill_climb_end_to_end():
     assert measured > attack.predicted_advantage
     # the storage bit flips the output exactly when the biased block is odd
     assert abs(measured - (attack.bias_found - 0.5)) <= 1e-9
+
+
+# (n, k1, k2, b1, b2) per setting and branch, all at n <= 6; the first exact
+# tuple of each setting has an empty overlap, the biased ones run l = 4..6
+COUNTED = {
+    ("non-entangled", "exact"): [(6, 3, 2, 1, 1), (4, 3, 3, 2, 2)],
+    ("entangled", "exact"): [(6, 3, 3, 2, 2), (4, 3, 3, 3, 3)],
+    ("superstrong-non-entangled", "exact"): [(6, 2, 3, 1, 1), (4, 3, 3, 2, 1)],
+    ("superstrong-entangled", "exact"): [(6, 3, 3, 1, 0), (4, 3, 3, 1, 1), (3, 3, 3, 2, 0)],
+    ("non-entangled", "biased"): [(6, 3, 3, 1, 1), (6, 3, 3, 2, 2), (6, 3, 3, 0, 0)],
+    ("entangled", "biased"): [(6, 3, 3, 2, 2), (6, 3, 3, 3, 3)],
+    ("superstrong-non-entangled", "biased"): [(6, 3, 3, 1, 0), (6, 3, 3, 2, 1)],
+    ("superstrong-entangled", "biased"): [(6, 3, 3, 1, 1)],
+}
+
+
+def _basis_state_map(storage):
+    """The strategy's states rebuilt from its basis table and its indices."""
+    def stored(xs, ys):
+        rows = storage.basis()[storage.index(xs, ys)]
+        return rows[:, :, None] * rows.conj()[:, None, :]
+    return stored
+
+
+@pytest.mark.parametrize("setting, branch", COUNTED)
+def test_counted_advantage_matches_the_dense_cq_state(setting, branch):
+    # the constructed sources, which at n <= 6 reach the full 1/2, and random
+    # sources of the same min-entropies, whose groups mix both outputs
+    measured = set()
+    for n, k1, k2, b1, b2 in COUNTED[setting, branch]:
+        for seed in (0, 1):
+            attack = tightness_attack(n, k1, k2, b1, b2, setting, branch=branch, seed=seed)
+            for sources in ({}, {"x_source": random_flat_source(n, k1, seed, 1),
+                                 "y_source": random_flat_source(n, k2, seed, 2)}):
+                probe = dataclasses.replace(attack, **sources)
+                state = qsim.extractor_output_state(probe.x_source, probe.y_source,
+                                                    _basis_state_map(probe.storage),
+                                                    probe.exposed)
+                dense = qsim.cq_distance_from_uniform(state, 1)
+                measured.add(measure_attack_advantage(probe))
+                assert abs(measure_attack_advantage(probe) - dense) <= 1e-12
+    assert 0.5 in measured and min(measured) < 0.5
+
+
+def test_benchmark_tightness_tuples_measure_exact_rationals(monkeypatch):
+    # the exact branch is 1/2 by construction; the biased branch's storage bit
+    # flips the output exactly when the biased block is odd
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for params in workloads.TIGHTNESS:
+        for seed in (1, 2, 3):
+            attack = tightness_attack(
+                *params, seed=workloads.derive_seed("cli-attack", seed) % (1 << 32))
+            measured = measure_attack_advantage(attack)
+            if attack.branch == "exact":
+                assert measured == 0.5, params
+            else:
+                assert measured == attack.bias_found - 0.5, params
+
+
+def test_measurement_rejects_indices_beyond_the_budget():
+    attack = tightness_attack(4, 4, 4, 4, 4, "non-entangled")
+    wide = adversaries.StorageStrategy(1, 1, attack.storage.stored,
+                                       lambda xs, ys: np.full(len(xs), 4))
+    with pytest.raises(DimensionError, match="budget dim 4"):
+        measure_attack_advantage(dataclasses.replace(attack, storage=wide))
 
 
 # --------------------------------------------------------------------------

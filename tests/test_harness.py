@@ -222,6 +222,18 @@ def test_cli_attack_tightness(tmp_path):
     assert doc["records"][0]["measured"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_cli_attack_tightness_beyond_64_bits(tmp_path):
+    # Y's values reach bit 69, so sources, parities and basis indices are
+    # computed on Python ints rather than int64
+    out = tmp_path / "attack.json"
+    code = run_cli("attack", "tightness", "--n", "70", "--k1", "10", "--k2", "10",
+                   "--b1", "2", "--b2", "2", "--setting", "non-entangled",
+                   "--out", str(out))
+    assert code == 0
+    record = json.loads(out.read_text())["records"][0]
+    assert (record["name"], record["measured"]) == ("exact-branch advantage", 0.5)
+
+
 def test_cli_attack_missing_params():
     assert run_cli("attack", "tightness", "--n", "4") == 1
 
@@ -278,21 +290,33 @@ def test_reports_reproducible_excluding_wall_clock():
     assert c.to_json(include_wall_clock=False) == d.to_json(include_wall_clock=False)
 
 
-def test_reports_do_not_depend_on_the_blas_thread_count():
-    # b = 2 conjugates 64-square joint states, large enough for a threaded zgemm
-    script = ("import sys; from qx2src import harness; sys.stdout.write('\\0'.join(["
-              "harness.run_verify('xor', seed=5, trials=120, equality_trials=30)"
-              ".to_json(include_wall_clock=False), "
-              "harness.run_verify('security', seed=5, instances=4, b=2)"
-              ".to_json(include_wall_clock=False)]))")
+def test_reports_do_not_depend_on_the_blas_thread_count(monkeypatch):
+    # b = 2 conjugates 64-square joint states, large enough for a threaded zgemm;
+    # the attacks are the seven of the benchmark's cli list, at its seed-1 seed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    seed = ["--seed", str(workloads.derive_seed("cli-attack", 1) % (1 << 32))]
+    flags = ("--n", "--k1", "--k2", "--b1", "--b2", "--setting")
+    attacks = [["attack", "tightness", *(a for pair in zip(flags, map(str, params))
+                                         for a in pair), *seed]
+               for params in workloads.TIGHTNESS]
+    attacks += [["attack", "smp", *seed], ["attack", "superdense", *seed],
+                ["attack", "knowledge", "--n", "8", *seed]]
+    script = ("import json, sys; from qx2src import cli, harness; reports = ["
+              "harness.run_verify('xor', seed=5, trials=120, equality_trials=30), "
+              "harness.run_verify('security', seed=5, instances=4, b=2)] + ["
+              "harness.dispatch(*cli.parse(argv)[:2]) for argv in json.loads(sys.argv[1])]; "
+              "sys.stdout.write('\\0'.join(r.to_json(include_wall_clock=False) for r in reports))")
     reports = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(PERFBENCH.parent / "src"))
-        reports.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                                      capture_output=True, text=True, timeout=300).stdout)
+        reports.append(subprocess.run([sys.executable, "-c", script, json.dumps(attacks)],
+                                      env=env, check=True, capture_output=True, text=True,
+                                      timeout=300).stdout)
     assert reports[0] == reports[1]
-    assert all(json.loads(doc)["passed"] for doc in reports[0].split("\0"))
+    docs = [json.loads(doc) for doc in reports[0].split("\0")]
+    assert len(docs) == 9 and all(doc["passed"] for doc in docs)
 
 
 def test_report_pass_flag_consistency():

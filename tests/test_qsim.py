@@ -109,10 +109,11 @@ def _stored(state_map, x: BitVector, y: BitVector) -> np.ndarray:
 
 
 def test_output_state_constant_extractor():
-    x = FlatSource.uniform(2)
+    # x = 0 on the whole support, so the inner product is constant
+    x = FlatSource.from_values(2, [0])
     y = FlatSource.uniform(2)
     storage = _trivial_storage()
-    state = qsim.extractor_output_state(lambda a, b: BitVector(1, 0), x, y, storage)
+    state = qsim.extractor_output_state(x, y, storage)
     assert len(state.labels) == 1
     assert state.labels[0] == 0
     assert abs(state.probs[0] - 1.0) <= 1e-12
@@ -122,7 +123,7 @@ def test_output_state_constant_extractor():
 def test_output_state_ip_uniform_n2():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
-    state = qsim.extractor_output_state(ip_extract, x, y, _trivial_storage())
+    state = qsim.extractor_output_state(x, y, _trivial_storage())
     probs = dict(zip(state.labels.tolist(), state.probs))
     assert abs(probs[0] - 5 / 8) <= 1e-12
     assert abs(probs[1] - 3 / 8) <= 1e-12
@@ -133,7 +134,7 @@ def test_output_state_perfect_classical_encoding():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
     storage = _classical_joint_storage(ip_extract, 2, 1)
-    state = qsim.extractor_output_state(ip_extract, x, y, storage)
+    state = qsim.extractor_output_state(x, y, storage)
     rho0, rho1 = state.rhos
     assert abs(np.trace(rho0 @ rho1)) <= 1e-12  # orthogonal supports
     assert abs(qsim.cq_distance_from_uniform(state, 1) - 0.5) <= 1e-12
@@ -144,7 +145,7 @@ def test_unknown_exposed_side_rejected():
     y = FlatSource.uniform(1)
     for exposed in ("Z", "weak", "X-strong"):
         with pytest.raises(ParameterError, match="exposed side"):
-            qsim.extractor_output_state(ip_extract, x, y, _trivial_storage(), exposed)
+            qsim.extractor_output_state(x, y, _trivial_storage(), exposed)
 
 
 def test_strategy_checks_its_budget_dimension():
@@ -156,8 +157,7 @@ def test_strategy_checks_its_budget_dimension():
     with pytest.raises(DimensionError, match="for 2 pairs"):
         one_short(xs, ys)
     with pytest.raises(DimensionError):
-        qsim.extractor_output_state(ip_extract, FlatSource.uniform(1),
-                                    FlatSource.uniform(1), half)
+        qsim.extractor_output_state(FlatSource.uniform(1), FlatSource.uniform(1), half)
     with pytest.raises(ParameterError, match="nonnegative"):
         adversaries.StorageStrategy(-1, 0, lambda xs, ys: np.ones((len(xs), 1, 1)))
 
@@ -165,7 +165,7 @@ def test_strategy_checks_its_budget_dimension():
 def test_strong_mode_labels():
     x = FlatSource.uniform(1)
     y = FlatSource.uniform(1)
-    state = qsim.extractor_output_state(ip_extract, x, y, _trivial_storage(), "X")
+    state = qsim.extractor_output_state(x, y, _trivial_storage(), "X")
     labels = set(zip(state.labels.tolist(), state.sides.tolist()))
     assert (1, 1) in labels and (0, 0) in labels
 
@@ -192,6 +192,16 @@ def _string_label_oracle(extractor, xs, ys, state_map, exposed):
             else:
                 acc[label] = [p_pair, rho.astype(complex, copy=True)]
     return [(label, p, total * p_pair / p) for label, (p, total) in sorted(acc.items())]
+
+
+def _oracle_state(extractor, xs, ys, state_map, exposed, width):
+    """The string-label oracle's entries as a CqState of width-bit outputs."""
+    expect = _string_label_oracle(extractor, xs, ys, state_map, exposed)
+    labels = [label if exposed is None else label[0] for label, _, _ in expect]
+    sides = None if exposed is None else [
+        BitVector.from_str(label[1]).value for label, _, _ in expect]
+    return qsim.CqState([BitVector.from_str(out).value for out in labels],
+                        [p for _, p, _ in expect], [rho for _, _, rho in expect], width, sides)
 
 
 def _assert_matches_oracle(state, expect, n, exposed):
@@ -232,16 +242,13 @@ def _state_maps(notion, n, seed):
 def test_output_state_matches_string_label_oracle(notion):
     exposed = NOTIONS[notion][0]
     for n in (1, 2, 3):
-        extractors = [ip_extract] + [
-            lambda x, y, m=m: multibit_extract(x, y, m) for m in range(1, n + 1)]
         sources = [(FlatSource.uniform(n), FlatSource.uniform(n)),
                    (random_flat_source(n, n - 1, 7, 1), random_flat_source(n, 1, 7, 2))]
         for state_map in _state_maps(notion, n, seed=5 + n):
-            for extractor in extractors:
-                for xs, ys in sources:
-                    state = qsim.extractor_output_state(extractor, xs, ys, state_map, exposed)
-                    expect = _string_label_oracle(extractor, xs, ys, state_map, exposed)
-                    _assert_matches_oracle(state, expect, n, exposed)
+            for xs, ys in sources:
+                state = qsim.extractor_output_state(xs, ys, state_map, exposed)
+                expect = _string_label_oracle(ip_extract, xs, ys, state_map, exposed)
+                _assert_matches_oracle(state, expect, n, exposed)
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
@@ -251,15 +258,12 @@ def test_output_state_matches_string_label_oracle_at_64_bits(notion):
     exposed = NOTIONS[notion][0]
     xs = FlatSource.from_values(64, [1, 1 << 63, 3 << 62, (1 << 64) - 1])
     ys = FlatSource.from_values(64, [2, 1 << 63, 5 << 60, (1 << 64) - 2])
-    extractors = [ip_extract, lambda x, y: multibit_extract(x, y, 64)]
     for state_map in _state_maps(notion, 64, seed=11):
-        for extractor in extractors:
-            state = qsim.extractor_output_state(extractor, xs, ys, state_map, exposed)
-            expect = _string_label_oracle(extractor, xs, ys, state_map, exposed)
-            _assert_matches_oracle(state, expect, 64, exposed)
-        ip_state = qsim.extractor_output_state(ip_extract, xs, ys, state_map, exposed)
-        assert abs(qsim.cq_distance_from_uniform(ip_state, 1)
-                   - _global_distance_oracle(ip_state, 1)) <= 1e-10
+        state = qsim.extractor_output_state(xs, ys, state_map, exposed)
+        expect = _string_label_oracle(ip_extract, xs, ys, state_map, exposed)
+        _assert_matches_oracle(state, expect, 64, exposed)
+        assert abs(qsim.cq_distance_from_uniform(state, 1)
+                   - _global_distance_oracle(state, 1)) <= 1e-10
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
@@ -267,12 +271,11 @@ def test_output_state_is_the_same_in_any_chunking(notion, monkeypatch):
     # chunks of 1 and 3 pairs against the default, where all 32 pairs fit one
     exposed = NOTIONS[notion][0]
     xs, ys = FlatSource.uniform(3), random_flat_source(3, 2, 7, 2)
-    extractor = lambda x, y: multibit_extract(x, y, 2)  # noqa: E731
     for state_map in _state_maps(notion, 3, seed=9):
-        whole = qsim.extractor_output_state(extractor, xs, ys, state_map, exposed)
+        whole = qsim.extractor_output_state(xs, ys, state_map, exposed)
         for pairs in (1, 3):
             monkeypatch.setattr(qsim, "STACK_BYTES", pairs * whole.rhos[0].nbytes)
-            chunked = qsim.extractor_output_state(extractor, xs, ys, state_map, exposed)
+            chunked = qsim.extractor_output_state(xs, ys, state_map, exposed)
             monkeypatch.undo()
             for field in ("labels", "sides", "probs", "rhos"):
                 a, b = getattr(whole, field), getattr(chunked, field)
@@ -322,8 +325,8 @@ def test_cq_distance_matches_per_entry_loop():
     xs, ys = random_flat_source(3, 2, 3, 1), random_flat_source(3, 2, 3, 2)
     for exposed in (None, "X", "Y"):
         for m in (1, 2, 3):
-            s = qsim.extractor_output_state(
-                lambda x, y, m=m: multibit_extract(x, y, m), xs, ys, storage, exposed)
+            s = _oracle_state(lambda x, y, m=m: multibit_extract(x, y, m),
+                              xs, ys, storage, exposed, m)
             sides = [None] * len(s.labels) if s.sides is None else s.sides.tolist()
             groups = {}
             for side, p, rho in zip(sides, s.probs.tolist(), s.rhos):
@@ -344,7 +347,7 @@ def test_cq_distance_strong_mode_matches_oracle():
     y = FlatSource.uniform(2)
     storage = adversaries.random_storage(1, 1, "entangled", seed=13)
     for exposed in (None, "X", "Y"):
-        s = qsim.extractor_output_state(ip_extract, x, y, storage, exposed)
+        s = qsim.extractor_output_state(x, y, storage, exposed)
         direct = _global_distance_oracle(s, 1)
         assert abs(qsim.cq_distance_from_uniform(s, 1) - direct) <= 1e-10
 
