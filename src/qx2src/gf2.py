@@ -17,22 +17,27 @@ tables, and :func:`batched_rank` eliminates the stack one column at a
 time.  :func:`subset_matrix` and :func:`rank`, one matrix at a time by
 XOR-basis insertion, are their reference.
 
-One carry-less product, :func:`poly_mul`, serves all polynomial work:
-the irreducible-modulus search (Ben-Or's test, gcds over windows of
-16 Frobenius steps) and the Toeplitz hash.  Sparse operands take a
-shift-xor loop over set bits, dense ones a byte-windowed table walk.
+One carry-less product, :func:`poly_mul`, serves the Toeplitz hash and
+:func:`is_irreducible` (Ben-Or's test, gcds over windows of 16 Frobenius
+steps), the scalar reference of the modulus search.  Sparse operands
+take a shift-xor loop over set bits, dense ones a byte-windowed table
+walk.
 
 The search for a degree-n modulus first sieves its candidate tails in
 numpy, blocks of 2^14 at a time: every irreducible p of degree
 2..min(16, n // 2) marks the tails t with p | x^n + t, a coset of p's
-multiples.  Only unmarked tails reach Ben-Or's test, which then skips
-the products for the degrees the sieve already covered.
+multiples.  The unmarked tails then take Rabin's test 64 at a time,
+bit-sliced (:func:`_rabin_lanes`): bit c of each uint64 word belongs to
+candidate c, so one numpy pass squares x^(2^i) mod x^n + t for all of
+them.  Squarings slice that way; Ben-Or's dense products and gcds do
+not, which is why Rabin's test, slower per candidate, wins here.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
@@ -254,6 +259,9 @@ def is_irreducible(f: int, sieved: int = 0) -> bool:
     windowed products of x^(2^d) - x with f (Ben-Or's test).  A caller
     that has ruled out every factor of degree <= sieved passes it: the
     chain still starts at d = 1, the products and windows at sieved + 1.
+
+    This is the scalar reference.  The live modulus search tests its
+    candidates 64 at a time with _rabin_lanes instead.
     """
     n = f.bit_length() - 1
     if n <= 0:
@@ -282,6 +290,98 @@ def is_irreducible(f: int, sieved: int = 0) -> bool:
                 return False
             pending = 0
     return True
+
+
+def _prime_divisors(n: int) -> List[int]:
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _lane_planes(values: Sequence[int], bits: int) -> np.ndarray:
+    """(bits, W) uint64 planes: bit c of word w of plane b is bit b of values[64w + c]."""
+    size = -(-bits // 8)
+    raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in values), dtype=np.uint8)
+    lanes = np.unpackbits(raw.reshape(len(values), size), axis=1, bitorder="little")[:, :bits]
+    lanes = np.pad(lanes, ((0, -len(values) % 64), (0, 0)))
+    return np.ascontiguousarray(np.packbits(lanes, axis=0, bitorder="little").T).view("<u8")
+
+
+def _lane_poly(rows: np.ndarray, c: int) -> int:
+    """Lane c of (W, n) bit-sliced rows as a packed polynomial."""
+    w, c = divmod(c, 64)
+    bits = ((rows[w] >> np.uint64(c)) & np.uint64(1)).astype(np.uint8)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _rabin_lanes(n: int, tails: Sequence[int]) -> np.ndarray:
+    """Rabin's irreducibility test of x^n + t for each tail t, bit-sliced.
+
+    Domain: n >= 2 and 0 <= t < 2^n, that is deg t < n; anything else
+    raises ParameterError.  Returns a bool per tail.
+
+    Candidate 64w + c is bit c of word w, and row j of the (W, n) state
+    holds coefficient j of every candidate's x^(2^i) mod x^n + t_c.  A
+    squaring moves row j to row 2j.  A row that lands at n + j, past the
+    top, reduces as x^n = t_c: masked by the plane of the tails' bit b,
+    it is xored into row j + b, for every b, in one strided numpy write
+    and one xor-reduction over b.  For tails below 2^K that costs about
+    K * n / 2 word operations per squaring, however many lanes a word
+    holds, and overflows by K - 2 rows, which the same step folds back
+    down until none are left.
+
+    After n squarings, a lane whose state is x has f | x^(2^n) - x.  Only
+    those lanes take the scalar gcds with x^(2^(n/p)) - x, one per prime
+    p | n, from rows saved at those steps.
+    """
+    tails = [int(t) for t in tails]
+    if n < 2 or not tails or min(tails) < 0 or max(tails) >> n:
+        raise ParameterError(f"need n >= 2 and tails in [0, 2^n), got n={n}")
+    k = max(2, max(tails).bit_length())
+    planes = _lane_planes(tails, k)[:, :, None]
+    words = planes.shape[1]
+    half = (n + 1) // 2  # rows from half on square to n or beyond
+    # row half + i, masked by plane b, goes to b + 2i (+1 when n is odd)
+    spread = np.zeros((k, words, n + k - 2), dtype=np.uint64)
+    s0, s1, s2 = spread.strides
+    spread_at = np.lib.stride_tricks.as_strided(
+        spread[:, :, 2 * half - n:], (k, words, n - half), (s0 + s2, s1, 2 * s2))
+    # materialised: a broadcast operand makes each squaring's write ~30% slower
+    masks = np.ascontiguousarray(np.broadcast_to(planes, spread_at.shape))
+    folds = []
+    over = k - 2
+    while over > 0:  # overflow row n + i, masked by plane b, goes to b + i
+        fold = np.zeros((k, words, over + k - 1), dtype=np.uint64)
+        t0, t1, t2 = fold.strides
+        folds.append((over, fold, np.lib.stride_tricks.as_strided(
+            fold, (k, words, over), (t0 + t2, t1, t2)), np.empty(fold.shape[1:], np.uint64)))
+        over += k - 1 - n
+    buffers = [np.empty((words, n + k - 2), dtype=np.uint64) for _ in range(2)]
+    state = np.zeros((words, n), dtype=np.uint64)
+    state[:, 1] = ~np.uint64(0)  # x
+    keep = {n // p for p in _prime_divisors(n)}
+    saved = []
+    for i in range(1, n + 1):
+        r = buffers[i & 1]
+        np.bitwise_and(state[:, half:], masks, out=spread_at)
+        np.bitwise_xor.reduce(spread, axis=0, out=r)
+        r[:, :n:2] ^= state[:, :half]
+        for over, fold, fold_at, folded in folds:
+            np.bitwise_and(r[:, n:n + over], planes, out=fold_at)
+            np.bitwise_xor.reduce(fold, axis=0, out=folded)
+            if folded.shape[1] > n:  # another fold follows
+                r[:, n:n + over] = 0
+            r[:, :folded.shape[1]] ^= folded
+        state = r[:, :n]
+        if i in keep:
+            saved.append(state.copy())
+    state[:, 1] = ~state[:, 1]
+    stray = np.bitwise_or.reduce(state, axis=1).tolist()
+    passed = np.zeros(len(tails), dtype=bool)
+    for c, t in enumerate(tails):
+        if not stray[c // 64] >> (c % 64) & 1:
+            f = (1 << n) | t
+            passed[c] = all(poly_gcd(f, _lane_poly(s, c) ^ 2) == 1 for s in saved)
+    return passed
 
 
 # The live search sieves candidate tails by every irreducible polynomial of
@@ -400,19 +500,29 @@ def _search_irreducible(n: int) -> int:
     irreducible factor of degree <= min(_SIEVE_DEG, n // 2).  The cap at
     n // 2 suffices, as in Ben-Or's test, and keeps small fields such as
     GF(2^16) and GF(32) cheap.  The unmarked tails that are odd and of
-    even weight (so no factor x or x + 1) go to Ben-Or's test in
-    increasing order, which skips the products the sieve made needless.
-    The answer's tail is below 2^n, so every tail tested before it is too.
+    even weight (so no factor x or x + 1) are the survivors.  When the
+    sieve reached n // 2 (n <= 33), the first survivor is irreducible.
+    Otherwise the survivors take _rabin_lanes in increasing order, in
+    chunks of n // 8 lanes, at least 8 and at most one word of 64: small
+    n rarely need more than a few, and each extra lane that passes costs
+    scalar gcds.  The first that passes is the answer, the one Ben-Or's
+    test would find one at a time, as both tests are exact.  The answer's
+    tail is below 2^n, so every tail tested before it is too.
     """
     sieved = min(_SIEVE_DEG, n // 2)
     u = np.arange(1 << _SIEVE_BLOCK_BITS, dtype=np.uint64)
     odd, parity = (u & 1) == 1, np.bitwise_count(u) & 1
+    lanes = min(64, max(8, n // 8))
     for start, marked in _sieve_blocks(n, sieved):
         survivors = np.flatnonzero(~marked & odd & (parity == start.bit_count() % 2))
-        for tail in (survivors + start).tolist():
-            f = (1 << n) | tail
-            if is_irreducible(f, sieved=sieved):
-                return f
+        survivors = (survivors + start).tolist()
+        if survivors and sieved == n // 2:
+            return (1 << n) | survivors[0]
+        for lo in range(0, len(survivors), lanes):
+            chunk = survivors[lo:lo + lanes]
+            passed = np.flatnonzero(_rabin_lanes(n, chunk))
+            if len(passed):
+                return (1 << n) | chunk[passed[0]]
 
 
 # --------------------------------------------------------------------------

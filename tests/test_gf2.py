@@ -1,6 +1,7 @@
 """Bit-level linear algebra and the multiplier matrix family."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ def test_find_irreducible_mid_degree_live():
 
 
 def test_live_search_tails_are_pinned():
-    # live results of the shift-xor search, which the windowed product must keep
-    for n, tail in ((768, 0x16C1), (1536, 0x54B)):
+    # live results of the shift-xor search, which every later kernel must keep
+    for n, tail in ((768, 0x16C1), (1536, 0x54B), (2000, 0x2441)):
         assert gf2.modulus_source(n) == "search"
         assert gf2._search_irreducible(n) == (1 << n) | tail
 
@@ -407,6 +408,74 @@ def test_sieved_ben_or_agrees_with_full_test():
     for f in [(1 << n) | t for t in survivors] + [answer]:
         assert gf2.is_irreducible(f, sieved=16) == gf2.is_irreducible(f)
     assert gf2.is_irreducible(answer, sieved=16)
+
+
+_LANE_COUNTS = (1, 63, 64, 65, 129)
+
+
+def _lane_chunks(count):
+    """Bounds of consecutive calls, cycling through the lane counts above."""
+    lo, k = 0, 0
+    while lo < count:
+        hi = lo + _LANE_COUNTS[k % len(_LANE_COUNTS)]
+        yield lo, hi
+        lo, k = hi, k + 1
+
+
+def test_rabin_lanes_match_oracle_over_the_whole_domain():
+    # every tail below 2^n, forwards and backwards, in calls of 1..129 lanes
+    split = 0
+    for n in range(2, 11):
+        for tails in (list(range(1 << n)), list(range(1 << n))[::-1]):
+            want = [_rabin_irreducible((1 << n) | t) for t in tails]
+            for lo, hi in _lane_chunks(len(tails)):
+                assert gf2._rabin_lanes(n, tails[lo:hi]).tolist() == want[lo:hi], (n, lo)
+        # reducible f that still divides x^(2^n) - x: only the gcds reject them
+        split += sum(_frobenius(n, (1 << n) | t) == 2 and not ok
+                     for t, ok in zip(tails, want))
+    assert split > 0
+    f = _oracle_mul(0b10011, 0b11001)  # (x^4 + x + 1)(x^4 + x^3 + 1)
+    assert f >> 8 == 1 and _frobenius(8, f) == 2
+    assert gf2._rabin_lanes(8, [f ^ (1 << 8)]).tolist() == [False]
+
+
+@pytest.mark.parametrize("n", range(34, 65))
+def test_rabin_lanes_agree_with_ben_or_on_survivors(n):
+    # the first 200 sieve survivors, as the search would test them
+    _, marked = next(gf2._sieve_blocks(n, 16))
+    tails = [t for t in np.flatnonzero(~marked).tolist()
+             if t & 1 and t.bit_count() % 2 == 0][:200]
+    assert len(tails) == 200
+    want = [gf2.is_irreducible((1 << n) | t) for t in tails]
+    assert 0 < sum(want) < 200
+    assert gf2._rabin_lanes(n, tails).tolist() == want
+    for lo, hi in _lane_chunks(len(tails)):
+        assert gf2._rabin_lanes(n, tails[lo:hi]).tolist() == want[lo:hi]
+
+
+@pytest.mark.parametrize("n, tails", [(1, [1]), (0, [0]), (8, []), (8, [256]),
+                                      (8, [3, 1 << 8]), (8, [-1]), (64, [1 << 64])])
+def test_rabin_lanes_reject_tails_outside_the_domain(n, tails):
+    with pytest.raises(ParameterError):
+        gf2._rabin_lanes(n, tails)
+
+
+def test_rabin_lanes_accept_the_domain_edges():
+    # the largest tails, deg t = n - 1, fold many times; at n = 100 they pass 64 bits
+    for n, count in ((40, 64), (100, 9)):
+        top = [(1 << n) - 1 - 2 * j for j in range(count)]
+        want = [gf2.is_irreducible((1 << n) | t) for t in top]
+        assert gf2._rabin_lanes(n, top).tolist() == want
+
+
+def test_live_search_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        assert gf2._search_irreducible(2000) == (1 << 2000) | 0x2441
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 # --------------------------------------------------------------------------
