@@ -22,11 +22,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Literal, Optional, Sequence, Tuple, get_args
+from typing import Callable, List, Optional, Sequence, Tuple, get_args
 
 import numpy as np
 
 from . import qsim
+from .bounds import Branch, Setting
 from .errors import DimensionError, ParameterError, SearchExhaustedError
 from .extractors import FlatSource
 from .gf2 import BitVector
@@ -433,10 +434,7 @@ class TightnessAttack:
     bias_found: Optional[float] = None
 
 
-Setting = Literal["entangled", "non-entangled", "superstrong-entangled",
-                  "superstrong-non-entangled"]
 SETTINGS = get_args(Setting)
-Branch = Literal["auto", "exact", "biased"]
 
 
 def _attack_storage(entangled: bool, superstrong: bool, block: List[int],
@@ -596,8 +594,11 @@ def guessing_entropy_counterexample(n: int) -> CounterexampleReport:
     if n < 3:
         raise ParameterError("need n >= 3 so all four weight residues occur")
     size = 1 << n
-    vals = np.arange(size)
-    pop = np.array([int(v).bit_count() for v in range(size)])
+    # the narrowest unsigned values, uint8 weights: the referee loop below
+    # moves about half the bytes of int64 arrays; weights - pop wraps mod
+    # 2^8, a multiple of 4, so the residues mod 4 stay exact
+    vals = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    pop = np.bitwise_count(vals).astype(np.uint8)
 
     # referee correctness over all (x, y, r), one pad r at a time so the
     # arrays stay (2^n)^2 rather than (2^n)^3

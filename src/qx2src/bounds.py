@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Literal, Optional, Tuple
 
 from .errors import ParameterError
+
+# The security settings a tightness attack targets, and the attack's branch.
+# They live here, free of numpy, so that the command registry can read
+# run_tightness_attack's signature without importing the attacks.
+Setting = Literal["entangled", "non-entangled", "superstrong-entangled",
+                  "superstrong-non-entangled"]
+Branch = Literal["auto", "exact", "biased"]
 
 
 @dataclass(frozen=True)

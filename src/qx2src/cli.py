@@ -67,13 +67,34 @@ def _flag_kwargs(tp):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exact flags only (--n must not pass for --ns); usage errors raise."""
+    """Exact flags only (--n must not pass for --ns); usage errors raise.
 
-    def __init__(self, **kwargs):
+    A command's parser adds its flags when it first parses, so that a
+    command line builds, and imports the annotations of, its own command
+    only.  Help and usage errors come from that parse, flags included.
+    """
+
+    def __init__(self, command=None, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.command = command
 
     def error(self, message):
         raise ParameterError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.command is not None:
+            command, self.command = self.command, None
+            self.set_defaults(handler=command)
+            self.add_argument("--config", metavar="FILE",
+                              help="JSON object of parameters; flags override it")
+            self.add_argument("--out", metavar="FILE",
+                              help="write the report here instead of stdout")
+            for param, (tp, _) in harness.parameters(command).items():
+                kwargs = _flag_kwargs(tp)
+                if kwargs is not None:
+                    self.add_argument(flag(param), dest=param,
+                                      default=argparse.SUPPRESS, **kwargs)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,22 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     for command in harness.COMMANDS:
         verb, _, name = command.partition(" ")
         if not name:
-            sub = verbs.add_parser(verb)
-        else:
-            if verb not in groups:
-                groups[verb] = verbs.add_parser(verb).add_subparsers(
-                    dest="subcommand", required=True)
-            sub = groups[verb].add_parser(name)
-        sub.set_defaults(handler=command)
-        sub.add_argument("--config", metavar="FILE",
-                         help="JSON object of parameters; flags override it")
-        sub.add_argument("--out", metavar="FILE",
-                         help="write the report here instead of stdout")
-        for param, (tp, _) in harness.parameters(command).items():
-            kwargs = _flag_kwargs(tp)
-            if kwargs is not None:
-                sub.add_argument(flag(param), dest=param,
-                                 default=argparse.SUPPRESS, **kwargs)
+            verbs.add_parser(verb, command=command)
+            continue
+        if verb not in groups:
+            groups[verb] = verbs.add_parser(verb).add_subparsers(
+                dest="subcommand", required=True)
+        groups[verb].add_parser(name, command=command)
     return parser
 
 

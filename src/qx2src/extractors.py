@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from . import gf2
 from .errors import DimensionError, ParameterError
 from .gf2 import BitVector, inner_product
@@ -161,6 +159,7 @@ def _horner(w: int, coeffs, points) -> List[int]:
     log/antilog tables, otherwise point by point, each step one poly_mul
     and one poly_mod.
     """
+    import numpy as np
     modulus = gf2.find_irreducible(w).value
     if w <= _TABLE_MAX_W:
         antilog, log = _log_tables(w, modulus)
@@ -192,6 +191,7 @@ def _log_tables(w: int, modulus: int) -> tuple:
     on the non-zero elements.  log[0] points past those entries into a
     run of zeros, so antilog[log[a] + log[b]] = a * b for every a, b.
     """
+    import numpy as np
     q = 1 << w
     for g in range(1, q):
         powers = _generator_powers(g, w, modulus)
@@ -214,6 +214,7 @@ def _generator_powers(g: int, w: int, modulus: int):
     Doubles the known prefix each round: the next block is the prefix
     times g^len(prefix).
     """
+    import numpy as np
     count = (1 << w) - 1
     powers = np.ones(count, dtype=np.int32)
     filled = 1
@@ -229,6 +230,7 @@ def _generator_powers(g: int, w: int, modulus: int):
 
 def _times(values: np.ndarray, c: int, w: int, modulus: int) -> np.ndarray:
     """Each entry of values times the field element c, bit-serially."""
+    import numpy as np
     out = np.zeros_like(values)
     for bit in range(w):
         if (c >> bit) & 1:

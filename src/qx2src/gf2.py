@@ -31,6 +31,10 @@ bit-sliced (:func:`_rabin_lanes`): bit c of each uint64 word belongs to
 candidate c, so one numpy pass squares x^(2^i) mod x^n + t for all of
 them.  Squarings slice that way; Ben-Or's dense products and gcds do
 not, which is why Rabin's test, slower per candidate, wins here.
+
+numpy is imported inside the functions that use it: the int paths
+(inner products, multiplication by alpha, the memoized moduli) run
+without it.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
-
-import numpy as np
 
 from .errors import DimensionError, ParameterError
 
@@ -224,13 +226,17 @@ def _square_lanes(r: np.ndarray) -> np.ndarray:
     return r
 
 
-# zero-interleave table: squaring a GF(2) polynomial spreads its bits
-_SPREAD = _square_lanes(np.arange(256, dtype=np.uint64)).astype("<u2")
+@functools.lru_cache(maxsize=None)
+def _spread() -> np.ndarray:
+    """Zero-interleave table: squaring a GF(2) polynomial spreads its bits."""
+    import numpy as np
+    return _square_lanes(np.arange(256, dtype=np.uint64)).astype("<u2")
 
 
 def poly_square(p: int) -> int:
+    import numpy as np
     raw = np.frombuffer(p.to_bytes((p.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return int.from_bytes(_SPREAD[raw].tobytes(), "little")
+    return int.from_bytes(_spread()[raw].tobytes(), "little")
 
 
 def _make_reducer(modulus: int):
@@ -299,6 +305,7 @@ def _prime_divisors(n: int) -> List[int]:
 
 def _lane_planes(values: Sequence[int], bits: int) -> np.ndarray:
     """(bits, W) uint64 planes: bit c of word w of plane b is bit b of values[64w + c]."""
+    import numpy as np
     size = -(-bits // 8)
     raw = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in values), dtype=np.uint8)
     lanes = np.unpackbits(raw.reshape(len(values), size), axis=1, bitorder="little")[:, :bits]
@@ -308,6 +315,7 @@ def _lane_planes(values: Sequence[int], bits: int) -> np.ndarray:
 
 def _lane_poly(rows: np.ndarray, c: int) -> int:
     """Lane c of (W, n) bit-sliced rows as a packed polynomial."""
+    import numpy as np
     w, c = divmod(c, 64)
     bits = ((rows[w] >> np.uint64(c)) & np.uint64(1)).astype(np.uint8)
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
@@ -333,6 +341,7 @@ def _rabin_lanes(n: int, tails: Sequence[int]) -> np.ndarray:
     those lanes take the scalar gcds with x^(2^(n/p)) - x, one per prime
     p | n, from rows saved at those steps.
     """
+    import numpy as np
     tails = [int(t) for t in tails]
     if n < 2 or not tails or min(tails) < 0 or max(tails) >> n:
         raise ParameterError(f"need n >= 2 and tails in [0, 2^n), got n={n}")
@@ -418,6 +427,7 @@ def _small_irreducibles(max_deg: int) -> dict:
     <= max_deg has a factor q of degree <= max_deg / 2, so only those mark
     their multiples q*h, each h also free of x and x + 1.
     """
+    import numpy as np
     odd_weight = np.zeros(1, dtype=bool)
     for _ in range(max_deg + 1):
         odd_weight = np.concatenate([odd_weight, ~odd_weight])
@@ -442,6 +452,7 @@ def _sieve_blocks(n: int, max_deg: int):
     are start + (r + p*h): every h when deg p < _SIEVE_BLOCK_BITS, and h = 0
     alone, if r fits the block, otherwise.
     """
+    import numpy as np
     size = 1 << _SIEVE_BLOCK_BITS
     groups = []
     for d, polys in _small_irreducibles(max_deg).items():
@@ -509,6 +520,7 @@ def _search_irreducible(n: int) -> int:
     test would find one at a time, as both tests are exact.  The answer's
     tail is below 2^n, so every tail tested before it is too.
     """
+    import numpy as np
     sieved = min(_SIEVE_DEG, n // 2)
     u = np.arange(1 << _SIEVE_BLOCK_BITS, dtype=np.uint64)
     odd, parity = (u & 1) == 1, np.bitwise_count(u) & 1
@@ -596,6 +608,7 @@ def subset_rows(mats: Sequence[BitMatrix], masks: np.ndarray) -> np.ndarray:
     costs one gather and xor per byte.  The result has one row of uint64
     words per mask.
     """
+    import numpy as np
     masks = np.asarray(masks, dtype=np.uint64)
     if not masks.all():
         raise ParameterError("empty subset is excluded")
@@ -619,6 +632,7 @@ def batched_rank(rows: np.ndarray) -> np.ndarray:
     leaves the pool and no row left has bit c.  The rank is the number of
     columns that found a pivot.
     """
+    import numpy as np
     rows = np.array(rows, dtype=np.uint64)
     rank = np.zeros(len(rows), dtype=np.int64)
     at = np.arange(len(rows))

@@ -6,6 +6,13 @@ counter-based generator, so repeating a run with the same configuration
 reproduces every measured number bit for bit.  Reports serialize with
 sorted keys; the wall-clock field is the only part expected to differ
 between identical runs.
+
+Each handler imports numpy, the extractors, the verifier and the attacks
+only as it needs them, so that a process loads just the layers its
+command runs: ``bounds`` no numpy, a memo-modulus ``extract`` neither
+numpy nor the verifier.  A handler imports after opening its Report,
+whose config is the handler's locals().  The registry reads handler
+signatures from this module, bounds and bitio alone.
 """
 
 from __future__ import annotations
@@ -22,9 +29,7 @@ import typing
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional, Sequence, TypedDict
 
-import numpy as np
-
-from . import adversaries, bitio, bounds, extractors, gf2, qsim
+from . import bitio, bounds, gf2
 from .errors import ParameterError
 from .gf2 import BitVector
 from .rng import derive_rng
@@ -123,7 +128,8 @@ MAX_CQ_D = 6
 MAX_SMP_N = 8
 # superdense round-trips every n-bit message for each even n up to max_n: 7.5 s at 14
 MAX_SUPERDENSE_N = 14
-# the knowledge counterexample holds (2^n)^2 arrays per pad: 20 s at n = 10
+# the knowledge counterexample loops over 2^n pads on (2^n)^2 arrays: about 5 s
+# at n = 10 on two cores
 MAX_KNOWLEDGE_N = 10
 # tightness strategies hold 2^(b1+b2)-dimensional states over 2^(k1+k2) source
 # pairs; the counted measurement takes about 0.06 s and 50 MiB at 2^20 pairs
@@ -189,6 +195,7 @@ def _random_masks(seed: int, n: int, count: int):
 
 def _full_rank_subsets(n: int, masks) -> int:
     """How many of the masks select a full-rank subset XOR of the n x n family."""
+    import numpy as np
     mats = gf2.multiplier_matrices(n, n)
     masks = iter(masks)
     good = 0
@@ -209,6 +216,8 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
                   max_d: int = 3, atol: float = 1e-8) -> Report:
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
     report = Report("verify:xor", dict(locals()))
+    import numpy as np
+    from . import qsim
     _require_range(1, MAX_TRIALS, trials=trials, equality_trials=equality_trials)
     _require_range(1, MAX_CQ_M, max_m=max_m)
     _require_range(0, MAX_CQ_D, max_d=max_d)
@@ -239,6 +248,7 @@ def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
                  max_m: int = 3, max_d: int = 3, atol: float = 1e-8) -> Report:
     """Quantum-to-classical reduction through the square-root measurement."""
     report = Report("verify:reduction", dict(locals()))
+    from . import qsim
     _require_range(1, MAX_TRIALS, trials=trials)
     _require_range(1, MAX_CQ_M, max_m=max_m)
     _require_range(0, MAX_CQ_D, max_d=max_d)
@@ -258,6 +268,7 @@ def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
                      max_d: int = 3, atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
     report = Report("verify:normbound", dict(locals()))
+    from . import qsim
     _require_range(1, MAX_TRIALS, trials=trials)
     _require_range(1, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
@@ -280,6 +291,7 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
                        atol: float = 1e-8) -> Report:
     """Exact one-bit distances never exceed the bias bound, per flavor."""
     report = Report("verify:security", dict(locals()))
+    from . import adversaries, extractors, qsim
     _require_range(1, MAX_SECURITY_INSTANCES, instances=instances)
     _require_range(1, MAX_SECURITY_N, n=n)
     _require_range(0, MAX_SECURITY_K, k=k)
@@ -316,6 +328,7 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
 
 def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:smp", dict(locals()))
+    from . import adversaries, extractors
     for n in ns:
         _require_range(1, MAX_SMP_N, ns=n)
     _require_range(0, 4 ** MAX_SMP_N, **{"sum of 4^n over ns": sum(4 ** n for n in ns)})
@@ -345,6 +358,7 @@ def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> R
 
 def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:superdense", dict(locals()))
+    from . import adversaries
     _require_range(2, MAX_SUPERDENSE_N, max_n=max_n)
     ok2 = sum(adversaries.superdense_roundtrip(BitVector(2, v)).value == v
               for v in range(4))
@@ -359,10 +373,10 @@ def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
 
 
 def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
-                         setting: adversaries.Setting,
-                         branch: adversaries.Branch = "auto",
+                         setting: bounds.Setting, branch: bounds.Branch = "auto",
                          seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:tightness", dict(locals()))
+    from . import adversaries
     _require_range(0, MAX_TIGHTNESS_B, **{"b1 + b2": b1 + b2})
     _require_range(0, MAX_TIGHTNESS_K, **{"k1 + k2": k1 + k2})
     attack = adversaries.tightness_attack(n, k1, k2, b1, b2, setting,
@@ -395,6 +409,7 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
 
 def run_knowledge_attack(n: int, seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:knowledge", dict(locals()))
+    from . import adversaries
     _require_range(3, MAX_KNOWLEDGE_N, n=n)
     res = adversaries.guessing_entropy_counterexample(n)
     report.add("referee correctness", res.referee_correct_fraction, 1.0,
@@ -443,6 +458,7 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
     where it came from; the time spent finding it is under timings.
     """
     report = Report("extract", {k: v for k, v in locals().items() if v is not None})
+    from . import extractors
     params = bounds.ParamSet(**{"k1": n, "k2": n, **{
         k: v for k, v in report.config.items() if k in _PARAM_FIELDS}})
     m, entangled = params.m, bool(entangled)
@@ -454,6 +470,8 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
     x = bitio.read_bits(x_path, n, format or "raw")
     y = bitio.read_bits(y_path, n, format or "raw")
     if extractor != "ip":
+        if gf2.modulus_source(n) == "search":
+            import numpy  # noqa: F401  the search's import, kept out of modulus_s
         start = time.perf_counter()
         modulus = gf2.find_irreducible(n).value
         report.timings["modulus_s"] = time.perf_counter() - start

@@ -9,13 +9,12 @@ same numbers.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 
 def derive_rng(seed: int, *streams: int) -> np.random.Generator:
     """Generator keyed by (seed, streams...); deterministic and order-free."""
+    import numpy as np
     key = [seed & _MASK64]
     for s in streams:
         key.append(s & _MASK64)
