@@ -469,6 +469,8 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
         raise ParameterError(f"unknown setting {setting!r}")
     if not (0 < k1 <= n and 0 < k2 <= n):
         raise ParameterError("need 0 < k1, k2 <= n")
+    if b1 < 0 or b2 < 0:
+        raise ParameterError(f"need storage budgets b1, b2 >= 0, got b1={b1}, b2={b2}")
     if branch not in get_args(Branch):
         raise ParameterError("branch must be auto, exact, or biased")
     entangled = "non-" not in setting

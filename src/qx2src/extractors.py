@@ -212,32 +212,25 @@ def _generator_powers(g: int, w: int, modulus: int):
     """g^0 .. g^(q-2) in GF(2^w), or None when g does not generate GF(2^w)*.
 
     Doubles the known prefix each round: the next block is the prefix
-    times g^len(prefix).
+    times g^len(prefix).  A product is one carry-less multiply of degree
+    <= 2w - 2 and its reduction, so for w <= 16 every value fits int32.
     """
     import numpy as np
+
+    def times(values, c):
+        return gf2._mod_lanes(gf2._clmul_lanes(values, c, w), modulus, w, 2 * w - 2)
+
     count = (1 << w) - 1
     powers = np.ones(count, dtype=np.int32)
     filled = 1
     while filled < count:
-        step = _times(powers[filled - 1:filled], g, w, modulus)[0]     # g^filled
-        block = _times(powers[:min(filled, count - filled)], int(step), w, modulus)
+        step = times(powers[filled - 1:filled], g)[0]     # g^filled
+        block = times(powers[:min(filled, count - filled)], int(step))
         powers[filled:filled + len(block)] = block
         filled += len(block)
         if (powers[1:filled] == 1).any():
             return None
     return powers
-
-
-def _times(values: np.ndarray, c: int, w: int, modulus: int) -> np.ndarray:
-    """Each entry of values times the field element c, bit-serially."""
-    import numpy as np
-    out = np.zeros_like(values)
-    for bit in range(w):
-        if (c >> bit) & 1:
-            out ^= values
-        values = values << 1
-        values ^= (values >> w) * modulus
-    return out
 
 
 @functools.lru_cache(maxsize=64)

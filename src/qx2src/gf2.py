@@ -17,11 +17,14 @@ tables, and :func:`batched_rank` eliminates the stack one column at a
 time.  :func:`subset_matrix` and :func:`rank`, one matrix at a time by
 XOR-basis insertion, are their reference.
 
-One carry-less product, :func:`poly_mul`, serves the Toeplitz hash and
-:func:`is_irreducible` (Ben-Or's test, gcds over windows of 16 Frobenius
-steps), the scalar reference of the modulus search.  Sparse operands
-take a shift-xor loop over set bits, dense ones a byte-windowed table
-walk.
+Scalar polynomials have one kernel per job: :func:`poly_mul`,
+:func:`poly_mod` and :func:`poly_gcd`.  The carry-less product serves
+the Toeplitz hash and :func:`is_irreducible`, textbook Ben-Or, the
+scalar reference of the modulus search.  Sparse operands take a
+shift-xor loop over set bits, dense ones a byte-windowed table walk.
+numpy lanes of small polynomials have one each too: _clmul_lanes,
+_square_lanes and _mod_lanes, which the sieve and GF(2^w)'s log tables
+share.
 
 The search for a degree-n modulus first sieves its candidate tails in
 numpy, blocks of 2^14 at a time: every irreducible p of degree
@@ -175,14 +178,9 @@ def poly_mod(a: int, b: int) -> int:
 
 
 def poly_gcd(a: int, b: int) -> int:
-    """Euclid's algorithm, with the remainder steps of poly_mod inlined."""
+    """Greatest common divisor by Euclid's algorithm."""
     while b:
-        db = b.bit_length()
-        da = a.bit_length()
-        while da >= db:
-            a ^= b << (da - db)
-            da = a.bit_length()
-        a, b = b, a
+        a, b = b, poly_mod(a, b)
     return a
 
 
@@ -219,52 +217,13 @@ def poly_mul(a: int, b: int) -> int:
     return acc
 
 
-def _square_lanes(r: np.ndarray) -> np.ndarray:
-    """r*r over GF(2) for r below 2^16 in uint64 lanes: bit j moves to bit 2j."""
-    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
-        r = (r | (r << shift)) & mask
-    return r
+def is_irreducible(f: int) -> bool:
+    """Deterministic irreducibility test for a polynomial over GF(2), Ben-Or's.
 
-
-@functools.lru_cache(maxsize=None)
-def _spread() -> np.ndarray:
-    """Zero-interleave table: squaring a GF(2) polynomial spreads its bits."""
-    import numpy as np
-    return _square_lanes(np.arange(256, dtype=np.uint64)).astype("<u2")
-
-
-def poly_square(p: int) -> int:
-    import numpy as np
-    raw = np.frombuffer(p.to_bytes((p.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return int.from_bytes(_spread()[raw].tobytes(), "little")
-
-
-def _make_reducer(modulus: int):
-    """Fast reduction mod x^n + tail, exploiting that tail is sparse."""
-    n = modulus.bit_length() - 1
-    tail = modulus ^ (1 << n)
-    shifts = [j for j in range(tail.bit_length()) if (tail >> j) & 1]
-    mask = (1 << n) - 1
-
-    def reduce(a: int) -> int:
-        while a.bit_length() > n:
-            hi = a >> n
-            a &= mask
-            for j in shifts:
-                a ^= hi << j
-        return a
-
-    return reduce
-
-
-def is_irreducible(f: int, sieved: int = 0) -> bool:
-    """Deterministic irreducibility test for a monic polynomial over GF(2).
-
-    Checks that f has no irreducible factor of degree at most deg(f)/2
-    by walking the Frobenius chain x^(2^d) mod f and taking gcds of
-    windowed products of x^(2^d) - x with f (Ben-Or's test).  A caller
-    that has ruled out every factor of degree <= sieved passes it: the
-    chain still starts at d = 1, the products and windows at sieved + 1.
+    f of degree n is irreducible exactly when it has no irreducible
+    factor of degree d <= n/2, that is when gcd(f, x^(2^d) - x) = 1 for
+    d = 1..n/2.  s walks the Frobenius chain x^(2^d) mod f by scalar
+    squarings.  The d = 1 gcd rejects the factors x and x + 1.
 
     This is the scalar reference.  The live modulus search tests its
     candidates 64 at a time with _rabin_lanes instead.
@@ -272,29 +231,11 @@ def is_irreducible(f: int, sieved: int = 0) -> bool:
     n = f.bit_length() - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    if not f & 1:          # divisible by x
-        return False
-    if f.bit_count() % 2 == 0:  # f(1) = 0, divisible by x + 1
-        return False
-    if sieved >= n // 2:
-        return True
-    reduce = _make_reducer(f)
     s = 2  # the polynomial x
-    prod = 1
-    pending = 0
-    window = 16
-    for d in range(1, n // 2 + 1):
-        s = reduce(poly_square(s))
-        if d <= sieved:
-            continue
-        prod = reduce(poly_mul(prod, s ^ 2))
-        pending += 1
-        if pending == window or d == n // 2:
-            if prod == 0 or poly_gcd(f, prod) != 1:
-                return False
-            pending = 0
+    for _ in range(n // 2):
+        s = poly_mod(poly_mul(s, s), f)
+        if poly_gcd(f, s ^ 2) != 1:
+            return False
     return True
 
 
@@ -409,8 +350,15 @@ def _clmul_lanes(a, b, bits: int):
     return acc
 
 
-def _mod_lanes(v: np.ndarray, p: np.ndarray, d: int, top: int) -> np.ndarray:
-    """v mod p over uint64 lanes, where each p has degree d and each v degree <= top."""
+def _square_lanes(r: np.ndarray) -> np.ndarray:
+    """r*r over GF(2) for r below 2^16 in uint64 lanes: bit j moves to bit 2j."""
+    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
+        r = (r | (r << shift)) & mask
+    return r
+
+
+def _mod_lanes(v: np.ndarray, p, d: int, top: int) -> np.ndarray:
+    """v mod p over integer lanes, where p (lanes or one int) has degree d and v degree <= top."""
     for j in range(top, d - 1, -1):
         v = v ^ (p << (j - d)) * ((v >> j) & 1)
     return v

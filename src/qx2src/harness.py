@@ -10,9 +10,9 @@ between identical runs.
 Each handler imports numpy, the extractors, the verifier and the attacks
 only as it needs them, so that a process loads just the layers its
 command runs: ``bounds`` no numpy, a memo-modulus ``extract`` neither
-numpy nor the verifier.  A handler imports after opening its Report,
-whose config is the handler's locals().  The registry reads handler
-signatures from this module, bounds and bitio alone.
+numpy nor the verifier.  A report's config is the handler's parameters
+that are not None.  The registry reads handler signatures from this
+module, bounds and bitio alone.
 """
 
 from __future__ import annotations
@@ -93,6 +93,12 @@ class Report:
                           sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _config(handler, scope: dict) -> dict:
+    """The handler's parameters as scope holds them, leaving out those at None."""
+    return {name: scope[name] for name in inspect.signature(handler).parameters
+            if scope[name] is not None}
+
+
 def _require_range(low: int, high: Optional[int] = None, **values) -> None:
     """Reject values below low, or above high when given.
 
@@ -164,7 +170,7 @@ def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
                        random_ns: Sequence[int] = (32, 64),
                        random_trials: int = 10000) -> Report:
     """Full-rank property of every subset XOR of the multiplier family."""
-    report = Report("verify:matrices", dict(locals()))
+    report = Report("verify:matrices", _config(run_matrices_suite, locals()))
     _require_range(1, MAX_EXHAUSTIVE_N, exhaustive_max_n=exhaustive_max_n)
     _require_range(1, MAX_TRIALS, random_trials=random_trials)
     for n in random_ns:
@@ -215,7 +221,7 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
                   equality_trials: int = 200, max_m: int = 3,
                   max_d: int = 3, atol: float = 1e-8) -> Report:
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
-    report = Report("verify:xor", dict(locals()))
+    report = Report("verify:xor", _config(run_xor_suite, locals()))
     import numpy as np
     from . import qsim
     _require_range(1, MAX_TRIALS, trials=trials, equality_trials=equality_trials)
@@ -247,7 +253,7 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
 def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
                  max_m: int = 3, max_d: int = 3, atol: float = 1e-8) -> Report:
     """Quantum-to-classical reduction through the square-root measurement."""
-    report = Report("verify:reduction", dict(locals()))
+    report = Report("verify:reduction", _config(run_reduction_suite, locals()))
     from . import qsim
     _require_range(1, MAX_TRIALS, trials=trials)
     _require_range(1, MAX_CQ_M, max_m=max_m)
@@ -267,7 +273,7 @@ def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
 def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
                      max_d: int = 3, atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
-    report = Report("verify:normbound", dict(locals()))
+    report = Report("verify:normbound", _config(run_normbound_suite, locals()))
     from . import qsim
     _require_range(1, MAX_TRIALS, trials=trials)
     _require_range(1, MAX_CQ_D, max_d=max_d)
@@ -290,7 +296,7 @@ def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
                        n: int = 4, k: int = 3, b: int = 1,
                        atol: float = 1e-8) -> Report:
     """Exact one-bit distances never exceed the bias bound, per flavor."""
-    report = Report("verify:security", dict(locals()))
+    report = Report("verify:security", _config(run_security_suite, locals()))
     from . import adversaries, extractors, qsim
     _require_range(1, MAX_SECURITY_INSTANCES, instances=instances)
     _require_range(1, MAX_SECURITY_N, n=n)
@@ -327,7 +333,7 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
 
 
 def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> Report:
-    report = Report("attack:smp", dict(locals()))
+    report = Report("attack:smp", _config(run_smp_attack, locals()))
     from . import adversaries, extractors
     for n in ns:
         _require_range(1, MAX_SMP_N, ns=n)
@@ -357,7 +363,7 @@ def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> R
 
 
 def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
-    report = Report("attack:superdense", dict(locals()))
+    report = Report("attack:superdense", _config(run_superdense_attack, locals()))
     from . import adversaries
     _require_range(2, MAX_SUPERDENSE_N, max_n=max_n)
     ok2 = sum(adversaries.superdense_roundtrip(BitVector(2, v)).value == v
@@ -375,7 +381,7 @@ def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
 def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
                          setting: bounds.Setting, branch: bounds.Branch = "auto",
                          seed: int = DEFAULT_SEED) -> Report:
-    report = Report("attack:tightness", dict(locals()))
+    report = Report("attack:tightness", _config(run_tightness_attack, locals()))
     from . import adversaries
     _require_range(0, MAX_TIGHTNESS_B, **{"b1 + b2": b1 + b2})
     _require_range(0, MAX_TIGHTNESS_K, **{"k1 + k2": k1 + k2})
@@ -408,7 +414,7 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
 
 
 def run_knowledge_attack(n: int, seed: int = DEFAULT_SEED) -> Report:
-    report = Report("attack:knowledge", dict(locals()))
+    report = Report("attack:knowledge", _config(run_knowledge_attack, locals()))
     from . import adversaries
     _require_range(3, MAX_KNOWLEDGE_N, n=n)
     res = adversaries.guessing_entropy_counterexample(n)
@@ -457,7 +463,7 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
     report).  Multibit and composed reports name the GF(2^n) modulus and
     where it came from; the time spent finding it is under timings.
     """
-    report = Report("extract", {k: v for k, v in locals().items() if v is not None})
+    report = Report("extract", _config(run_extract, locals()))
     from . import extractors
     params = bounds.ParamSet(**{"k1": n, "k2": n, **{
         k: v for k, v in report.config.items() if k in _PARAM_FIELDS}})
@@ -515,7 +521,7 @@ def bounds_table(n: int, k1: int, k2: int, b1: Optional[int] = None,
     echoed.  A sweep maps one parameter to the values it takes; each
     point is checked like the command's own config.
     """
-    config = {k: v for k, v in locals().items() if v is not None}
+    config = _config(bounds_table, locals())
     base = {k: v for k, v in config.items() if k != "sweep"}
     points = [base]
     if sweep:

@@ -1,6 +1,7 @@
 """The command registry: parameter checks, usage errors and the CLI docs."""
 
 import collections.abc
+import inspect
 import json
 import re
 import shlex
@@ -134,6 +135,14 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("verify", "security", "--b", "4", "--k", "6", "--instances", "10000"),
      "instances x 4^k pairs x 4^(2b+2) must be between 0 and 268435456, "
      "got 42949672960000"),
+    # negative budgets: each used to fail deeper, in a shift, the protocol or the block
+    (("attack", "tightness", "--n", "8", "--k1", "5", "--k2", "5", "--b1", "-1",
+      "--b2", "5", "--setting", "non-entangled"), "need storage budgets b1, b2 >= 0"),
+    (("attack", "tightness", "--n", "8", "--k1", "5", "--k2", "5", "--b1", "-3",
+      "--b2", "5", "--setting", "entangled"), "need storage budgets b1, b2 >= 0"),
+    (("attack", "tightness", "--n", "8", "--k1", "5", "--k2", "5", "--b1", "5",
+      "--b2", "-3", "--setting", "superstrong-non-entangled"),
+     "need storage budgets b1, b2 >= 0, got b1=5, b2=-3"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1
@@ -170,6 +179,42 @@ def test_flags_override_config_and_echo_only_given_keys(tmp_path):
                              "m": 3, "eps": 0.25}
     assert doc["records"][1] == {"name": "output bits", "measured": 3.0,
                                  "bound": 3.0, "passed": True}
+
+
+# each report echoes the parameters it ran with, and nothing else
+
+SMALL_CONFIGS = {
+    "extract": {"x_path": "X", "y_path": "X", "n": 64, "m": 2},
+    "verify matrices": {"exhaustive_max_n": 2, "random_ns": [8], "random_trials": 3},
+    "verify xor": {"trials": 2, "equality_trials": 2, "max_m": 1, "max_d": 1},
+    "verify reduction": {"trials": 2, "max_m": 1, "max_d": 1},
+    "verify normbound": {"trials": 2, "max_d": 1},
+    "verify security": {"instances": 1, "n": 2, "k": 1, "b": 0},
+    "attack smp": {"ns": [2]},
+    "attack superdense": {"max_n": 2},
+    "attack tightness": {"n": 4, "k1": 4, "k2": 4, "b1": 4, "b2": 4,
+                         "setting": "non-entangled"},
+    "attack knowledge": {"n": 3},
+    "bounds": {"n": 100, "k1": 80, "k2": 80, "b1": 5},
+}
+
+
+def test_small_configs_cover_the_registry():
+    assert sorted(SMALL_CONFIGS) == sorted(harness.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+def test_report_config_keys_are_the_given_or_defaulted_parameters(tmp_path, command):
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(range(8)))
+    given = {k: str(x) if v == "X" else v for k, v in SMALL_CONFIGS[command].items()}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(given))
+    out = tmp_path / "report.json"
+    assert cli.main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 0
+    defaulted = {name for name, p in inspect.signature(harness.COMMANDS[command])
+                 .parameters.items() if p.default not in (p.empty, None)}
+    assert set(json.loads(out.read_text())["config"]) == set(given) | defaulted
 
 
 # --------------------------------------------------------------------------

@@ -306,6 +306,13 @@ def test_rabin_oracle_on_small_degrees():
             assert _rabin_irreducible(f) == (not _has_nontrivial_factor(f))
 
 
+def test_ben_or_matches_rabin_oracle_on_small_degrees():
+    for f in range(1 << 2, 1 << 13):
+        assert gf2.is_irreducible(f) == _rabin_irreducible(f), bin(f)
+    assert gf2.is_irreducible(0b10) and gf2.is_irreducible(0b11)
+    assert not gf2.is_irreducible(0) and not gf2.is_irreducible(1)
+
+
 def test_find_irreducible_mid_degree_live():
     # degrees outside the memo exercise the full scan path
     for n in (96, 200):
@@ -405,9 +412,10 @@ def test_sieved_ben_or_agrees_with_full_test():
                  if t & 1 and t.bit_count() % 2 == 0][:50]
     assert len(survivors) == 50
     answer = gf2._search_irreducible(n)
-    for f in [(1 << n) | t for t in survivors] + [answer]:
-        assert gf2.is_irreducible(f, sieved=16) == gf2.is_irreducible(f)
-    assert gf2.is_irreducible(answer, sieved=16)
+    tails = survivors + [answer ^ (1 << n)]
+    want = gf2._rabin_lanes(n, tails).tolist()
+    assert [gf2.is_irreducible((1 << n) | t) for t in tails] == want
+    assert want[-1] and not all(want)
 
 
 _LANE_COUNTS = (1, 63, 64, 65, 129)
