@@ -10,9 +10,13 @@ between identical runs.
 Each handler imports numpy, the extractors, the verifier and the attacks
 only as it needs them, so that a process loads just the layers its
 command runs: ``bounds`` no numpy, a memo-modulus ``extract`` neither
-numpy nor the verifier.  A report's config is the handler's parameters
-that are not None.  The registry reads handler signatures from this
-module, bounds and bitio alone.
+numpy nor the verifier.  The registry reads handler signatures from
+this module, bounds and bitio alone.
+
+A limit on one parameter is declared once, as ``Annotated[int, low, high]``
+in its handler's signature.  ``_config``, every handler's first line, checks
+it and that floats are finite, before any work and for direct calls too.
+Only the five limits that join parameters stay in the handler bodies.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numbers
 import time
 import typing
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Sequence, TypedDict
+from typing import Annotated, Dict, List, Literal, Optional, Sequence, TypedDict
 
 from . import bitio, bounds, gf2
 from .errors import ParameterError
@@ -94,22 +98,36 @@ class Report:
 
 
 def _config(handler, scope: dict) -> dict:
-    """The handler's parameters as scope holds them, leaving out those at None."""
-    return {name: scope[name] for name in inspect.signature(handler).parameters
-            if scope[name] is not None}
+    """The handler's parameters that are not None, as scope holds them (the
+    report's config), once each float is finite and each value in range."""
+    config = {name: scope[name] for name in inspect.signature(handler).parameters
+              if scope[name] is not None}
+    hints = typing.get_type_hints(handler, include_extras=True)
+    for name, value in config.items():
+        if not _finite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+        hint, values = _non_none(hints[name]), (value,)
+        if typing.get_origin(hint) is collections.abc.Sequence:
+            (hint,), values = typing.get_args(hint), value
+        if typing.get_origin(hint) is Annotated:
+            for v in values:
+                _require_range(name, v, *hint.__metadata__)
+    return config
 
 
-def _require_range(low: int, high: Optional[int] = None, **values) -> None:
-    """Reject values below low, or above high when given.
+def _finite(value) -> bool:
+    if isinstance(value, (dict, list, tuple)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, float) or math.isfinite(value)
 
-    A trial count of 0 would pass without running; the upper limits below
-    keep each enumerating command within seconds and memory.
-    """
-    for name, value in values.items():
-        if not isinstance(value, int) or value < low:
-            raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-        if high is not None and value > high:
-            raise ParameterError(f"{name} must be between {low} and {high}, got {value!r}")
+
+def _require_range(name: str, value, low: int, high: int) -> None:
+    """Reject a value that is not an integer from low to high: a trial count of
+    0 would pass without running, and the limits below bound time and memory."""
+    if not isinstance(value, int) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    if value > high:
+        raise ParameterError(f"{name} must be between {low} and {high}, got {value!r}")
 
 
 # the security suite's entangled flavor builds 2^(2b+2)-square matrices: 1024 at b = 4
@@ -141,11 +159,6 @@ MAX_KNOWLEDGE_N = 10
 # pairs; the counted measurement takes about 0.06 s and 50 MiB at 2^20 pairs
 MAX_TIGHTNESS_B = 10
 MAX_TIGHTNESS_K = 20
-# source pairs times the 4^q entries of a state on the q qubits the strategy
-# holds (Bob's whole state in the superdense one): the work of a dense
-# measurement, which the counted one does not do; kept so that the accepted
-# configs stay the same
-MAX_TIGHTNESS_WORK = 1 << 30
 # one xor trial costs about 0.5 ms at the default sizes, so 100,000 trials take
 # about a minute; a random rank trial at n = 64 costs about 35 us, and the cap
 # holds for random_trials summed over random_ns
@@ -166,17 +179,14 @@ MAX_SECURITY_WORK = 1 << 28
 # verification suites
 
 
-def run_matrices_suite(seed: int = DEFAULT_SEED, exhaustive_max_n: int = 10,
-                       random_ns: Sequence[int] = (32, 64),
-                       random_trials: int = 10000) -> Report:
+def run_matrices_suite(seed: int = DEFAULT_SEED,
+                       exhaustive_max_n: Annotated[int, 1, MAX_EXHAUSTIVE_N] = 10,
+                       random_ns: Sequence[Annotated[int, 1, MAX_RANDOM_N]] = (32, 64),
+                       random_trials: Annotated[int, 1, MAX_TRIALS] = 10000) -> Report:
     """Full-rank property of every subset XOR of the multiplier family."""
     report = Report("verify:matrices", _config(run_matrices_suite, locals()))
-    _require_range(1, MAX_EXHAUSTIVE_N, exhaustive_max_n=exhaustive_max_n)
-    _require_range(1, MAX_TRIALS, random_trials=random_trials)
-    for n in random_ns:
-        _require_range(1, MAX_RANDOM_N, random_ns=n)
-    _require_range(0, MAX_TRIALS, **{"len(random_ns) x random_trials":
-                                     len(random_ns) * random_trials})
+    _require_range("len(random_ns) x random_trials", len(random_ns) * random_trials,
+                   0, MAX_TRIALS)
     for n in range(1, exhaustive_max_n + 1):
         good = _full_rank_subsets(n, range(1, 1 << n))
         report.add(f"exhaustive subset ranks n={n}", good, (1 << n) - 1,
@@ -217,16 +227,14 @@ def _trial_shape(t: int, max_m: int, max_d: int):
     return 1 + (t % max_m), t // max_m % (max_d + 1)
 
 
-def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
-                  equality_trials: int = 200, max_m: int = 3,
-                  max_d: int = 3, atol: float = 1e-8) -> Report:
+def run_xor_suite(seed: int = DEFAULT_SEED, trials: Annotated[int, 1, MAX_TRIALS] = 1000,
+                  equality_trials: Annotated[int, 1, MAX_TRIALS] = 200,
+                  max_m: Annotated[int, 1, MAX_CQ_M] = 3,
+                  max_d: Annotated[int, 0, MAX_CQ_D] = 3, atol: float = 1e-8) -> Report:
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
     report = Report("verify:xor", _config(run_xor_suite, locals()))
     import numpy as np
     from . import qsim
-    _require_range(1, MAX_TRIALS, trials=trials, equality_trials=equality_trials)
-    _require_range(1, MAX_CQ_M, max_m=max_m)
-    _require_range(0, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         m, d = _trial_shape(t, max_m, max_d)
@@ -250,14 +258,14 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: int = 1000,
     return report
 
 
-def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
-                 max_m: int = 3, max_d: int = 3, atol: float = 1e-8) -> Report:
+def run_reduction_suite(seed: int = DEFAULT_SEED,
+                        trials: Annotated[int, 1, MAX_TRIALS] = 500,
+                        max_m: Annotated[int, 1, MAX_CQ_M] = 3,
+                        max_d: Annotated[int, 0, MAX_CQ_D] = 3,
+                        atol: float = 1e-8) -> Report:
     """Quantum-to-classical reduction through the square-root measurement."""
     report = Report("verify:reduction", _config(run_reduction_suite, locals()))
     from . import qsim
-    _require_range(1, MAX_TRIALS, trials=trials)
-    _require_range(1, MAX_CQ_M, max_m=max_m)
-    _require_range(0, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         m, d = _trial_shape(t, max_m, max_d)
@@ -270,13 +278,13 @@ def run_reduction_suite(seed: int = DEFAULT_SEED, trials: int = 500,
     return report
 
 
-def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
-                     max_d: int = 3, atol: float = 1e-8) -> Report:
+def run_normbound_suite(seed: int = DEFAULT_SEED,
+                        trials: Annotated[int, 1, MAX_TRIALS] = 200,
+                        max_d: Annotated[int, 1, MAX_CQ_D] = 3,
+                        atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
     report = Report("verify:normbound", _config(run_normbound_suite, locals()))
     from . import qsim
-    _require_range(1, MAX_TRIALS, trials=trials)
-    _require_range(1, MAX_CQ_D, max_d=max_d)
     worst = -math.inf
     for t in range(trials):
         d = 1 + t % max_d
@@ -292,21 +300,17 @@ def run_normbound_suite(seed: int = DEFAULT_SEED, trials: int = 200,
     return report
 
 
-def run_security_suite(seed: int = DEFAULT_SEED, instances: int = 100,
-                       n: int = 4, k: int = 3, b: int = 1,
+def run_security_suite(seed: int = DEFAULT_SEED,
+                       instances: Annotated[int, 1, MAX_SECURITY_INSTANCES] = 100,
+                       n: Annotated[int, 1, MAX_SECURITY_N] = 4,
+                       k: Annotated[int, 0, MAX_SECURITY_K] = 3,
+                       b: Annotated[int, 0, MAX_SECURITY_B] = 1,
                        atol: float = 1e-8) -> Report:
     """Exact one-bit distances never exceed the bias bound, per flavor."""
     report = Report("verify:security", _config(run_security_suite, locals()))
     from . import adversaries, extractors, qsim
-    _require_range(1, MAX_SECURITY_INSTANCES, instances=instances)
-    _require_range(1, MAX_SECURITY_N, n=n)
-    _require_range(0, MAX_SECURITY_K, k=k)
-    if not 0 <= b <= MAX_SECURITY_B:
-        raise ParameterError(
-            f"b must be between 0 and {MAX_SECURITY_B} (the entangled flavor "
-            f"builds 2^(2b+2)-square matrices), got {b}")
-    _require_range(0, MAX_SECURITY_WORK, **{"instances x 4^k pairs x 4^(2b+2)":
-                                            instances * 4 ** k * 4 ** (2 * b + 2)})
+    _require_range("instances x 4^k pairs x 4^(2b+2)",
+                   instances * 4 ** k * 4 ** (2 * b + 2), 0, MAX_SECURITY_WORK)
     params = bounds.ParamSet(n=n, k1=k, k2=k, b1=b, b2=b)
     for flavor, entangled in (("product", False), ("entangled", True)):
         bound = bounds.ip_bias_bound(params, b, entangled=entangled)
@@ -332,12 +336,11 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
 # attacks
 
 
-def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> Report:
+def run_smp_attack(ns: Sequence[Annotated[int, 1, MAX_SMP_N]] = (2, 4, 6),
+                   seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:smp", _config(run_smp_attack, locals()))
     from . import adversaries, extractors
-    for n in ns:
-        _require_range(1, MAX_SMP_N, ns=n)
-    _require_range(0, 4 ** MAX_SMP_N, **{"sum of 4^n over ns": sum(4 ** n for n in ns)})
+    _require_range("sum of 4^n over ns", sum(4 ** n for n in ns), 0, 4 ** MAX_SMP_N)
     for n in ns:
         worst_p = 1.0
         correct = 0
@@ -362,10 +365,10 @@ def run_smp_attack(ns: Sequence[int] = (2, 4, 6), seed: int = DEFAULT_SEED) -> R
     return report
 
 
-def run_superdense_attack(max_n: int = 8, seed: int = DEFAULT_SEED) -> Report:
+def run_superdense_attack(max_n: Annotated[int, 2, MAX_SUPERDENSE_N] = 8,
+                          seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:superdense", _config(run_superdense_attack, locals()))
     from . import adversaries
-    _require_range(2, MAX_SUPERDENSE_N, max_n=max_n)
     ok2 = sum(adversaries.superdense_roundtrip(BitVector(2, v)).value == v
               for v in range(4))
     report.add("two-bit roundtrips", ok2, 4, ok2 == 4)
@@ -383,14 +386,10 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
                          seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:tightness", _config(run_tightness_attack, locals()))
     from . import adversaries
-    _require_range(0, MAX_TIGHTNESS_B, **{"b1 + b2": b1 + b2})
-    _require_range(0, MAX_TIGHTNESS_K, **{"k1 + k2": k1 + k2})
+    _require_range("b1 + b2", b1 + b2, 0, MAX_TIGHTNESS_B)
+    _require_range("k1 + k2", k1 + k2, 0, MAX_TIGHTNESS_K)
     attack = adversaries.tightness_attack(n, k1, k2, b1, b2, setting,
                                           branch=branch, seed=seed)
-    pairs = len(attack.x_source.support) * len(attack.y_source.support)
-    qubits = attack.storage.b1 + attack.storage.b2
-    _require_range(0, MAX_TIGHTNESS_WORK,
-                   **{"source pairs x 4^stored qubits": pairs * 4 ** qubits})
     measured = adversaries.measure_attack_advantage(attack)
     if attack.branch == "exact":
         report.add("exact-branch advantage", measured, 0.5,
@@ -413,10 +412,10 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
     return report
 
 
-def run_knowledge_attack(n: int, seed: int = DEFAULT_SEED) -> Report:
+def run_knowledge_attack(n: Annotated[int, 3, MAX_KNOWLEDGE_N],
+                         seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:knowledge", _config(run_knowledge_attack, locals()))
     from . import adversaries
-    _require_range(3, MAX_KNOWLEDGE_N, n=n)
     res = adversaries.guessing_entropy_counterexample(n)
     report.add("referee correctness", res.referee_correct_fraction, 1.0,
                res.referee_correct_fraction == 1.0)
@@ -528,6 +527,8 @@ def bounds_table(n: int, k1: int, k2: int, b1: Optional[int] = None,
         if len(sweep) != 1:
             raise ParameterError("sweep must vary exactly one parameter")
         (name, values), = sweep.items()
+        if not values:
+            raise ParameterError(f"sweep of {name} needs at least one value")
         points = [dict(base, **{name: v}) for v in values]
         for point in points:
             check("bounds", point)
@@ -572,17 +573,15 @@ COMMANDS = {
 def parameters(command: str) -> dict:
     """name -> (type, required) for each parameter of the command's handler.
 
-    Optional[X] reads as X: None only marks a parameter as optional.
+    Optional[X] reads as X: None only marks a parameter as optional.  So
+    does Annotated[X, low, high], whose range _config checks.
     """
     if command not in COMMANDS:
         raise ParameterError(
             f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-    handler = inspect.unwrap(COMMANDS[command])
-    spec = inspect.getfullargspec(handler)
-    hints = typing.get_type_hints(handler)
-    n_required = len(spec.args) - len(spec.defaults or ())
-    return {name: (_non_none(hints[name]), i < n_required)
-            for i, name in enumerate(spec.args)}
+    hints = typing.get_type_hints(COMMANDS[command])
+    return {name: (_non_none(hints[name]), p.default is p.empty)
+            for name, p in inspect.signature(COMMANDS[command]).parameters.items()}
 
 
 def _non_none(tp):

@@ -3,6 +3,7 @@
 import collections.abc
 import inspect
 import json
+import math
 import re
 import shlex
 import typing
@@ -53,6 +54,13 @@ BAD_CONFIGS = [
      {"which": "X", "seeded": {"kind": "toeplitz"}}, "which, seeded: used only"),
     (("extract", "--x", "X", "--y", "X", "--n", "8", "--extractor", "composed"),
      {"seeded": {"kind": "trevisan", "t": 2}}, "trevisan needs even t = 2w >= 4"),
+    (("bounds", "--n", "10", "--k1", "5", "--k2", "5"), {"sweep": {"b1": []}},
+     "sweep of b1 needs at least one value"),
+    (("bounds", "--n", "100", "--k1", "80", "--k2", "80"),
+     {"sweep": {"eps": [0.25, math.nan]}}, "sweep must be finite"),
+    (("extract", "--x", "X", "--y", "X", "--n", "16"), {"c_o1": -math.inf},
+     "c_o1 must be finite, got -inf"),
+    (("verify", "xor"), {"atol": math.inf}, "atol must be finite, got inf"),
 ]
 
 
@@ -88,7 +96,7 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("attack", "tightness", "--n", "4"), "--setting"),
     (("extract", "--n", "8"), "--x, --y"),
     (("verify", "security", "--b", "9", "--instances", "1"), "b must be between 0 and 4"),
-    (("verify", "security", "--b", "-1"), "b must be between 0 and 4"),
+    (("verify", "security", "--b", "-1"), "b must be an integer >= 0, got -1"),
     (("attack", "superdense", "--max-n", "1"), "max_n must be an integer >= 2"),
     # size limits: each of these used to hang or end in a traceback
     (("verify", "security", "--n", "63", "--k", "1"), "n must be between 1 and 62"),
@@ -110,13 +118,10 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("verify", "reduction", "--max-m", "7"), "max_m must be between 1 and 6"),
     (("verify", "reduction", "--max-d", "7"), "max_d must be between 0 and 6"),
     (("verify", "normbound", "--max-d", "13"), "max_d must be between 1 and 6"),
-    # work limits: 2^20 source pairs of 1024-dim states, and a 2^15-dim superdense state
-    (("attack", "tightness", "--n", "15", "--k1", "10", "--k2", "10", "--b1", "5",
-      "--b2", "5", "--setting", "non-entangled"),
-     "source pairs x 4^stored qubits must be between 0 and 1073741824, got 1099511627776"),
-    (("attack", "tightness", "--n", "10", "--k1", "10", "--k2", "10", "--b1", "10",
-      "--b2", "0", "--setting", "superstrong-entangled"),
-     "source pairs x 4^stored qubits must be between 0 and 1073741824, got 1125899906842624"),
+    # non-finite floats: each used to run the command before its report failed
+    (("verify", "xor", "--atol", "nan"), "atol must be finite, got nan"),
+    (("verify", "normbound", "--atol", "1e400"), "atol must be finite, got inf"),
+    # trial and instance counts
     (("verify", "xor", "--trials", "100000000", "--equality-trials", "1"),
      "trials must be between 1 and 100000, got 100000000"),
     (("verify", "xor", "--equality-trials", "100001"),
@@ -143,6 +148,10 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("attack", "tightness", "--n", "8", "--k1", "5", "--k2", "5", "--b1", "5",
       "--b2", "-3", "--setting", "superstrong-non-entangled"),
      "need storage budgets b1, b2 >= 0, got b1=5, b2=-3"),
+    # non-finite floats are rejected before any input is read
+    (("verify", "security", "--atol=-inf"), "atol must be finite, got -inf"),
+    (("extract", "--x", "nosuch", "--y", "nosuch", "--n", "16", "--c-poly", "inf"),
+     "c_poly must be finite, got inf"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1
@@ -215,6 +224,98 @@ def test_report_config_keys_are_the_given_or_defaulted_parameters(tmp_path, comm
     defaulted = {name for name, p in inspect.signature(harness.COMMANDS[command])
                  .parameters.items() if p.default not in (p.empty, None)}
     assert set(json.loads(out.read_text())["config"]) == set(given) | defaulted
+
+
+# --------------------------------------------------------------------------
+# a CLI fuzz: for every command and parameter of the registry, a value just
+# outside its declared range, a wrong type, a non-finite float and a missing
+# required key each fail alone, before any output; small in-range configs run
+
+
+def _declared_ranges(command):
+    """name -> (low, high, is a sequence) for each parameter with a declared range."""
+    hints = typing.get_type_hints(harness.COMMANDS[command], include_extras=True)
+    ranges = {}
+    for name in harness.parameters(command):
+        hint = hints[name]
+        is_seq = typing.get_origin(hint) is collections.abc.Sequence
+        if is_seq:
+            (hint,) = typing.get_args(hint)
+        if typing.get_origin(hint) is typing.Annotated:
+            ranges[name] = (*hint.__metadata__, is_seq)
+    return ranges
+
+
+def _non_finite(tp, x):
+    """x, a non-finite float, where a value of type tp would hold a number."""
+    if typing.get_origin(tp) is collections.abc.Sequence:
+        return [_non_finite(typing.get_args(tp)[0], x)]
+    if typing.get_origin(tp) is dict:
+        return {"b1": _non_finite(typing.get_args(tp)[1], x)}
+    return x
+
+
+def _fuzz_cases():
+    """(id, command, config, needles): needles None where the config must run."""
+    cases = []
+    for command, small in SMALL_CONFIGS.items():
+        base = dict(small, **({"out_path": "OUT"} if command == "extract" else {}))
+        cases.append((f"{command}-small", command, base, None))
+        params = harness.parameters(command)
+        for i, (name, (tp, required)) in enumerate(params.items()):
+            named = (name, cli.flag(name))
+            x = (math.nan, math.inf, -math.inf)[i % 3]
+            cases.append((f"{command}-{name}-non-finite", command,
+                          dict(base, **{name: _non_finite(tp, x)}), named))
+            cases.append((f"{command}-{name}-wrong-type", command,
+                          dict(base, **{name: 5 if tp is str else "abc"}), named))
+            if required:
+                cases.append((f"{command}-{name}-missing", command,
+                              {k: v for k, v in base.items() if k != name}, named))
+        for name, (low, high, is_seq) in _declared_ranges(command).items():
+            for label, value in (("low", low), ("below", low - 1), ("above", high + 1)):
+                cases.append((f"{command}-{name}-{label}", command,
+                              dict(base, **{name: [value] if is_seq else value}),
+                              None if label == "low" else (name,)))
+    return cases
+
+
+_FUZZ = _fuzz_cases()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, config, needles", [case[1:] for case in _FUZZ],
+                         ids=[case[0] for case in _FUZZ])
+def test_cli_fuzz(tmp_path, capsys, command, config, needles):
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(range(8)))
+    output = tmp_path / "out.bin"
+    paths = {"X": str(x), "OUT": str(output)}
+    config = {k: paths.get(v, v) if isinstance(v, str) else v for k, v in config.items()}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main([*command.split(), "--config", str(cfg)])
+    if needles is None:
+        assert code in (0, 2, 3)
+        _strict_json(capsys.readouterr().out)
+        return
+    assert code == 1
+    assert not output.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert any(needle in err for needle in needles), err
+
+
+def test_cli_fuzz_sees_every_declared_range():
+    # the 19 single-parameter limits, so that the fuzz cannot pass by seeing none
+    assert sum(len(_declared_ranges(c)) for c in harness.COMMANDS) == 19
 
 
 # --------------------------------------------------------------------------

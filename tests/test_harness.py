@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,31 @@ def test_cli_attack_tightness_beyond_64_bits(tmp_path):
     assert (record["name"], record["measured"]) == ("exact-branch advantage", 0.5)
 
 
+@pytest.mark.parametrize("n, k1, k2, b1, b2, setting", [
+    # the first two used to be refused as 2^40 and 2^50 pairs x 4^stored
+    # qubits, the work of a dense measurement that the counted one never does
+    (15, 10, 10, 5, 5, "non-entangled"),
+    (10, 10, 10, 10, 0, "superstrong-entangled"),
+    (20, 10, 10, 5, 5, "entangled"),
+    (20, 10, 10, 5, 5, "superstrong-non-entangled"),
+])
+def test_cli_attack_tightness_at_the_size_limits(tmp_path, n, k1, k2, b1, b2, setting):
+    # k1 + k2 = 20 source pairs with b1 + b2 = 10 stored qubits
+    out = tmp_path / "attack.json"
+    tracemalloc.start()
+    try:
+        code = run_cli("attack", "tightness", "--n", str(n), "--k1", str(k1),
+                       "--k2", str(k2), "--b1", str(b1), "--b2", str(b2),
+                       "--setting", setting, "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    record = json.loads(out.read_text())["records"][0]
+    assert (record["name"], record["measured"]) == ("exact-branch advantage", 0.5)
+    assert peak < 64 << 20
+
+
 def test_cli_attack_missing_params():
     assert run_cli("attack", "tightness", "--n", "4") == 1
 
@@ -266,9 +292,9 @@ def test_bounds_table_sweep_and_empty():
     table = harness.bounds_table(**{"n": 64, "k1": 60, "k2": 60,
                                   "sweep": {"b2": [0, 1, 2]}})
     assert len(table["rows"]) == 3
-    empty = harness.bounds_table(**{"n": 64, "k1": 60, "k2": 60,
-                                  "sweep": {"b2": []}})
-    assert empty["rows"] == []
+    # an empty sweep used to pass with no rows
+    with pytest.raises(ParameterError, match="sweep of b2 needs at least one value"):
+        harness.bounds_table(**{"n": 64, "k1": 60, "k2": 60, "sweep": {"b2": []}})
 
 
 def test_bounds_single_point_echoes_calculator():
