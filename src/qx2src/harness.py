@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import functools
 import inspect
-import itertools
 import json
 import math
 import numbers
+import sys
 import time
 import typing
 from dataclasses import dataclass, field
@@ -104,7 +105,7 @@ def _config(handler, scope: dict) -> dict:
               if scope[name] is not None}
     hints = typing.get_type_hints(handler, include_extras=True)
     for name, value in config.items():
-        if not _finite(value):
+        if not _finite(value, _holds_floats(hints[name])):
             raise ParameterError(f"{name} must be finite, got {value!r}")
         hint, values = _non_none(hints[name]), (value,)
         if typing.get_origin(hint) is collections.abc.Sequence:
@@ -115,10 +116,21 @@ def _config(handler, scope: dict) -> dict:
     return config
 
 
-def _finite(value) -> bool:
+def _finite(value, floats: bool) -> bool:
+    """Whether value holds no nan or infinity, nor, where it holds floats,
+    an integer too large for a float."""
     if isinstance(value, (dict, list, tuple)):
-        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+        return all(_finite(v, floats)
+                   for v in (value.values() if isinstance(value, dict) else value))
+    if floats and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
     return not isinstance(value, float) or math.isfinite(value)
+
+
+def _holds_floats(hint) -> bool:
+    """Whether a value of type hint is a float or holds floats."""
+    hint = _non_none(hint)
+    return hint is float or any(map(_holds_floats, typing.get_args(hint)))
 
 
 def _require_range(name: str, value, low: int, high: int) -> None:
@@ -143,8 +155,9 @@ MAX_EXHAUSTIVE_N = 16
 # the acceptance sizes; each random n builds n matrices of n x n bits
 MAX_RANDOM_N = 64
 # xor, reduction and normbound draw states on up to max_d qubits with up to
-# 2^max_m labels: verify xor takes about 15 s at 6/6, and normbound's Wishart
-# sigma grows ill-conditioned with d (at d = 13 below the pseudo-inverse cutoff)
+# 2^max_m labels: at 6/6 verify xor takes about 11 s and reduction 5.5 s on two
+# cores, and normbound's Wishart sigma grows ill-conditioned with d (at d = 13
+# below the pseudo-inverse cutoff)
 MAX_CQ_M = 6
 MAX_CQ_D = 6
 # smp enumerates all 2^(2n) input pairs, one Bell measurement per qubit pair each,
@@ -159,9 +172,9 @@ MAX_KNOWLEDGE_N = 10
 # pairs; the counted measurement takes about 0.06 s and 50 MiB at 2^20 pairs
 MAX_TIGHTNESS_B = 10
 MAX_TIGHTNESS_K = 20
-# one xor trial costs about 0.5 ms at the default sizes, so 100,000 trials take
-# about a minute; a random rank trial at n = 64 costs about 35 us, and the cap
-# holds for random_trials summed over random_ns
+# an xor, merge or reduction trial costs about 0.1 ms at the default sizes, so
+# 100,000 of them take about 10 s on two cores; a random rank trial at n = 64
+# costs about 17 us, and the cap holds for random_trials summed over random_ns
 MAX_TRIALS = 100_000
 # masks ranked per batch: (1024, 64) uint64 rows and their scratch copies hold
 # the suite to a few MB at any trial count
@@ -185,10 +198,11 @@ def run_matrices_suite(seed: int = DEFAULT_SEED,
                        random_trials: Annotated[int, 1, MAX_TRIALS] = 10000) -> Report:
     """Full-rank property of every subset XOR of the multiplier family."""
     report = Report("verify:matrices", _config(run_matrices_suite, locals()))
+    import numpy as np
     _require_range("len(random_ns) x random_trials", len(random_ns) * random_trials,
                    0, MAX_TRIALS)
     for n in range(1, exhaustive_max_n + 1):
-        good = _full_rank_subsets(n, range(1, 1 << n))
+        good = _full_rank_subsets(n, np.arange(1, 1 << n, dtype=np.uint64))
         report.add(f"exhaustive subset ranks n={n}", good, (1 << n) - 1,
                    good == (1 << n) - 1)
     for n in random_ns:
@@ -200,31 +214,47 @@ def run_matrices_suite(seed: int = DEFAULT_SEED,
 
 
 def _random_masks(seed: int, n: int, count: int):
-    """count non-empty n-bit subset masks, one rng.bytes draw per attempt."""
+    """count non-empty n-bit subset masks as uint64.  rng.bytes(k) takes
+    ceil(k / 4) 32-bit words and keeps the first k bytes, so one bulk draw
+    cut into rows of whole words gives the attempts of one rng.bytes draw
+    each; a zero attempt is a retry, redrawn from where the stream stopped."""
+    import numpy as np
     rng = derive_rng(seed, 0x5E7, n)
-    for _ in range(count):
-        mask = 0
-        while mask == 0:
-            mask = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
-        yield mask
+    nbytes = (n + 7) // 8
+    row = 4 * -(-nbytes // 4)
+    masks = np.zeros(0, dtype=np.uint64)
+    while len(masks) < count:
+        attempts = np.zeros((count - len(masks), 8), dtype=np.uint8)
+        attempts[:, :nbytes] = np.frombuffer(rng.bytes(row * len(attempts)),
+                                             dtype=np.uint8).reshape(-1, row)[:, :nbytes]
+        values = attempts.view("<u8")[:, 0] & np.uint64((1 << n) - 1)
+        masks = np.concatenate([masks, values[values != 0]])
+    return masks
 
 
 def _full_rank_subsets(n: int, masks) -> int:
-    """How many of the masks select a full-rank subset XOR of the n x n family."""
+    """How many of the uint64 masks select a full-rank subset XOR of the n x n family."""
     import numpy as np
     mats = gf2.multiplier_matrices(n, n)
-    masks = iter(masks)
     good = 0
-    while True:
-        chunk = np.fromiter(itertools.islice(masks, RANK_CHUNK), dtype=np.uint64)
-        if not chunk.size:
-            return good
-        ranks = gf2.batched_rank(gf2.subset_rows(mats, chunk))
+    for start in range(0, len(masks), RANK_CHUNK):
+        ranks = gf2.batched_rank(gf2.subset_rows(mats, masks[start:start + RANK_CHUNK]))
         good += int(np.count_nonzero(ranks == n))
+    return good
 
 
-def _trial_shape(t: int, max_m: int, max_d: int):
-    return 1 + (t % max_m), t // max_m % (max_d + 1)
+def _stacked_trials(trials: int, max_m: int, max_d: int, case, check) -> list:
+    """check's values for trials 0 .. trials - 1, in trial order.  Trial t has
+    shape (1 + t % max_m, t // max_m % (max_d + 1)), which repeats every
+    max_m (max_d + 1) trials; case(m, d, t) draws it as (state, *tables), and
+    check(stack, *stacked tables) gives an array of one value per state."""
+    from . import qsim
+    period = max_m * (max_d + 1)
+    values = [None] * trials
+    for j in range(min(period, trials)):
+        cases = (case(1 + j % max_m, j // max_m, t) for t in range(j, trials, period))
+        values[j::period] = [v for stack in qsim.stacks(cases) for v in check(*stack).tolist()]
+    return values
 
 
 def run_xor_suite(seed: int = DEFAULT_SEED, trials: Annotated[int, 1, MAX_TRIALS] = 1000,
@@ -235,23 +265,26 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: Annotated[int, 1, MAX_TRIALS
     report = Report("verify:xor", _config(run_xor_suite, locals()))
     import numpy as np
     from . import qsim
-    worst = -math.inf
-    for t in range(trials):
-        m, d = _trial_shape(t, max_m, max_d)
-        state = qsim.random_cq_state(m, d, seed, stream=t)
-        res = qsim.xor_lemma_check(state)
-        worst = max(worst, res.lhs_squared - res.rhs_bound)
+
+    def violation(stack):
+        res = qsim.xor_lemma_check(stack)
+        return res.lhs_squared - res.rhs_bound
+
+    def deviation(stack, f):
+        lhs = 2 * qsim.cq_distance_from_uniform(qsim.boolean_reduce(stack, f), 1)
+        rho = np.zeros((len(f), 2, stack.dim, stack.dim), dtype=complex)
+        np.add.at(rho, (np.arange(len(f))[:, None], f[:, stack.labels]), stack.weighted())
+        return np.abs(lhs - qsim.l1_norm(rho[:, 0] - rho[:, 1]))
+
+    # worst cases in trial order: max keeps the first of equal values
+    worst = functools.reduce(max, _stacked_trials(
+        trials, max_m, max_d, lambda m, d, t: (qsim.random_cq_state(m, d, seed, stream=t),),
+        violation), -math.inf)
     report.add("xor inequality max violation", worst, atol, worst <= atol)
-    worst_eq = 0.0
-    for t in range(equality_trials):
-        m, d = _trial_shape(t, max_m, max_d)
-        state = qsim.random_cq_state(m, d, seed, stream=0x10000 + t)
-        f = qsim.random_boolean_fn(m, seed, stream=t)
-        reduced = qsim.boolean_reduce(state, f)
-        lhs = 2 * qsim.cq_distance_from_uniform(reduced, 1)
-        rho = np.zeros((2, state.dim, state.dim), dtype=complex)
-        np.add.at(rho, f[state.labels], state.weighted())
-        worst_eq = max(worst_eq, abs(lhs - qsim.l1_norm(rho[0] - rho[1])))
+    worst_eq = functools.reduce(max, _stacked_trials(
+        equality_trials, max_m, max_d,
+        lambda m, d, t: (qsim.random_cq_state(m, d, seed, stream=0x10000 + t),
+                         qsim.random_boolean_fn(m, seed, stream=t)), deviation), 0.0)
     report.add("one-bit merge identity max deviation", worst_eq, 1e-9,
                worst_eq <= 1e-9)
     report.stop()
@@ -266,13 +299,16 @@ def run_reduction_suite(seed: int = DEFAULT_SEED,
     """Quantum-to-classical reduction through the square-root measurement."""
     report = Report("verify:reduction", _config(run_reduction_suite, locals()))
     from . import qsim
-    worst = -math.inf
-    for t in range(trials):
-        m, d = _trial_shape(t, max_m, max_d)
-        state = qsim.random_cq_state(m, d, seed, stream=0x20000 + t)
-        f = qsim.random_boolean_fn(m, seed, stream=0x20000 + t)
-        res = qsim.pgm_reduction_check(state, f)
-        worst = max(worst, res.lhs - res.bound)
+
+    def violation(stack, f):
+        res = qsim.pgm_reduction_check(stack, f)
+        return res.lhs - res.bound
+
+    worst = functools.reduce(max, _stacked_trials(
+        trials, max_m, max_d,
+        lambda m, d, t: (qsim.random_cq_state(m, d, seed, stream=0x20000 + t),
+                         qsim.random_boolean_fn(m, seed, stream=0x20000 + t)),
+        violation), -math.inf)
     report.add("pgm reduction max violation", worst, atol, worst <= atol)
     report.stop()
     return report
@@ -472,6 +508,10 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
     if ignored and extractor != "composed":
         raise ParameterError(f"{', '.join(ignored)}: used only by the composed "
                              f"extractor, not {extractor}")
+    seeded = {"kind": "trevisan", **(seeded or {})}
+    if extractor == "composed" and seeded["kind"] == "trevisan" and "t" not in seeded:
+        raise ParameterError("composed extraction with trevisan needs the config key "
+                             "seeded.t, an even power of two >= 4")
     x = bitio.read_bits(x_path, n, format or "raw")
     y = bitio.read_bits(y_path, n, format or "raw")
     if extractor != "ip":
@@ -491,8 +531,7 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
         capacity = min(bounds.strong_output_len(params, side, entangled)
                        for side in "XY")
     else:
-        spec = extractors.SeededExtractorSpec(
-            **{"kind": "trevisan", **(seeded or {})}, n=n, m=m)
+        spec = extractors.SeededExtractorSpec(**seeded, n=n, m=m)
         out = extractors.compose_two_source(x, y, which or "X", spec)
         feas = bounds.composed_output_len(
             params, "entangled" if entangled else "storage")

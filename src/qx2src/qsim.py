@@ -24,7 +24,11 @@ loop bit for bit.  The same holds for stacks: stacked @, np.trace on
 axes and batched eigvalsh compute each matrix of a stack exactly as
 they compute it alone, and a sum that a stack feeds runs in pair or
 label order whatever the chunk boundaries.  Stacks of per-pair matrices
-are built in chunks of at most STACK_BYTES.
+are built in chunks of at most STACK_BYTES.  A CqState may itself be a
+stack of states over the same simple labels, built by stacks() from
+states drawn one at a time; cq_distance_from_uniform, boolean_reduce,
+xor_lemma_check, pgm, guess_success and pgm_reduction_check then give
+each state the numbers it gets alone.
 
 The sizes handled here are deliberately small (states up to a few
 qubits, label sets up to a few thousand): the inequalities being
@@ -33,9 +37,10 @@ verified are dimension-generic, so exactness matters more than scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,13 +145,19 @@ def _int_array(values) -> np.ndarray:
 
 
 def _square_stack(mats, what: str) -> np.ndarray:
-    """A nonempty sequence of equal-sized square matrices as one (K, d, d) stack."""
+    """A nonempty sequence of equal-sized square matrices as one (K, d, d)
+    stack, or a sequence of such stacks as one (..., K, d, d)."""
     if len({np.shape(m) for m in mats}) > 1:
         raise ValidationError(f"{what} differ in dimension")
     stack = np.asarray(mats, dtype=complex)
-    if stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+    if stack.ndim < 3 or not stack.shape[-3] or stack.shape[-1] != stack.shape[-2]:
         raise ValidationError(f"{what} must be a nonempty stack of square matrices")
     return stack
+
+
+def _per_state(values):
+    """values as a float for one state, as an array over a stack."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +166,16 @@ class CqState:
 
     labels are width-bit ints, bit j holding coordinate j as in BitVector.
     When a source is exposed, sides holds its value for each entry and
-    (label, side) pairs are distinct; otherwise sides is None.
+    (label, side) pairs are distinct; otherwise sides is None.  A stack of
+    states over the same simple labels has probs (..., K) and rhos
+    (..., K, d, d), and the checks below give one value per state.
     """
 
     labels: np.ndarray                   # (K,) int
-    probs: np.ndarray                    # (K,)
-    rhos: np.ndarray                     # (K, d, d) complex
+    probs: np.ndarray                    # (..., K)
+    rhos: np.ndarray                     # (..., K, d, d) complex
     width: int
-    sides: Optional[np.ndarray] = None   # (K,) int
+    sides: Optional[np.ndarray] = None   # (K,) int, for one state only
 
     def __post_init__(self):
         labels = _int_array(self.labels)
@@ -170,18 +183,21 @@ class CqState:
         rhos = _square_stack(self.rhos, "states")
         sides = np.zeros_like(labels) if self.sides is None else _int_array(self.sides)
         k = len(labels)
-        if probs.shape != (k,) or sides.shape != (k,) or labels.shape != (k,) \
-                or len(rhos) != k:
+        if probs.shape[-1:] != (k,) or sides.shape != (k,) or labels.shape != (k,) \
+                or rhos.shape[:-2] != probs.shape:
             raise ValidationError("labels, sides, probs and states differ in length")
+        if probs.ndim > 1 and self.sides is not None:
+            raise ValidationError("a stack of states has simple labels")
         if int(labels.min()) < 0 or int(labels.max()) >> self.width:
             raise ValidationError(f"label out of range for {self.width} bits")
         if len(set(zip(labels.tolist(), sides.tolist()))) != k:
             raise ValidationError("duplicate labels in cq-state")
         if probs.min() < -1e-15:
             raise ValidationError("negative probability")
-        total = float(np.add.accumulate(probs)[-1])
-        if abs(total - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"probabilities sum to {total}, not 1")
+        total = np.add.accumulate(probs, axis=-1)[..., -1]
+        off = total[np.abs(total - 1.0) > TRACE_ATOL]
+        if off.size:
+            raise ValidationError(f"probabilities sum to {off[0]}, not 1")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "rhos", rhos)
@@ -190,27 +206,32 @@ class CqState:
 
     @property
     def dim(self) -> int:
-        return self.rhos.shape[1]
+        return self.rhos.shape[-1]
 
     @property
     def entries(self) -> tuple:
-        """(label, prob, rho) per entry, views into the arrays."""
-        return tuple(zip(self.labels, self.probs, self.rhos))
+        """(label, prob, rho) per entry, views into the arrays; over a stack,
+        prob and rho hold the entry's value in each state."""
+        return tuple(zip(self.labels, np.moveaxis(self.probs, -1, 0),
+                         np.moveaxis(self.rhos, -3, 0)))
 
     def weighted(self) -> np.ndarray:
         """The stack p(z) rho_z."""
-        return self.probs[:, None, None] * self.rhos
+        return self.probs[..., None, None] * self.rhos
 
     def average_state(self) -> np.ndarray:
-        return sum(self.weighted())
+        return sum(np.moveaxis(self.weighted(), -3, 0))
 
-    def min_entropy(self) -> float:
-        return -math.log2(float(self.probs.max()))
+    def min_entropy(self):
+        return _per_state(np.vectorize(lambda p: -math.log2(p), otypes=[float])(
+            self.probs.max(axis=-1)))
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """PSD elements (K, d, d) summing to the identity; element k answers label k."""
+    """PSD elements (K, d, d) summing to the identity; element k answers label k.
+
+    The measurements of a stack of states are one stack (..., K, d, d)."""
 
     elements: np.ndarray
 
@@ -218,9 +239,31 @@ class Povm:
         els = _square_stack(self.elements, "POVM elements")
         if np.linalg.eigvalsh(els).min() < -PSD_ATOL:
             raise ValidationError("POVM element not PSD")
-        if np.max(np.abs(sum(els) - np.eye(els.shape[1]))) > POVM_SUM_ATOL:
+        if np.max(np.abs(sum(np.moveaxis(els, -3, 0)) - np.eye(els.shape[-1]))) \
+                > POVM_SUM_ATOL:
             raise ValidationError("POVM elements do not sum to identity")
         object.__setattr__(self, "elements", els)
+
+
+def stacks(cases: Iterable[tuple]) -> Iterator[tuple]:
+    """Consecutive (state, *tables) cases, whose states share simple labels
+    and width, as (stack, *stacked tables).  A check holds about eight
+    arrays of its stack's size at once (the xor lemma's merged characters,
+    their weighting, the Hermitian check's copies), so a stack holds an
+    eighth of STACK_BYTES of states, and at least one; cases may be a
+    generator, drawn a stack at a time."""
+    cases = iter(cases)
+    for first in cases:
+        step = max(1, STACK_BYTES // (8 * first[0].rhos.nbytes))
+        states, *tables = zip(first, *itertools.islice(cases, step - 1))
+        head = states[0]
+        if len({(s.sides is None, s.width, tuple(s.labels.tolist())) for s in states}) > 1 \
+                or head.sides is not None:
+            raise ParameterError("stacked states must share simple labels and width")
+        stack = (CqState(head.labels, [s.probs for s in states], [s.rhos for s in states],
+                         head.width), *map(np.array, tables))
+        del first, head, states, tables     # the stack alone is alive while it is checked
+        yield stack
 
 
 # --------------------------------------------------------------------------
@@ -301,25 +344,37 @@ def extractor_output_state(x_source: FlatSource, y_source: FlatSource,
 # distances
 
 
-def cq_distance_from_uniform(s: CqState, label_bits: int) -> float:
-    """Trace distance of a cq-state from uniform-output times its marginal.
+def cq_distance_from_uniform(s: CqState, label_bits: int):
+    """Trace distance of a cq-state from uniform-output times its marginal;
+    an array over a stack.
 
     Works block by block: within each group of entries sharing the same
     exposed side value, the block for output e is p(e)rho_e minus
     2^-m times the group marginal; the distance is half the total
     1-norm.  Outputs absent from a group contribute the marginal term
-    alone.
+    alone.  With simple labels, so does an entry of probability 0: a
+    merged stack holds one for each bit that a state's table misses.
     """
     if s.width != label_bits:
         raise ValidationError(f"labels are {s.width}-bit, not {label_bits}-bit")
-    if s.sides is None:
-        first, group = [0], np.zeros(len(s.labels), dtype=np.intp)
-    else:
-        _, first, group = np.unique(s.sides, return_index=True, return_inverse=True)
     weighted = s.weighted()
+    scale = 1.0 / (1 << label_bits)
+    if s.sides is None:
+        marg = np.zeros(weighted.shape[:-3] + weighted.shape[-2:], dtype=complex)
+        for w in np.moveaxis(weighted, -3, 0):
+            marg += w
+        weighted -= scale * marg[..., None, :, :]
+        norms = l1_norm(weighted)
+        held = s.probs != 0
+        total = np.zeros(s.probs.shape[:-1])
+        for norm, on in zip(np.moveaxis(norms, -1, 0), np.moveaxis(held, -1, 0)):
+            total += np.where(on, norm, 0.0)
+        total += (((1 << label_bits) - held.sum(axis=-1)) * scale
+                  * np.real(np.trace(marg, axis1=-2, axis2=-1)))
+        return _per_state(0.5 * total)
+    _, first, group = np.unique(s.sides, return_index=True, return_inverse=True)
     margs = np.zeros((len(first), s.dim, s.dim), dtype=complex)
     np.add.at(margs, group, weighted)
-    scale = 1.0 / (1 << label_bits)
     norms = l1_norm(weighted - scale * margs[group])
     counts = np.bincount(group)
     traces = np.real(np.trace(margs, axis1=1, axis2=2))
@@ -332,16 +387,30 @@ def cq_distance_from_uniform(s: CqState, label_bits: int) -> float:
 
 
 def boolean_reduce(s: CqState, f: np.ndarray) -> CqState:
-    """Merge a cq-state's labels into {0, 1} through f, a 0/1 table indexed by label."""
+    """Merge a cq-state's labels into {0, 1} through f, a 0/1 table indexed by label.
+
+    Tables (..., 2^width) merge a stack, broadcast against it; a merged stack
+    keeps both bits, at probability 0 where a table misses one.
+    """
     if s.sides is not None:
         raise ParameterError("boolean_reduce expects simple labels")
-    bits = np.asarray(f)[s.labels]
-    probs = np.zeros(2)
-    np.add.at(probs, bits, s.probs)
+    bits = np.asarray(f)[..., s.labels]
+    batch = np.broadcast_shapes(s.probs.shape[:-1], bits.shape[:-1])
+    bits = np.broadcast_to(bits, batch + bits.shape[-1:])
+    at = np.indices(batch, sparse=True)
+    # per bit the label-order sums of p and of p rho; -0.0 is the identity of +
+    probs = np.zeros(batch + (2,))
+    rhos = np.full(probs.shape + s.rhos.shape[-2:], complex(-0.0, -0.0))
     weighted = s.weighted()
-    kept = [b for b in (0, 1) if probs[b] > 0]
-    rhos = [np.add.accumulate(weighted[bits == b], axis=0)[-1] / probs[b] for b in kept]
-    return CqState(kept, probs[kept], rhos, 1)
+    for k in range(len(s.labels)):
+        probs[(*at, bits[..., k])] += s.probs[..., k]
+        rhos[(*at, bits[..., k])] += weighted[..., k, :, :]
+    kept = probs > 0
+    np.divide(rhos, probs[..., None, None], out=rhos, where=kept[..., None, None])
+    if not batch:
+        kept = np.flatnonzero(kept)
+        return CqState(kept, probs[kept], rhos[kept], 1)
+    return CqState([0, 1], np.where(kept, probs, 0.0), rhos, 1)
 
 
 def character(labels: np.ndarray, mask) -> np.ndarray:
@@ -365,20 +434,30 @@ class XorLemmaResult:
 
 
 def xor_lemma_check(s: CqState) -> XorLemmaResult:
-    """Multi-bit distance squared vs the character-sum bound.
+    """Multi-bit distance squared vs the character-sum bound; each field an
+    array over a stack.
 
     Both proof branches are reported: one pays a factor 2^d in the
     state dimension, the other 2^m in the label length; the headline
-    bound takes the smaller factor.
+    bound takes the smaller factor.  The characters chi_S, S = 1 .. 2^m - 1,
+    merge every state at once, and their squared distances are summed in
+    mask order with Python's pow, which rounds differently from x * x.
     """
     if s.sides is not None:
         raise ValidationError("xor lemma needs simple m-bit labels")
     m = s.width
     d = s.dim.bit_length() - 1
     lhs = cq_distance_from_uniform(s, m)
-    char_sum = 0.0
-    for dist in _character_distances(s):
-        char_sum += dist ** 2
+    # one table per mask, each broadcast over the stack
+    masks = np.arange(1, 1 << m).reshape((-1,) + (1,) * np.ndim(lhs) + (1,))
+    dists = cq_distance_from_uniform(boolean_reduce(s, character(np.arange(1 << m), masks)), 1)
+    char_sums = []
+    for row in np.moveaxis(dists, 0, -1).reshape(-1, len(dists)).tolist():
+        char_sum = 0.0
+        for dist in row:
+            char_sum += dist ** 2
+        char_sums.append(char_sum)
+    char_sum = _per_state(np.reshape(char_sums, np.shape(lhs)))
     return XorLemmaResult(
         lhs_squared=lhs * lhs,
         rhs_bound=(1 << min(d, m)) * char_sum,
@@ -388,75 +467,44 @@ def xor_lemma_check(s: CqState) -> XorLemmaResult:
     )
 
 
-def _character_distances(s: CqState) -> list:
-    """cq_distance_from_uniform(boolean_reduce(s, chi_S), 1) for every mask
-    S = 1 .. 2^m - 1, as one (masks, 2, d, d) stack of reduced blocks and
-    one eigendecomposition, with each block's arithmetic unchanged."""
-    masks = np.arange(1, 1 << s.width)
-    rows = np.arange(len(masks))
-    bits = character(s.labels[None, :], masks[:, None])          # (masks, K)
-    # per (mask, bit) the label-order sums of p and of p rho; each label adds
-    # to one bit of every mask, and -0.0 is the identity of +
-    probs = np.zeros((len(masks), 2))
-    np.add.at(probs, (rows[:, None], bits), s.probs)
-    blocks = np.full((len(masks), 2, s.dim, s.dim), complex(-0.0, -0.0))
-    for label, weighted in enumerate(s.weighted()):
-        blocks[rows, bits[:, label]] += weighted
-    kept = probs > 0
-    totals = np.where(kept, probs, 0.0)
-    totals = totals[:, 0] + totals[:, 1]
-    off = np.abs(totals - 1.0) > TRACE_ATOL
-    if off.any():
-        raise ValidationError(f"probabilities sum to {totals[off][0]}, not 1")
-    np.divide(blocks, probs[..., None, None], out=blocks, where=kept[..., None, None])
-    blocks *= probs[..., None, None]
-    margs = np.zeros((len(masks), s.dim, s.dim), dtype=complex)
-    margs += blocks[:, 0]
-    margs += blocks[:, 1]
-    blocks -= 0.5 * margs[:, None]
-    norms = l1_norm(blocks)                    # a bit no label reaches is ignored
-    total = np.where(kept[:, 0], norms[:, 0], 0.0) + np.where(kept[:, 1], norms[:, 1], 0.0)
-    # a one-sided character's missing bit adds 1 * 1/2 * tr(marginal)
-    total = total + (2 - kept.sum(axis=1)) * 0.5 * np.real(np.trace(margs, axis1=1, axis2=2))
-    return (0.5 * total).tolist()
-
-
 # --------------------------------------------------------------------------
 # measurements
 
 
 def _pinv_sqrt_and_kernel(rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Pseudo-inverse square root and kernel projector of rho, or of each in a stack."""
     vals, vecs = np.linalg.eigh(rho)
     inv = np.where(vals > PINV_CUTOFF, 1.0 / np.sqrt(np.maximum(vals, PINV_CUTOFF)), 0.0)
     kernel_sel = (vals <= PINV_CUTOFF).astype(float)
-    r = (vecs * inv) @ vecs.conj().T
-    kernel = (vecs * kernel_sel) @ vecs.conj().T
-    return r, kernel
+    adjoint = vecs.conj().swapaxes(-1, -2)
+    return (vecs * inv[..., None, :]) @ adjoint, (vecs * kernel_sel[..., None, :]) @ adjoint
 
 
 def pgm(s: CqState) -> Povm:
-    """Square-root measurement of a cq-state.
+    """Square-root measurement of a cq-state, or of each state of a stack.
 
     Elements are p(z) R rho_z R with R the pseudo-inverse square root
     of the average state; the kernel projector is split evenly across
     elements so they sum to the identity exactly.
     """
     r, kernel = _pinv_sqrt_and_kernel(s.average_state())
-    el = s.probs[:, None, None] * (r @ s.rhos @ r) + kernel / len(s.probs)
-    return Povm(0.5 * (el + el.conj().swapaxes(1, 2)))
+    r = r[..., None, :, :]
+    el = s.probs[..., None, None] * (r @ s.rhos @ r) + kernel[..., None, :, :] / len(s.labels)
+    return Povm(0.5 * (el + el.conj().swapaxes(-1, -2)))
 
 
-def guess_success(s: CqState, m: Povm) -> float:
-    """Probability that measuring with m recovers the label."""
+def guess_success(s: CqState, m: Povm):
+    """Probability that measuring with m recovers the label; an array over a stack."""
     if m.elements.shape != s.rhos.shape:
         raise ParameterError(f"POVM elements {m.elements.shape} do not match "
                              f"the state's labels and states {s.rhos.shape}")
-    traces = np.real(np.trace(m.elements @ s.rhos, axis1=1, axis2=2))
-    total = float(np.add.accumulate(s.probs * traces)[-1])
-    if not -PROB_ATOL <= total <= 1.0 + PROB_ATOL:
-        raise ParameterError(
-            f"success probability {total!r} is outside [0, 1]; the POVM is not valid")
-    return min(max(total, 0.0), 1.0)
+    traces = np.real(np.trace(m.elements @ s.rhos, axis1=-2, axis2=-1))
+    total = np.add.accumulate(s.probs * traces, axis=-1)[..., -1]
+    off = total[~((total >= -PROB_ATOL) & (total <= 1.0 + PROB_ATOL))]
+    if off.size:
+        raise ParameterError(f"success probability {float(off[0])!r} is outside "
+                             "[0, 1]; the POVM is not valid")
+    return _per_state(np.clip(total, 0.0, 1.0))
 
 
 def helstrom_advantage(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray) -> float:
@@ -513,21 +561,29 @@ def pgm_reduction_check(s: CqState, f: np.ndarray) -> PgmReductionResult:
     reduced bit from uniform; the classical side measures the joint of
     f(Z) with the measurement outcome against an independent uniform
     bit, as a variational distance; the claimed bound is sqrt(half the
-    classical distance).
+    classical distance).  For a stack f holds one table per state, and
+    each field is an array.
     """
     lhs = cq_distance_from_uniform(boolean_reduce(s, f), 1)
     elements = pgm(s).elements
-    # q[k, w] = p(z_k) tr(E_w rho_k): label k measured as outcome w, one row at a time
-    q = np.array([p * np.real(np.trace(elements @ rho, axis1=1, axis2=2))
-                  for p, rho in zip(s.probs, s.rhos)])
-    joint = np.zeros((2, len(elements)))
-    np.add.at(joint, np.asarray(f)[s.labels], q)
-    marg = np.add.accumulate(q, axis=0)[-1]
+    # q[..., k, w] = p(z_k) tr(E_w rho_k): label k measured as outcome w, one
+    # label at a time, so that no (K, K, d, d) product is held
+    q = np.stack([p[..., None] * np.real(np.trace(elements @ rho[..., None, :, :],
+                                                  axis1=-2, axis2=-1))
+                  for p, rho in zip(np.moveaxis(s.probs, -1, 0), np.moveaxis(s.rhos, -3, 0))],
+                 axis=-2)
+    joint = np.zeros(q.shape[:-2] + (2, q.shape[-1]))
+    at = np.indices(q.shape[:-2], sparse=True)
+    bits = np.asarray(f)[..., s.labels]
+    for k in range(len(s.labels)):
+        joint[(*at, bits[..., k])] += q[..., k, :]
+    marg = np.add.accumulate(q, axis=-2)[..., -1, :]
     # summed outcome by outcome, bit 0 before bit 1
-    dist = np.add.accumulate(np.abs(joint - 0.5 * marg).T.ravel())[-1]
-    classical = 0.5 * float(dist)
-    return PgmReductionResult(lhs=lhs, classical_distance=classical,
-                              bound=math.sqrt(0.5 * classical))
+    dist = np.add.accumulate(np.abs(joint - 0.5 * marg[..., None, :]).swapaxes(-1, -2)
+                             .reshape(q.shape[:-2] + (-1,)), axis=-1)[..., -1]
+    classical = 0.5 * dist
+    return PgmReductionResult(lhs=lhs, classical_distance=_per_state(classical),
+                              bound=_per_state(np.sqrt(0.5 * classical)))
 
 
 def trace_norm_weighted_l2_bound(s_op: np.ndarray, sigma: np.ndarray) -> Tuple[float, float]:

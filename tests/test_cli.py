@@ -61,6 +61,13 @@ BAD_CONFIGS = [
     (("extract", "--x", "X", "--y", "X", "--n", "16"), {"c_o1": -math.inf},
      "c_o1 must be finite, got -inf"),
     (("verify", "xor"), {"atol": math.inf}, "atol must be finite, got inf"),
+    # an integer too large for a float, where a float is declared
+    (("verify", "xor"), {"atol": 10 ** 400, "trials": 2, "equality_trials": 1},
+     "atol must be finite, got 1000"),
+    (("bounds", "--n", "100", "--k1", "80", "--k2", "80"), {"c_poly": 10 ** 400},
+     "c_poly must be finite, got 1000"),
+    (("bounds", "--n", "100", "--k1", "80", "--k2", "80"),
+     {"sweep": {"c_poly": [1.0, 10 ** 400]}}, "sweep must be finite"),
 ]
 
 
@@ -152,6 +159,9 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("verify", "security", "--atol=-inf"), "atol must be finite, got -inf"),
     (("extract", "--x", "nosuch", "--y", "nosuch", "--n", "16", "--c-poly", "inf"),
      "c_poly must be finite, got inf"),
+    # trevisan's t has no default and no flag
+    (("extract", "--x", "nosuch", "--y", "nosuch", "--n", "64", "--extractor", "composed"),
+     "needs the config key seeded.t"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

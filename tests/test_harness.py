@@ -1,5 +1,6 @@
 """CLI commands, reports, exit codes, reproducibility."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -8,10 +9,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qx2src import cli, gf2, harness, qsim
 from qx2src.errors import DimensionError, ParameterError, ValidationError
+from qx2src.rng import derive_rng
 
 
 def run_cli(*argv):
@@ -301,6 +304,96 @@ def test_bounds_single_point_echoes_calculator():
     table = harness.bounds_table(**{"n": 100, "k1": 100, "k2": 100,
                                   "eps": 2.0 ** -10})
     assert table["rows"][0]["strong_m_X_entangled"] == 41
+
+
+# --------------------------------------------------------------------------
+# verification suites in bulk and in stacks
+
+
+def _random_masks_oracle(seed, n, count):
+    """The matrices suite's masks, one rng.bytes draw per attempt."""
+    rng = derive_rng(seed, 0x5E7, n)
+    for _ in range(count):
+        mask = 0
+        while mask == 0:
+            mask = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+        yield mask
+
+
+@pytest.mark.parametrize("seed", [1, 4, 2024])
+def test_bulk_masks_match_the_per_attempt_draws(seed):
+    # n = 1..4 redraw often: at n = 1 half the attempts are zero
+    for n in range(1, 65):
+        masks = harness._random_masks(seed, n, 300)
+        assert masks.dtype == np.uint64
+        assert masks.tolist() == list(_random_masks_oracle(seed, n, 300)), n
+
+
+@pytest.mark.parametrize("trials, max_m, max_d", [(1, 3, 3), (7, 3, 3), (100, 3, 3),
+                                                  (45, 4, 4), (13, 1, 0), (50, 6, 2)])
+def test_stacked_trials_keep_each_trial_its_shape_and_order(trials, max_m, max_d):
+    def check(stack, tags):
+        assert {(stack.width, stack.dim)} == {(m, 1 << d) for _, m, d in tags.tolist()}
+        return tags
+
+    values = harness._stacked_trials(
+        trials, max_m, max_d, lambda m, d, t: (qsim.random_cq_state(m, d, 0, stream=t), (t, m, d)),
+        check)
+    assert values == [[t, 1 + t % max_m, t // max_m % (max_d + 1)] for t in range(trials)]
+
+
+def _peak_mib(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cq_suites_memory_at_the_largest_shapes():
+    # one trial of each of the 42 shapes, each a stack of one
+    assert _peak_mib(lambda: harness.run_xor_suite(
+        seed=4, trials=42, equality_trials=42, max_m=6, max_d=6)) < 64
+    assert _peak_mib(lambda: harness.run_reduction_suite(
+        seed=4, trials=42, max_m=6, max_d=6)) < 64
+
+
+def test_cq_suites_memory_stays_flat_in_the_trial_count():
+    # 700 trials over 21 shapes: the 33 trials of shape (3, 6) hold 17 MB of
+    # states, so stacks that took a shape whole would break the limit
+    assert _peak_mib(lambda: harness.run_xor_suite(
+        seed=4, trials=700, equality_trials=700, max_d=6)) < 16
+    assert _peak_mib(lambda: harness.run_reduction_suite(seed=4, trials=700, max_d=6)) < 16
+
+
+# sha256 of to_json(include_wall_clock=False) at default sizes: a change to
+# any reported bit fails here
+REPORT_DIGESTS = [
+    ("matrices", 4, "8c4332a2fbd6deec2393b22b53db7f39face20541fc92ed1faaa87f012d8e35b"),
+    ("matrices", 5, "67a7b6fe03199d5b052cd3720d8d26f5e805d063f2768900d976ae6cb674792e"),
+    ("xor", 4, "fd0a299a0f13e22ca1a4c23608bdd2d0baa5e0269b2c65087f6ee86ad9499961"),
+    ("xor", 5, "cfd2d2e63a31a4f4a1c9f4e3fb296395b9cd692443ac36ae5d6a748d60ef4957"),
+    ("reduction", 4, "436c01f2a2955a89aa33366bc09cd641f0f7b0fcd5390c5e11eec34cea260178"),
+    ("reduction", 5, "bdfe2362441f221fcf541780fd4652376456b7ac4f9a28c5258163647526d30b"),
+    ("normbound", 4, "00d9d7420b2e1f96f8c2eca9b30e36306b425976e187f90388dbf933189cdce0"),
+    ("normbound", 5, "e42835bb2645bcaece77cb559fe104b12e8ced59e7d7265aa398bc15e7a4c820"),
+    ("security", 4, "af7145ca55af56f0fa1605d439869a8fef1d2af333e8deeb7268150b8c888887"),
+    ("security", 5, "15321461f6455620370cee5dcce9371689a332881c5aa5723fe4a6406416018a"),
+]
+
+
+@pytest.mark.parametrize("suite, seed, digest", REPORT_DIGESTS)
+def test_suite_reports_match_their_frozen_digests(suite, seed, digest):
+    report = harness.run_verify(suite, seed=seed)
+    assert hashlib.sha256(report.to_json(include_wall_clock=False).encode()).hexdigest() == digest
+
+
+def test_float_limits_leave_integer_seeds_masked():
+    # a seed too large for a float still runs, as its low 64 bits
+    big = harness.run_verify("normbound", seed=10 ** 400, trials=3).to_dict(False)
+    low = harness.run_verify("normbound", seed=10 ** 400 % 2 ** 64, trials=3).to_dict(False)
+    assert big["records"] == low["records"] and big["config"]["seed"] == 10 ** 400
 
 
 # --------------------------------------------------------------------------

@@ -776,3 +776,170 @@ def test_guess_success_rejects_broken_povm():
     object.__setattr__(broken, "elements", np.array([2 * np.eye(2), 2 * np.eye(2)], dtype=complex))
     with pytest.raises(ParameterError, match="2.0"):
         qsim.guess_success(s, broken)
+
+
+# --------------------------------------------------------------------------
+# stacks of states against the per-state checks they replaced
+
+
+def _distance_oracle(s, m):
+    """cq_distance_from_uniform of one state with simple labels, as it was
+    computed one state at a time."""
+    group = np.zeros(len(s.labels), dtype=np.intp)
+    weighted = s.weighted()
+    margs = np.zeros((1, s.dim, s.dim), dtype=complex)
+    np.add.at(margs, group, weighted)
+    scale = 1.0 / (1 << m)
+    total = 0.0
+    for norm in qsim.l1_norm(weighted - scale * margs[group]):
+        total += norm
+    total += ((1 << m) - len(s.labels)) * scale * np.real(np.trace(margs[0]))
+    return 0.5 * float(total)
+
+
+def _reduce_oracle(s, f):
+    return qsim.CqState(*zip(*_reduce_loop(s, f)), 1)
+
+
+def _xor_oracle(s):
+    """xor_lemma_check one state at a time: a character at a time."""
+    m, d = s.width, s.dim.bit_length() - 1
+    lhs = _distance_oracle(s, m)
+    char_sum = 0.0
+    for mask in range(1, 1 << m):
+        table = qsim.character(np.arange(1 << m), mask)
+        char_sum += _distance_oracle(_reduce_oracle(s, table), 1) ** 2
+    return qsim.XorLemmaResult(lhs * lhs, (1 << min(d, m)) * char_sum, (1 << d) * char_sum,
+                               (1 << m) * char_sum, char_sum)
+
+
+def _pgm_reduction_oracle(s, f):
+    """pgm_reduction_check one state at a time."""
+    vals, vecs = np.linalg.eigh(sum(s.weighted()))
+    inv = np.where(vals > qsim.PINV_CUTOFF,
+                   1.0 / np.sqrt(np.maximum(vals, qsim.PINV_CUTOFF)), 0.0)
+    r = (vecs * inv) @ vecs.conj().T
+    kernel = (vecs * (vals <= qsim.PINV_CUTOFF).astype(float)) @ vecs.conj().T
+    el = s.probs[:, None, None] * (r @ s.rhos @ r) + kernel / len(s.probs)
+    elements = 0.5 * (el + el.conj().swapaxes(1, 2))
+    q = np.array([p * np.real(np.trace(elements @ rho, axis1=1, axis2=2))
+                  for p, rho in zip(s.probs, s.rhos)])
+    joint = np.zeros((2, len(elements)))
+    np.add.at(joint, f[s.labels], q)
+    marg = np.add.accumulate(q, axis=0)[-1]
+    classical = 0.5 * float(np.add.accumulate(np.abs(joint - 0.5 * marg).T.ravel())[-1])
+    return qsim.PgmReductionResult(_distance_oracle(_reduce_oracle(s, f), 1), classical,
+                                   math.sqrt(0.5 * classical))
+
+
+STACK_SHAPES = list(itertools.product(range(1, 5), range(5)))   # max_m = max_d = 4
+
+
+@pytest.mark.parametrize("per_stack", [None, 2])
+@pytest.mark.parametrize("m, d", STACK_SHAPES)
+def test_stacked_checks_match_the_per_state_oracles(monkeypatch, m, d, per_stack):
+    # five states per shape; two per stack puts the boundaries inside the shape
+    states = [qsim.random_cq_state(m, d, seed=2024, stream=t) for t in range(5)]
+    tables = [qsim.random_boolean_fn(m, seed=2024, stream=t) for t in range(5)]
+    if per_stack:
+        monkeypatch.setattr(qsim, "STACK_BYTES", 8 * per_stack * states[0].rhos.nbytes)
+    sizes, got = [], {"xor": [], "pgm": [], "merged": []}
+    for stack, f in qsim.stacks(zip(states, tables)):
+        sizes.append(len(stack.probs))
+        for name, res in (("xor", qsim.xor_lemma_check(stack)),
+                          ("pgm", qsim.pgm_reduction_check(stack, f))):
+            got[name] += zip(*(getattr(res, k).tolist() for k in res.__dataclass_fields__))
+        got["merged"] += qsim.cq_distance_from_uniform(qsim.boolean_reduce(stack, f), 1).tolist()
+    assert sum(sizes) == 5 and (sizes == [2, 2, 1] or not per_stack)
+    for t, (s, f) in enumerate(zip(states, tables)):
+        xor = _xor_oracle(s)
+        assert got["xor"][t] == tuple(getattr(xor, k) for k in xor.__dataclass_fields__), t
+        pgm = _pgm_reduction_oracle(s, f)
+        assert got["pgm"][t] == tuple(getattr(pgm, k) for k in pgm.__dataclass_fields__), t
+        assert got["merged"][t] == _distance_oracle(_reduce_oracle(s, f), 1), t
+        # one state is a stack of none: the same numbers as floats
+        assert qsim.xor_lemma_check(s) == xor
+        assert qsim.pgm_reduction_check(s, f) == pgm
+
+
+def test_merged_stack_keeps_a_bit_its_table_misses():
+    # a constant table puts every label on one bit: one state drops the other,
+    # a stack holds it at probability 0, and both measure the same distance
+    s = qsim.random_cq_state(2, 1, seed=3, stream=1)
+    for table in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0]):
+        single = qsim.boolean_reduce(s, np.array(table))
+        stack, f = next(qsim.stacks([(s, np.array(table)), (s, np.array([0, 1, 0, 1]))]))
+        merged = qsim.boolean_reduce(stack, f)
+        assert merged.labels.tolist() == [0, 1] and merged.probs.shape == (2, 2)
+        for b in (0, 1):
+            assert (merged.probs[0, b] == 0) == (b not in single.labels.tolist())
+        assert qsim.cq_distance_from_uniform(merged, 1)[0] \
+            == qsim.cq_distance_from_uniform(single, 1) \
+            == _distance_oracle(_reduce_oracle(s, np.array(table)), 1)
+
+
+def test_character_sums_square_with_pow():
+    # verify xor at seed 1, trial 849 (m = 1, d = 3): the one character's
+    # distance x has x ** 2 (libm pow) one ulp above the rounded x * x, and
+    # the reports sum pow's squares
+    s = qsim.random_cq_state(1, 3, 1, stream=849)
+    x = qsim.cq_distance_from_uniform(qsim.boolean_reduce(s, np.array([0, 1])), 1)
+    assert x == 0.2828725197186212 and x ** 2 != x * x
+    assert qsim.xor_lemma_check(s).character_sum == x ** 2
+    stack, = next(qsim.stacks([(qsim.random_cq_state(1, 3, 1, stream=846),), (s,)]))
+    assert qsim.xor_lemma_check(stack).character_sum[1] == x ** 2
+
+
+def _unchecked_state(**fields):
+    """A CqState built around __post_init__."""
+    state = object.__new__(qsim.CqState)
+    for name, value in dict(sides=None, **fields).items():
+        object.__setattr__(state, name, value)
+    return state
+
+
+def test_stacks_raise_what_one_state_raises(monkeypatch):
+    good = qsim.random_cq_state(2, 1, seed=4)
+    broken = _unchecked_state(labels=good.labels, probs=0.9 * good.probs,
+                              rhos=good.rhos, width=2)
+    with pytest.raises(ValidationError) as alone:
+        qsim.CqState(broken.labels, broken.probs, broken.rhos, 2)
+    with pytest.raises(ValidationError) as stacked:
+        next(qsim.stacks([(good,), (broken,), (good,)]))
+    assert str(stacked.value) == str(alone.value)
+    # the characters' merge checks each sum, in a stack as for one state
+    with pytest.raises(ValidationError) as alone:
+        qsim.xor_lemma_check(broken)
+    stack = _unchecked_state(labels=good.labels, probs=np.array([good.probs, broken.probs]),
+                             rhos=np.array([good.rhos, broken.rhos]), width=2)
+    with pytest.raises(ValidationError) as stacked:
+        qsim.xor_lemma_check(stack)
+    assert str(stacked.value) == str(alone.value)
+    assert "probabilities sum to 0.8999" in str(alone.value)
+    # each state's POVM is checked: at PSD_ATOL = -1 no element passes
+    f = qsim.random_boolean_fn(2, seed=4)
+    stack, fs = next(qsim.stacks([(good, f), (good, f)]))
+    monkeypatch.setattr(qsim, "PSD_ATOL", -1.0)
+    for args in ((good, f), (stack, fs)):
+        with pytest.raises(ValidationError, match="POVM element not PSD"):
+            qsim.pgm_reduction_check(*args)
+
+
+def test_stacked_guessing_probability_and_min_entropy_are_per_state():
+    states = [qsim.random_cq_state(2, 1, seed=9, stream=t) for t in range(3)]
+    stack, = next(qsim.stacks((s,) for s in states))
+    assert qsim.guess_success(stack, qsim.pgm(stack)).tolist() \
+        == [qsim.guess_success(s, qsim.pgm(s)) for s in states]
+    assert stack.min_entropy().tolist() == [s.min_entropy() for s in states]
+
+
+def test_stacks_need_shared_labels_and_width():
+    a = qsim.random_cq_state(2, 1, seed=6)
+    part = _with_labels(qsim.random_cq_state(2, 1, seed=6, stream=1), [0, 1, 3])
+    with pytest.raises(ParameterError, match="share simple labels"):
+        next(qsim.stacks([(a,), (qsim.random_cq_state(3, 1, seed=6),)]))
+    with pytest.raises(ParameterError, match="share simple labels"):
+        next(qsim.stacks([(part,), (_with_labels(a, [0, 1, 2]),)]))
+    exposed = qsim.CqState([0, 0], [0.5, 0.5], [KET0, KET1], 1, sides=[0, 1])
+    with pytest.raises(ParameterError, match="share simple labels"):
+        next(qsim.stacks([(exposed,)]))
