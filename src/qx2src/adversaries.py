@@ -121,12 +121,14 @@ class StorageStrategy:
     stored(xs, ys), checked to be a (P, 2^(b1+b2), 2^(b1+b2)) stack, one
     state per pair, Alice's qubits first.  A single pair is a batch of one.
     A basis strategy also has index(xs, ys), the int64 rows of the
-    orthonormal table basis() whose pure states stored returns.
+    orthonormal table basis() whose pure states stored returns.  A stack
+    of strategies is called as strategy(xs, ys, at), pair i under
+    strategy at[i].
     """
 
     b1: int
     b2: int
-    stored: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    stored: Callable[..., np.ndarray]
     index: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     basis: Optional[Callable[[], np.ndarray]] = None
 
@@ -134,8 +136,8 @@ class StorageStrategy:
         if self.b1 < 0 or self.b2 < 0:
             raise ParameterError("budgets must be nonnegative")
 
-    def __call__(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        rhos = np.asarray(self.stored(xs, ys), dtype=complex)
+    def __call__(self, xs: np.ndarray, ys: np.ndarray, *at: np.ndarray) -> np.ndarray:
+        rhos = np.asarray(self.stored(xs, ys, *at), dtype=complex)
         dim = 1 << (self.b1 + self.b2)
         if rhos.shape != (len(xs), dim, dim):
             raise DimensionError(f"strategy produced states of shape {rhos.shape[1:]} "
@@ -149,57 +151,101 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(p, ra * rb, ca * cb)
 
 
-def random_storage(b1: int, b2: int, flavor: str, seed: int) -> StorageStrategy:
-    """Seeded random strategy of the requested flavor.
+def _per_value(build: Callable[[list], np.ndarray]) -> Callable[..., tuple]:
+    """Factors by (instance, source value): look(at, vs) returns a stack of
+    factors and, for each i, the row of (at[i], vs[i])'s factor in it.
+    build(keys) makes each new key's factor once, all of a call's new keys
+    as one stack.  A stack of strategies is called instance by instance,
+    so only factors from a call's last instance on are kept."""
+    table = {}
+
+    def look(at, vs):
+        keys = list(zip(at.tolist(), vs.tolist()))
+        rows = {key: row for row, key in enumerate(dict.fromkeys(keys))}
+        new = [key for key in rows if key not in table]
+        if new:
+            table.update(zip(new, build(new)))
+        factors = np.array([table[key] for key in rows])
+        for key in [key for key in table if key[0] < keys[-1][0]]:
+            del table[key]
+        return factors, np.array([rows[key] for key in keys])
+
+    return look
+
+
+def random_storage(b1: int, b2: int, flavor: str, seed) -> StorageStrategy:
+    """Seeded random strategy of the requested flavor; for a sequence of
+    seeds, a stack of strategies, called as strategy(xs, ys, at) with at[i]
+    the seed of pair i.
 
     Entangled: a fixed Gaussian-random shared pure state with one extra
     working qubit per side, per-input Haar-ish local unitaries, then a
     partial trace down to the budgets.  Product: an independent
     per-input purification per side, traced to the budget.  Each side's
-    factor is computed once per source value and kept for the life of
-    the strategy.  The entangled flavor conjugates and traces its
-    2^(b1+b2+2)-square joint states in chunks of qsim.STACK_BYTES.
+    factor is drawn once per (seed, source value), every new value of a
+    call in one stack.  The entangled flavor conjugates and traces its
+    2^(b1+b2+2)-square joint states in chunks of an eighth of
+    qsim.STACK_BYTES, and holds one seed's shared state at a time.
     """
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if flavor == "entangled":
         wa, wb = b1 + 1, b2 + 1
-        rng = derive_rng(seed, 0xE27)
-        g = rng.normal(size=1 << (wa + wb)) + 1j * rng.normal(size=1 << (wa + wb))
-        shared = g / np.linalg.norm(g)
-        pure = np.outer(shared, shared.conj())
         dims = [2] * (wa + wb)
         keep = list(range(b1)) + [wa + i for i in range(b2)]
 
-        @functools.cache
-        def ua(v):
-            return qsim.random_unitary(1 << wa, derive_rng(seed, 0xA11CE, v))
+        @functools.lru_cache(maxsize=1)
+        def pure(i):
+            rng = derive_rng(seeds[i], 0xE27)
+            g = rng.normal(size=1 << (wa + wb)) + 1j * rng.normal(size=1 << (wa + wb))
+            shared = g / np.linalg.norm(g)
+            return np.outer(shared, shared.conj())
 
-        @functools.cache
-        def ub(v):
-            return qsim.random_unitary(1 << wb, derive_rng(seed, 0xB0B, v))
+        ua = _per_value(lambda keys: qsim.random_unitary(
+            1 << wa, [derive_rng(seeds[i], 0xA11CE, v) for i, v in keys]))
+        ub = _per_value(lambda keys: qsim.random_unitary(
+            1 << wb, [derive_rng(seeds[i], 0xB0B, v) for i, v in keys]))
 
-        def stored(xs, ys):
+        def stored(xs, ys, at=None):
+            at = np.zeros(len(xs), dtype=np.int64) if at is None else at
             out = np.empty((len(xs), 1 << (b1 + b2), 1 << (b1 + b2)), dtype=complex)
-            for part in qsim.stack_chunks(len(xs), pure.nbytes):
-                u = _kron(np.array([ua(v) for v in xs[part].tolist()]),
-                          np.array([ub(v) for v in ys[part].tolist()]))
-                rho = qsim.partial_trace(qsim.conjugate(u, pure), dims, keep)
-                out[part] = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+            (fa, ia), (fb, ib) = ua(at, xs), ub(at, ys)
+            # an eighth of STACK_BYTES of joint states, 16 bytes an entry
+            for part in qsim.stack_chunks(len(xs), 8 * 16 << 2 * (wa + wb)):
+                u = _kron(fa[ia[part]], fb[ib[part]])
+                # one seed's pairs at a time; u^dagger is written over u, which
+                # saves a copy of u
+                edges = [0, *(np.flatnonzero(np.diff(at[part])) + 1).tolist(), len(u)]
+                for lo, hi in zip(edges, edges[1:]):
+                    run = u[lo:hi]
+                    mixed = run @ pure(int(at[part][lo]))
+                    mixed = mixed @ np.conjugate(run, out=run).swapaxes(-1, -2)
+                    rho = qsim.partial_trace(mixed, dims, keep)
+                    out[part][lo:hi] = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
             return out
 
         return StorageStrategy(b1, b2, stored)
 
     if flavor == "product":
-        @functools.cache
-        def side(stream, b, v):
-            rng = derive_rng(seed, stream, v)
-            g = rng.normal(size=1 << (b + 1)) + 1j * rng.normal(size=1 << (b + 1))
-            pure = g / np.linalg.norm(g)
-            kept = qsim.partial_trace(np.outer(pure, pure.conj()), [1 << b, 2], [0])
-            return 0.5 * (kept + kept.conj().T)
+        def side(stream, b):
+            def build(keys):
+                rngs = [derive_rng(seeds[i], stream, v) for i, v in keys]
+                g = np.array([r.normal(size=1 << (b + 1)) + 1j * r.normal(size=1 << (b + 1))
+                              for r in rngs])
+                # np.linalg.norm's sqrt(re . re + im . im), row by row:
+                # norm(g, axis=-1) rounds differently
+                re, im = g.real[:, None, :], g.imag[:, None, :]
+                pure = g / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+                kept = qsim.partial_trace(pure[:, :, None] * pure.conj()[:, None, :],
+                                          [1 << b, 2], [0])
+                return 0.5 * (kept + kept.conj().swapaxes(-1, -2))
+            return _per_value(build)
 
-        def stored(xs, ys):
-            return _kron(np.array([side(0xA11CE, b1, v) for v in xs.tolist()]),
-                         np.array([side(0xB0B, b2, v) for v in ys.tolist()]))
+        alice, bob = side(0xA11CE, b1), side(0xB0B, b2)
+
+        def stored(xs, ys, at=None):
+            at = np.zeros(len(xs), dtype=np.int64) if at is None else at
+            (fa, ia), (fb, ib) = alice(at, xs), bob(at, ys)
+            return _kron(fa[ia], fb[ib])
 
         return StorageStrategy(b1, b2, stored)
 

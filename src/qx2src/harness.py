@@ -16,7 +16,7 @@ this module, bounds and bitio alone.
 A limit on one parameter is declared once, as ``Annotated[int, low, high]``
 in its handler's signature.  ``_config``, every handler's first line, checks
 it and that floats are finite, before any work and for direct calls too.
-Only the five limits that join parameters stay in the handler bodies.
+Only the six limits that join parameters stay in the handler bodies.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _require_range(name: str, value, low: int, high: int) -> None:
 MAX_SECURITY_B = 4
 # security sources are drawn from range(2^n), which numpy takes only below 2^63
 MAX_SECURITY_N = 62
-# each security instance enumerates 2^(2k) source pairs: about 0.16 s per
+# each security instance enumerates 2^(2k) source pairs: about 0.08 s per
 # instance at k = 6, b = 1 on two cores
 MAX_SECURITY_K = 6
 # exhaustive subset ranks enumerate 2^n - 1 masks: about 0.2 s at n = 16 on
@@ -179,12 +179,12 @@ MAX_TRIALS = 100_000
 # masks ranked per batch: (1024, 64) uint64 rows and their scratch copies hold
 # the suite to a few MB at any trial count
 RANK_CHUNK = 1024
-# one security instance costs about 5 ms at the default sizes: 50 s at 10,000
+# one security instance costs about 1.4 ms at the default sizes: 15 s at 10,000
 MAX_SECURITY_INSTANCES = 10_000
 # the security suite's work, instances x 4^k source pairs x the 4^(2b+2)
 # entries of the entangled flavor's joint state per pair: at 2^28 a run takes
-# 10-70 s for b >= 1 on two cores (0.26 s per pair at b = 4), and up to 8 min
-# at b = 0, k = 6, where per-pair overhead sets the cost
+# about 15-80 s for b >= 1 on two cores (0.19 s a pair at b = 4, 1.2 ms at
+# b = 2), and about 100 s at b = 0, k = 6, where per-pair overhead sets the cost
 MAX_SECURITY_WORK = 1 << 28
 
 
@@ -344,20 +344,27 @@ def run_security_suite(seed: int = DEFAULT_SEED,
                        atol: float = 1e-8) -> Report:
     """Exact one-bit distances never exceed the bias bound, per flavor."""
     report = Report("verify:security", _config(run_security_suite, locals()))
-    from . import adversaries, extractors, qsim
     _require_range("instances x 4^k pairs x 4^(2b+2)",
                    instances * 4 ** k * 4 ** (2 * b + 2), 0, MAX_SECURITY_WORK)
+    _require_range("k", k, 0, n)
+    from . import adversaries, extractors, qsim
     params = bounds.ParamSet(n=n, k1=k, k2=k, b1=b, b2=b)
+    sources = [(extractors.random_flat_source(n, k, seed, 1, i),
+                extractors.random_flat_source(n, k, seed, 2, i)) for i in range(instances)]
+    seeds = [(seed ^ 0xF1A) + i for i in range(instances)]
+    # a stack of instances takes about eight arrays of its states, two per
+    # instance and each 2^(2b)-square, or eight int64 per source pair
+    parts = qsim.stack_chunks(instances, max(8 * 2 * 16 << 4 * b, 8 * 8 << 2 * k))
     for flavor, entangled in (("product", False), ("entangled", True)):
         bound = bounds.ip_bias_bound(params, b, entangled=entangled)
-        worst = -math.inf
-        for i in range(instances):
-            xs = extractors.random_flat_source(n, k, seed, 1, i)
-            ys = extractors.random_flat_source(n, k, seed, 2, i)
-            strategy = adversaries.random_storage(b, b, flavor, seed=(seed ^ 0xF1A) + i)
+        dists = []
+        for part in parts:
+            xs, ys = zip(*sources[part])
+            strategy = adversaries.random_storage(b, b, flavor, seeds[part])
             state = qsim.extractor_output_state(xs, ys, strategy)
-            dist = qsim.cq_distance_from_uniform(state, 1)
-            worst = max(worst, dist - bound)
+            dists += qsim.cq_distance_from_uniform(state, 1).tolist()
+        # the worst case in instance order: max keeps the first of equal values
+        worst = functools.reduce(max, [dist - bound for dist in dists], -math.inf)
         report.add(f"ip distance within bound ({flavor})", worst, atol,
                    worst <= atol)
     report.stop()

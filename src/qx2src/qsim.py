@@ -13,10 +13,12 @@ source is exposed with the output.  Labels and source values are int64,
 or Python ints once one needs 64 bits, so an exposed source may have any
 length.  extractor_output_state builds the inner-product bit's state from
 any state map, arrays of source values (xs, ys) -> the stack of stored
-states of the pairs (xs[i], ys[i]), usually an adversaries.StorageStrategy;
-the security suite measures random strategies this way.  The tightness
-attacks' strategies store basis vectors, and adversaries measures them by
-exact counts without building a state.
+states of the pairs (xs[i], ys[i]), usually an adversaries.StorageStrategy.
+Given sequences of sources and a stack of state maps it builds a stack of
+states, one per instance; the security suite measures its random
+strategies this way.  The tightness attacks' strategies store basis
+vectors, and adversaries measures them by exact counts without building
+a state.
 Consumers work on these arrays by index; every sum over entries runs
 left to right in entry order (np.add.at, np.add.accumulate or Python's
 sum, never np.sum's pairwise order), so the numbers match a per-entry
@@ -26,7 +28,8 @@ they compute it alone, and a sum that a stack feeds runs in pair or
 label order whatever the chunk boundaries.  Stacks of per-pair matrices
 are built in chunks of at most STACK_BYTES.  A CqState may itself be a
 stack of states over the same simple labels, built by stacks() from
-states drawn one at a time; cq_distance_from_uniform, boolean_reduce,
+states drawn one at a time, or by extractor_output_state from sequences
+of sources; cq_distance_from_uniform, boolean_reduce,
 xor_lemma_check, pgm, guess_success and pgm_reduction_check then give
 each state the numbers it gets alone.
 
@@ -76,11 +79,6 @@ def l1_norm(m: np.ndarray):
     """Sum of absolute eigenvalues (trace norm, unhalved); an array for a stack."""
     norms = np.sum(np.abs(hermitian_eigenvalues(m)), axis=-1)
     return float(norms) if norms.ndim == 0 else norms
-
-
-def conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """u rho u^dagger, for one u or each of a stack."""
-    return u @ rho @ u.conj().swapaxes(-1, -2)
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -278,18 +276,22 @@ def _lex_rank(value: int, width: int) -> int:
     return rank
 
 
-def _add_in_order(sums: list, rows: np.ndarray, states: np.ndarray) -> None:
-    """sums[rows[i]] += states[i] for each i in turn.
+def _add_in_order(sums: np.ndarray, rows: np.ndarray, states: np.ndarray,
+                  start: int, period: int) -> None:
+    """sums[rows[i]] += states[i] for the states of pairs start, start + 1,
+    ..., in pair order within each sum.
 
-    np.add.at adds in the same order, but over trailing (d, d) axes it
-    takes ~1.7 ms per 256-square matrix against ~0.1 ms for +=.
+    An instance's pairs are period consecutive ones, so pairs a period
+    apart belong to different instances and sums, and each pair index is
+    one add over the instances.  np.add.at adds in the same order, but
+    over trailing (d, d) axes it takes ~1.7 ms per 256-square matrix.
     """
-    for row, state in zip(rows.tolist(), states):
-        sums[row] += state
+    for o in sorted(range(min(period, len(rows))), key=lambda o: (start + o) % period):
+        sums[rows[o::period]] += states[o::period]
 
 
-def extractor_output_state(x_source: FlatSource, y_source: FlatSource,
-                           stored: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def extractor_output_state(x_source, y_source,
+                           stored: Callable[..., np.ndarray],
                            exposed: Optional[str] = None) -> CqState:
     """Joint state of the inner-product bit with what the adversaries store.
 
@@ -302,42 +304,73 @@ def extractor_output_state(x_source: FlatSource, y_source: FlatSource,
     state.  Entries are ordered by output, then side, the side compared
     as its coordinate-0-first string.
 
-    The pairs go to stored in x-major order, one pair and then chunks of
-    STACK_BYTES, and each chunk is added into one running sum per
-    (output, side).
+    x_source and y_source may instead be equally long sequences of
+    sources, instance i being the pair (x_source[i], y_source[i]), the x
+    sources of one support size and the y sources of another.  stored
+    is then a stack of state maps, called as stored(xs, ys, at) with
+    at[i] the instance of pair i, and the result is a stack of states
+    over the outputs any instance has, at probability 0 in an instance
+    without one.  A stack exposes no side.
+
+    The pairs go to stored instance by instance, each in x-major order,
+    one pair and then chunks of an eighth of STACK_BYTES of states (as in
+    stacks(): a state map holds a few arrays of its chunk's size besides),
+    and each chunk is added into one running sum per (instance, output,
+    side).
     """
     if exposed not in (None, "X", "Y"):
         raise ParameterError(f"exposed side must be None, 'X' or 'Y', got {exposed!r}")
-    xs, ys = _int_array(x_source.support), _int_array(y_source.support)
-    xi = np.repeat(np.arange(len(xs)), len(ys))
-    yi = np.tile(np.arange(len(ys)), len(xs))
+    stacked = not isinstance(x_source, FlatSource)
+    x_sources, y_sources = (x_source, y_source) if stacked else ([x_source], [y_source])
+    if stacked and exposed:
+        raise ParameterError("a stack of sources exposes no side")
+    if not x_sources or len(x_sources) != len(y_sources) \
+            or len({len(s.support) for s in x_sources}) > 1 \
+            or len({len(s.support) for s in y_sources}) > 1:
+        raise ParameterError("stacked sources must pair up, each side's of one support size")
+    # (instance, support position) arrays of source values
+    xs = _int_array([s.support for s in x_sources])
+    ys = _int_array([s.support for s in y_sources])
+    count = len(xs)
+    xi = np.repeat(np.arange(xs.shape[1]), ys.shape[1])
+    yi = np.tile(np.arange(ys.shape[1]), xs.shape[1])
     if exposed is None:
         values, at, side_width = np.zeros(1, dtype=np.int64), np.zeros_like(xi), 0
     else:
-        values, at, side_width = ((xs, xi, x_source.n) if exposed == "X"
-                                  else (ys, yi, y_source.n))
+        values, at, side_width = ((xs[0], xi, x_source.n) if exposed == "X"
+                                  else (ys[0], yi, y_source.n))
     # rank[v]: the position of value v's coordinate-0-first string among the side's
     by_rank = np.argsort([_lex_rank(v, side_width) for v in values.tolist()])
     rank = np.argsort(by_rank)
-    keys, rows = np.unique(character(xs[xi], ys[yi]) * len(values) + rank[at],
+    keys, rows = np.unique(character(xs[:, xi], ys[:, yi]) * len(values) + rank[at],
                            return_inverse=True)
-    p_pair = x_source.probability() * y_source.probability()
-    probs = np.zeros(len(keys))
+    # pair f is pair f % P of instance f // P; its sum is row f // P * K + its key
+    instance = np.repeat(np.arange(count), len(xi))
+    rows = instance * len(keys) + rows.reshape(-1)
+    xs, ys = xs[:, xi].reshape(-1), ys[:, yi].reshape(-1)
+
+    def states(pairs):
+        return stored(xs[pairs], ys[pairs], *([instance[pairs]] if stacked else []))
+
+    p_pair = x_sources[0].probability() * y_sources[0].probability()
+    probs = np.zeros(count * len(keys))
     np.add.at(probs, rows, p_pair)
     # the first pair alone gives the state size; -0.0 is the exact identity of
     # +, so each sum equals its pairs' states added left to right
-    first = stored(xs[:1], ys[:1])
+    first = states(slice(0, 1))
     size = first.nbytes
-    sums = [np.full(first.shape[1:], complex(-0.0, -0.0)) for _ in keys]
-    _add_in_order(sums, rows[:1], first)
+    sums = np.full((len(probs),) + first.shape[1:], complex(-0.0, -0.0))
+    _add_in_order(sums, rows[:1], first, 0, len(xi))
     del first                   # one chunk of states is alive at a time
     rest = np.arange(1, len(rows))
-    for part in stack_chunks(len(rest), size):
+    for part in stack_chunks(len(rest), 8 * size):
         pairs = rest[part]
-        _add_in_order(sums, rows[pairs], stored(xs[xi[pairs]], ys[yi[pairs]]))
-    return CqState(keys // len(values), probs,
-                   [total * p_pair / p for total, p in zip(sums, probs)], 1,
-                   values[by_rank[keys % len(values)]] if exposed else None)
+        _add_in_order(sums, rows[pairs], states(pairs), int(pairs[0]), len(xi))
+    sums *= p_pair
+    np.divide(sums, probs[:, None, None], out=sums, where=probs[:, None, None] > 0)
+    shape = (count, len(keys)) if stacked else (len(keys),)
+    return CqState(keys // len(values), probs.reshape(shape), sums.reshape(shape + sums.shape[1:]),
+                   1, values[by_rank[keys % len(values)]] if exposed else None)
 
 
 # --------------------------------------------------------------------------
@@ -618,10 +651,17 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.real(np.trace(m))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_unitary(dim: int, rng) -> np.ndarray:
+    """A Haar-ish unitary drawn from rng, or from each of a sequence of
+    generators as one stack; a stacked QR gives each matrix the Q and R
+    it gets alone."""
+    single = isinstance(rng, np.random.Generator)
+    g = np.array([r.normal(size=(dim, dim)) + 1j * r.normal(size=(dim, dim))
+                  for r in ([rng] if single else rng)])
     q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
+    return q[0] if single else q
 
 
 def random_cq_state(label_bits: int, qubits: int, seed: int, stream: int = 0) -> CqState:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qx2src import qsim
+from qx2src.rng import derive_rng
 
 
 def _check_density_matrix(m):
@@ -22,3 +23,43 @@ def _check_density_matrix(m):
 def check_density_matrix():
     """The validity check every stored state must pass."""
     return _check_density_matrix
+
+
+def _unitary(dim, rng):
+    """qsim.random_unitary's draw for one generator, from one 2-D QR."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _random_storage_oracle(b1, b2, flavor, seed):
+    """random_storage's state for one pair of source values, built from
+    single matrices with np.kron, np.linalg.norm and qsim.partial_trace."""
+    if flavor == "entangled":
+        wa, wb = b1 + 1, b2 + 1
+        rng = derive_rng(seed, 0xE27)
+        g = rng.normal(size=1 << (wa + wb)) + 1j * rng.normal(size=1 << (wa + wb))
+        shared = g / np.linalg.norm(g)
+        pure = np.outer(shared, shared.conj())
+
+        def state(x, y):
+            u = np.kron(_unitary(1 << wa, derive_rng(seed, 0xA11CE, x)),
+                        _unitary(1 << wb, derive_rng(seed, 0xB0B, y)))
+            rho = qsim.partial_trace(u @ pure @ u.conj().T, [2] * (wa + wb),
+                                     list(range(b1)) + [wa + i for i in range(b2)])
+            return 0.5 * (rho + rho.conj().T)
+        return state
+
+    def side(stream, b, v):
+        rng = derive_rng(seed, stream, v)
+        g = rng.normal(size=1 << (b + 1)) + 1j * rng.normal(size=1 << (b + 1))
+        pure = g / np.linalg.norm(g)
+        kept = qsim.partial_trace(np.outer(pure, pure.conj()), [1 << b, 2], [0])
+        return 0.5 * (kept + kept.conj().T)
+    return lambda x, y: np.kron(side(0xA11CE, b1, x), side(0xB0B, b2, y))
+
+
+@pytest.fixture
+def random_storage_oracle():
+    """random_storage one pair at a time: oracle(b1, b2, flavor, seed)(x, y)."""
+    return _random_storage_oracle

@@ -19,7 +19,6 @@ from qx2src.adversaries import (biased_product_sources, bell_outcome,
 from qx2src.errors import DimensionError, ParameterError, SearchExhaustedError
 from qx2src.extractors import ip_extract, random_flat_source
 from qx2src.gf2 import BitVector, inner_product
-from qx2src.rng import derive_rng
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -127,42 +126,16 @@ def test_random_storage_states_are_valid(check_density_matrix):
             random_storage(1, 2, flavor, seed=5)
 
 
-def _random_storage_oracle(b1, b2, flavor, seed):
-    """random_storage's state for one pair of source values, built from
-    single matrices with np.kron, qsim.conjugate and qsim.partial_trace."""
-    if flavor == "entangled":
-        wa, wb = b1 + 1, b2 + 1
-        rng = derive_rng(seed, 0xE27)
-        g = rng.normal(size=1 << (wa + wb)) + 1j * rng.normal(size=1 << (wa + wb))
-        shared = g / np.linalg.norm(g)
-        pure = np.outer(shared, shared.conj())
-
-        def state(x, y):
-            u = np.kron(qsim.random_unitary(1 << wa, derive_rng(seed, 0xA11CE, x)),
-                        qsim.random_unitary(1 << wb, derive_rng(seed, 0xB0B, y)))
-            rho = qsim.partial_trace(qsim.conjugate(u, pure), [2] * (wa + wb),
-                                     list(range(b1)) + [wa + i for i in range(b2)])
-            return 0.5 * (rho + rho.conj().T)
-        return state
-
-    def side(stream, b, v):
-        rng = derive_rng(seed, stream, v)
-        g = rng.normal(size=1 << (b + 1)) + 1j * rng.normal(size=1 << (b + 1))
-        pure = g / np.linalg.norm(g)
-        kept = qsim.partial_trace(np.outer(pure, pure.conj()), [1 << b, 2], [0])
-        return 0.5 * (kept + kept.conj().T)
-    return lambda x, y: np.kron(side(0xA11CE, b1, x), side(0xB0B, b2, y))
-
-
 @pytest.mark.parametrize("flavor", ["product", "entangled"])
 @pytest.mark.parametrize("stack_bytes", [qsim.STACK_BYTES, 1])
-def test_random_storage_stacks_match_per_pair_products(flavor, stack_bytes, monkeypatch):
+def test_random_storage_stacks_match_per_pair_products(flavor, stack_bytes, monkeypatch,
+                                                      random_storage_oracle):
     # at STACK_BYTES = 1 the entangled flavor conjugates one pair at a time
     monkeypatch.setattr(qsim, "STACK_BYTES", stack_bytes)
     xs, ys = np.array([0, 5, 3, 5, 7, 0]), np.array([1, 1, 6, 2, 0, 7])
     for b1, b2 in itertools.product(range(3), repeat=2):
         stack = random_storage(b1, b2, flavor, seed=17)(xs, ys)
-        oracle = _random_storage_oracle(b1, b2, flavor, seed=17)
+        oracle = random_storage_oracle(b1, b2, flavor, seed=17)
         expect = np.array([oracle(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
         assert stack.shape == (6, 1 << (b1 + b2), 1 << (b1 + b2))
         assert stack.tobytes() == expect.tobytes()

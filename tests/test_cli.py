@@ -162,6 +162,8 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     # trevisan's t has no default and no flag
     (("extract", "--x", "nosuch", "--y", "nosuch", "--n", "64", "--extractor", "composed"),
      "needs the config key seeded.t"),
+    # each flag in range, but a source of 2^6 values among 2^4
+    (("verify", "security", "--k", "6"), "k must be between 0 and 4, got 6"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

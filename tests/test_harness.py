@@ -14,6 +14,7 @@ import pytest
 
 from qx2src import cli, gf2, harness, qsim
 from qx2src.errors import DimensionError, ParameterError, ValidationError
+from qx2src.extractors import random_flat_source
 from qx2src.rng import derive_rng
 
 
@@ -367,6 +368,71 @@ def test_cq_suites_memory_stays_flat_in_the_trial_count():
     assert _peak_mib(lambda: harness.run_reduction_suite(seed=4, trials=700, max_d=6)) < 16
 
 
+def test_security_suite_memory_stays_within_the_chunk_budget():
+    # two instances at k = 3, b = 3: each one's 64 joint states, 256-square,
+    # would be 64 MiB whole.  The peak is one output chunk, one joint state's
+    # shared state, unitary, product and result, and the distance's arrays.
+    harness.run_security_suite(seed=4, instances=1, k=0, b=0)
+    assert _peak_mib(lambda: harness.run_security_suite(seed=4, instances=2, k=3, b=3)) \
+        < (5 * qsim.STACK_BYTES + (1 << 20)) / 2 ** 20
+
+
+def _security_oracle(storage_oracle, seed, instances, n, k, b, flavor) -> list:
+    """The security suite's distances one instance and one pair at a time:
+    each instance's sources and strategy drawn alone, and its stored states
+    summed per output bit in x-major pair order."""
+    dists = []
+    for i in range(instances):
+        xs = random_flat_source(n, k, seed, 1, i)
+        ys = random_flat_source(n, k, seed, 2, i)
+        stored = storage_oracle(b, b, flavor, (seed ^ 0xF1A) + i)
+        p_pair = xs.probability() * ys.probability()
+        sums = {}
+        for x in xs.support:
+            for y in ys.support:
+                bit = (x & y).bit_count() & 1
+                p, total = sums.get(bit, (0.0, complex(-0.0, -0.0)))
+                sums[bit] = (p + p_pair, total + stored(x, y))
+        bits = sorted(sums)
+        state = qsim.CqState(bits, [sums[e][0] for e in bits],
+                             [sums[e][1] * p_pair / sums[e][0] for e in bits], 1)
+        dists.append(qsim.cq_distance_from_uniform(state, 1))
+    return dists
+
+
+@pytest.mark.parametrize("seed, config, stack_bytes", [
+    (4, {}, None), (5, {}, None),               # the default sizes
+    (4, {"k": 0}, None),                        # one pair and one label per instance
+    (4, {"n": 1, "k": 1, "b": 0}, None),
+    (4, {"n": 2, "k": 1, "b": 0}, None),        # some instances' bit is constant
+    (4, {"b": 2, "instances": 4}, None),
+    # stacks of 4 instances of 64 pairs, after the first pair output chunks
+    # of 9 and joint-state chunks of 1: chunk edges inside instances and
+    # between them, at pair 64
+    (4, {"instances": 7}, 8 * 9 * 256),
+])
+def test_stacked_security_distances_match_the_per_instance_oracle(
+        seed, config, stack_bytes, monkeypatch, random_storage_oracle):
+    full = {"instances": 100, "n": 4, "k": 3, "b": 1, **config}
+    seen = []
+    distance = qsim.cq_distance_from_uniform
+    monkeypatch.setattr(qsim, "cq_distance_from_uniform",
+                        lambda s, m: seen.append((s, distance(s, m))) or seen[-1][1])
+    if stack_bytes:
+        monkeypatch.setattr(qsim, "STACK_BYTES", stack_bytes)
+    harness.run_verify("security", seed=seed, **config)
+    monkeypatch.undo()
+    assert all(s.probs.ndim == 2 for s, _ in seen)
+    assert len(seen) == (2 if stack_bytes is None else 4)
+    dists = [d for _, values in seen for d in values.tolist()]
+    for flavor, got in (("product", dists[:full["instances"]]),
+                        ("entangled", dists[full["instances"]:])):
+        assert got == _security_oracle(random_storage_oracle, seed, **full, flavor=flavor)
+    if full["k"] == 0 or full["n"] == 2:
+        # an instance whose bit is constant holds the other at probability 0
+        assert any((s.probs == 0).any() for s, _ in seen)
+
+
 # sha256 of to_json(include_wall_clock=False) at default sizes: a change to
 # any reported bit fails here
 REPORT_DIGESTS = [
@@ -381,12 +447,31 @@ REPORT_DIGESTS = [
     ("security", 4, "af7145ca55af56f0fa1605d439869a8fef1d2af333e8deeb7268150b8c888887"),
     ("security", 5, "15321461f6455620370cee5dcce9371689a332881c5aa5723fe4a6406416018a"),
 ]
+# the same at seed 4 for security configs off the default: one pair and one
+# label, larger states, instances whose bit is constant, and 62-bit sources
+SECURITY_DIGESTS = [
+    ({"k": 0}, "6010e37d6c16ee9edbd5109f58eaa7436f5d83de4dcf8252a9742bce8944b333"),
+    ({"b": 2, "instances": 4},
+     "fe53878096a7bce865c76bf1d4a7f8873d638e925773b935911a18602f6c719a"),
+    ({"n": 1, "k": 1, "b": 0},
+     "a08a0c2ad6318f31667cb706fcc82d81cd6dc9035bbe421a90464aaa7af3cc60"),
+    ({"n": 62, "k": 6, "b": 0, "instances": 1},
+     "a202884da0b7ed0e154fb0bfe13f5cc5e1ef9604ded322e2fd219f46b4232ac4"),
+]
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_json(include_wall_clock=False).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("suite, seed, digest", REPORT_DIGESTS)
 def test_suite_reports_match_their_frozen_digests(suite, seed, digest):
-    report = harness.run_verify(suite, seed=seed)
-    assert hashlib.sha256(report.to_json(include_wall_clock=False).encode()).hexdigest() == digest
+    assert _digest(harness.run_verify(suite, seed=seed)) == digest
+
+
+@pytest.mark.parametrize("config, digest", SECURITY_DIGESTS)
+def test_security_reports_off_the_default_sizes_match_their_frozen_digests(config, digest):
+    assert _digest(harness.run_verify("security", seed=4, **config)) == digest
 
 
 def test_float_limits_leave_integer_seeds_masked():

@@ -162,6 +162,16 @@ def test_strategy_checks_its_budget_dimension():
         adversaries.StorageStrategy(-1, 0, lambda xs, ys: np.ones((len(xs), 1, 1)))
 
 
+def test_output_state_stacks_need_paired_sources_and_no_exposed_side():
+    one, two = FlatSource.uniform(1), FlatSource.uniform(2)
+    for xs, ys, exposed, match in (([one, one], [one, one], "X", "exposes no side"),
+                                   ([one, one], [one], None, "pair up"),
+                                   ([one, two], [one, one], None, "pair up"),
+                                   ([], [], None, "pair up")):
+        with pytest.raises(ParameterError, match=match):
+            qsim.extractor_output_state(xs, ys, _trivial_storage(), exposed)
+
+
 def test_strong_mode_labels():
     x = FlatSource.uniform(1)
     y = FlatSource.uniform(1)
@@ -274,7 +284,7 @@ def test_output_state_is_the_same_in_any_chunking(notion, monkeypatch):
     for state_map in _state_maps(notion, 3, seed=9):
         whole = qsim.extractor_output_state(xs, ys, state_map, exposed)
         for pairs in (1, 3):
-            monkeypatch.setattr(qsim, "STACK_BYTES", pairs * whole.rhos[0].nbytes)
+            monkeypatch.setattr(qsim, "STACK_BYTES", 8 * pairs * whole.rhos[0].nbytes)
             chunked = qsim.extractor_output_state(xs, ys, state_map, exposed)
             monkeypatch.undo()
             for field in ("labels", "sides", "probs", "rhos"):
