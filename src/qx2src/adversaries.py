@@ -31,7 +31,7 @@ from .bounds import Branch, Setting
 from .errors import DimensionError, ParameterError, SearchExhaustedError
 from .extractors import FlatSource
 from .gf2 import BitVector
-from .rng import derive_rng
+from .rng import derive_rng, derive_rngs
 
 # --------------------------------------------------------------------------
 # Bell-pair machinery
@@ -183,9 +183,10 @@ def random_storage(b1: int, b2: int, flavor: str, seed) -> StorageStrategy:
     partial trace down to the budgets.  Product: an independent
     per-input purification per side, traced to the budget.  Each side's
     factor is drawn once per (seed, source value), every new value of a
-    call in one stack.  The entangled flavor conjugates and traces its
-    2^(b1+b2+2)-square joint states in chunks of an eighth of
-    qsim.STACK_BYTES, and holds one seed's shared state at a time.
+    call in one stack, through one re-keyed generator (rng.derive_rngs).
+    The entangled flavor conjugates and traces its 2^(b1+b2+2)-square
+    joint states in chunks of an eighth of qsim.STACK_BYTES, and holds
+    one seed's shared state at a time.
     """
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if flavor == "entangled":
@@ -201,9 +202,9 @@ def random_storage(b1: int, b2: int, flavor: str, seed) -> StorageStrategy:
             return np.outer(shared, shared.conj())
 
         ua = _per_value(lambda keys: qsim.random_unitary(
-            1 << wa, [derive_rng(seeds[i], 0xA11CE, v) for i, v in keys]))
+            1 << wa, derive_rngs((seeds[i], 0xA11CE, v) for i, v in keys)))
         ub = _per_value(lambda keys: qsim.random_unitary(
-            1 << wb, [derive_rng(seeds[i], 0xB0B, v) for i, v in keys]))
+            1 << wb, derive_rngs((seeds[i], 0xB0B, v) for i, v in keys)))
 
         def stored(xs, ys, at=None):
             at = np.zeros(len(xs), dtype=np.int64) if at is None else at
@@ -228,9 +229,8 @@ def random_storage(b1: int, b2: int, flavor: str, seed) -> StorageStrategy:
     if flavor == "product":
         def side(stream, b):
             def build(keys):
-                rngs = [derive_rng(seeds[i], stream, v) for i, v in keys]
                 g = np.array([r.normal(size=1 << (b + 1)) + 1j * r.normal(size=1 << (b + 1))
-                              for r in rngs])
+                              for r in derive_rngs((seeds[i], stream, v) for i, v in keys)])
                 # np.linalg.norm's sqrt(re . re + im . im), row by row:
                 # norm(g, axis=-1) rounds differently
                 re, im = g.real[:, None, :], g.imag[:, None, :]

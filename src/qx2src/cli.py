@@ -113,11 +113,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, once no key repeats."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ParameterError(f"duplicate key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
+def _read_config(path: str):
+    """The JSON value in the UTF-8 file at path; a bad file's error names it."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"),
+                          object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        raise ParameterError(f"config {path}: {exc}") from None
+
+
 def parse(argv=None) -> tuple:
     """(command, config, report path) of a command line; flags override --config."""
     args = vars(build_parser().parse_args(argv))
     command = args["handler"]
-    config = json.loads(Path(args["config"]).read_text()) if args.get("config") else {}
+    config = _read_config(args["config"]) if args.get("config") else {}
     if not isinstance(config, dict):
         raise ParameterError(f"config must hold a JSON object, got {config!r}")
     params = harness.parameters(command)

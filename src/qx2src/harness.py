@@ -37,7 +37,7 @@ from typing import Annotated, Dict, List, Literal, Optional, Sequence, TypedDict
 from . import bitio, bounds, gf2
 from .errors import ParameterError
 from .gf2 import BitVector
-from .rng import derive_rng
+from .rng import derive_rng, derive_rngs
 
 DEFAULT_SEED = 2024
 
@@ -155,7 +155,7 @@ MAX_EXHAUSTIVE_N = 16
 # the acceptance sizes; each random n builds n matrices of n x n bits
 MAX_RANDOM_N = 64
 # xor, reduction and normbound draw states on up to max_d qubits with up to
-# 2^max_m labels: at 6/6 verify xor takes about 11 s and reduction 5.5 s on two
+# 2^max_m labels: at 6/6 verify xor takes about 13 s and reduction 5.5 s on two
 # cores, and normbound's Wishart sigma grows ill-conditioned with d (at d = 13
 # below the pseudo-inverse cutoff)
 MAX_CQ_M = 6
@@ -172,8 +172,8 @@ MAX_KNOWLEDGE_N = 10
 # pairs; the counted measurement takes about 0.06 s and 50 MiB at 2^20 pairs
 MAX_TIGHTNESS_B = 10
 MAX_TIGHTNESS_K = 20
-# an xor, merge or reduction trial costs about 0.1 ms at the default sizes, so
-# 100,000 of them take about 10 s on two cores; a random rank trial at n = 64
+# an xor, merge or reduction trial costs 0.08-0.12 ms at the default sizes, so
+# 100,000 of them take about 8-12 s on two cores; a random rank trial at n = 64
 # costs about 17 us, and the cap holds for random_trials summed over random_ns
 MAX_TRIALS = 100_000
 # masks ranked per batch: (1024, 64) uint64 rows and their scratch copies hold
@@ -246,14 +246,20 @@ def _full_rank_subsets(n: int, masks) -> int:
 def _stacked_trials(trials: int, max_m: int, max_d: int, case, check) -> list:
     """check's values for trials 0 .. trials - 1, in trial order.  Trial t has
     shape (1 + t % max_m, t // max_m % (max_d + 1)), which repeats every
-    max_m (max_d + 1) trials; case(m, d, t) draws it as (state, *tables), and
-    check(stack, *stacked tables) gives an array of one value per state."""
+    max_m (max_d + 1) trials; case(m, d, ts) draws the trials ts, a range of
+    one shape's, as (stack, *stacked tables), and check(stack, *stacked
+    tables) gives an array of one value per state.  A check holds about
+    eight arrays of its stack's size at once (the xor lemma's merged
+    characters, their weighting, the Hermitian check's copies), so a stack
+    holds an eighth of STACK_BYTES of states, and at least one."""
     from . import qsim
     period = max_m * (max_d + 1)
     values = [None] * trials
     for j in range(min(period, trials)):
-        cases = (case(1 + j % max_m, j // max_m, t) for t in range(j, trials, period))
-        values[j::period] = [v for stack in qsim.stacks(cases) for v in check(*stack).tolist()]
+        m, d = 1 + j % max_m, j // max_m
+        ts = range(j, trials, period)
+        values[j::period] = [v for part in qsim.stack_chunks(len(ts), 8 * (16 << m + 2 * d))
+                             for v in check(*case(m, d, ts[part])).tolist()]
     return values
 
 
@@ -278,13 +284,13 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: Annotated[int, 1, MAX_TRIALS
 
     # worst cases in trial order: max keeps the first of equal values
     worst = functools.reduce(max, _stacked_trials(
-        trials, max_m, max_d, lambda m, d, t: (qsim.random_cq_state(m, d, seed, stream=t),),
+        trials, max_m, max_d, lambda m, d, ts: (qsim.random_cq_state(m, d, seed, ts),),
         violation), -math.inf)
     report.add("xor inequality max violation", worst, atol, worst <= atol)
     worst_eq = functools.reduce(max, _stacked_trials(
         equality_trials, max_m, max_d,
-        lambda m, d, t: (qsim.random_cq_state(m, d, seed, stream=0x10000 + t),
-                         qsim.random_boolean_fn(m, seed, stream=t)), deviation), 0.0)
+        lambda m, d, ts: (qsim.random_cq_state(m, d, seed, [0x10000 + t for t in ts]),
+                          qsim.random_boolean_fn(m, seed, ts)), deviation), 0.0)
     report.add("one-bit merge identity max deviation", worst_eq, 1e-9,
                worst_eq <= 1e-9)
     report.stop()
@@ -306,8 +312,8 @@ def run_reduction_suite(seed: int = DEFAULT_SEED,
 
     worst = functools.reduce(max, _stacked_trials(
         trials, max_m, max_d,
-        lambda m, d, t: (qsim.random_cq_state(m, d, seed, stream=0x20000 + t),
-                         qsim.random_boolean_fn(m, seed, stream=0x20000 + t)),
+        lambda m, d, ts: (qsim.random_cq_state(m, d, seed, [0x20000 + t for t in ts]),
+                          qsim.random_boolean_fn(m, seed, [0x20000 + t for t in ts])),
         violation), -math.inf)
     report.add("pgm reduction max violation", worst, atol, worst <= atol)
     report.stop()
@@ -322,10 +328,9 @@ def run_normbound_suite(seed: int = DEFAULT_SEED,
     report = Report("verify:normbound", _config(run_normbound_suite, locals()))
     from . import qsim
     worst = -math.inf
-    for t in range(trials):
+    for t, rng in enumerate(derive_rngs((seed, 0x7E9, t) for t in range(trials))):
         d = 1 + t % max_d
         dim = 1 << d
-        rng = derive_rng(seed, 0x7E9, t)
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         s_op = (g + g.conj().T) / 2
         sigma = qsim.random_density(dim, rng)

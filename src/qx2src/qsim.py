@@ -27,11 +27,12 @@ axes and batched eigvalsh compute each matrix of a stack exactly as
 they compute it alone, and a sum that a stack feeds runs in pair or
 label order whatever the chunk boundaries.  Stacks of per-pair matrices
 are built in chunks of at most STACK_BYTES.  A CqState may itself be a
-stack of states over the same simple labels, built by stacks() from
-states drawn one at a time, or by extractor_output_state from sequences
-of sources; cq_distance_from_uniform, boolean_reduce,
-xor_lemma_check, pgm, guess_success and pgm_reduction_check then give
-each state the numbers it gets alone.
+stack of states over the same simple labels, drawn by random_cq_state
+from a sequence of streams (one re-keyed generator per stack, see
+rng.derive_rngs) or built by extractor_output_state from sequences of
+sources; cq_distance_from_uniform, boolean_reduce, xor_lemma_check, pgm,
+guess_success and pgm_reduction_check then give each state the numbers
+it gets alone.
 
 The sizes handled here are deliberately small (states up to a few
 qubits, label sets up to a few thousand): the inequalities being
@@ -40,16 +41,15 @@ verified are dimension-generic, so exactness matters more than scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidationError
 from .extractors import FlatSource
-from .rng import derive_rng
+from .rng import derive_rngs
 
 HERMITIAN_ATOL = 1e-10
 PSD_ATOL = 1e-10
@@ -177,8 +177,8 @@ class CqState:
 
     def __post_init__(self):
         labels = _int_array(self.labels)
+        rhos = _square_stack(self.rhos, "states")     # first: it names ragged stacks
         probs = np.asarray(self.probs, dtype=float)
-        rhos = _square_stack(self.rhos, "states")
         sides = np.zeros_like(labels) if self.sides is None else _int_array(self.sides)
         k = len(labels)
         if probs.shape[-1:] != (k,) or sides.shape != (k,) or labels.shape != (k,) \
@@ -243,27 +243,6 @@ class Povm:
         object.__setattr__(self, "elements", els)
 
 
-def stacks(cases: Iterable[tuple]) -> Iterator[tuple]:
-    """Consecutive (state, *tables) cases, whose states share simple labels
-    and width, as (stack, *stacked tables).  A check holds about eight
-    arrays of its stack's size at once (the xor lemma's merged characters,
-    their weighting, the Hermitian check's copies), so a stack holds an
-    eighth of STACK_BYTES of states, and at least one; cases may be a
-    generator, drawn a stack at a time."""
-    cases = iter(cases)
-    for first in cases:
-        step = max(1, STACK_BYTES // (8 * first[0].rhos.nbytes))
-        states, *tables = zip(first, *itertools.islice(cases, step - 1))
-        head = states[0]
-        if len({(s.sides is None, s.width, tuple(s.labels.tolist())) for s in states}) > 1 \
-                or head.sides is not None:
-            raise ParameterError("stacked states must share simple labels and width")
-        stack = (CqState(head.labels, [s.probs for s in states], [s.rhos for s in states],
-                         head.width), *map(np.array, tables))
-        del first, head, states, tables     # the stack alone is alive while it is checked
-        yield stack
-
-
 # --------------------------------------------------------------------------
 # building cq-states from extractors and storage
 
@@ -313,10 +292,9 @@ def extractor_output_state(x_source, y_source,
     without one.  A stack exposes no side.
 
     The pairs go to stored instance by instance, each in x-major order,
-    one pair and then chunks of an eighth of STACK_BYTES of states (as in
-    stacks(): a state map holds a few arrays of its chunk's size besides),
-    and each chunk is added into one running sum per (instance, output,
-    side).
+    one pair and then chunks of an eighth of STACK_BYTES of states (a
+    state map holds a few arrays of its chunk's size besides), and each
+    chunk is added into one running sum per (instance, output, side).
     """
     if exposed not in (None, "X", "Y"):
         raise ParameterError(f"exposed side must be None, 'X' or 'Y', got {exposed!r}")
@@ -652,9 +630,10 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
-    """A Haar-ish unitary drawn from rng, or from each of a sequence of
-    generators as one stack; a stacked QR gives each matrix the Q and R
-    it gets alone."""
+    """A Haar-ish unitary drawn from rng, or from each generator an iterable
+    yields as one stack (each is drawn from before the next is taken, so a
+    lazy rng.derive_rngs serves); a stacked QR gives each matrix the Q and
+    R it gets alone."""
     single = isinstance(rng, np.random.Generator)
     g = np.array([r.normal(size=(dim, dim)) + 1j * r.normal(size=(dim, dim))
                   for r in ([rng] if single else rng)])
@@ -664,20 +643,35 @@ def random_unitary(dim: int, rng) -> np.ndarray:
     return q[0] if single else q
 
 
-def random_cq_state(label_bits: int, qubits: int, seed: int, stream: int = 0) -> CqState:
-    """Seeded cq-state: simplex-drawn probabilities, Wishart-drawn states."""
-    rng = derive_rng(seed, 0xC05, stream)
+def random_cq_state(label_bits: int, qubits: int, seed: int, stream=0) -> CqState:
+    """Seeded cq-state: simplex-drawn probabilities, Wishart-drawn states.
+
+    Given a sequence of streams, the stack of the states each stream
+    draws, with probs (T, K) and states (T, K, d, d)."""
+    streams = [stream] if np.ndim(stream) == 0 else stream
     count = 1 << label_bits
     dim = 1 << qubits
-    probs = rng.dirichlet(np.ones(count))
-    # the draws of random_density, label by label, in one call
-    g = rng.normal(size=(count, 2, dim, dim))
-    g = g[:, 0] + 1j * g[:, 1]
-    m = g @ g.conj().swapaxes(-1, -2)
-    rhos = m / np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
+    probs = np.empty((len(streams), count))
+    g = np.empty((len(streams), count, 2, dim, dim))
+    ones = np.ones(count)
+    for t, rng in enumerate(derive_rngs((seed, 0xC05, s) for s in streams)):
+        probs[t] = rng.dirichlet(ones)
+        # the draws of random_density, label by label, in one call
+        g[t] = rng.normal(size=(count, 2, dim, dim))
+    g = g[:, :, 0] + 1j * g[:, :, 1]
+    rhos = g @ g.conj().swapaxes(-1, -2)
+    del g
+    rhos /= np.real(np.trace(rhos, axis1=-2, axis2=-1))[..., None, None]
+    if np.ndim(stream) == 0:
+        probs, rhos = probs[0], rhos[0]
     return CqState(np.arange(count), probs, rhos, label_bits)
 
 
-def random_boolean_fn(label_bits: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Seeded Boolean function on label_bits-bit labels, as a 0/1 table indexed by label."""
-    return derive_rng(seed, 0xB001, stream).integers(0, 2, size=1 << label_bits)
+def random_boolean_fn(label_bits: int, seed: int, stream=0) -> np.ndarray:
+    """Seeded Boolean function on label_bits-bit labels, as a 0/1 table
+    indexed by label; given a sequence of streams, one table per stream."""
+    streams = [stream] if np.ndim(stream) == 0 else stream
+    tables = np.empty((len(streams), 1 << label_bits), dtype=np.int64)
+    for t, rng in enumerate(derive_rngs((seed, 0xB001, s) for s in streams)):
+        tables[t] = rng.integers(0, 2, size=1 << label_bits)
+    return tables[0] if np.ndim(stream) == 0 else tables

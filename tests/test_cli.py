@@ -68,6 +68,12 @@ BAD_CONFIGS = [
      "c_poly must be finite, got 1000"),
     (("bounds", "--n", "100", "--k1", "80", "--k2", "80"),
      {"sweep": {"c_poly": [1.0, 10 ** 400]}}, "sweep must be finite"),
+    # files that are not one JSON object of distinct keys, written as bytes
+    (("verify", "xor"), b'{"trials": 2, "trials": 3}', "config.json: duplicate key 'trials'"),
+    (("extract", "--x", "X", "--y", "X", "--n", "64", "--extractor", "composed"),
+     b'{"seeded": {"kind": "toeplitz", "t": 8, "t": 4}}', "config.json: duplicate key 't'"),
+    (("verify", "xor"), b'\xff{}', "config.json: 'utf-8' codec can't decode byte 0xff"),
+    (("verify", "xor"), b'{"trials": ', "config.json: Expecting value: line 1 column 12"),
 ]
 
 
@@ -76,7 +82,7 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     x = tmp_path / "x.bin"
     x.write_bytes(bytes(range(16)))
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(payload))
+    cfg.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     argv = [str(x) if arg == "X" else arg for arg in argv]
     assert cli.main([*argv, "--config", str(cfg)]) == 1
     _assert_one_line_error(capsys, needle)
@@ -164,6 +170,8 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
      "needs the config key seeded.t"),
     # each flag in range, but a source of 2^6 values among 2^4
     (("verify", "security", "--k", "6"), "k must be between 0 and 4, got 6"),
+    # a config file that cannot be read is named
+    (("verify", "xor", "--config", "nosuch-config.json"), "nosuch-config.json"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

@@ -332,15 +332,21 @@ def test_bulk_masks_match_the_per_attempt_draws(seed):
 
 @pytest.mark.parametrize("trials, max_m, max_d", [(1, 3, 3), (7, 3, 3), (100, 3, 3),
                                                   (45, 4, 4), (13, 1, 0), (50, 6, 2)])
-def test_stacked_trials_keep_each_trial_its_shape_and_order(trials, max_m, max_d):
+def test_stacked_trials_keep_each_trial_its_shape_and_order(trials, max_m, max_d, monkeypatch):
+    def case(m, d, ts):
+        return qsim.random_cq_state(m, d, 0, ts), np.array([(t, m, d) for t in ts])
+
     def check(stack, tags):
         assert {(stack.width, stack.dim)} == {(m, 1 << d) for _, m, d in tags.tolist()}
+        step = max(1, qsim.STACK_BYTES // (8 * stack.rhos[0].nbytes))
+        assert len(stack.probs) == len(tags) <= step
         return tags
 
-    values = harness._stacked_trials(
-        trials, max_m, max_d, lambda m, d, t: (qsim.random_cq_state(m, d, 0, stream=t), (t, m, d)),
-        check)
-    assert values == [[t, 1 + t % max_m, t // max_m % (max_d + 1)] for t in range(trials)]
+    want = [[t, 1 + t % max_m, t // max_m % (max_d + 1)] for t in range(trials)]
+    assert harness._stacked_trials(trials, max_m, max_d, case, check) == want
+    # stacks of one to six states: chunk edges inside each shape's trials
+    monkeypatch.setattr(qsim, "STACK_BYTES", 8 * 3 * 16 << 2)
+    assert harness._stacked_trials(trials, max_m, max_d, case, check) == want
 
 
 def _peak_mib(run) -> float:

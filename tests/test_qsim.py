@@ -845,16 +845,50 @@ def _pgm_reduction_oracle(s, f):
 STACK_SHAPES = list(itertools.product(range(1, 5), range(5)))   # max_m = max_d = 4
 
 
+def _cq_state_oracle(m, d, seed, stream):
+    """random_cq_state's arrays drawn alone, from a fresh derive_rng."""
+    rng = derive_rng(seed, 0xC05, stream)
+    probs = rng.dirichlet(np.ones(1 << m))
+    g = rng.normal(size=(1 << m, 2, 1 << d, 1 << d))
+    g = g[:, 0] + 1j * g[:, 1]
+    rhos = g @ g.conj().swapaxes(-1, -2)
+    return probs, rhos / np.real(np.trace(rhos, axis1=1, axis2=2))[:, None, None]
+
+
+@pytest.mark.parametrize("m, d", STACK_SHAPES)
+def test_stacked_draws_equal_the_per_stream_draws(m, d):
+    # streams out of order, repeated and past 64 bits; one stream is a stack of one
+    streams = [3, 0, 0x10000 + 7, 3, (1 << 64) + 5, 1]
+    stack = qsim.random_cq_state(m, d, 2024, streams)
+    tables = qsim.random_boolean_fn(m, 2024, streams)
+    assert stack.probs.shape == (len(streams), 1 << m)
+    assert stack.rhos.shape == (len(streams), 1 << m, 1 << d, 1 << d)
+    assert tables.shape == (len(streams), 1 << m) and tables.dtype == np.int64
+    for t, stream in enumerate(streams):
+        alone = qsim.random_cq_state(m, d, 2024, stream)
+        probs, rhos = _cq_state_oracle(m, d, 2024, stream)
+        assert (stack.probs[t] == alone.probs).all() and (alone.probs == probs).all()
+        assert (stack.rhos[t] == alone.rhos).all() and (alone.rhos == rhos).all()
+        table = qsim.random_boolean_fn(m, 2024, stream)
+        assert (tables[t] == table).all()
+        assert (table == derive_rng(2024, 0xB001, stream).integers(0, 2, size=1 << m)).all()
+    one = qsim.random_cq_state(m, d, 2024, [5])
+    assert (one.rhos[0] == qsim.random_cq_state(m, d, 2024, 5).rhos).all()
+
+
 @pytest.mark.parametrize("per_stack", [None, 2])
 @pytest.mark.parametrize("m, d", STACK_SHAPES)
 def test_stacked_checks_match_the_per_state_oracles(monkeypatch, m, d, per_stack):
-    # five states per shape; two per stack puts the boundaries inside the shape
+    # five states per shape, drawn in stacks of an eighth of STACK_BYTES of
+    # states; two per stack puts the boundaries inside the shape
     states = [qsim.random_cq_state(m, d, seed=2024, stream=t) for t in range(5)]
     tables = [qsim.random_boolean_fn(m, seed=2024, stream=t) for t in range(5)]
     if per_stack:
         monkeypatch.setattr(qsim, "STACK_BYTES", 8 * per_stack * states[0].rhos.nbytes)
     sizes, got = [], {"xor": [], "pgm": [], "merged": []}
-    for stack, f in qsim.stacks(zip(states, tables)):
+    for part in qsim.stack_chunks(5, 8 * states[0].rhos.nbytes):
+        stack = qsim.random_cq_state(m, d, 2024, range(5)[part])
+        f = qsim.random_boolean_fn(m, 2024, range(5)[part])
         sizes.append(len(stack.probs))
         for name, res in (("xor", qsim.xor_lemma_check(stack)),
                           ("pgm", qsim.pgm_reduction_check(stack, f))):
@@ -878,7 +912,8 @@ def test_merged_stack_keeps_a_bit_its_table_misses():
     s = qsim.random_cq_state(2, 1, seed=3, stream=1)
     for table in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0]):
         single = qsim.boolean_reduce(s, np.array(table))
-        stack, f = next(qsim.stacks([(s, np.array(table)), (s, np.array([0, 1, 0, 1]))]))
+        stack = qsim.CqState(s.labels, [s.probs, s.probs], [s.rhos, s.rhos], s.width)
+        f = np.array([table, [0, 1, 0, 1]])
         merged = qsim.boolean_reduce(stack, f)
         assert merged.labels.tolist() == [0, 1] and merged.probs.shape == (2, 2)
         for b in (0, 1):
@@ -896,7 +931,7 @@ def test_character_sums_square_with_pow():
     x = qsim.cq_distance_from_uniform(qsim.boolean_reduce(s, np.array([0, 1])), 1)
     assert x == 0.2828725197186212 and x ** 2 != x * x
     assert qsim.xor_lemma_check(s).character_sum == x ** 2
-    stack, = next(qsim.stacks([(qsim.random_cq_state(1, 3, 1, stream=846),), (s,)]))
+    stack = qsim.random_cq_state(1, 3, 1, [846, 849])
     assert qsim.xor_lemma_check(stack).character_sum[1] == x ** 2
 
 
@@ -915,7 +950,8 @@ def test_stacks_raise_what_one_state_raises(monkeypatch):
     with pytest.raises(ValidationError) as alone:
         qsim.CqState(broken.labels, broken.probs, broken.rhos, 2)
     with pytest.raises(ValidationError) as stacked:
-        next(qsim.stacks([(good,), (broken,), (good,)]))
+        qsim.CqState(good.labels, [good.probs, broken.probs, good.probs],
+                     [good.rhos, broken.rhos, good.rhos], 2)
     assert str(stacked.value) == str(alone.value)
     # the characters' merge checks each sum, in a stack as for one state
     with pytest.raises(ValidationError) as alone:
@@ -928,7 +964,7 @@ def test_stacks_raise_what_one_state_raises(monkeypatch):
     assert "probabilities sum to 0.8999" in str(alone.value)
     # each state's POVM is checked: at PSD_ATOL = -1 no element passes
     f = qsim.random_boolean_fn(2, seed=4)
-    stack, fs = next(qsim.stacks([(good, f), (good, f)]))
+    stack, fs = qsim.random_cq_state(2, 1, 4, [0, 0]), qsim.random_boolean_fn(2, 4, [0, 0])
     monkeypatch.setattr(qsim, "PSD_ATOL", -1.0)
     for args in ((good, f), (stack, fs)):
         with pytest.raises(ValidationError, match="POVM element not PSD"):
@@ -937,19 +973,24 @@ def test_stacks_raise_what_one_state_raises(monkeypatch):
 
 def test_stacked_guessing_probability_and_min_entropy_are_per_state():
     states = [qsim.random_cq_state(2, 1, seed=9, stream=t) for t in range(3)]
-    stack, = next(qsim.stacks((s,) for s in states))
+    stack = qsim.random_cq_state(2, 1, 9, range(3))
     assert qsim.guess_success(stack, qsim.pgm(stack)).tolist() \
         == [qsim.guess_success(s, qsim.pgm(s)) for s in states]
     assert stack.min_entropy().tolist() == [s.min_entropy() for s in states]
 
 
 def test_stacks_need_shared_labels_and_width():
+    # a stack holds one label array and width: a state over other labels,
+    # more labels or wider ones does not fit it, and a stack exposes no side
     a = qsim.random_cq_state(2, 1, seed=6)
+    wider = qsim.random_cq_state(3, 1, seed=6)
     part = _with_labels(qsim.random_cq_state(2, 1, seed=6, stream=1), [0, 1, 3])
-    with pytest.raises(ParameterError, match="share simple labels"):
-        next(qsim.stacks([(a,), (qsim.random_cq_state(3, 1, seed=6),)]))
-    with pytest.raises(ParameterError, match="share simple labels"):
-        next(qsim.stacks([(part,), (_with_labels(a, [0, 1, 2]),)]))
-    exposed = qsim.CqState([0, 0], [0.5, 0.5], [KET0, KET1], 1, sides=[0, 1])
-    with pytest.raises(ParameterError, match="share simple labels"):
-        next(qsim.stacks([(exposed,)]))
+    with pytest.raises(ValidationError, match="states differ in dimension"):
+        qsim.CqState(a.labels, [a.probs, wider.probs], [a.rhos, wider.rhos], 2)
+    with pytest.raises(ValidationError, match="differ in length"):
+        qsim.CqState(a.labels, [part.probs, part.probs], [part.rhos, part.rhos], 2)
+    with pytest.raises(ValidationError, match="label out of range for 2 bits"):
+        qsim.CqState(wider.labels, [wider.probs, wider.probs], [wider.rhos, wider.rhos], 2)
+    with pytest.raises(ValidationError, match="a stack of states has simple labels"):
+        qsim.CqState([0, 0], [[0.5, 0.5], [0.5, 0.5]], [[KET0, KET1], [KET0, KET1]], 1,
+                     sides=[0, 1])
