@@ -1,20 +1,20 @@
 """Concrete storage strategies and attacks.
 
-A storage strategy is a state map: called on int arrays (xs, ys) of
-source values it returns the stack of joint stored states on b1 + b2
-qubits, one per pair (xs[i], ys[i]), Alice's qubits first, checked
-against the budgets.  In the superdense strategy Bob keeps his
-whole state, so b2 counts all of his qubits.  The block strategies of
-the tightness attacks are basis strategies: each pair's state is one
-vector of a fixed orthonormal basis of the budget space, named by a
-basis index, so an attack measures the strategy by exact counts over
-those indices and builds no state.
+A storage strategy is a state map (see StorageStrategy) returning a
+stack of joint stored states on b1 + b2 qubits, one per source pair,
+Alice's qubits first, checked against the budgets.  In the superdense
+strategy Bob keeps his whole state, so b2 counts all of his qubits.
+The block strategies of the tightness attacks are basis strategies:
+each pair's state is one vector of a fixed orthonormal basis of the
+budget space, named by a basis index, so an attack measures the
+strategy by exact counts over those indices and builds no state.
 Strategies here cover seeded random adversaries (product and
-entangled), classical blocks, the exact Bell-pair protocol that
-computes the inner product in the simultaneous message passing model,
-superdense coding, and the source/storage constructions that sit right
-at the security bounds.  The protocols report only what the attacks
-check: the output, its probability and the qubits each party sends.
+entangled, one per seed of a sequence), classical blocks, the exact
+Bell-pair protocol that computes the inner product in the simultaneous
+message passing model, superdense coding, and the source/storage
+constructions that sit right at the security bounds.  The protocols
+report only what the attacks check: the output, its probability and
+the qubits each party sends.
 """
 
 from __future__ import annotations
@@ -117,13 +117,12 @@ def superdense_roundtrip(message: BitVector) -> BitVector:
 class StorageStrategy:
     """Map from source pairs to stored states within declared qubit budgets.
 
-    Calling the strategy on int arrays (xs, ys) of source values returns
-    stored(xs, ys), checked to be a (P, 2^(b1+b2), 2^(b1+b2)) stack, one
-    state per pair, Alice's qubits first.  A single pair is a batch of one.
-    A basis strategy also has index(xs, ys), the int64 rows of the
-    orthonormal table basis() whose pure states stored returns.  A stack
-    of strategies is called as strategy(xs, ys, at), pair i under
-    strategy at[i].
+    Every state map is called as stored(xs, ys, at) on equally long int
+    arrays: pair i is (xs[i], ys[i]) under strategy at[i] of a stack of
+    them, and the result is the (P, 2^(b1+b2), 2^(b1+b2)) stack of their
+    states, Alice's qubits first, which calling the strategy checks.  A
+    basis strategy ignores at and also has index(xs, ys), the int64 rows
+    of the orthonormal table basis() whose pure states stored returns.
     """
 
     b1: int
@@ -136,8 +135,8 @@ class StorageStrategy:
         if self.b1 < 0 or self.b2 < 0:
             raise ParameterError("budgets must be nonnegative")
 
-    def __call__(self, xs: np.ndarray, ys: np.ndarray, *at: np.ndarray) -> np.ndarray:
-        rhos = np.asarray(self.stored(xs, ys, *at), dtype=complex)
+    def __call__(self, xs: np.ndarray, ys: np.ndarray, at: np.ndarray) -> np.ndarray:
+        rhos = np.asarray(self.stored(xs, ys, at), dtype=complex)
         dim = 1 << (self.b1 + self.b2)
         if rhos.shape != (len(xs), dim, dim):
             raise DimensionError(f"strategy produced states of shape {rhos.shape[1:]} "
@@ -173,10 +172,9 @@ def _per_value(build: Callable[[list], np.ndarray]) -> Callable[..., tuple]:
     return look
 
 
-def random_storage(b1: int, b2: int, flavor: str, seed) -> StorageStrategy:
-    """Seeded random strategy of the requested flavor; for a sequence of
-    seeds, a stack of strategies, called as strategy(xs, ys, at) with at[i]
-    the seed of pair i.
+def random_storage(b1: int, b2: int, flavor: str, seeds) -> StorageStrategy:
+    """A stack of seeded random strategies of the requested flavor, one per
+    seed, pair i under seeds[at[i]].
 
     Entangled: a fixed Gaussian-random shared pure state with one extra
     working qubit per side, per-input Haar-ish local unitaries, then a
@@ -188,7 +186,6 @@ def random_storage(b1: int, b2: int, flavor: str, seed) -> StorageStrategy:
     joint states in chunks of an eighth of qsim.STACK_BYTES, and holds
     one seed's shared state at a time.
     """
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if flavor == "entangled":
         wa, wb = b1 + 1, b2 + 1
         dims = [2] * (wa + wb)
@@ -206,8 +203,7 @@ def random_storage(b1: int, b2: int, flavor: str, seed) -> StorageStrategy:
         ub = _per_value(lambda keys: qsim.random_unitary(
             1 << wb, derive_rngs((seeds[i], 0xB0B, v) for i, v in keys)))
 
-        def stored(xs, ys, at=None):
-            at = np.zeros(len(xs), dtype=np.int64) if at is None else at
+        def stored(xs, ys, at):
             out = np.empty((len(xs), 1 << (b1 + b2), 1 << (b1 + b2)), dtype=complex)
             (fa, ia), (fb, ib) = ua(at, xs), ub(at, ys)
             # an eighth of STACK_BYTES of joint states, 16 bytes an entry
@@ -242,8 +238,7 @@ def random_storage(b1: int, b2: int, flavor: str, seed) -> StorageStrategy:
 
         alice, bob = side(0xA11CE, b1), side(0xB0B, b2)
 
-        def stored(xs, ys, at=None):
-            at = np.zeros(len(xs), dtype=np.int64) if at is None else at
+        def stored(xs, ys, at):
             (fa, ia), (fb, ib) = alice(at, xs), bob(at, ys)
             return _kron(fa[ia], fb[ib])
 
@@ -262,7 +257,7 @@ def _basis_strategy(b1: int, b2: int, basis: Callable[[], np.ndarray],
         rows.flags.writeable = False
         return rows
 
-    def stored(xs, ys):
+    def stored(xs, ys, at):
         rows = table()[index(xs, ys)]
         return rows[:, :, None] * rows.conj()[:, None, :]
 

@@ -7,18 +7,19 @@ denotes half the sum of absolute eigenvalues of the difference, that is
 0.5 * l1_norm(a - b).
 
 A cq-state is array-shaped: K int labels of a fixed bit width (bit j is
-coordinate j, as in BitVector), their probabilities (K,) and quantum
-states (K, d, d), plus the exposed source value of each entry when one
-source is exposed with the output.  Labels and source values are int64,
+coordinate j, as in BitVector), their probabilities (..., K) and quantum
+states (..., K, d, d) in each state of a stack, plus the exposed source
+value of each entry when one source is exposed with the output.  An entry
+of probability 0 counts as absent.  Labels and source values are int64,
 or Python ints once one needs 64 bits, so an exposed source may have any
-length.  extractor_output_state builds the inner-product bit's state from
-any state map, arrays of source values (xs, ys) -> the stack of stored
-states of the pairs (xs[i], ys[i]), usually an adversaries.StorageStrategy.
-Given sequences of sources and a stack of state maps it builds a stack of
-states, one per instance; the security suite measures its random
-strategies this way.  The tightness attacks' strategies store basis
-vectors, and adversaries measures them by exact counts without building
-a state.
+length.  Samplers and builders take sequences and return a stack with a
+leading axis: random_cq_state draws one state per stream through one
+re-keyed generator (rng.derive_rngs), and extractor_output_state builds
+one per pair of sources from a state map, usually an
+adversaries.StorageStrategy.  Every check broadcasts over the leading
+axes of its state and gives each state the numbers it gets alone.  The
+tightness attacks' strategies store basis vectors, and adversaries
+measures them by exact counts without building a state.
 Consumers work on these arrays by index; every sum over entries runs
 left to right in entry order (np.add.at, np.add.accumulate or Python's
 sum, never np.sum's pairwise order), so the numbers match a per-entry
@@ -26,13 +27,7 @@ loop bit for bit.  The same holds for stacks: stacked @, np.trace on
 axes and batched eigvalsh compute each matrix of a stack exactly as
 they compute it alone, and a sum that a stack feeds runs in pair or
 label order whatever the chunk boundaries.  Stacks of per-pair matrices
-are built in chunks of at most STACK_BYTES.  A CqState may itself be a
-stack of states over the same simple labels, drawn by random_cq_state
-from a sequence of streams (one re-keyed generator per stack, see
-rng.derive_rngs) or built by extractor_output_state from sequences of
-sources; cq_distance_from_uniform, boolean_reduce, xor_lemma_check, pgm,
-guess_success and pgm_reduction_check then give each state the numbers
-it gets alone.
+are built in chunks of at most STACK_BYTES.
 
 The sizes handled here are deliberately small (states up to a few
 qubits, label sets up to a few thousand): the inequalities being
@@ -48,7 +43,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidationError
-from .extractors import FlatSource
 from .rng import derive_rngs
 
 HERMITIAN_ATOL = 1e-10
@@ -70,15 +64,14 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError("matrix must be square")
-    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > HERMITIAN_ATOL:
+    if not np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_ATOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
     return np.sort(np.linalg.eigvalsh(m), axis=-1)[..., ::-1]
 
 
 def l1_norm(m: np.ndarray):
-    """Sum of absolute eigenvalues (trace norm, unhalved); an array for a stack."""
-    norms = np.sum(np.abs(hermitian_eigenvalues(m)), axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
+    """Sum of absolute eigenvalues (trace norm, unhalved), of each matrix in a stack."""
+    return np.sum(np.abs(hermitian_eigenvalues(m)), axis=-1)
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -153,27 +146,21 @@ def _square_stack(mats, what: str) -> np.ndarray:
     return stack
 
 
-def _per_state(values):
-    """values as a float for one state, as an array over a stack."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
 @dataclass(frozen=True, eq=False)
 class CqState:
-    """Classical-quantum ensemble: label k has probability probs[k] and state rhos[k].
+    """Classical-quantum ensembles over shared labels: in each state of the
+    stack, label k has probability probs[..., k] and state rhos[..., k, :, :].
 
     labels are width-bit ints, bit j holding coordinate j as in BitVector.
     When a source is exposed, sides holds its value for each entry and
-    (label, side) pairs are distinct; otherwise sides is None.  A stack of
-    states over the same simple labels has probs (..., K) and rhos
-    (..., K, d, d), and the checks below give one value per state.
+    (label, side) pairs are distinct; otherwise sides is None.
     """
 
     labels: np.ndarray                   # (K,) int
     probs: np.ndarray                    # (..., K)
     rhos: np.ndarray                     # (..., K, d, d) complex
     width: int
-    sides: Optional[np.ndarray] = None   # (K,) int, for one state only
+    sides: Optional[np.ndarray] = None   # (K,) int
 
     def __post_init__(self):
         labels = _int_array(self.labels)
@@ -184,16 +171,14 @@ class CqState:
         if probs.shape[-1:] != (k,) or sides.shape != (k,) or labels.shape != (k,) \
                 or rhos.shape[:-2] != probs.shape:
             raise ValidationError("labels, sides, probs and states differ in length")
-        if probs.ndim > 1 and self.sides is not None:
-            raise ValidationError("a stack of states has simple labels")
         if int(labels.min()) < 0 or int(labels.max()) >> self.width:
             raise ValidationError(f"label out of range for {self.width} bits")
         if len(set(zip(labels.tolist(), sides.tolist()))) != k:
             raise ValidationError("duplicate labels in cq-state")
-        if probs.min() < -1e-15:
-            raise ValidationError("negative probability")
+        if not probs.min() >= -1e-15:
+            raise ValidationError("negative or NaN probability")
         total = np.add.accumulate(probs, axis=-1)[..., -1]
-        off = total[np.abs(total - 1.0) > TRACE_ATOL]
+        off = total[~(np.abs(total - 1.0) <= TRACE_ATOL)]
         if off.size:
             raise ValidationError(f"probabilities sum to {off[0]}, not 1")
         object.__setattr__(self, "labels", labels)
@@ -221,8 +206,7 @@ class CqState:
         return sum(np.moveaxis(self.weighted(), -3, 0))
 
     def min_entropy(self):
-        return _per_state(np.vectorize(lambda p: -math.log2(p), otypes=[float])(
-            self.probs.max(axis=-1)))
+        return np.vectorize(lambda p: -math.log2(p), otypes=[float])(self.probs.max(axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,10 +219,10 @@ class Povm:
 
     def __post_init__(self):
         els = _square_stack(self.elements, "POVM elements")
-        if np.linalg.eigvalsh(els).min() < -PSD_ATOL:
+        if not np.linalg.eigvalsh(els).min() >= -PSD_ATOL:
             raise ValidationError("POVM element not PSD")
-        if np.max(np.abs(sum(np.moveaxis(els, -3, 0)) - np.eye(els.shape[-1]))) \
-                > POVM_SUM_ATOL:
+        if not np.max(np.abs(sum(np.moveaxis(els, -3, 0)) - np.eye(els.shape[-1]))) \
+                <= POVM_SUM_ATOL:
             raise ValidationError("POVM elements do not sum to identity")
         object.__setattr__(self, "elements", els)
 
@@ -269,27 +253,21 @@ def _add_in_order(sums: np.ndarray, rows: np.ndarray, states: np.ndarray,
         sums[rows[o::period]] += states[o::period]
 
 
-def extractor_output_state(x_source, y_source,
-                           stored: Callable[..., np.ndarray],
+def extractor_output_state(x_sources, y_sources, stored: Callable[..., np.ndarray],
                            exposed: Optional[str] = None) -> CqState:
-    """Joint state of the inner-product bit with what the adversaries store.
+    """Joint states of the inner-product bit with what the adversaries
+    store, one per instance.
 
-    stored(xs, ys) maps int arrays of source values to the (P, d, d)
-    stack of the adversaries' states for the pairs (xs[i], ys[i]).  The
-    label is the output x . y and the state is the normalized mixture of
-    stored states over its preimages.  With exposed = "X" or "Y" that
-    source's value is held with the output as the entry's side; a
-    superstrong evaluation passes a map that keeps that side's whole
-    state.  Entries are ordered by output, then side, the side compared
-    as its coordinate-0-first string.
-
-    x_source and y_source may instead be equally long sequences of
-    sources, instance i being the pair (x_source[i], y_source[i]), the x
-    sources of one support size and the y sources of another.  stored
-    is then a stack of state maps, called as stored(xs, ys, at) with
-    at[i] the instance of pair i, and the result is a stack of states
-    over the outputs any instance has, at probability 0 in an instance
-    without one.  A stack exposes no side.
+    Instance i is the pair of sources (x_sources[i], y_sources[i]), the x
+    sources of one support size and the y sources of another, and stored
+    is a state map (see adversaries.StorageStrategy).  The label is the
+    output x . y and the state is the normalized mixture of stored states
+    over its preimages; the stack holds the outputs any instance has, at
+    probability 0 in an instance without one.  With exposed = "X" or "Y"
+    that source's value is held with the output as the entry's side, for
+    one instance; a superstrong evaluation passes a map that keeps that
+    side's whole state.  Entries are ordered by output, then side, the
+    side compared as its coordinate-0-first string.
 
     The pairs go to stored instance by instance, each in x-major order,
     one pair and then chunks of an eighth of STACK_BYTES of states (a
@@ -298,10 +276,8 @@ def extractor_output_state(x_source, y_source,
     """
     if exposed not in (None, "X", "Y"):
         raise ParameterError(f"exposed side must be None, 'X' or 'Y', got {exposed!r}")
-    stacked = not isinstance(x_source, FlatSource)
-    x_sources, y_sources = (x_source, y_source) if stacked else ([x_source], [y_source])
-    if stacked and exposed:
-        raise ParameterError("a stack of sources exposes no side")
+    if exposed and len(x_sources) > 1:
+        raise ParameterError("a stack of several instances exposes no side")
     if not x_sources or len(x_sources) != len(y_sources) \
             or len({len(s.support) for s in x_sources}) > 1 \
             or len({len(s.support) for s in y_sources}) > 1:
@@ -315,8 +291,8 @@ def extractor_output_state(x_source, y_source,
     if exposed is None:
         values, at, side_width = np.zeros(1, dtype=np.int64), np.zeros_like(xi), 0
     else:
-        values, at, side_width = ((xs[0], xi, x_source.n) if exposed == "X"
-                                  else (ys[0], yi, y_source.n))
+        values, at, side_width = ((xs[0], xi, x_sources[0].n) if exposed == "X"
+                                  else (ys[0], yi, y_sources[0].n))
     # rank[v]: the position of value v's coordinate-0-first string among the side's
     by_rank = np.argsort([_lex_rank(v, side_width) for v in values.tolist()])
     rank = np.argsort(by_rank)
@@ -328,7 +304,7 @@ def extractor_output_state(x_source, y_source,
     xs, ys = xs[:, xi].reshape(-1), ys[:, yi].reshape(-1)
 
     def states(pairs):
-        return stored(xs[pairs], ys[pairs], *([instance[pairs]] if stacked else []))
+        return stored(xs[pairs], ys[pairs], instance[pairs])
 
     p_pair = x_sources[0].probability() * y_sources[0].probability()
     probs = np.zeros(count * len(keys))
@@ -346,9 +322,9 @@ def extractor_output_state(x_source, y_source,
         _add_in_order(sums, rows[pairs], states(pairs), int(pairs[0]), len(xi))
     sums *= p_pair
     np.divide(sums, probs[:, None, None], out=sums, where=probs[:, None, None] > 0)
-    shape = (count, len(keys)) if stacked else (len(keys),)
-    return CqState(keys // len(values), probs.reshape(shape), sums.reshape(shape + sums.shape[1:]),
-                   1, values[by_rank[keys % len(values)]] if exposed else None)
+    return CqState(keys // len(values), probs.reshape(count, -1),
+                   sums.reshape((count, len(keys)) + sums.shape[1:]), 1,
+                   values[by_rank[keys % len(values)]] if exposed else None)
 
 
 # --------------------------------------------------------------------------
@@ -356,52 +332,44 @@ def extractor_output_state(x_source, y_source,
 
 
 def cq_distance_from_uniform(s: CqState, label_bits: int):
-    """Trace distance of a cq-state from uniform-output times its marginal;
-    an array over a stack.
+    """Trace distance of each cq-state of a stack from uniform-output times
+    its marginal.
 
     Works block by block: within each group of entries sharing the same
-    exposed side value, the block for output e is p(e)rho_e minus
-    2^-m times the group marginal; the distance is half the total
-    1-norm.  Outputs absent from a group contribute the marginal term
-    alone.  With simple labels, so does an entry of probability 0: a
-    merged stack holds one for each bit that a state's table misses.
+    exposed side value (all entries, without sides), the block for output
+    e is p(e)rho_e minus 2^-m times the group marginal; the distance is
+    half the total 1-norm, summed a group at a time in order of first
+    appearance.  Outputs absent from a group, entries of probability 0
+    among them, contribute the marginal term alone.
     """
     if s.width != label_bits:
         raise ValidationError(f"labels are {s.width}-bit, not {label_bits}-bit")
     weighted = s.weighted()
     scale = 1.0 / (1 << label_bits)
-    if s.sides is None:
-        marg = np.zeros(weighted.shape[:-3] + weighted.shape[-2:], dtype=complex)
-        for w in np.moveaxis(weighted, -3, 0):
-            marg += w
-        weighted -= scale * marg[..., None, :, :]
-        norms = l1_norm(weighted)
-        held = s.probs != 0
-        total = np.zeros(s.probs.shape[:-1])
-        for norm, on in zip(np.moveaxis(norms, -1, 0), np.moveaxis(held, -1, 0)):
-            total += np.where(on, norm, 0.0)
-        total += (((1 << label_bits) - held.sum(axis=-1)) * scale
+    groups = {}                 # entry indices by side, in order of first appearance
+    for k, side in enumerate(s.sides.tolist() if s.sides is not None else [0] * len(s.labels)):
+        groups.setdefault(side, []).append(k)
+    margs = np.zeros((len(groups),) + weighted.shape[:-3] + weighted.shape[-2:], dtype=complex)
+    for marg, ks in zip(margs, groups.values()):
+        for k in ks:
+            marg += weighted[..., k, :, :]
+        for k in ks:
+            weighted[..., k, :, :] -= scale * marg
+    held = s.probs != 0
+    norms = np.where(held, l1_norm(weighted), 0.0)
+    total = np.zeros(s.probs.shape[:-1])
+    for marg, ks in zip(margs, groups.values()):
+        for k in ks:
+            total += norms[..., k]
+        total += (((1 << label_bits) - held[..., ks].sum(axis=-1)) * scale
                   * np.real(np.trace(marg, axis1=-2, axis2=-1)))
-        return _per_state(0.5 * total)
-    _, first, group = np.unique(s.sides, return_index=True, return_inverse=True)
-    margs = np.zeros((len(first), s.dim, s.dim), dtype=complex)
-    np.add.at(margs, group, weighted)
-    norms = l1_norm(weighted - scale * margs[group])
-    counts = np.bincount(group)
-    traces = np.real(np.trace(margs, axis1=1, axis2=2))
-    total = 0.0
-    for g in np.argsort(first):     # groups in order of first appearance
-        for norm in norms[group == g]:
-            total += norm
-        total += ((1 << label_bits) - int(counts[g])) * scale * traces[g]
-    return 0.5 * float(total)
+    return 0.5 * total
 
 
 def boolean_reduce(s: CqState, f: np.ndarray) -> CqState:
-    """Merge a cq-state's labels into {0, 1} through f, a 0/1 table indexed by label.
-
-    Tables (..., 2^width) merge a stack, broadcast against it; a merged stack
-    keeps both bits, at probability 0 where a table misses one.
+    """Merge each cq-state's labels into {0, 1} through f, a 0/1 table
+    indexed by label, or a stack of tables (..., 2^width) broadcast against
+    the states; both bits are kept, at probability 0 where a table misses one.
     """
     if s.sides is not None:
         raise ParameterError("boolean_reduce expects simple labels")
@@ -418,9 +386,6 @@ def boolean_reduce(s: CqState, f: np.ndarray) -> CqState:
         rhos[(*at, bits[..., k])] += weighted[..., k, :, :]
     kept = probs > 0
     np.divide(rhos, probs[..., None, None], out=rhos, where=kept[..., None, None])
-    if not batch:
-        kept = np.flatnonzero(kept)
-        return CqState(kept, probs[kept], rhos[kept], 1)
     return CqState([0, 1], np.where(kept, probs, 0.0), rhos, 1)
 
 
@@ -445,8 +410,8 @@ class XorLemmaResult:
 
 
 def xor_lemma_check(s: CqState) -> XorLemmaResult:
-    """Multi-bit distance squared vs the character-sum bound; each field an
-    array over a stack.
+    """Multi-bit distance squared vs the character-sum bound, each field
+    one value per state.
 
     Both proof branches are reported: one pays a factor 2^d in the
     state dimension, the other 2^m in the label length; the headline
@@ -468,7 +433,7 @@ def xor_lemma_check(s: CqState) -> XorLemmaResult:
         for dist in row:
             char_sum += dist ** 2
         char_sums.append(char_sum)
-    char_sum = _per_state(np.reshape(char_sums, np.shape(lhs)))
+    char_sum = np.reshape(char_sums, np.shape(lhs))
     return XorLemmaResult(
         lhs_squared=lhs * lhs,
         rhs_bound=(1 << min(d, m)) * char_sum,
@@ -492,7 +457,7 @@ def _pinv_sqrt_and_kernel(rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def pgm(s: CqState) -> Povm:
-    """Square-root measurement of a cq-state, or of each state of a stack.
+    """Square-root measurement of each cq-state of a stack.
 
     Elements are p(z) R rho_z R with R the pseudo-inverse square root
     of the average state; the kernel projector is split evenly across
@@ -505,7 +470,7 @@ def pgm(s: CqState) -> Povm:
 
 
 def guess_success(s: CqState, m: Povm):
-    """Probability that measuring with m recovers the label; an array over a stack."""
+    """Probability that measuring with m recovers the label, per state."""
     if m.elements.shape != s.rhos.shape:
         raise ParameterError(f"POVM elements {m.elements.shape} do not match "
                              f"the state's labels and states {s.rhos.shape}")
@@ -515,7 +480,7 @@ def guess_success(s: CqState, m: Povm):
     if off.size:
         raise ParameterError(f"success probability {float(off[0])!r} is outside "
                              "[0, 1]; the POVM is not valid")
-    return _per_state(np.clip(total, 0.0, 1.0))
+    return np.clip(total, 0.0, 1.0)
 
 
 def helstrom_advantage(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray) -> float:
@@ -524,7 +489,7 @@ def helstrom_advantage(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray)
     Equals 1/2 + 1/2 ||p0 rho0 - p1 rho1||_1 with the full (unhalved)
     1-norm of the weighted difference.
     """
-    if abs(p0 + p1 - 1.0) > 1e-9:
+    if not abs(p0 + p1 - 1.0) <= 1e-9:
         raise ParameterError("priors must sum to 1")
     return 0.5 + 0.5 * l1_norm(p0 * np.asarray(rho0, dtype=complex)
                                - p1 * np.asarray(rho1, dtype=complex))
@@ -572,8 +537,8 @@ def pgm_reduction_check(s: CqState, f: np.ndarray) -> PgmReductionResult:
     reduced bit from uniform; the classical side measures the joint of
     f(Z) with the measurement outcome against an independent uniform
     bit, as a variational distance; the claimed bound is sqrt(half the
-    classical distance).  For a stack f holds one table per state, and
-    each field is an array.
+    classical distance).  f may hold one table per state, and each field
+    holds one value per state.
     """
     lhs = cq_distance_from_uniform(boolean_reduce(s, f), 1)
     elements = pgm(s).elements
@@ -593,8 +558,8 @@ def pgm_reduction_check(s: CqState, f: np.ndarray) -> PgmReductionResult:
     dist = np.add.accumulate(np.abs(joint - 0.5 * marg[..., None, :]).swapaxes(-1, -2)
                              .reshape(q.shape[:-2] + (-1,)), axis=-1)[..., -1]
     classical = 0.5 * dist
-    return PgmReductionResult(lhs=lhs, classical_distance=_per_state(classical),
-                              bound=_per_state(np.sqrt(0.5 * classical)))
+    return PgmReductionResult(lhs=lhs, classical_distance=classical,
+                              bound=np.sqrt(0.5 * classical))
 
 
 def trace_norm_weighted_l2_bound(s_op: np.ndarray, sigma: np.ndarray) -> Tuple[float, float]:
@@ -608,11 +573,10 @@ def trace_norm_weighted_l2_bound(s_op: np.ndarray, sigma: np.ndarray) -> Tuple[f
     s_op = np.asarray(s_op, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     lhs = 0.5 * l1_norm(s_op)  # checks that s_op is Hermitian
-    sig_vals = np.linalg.eigvalsh(sigma)
-    if sig_vals.min() < -PSD_ATOL:
+    if not hermitian_eigenvalues(sigma)[-1] >= -PSD_ATOL:
         raise ValidationError("sigma is not PSD")
     r, kernel = _pinv_sqrt_and_kernel(sigma)
-    if np.max(np.abs(kernel @ s_op)) > 1e-8:
+    if not np.max(np.abs(kernel @ s_op)) <= 1e-8:
         raise ValidationError("support of the operator leaks outside sigma")
     inner = float(np.real(np.trace(r @ s_op @ r @ s_op)))
     rhs = 0.5 * math.sqrt(max(float(np.real(np.trace(sigma))), 0.0) * max(inner, 0.0))
@@ -629,26 +593,20 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.real(np.trace(m))
 
 
-def random_unitary(dim: int, rng) -> np.ndarray:
-    """A Haar-ish unitary drawn from rng, or from each generator an iterable
-    yields as one stack (each is drawn from before the next is taken, so a
-    lazy rng.derive_rngs serves); a stacked QR gives each matrix the Q and
-    R it gets alone."""
-    single = isinstance(rng, np.random.Generator)
-    g = np.array([r.normal(size=(dim, dim)) + 1j * r.normal(size=(dim, dim))
-                  for r in ([rng] if single else rng)])
+def random_unitary(dim: int, rngs) -> np.ndarray:
+    """A stack of Haar-ish unitaries, one drawn from each generator rngs
+    yields (each is drawn from before the next is taken, so a lazy
+    rng.derive_rngs serves); a stacked QR gives each matrix the Q and R it
+    gets alone."""
+    g = np.array([r.normal(size=(dim, dim)) + 1j * r.normal(size=(dim, dim)) for r in rngs])
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[..., None, :]
-    return q[0] if single else q
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_cq_state(label_bits: int, qubits: int, seed: int, stream=0) -> CqState:
-    """Seeded cq-state: simplex-drawn probabilities, Wishart-drawn states.
-
-    Given a sequence of streams, the stack of the states each stream
-    draws, with probs (T, K) and states (T, K, d, d)."""
-    streams = [stream] if np.ndim(stream) == 0 else stream
+def random_cq_state(label_bits: int, qubits: int, seed: int, streams) -> CqState:
+    """Seeded cq-states, one per stream: simplex-drawn probabilities (T, K)
+    and Wishart-drawn states (T, K, d, d)."""
     count = 1 << label_bits
     dim = 1 << qubits
     probs = np.empty((len(streams), count))
@@ -662,16 +620,13 @@ def random_cq_state(label_bits: int, qubits: int, seed: int, stream=0) -> CqStat
     rhos = g @ g.conj().swapaxes(-1, -2)
     del g
     rhos /= np.real(np.trace(rhos, axis1=-2, axis2=-1))[..., None, None]
-    if np.ndim(stream) == 0:
-        probs, rhos = probs[0], rhos[0]
     return CqState(np.arange(count), probs, rhos, label_bits)
 
 
-def random_boolean_fn(label_bits: int, seed: int, stream=0) -> np.ndarray:
-    """Seeded Boolean function on label_bits-bit labels, as a 0/1 table
-    indexed by label; given a sequence of streams, one table per stream."""
-    streams = [stream] if np.ndim(stream) == 0 else stream
+def random_boolean_fn(label_bits: int, seed: int, streams) -> np.ndarray:
+    """Seeded Boolean functions on label_bits-bit labels, one per stream, as
+    a (T, 2^label_bits) stack of 0/1 tables indexed by label."""
     tables = np.empty((len(streams), 1 << label_bits), dtype=np.int64)
     for t, rng in enumerate(derive_rngs((seed, 0xB001, s) for s in streams)):
         tables[t] = rng.integers(0, 2, size=1 << label_bits)
-    return tables[0] if np.ndim(stream) == 0 else tables
+    return tables

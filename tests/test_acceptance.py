@@ -91,10 +91,10 @@ def test_criterion_7_reduction_lemmas():
     for t in range(500):
         m = 1 + t % 3
         d = t // 3 % 4
-        s = qsim.random_cq_state(m, d, seed=2024, stream=0x70000 + t)
-        f = qsim.random_boolean_fn(m, seed=2024, stream=0x70000 + t)
+        s = qsim.random_cq_state(m, d, 2024, [0x70000 + t])
+        f = qsim.random_boolean_fn(m, 2024, [0x70000 + t])
         res = qsim.pgm_reduction_check(s, f)
-        worst = max(worst, res.lhs - math.sqrt(0.5 * res.classical_distance))
+        worst = max(worst, res.lhs[0] - math.sqrt(0.5 * res.classical_distance[0]))
     ok = worst <= 1e-8
     normbound = harness.run_normbound_suite(seed=2024, trials=200)
     _report(7, "pgm reduction + weighted-l2 lemma", ok and normbound.passed)

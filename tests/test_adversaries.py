@@ -29,8 +29,8 @@ def bv(s):
 
 
 def _stored(strategy, x: BitVector, y: BitVector) -> np.ndarray:
-    """The strategy's state for the single pair (x, y), a batch of one."""
-    return strategy(np.array([x.value]), np.array([y.value]))[0]
+    """The strategy's state for the single pair (x, y) of instance 0, a batch of one."""
+    return strategy(np.array([x.value]), np.array([y.value]), np.zeros(1, dtype=np.int64))[0]
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_superdense_vector_roundtrip():
 
 def test_zero_budget_storage_is_scalar():
     for flavor in ("product", "entangled"):
-        s = random_storage(0, 0, flavor, seed=1)
+        s = random_storage(0, 0, flavor, [1])
         rho = _stored(s, bv("101"), bv("011"))
         assert rho.shape == (1, 1)
         assert abs(rho[0, 0] - 1.0) <= 1e-9
@@ -106,8 +106,8 @@ def test_random_storage_determinism():
     xs = [BitVector(3, v) for v in range(8)]
     ys = [BitVector(3, v) for v in range(8)]
     for flavor in ("product", "entangled"):
-        a = random_storage(1, 1, flavor, seed=9)
-        b = random_storage(1, 1, flavor, seed=9)
+        a = random_storage(1, 1, flavor, [9])
+        b = random_storage(1, 1, flavor, [9])
         for x in xs[:4]:
             for y in ys[:4]:
                 assert np.array_equal(_stored(a, x, y), _stored(b, x, y))
@@ -115,7 +115,7 @@ def test_random_storage_determinism():
 
 def test_random_storage_states_are_valid(check_density_matrix):
     for flavor in ("product", "entangled"):
-        s = random_storage(1, 2, flavor, seed=5)
+        s = random_storage(1, 2, flavor, [5])
         for xv in range(4):
             for yv in range(4):
                 rho = _stored(s, BitVector(2, xv), BitVector(2, yv))
@@ -123,7 +123,7 @@ def test_random_storage_states_are_valid(check_density_matrix):
                 check_density_matrix(rho)
     for flavor in ("quantum", "classical"):
         with pytest.raises(ParameterError, match="unknown flavor"):
-            random_storage(1, 2, flavor, seed=5)
+            random_storage(1, 2, flavor, [5])
 
 
 @pytest.mark.parametrize("flavor", ["product", "entangled"])
@@ -134,7 +134,7 @@ def test_random_storage_stacks_match_per_pair_products(flavor, stack_bytes, monk
     monkeypatch.setattr(qsim, "STACK_BYTES", stack_bytes)
     xs, ys = np.array([0, 5, 3, 5, 7, 0]), np.array([1, 1, 6, 2, 0, 7])
     for b1, b2 in itertools.product(range(3), repeat=2):
-        stack = random_storage(b1, b2, flavor, seed=17)(xs, ys)
+        stack = random_storage(b1, b2, flavor, [17])(xs, ys, np.zeros(6, dtype=np.int64))
         oracle = random_storage_oracle(b1, b2, flavor, seed=17)
         expect = np.array([oracle(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
         assert stack.shape == (6, 1 << (b1 + b2), 1 << (b1 + b2))
@@ -146,7 +146,7 @@ def test_random_storage_draws_each_side_once_per_value(monkeypatch):
     calls = []
     draw = qsim.random_unitary
     monkeypatch.setattr(qsim, "random_unitary", lambda *a: calls.append(1) or draw(*a))
-    s = random_storage(1, 1, "entangled", seed=2)
+    s = random_storage(1, 1, "entangled", [2])
     for xv in range(4):
         for yv in range(4):
             _stored(s, BitVector(2, xv), BitVector(2, yv))
@@ -155,7 +155,7 @@ def test_random_storage_draws_each_side_once_per_value(monkeypatch):
 
 def test_product_flavor_factorizes():
     # every stored state is its x-side marginal tensor its y-side marginal
-    s = random_storage(1, 1, "product", seed=3)
+    s = random_storage(1, 1, "product", [3])
     for xv in range(4):
         for yv in range(4):
             rho = _stored(s, BitVector(2, xv), BitVector(2, yv))
@@ -172,7 +172,7 @@ def test_classical_block_storage_stacks_basis_states():
     for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         k = (x & 1 | (x >> 2 & 1) << 1) << 1 | y >> 1 & 1
         expect[i, k, k] = 1.0
-    assert np.array_equal(s(xs, ys), expect)
+    assert np.array_equal(s(xs, ys, np.zeros(5, dtype=np.int64)), expect)
 
 
 def test_smp_block_storage_budget_check():
@@ -283,7 +283,7 @@ def test_basis_strategies_store_orthonormal_rows_of_their_table(kind, args):
         expect = np.array([vector(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
         assert np.array_equal(table[rows], expect)
     pick = [0, 37, 255]
-    stack = s(xs[pick], ys[pick])
+    stack = s(xs[pick], ys[pick], np.zeros(3, dtype=np.int64))
     assert np.array_equal(stack, np.array([np.outer(v, v.conj()) for v in table[rows[pick]]]))
 
 
@@ -405,13 +405,13 @@ def test_output_state_keeps_no_per_pair_matrices():
     assert attack.storage.b1 + attack.storage.b2 == 6 and attack.branch == "exact"
     tracemalloc.start()
     try:
-        state = qsim.extractor_output_state(attack.x_source, attack.y_source,
+        state = qsim.extractor_output_state([attack.x_source], [attack.y_source],
                                             attack.storage)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert qsim.cq_distance_from_uniform(state, 1) == pytest.approx(0.5, abs=1e-9)
+    assert qsim.cq_distance_from_uniform(state, 1)[0] == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("k, b", [(3, 3), (6, 1)])
@@ -420,15 +420,15 @@ def test_security_output_state_memory_stays_within_the_chunk_budget(k, b):
     # (3, 3) and 16 MiB at (6, 1), each with three products of that size.  Chunked,
     # the peak is the output chunk, one joint-state chunk and its three products.
     xs, ys = random_flat_source(8, k, 5, 1), random_flat_source(8, k, 5, 2)
-    storage = random_storage(b, b, "entangled", seed=5)
+    storage = random_storage(b, b, "entangled", [5])
     tracemalloc.start()
     try:
-        state = qsim.extractor_output_state(xs, ys, storage)
+        state = qsim.extractor_output_state([xs], [ys], storage)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5 * qsim.STACK_BYTES + (1 << 20)
-    assert qsim.cq_distance_from_uniform(state, 1) <= 0.5
+    assert qsim.cq_distance_from_uniform(state, 1)[0] <= 0.5
 
 
 def test_tightness_parameter_errors():
@@ -502,7 +502,7 @@ COUNTED = {
 
 def _basis_state_map(storage):
     """The strategy's states rebuilt from its basis table and its indices."""
-    def stored(xs, ys):
+    def stored(xs, ys, at):
         rows = storage.basis()[storage.index(xs, ys)]
         return rows[:, :, None] * rows.conj()[:, None, :]
     return stored
@@ -519,10 +519,10 @@ def test_counted_advantage_matches_the_dense_cq_state(setting, branch):
             for sources in ({}, {"x_source": random_flat_source(n, k1, seed, 1),
                                  "y_source": random_flat_source(n, k2, seed, 2)}):
                 probe = dataclasses.replace(attack, **sources)
-                state = qsim.extractor_output_state(probe.x_source, probe.y_source,
+                state = qsim.extractor_output_state([probe.x_source], [probe.y_source],
                                                     _basis_state_map(probe.storage),
                                                     probe.exposed)
-                dense = qsim.cq_distance_from_uniform(state, 1)
+                dense = qsim.cq_distance_from_uniform(state, 1)[0]
                 measured.add(measure_attack_advantage(probe))
                 assert abs(measure_attack_advantage(probe) - dense) <= 1e-12
     assert 0.5 in measured and min(measured) < 0.5

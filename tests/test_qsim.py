@@ -89,7 +89,7 @@ def test_permute_qubits_vector():
 
 def _trivial_storage():
     """Zero-qubit storage; every stored state is the scalar 1."""
-    return adversaries.StorageStrategy(0, 0, lambda xs, ys: np.ones((len(xs), 1, 1)))
+    return adversaries.StorageStrategy(0, 0, lambda xs, ys, at: np.ones((len(xs), 1, 1)))
 
 
 def _classical_joint_storage(fn, n, bits):
@@ -98,14 +98,20 @@ def _classical_joint_storage(fn, n, bits):
     Not realizable as a (b1, b2) product storage; exercises the verifier
     on states that perfectly encode the extractor output.
     """
-    return adversaries.StorageStrategy(bits, 0, lambda xs, ys: np.array([
+    return adversaries.StorageStrategy(bits, 0, lambda xs, ys, at: np.array([
         np.diag(np.eye(1 << bits)[fn(BitVector(n, x), BitVector(n, y))])
         for x, y in zip(xs.tolist(), ys.tolist())]))
 
 
 def _stored(state_map, x: BitVector, y: BitVector) -> np.ndarray:
-    """The state map on the single pair (x, y), a batch of one."""
-    return state_map(np.array([x.value], dtype=object), np.array([y.value], dtype=object))[0]
+    """The state map on the single pair (x, y) of instance 0, a batch of one."""
+    return state_map(np.array([x.value], dtype=object), np.array([y.value], dtype=object),
+                     np.zeros(1, dtype=np.int64))[0]
+
+
+def _alone(stack, t=0):
+    """State t of a stack as a CqState of its own."""
+    return qsim.CqState(stack.labels, stack.probs[t], stack.rhos[t], stack.width, stack.sides)
 
 
 def test_output_state_constant_extractor():
@@ -113,31 +119,31 @@ def test_output_state_constant_extractor():
     x = FlatSource.from_values(2, [0])
     y = FlatSource.uniform(2)
     storage = _trivial_storage()
-    state = qsim.extractor_output_state(x, y, storage)
+    state = qsim.extractor_output_state([x], [y], storage)
     assert len(state.labels) == 1
     assert state.labels[0] == 0
-    assert abs(state.probs[0] - 1.0) <= 1e-12
-    assert abs(qsim.cq_distance_from_uniform(state, 1) - 0.5) <= 1e-12
+    assert abs(state.probs[0, 0] - 1.0) <= 1e-12
+    assert abs(qsim.cq_distance_from_uniform(state, 1)[0] - 0.5) <= 1e-12
 
 
 def test_output_state_ip_uniform_n2():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
-    state = qsim.extractor_output_state(x, y, _trivial_storage())
-    probs = dict(zip(state.labels.tolist(), state.probs))
+    state = qsim.extractor_output_state([x], [y], _trivial_storage())
+    probs = dict(zip(state.labels.tolist(), state.probs[0]))
     assert abs(probs[0] - 5 / 8) <= 1e-12
     assert abs(probs[1] - 3 / 8) <= 1e-12
-    assert abs(qsim.cq_distance_from_uniform(state, 1) - 0.125) <= 1e-12
+    assert abs(qsim.cq_distance_from_uniform(state, 1)[0] - 0.125) <= 1e-12
 
 
 def test_output_state_perfect_classical_encoding():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
     storage = _classical_joint_storage(ip_extract, 2, 1)
-    state = qsim.extractor_output_state(x, y, storage)
-    rho0, rho1 = state.rhos
+    state = qsim.extractor_output_state([x], [y], storage)
+    rho0, rho1 = state.rhos[0]
     assert abs(np.trace(rho0 @ rho1)) <= 1e-12  # orthogonal supports
-    assert abs(qsim.cq_distance_from_uniform(state, 1) - 0.5) <= 1e-12
+    assert abs(qsim.cq_distance_from_uniform(state, 1)[0] - 0.5) <= 1e-12
 
 
 def test_unknown_exposed_side_rejected():
@@ -145,21 +151,21 @@ def test_unknown_exposed_side_rejected():
     y = FlatSource.uniform(1)
     for exposed in ("Z", "weak", "X-strong"):
         with pytest.raises(ParameterError, match="exposed side"):
-            qsim.extractor_output_state(x, y, _trivial_storage(), exposed)
+            qsim.extractor_output_state([x], [y], _trivial_storage(), exposed)
 
 
 def test_strategy_checks_its_budget_dimension():
-    xs, ys = np.array([0, 1]), np.array([1, 1])
-    half = adversaries.StorageStrategy(1, 1, lambda xs, ys: np.array([np.eye(2) / 2] * len(xs)))
+    xs, ys, at = np.array([0, 1]), np.array([1, 1]), np.zeros(2, dtype=np.int64)
+    half = adversaries.StorageStrategy(1, 1, lambda xs, ys, at: np.array([np.eye(2) / 2] * len(xs)))
     with pytest.raises(DimensionError, match="budget dim 4"):
-        half(xs, ys)
-    one_short = adversaries.StorageStrategy(0, 0, lambda xs, ys: np.ones((len(xs) - 1, 1, 1)))
+        half(xs, ys, at)
+    one_short = adversaries.StorageStrategy(0, 0, lambda xs, ys, at: np.ones((len(xs) - 1, 1, 1)))
     with pytest.raises(DimensionError, match="for 2 pairs"):
-        one_short(xs, ys)
+        one_short(xs, ys, at)
     with pytest.raises(DimensionError):
-        qsim.extractor_output_state(FlatSource.uniform(1), FlatSource.uniform(1), half)
+        qsim.extractor_output_state([FlatSource.uniform(1)], [FlatSource.uniform(1)], half)
     with pytest.raises(ParameterError, match="nonnegative"):
-        adversaries.StorageStrategy(-1, 0, lambda xs, ys: np.ones((len(xs), 1, 1)))
+        adversaries.StorageStrategy(-1, 0, lambda xs, ys, at: np.ones((len(xs), 1, 1)))
 
 
 def test_output_state_stacks_need_paired_sources_and_no_exposed_side():
@@ -175,7 +181,7 @@ def test_output_state_stacks_need_paired_sources_and_no_exposed_side():
 def test_strong_mode_labels():
     x = FlatSource.uniform(1)
     y = FlatSource.uniform(1)
-    state = qsim.extractor_output_state(x, y, _trivial_storage(), "X")
+    state = qsim.extractor_output_state([x], [y], _trivial_storage(), "X")
     labels = set(zip(state.labels.tolist(), state.sides.tolist()))
     assert (1, 1) in labels and (0, 0) in labels
 
@@ -215,6 +221,8 @@ def _oracle_state(extractor, xs, ys, state_map, exposed, width):
 
 
 def _assert_matches_oracle(state, expect, n, exposed):
+    """state, a stack of one, holds the oracle's entries."""
+    assert state.probs.shape == (1, len(state.labels))
     outs = [BitVector(state.width, v).to_str() for v in state.labels]
     if exposed is None:
         assert state.sides is None
@@ -222,8 +230,8 @@ def _assert_matches_oracle(state, expect, n, exposed):
     else:
         labels = list(zip(outs, [BitVector(n, v).to_str() for v in state.sides]))
     assert labels == [label for label, _, _ in expect]
-    assert state.probs.tolist() == [p for _, p, _ in expect]
-    assert state.rhos.tobytes() == np.array([rho for _, _, rho in expect]).tobytes()
+    assert state.probs[0].tolist() == [p for _, p, _ in expect]
+    assert state.rhos[0].tobytes() == np.array([rho for _, _, rho in expect]).tobytes()
 
 
 # the security notions: the side exposed with the output, and whether the
@@ -242,9 +250,9 @@ def _state_maps(notion, n, seed):
     exposed, whole = NOTIONS[notion]
     if whole:
         superdense = adversaries.superdense_block_storage(sorted({0, n - 1}), 1)
-        return [superdense if exposed == "Y" else lambda xs, ys: superdense(ys, xs)]
-    return [adversaries.random_storage(1, 1, "product", seed),
-            adversaries.random_storage(1, 1, "entangled", seed),
+        return [superdense if exposed == "Y" else lambda xs, ys, at: superdense(ys, xs, at)]
+    return [adversaries.random_storage(1, 1, "product", [seed]),
+            adversaries.random_storage(1, 1, "entangled", [seed]),
             adversaries.classical_block_storage([0], [n - 1], 1, 1)]
 
 
@@ -256,9 +264,11 @@ def test_output_state_matches_string_label_oracle(notion):
                    (random_flat_source(n, n - 1, 7, 1), random_flat_source(n, 1, 7, 2))]
         for state_map in _state_maps(notion, n, seed=5 + n):
             for xs, ys in sources:
-                state = qsim.extractor_output_state(xs, ys, state_map, exposed)
+                state = qsim.extractor_output_state([xs], [ys], state_map, exposed)
                 expect = _string_label_oracle(ip_extract, xs, ys, state_map, exposed)
                 _assert_matches_oracle(state, expect, n, exposed)
+                assert abs(qsim.cq_distance_from_uniform(state, 1)[0]
+                           - _global_distance_oracle(_alone(state), 1)) <= 1e-10
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
@@ -269,11 +279,11 @@ def test_output_state_matches_string_label_oracle_at_64_bits(notion):
     xs = FlatSource.from_values(64, [1, 1 << 63, 3 << 62, (1 << 64) - 1])
     ys = FlatSource.from_values(64, [2, 1 << 63, 5 << 60, (1 << 64) - 2])
     for state_map in _state_maps(notion, 64, seed=11):
-        state = qsim.extractor_output_state(xs, ys, state_map, exposed)
+        state = qsim.extractor_output_state([xs], [ys], state_map, exposed)
         expect = _string_label_oracle(ip_extract, xs, ys, state_map, exposed)
         _assert_matches_oracle(state, expect, 64, exposed)
-        assert abs(qsim.cq_distance_from_uniform(state, 1)
-                   - _global_distance_oracle(state, 1)) <= 1e-10
+        assert abs(qsim.cq_distance_from_uniform(state, 1)[0]
+                   - _global_distance_oracle(_alone(state), 1)) <= 1e-10
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
@@ -282,10 +292,10 @@ def test_output_state_is_the_same_in_any_chunking(notion, monkeypatch):
     exposed = NOTIONS[notion][0]
     xs, ys = FlatSource.uniform(3), random_flat_source(3, 2, 7, 2)
     for state_map in _state_maps(notion, 3, seed=9):
-        whole = qsim.extractor_output_state(xs, ys, state_map, exposed)
+        whole = qsim.extractor_output_state([xs], [ys], state_map, exposed)
         for pairs in (1, 3):
-            monkeypatch.setattr(qsim, "STACK_BYTES", 8 * pairs * whole.rhos[0].nbytes)
-            chunked = qsim.extractor_output_state(xs, ys, state_map, exposed)
+            monkeypatch.setattr(qsim, "STACK_BYTES", 8 * pairs * whole.rhos[0, 0].nbytes)
+            chunked = qsim.extractor_output_state([xs], [ys], state_map, exposed)
             monkeypatch.undo()
             for field in ("labels", "sides", "probs", "rhos"):
                 a, b = getattr(whole, field), getattr(chunked, field)
@@ -324,14 +334,14 @@ def test_cq_distance_matches_global_eigendecomposition():
     for t in range(30):
         m = 1 + t % 3
         d = t % 3
-        s = qsim.random_cq_state(m, d, seed=2468, stream=t)
-        direct = _global_distance_oracle(s, m)
-        assert abs(qsim.cq_distance_from_uniform(s, m) - direct) <= 1e-10
+        s = qsim.random_cq_state(m, d, 2468, [t])
+        direct = _global_distance_oracle(_alone(s), m)
+        assert abs(qsim.cq_distance_from_uniform(s, m)[0] - direct) <= 1e-10
 
 
 def test_cq_distance_matches_per_entry_loop():
     # the block sums in entry order, side groups in order of first appearance
-    storage = adversaries.random_storage(1, 1, "product", seed=29)
+    storage = adversaries.random_storage(1, 1, "product", [29])
     xs, ys = random_flat_source(3, 2, 3, 1), random_flat_source(3, 2, 3, 2)
     for exposed in (None, "X", "Y"):
         for m in (1, 2, 3):
@@ -355,15 +365,15 @@ def test_cq_distance_strong_mode_matches_oracle():
     from qx2src.extractors import FlatSource, ip_extract
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
-    storage = adversaries.random_storage(1, 1, "entangled", seed=13)
+    storage = adversaries.random_storage(1, 1, "entangled", [13])
     for exposed in (None, "X", "Y"):
-        s = qsim.extractor_output_state(x, y, storage, exposed)
-        direct = _global_distance_oracle(s, 1)
-        assert abs(qsim.cq_distance_from_uniform(s, 1) - direct) <= 1e-10
+        s = qsim.extractor_output_state([x], [y], storage, exposed)
+        direct = _global_distance_oracle(_alone(s), 1)
+        assert abs(qsim.cq_distance_from_uniform(s, 1)[0] - direct) <= 1e-10
 
 
 def test_boolean_reduce_constant():
-    s = qsim.random_cq_state(2, 1, seed=77)
+    s = _alone(qsim.random_cq_state(2, 1, 77, [0]))
     reduced = qsim.boolean_reduce(s, np.ones(4, dtype=int))
     assert abs(qsim.cq_distance_from_uniform(reduced, 1) - 0.5) <= 1e-12
 
@@ -371,8 +381,8 @@ def test_boolean_reduce_constant():
 def test_boolean_reduce_merge_identity():
     for t in range(25):
         m, d = 2, 2
-        s = qsim.random_cq_state(m, d, seed=1000 + t)
-        f = qsim.random_boolean_fn(m, seed=1000 + t)
+        s = _alone(qsim.random_cq_state(m, d, 1000 + t, [0]))
+        f = qsim.random_boolean_fn(m, 1000 + t, [0])[0]
         reduced = qsim.boolean_reduce(s, f)
         dim = s.dim
         rho = {0: np.zeros((dim, dim), complex), 1: np.zeros((dim, dim), complex)}
@@ -384,8 +394,8 @@ def test_boolean_reduce_merge_identity():
 
 def test_boolean_reduce_preserves_probability_and_average():
     for t in range(20):
-        s = qsim.random_cq_state(2, 2, seed=888, stream=t)
-        f = qsim.random_boolean_fn(2, seed=888, stream=t)
+        s = _alone(qsim.random_cq_state(2, 2, 888, [t]))
+        f = qsim.random_boolean_fn(2, 888, [t])[0]
         reduced = qsim.boolean_reduce(s, f)
         assert abs(sum(reduced.probs) - 1.0) <= 1e-12
         assert np.max(np.abs(reduced.average_state() - s.average_state())) <= 1e-12
@@ -421,21 +431,23 @@ def _parity_loop(z, mask, m):
 @given(m=st.integers(1, 3), qubits=st.integers(0, 2),
        stream=st.integers(0, 2 ** 16), data=st.data())
 def test_reduction_and_characters_match_per_label_loops(m, qubits, stream, data):
-    s = qsim.random_cq_state(m, qubits, seed=4242, stream=stream)
+    stack = qsim.random_cq_state(m, qubits, 4242, [stream])
     f = np.array(data.draw(st.lists(st.integers(0, 1), min_size=1 << m,
                                     max_size=1 << m)))
-    reduced = qsim.boolean_reduce(s, f)
-    expect = _reduce_loop(s, f)
-    assert reduced.labels.tolist() == [b for b, _, _ in expect]
-    assert reduced.probs.tolist() == [p for _, p, _ in expect]
-    assert reduced.rhos.tobytes() == np.array([r for _, _, r in expect]).tobytes()
+    reduced = qsim.boolean_reduce(stack, f)
+    expect = {b: (p, rho) for b, p, rho in _reduce_loop(_alone(stack), f)}
+    # both bits, a bit the table misses at probability 0
+    assert reduced.labels.tolist() == [0, 1]
+    assert reduced.probs[0].tolist() == [expect.get(b, (0.0,))[0] for b in (0, 1)]
+    for b, (_, rho) in expect.items():
+        assert reduced.rhos[0, b].tobytes() == rho.tobytes()
     char_sum = 0.0
     for mask in range(1, 1 << m):
         table = [_parity_loop(z, mask, m) for z in range(1 << m)]
         assert qsim.character(np.arange(1 << m), mask).tolist() == table
-        merged = qsim.boolean_reduce(s, np.array(table))
-        char_sum += qsim.cq_distance_from_uniform(merged, 1) ** 2
-    assert qsim.xor_lemma_check(s).character_sum == char_sum
+        merged = qsim.boolean_reduce(stack, np.array(table))
+        char_sum += qsim.cq_distance_from_uniform(merged, 1).tolist()[0] ** 2
+    assert qsim.xor_lemma_check(stack).character_sum.tolist() == [char_sum]
 
 
 def _character_sum_loop(s):
@@ -463,7 +475,7 @@ def _with_labels(s, keep):
 def test_batched_characters_match_the_per_mask_loop(m, qubits, stream, data):
     # labels left out make characters one-sided: every label of a character
     # on one side, the other side absent from the reduced state
-    s = qsim.random_cq_state(m, qubits, seed=2718, stream=stream)
+    s = _alone(qsim.random_cq_state(m, qubits, 2718, [stream]))
     keep = data.draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1))
     if len(keep) < 1 << m:
         s = _with_labels(s, keep)
@@ -478,18 +490,18 @@ def test_batched_characters_match_the_per_mask_loop(m, qubits, stream, data):
 def test_one_sided_characters():
     # one label: every character is one-sided, its reduced state one entry of
     # probability 1 at distance 1/2 (half the block plus half the missing side)
-    s = qsim.random_cq_state(3, 2, seed=8, stream=1)
+    s = _alone(qsim.random_cq_state(3, 2, 8, [1]))
     single = _with_labels(s, [5])
     char_sum = qsim.xor_lemma_check(single).character_sum
     assert char_sum == _character_sum_loop(single) == pytest.approx(7 * 0.25, abs=1e-12)
     # labels 0 and 3 of two bits: mask 3 sees parity 0 on both, masks 1 and 2 both sides
-    pair = _with_labels(qsim.random_cq_state(2, 1, seed=8, stream=2), [0, 3])
+    pair = _with_labels(_alone(qsim.random_cq_state(2, 1, 8, [2])), [0, 3])
     assert qsim.xor_lemma_check(pair).character_sum == _character_sum_loop(pair)
 
 
 def test_xor_lemma_checks_each_character_probability_sum():
     # the check boolean_reduce's CqState makes, on a state built around __post_init__
-    s = qsim.random_cq_state(2, 1, seed=4)
+    s = _alone(qsim.random_cq_state(2, 1, 4, [0]))
     broken = object.__new__(qsim.CqState)
     for name, value in (("labels", s.labels), ("probs", 0.9 * s.probs), ("rhos", s.rhos),
                         ("width", 2), ("sides", None)):
@@ -500,7 +512,7 @@ def test_xor_lemma_checks_each_character_probability_sum():
 
 def test_random_cq_state_is_the_per_label_density_draw():
     for m, qubits in itertools.product(range(1, 4), range(4)):
-        s = qsim.random_cq_state(m, qubits, seed=61, stream=4 * m + qubits)
+        s = _alone(qsim.random_cq_state(m, qubits, 61, [4 * m + qubits]))
         rng = derive_rng(61, 0xC05, 4 * m + qubits)
         probs = rng.dirichlet(np.ones(1 << m))
         rhos = [qsim.random_density(1 << qubits, rng) for _ in range(1 << m)]
@@ -511,8 +523,8 @@ def test_random_cq_state_is_the_per_label_density_draw():
 def test_pgm_reduction_matches_per_entry_loop():
     for t in range(30):
         m = 1 + t % 3
-        s = qsim.random_cq_state(m, t % 3, seed=808, stream=t)
-        f = qsim.random_boolean_fn(m, seed=808, stream=t)
+        s = _alone(qsim.random_cq_state(m, t % 3, 808, [t]))
+        f = qsim.random_boolean_fn(m, 808, [t])[0]
         elements = qsim.pgm(s).elements
         joint, marg = {}, {}
         for z, p, rho in zip(s.labels.tolist(), s.probs.tolist(), s.rhos):
@@ -529,8 +541,8 @@ def test_pgm_reduction_matches_per_entry_loop():
 
 def test_pgm_reduction_memory_linear_in_labels():
     # 256 labels at d = 2: the (K, K, d, d) product stack alone would be 4 MiB
-    s = qsim.random_cq_state(8, 1, seed=31)
-    f = qsim.random_boolean_fn(8, seed=31)
+    s = _alone(qsim.random_cq_state(8, 1, 31, [0]))
+    f = qsim.random_boolean_fn(8, 31, [0])[0]
     tracemalloc.start()
     try:
         qsim.pgm_reduction_check(s, f)
@@ -541,7 +553,7 @@ def test_pgm_reduction_memory_linear_in_labels():
 
 
 def test_xor_lemma_single_bit_case():
-    s = qsim.random_cq_state(1, 2, seed=5)
+    s = _alone(qsim.random_cq_state(1, 2, 5, [0]))
     res = qsim.xor_lemma_check(s)
     # only one character, whose squared distance is exactly the lhs
     assert abs(res.character_sum - res.lhs_squared) <= 1e-10
@@ -563,7 +575,7 @@ def test_xor_lemma_random_states_hold():
     for t in range(60):
         m = 1 + t % 3
         d = t // 3 % 4
-        s = qsim.random_cq_state(m, d, seed=123, stream=t)
+        s = _alone(qsim.random_cq_state(m, d, 123, [t]))
         res = qsim.xor_lemma_check(s)
         assert res.lhs_squared <= res.rhs_bound + 1e-8
 
@@ -573,7 +585,7 @@ def test_xor_lemma_character_sum_matches_direct_fourier():
     # computed here without going through the merge-and-distance path
     for t in range(20):
         m = 1 + t % 3
-        s = qsim.random_cq_state(m, 2, seed=1357, stream=t)
+        s = _alone(qsim.random_cq_state(m, 2, 1357, [t]))
         direct = 0.0
         for mask in range(1, 1 << m):
             acc = np.zeros((s.dim, s.dim), dtype=complex)
@@ -590,7 +602,7 @@ def test_xor_lemma_both_proof_branches_hold():
     for t in range(40):
         m = 1 + t % 3
         d = t % 4
-        s = qsim.random_cq_state(m, d, seed=321, stream=t)
+        s = _alone(qsim.random_cq_state(m, d, 321, [t]))
         res = qsim.xor_lemma_check(s)
         assert res.lhs_squared <= res.rhs_bound_dim + 1e-8
         assert res.lhs_squared <= res.rhs_bound_labels + 1e-8
@@ -682,7 +694,7 @@ def test_guessing_entropy_bracket_contains_optimal_binary():
 
 def test_pgm_povm_invariants():
     for t in range(20):
-        s = qsim.random_cq_state(1 + t % 3, t % 3, seed=99, stream=t)
+        s = _alone(qsim.random_cq_state(1 + t % 3, t % 3, 99, [t]))
         qsim.pgm(s)  # Povm constructor validates PSD and completeness
 
 
@@ -699,7 +711,7 @@ def test_pgm_reduction_orthogonal_classical():
 
 
 def test_pgm_reduction_constant_function():
-    s = qsim.random_cq_state(2, 1, seed=55)
+    s = _alone(qsim.random_cq_state(2, 1, 55, [0]))
     res = qsim.pgm_reduction_check(s, np.zeros(4, dtype=int))
     assert abs(res.lhs - 0.5) <= 1e-9
     assert abs(res.classical_distance - 0.5) <= 1e-9
@@ -709,8 +721,8 @@ def test_pgm_reduction_constant_function():
 def test_pgm_reduction_random_states():
     for t in range(50):
         m = 1 + t % 3
-        s = qsim.random_cq_state(m, t % 4, seed=500, stream=t)
-        f = qsim.random_boolean_fn(m, seed=500, stream=t)
+        s = _alone(qsim.random_cq_state(m, t % 4, 500, [t]))
+        f = qsim.random_boolean_fn(m, 500, [t])[0]
         res = qsim.pgm_reduction_check(s, f)
         assert res.lhs <= res.bound + 1e-8
 
@@ -788,6 +800,29 @@ def test_guess_success_rejects_broken_povm():
         qsim.guess_success(s, broken)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # inf - inf
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tolerance_checks_reject_non_finite_values(bad):
+    # nan > tol is False: each check fails unless its value is within tolerance
+    poisoned = np.array([[bad, 0], [0, 0]], dtype=complex)
+    state = qsim.CqState([0, 1], [0.5, 0.5], [poisoned, KET1], 1)   # checked where used
+    for run in (lambda: qsim.hermitian_eigenvalues(poisoned + KET1),
+                lambda: qsim.l1_norm(poisoned + KET1),
+                lambda: qsim.helstrom_advantage(0.5, poisoned, 0.5, KET1),
+                lambda: qsim.CqState([0, 1], [bad, 0.5], [KET0, KET1], 1),
+                lambda: qsim.CqState([0, 1], [0.5, -bad], [KET0, KET1], 1),
+                lambda: qsim.cq_distance_from_uniform(state, 1),
+                lambda: qsim.pgm(state),
+                lambda: qsim.Povm([poisoned, np.eye(2)]),
+                lambda: qsim.Povm([poisoned, np.eye(2) - poisoned]),
+                lambda: qsim.trace_norm_weighted_l2_bound(poisoned, np.eye(2) / 2),
+                lambda: qsim.trace_norm_weighted_l2_bound(KET0, poisoned + KET1)):
+        with pytest.raises(ValidationError):
+            run()
+    with pytest.raises(ParameterError, match="priors must sum to 1"):
+        qsim.helstrom_advantage(bad, KET0, 0.5, KET1)
+
+
 # --------------------------------------------------------------------------
 # stacks of states against the per-state checks they replaced
 
@@ -857,7 +892,7 @@ def _cq_state_oracle(m, d, seed, stream):
 
 @pytest.mark.parametrize("m, d", STACK_SHAPES)
 def test_stacked_draws_equal_the_per_stream_draws(m, d):
-    # streams out of order, repeated and past 64 bits; one stream is a stack of one
+    # streams out of order, repeated and past 64 bits, against each drawn alone
     streams = [3, 0, 0x10000 + 7, 3, (1 << 64) + 5, 1]
     stack = qsim.random_cq_state(m, d, 2024, streams)
     tables = qsim.random_boolean_fn(m, 2024, streams)
@@ -865,15 +900,13 @@ def test_stacked_draws_equal_the_per_stream_draws(m, d):
     assert stack.rhos.shape == (len(streams), 1 << m, 1 << d, 1 << d)
     assert tables.shape == (len(streams), 1 << m) and tables.dtype == np.int64
     for t, stream in enumerate(streams):
-        alone = qsim.random_cq_state(m, d, 2024, stream)
+        alone = qsim.random_cq_state(m, d, 2024, [stream])
         probs, rhos = _cq_state_oracle(m, d, 2024, stream)
-        assert (stack.probs[t] == alone.probs).all() and (alone.probs == probs).all()
-        assert (stack.rhos[t] == alone.rhos).all() and (alone.rhos == rhos).all()
-        table = qsim.random_boolean_fn(m, 2024, stream)
+        assert (stack.probs[t] == alone.probs[0]).all() and (alone.probs[0] == probs).all()
+        assert (stack.rhos[t] == alone.rhos[0]).all() and (alone.rhos[0] == rhos).all()
+        table = qsim.random_boolean_fn(m, 2024, [stream])[0]
         assert (tables[t] == table).all()
         assert (table == derive_rng(2024, 0xB001, stream).integers(0, 2, size=1 << m)).all()
-    one = qsim.random_cq_state(m, d, 2024, [5])
-    assert (one.rhos[0] == qsim.random_cq_state(m, d, 2024, 5).rhos).all()
 
 
 @pytest.mark.parametrize("per_stack", [None, 2])
@@ -881,8 +914,8 @@ def test_stacked_draws_equal_the_per_stream_draws(m, d):
 def test_stacked_checks_match_the_per_state_oracles(monkeypatch, m, d, per_stack):
     # five states per shape, drawn in stacks of an eighth of STACK_BYTES of
     # states; two per stack puts the boundaries inside the shape
-    states = [qsim.random_cq_state(m, d, seed=2024, stream=t) for t in range(5)]
-    tables = [qsim.random_boolean_fn(m, seed=2024, stream=t) for t in range(5)]
+    states = [_alone(qsim.random_cq_state(m, d, 2024, [t])) for t in range(5)]
+    tables = [qsim.random_boolean_fn(m, 2024, [t])[0] for t in range(5)]
     if per_stack:
         monkeypatch.setattr(qsim, "STACK_BYTES", 8 * per_stack * states[0].rhos.nbytes)
     sizes, got = [], {"xor": [], "pgm": [], "merged": []}
@@ -901,36 +934,38 @@ def test_stacked_checks_match_the_per_state_oracles(monkeypatch, m, d, per_stack
         pgm = _pgm_reduction_oracle(s, f)
         assert got["pgm"][t] == tuple(getattr(pgm, k) for k in pgm.__dataclass_fields__), t
         assert got["merged"][t] == _distance_oracle(_reduce_oracle(s, f), 1), t
-        # one state is a stack of none: the same numbers as floats
+        # a state without a stack axis gets the same numbers
         assert qsim.xor_lemma_check(s) == xor
         assert qsim.pgm_reduction_check(s, f) == pgm
 
 
 def test_merged_stack_keeps_a_bit_its_table_misses():
-    # a constant table puts every label on one bit: one state drops the other,
-    # a stack holds it at probability 0, and both measure the same distance
-    s = qsim.random_cq_state(2, 1, seed=3, stream=1)
+    # a constant table puts every label on one bit: the merged state holds the
+    # other at probability 0, in a stack as for one state, and measures the
+    # distance of the state without it
+    s = _alone(qsim.random_cq_state(2, 1, 3, [1]))
     for table in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0]):
         single = qsim.boolean_reduce(s, np.array(table))
         stack = qsim.CqState(s.labels, [s.probs, s.probs], [s.rhos, s.rhos], s.width)
-        f = np.array([table, [0, 1, 0, 1]])
-        merged = qsim.boolean_reduce(stack, f)
-        assert merged.labels.tolist() == [0, 1] and merged.probs.shape == (2, 2)
+        merged = qsim.boolean_reduce(stack, np.array([table, [0, 1, 0, 1]]))
+        assert merged.labels.tolist() == single.labels.tolist() == [0, 1]
+        assert merged.probs.shape == (2, 2) and single.probs.shape == (2,)
+        oracle = _reduce_oracle(s, np.array(table))
         for b in (0, 1):
-            assert (merged.probs[0, b] == 0) == (b not in single.labels.tolist())
+            assert (merged.probs[0, b] == 0) == (single.probs[b] == 0) \
+                == (b not in oracle.labels.tolist())
         assert qsim.cq_distance_from_uniform(merged, 1)[0] \
-            == qsim.cq_distance_from_uniform(single, 1) \
-            == _distance_oracle(_reduce_oracle(s, np.array(table)), 1)
+            == qsim.cq_distance_from_uniform(single, 1) == _distance_oracle(oracle, 1)
 
 
 def test_character_sums_square_with_pow():
     # verify xor at seed 1, trial 849 (m = 1, d = 3): the one character's
     # distance x has x ** 2 (libm pow) one ulp above the rounded x * x, and
     # the reports sum pow's squares
-    s = qsim.random_cq_state(1, 3, 1, stream=849)
-    x = qsim.cq_distance_from_uniform(qsim.boolean_reduce(s, np.array([0, 1])), 1)
+    s = qsim.random_cq_state(1, 3, 1, [849])
+    x = qsim.cq_distance_from_uniform(qsim.boolean_reduce(s, np.array([0, 1])), 1).tolist()[0]
     assert x == 0.2828725197186212 and x ** 2 != x * x
-    assert qsim.xor_lemma_check(s).character_sum == x ** 2
+    assert qsim.xor_lemma_check(s).character_sum.tolist() == [x ** 2]
     stack = qsim.random_cq_state(1, 3, 1, [846, 849])
     assert qsim.xor_lemma_check(stack).character_sum[1] == x ** 2
 
@@ -944,7 +979,7 @@ def _unchecked_state(**fields):
 
 
 def test_stacks_raise_what_one_state_raises(monkeypatch):
-    good = qsim.random_cq_state(2, 1, seed=4)
+    good = _alone(qsim.random_cq_state(2, 1, 4, [0]))
     broken = _unchecked_state(labels=good.labels, probs=0.9 * good.probs,
                               rhos=good.rhos, width=2)
     with pytest.raises(ValidationError) as alone:
@@ -963,7 +998,7 @@ def test_stacks_raise_what_one_state_raises(monkeypatch):
     assert str(stacked.value) == str(alone.value)
     assert "probabilities sum to 0.8999" in str(alone.value)
     # each state's POVM is checked: at PSD_ATOL = -1 no element passes
-    f = qsim.random_boolean_fn(2, seed=4)
+    f = qsim.random_boolean_fn(2, 4, [0])[0]
     stack, fs = qsim.random_cq_state(2, 1, 4, [0, 0]), qsim.random_boolean_fn(2, 4, [0, 0])
     monkeypatch.setattr(qsim, "PSD_ATOL", -1.0)
     for args in ((good, f), (stack, fs)):
@@ -972,7 +1007,7 @@ def test_stacks_raise_what_one_state_raises(monkeypatch):
 
 
 def test_stacked_guessing_probability_and_min_entropy_are_per_state():
-    states = [qsim.random_cq_state(2, 1, seed=9, stream=t) for t in range(3)]
+    states = [_alone(qsim.random_cq_state(2, 1, 9, [t])) for t in range(3)]
     stack = qsim.random_cq_state(2, 1, 9, range(3))
     assert qsim.guess_success(stack, qsim.pgm(stack)).tolist() \
         == [qsim.guess_success(s, qsim.pgm(s)) for s in states]
@@ -980,17 +1015,40 @@ def test_stacked_guessing_probability_and_min_entropy_are_per_state():
 
 
 def test_stacks_need_shared_labels_and_width():
-    # a stack holds one label array and width: a state over other labels,
-    # more labels or wider ones does not fit it, and a stack exposes no side
-    a = qsim.random_cq_state(2, 1, seed=6)
-    wider = qsim.random_cq_state(3, 1, seed=6)
-    part = _with_labels(qsim.random_cq_state(2, 1, seed=6, stream=1), [0, 1, 3])
+    # a stack holds one label array, side array and width: a state over other
+    # labels, more labels or wider ones does not fit it
+    a = _alone(qsim.random_cq_state(2, 1, 6, [0]))
+    wider = _alone(qsim.random_cq_state(3, 1, 6, [0]))
+    part = _with_labels(_alone(qsim.random_cq_state(2, 1, 6, [1])), [0, 1, 3])
     with pytest.raises(ValidationError, match="states differ in dimension"):
         qsim.CqState(a.labels, [a.probs, wider.probs], [a.rhos, wider.rhos], 2)
     with pytest.raises(ValidationError, match="differ in length"):
         qsim.CqState(a.labels, [part.probs, part.probs], [part.rhos, part.rhos], 2)
     with pytest.raises(ValidationError, match="label out of range for 2 bits"):
         qsim.CqState(wider.labels, [wider.probs, wider.probs], [wider.rhos, wider.rhos], 2)
-    with pytest.raises(ValidationError, match="a stack of states has simple labels"):
-        qsim.CqState([0, 0], [[0.5, 0.5], [0.5, 0.5]], [[KET0, KET1], [KET0, KET1]], 1,
-                     sides=[0, 1])
+    sided = qsim.CqState([0, 0], [[0.5, 0.5], [1.0, 0.0]], [[KET0, KET1], [KET0, KET1]], 1,
+                         sides=[0, 1])
+    assert sided.sides.tolist() == [0, 1] and sided.probs.shape == (2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), qubits=st.integers(0, 2), count=st.integers(1, 4),
+       stream=st.integers(0, 2 ** 16), data=st.data())
+def test_stacked_sided_distances_match_the_global_oracle(m, qubits, count, stream, data):
+    # entries in up to four side groups, each state of the stack holding some
+    # of them at probability 0
+    entries = data.draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, 3)),
+                                 min_size=1, max_size=12, unique=True))
+    held = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=len(entries),
+                                                max_size=len(entries)),
+                                       min_size=count, max_size=count)))
+    held[np.arange(count), np.arange(count) % len(entries)] = True
+    rng = derive_rng(stream, 0)
+    probs = np.where(held, rng.dirichlet(np.ones(len(entries)), size=count), 0.0)
+    probs /= np.add.accumulate(probs, axis=-1)[:, -1:]
+    rhos = [[qsim.random_density(1 << qubits, rng) for _ in entries] for _ in range(count)]
+    stack = qsim.CqState([z for z, _ in entries], probs, rhos, m, [v for _, v in entries])
+    got = qsim.cq_distance_from_uniform(stack, m)
+    assert got.shape == (count,)
+    for t in range(count):
+        assert abs(got[t] - _global_distance_oracle(_alone(stack, t), m)) <= 1e-10
