@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Literal, Optional, Tuple
+from typing import Dict, Literal, Optional
 
 from .errors import ParameterError
 
@@ -81,9 +81,6 @@ class TransferredParams:
     eps: float
     vacuous: bool
 
-    def as_tuple(self) -> Tuple[float, float, float]:
-        return (self.k1, self.k2, self.eps)
-
 
 # --------------------------------------------------------------------------
 # one-bit inner product
@@ -93,7 +90,8 @@ def ip_bias_bound(p: ParamSet, b: int, entangled: bool, clamp: bool = True) -> f
     """Best distinguishing bias against b qubits of storage per party.
 
     2^(-(k1+k2-2b-n+2)/2) with entanglement, 2^(-(k1+k2-b-n+2)/2)
-    without; values above 1/2 are vacuous and reported clamped.
+    without.  A one-bit distance never exceeds 1/2, so a bound of 1/2 or
+    more is vacuous; values above 1/2 are reported clamped.
     """
     storage = 2 * b if entangled else b
     exponent = (p.k1 + p.k2 - storage - p.n + 2) / 2

@@ -277,9 +277,9 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: Annotated[int, 1, MAX_TRIALS
         return res.lhs_squared - res.rhs_bound
 
     def deviation(stack, f):
-        lhs = 2 * qsim.cq_distance_from_uniform(qsim.boolean_reduce(stack, f), 1)
+        lhs = 2 * qsim.cq_distance_from_uniform(qsim.boolean_reduce(stack, f))
         rho = np.zeros((len(f), 2, stack.dim, stack.dim), dtype=complex)
-        np.add.at(rho, (np.arange(len(f))[:, None], f[:, stack.labels]), stack.weighted())
+        np.add.at(rho, (np.arange(len(f))[:, None], f), stack.weighted())
         return np.abs(lhs - qsim.l1_norm(rho[:, 0] - rho[:, 1]))
 
     # worst cases in trial order: max keeps the first of equal values
@@ -367,7 +367,7 @@ def run_security_suite(seed: int = DEFAULT_SEED,
             xs, ys = zip(*sources[part])
             strategy = adversaries.random_storage(b, b, flavor, seeds[part])
             state = qsim.extractor_output_state(xs, ys, strategy)
-            dists += qsim.cq_distance_from_uniform(state, 1).tolist()
+            dists += qsim.cq_distance_from_uniform(state).tolist()
         # the worst case in instance order: max keeps the first of equal values
         worst = functools.reduce(max, [dist - bound for dist in dists], -math.inf)
         report.add(f"ip distance within bound ({flavor})", worst, atol,

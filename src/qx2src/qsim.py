@@ -6,31 +6,30 @@ exact up to double-precision roundoff.  Throughout, "trace distance"
 denotes half the sum of absolute eigenvalues of the difference, that is
 0.5 * l1_norm(a - b).
 
-A cq-state is array-shaped: K int labels of a fixed bit width (bit j is
-coordinate j, as in BitVector), their probabilities (..., K) and quantum
-states (..., K, d, d) in each state of a stack, plus the exposed source
-value of each entry when one source is exposed with the output.  An entry
-of probability 0 counts as absent.  Labels and source values are int64,
-or Python ints once one needs 64 bits, so an exposed source may have any
-length.  Samplers and builders take sequences and return a stack with a
-leading axis: random_cq_state draws one state per stream through one
-re-keyed generator (rng.derive_rngs), and extractor_output_state builds
-one per pair of sources from a state map, usually an
+A cq-state is array-shaped and indexed by output: entry k of K = 2^m is
+output k (bit j is coordinate j, as in BitVector), with its probability
+in probs (..., K) and its quantum state in rhos (..., K, d, d), in each
+state of a stack.  An entry of probability 0 is an output the state
+does not hold.  Samplers and builders take sequences and return a stack
+with a leading axis: random_cq_state draws one state per stream through
+one re-keyed generator (rng.derive_rngs), and extractor_output_state
+builds one per pair of sources from a state map, usually an
 adversaries.StorageStrategy.  Every check broadcasts over the leading
 axes of its state and gives each state the numbers it gets alone.  The
 tightness attacks' strategies store basis vectors, and adversaries
-measures them by exact counts without building a state.
+measures them, strong and superstrong notions included, by exact counts
+without building a state.
 Consumers work on these arrays by index; every sum over entries runs
 left to right in entry order (np.add.at, np.add.accumulate or Python's
 sum, never np.sum's pairwise order), so the numbers match a per-entry
 loop bit for bit.  The same holds for stacks: stacked @, np.trace on
 axes and batched eigvalsh compute each matrix of a stack exactly as
 they compute it alone, and a sum that a stack feeds runs in pair or
-label order whatever the chunk boundaries.  Stacks of per-pair matrices
+output order whatever the chunk boundaries.  Stacks of per-pair matrices
 are built in chunks of at most STACK_BYTES.
 
 The sizes handled here are deliberately small (states up to a few
-qubits, label sets up to a few thousand): the inequalities being
+qubits, up to a few thousand outputs): the inequalities being
 verified are dimension-generic, so exactness matters more than scale.
 """
 
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -148,44 +147,35 @@ def _square_stack(mats, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CqState:
-    """Classical-quantum ensembles over shared labels: in each state of the
-    stack, label k has probability probs[..., k] and state rhos[..., k, :, :].
-
-    labels are width-bit ints, bit j holding coordinate j as in BitVector.
-    When a source is exposed, sides holds its value for each entry and
-    (label, side) pairs are distinct; otherwise sides is None.
+    """Classical-quantum ensembles indexed by output: in each state of the
+    stack, output k of K = 2^width has probability probs[..., k] and state
+    rhos[..., k, :, :].  Output k is a width-bit int, bit j holding
+    coordinate j as in BitVector.
     """
 
-    labels: np.ndarray                   # (K,) int
     probs: np.ndarray                    # (..., K)
     rhos: np.ndarray                     # (..., K, d, d) complex
-    width: int
-    sides: Optional[np.ndarray] = None   # (K,) int
 
     def __post_init__(self):
-        labels = _int_array(self.labels)
         rhos = _square_stack(self.rhos, "states")     # first: it names ragged stacks
         probs = np.asarray(self.probs, dtype=float)
-        sides = np.zeros_like(labels) if self.sides is None else _int_array(self.sides)
-        k = len(labels)
-        if probs.shape[-1:] != (k,) or sides.shape != (k,) or labels.shape != (k,) \
-                or rhos.shape[:-2] != probs.shape:
-            raise ValidationError("labels, sides, probs and states differ in length")
-        if int(labels.min()) < 0 or int(labels.max()) >> self.width:
-            raise ValidationError(f"label out of range for {self.width} bits")
-        if len(set(zip(labels.tolist(), sides.tolist()))) != k:
-            raise ValidationError("duplicate labels in cq-state")
+        if rhos.shape[:-2] != probs.shape:
+            raise ValidationError("probs and states differ in length")
+        k = probs.shape[-1]
+        if k & (k - 1):
+            raise ValidationError(f"{k} outputs are not a power of two")
         if not probs.min() >= -1e-15:
             raise ValidationError("negative or NaN probability")
         total = np.add.accumulate(probs, axis=-1)[..., -1]
         off = total[~(np.abs(total - 1.0) <= TRACE_ATOL)]
         if off.size:
             raise ValidationError(f"probabilities sum to {off[0]}, not 1")
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "rhos", rhos)
-        if self.sides is not None:
-            object.__setattr__(self, "sides", sides)
+
+    @property
+    def width(self) -> int:
+        return self.probs.shape[-1].bit_length() - 1
 
     @property
     def dim(self) -> int:
@@ -193,10 +183,9 @@ class CqState:
 
     @property
     def entries(self) -> tuple:
-        """(label, prob, rho) per entry, views into the arrays; over a stack,
-        prob and rho hold the entry's value in each state."""
-        return tuple(zip(self.labels, np.moveaxis(self.probs, -1, 0),
-                         np.moveaxis(self.rhos, -3, 0)))
+        """(prob, rho) per output, views into the arrays; over a stack, each
+        holds the output's value in each state."""
+        return tuple(zip(np.moveaxis(self.probs, -1, 0), np.moveaxis(self.rhos, -3, 0)))
 
     def weighted(self) -> np.ndarray:
         """The stack p(z) rho_z."""
@@ -211,7 +200,7 @@ class CqState:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """PSD elements (K, d, d) summing to the identity; element k answers label k.
+    """PSD elements (K, d, d) summing to the identity; element k answers output k.
 
     The measurements of a stack of states are one stack (..., K, d, d)."""
 
@@ -231,14 +220,6 @@ class Povm:
 # building cq-states from extractors and storage
 
 
-def _lex_rank(value: int, width: int) -> int:
-    """Bit reversal within width: the rank of value's coordinate-0-first string."""
-    rank = 0
-    for j in range(width):
-        rank = rank << 1 | (value >> j & 1)
-    return rank
-
-
 def _add_in_order(sums: np.ndarray, rows: np.ndarray, states: np.ndarray,
                   start: int, period: int) -> None:
     """sums[rows[i]] += states[i] for the states of pairs start, start + 1,
@@ -253,31 +234,21 @@ def _add_in_order(sums: np.ndarray, rows: np.ndarray, states: np.ndarray,
         sums[rows[o::period]] += states[o::period]
 
 
-def extractor_output_state(x_sources, y_sources, stored: Callable[..., np.ndarray],
-                           exposed: Optional[str] = None) -> CqState:
+def extractor_output_state(x_sources, y_sources, stored: Callable[..., np.ndarray]) -> CqState:
     """Joint states of the inner-product bit with what the adversaries
     store, one per instance.
 
     Instance i is the pair of sources (x_sources[i], y_sources[i]), the x
     sources of one support size and the y sources of another, and stored
-    is a state map (see adversaries.StorageStrategy).  The label is the
-    output x . y and the state is the normalized mixture of stored states
-    over its preimages; the stack holds the outputs any instance has, at
-    probability 0 in an instance without one.  With exposed = "X" or "Y"
-    that source's value is held with the output as the entry's side, for
-    one instance; a superstrong evaluation passes a map that keeps that
-    side's whole state.  Entries are ordered by output, then side, the
-    side compared as its coordinate-0-first string.
+    is a state map (see adversaries.StorageStrategy).  Output e's state is
+    the normalized mixture of stored states over the pairs whose inner
+    product x . y is e, at probability 0 where an instance has none.
 
     The pairs go to stored instance by instance, each in x-major order,
     one pair and then chunks of an eighth of STACK_BYTES of states (a
     state map holds a few arrays of its chunk's size besides), and each
-    chunk is added into one running sum per (instance, output, side).
+    chunk is added into one running sum per (instance, output).
     """
-    if exposed not in (None, "X", "Y"):
-        raise ParameterError(f"exposed side must be None, 'X' or 'Y', got {exposed!r}")
-    if exposed and len(x_sources) > 1:
-        raise ParameterError("a stack of several instances exposes no side")
     if not x_sources or len(x_sources) != len(y_sources) \
             or len({len(s.support) for s in x_sources}) > 1 \
             or len({len(s.support) for s in y_sources}) > 1:
@@ -288,26 +259,16 @@ def extractor_output_state(x_sources, y_sources, stored: Callable[..., np.ndarra
     count = len(xs)
     xi = np.repeat(np.arange(xs.shape[1]), ys.shape[1])
     yi = np.tile(np.arange(ys.shape[1]), xs.shape[1])
-    if exposed is None:
-        values, at, side_width = np.zeros(1, dtype=np.int64), np.zeros_like(xi), 0
-    else:
-        values, at, side_width = ((xs[0], xi, x_sources[0].n) if exposed == "X"
-                                  else (ys[0], yi, y_sources[0].n))
-    # rank[v]: the position of value v's coordinate-0-first string among the side's
-    by_rank = np.argsort([_lex_rank(v, side_width) for v in values.tolist()])
-    rank = np.argsort(by_rank)
-    keys, rows = np.unique(character(xs[:, xi], ys[:, yi]) * len(values) + rank[at],
-                           return_inverse=True)
-    # pair f is pair f % P of instance f // P; its sum is row f // P * K + its key
+    # pair f is pair f % P of instance f // P; its sum is row 2 (f // P) + its output
     instance = np.repeat(np.arange(count), len(xi))
-    rows = instance * len(keys) + rows.reshape(-1)
+    rows = 2 * instance + character(xs[:, xi], ys[:, yi]).reshape(-1)
     xs, ys = xs[:, xi].reshape(-1), ys[:, yi].reshape(-1)
 
     def states(pairs):
         return stored(xs[pairs], ys[pairs], instance[pairs])
 
     p_pair = x_sources[0].probability() * y_sources[0].probability()
-    probs = np.zeros(count * len(keys))
+    probs = np.zeros(2 * count)
     np.add.at(probs, rows, p_pair)
     # the first pair alone gives the state size; -0.0 is the exact identity of
     # +, so each sum equals its pairs' states added left to right
@@ -322,71 +283,55 @@ def extractor_output_state(x_sources, y_sources, stored: Callable[..., np.ndarra
         _add_in_order(sums, rows[pairs], states(pairs), int(pairs[0]), len(xi))
     sums *= p_pair
     np.divide(sums, probs[:, None, None], out=sums, where=probs[:, None, None] > 0)
-    return CqState(keys // len(values), probs.reshape(count, -1),
-                   sums.reshape((count, len(keys)) + sums.shape[1:]), 1,
-                   values[by_rank[keys % len(values)]] if exposed else None)
+    return CqState(probs.reshape(count, 2), sums.reshape((count, 2) + sums.shape[1:]))
 
 
 # --------------------------------------------------------------------------
 # distances
 
 
-def cq_distance_from_uniform(s: CqState, label_bits: int):
+def cq_distance_from_uniform(s: CqState):
     """Trace distance of each cq-state of a stack from uniform-output times
     its marginal.
 
-    Works block by block: within each group of entries sharing the same
-    exposed side value (all entries, without sides), the block for output
-    e is p(e)rho_e minus 2^-m times the group marginal; the distance is
-    half the total 1-norm, summed a group at a time in order of first
-    appearance.  Outputs absent from a group, entries of probability 0
-    among them, contribute the marginal term alone.
+    Works block by block: the block for output e is p(e)rho_e minus 2^-m
+    times the marginal, and the distance is half the total 1-norm, summed
+    in output order.  An output of probability 0 contributes the marginal
+    term alone.
     """
-    if s.width != label_bits:
-        raise ValidationError(f"labels are {s.width}-bit, not {label_bits}-bit")
     weighted = s.weighted()
-    scale = 1.0 / (1 << label_bits)
-    groups = {}                 # entry indices by side, in order of first appearance
-    for k, side in enumerate(s.sides.tolist() if s.sides is not None else [0] * len(s.labels)):
-        groups.setdefault(side, []).append(k)
-    margs = np.zeros((len(groups),) + weighted.shape[:-3] + weighted.shape[-2:], dtype=complex)
-    for marg, ks in zip(margs, groups.values()):
-        for k in ks:
-            marg += weighted[..., k, :, :]
-        for k in ks:
-            weighted[..., k, :, :] -= scale * marg
+    count = s.probs.shape[-1]
+    scale = 1.0 / count
+    marg = np.zeros(weighted.shape[:-3] + weighted.shape[-2:], dtype=complex)
+    for k in range(count):
+        marg += weighted[..., k, :, :]
+    weighted -= scale * marg[..., None, :, :]
     held = s.probs != 0
     norms = np.where(held, l1_norm(weighted), 0.0)
-    total = np.zeros(s.probs.shape[:-1])
-    for marg, ks in zip(margs, groups.values()):
-        for k in ks:
-            total += norms[..., k]
-        total += (((1 << label_bits) - held[..., ks].sum(axis=-1)) * scale
-                  * np.real(np.trace(marg, axis1=-2, axis2=-1)))
+    total = np.add.accumulate(norms, axis=-1)[..., -1]
+    total += (count - held.sum(axis=-1)) * scale * np.real(np.trace(marg, axis1=-2, axis2=-1))
     return 0.5 * total
 
 
 def boolean_reduce(s: CqState, f: np.ndarray) -> CqState:
-    """Merge each cq-state's labels into {0, 1} through f, a 0/1 table
-    indexed by label, or a stack of tables (..., 2^width) broadcast against
-    the states; both bits are kept, at probability 0 where a table misses one.
+    """Merge each cq-state's outputs into {0, 1} through f, a 0/1 table
+    indexed by output, or a stack of tables (..., K) broadcast against the
+    states; both bits are kept, at probability 0 where a table misses one.
     """
-    if s.sides is not None:
-        raise ParameterError("boolean_reduce expects simple labels")
-    bits = np.asarray(f)[..., s.labels]
+    bits = np.asarray(f)
     batch = np.broadcast_shapes(s.probs.shape[:-1], bits.shape[:-1])
     bits = np.broadcast_to(bits, batch + bits.shape[-1:])
     at = np.indices(batch, sparse=True)
-    # per bit the label-order sums of p and of p rho; -0.0 is the identity of +
+    # per bit the output-order sums of p and of p rho; -0.0 is the identity of +
     probs = np.zeros(batch + (2,))
     rhos = np.full(probs.shape + s.rhos.shape[-2:], complex(-0.0, -0.0))
     weighted = s.weighted()
-    for k in range(len(s.labels)):
+    for k in range(s.probs.shape[-1]):
         probs[(*at, bits[..., k])] += s.probs[..., k]
         rhos[(*at, bits[..., k])] += weighted[..., k, :, :]
     kept = probs > 0
     np.divide(rhos, probs[..., None, None], out=rhos, where=kept[..., None, None])
-    return CqState([0, 1], np.where(kept, probs, 0.0), rhos, 1)
+    return CqState(np.where(kept, probs, 0.0), rhos)
 
 
 def character(labels: np.ndarray, mask) -> np.ndarray:
@@ -419,14 +364,12 @@ def xor_lemma_check(s: CqState) -> XorLemmaResult:
     merge every state at once, and their squared distances are summed in
     mask order with Python's pow, which rounds differently from x * x.
     """
-    if s.sides is not None:
-        raise ValidationError("xor lemma needs simple m-bit labels")
     m = s.width
     d = s.dim.bit_length() - 1
-    lhs = cq_distance_from_uniform(s, m)
+    lhs = cq_distance_from_uniform(s)
     # one table per mask, each broadcast over the stack
     masks = np.arange(1, 1 << m).reshape((-1,) + (1,) * np.ndim(lhs) + (1,))
-    dists = cq_distance_from_uniform(boolean_reduce(s, character(np.arange(1 << m), masks)), 1)
+    dists = cq_distance_from_uniform(boolean_reduce(s, character(np.arange(1 << m), masks)))
     char_sums = []
     for row in np.moveaxis(dists, 0, -1).reshape(-1, len(dists)).tolist():
         char_sum = 0.0
@@ -465,15 +408,15 @@ def pgm(s: CqState) -> Povm:
     """
     r, kernel = _pinv_sqrt_and_kernel(s.average_state())
     r = r[..., None, :, :]
-    el = s.probs[..., None, None] * (r @ s.rhos @ r) + kernel[..., None, :, :] / len(s.labels)
+    el = s.probs[..., None, None] * (r @ s.rhos @ r) + kernel[..., None, :, :] / s.probs.shape[-1]
     return Povm(0.5 * (el + el.conj().swapaxes(-1, -2)))
 
 
 def guess_success(s: CqState, m: Povm):
-    """Probability that measuring with m recovers the label, per state."""
+    """Probability that measuring with m recovers the output, per state."""
     if m.elements.shape != s.rhos.shape:
         raise ParameterError(f"POVM elements {m.elements.shape} do not match "
-                             f"the state's labels and states {s.rhos.shape}")
+                             f"the state's outputs and states {s.rhos.shape}")
     traces = np.real(np.trace(m.elements @ s.rhos, axis1=-2, axis2=-1))
     total = np.add.accumulate(s.probs * traces, axis=-1)[..., -1]
     off = total[~((total >= -PROB_ATOL) & (total <= 1.0 + PROB_ATOL))]
@@ -533,25 +476,25 @@ class PgmReductionResult:
 def pgm_reduction_check(s: CqState, f: np.ndarray) -> PgmReductionResult:
     """Quantum-to-classical reduction through the square-root measurement.
 
-    f is a 0/1 table indexed by label.  lhs is the trace distance of the
+    f is a 0/1 table indexed by output.  lhs is the trace distance of the
     reduced bit from uniform; the classical side measures the joint of
     f(Z) with the measurement outcome against an independent uniform
     bit, as a variational distance; the claimed bound is sqrt(half the
     classical distance).  f may hold one table per state, and each field
     holds one value per state.
     """
-    lhs = cq_distance_from_uniform(boolean_reduce(s, f), 1)
+    lhs = cq_distance_from_uniform(boolean_reduce(s, f))
     elements = pgm(s).elements
-    # q[..., k, w] = p(z_k) tr(E_w rho_k): label k measured as outcome w, one
-    # label at a time, so that no (K, K, d, d) product is held
+    # q[..., k, w] = p(z_k) tr(E_w rho_k): output k measured as outcome w, one
+    # output at a time, so that no (K, K, d, d) product is held
     q = np.stack([p[..., None] * np.real(np.trace(elements @ rho[..., None, :, :],
                                                   axis1=-2, axis2=-1))
                   for p, rho in zip(np.moveaxis(s.probs, -1, 0), np.moveaxis(s.rhos, -3, 0))],
                  axis=-2)
     joint = np.zeros(q.shape[:-2] + (2, q.shape[-1]))
     at = np.indices(q.shape[:-2], sparse=True)
-    bits = np.asarray(f)[..., s.labels]
-    for k in range(len(s.labels)):
+    bits = np.asarray(f)
+    for k in range(s.probs.shape[-1]):
         joint[(*at, bits[..., k])] += q[..., k, :]
     marg = np.add.accumulate(q, axis=-2)[..., -1, :]
     # summed outcome by outcome, bit 0 before bit 1
@@ -620,12 +563,12 @@ def random_cq_state(label_bits: int, qubits: int, seed: int, streams) -> CqState
     rhos = g @ g.conj().swapaxes(-1, -2)
     del g
     rhos /= np.real(np.trace(rhos, axis1=-2, axis2=-1))[..., None, None]
-    return CqState(np.arange(count), probs, rhos, label_bits)
+    return CqState(probs, rhos)
 
 
 def random_boolean_fn(label_bits: int, seed: int, streams) -> np.ndarray:
     """Seeded Boolean functions on label_bits-bit labels, one per stream, as
-    a (T, 2^label_bits) stack of 0/1 tables indexed by label."""
+    a (T, 2^label_bits) stack of 0/1 tables indexed by output."""
     tables = np.empty((len(streams), 1 << label_bits), dtype=np.int64)
     for t, rng in enumerate(derive_rngs((seed, 0xB001, s) for s in streams)):
         tables[t] = rng.integers(0, 2, size=1 << label_bits)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qx2src import qsim
+from qx2src.extractors import FlatSource
 from qx2src.rng import derive_rng
 
 
@@ -63,3 +64,27 @@ def _random_storage_oracle(b1, b2, flavor, seed):
 def random_storage_oracle():
     """random_storage one pair at a time: oracle(b1, b2, flavor, seed)(x, y)."""
     return _random_storage_oracle
+
+
+def _conditioned_state(xs, ys, state_map, exposed):
+    """The instances whose weak states make up the state of (xs, ys) with a
+    source exposed, one per value v of it, ({v}, ys) or (xs, {v}), and
+    their states from one stacked call, every instance under the state
+    map's first strategy.  The exposed source is a classical register, so
+    the exposed state's distance from uniform is the mean of theirs."""
+    x_list, y_list = [xs], [ys]
+    if exposed == "X":
+        x_list = [FlatSource.from_values(xs.n, [v]) for v in xs.support]
+        y_list = [ys] * len(x_list)
+    elif exposed == "Y":
+        y_list = [FlatSource.from_values(ys.n, [v]) for v in ys.support]
+        x_list = [xs] * len(y_list)
+    return x_list, y_list, qsim.extractor_output_state(
+        x_list, y_list, lambda xs, ys, at: state_map(xs, ys, np.zeros_like(at)))
+
+
+@pytest.fixture
+def conditioned_state():
+    """conditioned_state(xs, ys, state_map, exposed) -> (x sources, y
+    sources, stacked state) of the weak instances of an exposed state."""
+    return _conditioned_state

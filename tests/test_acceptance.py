@@ -110,7 +110,7 @@ def test_criterion_8_pgm():
         p0 = float(rng.uniform(0.15, 0.85))
         rho0 = qsim.random_density(dim, rng)
         rho1 = qsim.random_density(dim, rng)
-        s = qsim.CqState([0, 1], [p0, 1 - p0], [rho0, rho1], 1)
+        s = qsim.CqState([p0, 1 - p0], [rho0, rho1])
         m = qsim.pgm(s)
         total = sum(m.elements)
         completeness_worst = max(completeness_worst,

@@ -411,7 +411,7 @@ def test_output_state_keeps_no_per_pair_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert qsim.cq_distance_from_uniform(state, 1)[0] == pytest.approx(0.5, abs=1e-9)
+    assert qsim.cq_distance_from_uniform(state)[0] == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("k, b", [(3, 3), (6, 1)])
@@ -428,7 +428,7 @@ def test_security_output_state_memory_stays_within_the_chunk_budget(k, b):
     finally:
         tracemalloc.stop()
     assert peak < 5 * qsim.STACK_BYTES + (1 << 20)
-    assert qsim.cq_distance_from_uniform(state, 1)[0] <= 0.5
+    assert qsim.cq_distance_from_uniform(state)[0] <= 0.5
 
 
 def test_tightness_parameter_errors():
@@ -509,7 +509,7 @@ def _basis_state_map(storage):
 
 
 @pytest.mark.parametrize("setting, branch", COUNTED)
-def test_counted_advantage_matches_the_dense_cq_state(setting, branch):
+def test_counted_advantage_matches_the_dense_cq_state(setting, branch, conditioned_state):
     # the constructed sources, which at n <= 6 reach the full 1/2, and random
     # sources of the same min-entropies, whose groups mix both outputs
     measured = set()
@@ -519,10 +519,10 @@ def test_counted_advantage_matches_the_dense_cq_state(setting, branch):
             for sources in ({}, {"x_source": random_flat_source(n, k1, seed, 1),
                                  "y_source": random_flat_source(n, k2, seed, 2)}):
                 probe = dataclasses.replace(attack, **sources)
-                state = qsim.extractor_output_state([probe.x_source], [probe.y_source],
-                                                    _basis_state_map(probe.storage),
-                                                    probe.exposed)
-                dense = qsim.cq_distance_from_uniform(state, 1)[0]
+                # with a side exposed, the mean over its values
+                state = conditioned_state(probe.x_source, probe.y_source,
+                                          _basis_state_map(probe.storage), probe.exposed)[2]
+                dense = float(np.mean(qsim.cq_distance_from_uniform(state)))
                 measured.add(measure_attack_advantage(probe))
                 assert abs(measure_attack_advantage(probe) - dense) <= 1e-12
     assert 0.5 in measured and min(measured) < 0.5

@@ -173,7 +173,7 @@ def test_composed_unknown_setting():
 
 def test_storage_transfer_golden():
     got = storage_transfer(40, 40, 0, 2.0 ** -8)
-    assert got.as_tuple() == (40, 48, 4 * 2.0 ** -8)
+    assert (got.k1, got.k2, got.eps) == (40, 48, 4 * 2.0 ** -8)
     got = storage_transfer(40, 40, 3, 2.0 ** -20)
     assert got.eps == 2.0 ** -9
     assert got.k2 == 40 + 3 + 20

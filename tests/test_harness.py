@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qx2src import cli, gf2, harness, qsim
+from qx2src import adversaries, cli, gf2, harness, qsim
 from qx2src.errors import DimensionError, ParameterError, ValidationError
 from qx2src.extractors import random_flat_source
 from qx2src.rng import derive_rng
@@ -176,6 +176,44 @@ def test_matrices_suite_counts_rank_deficient_subsets(monkeypatch, tmp_path):
     out = tmp_path / "rep.json"
     assert run_cli("verify", "matrices", "--exhaustive-max-n", "4", "--out", str(out)) == 3
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_security_suite_fails_on_storage_beyond_its_budget(monkeypatch):
+    # storage of both whole 3-bit sources decodes the inner product: distance
+    # 1/2 against bounds that are not vacuous at n = k = 3, b = 1, namely
+    # 1/4 (product) and 2^-1.5 (entangled)
+    monkeypatch.setattr(adversaries, "random_storage", lambda *args:
+                        adversaries.classical_block_storage(range(3), range(3), 3, 3))
+    rep = harness.run_verify("security", seed=4, n=3, k=3, b=1, instances=1)
+    assert [r.measured for r in rep.records] == [pytest.approx(0.25, abs=1e-12),
+                                                 pytest.approx(0.5 - 2 ** -1.5, abs=1e-12)]
+    assert not any(r.passed for r in rep.records)
+
+
+def test_xor_suite_fails_when_the_merge_loses_the_output(monkeypatch):
+    # each merged bit uniform and independent of the storage: every character
+    # reads 0, so the inequality's bound is 0, and the merge identity's side
+    # reads 0 against the true one-bit 1-norm
+    def uniform_bit(s, f):
+        avg = s.average_state()
+        batch = np.broadcast_shapes(s.probs.shape[:-1], np.shape(f)[:-1])
+        return qsim.CqState(np.full(batch + (2,), 0.5),
+                            np.broadcast_to(avg[..., None, :, :], batch + (2,) + avg.shape[-2:]))
+
+    monkeypatch.setattr(qsim, "boolean_reduce", uniform_bit)
+    rep = harness.run_verify("xor", seed=4, trials=20, equality_trials=20)
+    assert [r.passed for r in rep.records] == [False, False]
+    assert rep.records[0].measured > 0.3 and rep.records[1].measured > 0.9
+
+
+def test_reduction_suite_fails_on_a_measurement_that_sees_nothing(monkeypatch):
+    # the trivial POVM I/K leaves the classical side |P(f = 0) - 1/2|, below
+    # what the quantum side reads on some trial
+    monkeypatch.setattr(qsim, "pgm", lambda s: qsim.Povm(
+        np.broadcast_to(np.eye(s.dim) / s.probs.shape[-1], s.rhos.shape)))
+    rep = harness.run_verify("reduction", seed=4, trials=20)
+    assert [r.passed for r in rep.records] == [False]
+    assert rep.records[0].measured > 0.1
 
 
 def test_verify_unknown_suite():
@@ -399,10 +437,11 @@ def _security_oracle(storage_oracle, seed, instances, n, k, b, flavor) -> list:
                 bit = (x & y).bit_count() & 1
                 p, total = sums.get(bit, (0.0, complex(-0.0, -0.0)))
                 sums[bit] = (p + p_pair, total + stored(x, y))
-        bits = sorted(sums)
-        state = qsim.CqState(bits, [sums[e][0] for e in bits],
-                             [sums[e][1] * p_pair / sums[e][0] for e in bits], 1)
-        dists.append(qsim.cq_distance_from_uniform(state, 1))
+        # a bit no pair has is held at probability 0
+        zero = (0.0, np.zeros((1 << 2 * b,) * 2, dtype=complex))
+        ps, totals = zip(*(sums.get(e, zero) for e in (0, 1)))
+        state = qsim.CqState(ps, [t * p_pair / p if p else t for p, t in zip(ps, totals)])
+        dists.append(qsim.cq_distance_from_uniform(state))
     return dists
 
 
@@ -423,7 +462,7 @@ def test_stacked_security_distances_match_the_per_instance_oracle(
     seen = []
     distance = qsim.cq_distance_from_uniform
     monkeypatch.setattr(qsim, "cq_distance_from_uniform",
-                        lambda s, m: seen.append((s, distance(s, m))) or seen[-1][1])
+                        lambda s: seen.append((s, distance(s))) or seen[-1][1])
     if stack_bytes:
         monkeypatch.setattr(qsim, "STACK_BYTES", stack_bytes)
     harness.run_verify("security", seed=seed, **config)

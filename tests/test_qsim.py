@@ -111,7 +111,7 @@ def _stored(state_map, x: BitVector, y: BitVector) -> np.ndarray:
 
 def _alone(stack, t=0):
     """State t of a stack as a CqState of its own."""
-    return qsim.CqState(stack.labels, stack.probs[t], stack.rhos[t], stack.width, stack.sides)
+    return qsim.CqState(stack.probs[t], stack.rhos[t])
 
 
 def test_output_state_constant_extractor():
@@ -120,20 +120,18 @@ def test_output_state_constant_extractor():
     y = FlatSource.uniform(2)
     storage = _trivial_storage()
     state = qsim.extractor_output_state([x], [y], storage)
-    assert len(state.labels) == 1
-    assert state.labels[0] == 0
-    assert abs(state.probs[0, 0] - 1.0) <= 1e-12
-    assert abs(qsim.cq_distance_from_uniform(state, 1)[0] - 0.5) <= 1e-12
+    assert state.probs.tolist() == [[1.0, 0.0]]
+    assert abs(qsim.cq_distance_from_uniform(state)[0] - 0.5) <= 1e-12
 
 
 def test_output_state_ip_uniform_n2():
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
     state = qsim.extractor_output_state([x], [y], _trivial_storage())
-    probs = dict(zip(state.labels.tolist(), state.probs[0]))
-    assert abs(probs[0] - 5 / 8) <= 1e-12
-    assert abs(probs[1] - 3 / 8) <= 1e-12
-    assert abs(qsim.cq_distance_from_uniform(state, 1)[0] - 0.125) <= 1e-12
+    p0, p1 = state.probs[0]
+    assert abs(p0 - 5 / 8) <= 1e-12
+    assert abs(p1 - 3 / 8) <= 1e-12
+    assert abs(qsim.cq_distance_from_uniform(state)[0] - 0.125) <= 1e-12
 
 
 def test_output_state_perfect_classical_encoding():
@@ -143,15 +141,7 @@ def test_output_state_perfect_classical_encoding():
     state = qsim.extractor_output_state([x], [y], storage)
     rho0, rho1 = state.rhos[0]
     assert abs(np.trace(rho0 @ rho1)) <= 1e-12  # orthogonal supports
-    assert abs(qsim.cq_distance_from_uniform(state, 1)[0] - 0.5) <= 1e-12
-
-
-def test_unknown_exposed_side_rejected():
-    x = FlatSource.uniform(1)
-    y = FlatSource.uniform(1)
-    for exposed in ("Z", "weak", "X-strong"):
-        with pytest.raises(ParameterError, match="exposed side"):
-            qsim.extractor_output_state([x], [y], _trivial_storage(), exposed)
+    assert abs(qsim.cq_distance_from_uniform(state)[0] - 0.5) <= 1e-12
 
 
 def test_strategy_checks_its_budget_dimension():
@@ -168,22 +158,11 @@ def test_strategy_checks_its_budget_dimension():
         adversaries.StorageStrategy(-1, 0, lambda xs, ys, at: np.ones((len(xs), 1, 1)))
 
 
-def test_output_state_stacks_need_paired_sources_and_no_exposed_side():
+def test_output_state_stacks_need_paired_sources():
     one, two = FlatSource.uniform(1), FlatSource.uniform(2)
-    for xs, ys, exposed, match in (([one, one], [one, one], "X", "exposes no side"),
-                                   ([one, one], [one], None, "pair up"),
-                                   ([one, two], [one, one], None, "pair up"),
-                                   ([], [], None, "pair up")):
-        with pytest.raises(ParameterError, match=match):
-            qsim.extractor_output_state(xs, ys, _trivial_storage(), exposed)
-
-
-def test_strong_mode_labels():
-    x = FlatSource.uniform(1)
-    y = FlatSource.uniform(1)
-    state = qsim.extractor_output_state([x], [y], _trivial_storage(), "X")
-    labels = set(zip(state.labels.tolist(), state.sides.tolist()))
-    assert (1, 1) in labels and (0, 0) in labels
+    for xs, ys in (([one, one], [one]), ([one, two], [one, one]), ([], [])):
+        with pytest.raises(ParameterError, match="pair up"):
+            qsim.extractor_output_state(xs, ys, _trivial_storage())
 
 
 def _string_label_oracle(extractor, xs, ys, state_map, exposed):
@@ -210,32 +189,19 @@ def _string_label_oracle(extractor, xs, ys, state_map, exposed):
     return [(label, p, total * p_pair / p) for label, (p, total) in sorted(acc.items())]
 
 
-def _oracle_state(extractor, xs, ys, state_map, exposed, width):
-    """The string-label oracle's entries as a CqState of width-bit outputs."""
-    expect = _string_label_oracle(extractor, xs, ys, state_map, exposed)
-    labels = [label if exposed is None else label[0] for label, _, _ in expect]
-    sides = None if exposed is None else [
-        BitVector.from_str(label[1]).value for label, _, _ in expect]
-    return qsim.CqState([BitVector.from_str(out).value for out in labels],
-                        [p for _, p, _ in expect], [rho for _, _, rho in expect], width, sides)
-
-
-def _assert_matches_oracle(state, expect, n, exposed):
-    """state, a stack of one, holds the oracle's entries."""
-    assert state.probs.shape == (1, len(state.labels))
-    outs = [BitVector(state.width, v).to_str() for v in state.labels]
-    if exposed is None:
-        assert state.sides is None
-        labels = outs
-    else:
-        labels = list(zip(outs, [BitVector(n, v).to_str() for v in state.sides]))
-    assert labels == [label for label, _, _ in expect]
-    assert state.probs[0].tolist() == [p for _, p, _ in expect]
-    assert state.rhos[0].tobytes() == np.array([rho for _, _, rho in expect]).tobytes()
+def _oracle_state(extractor, xs, ys, state_map, width):
+    """The string-label oracle's entries as a CqState of width-bit outputs,
+    an output no pair has at probability 0."""
+    held = {BitVector.from_str(label).value: (p, rho)
+            for label, p, rho in _string_label_oracle(extractor, xs, ys, state_map, None)}
+    absent = (0.0, np.zeros_like(next(iter(held.values()))[1]))
+    return qsim.CqState(*zip(*(held.get(out, absent) for out in range(1 << width))))
 
 
 # the security notions: the side exposed with the output, and whether the
-# state map keeps that side's whole state
+# state map keeps that side's whole state.  A cq-state holds the output
+# alone; with a side exposed, the state is measured as one instance per
+# value of that side, each under the weak notion.
 NOTIONS = {"weak": (None, False), "X-strong": ("X", False), "Y-strong": ("Y", False),
            "X-superstrong": ("X", True), "Y-superstrong": ("Y", True)}
 
@@ -256,78 +222,95 @@ def _state_maps(notion, n, seed):
             adversaries.classical_block_storage([0], [n - 1], 1, 1)]
 
 
+def _assert_matches_oracle(conditioned_state, xs, ys, state_map, exposed):
+    """One stacked call over the instances of (xs, ys) with exposed: each
+    instance holds the oracle's entries for that instance, an output it
+    lacks at probability 0 and zero state, and their mean distance is the
+    exposed state's, from the oracle's entries by one eigendecomposition."""
+    x_list, y_list, state = conditioned_state(xs, ys, state_map, exposed)
+    assert state.probs.shape == (len(x_list), 2)
+    for t, (x, y) in enumerate(zip(x_list, y_list)):
+        held = {int(out): (p, rho)
+                for out, p, rho in _string_label_oracle(ip_extract, x, y, state_map, None)}
+        assert state.probs[t].tolist() == [held.get(out, (0.0,))[0] for out in (0, 1)]
+        for out in (0, 1):
+            if out in held:
+                assert state.rhos[t, out].tobytes() == held[out][1].tobytes()
+            else:
+                assert not state.rhos[t, out].any()
+    whole = _string_label_oracle(ip_extract, xs, ys, state_map, exposed)
+    assert abs(np.mean(qsim.cq_distance_from_uniform(state))
+               - _global_distance_oracle(whole, 1)) <= 1e-10
+
+
 @pytest.mark.parametrize("notion", NOTIONS)
-def test_output_state_matches_string_label_oracle(notion):
+def test_output_state_matches_string_label_oracle(notion, conditioned_state):
     exposed = NOTIONS[notion][0]
     for n in (1, 2, 3):
         sources = [(FlatSource.uniform(n), FlatSource.uniform(n)),
                    (random_flat_source(n, n - 1, 7, 1), random_flat_source(n, 1, 7, 2))]
         for state_map in _state_maps(notion, n, seed=5 + n):
             for xs, ys in sources:
-                state = qsim.extractor_output_state([xs], [ys], state_map, exposed)
-                expect = _string_label_oracle(ip_extract, xs, ys, state_map, exposed)
-                _assert_matches_oracle(state, expect, n, exposed)
-                assert abs(qsim.cq_distance_from_uniform(state, 1)[0]
-                           - _global_distance_oracle(_alone(state), 1)) <= 1e-10
+                _assert_matches_oracle(conditioned_state, xs, ys, state_map, exposed)
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
-def test_output_state_matches_string_label_oracle_at_64_bits(notion):
-    # k1 = k2 = 2 sources whose values need all 64 bits, where int64 labels
-    # would overflow and bit 63 would flip the order
+def test_output_state_matches_string_label_oracle_at_64_bits(notion, conditioned_state):
+    # k1 = k2 = 2 sources whose values need all 64 bits, which overflow int64
     exposed = NOTIONS[notion][0]
     xs = FlatSource.from_values(64, [1, 1 << 63, 3 << 62, (1 << 64) - 1])
     ys = FlatSource.from_values(64, [2, 1 << 63, 5 << 60, (1 << 64) - 2])
     for state_map in _state_maps(notion, 64, seed=11):
-        state = qsim.extractor_output_state([xs], [ys], state_map, exposed)
-        expect = _string_label_oracle(ip_extract, xs, ys, state_map, exposed)
-        _assert_matches_oracle(state, expect, 64, exposed)
-        assert abs(qsim.cq_distance_from_uniform(state, 1)[0]
-                   - _global_distance_oracle(_alone(state), 1)) <= 1e-10
+        _assert_matches_oracle(conditioned_state, xs, ys, state_map, exposed)
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
-def test_output_state_is_the_same_in_any_chunking(notion, monkeypatch):
-    # chunks of 1 and 3 pairs against the default, where all 32 pairs fit one
-    exposed = NOTIONS[notion][0]
-    xs, ys = FlatSource.uniform(3), random_flat_source(3, 2, 7, 2)
+def test_output_state_is_the_same_in_any_chunking(notion, monkeypatch, conditioned_state):
+    # chunks of 1 and 3 pairs against the default, where all 32 pairs fit one;
+    # with a side exposed, the chunks cross the instances' boundaries
+    xs, ys, exposed = FlatSource.uniform(3), random_flat_source(3, 2, 7, 2), NOTIONS[notion][0]
     for state_map in _state_maps(notion, 3, seed=9):
-        whole = qsim.extractor_output_state([xs], [ys], state_map, exposed)
+        whole = conditioned_state(xs, ys, state_map, exposed)[2]
         for pairs in (1, 3):
             monkeypatch.setattr(qsim, "STACK_BYTES", 8 * pairs * whole.rhos[0, 0].nbytes)
-            chunked = qsim.extractor_output_state([xs], [ys], state_map, exposed)
+            chunked = conditioned_state(xs, ys, state_map, exposed)[2]
             monkeypatch.undo()
-            for field in ("labels", "sides", "probs", "rhos"):
-                a, b = getattr(whole, field), getattr(chunked, field)
-                assert (a is None and b is None) or a.tobytes() == b.tobytes(), field
+            assert whole.probs.tobytes() == chunked.probs.tobytes()
+            assert whole.rhos.tobytes() == chunked.rhos.tobytes()
 
 
 # --------------------------------------------------------------------------
 # boolean reduction and the xor lemma
 
 
-def _global_distance_oracle(state, label_bits):
+def _global_distance_oracle(entries, label_bits):
     """Distance from uniform via one eigendecomposition of the full operator.
 
-    Builds the literal block-diagonal matrix of (E, side) x storage and
-    takes half its 1-norm, independently of the per-block evaluation.
+    entries are (label, p, rho), a label an (output, side) tuple when a
+    source is exposed.  Builds the literal block-diagonal matrix of
+    (output, side) x storage, an output a side's group lacks a block of the
+    marginal term alone, and takes half its 1-norm, independently of the
+    per-block evaluation.
     """
     groups = {}
-    sides = state.labels * 0 if state.sides is None else state.sides
-    for out, side, p, rho in zip(state.labels.tolist(), sides.tolist(),
-                                 state.probs, state.rhos):
-        groups.setdefault(side, {})[out] = (p, rho)
-    dim = state.dim
+    for label, p, rho in entries:
+        side = label[1] if isinstance(label, tuple) else None
+        groups.setdefault(side, []).append(p * rho)
+    count = 1 << label_bits
     blocks = []
-    for side, outs in groups.items():
-        marg = sum(p * rho for p, rho in outs.values())
-        for out in range(1 << label_bits):
-            p, rho = outs.get(out, (0.0, np.zeros((dim, dim), complex)))
-            blocks.append(p * rho - marg / (1 << label_bits))
+    for held in groups.values():
+        marg = sum(held)
+        blocks += [blk - marg / count for blk in held] + [-marg / count] * (count - len(held))
+    dim = len(blocks[0])
     full = np.zeros((dim * len(blocks), dim * len(blocks)), dtype=complex)
     for i, blk in enumerate(blocks):
         full[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = blk
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(full))))
+
+
+def _held(s):
+    """The (output, p, rho) entries of one state that it holds."""
+    return [(out, p, rho) for out, (p, rho) in enumerate(s.entries) if p]
 
 
 def test_cq_distance_matches_global_eigendecomposition():
@@ -335,47 +318,42 @@ def test_cq_distance_matches_global_eigendecomposition():
         m = 1 + t % 3
         d = t % 3
         s = qsim.random_cq_state(m, d, 2468, [t])
-        direct = _global_distance_oracle(_alone(s), m)
-        assert abs(qsim.cq_distance_from_uniform(s, m)[0] - direct) <= 1e-10
+        direct = _global_distance_oracle(_held(_alone(s)), m)
+        assert abs(qsim.cq_distance_from_uniform(s)[0] - direct) <= 1e-10
 
 
 def test_cq_distance_matches_per_entry_loop():
-    # the block sums in entry order, side groups in order of first appearance
+    # the block sums in output order; an output no pair has counts the
+    # marginal term alone
     storage = adversaries.random_storage(1, 1, "product", [29])
     xs, ys = random_flat_source(3, 2, 3, 1), random_flat_source(3, 2, 3, 2)
-    for exposed in (None, "X", "Y"):
-        for m in (1, 2, 3):
-            s = _oracle_state(lambda x, y, m=m: multibit_extract(x, y, m),
-                              xs, ys, storage, exposed, m)
-            sides = [None] * len(s.labels) if s.sides is None else s.sides.tolist()
-            groups = {}
-            for side, p, rho in zip(sides, s.probs.tolist(), s.rhos):
-                groups.setdefault(side, []).append(p * rho)
-            total = 0.0
-            for blocks in groups.values():
-                marg = sum(blocks)
-                for blk in blocks:
-                    total += qsim.l1_norm(blk - marg / (1 << m))
-                total += ((1 << m) - len(blocks)) / (1 << m) * float(np.real(np.trace(marg)))
-            assert qsim.cq_distance_from_uniform(s, m) == 0.5 * total
+    held = []
+    for m in (1, 2, 3):
+        s = _oracle_state(lambda x, y, m=m: multibit_extract(x, y, m), xs, ys, storage, m)
+        blocks = [p * rho for p, rho in zip(s.probs.tolist(), s.rhos) if p]
+        held.append(len(blocks))
+        marg = sum(blocks)
+        total = 0.0
+        for blk in blocks:
+            total += qsim.l1_norm(blk - marg / (1 << m))
+        total += ((1 << m) - len(blocks)) / (1 << m) * float(np.real(np.trace(marg)))
+        assert qsim.cq_distance_from_uniform(s) == 0.5 * total
+    assert held[-1] < 8          # the 3-bit outputs miss some value
 
 
-def test_cq_distance_strong_mode_matches_oracle():
-    from qx2src import adversaries
-    from qx2src.extractors import FlatSource, ip_extract
+def test_cq_distance_strong_mode_matches_oracle(conditioned_state):
+    # a source exposed with the output, as the mean over its values
     x = FlatSource.uniform(2)
     y = FlatSource.uniform(2)
     storage = adversaries.random_storage(1, 1, "entangled", [13])
     for exposed in (None, "X", "Y"):
-        s = qsim.extractor_output_state([x], [y], storage, exposed)
-        direct = _global_distance_oracle(_alone(s), 1)
-        assert abs(qsim.cq_distance_from_uniform(s, 1)[0] - direct) <= 1e-10
+        _assert_matches_oracle(conditioned_state, x, y, storage, exposed)
 
 
 def test_boolean_reduce_constant():
     s = _alone(qsim.random_cq_state(2, 1, 77, [0]))
     reduced = qsim.boolean_reduce(s, np.ones(4, dtype=int))
-    assert abs(qsim.cq_distance_from_uniform(reduced, 1) - 0.5) <= 1e-12
+    assert abs(qsim.cq_distance_from_uniform(reduced) - 0.5) <= 1e-12
 
 
 def test_boolean_reduce_merge_identity():
@@ -386,9 +364,9 @@ def test_boolean_reduce_merge_identity():
         reduced = qsim.boolean_reduce(s, f)
         dim = s.dim
         rho = {0: np.zeros((dim, dim), complex), 1: np.zeros((dim, dim), complex)}
-        for z, p, r in zip(s.labels, s.probs, s.rhos):
+        for z, (p, r) in enumerate(zip(s.probs, s.rhos)):
             rho[f[z]] += p * r
-        lhs = 2 * qsim.cq_distance_from_uniform(reduced, 1)
+        lhs = 2 * qsim.cq_distance_from_uniform(reduced)
         assert abs(lhs - qsim.l1_norm(rho[0] - rho[1])) <= 1e-9
 
 
@@ -407,9 +385,10 @@ def test_parity_mask_fn():
 
 
 def _reduce_loop(s, f):
-    """boolean_reduce entry by entry: per bit, the running sum of p rho over p."""
+    """boolean_reduce entry by entry: per bit, the running sum of p rho over p,
+    as (bit, p, rho) for the bits the state holds."""
     parts = {}
-    for z, p, rho in zip(s.labels.tolist(), s.probs.tolist(), s.rhos):
+    for z, (p, rho) in enumerate(zip(s.probs.tolist(), s.rhos)):
         b = f[z]
         if b in parts:
             parts[b][0] += p
@@ -437,7 +416,7 @@ def test_reduction_and_characters_match_per_label_loops(m, qubits, stream, data)
     reduced = qsim.boolean_reduce(stack, f)
     expect = {b: (p, rho) for b, p, rho in _reduce_loop(_alone(stack), f)}
     # both bits, a bit the table misses at probability 0
-    assert reduced.labels.tolist() == [0, 1]
+    assert reduced.probs.shape == (1, 2)
     assert reduced.probs[0].tolist() == [expect.get(b, (0.0,))[0] for b in (0, 1)]
     for b, (_, rho) in expect.items():
         assert reduced.rhos[0, b].tobytes() == rho.tobytes()
@@ -446,7 +425,7 @@ def test_reduction_and_characters_match_per_label_loops(m, qubits, stream, data)
         table = [_parity_loop(z, mask, m) for z in range(1 << m)]
         assert qsim.character(np.arange(1 << m), mask).tolist() == table
         merged = qsim.boolean_reduce(stack, np.array(table))
-        char_sum += qsim.cq_distance_from_uniform(merged, 1).tolist()[0] ** 2
+        char_sum += qsim.cq_distance_from_uniform(merged).tolist()[0] ** 2
     assert qsim.xor_lemma_check(stack).character_sum.tolist() == [char_sum]
 
 
@@ -457,45 +436,44 @@ def _character_sum_loop(s):
     char_sum = 0.0
     for mask in range(1, 1 << s.width):
         reduced = qsim.boolean_reduce(s, qsim.character(every_label, mask))
-        char_sum += qsim.cq_distance_from_uniform(reduced, 1) ** 2
+        char_sum += qsim.cq_distance_from_uniform(reduced) ** 2
     return char_sum
 
 
-def _with_labels(s, keep):
-    """s restricted to the labels in keep, renormalized."""
-    keep = np.asarray(sorted(keep))
-    probs = s.probs[keep]
-    return qsim.CqState(s.labels[keep], probs / np.add.accumulate(probs)[-1],
-                        s.rhos[keep], s.width)
+def _with_outputs(s, keep):
+    """s restricted to the outputs in keep, renormalized, the others at
+    probability 0."""
+    probs = np.where(np.isin(np.arange(len(s.probs)), list(keep)), s.probs, 0.0)
+    return qsim.CqState(probs / np.add.accumulate(probs)[-1], s.rhos)
 
 
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(1, 4), qubits=st.integers(0, 3),
        stream=st.integers(0, 2 ** 16), data=st.data())
 def test_batched_characters_match_the_per_mask_loop(m, qubits, stream, data):
-    # labels left out make characters one-sided: every label of a character
+    # outputs left out make characters one-sided: every output of a character
     # on one side, the other side absent from the reduced state
     s = _alone(qsim.random_cq_state(m, qubits, 2718, [stream]))
     keep = data.draw(st.sets(st.integers(0, (1 << m) - 1), min_size=1))
     if len(keep) < 1 << m:
-        s = _with_labels(s, keep)
+        s = _with_outputs(s, keep)
     res = qsim.xor_lemma_check(s)
     char_sum = _character_sum_loop(s)
-    lhs = qsim.cq_distance_from_uniform(s, m)
+    lhs = qsim.cq_distance_from_uniform(s)
     assert res.character_sum == char_sum
     assert res.lhs_squared == lhs * lhs
     assert res.rhs_bound == (1 << min(qubits, m)) * char_sum
 
 
 def test_one_sided_characters():
-    # one label: every character is one-sided, its reduced state one entry of
+    # one output: every character is one-sided, its reduced state one entry of
     # probability 1 at distance 1/2 (half the block plus half the missing side)
     s = _alone(qsim.random_cq_state(3, 2, 8, [1]))
-    single = _with_labels(s, [5])
+    single = _with_outputs(s, [5])
     char_sum = qsim.xor_lemma_check(single).character_sum
     assert char_sum == _character_sum_loop(single) == pytest.approx(7 * 0.25, abs=1e-12)
-    # labels 0 and 3 of two bits: mask 3 sees parity 0 on both, masks 1 and 2 both sides
-    pair = _with_labels(_alone(qsim.random_cq_state(2, 1, 8, [2])), [0, 3])
+    # outputs 0 and 3 of two bits: mask 3 sees parity 0 on both, masks 1 and 2 both sides
+    pair = _with_outputs(_alone(qsim.random_cq_state(2, 1, 8, [2])), [0, 3])
     assert qsim.xor_lemma_check(pair).character_sum == _character_sum_loop(pair)
 
 
@@ -503,8 +481,7 @@ def test_xor_lemma_checks_each_character_probability_sum():
     # the check boolean_reduce's CqState makes, on a state built around __post_init__
     s = _alone(qsim.random_cq_state(2, 1, 4, [0]))
     broken = object.__new__(qsim.CqState)
-    for name, value in (("labels", s.labels), ("probs", 0.9 * s.probs), ("rhos", s.rhos),
-                        ("width", 2), ("sides", None)):
+    for name, value in (("probs", 0.9 * s.probs), ("rhos", s.rhos)):
         object.__setattr__(broken, name, value)
     with pytest.raises(ValidationError, match="probabilities sum to 0.8999"):
         qsim.xor_lemma_check(broken)
@@ -527,7 +504,7 @@ def test_pgm_reduction_matches_per_entry_loop():
         f = qsim.random_boolean_fn(m, 808, [t])[0]
         elements = qsim.pgm(s).elements
         joint, marg = {}, {}
-        for z, p, rho in zip(s.labels.tolist(), s.probs.tolist(), s.rhos):
+        for z, (p, rho) in enumerate(zip(s.probs.tolist(), s.rhos)):
             for w, el in enumerate(elements):
                 q = p * float(np.real(np.trace(el @ rho)))
                 joint[(f[z], w)] = joint.get((f[z], w), 0.0) + q
@@ -540,7 +517,7 @@ def test_pgm_reduction_matches_per_entry_loop():
 
 
 def test_pgm_reduction_memory_linear_in_labels():
-    # 256 labels at d = 2: the (K, K, d, d) product stack alone would be 4 MiB
+    # 256 outputs at d = 2: the (K, K, d, d) product stack alone would be 4 MiB
     s = _alone(qsim.random_cq_state(8, 1, 31, [0]))
     f = qsim.random_boolean_fn(8, 31, [0])[0]
     tracemalloc.start()
@@ -565,7 +542,7 @@ def test_xor_lemma_classical_embedding():
     # diagonal one-dimensional side information: factor 2^min(0, m) = 1
     rng = derive_rng(31, 0)
     probs = rng.dirichlet(np.ones(4))
-    s = qsim.CqState(np.arange(4), probs, np.ones((4, 1, 1)), 2)
+    s = qsim.CqState(probs, np.ones((4, 1, 1)))
     res = qsim.xor_lemma_check(s)
     assert res.rhs_bound == res.character_sum
     assert res.lhs_squared <= res.character_sum + 1e-10
@@ -589,7 +566,7 @@ def test_xor_lemma_character_sum_matches_direct_fourier():
         direct = 0.0
         for mask in range(1, 1 << m):
             acc = np.zeros((s.dim, s.dim), dtype=complex)
-            for z, p, rho in zip(s.labels.tolist(), s.probs, s.rhos):
+            for z, (p, rho) in enumerate(zip(s.probs, s.rhos)):
                 sign = (-1) ** (bin(z & mask).count("1") % 2)
                 acc += sign * p * rho
             direct += (0.5 * qsim.l1_norm(acc)) ** 2
@@ -614,7 +591,7 @@ def test_xor_lemma_both_proof_branches_hold():
 
 
 def test_pgm_orthogonal_states():
-    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
+    s = qsim.CqState([0.5, 0.5], [KET0, KET1])
     m = qsim.pgm(s)
     assert np.allclose(m.elements[0], KET0)
     assert abs(qsim.guess_success(s, m) - 1.0) <= 1e-12
@@ -622,7 +599,7 @@ def test_pgm_orthogonal_states():
 
 def test_pgm_identical_states():
     rho = np.eye(2) / 2
-    s = qsim.CqState([0, 1, 2, 3], [0.25] * 4, [rho] * 4, 2)
+    s = qsim.CqState([0.25] * 4, [rho] * 4)
     m = qsim.pgm(s)
     for el in m.elements:
         assert np.allclose(el, np.eye(2) / 4)
@@ -630,7 +607,7 @@ def test_pgm_identical_states():
 
 
 def test_pgm_two_pure_states_matches_helstrom():
-    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, PLUS], 1)
+    s = qsim.CqState([0.5, 0.5], [KET0, PLUS])
     p = qsim.guess_success(s, qsim.pgm(s))
     expected = 0.5 * (1 + 1 / math.sqrt(2))
     assert abs(p - expected) <= 1e-9
@@ -638,7 +615,7 @@ def test_pgm_two_pure_states_matches_helstrom():
 
 
 def test_guess_success_uniform_povm():
-    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
+    s = qsim.CqState([0.5, 0.5], [KET0, KET1])
     m = qsim.Povm(np.array([np.eye(2) / 2, np.eye(2) / 2]))
     assert abs(qsim.guess_success(s, m) - 0.5) <= 1e-12
 
@@ -650,7 +627,7 @@ def test_pgm_within_square_of_optimal_binary():
         p0 = float(rng.uniform(0.1, 0.9))
         rho0 = qsim.random_density(dim, rng)
         rho1 = qsim.random_density(dim, rng)
-        s = qsim.CqState([0, 1], [p0, 1 - p0], [rho0, rho1], 1)
+        s = qsim.CqState([p0, 1 - p0], [rho0, rho1])
         p_pgm = qsim.guess_success(s, qsim.pgm(s))
         p_opt = qsim.helstrom_advantage(p0, rho0, 1 - p0, rho1)
         assert p_pgm <= p_opt + 1e-9
@@ -667,14 +644,14 @@ def test_helstrom_examples():
 def test_guessing_entropy_identical_scalar_states():
     k = 3
     one = np.array([[1.0 + 0j]])
-    s = qsim.CqState(np.arange(2 ** k), [1 / 2 ** k] * 2 ** k, [one] * 2 ** k, k)
+    s = qsim.CqState([1 / 2 ** k] * 2 ** k, [one] * 2 ** k)
     bracket = qsim.guessing_entropy_bounds(s)
     assert abs(bracket.lower - k) <= 1e-9
     assert abs(bracket.upper - k) <= 1e-9
 
 
 def test_guessing_entropy_orthogonal_states():
-    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
+    s = qsim.CqState([0.5, 0.5], [KET0, KET1])
     bracket = qsim.guessing_entropy_bounds(s)
     assert abs(bracket.lower) <= 1e-9
     assert abs(bracket.upper) <= 1e-9
@@ -686,7 +663,7 @@ def test_guessing_entropy_bracket_contains_optimal_binary():
         p0 = float(rng.uniform(0.2, 0.8))
         rho0 = qsim.random_density(2, rng)
         rho1 = qsim.random_density(2, rng)
-        s = qsim.CqState([0, 1], [p0, 1 - p0], [rho0, rho1], 1)
+        s = qsim.CqState([p0, 1 - p0], [rho0, rho1])
         h_opt = -math.log2(qsim.helstrom_advantage(p0, rho0, 1 - p0, rho1))
         bracket = qsim.guessing_entropy_bounds(s)
         assert bracket.lower - 1e-9 <= h_opt <= bracket.upper + 1e-9
@@ -703,7 +680,7 @@ def test_pgm_povm_invariants():
 
 
 def test_pgm_reduction_orthogonal_classical():
-    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
+    s = qsim.CqState([0.5, 0.5], [KET0, KET1])
     res = qsim.pgm_reduction_check(s, np.array([0, 1]))
     assert abs(res.lhs - 0.5) <= 1e-9
     assert abs(res.bound - 0.5) <= 1e-9
@@ -777,11 +754,16 @@ def test_density_matrix_validation(check_density_matrix):
 
 def test_cq_state_validation():
     with pytest.raises(ValidationError):
-        qsim.CqState([0, 1], [0.7, 0.7], [KET0, KET1], 1)
-    with pytest.raises(ValidationError):
-        qsim.CqState([0, 0], [0.5, 0.5], [KET0, KET1], 1)
+        qsim.CqState([0.7, 0.7], [KET0, KET1])
     with pytest.raises(ValidationError, match="differ in dimension"):
-        qsim.CqState([0, 1], [0.5, 0.5], [KET0, np.eye(4) / 4], 1)
+        qsim.CqState([0.5, 0.5], [KET0, np.eye(4) / 4])
+    with pytest.raises(ValidationError, match="differ in length"):
+        qsim.CqState([0.5, 0.5], [KET0])
+    # entry k is output k, so the entries are every output of some width
+    with pytest.raises(ValidationError, match="3 outputs are not a power of two"):
+        qsim.CqState([0.5, 0.25, 0.25], [KET0, KET1, KET0])
+    assert qsim.CqState([1.0], [KET0]).width == 0
+    assert qsim.CqState([0.125] * 8, [KET0] * 8).width == 3
 
 
 def test_povm_validation():
@@ -793,7 +775,7 @@ def test_povm_validation():
 
 def test_guess_success_rejects_broken_povm():
     # 2 I passes no Povm validation, so build it around __post_init__
-    s = qsim.CqState([0, 1], [0.5, 0.5], [KET0, KET1], 1)
+    s = qsim.CqState([0.5, 0.5], [KET0, KET1])
     broken = object.__new__(qsim.Povm)
     object.__setattr__(broken, "elements", np.array([2 * np.eye(2), 2 * np.eye(2)], dtype=complex))
     with pytest.raises(ParameterError, match="2.0"):
@@ -805,13 +787,13 @@ def test_guess_success_rejects_broken_povm():
 def test_tolerance_checks_reject_non_finite_values(bad):
     # nan > tol is False: each check fails unless its value is within tolerance
     poisoned = np.array([[bad, 0], [0, 0]], dtype=complex)
-    state = qsim.CqState([0, 1], [0.5, 0.5], [poisoned, KET1], 1)   # checked where used
+    state = qsim.CqState([0.5, 0.5], [poisoned, KET1])   # checked where used
     for run in (lambda: qsim.hermitian_eigenvalues(poisoned + KET1),
                 lambda: qsim.l1_norm(poisoned + KET1),
                 lambda: qsim.helstrom_advantage(0.5, poisoned, 0.5, KET1),
-                lambda: qsim.CqState([0, 1], [bad, 0.5], [KET0, KET1], 1),
-                lambda: qsim.CqState([0, 1], [0.5, -bad], [KET0, KET1], 1),
-                lambda: qsim.cq_distance_from_uniform(state, 1),
+                lambda: qsim.CqState([bad, 0.5], [KET0, KET1]),
+                lambda: qsim.CqState([0.5, -bad], [KET0, KET1]),
+                lambda: qsim.cq_distance_from_uniform(state),
                 lambda: qsim.pgm(state),
                 lambda: qsim.Povm([poisoned, np.eye(2)]),
                 lambda: qsim.Povm([poisoned, np.eye(2) - poisoned]),
@@ -827,33 +809,30 @@ def test_tolerance_checks_reject_non_finite_values(bad):
 # stacks of states against the per-state checks they replaced
 
 
-def _distance_oracle(s, m):
-    """cq_distance_from_uniform of one state with simple labels, as it was
-    computed one state at a time."""
-    group = np.zeros(len(s.labels), dtype=np.intp)
-    weighted = s.weighted()
-    margs = np.zeros((1, s.dim, s.dim), dtype=complex)
+def _distance_oracle(entries, m):
+    """cq_distance_from_uniform of one state from the (output, p, rho)
+    entries it holds, as it was computed one state at a time."""
+    group = np.zeros(len(entries), dtype=np.intp)
+    weighted = (np.array([p for _, p, _ in entries], dtype=float)[:, None, None]
+                * np.array([rho for _, _, rho in entries], dtype=complex))
+    margs = np.zeros((1,) + weighted.shape[1:], dtype=complex)
     np.add.at(margs, group, weighted)
     scale = 1.0 / (1 << m)
     total = 0.0
     for norm in qsim.l1_norm(weighted - scale * margs[group]):
         total += norm
-    total += ((1 << m) - len(s.labels)) * scale * np.real(np.trace(margs[0]))
+    total += ((1 << m) - len(entries)) * scale * np.real(np.trace(margs[0]))
     return 0.5 * float(total)
-
-
-def _reduce_oracle(s, f):
-    return qsim.CqState(*zip(*_reduce_loop(s, f)), 1)
 
 
 def _xor_oracle(s):
     """xor_lemma_check one state at a time: a character at a time."""
     m, d = s.width, s.dim.bit_length() - 1
-    lhs = _distance_oracle(s, m)
+    lhs = _distance_oracle(_held(s), m)
     char_sum = 0.0
     for mask in range(1, 1 << m):
         table = qsim.character(np.arange(1 << m), mask)
-        char_sum += _distance_oracle(_reduce_oracle(s, table), 1) ** 2
+        char_sum += _distance_oracle(_reduce_loop(s, table), 1) ** 2
     return qsim.XorLemmaResult(lhs * lhs, (1 << min(d, m)) * char_sum, (1 << d) * char_sum,
                                (1 << m) * char_sum, char_sum)
 
@@ -870,10 +849,10 @@ def _pgm_reduction_oracle(s, f):
     q = np.array([p * np.real(np.trace(elements @ rho, axis1=1, axis2=2))
                   for p, rho in zip(s.probs, s.rhos)])
     joint = np.zeros((2, len(elements)))
-    np.add.at(joint, f[s.labels], q)
+    np.add.at(joint, f, q)
     marg = np.add.accumulate(q, axis=0)[-1]
     classical = 0.5 * float(np.add.accumulate(np.abs(joint - 0.5 * marg).T.ravel())[-1])
-    return qsim.PgmReductionResult(_distance_oracle(_reduce_oracle(s, f), 1), classical,
+    return qsim.PgmReductionResult(_distance_oracle(_reduce_loop(s, f), 1), classical,
                                    math.sqrt(0.5 * classical))
 
 
@@ -926,14 +905,14 @@ def test_stacked_checks_match_the_per_state_oracles(monkeypatch, m, d, per_stack
         for name, res in (("xor", qsim.xor_lemma_check(stack)),
                           ("pgm", qsim.pgm_reduction_check(stack, f))):
             got[name] += zip(*(getattr(res, k).tolist() for k in res.__dataclass_fields__))
-        got["merged"] += qsim.cq_distance_from_uniform(qsim.boolean_reduce(stack, f), 1).tolist()
+        got["merged"] += qsim.cq_distance_from_uniform(qsim.boolean_reduce(stack, f)).tolist()
     assert sum(sizes) == 5 and (sizes == [2, 2, 1] or not per_stack)
     for t, (s, f) in enumerate(zip(states, tables)):
         xor = _xor_oracle(s)
         assert got["xor"][t] == tuple(getattr(xor, k) for k in xor.__dataclass_fields__), t
         pgm = _pgm_reduction_oracle(s, f)
         assert got["pgm"][t] == tuple(getattr(pgm, k) for k in pgm.__dataclass_fields__), t
-        assert got["merged"][t] == _distance_oracle(_reduce_oracle(s, f), 1), t
+        assert got["merged"][t] == _distance_oracle(_reduce_loop(s, f), 1), t
         # a state without a stack axis gets the same numbers
         assert qsim.xor_lemma_check(s) == xor
         assert qsim.pgm_reduction_check(s, f) == pgm
@@ -946,16 +925,15 @@ def test_merged_stack_keeps_a_bit_its_table_misses():
     s = _alone(qsim.random_cq_state(2, 1, 3, [1]))
     for table in ([0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0]):
         single = qsim.boolean_reduce(s, np.array(table))
-        stack = qsim.CqState(s.labels, [s.probs, s.probs], [s.rhos, s.rhos], s.width)
+        stack = qsim.CqState([s.probs, s.probs], [s.rhos, s.rhos])
         merged = qsim.boolean_reduce(stack, np.array([table, [0, 1, 0, 1]]))
-        assert merged.labels.tolist() == single.labels.tolist() == [0, 1]
         assert merged.probs.shape == (2, 2) and single.probs.shape == (2,)
-        oracle = _reduce_oracle(s, np.array(table))
+        oracle = _reduce_loop(s, np.array(table))
         for b in (0, 1):
             assert (merged.probs[0, b] == 0) == (single.probs[b] == 0) \
-                == (b not in oracle.labels.tolist())
-        assert qsim.cq_distance_from_uniform(merged, 1)[0] \
-            == qsim.cq_distance_from_uniform(single, 1) == _distance_oracle(oracle, 1)
+                == (b not in [bit for bit, _, _ in oracle])
+        assert qsim.cq_distance_from_uniform(merged)[0] \
+            == qsim.cq_distance_from_uniform(single) == _distance_oracle(oracle, 1)
 
 
 def test_character_sums_square_with_pow():
@@ -963,7 +941,7 @@ def test_character_sums_square_with_pow():
     # distance x has x ** 2 (libm pow) one ulp above the rounded x * x, and
     # the reports sum pow's squares
     s = qsim.random_cq_state(1, 3, 1, [849])
-    x = qsim.cq_distance_from_uniform(qsim.boolean_reduce(s, np.array([0, 1])), 1).tolist()[0]
+    x = qsim.cq_distance_from_uniform(qsim.boolean_reduce(s, np.array([0, 1]))).tolist()[0]
     assert x == 0.2828725197186212 and x ** 2 != x * x
     assert qsim.xor_lemma_check(s).character_sum.tolist() == [x ** 2]
     stack = qsim.random_cq_state(1, 3, 1, [846, 849])
@@ -973,26 +951,24 @@ def test_character_sums_square_with_pow():
 def _unchecked_state(**fields):
     """A CqState built around __post_init__."""
     state = object.__new__(qsim.CqState)
-    for name, value in dict(sides=None, **fields).items():
+    for name, value in fields.items():
         object.__setattr__(state, name, value)
     return state
 
 
 def test_stacks_raise_what_one_state_raises(monkeypatch):
     good = _alone(qsim.random_cq_state(2, 1, 4, [0]))
-    broken = _unchecked_state(labels=good.labels, probs=0.9 * good.probs,
-                              rhos=good.rhos, width=2)
+    broken = _unchecked_state(probs=0.9 * good.probs, rhos=good.rhos)
     with pytest.raises(ValidationError) as alone:
-        qsim.CqState(broken.labels, broken.probs, broken.rhos, 2)
+        qsim.CqState(broken.probs, broken.rhos)
     with pytest.raises(ValidationError) as stacked:
-        qsim.CqState(good.labels, [good.probs, broken.probs, good.probs],
-                     [good.rhos, broken.rhos, good.rhos], 2)
+        qsim.CqState([good.probs, broken.probs, good.probs], [good.rhos, broken.rhos, good.rhos])
     assert str(stacked.value) == str(alone.value)
     # the characters' merge checks each sum, in a stack as for one state
     with pytest.raises(ValidationError) as alone:
         qsim.xor_lemma_check(broken)
-    stack = _unchecked_state(labels=good.labels, probs=np.array([good.probs, broken.probs]),
-                             rhos=np.array([good.rhos, broken.rhos]), width=2)
+    stack = _unchecked_state(probs=np.array([good.probs, broken.probs]),
+                             rhos=np.array([good.rhos, broken.rhos]))
     with pytest.raises(ValidationError) as stacked:
         qsim.xor_lemma_check(stack)
     assert str(stacked.value) == str(alone.value)
@@ -1014,41 +990,14 @@ def test_stacked_guessing_probability_and_min_entropy_are_per_state():
     assert stack.min_entropy().tolist() == [s.min_entropy() for s in states]
 
 
-def test_stacks_need_shared_labels_and_width():
-    # a stack holds one label array, side array and width: a state over other
-    # labels, more labels or wider ones does not fit it
+def test_stacks_need_shared_outputs_and_dimension():
+    # a stack holds one output count and one dimension: a state over more
+    # outputs, or of another dimension, does not fit it
     a = _alone(qsim.random_cq_state(2, 1, 6, [0]))
     wider = _alone(qsim.random_cq_state(3, 1, 6, [0]))
-    part = _with_labels(_alone(qsim.random_cq_state(2, 1, 6, [1])), [0, 1, 3])
-    with pytest.raises(ValidationError, match="states differ in dimension"):
-        qsim.CqState(a.labels, [a.probs, wider.probs], [a.rhos, wider.rhos], 2)
+    larger = _alone(qsim.random_cq_state(2, 2, 6, [0]))
+    for other in (wider, larger):
+        with pytest.raises(ValidationError, match="states differ in dimension"):
+            qsim.CqState([a.probs, other.probs], [a.rhos, other.rhos])
     with pytest.raises(ValidationError, match="differ in length"):
-        qsim.CqState(a.labels, [part.probs, part.probs], [part.rhos, part.rhos], 2)
-    with pytest.raises(ValidationError, match="label out of range for 2 bits"):
-        qsim.CqState(wider.labels, [wider.probs, wider.probs], [wider.rhos, wider.rhos], 2)
-    sided = qsim.CqState([0, 0], [[0.5, 0.5], [1.0, 0.0]], [[KET0, KET1], [KET0, KET1]], 1,
-                         sides=[0, 1])
-    assert sided.sides.tolist() == [0, 1] and sided.probs.shape == (2, 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 3), qubits=st.integers(0, 2), count=st.integers(1, 4),
-       stream=st.integers(0, 2 ** 16), data=st.data())
-def test_stacked_sided_distances_match_the_global_oracle(m, qubits, count, stream, data):
-    # entries in up to four side groups, each state of the stack holding some
-    # of them at probability 0
-    entries = data.draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), st.integers(0, 3)),
-                                 min_size=1, max_size=12, unique=True))
-    held = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=len(entries),
-                                                max_size=len(entries)),
-                                       min_size=count, max_size=count)))
-    held[np.arange(count), np.arange(count) % len(entries)] = True
-    rng = derive_rng(stream, 0)
-    probs = np.where(held, rng.dirichlet(np.ones(len(entries)), size=count), 0.0)
-    probs /= np.add.accumulate(probs, axis=-1)[:, -1:]
-    rhos = [[qsim.random_density(1 << qubits, rng) for _ in entries] for _ in range(count)]
-    stack = qsim.CqState([z for z, _ in entries], probs, rhos, m, [v for _, v in entries])
-    got = qsim.cq_distance_from_uniform(stack, m)
-    assert got.shape == (count,)
-    for t in range(count):
-        assert abs(got[t] - _global_distance_oracle(_alone(stack, t), m)) <= 1e-10
+        qsim.CqState([a.probs, a.probs], [wider.rhos, wider.rhos])
