@@ -13,8 +13,9 @@ entangled, one per seed of a sequence), classical blocks, the exact
 Bell-pair protocol that computes the inner product in the simultaneous
 message passing model, superdense coding, and the source/storage
 constructions that sit right at the security bounds.  The protocols
-report only what the attacks check: the output, its probability and
-the qubits each party sends.
+take int arrays of inputs and run every input at once, looking up the
+16 simulated Bell measurements; they report only what the attacks
+check: the outputs, their probabilities and the qubits each party sends.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from . import qsim
 from .bounds import Branch, Setting
 from .errors import DimensionError, ParameterError, SearchExhaustedError
 from .extractors import FlatSource
-from .gf2 import BitVector
 from .rng import derive_rng, derive_rngs
 
 # --------------------------------------------------------------------------
@@ -58,55 +58,71 @@ def bell_outcome(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[Tuple[int, int
     return best, best_p
 
 
-@dataclass(frozen=True)
-class SmpOutcome:
-    output: int
-    success_probability: float
-    qubits_per_party: int
+@functools.cache
+def _bell_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """bell_outcome's outcome, as a two-bit int, and its probability, for
+    Alice's two bits u and Bob's v (the first bit the low one), each
+    indexed [u, v]."""
+    outcomes = [bell_outcome((u & 1, u >> 1), (v & 1, v >> 1))
+                for u in range(4) for v in range(4)]
+    return (np.array([c0 | c1 << 1 for (c0, c1), _ in outcomes]).reshape(4, 4),
+            np.array([p for _, p in outcomes]).reshape(4, 4))
 
 
-def smp_ip_protocol(x: BitVector, y: BitVector) -> SmpOutcome:
-    """Exact inner product in the entangled SMP model.
+def _n_bit_values(values, n: int) -> np.ndarray:
+    """The n-bit values as an int64 array, or DimensionError (a negative
+    value shifts to -1)."""
+    values = np.asarray(values, dtype=np.int64)
+    if (values >> n).any():
+        raise DimensionError(f"inputs must be {n}-bit values")
+    return values
 
-    Each party Pauli-encodes two input bits per shared EPR pair and
-    additionally sends its Hamming weight mod 4 in two qubits used
-    classically.  The referee Bell-measures every pair, recovers
-    x xor y, and outputs ((|x| + |y| - |x xor y|) mod 4) / 2, which
-    equals the inner product with certainty.
+
+def smp_ip_protocol(xs, ys, n: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Exact inner products in the entangled SMP model, one per pair
+    (xs[i], ys[i]) of n-bit inputs.
+
+    Each party Pauli-encodes two input bits per shared EPR pair (odd n
+    is padded with one zero bit) and additionally sends its Hamming
+    weight mod 4 in two qubits used classically.  The referee
+    Bell-measures every pair, recovers x xor y, and outputs
+    ((|x| + |y| - |x xor y|) mod 4) / 2, which equals the inner product
+    with certainty.  Returns the outputs, each input pair's probability
+    of its Bell outcomes (multiplied in EPR-pair order), and the qubits
+    each party sends.
     """
-    if x.length != y.length:
-        raise DimensionError("input length mismatch")
-    n = x.length
-    xb = [x.bit(j) for j in range(n)]
-    yb = [y.bit(j) for j in range(n)]
-    if n % 2:
-        xb.append(0)
-        yb.append(0)
-    w_xor = 0
-    p_total = 1.0
-    for i in range(0, len(xb), 2):
-        c, p = bell_outcome((xb[i], xb[i + 1]), (yb[i], yb[i + 1]))
-        w_xor += sum(c)
-        p_total *= p
-    output = ((x.weight() % 4 + y.weight() % 4 - w_xor) % 4) // 2
-    return SmpOutcome(output=output, success_probability=p_total,
-                      qubits_per_party=len(xb) // 2 + 2)
+    xs, ys = _n_bit_values(xs, n), _n_bit_values(ys, n)
+    if xs.shape != ys.shape:
+        raise DimensionError("input count mismatch")
+    code, prob = _bell_tables()
+    pairs = (n + 1) // 2
+    w_xor = np.zeros(xs.shape, dtype=np.int64)
+    p_total = np.ones(xs.shape)
+    for i in range(0, 2 * pairs, 2):
+        u, v = xs >> i & 3, ys >> i & 3
+        w_xor += np.bitwise_count(code[u, v])
+        p_total *= prob[u, v]
+    output = ((np.bitwise_count(xs) % 4 + np.bitwise_count(ys) % 4 - w_xor) % 4) // 2
+    return output, p_total, pairs + 2
 
 
-def superdense_roundtrip(message: BitVector) -> BitVector:
-    """Round-trip an even-length message through pairwise superdense coding.
+def superdense_roundtrip(messages, n: int) -> np.ndarray:
+    """Round-trip n-bit messages, n even, through pairwise superdense
+    coding; returns the decoded messages.
 
     Each pair of bits is encoded on one EPR half and Bell-decoded.
     """
-    if message.length % 2:
+    if n % 2:
         raise ParameterError("message length must be even")
-    out_bits = []
-    for i in range(0, message.length, 2):
-        c, p = bell_outcome((message.bit(i), message.bit(i + 1)), (0, 0))
-        if p < 1 - 1e-9:
+    messages = _n_bit_values(messages, n)
+    code, prob = _bell_tables()
+    out = np.zeros(messages.shape, dtype=np.int64)
+    for i in range(0, n, 2):
+        u = messages >> i & 3
+        if (prob[u, 0] < 1 - 1e-9).any():
             raise AssertionError("Bell states failed to be distinguishable")
-        out_bits.extend(c)
-    return BitVector.from_bits(out_bits)
+        out |= code[u, 0] << i
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -183,8 +199,8 @@ def random_storage(b1: int, b2: int, flavor: str, seeds) -> StorageStrategy:
     factor is drawn once per (seed, source value), every new value of a
     call in one stack, through one re-keyed generator (rng.derive_rngs).
     The entangled flavor conjugates and traces its 2^(b1+b2+2)-square
-    joint states in chunks of an eighth of qsim.STACK_BYTES, and holds
-    one seed's shared state at a time.
+    joint states in qsim.stack_chunks, and holds one seed's shared state
+    at a time.
     """
     if flavor == "entangled":
         wa, wb = b1 + 1, b2 + 1
@@ -206,8 +222,8 @@ def random_storage(b1: int, b2: int, flavor: str, seeds) -> StorageStrategy:
         def stored(xs, ys, at):
             out = np.empty((len(xs), 1 << (b1 + b2), 1 << (b1 + b2)), dtype=complex)
             (fa, ia), (fb, ib) = ua(at, xs), ub(at, ys)
-            # an eighth of STACK_BYTES of joint states, 16 bytes an entry
-            for part in qsim.stack_chunks(len(xs), 8 * 16 << 2 * (wa + wb)):
+            # 16 bytes an entry of a joint state
+            for part in qsim.stack_chunks(len(xs), 16 << 2 * (wa + wb)):
                 u = _kron(fa[ia[part]], fb[ib[part]])
                 # one seed's pairs at a time; u^dagger is written over u, which
                 # saves a copy of u

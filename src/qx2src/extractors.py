@@ -59,15 +59,8 @@ class FlatSource:
     def from_values(cls, n: int, values) -> "FlatSource":
         return cls(n, tuple(sorted(set(int(v) for v in values))))
 
-    @classmethod
-    def uniform(cls, n: int) -> "FlatSource":
-        return cls(n, tuple(range(1 << n)))
-
     def min_entropy(self) -> float:
         return math.log2(len(self.support))
-
-    def vectors(self) -> List[BitVector]:
-        return [BitVector(self.n, v) for v in self.support]
 
     def probability(self) -> float:
         return 1.0 / len(self.support)

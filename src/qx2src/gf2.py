@@ -68,17 +68,6 @@ class BitVector:
             raise ParameterError("BitVector value has bits beyond its length")
 
     @classmethod
-    def from_str(cls, bits: str) -> "BitVector":
-        """Parse "1011" with the leftmost character as coordinate 0."""
-        value = 0
-        for j, ch in enumerate(bits):
-            if ch == "1":
-                value |= 1 << j
-            elif ch != "0":
-                raise ParameterError(f"invalid bit character {ch!r}")
-        return cls(len(bits), value)
-
-    @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
         seq = list(bits)
         value = 0
@@ -97,21 +86,10 @@ class BitVector:
     def to_bytes(self) -> bytes:
         return self.value.to_bytes((self.length + 7) // 8, "little")
 
-    def to_str(self) -> str:
-        return "".join("1" if (self.value >> j) & 1 else "0" for j in range(self.length))
-
     def bit(self, j: int) -> int:
         if not 0 <= j < self.length:
             raise ParameterError("bit index out of range")
         return (self.value >> j) & 1
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise DimensionError("length mismatch in xor")
-        return BitVector(self.length, self.value ^ other.value)
 
 
 def inner_product(x: BitVector, y: BitVector) -> int:

@@ -248,17 +248,15 @@ def _stacked_trials(trials: int, max_m: int, max_d: int, case, check) -> list:
     shape (1 + t % max_m, t // max_m % (max_d + 1)), which repeats every
     max_m (max_d + 1) trials; case(m, d, ts) draws the trials ts, a range of
     one shape's, as (stack, *stacked tables), and check(stack, *stacked
-    tables) gives an array of one value per state.  A check holds about
-    eight arrays of its stack's size at once (the xor lemma's merged
-    characters, their weighting, the Hermitian check's copies), so a stack
-    holds an eighth of STACK_BYTES of states, and at least one."""
+    tables) gives an array of one value per state.  A stack holds
+    qsim.stack_chunks of 2^m states of d qubits."""
     from . import qsim
     period = max_m * (max_d + 1)
     values = [None] * trials
     for j in range(min(period, trials)):
         m, d = 1 + j % max_m, j // max_m
         ts = range(j, trials, period)
-        values[j::period] = [v for part in qsim.stack_chunks(len(ts), 8 * (16 << m + 2 * d))
+        values[j::period] = [v for part in qsim.stack_chunks(len(ts), 16 << m + 2 * d)
                              for v in check(*case(m, d, ts[part])).tolist()]
     return values
 
@@ -326,16 +324,23 @@ def run_normbound_suite(seed: int = DEFAULT_SEED,
                         atol: float = 1e-8) -> Report:
     """Trace norm against the sigma-weighted 2-norm on random instances."""
     report = Report("verify:normbound", _config(run_normbound_suite, locals()))
+    import numpy as np
     from . import qsim
-    worst = -math.inf
-    for t, rng in enumerate(derive_rngs((seed, 0x7E9, t) for t in range(trials))):
-        d = 1 + t % max_d
-        dim = 1 << d
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        s_op = (g + g.conj().T) / 2
-        sigma = qsim.random_density(dim, rng)
+
+    def case(m, d, ts):
+        # trial t on 1 + t % max_d qubits: the operator's two normal planes,
+        # then sigma's, from its own stream
+        draws = np.array([rng.normal(size=(4, 2 << d, 2 << d))
+                          for rng in derive_rngs((seed, 0x7E9, t) for t in ts)])
+        g = draws[:, 0] + 1j * draws[:, 1]
+        return (g + g.conj().swapaxes(-1, -2)) / 2, qsim.random_density(draws[:, 2:])
+
+    def violation(s_op, sigma):
         lhs, rhs = qsim.trace_norm_weighted_l2_bound(s_op, sigma)
-        worst = max(worst, lhs - rhs)
+        return lhs - rhs
+
+    worst = functools.reduce(max, _stacked_trials(trials, 1, max_d - 1, case, violation),
+                             -math.inf)
     report.add("weighted l2 bound max violation", worst, atol, worst <= atol)
     report.stop()
     return report
@@ -357,9 +362,8 @@ def run_security_suite(seed: int = DEFAULT_SEED,
     sources = [(extractors.random_flat_source(n, k, seed, 1, i),
                 extractors.random_flat_source(n, k, seed, 2, i)) for i in range(instances)]
     seeds = [(seed ^ 0xF1A) + i for i in range(instances)]
-    # a stack of instances takes about eight arrays of its states, two per
-    # instance and each 2^(2b)-square, or eight int64 per source pair
-    parts = qsim.stack_chunks(instances, max(8 * 2 * 16 << 4 * b, 8 * 8 << 2 * k))
+    # an instance holds two 2^(2b)-square states, or an int64 per source pair
+    parts = qsim.stack_chunks(instances, max(2 * 16 << 4 * b, 8 << 2 * k))
     for flavor, entangled in (("product", False), ("entangled", True)):
         bound = bounds.ip_bias_bound(params, b, entangled=entangled)
         dists = []
@@ -387,23 +391,16 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
 def run_smp_attack(ns: Sequence[Annotated[int, 1, MAX_SMP_N]] = (2, 4, 6),
                    seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:smp", _config(run_smp_attack, locals()))
-    from . import adversaries, extractors
+    import numpy as np
+    from . import adversaries, qsim
     _require_range("sum of 4^n over ns", sum(4 ** n for n in ns), 0, 4 ** MAX_SMP_N)
     for n in ns:
-        worst_p = 1.0
-        correct = 0
-        total = 0
-        qubits = None
-        for xv in range(1 << n):
-            for yv in range(1 << n):
-                x = BitVector(n, xv)
-                y = BitVector(n, yv)
-                res = adversaries.smp_ip_protocol(x, y)
-                worst_p = min(worst_p, res.success_probability)
-                correct += res.output == extractors.ip_extract(x, y)
-                total += 1
-                qubits = res.qubits_per_party
-        report.add(f"smp correctness n={n}", correct, total, correct == total)
+        # every input pair, x-major
+        xs, ys = np.divmod(np.arange(1 << 2 * n), 1 << n)
+        outputs, probs, qubits = adversaries.smp_ip_protocol(xs, ys, n)
+        worst_p = min(1.0, probs.min())
+        correct = int(np.count_nonzero(outputs == qsim.character(xs, ys)))
+        report.add(f"smp correctness n={n}", correct, len(xs), correct == len(xs))
         report.add(f"smp simulation probability n={n}", worst_p, 1.0,
                    abs(worst_p - 1.0) <= 1e-9)
         # odd n is padded with one zero bit: ceil(n/2) EPR pairs plus 2 weight qubits
@@ -416,15 +413,12 @@ def run_smp_attack(ns: Sequence[Annotated[int, 1, MAX_SMP_N]] = (2, 4, 6),
 def run_superdense_attack(max_n: Annotated[int, 2, MAX_SUPERDENSE_N] = 8,
                           seed: int = DEFAULT_SEED) -> Report:
     report = Report("attack:superdense", _config(run_superdense_attack, locals()))
+    import numpy as np
     from . import adversaries
-    ok2 = sum(adversaries.superdense_roundtrip(BitVector(2, v)).value == v
-              for v in range(4))
-    report.add("two-bit roundtrips", ok2, 4, ok2 == 4)
-    for n in range(2, max_n + 1, 2):
-        good = sum(
-            adversaries.superdense_roundtrip(BitVector(n, v)).value == v
-            for v in range(1 << n))
-        report.add(f"{n}-bit roundtrips", good, 1 << n, good == (1 << n))
+    for name, n in [("two", 2), *((n, n) for n in range(2, max_n + 1, 2))]:
+        messages = np.arange(1 << n)
+        good = int(np.count_nonzero(adversaries.superdense_roundtrip(messages, n) == messages))
+        report.add(f"{name}-bit roundtrips", good, 1 << n, good == (1 << n))
     report.stop()
     return report
 

@@ -14,11 +14,13 @@ does not hold.  Samplers and builders take sequences and return a stack
 with a leading axis: random_cq_state draws one state per stream through
 one re-keyed generator (rng.derive_rngs), and extractor_output_state
 builds one per pair of sources from a state map, usually an
-adversaries.StorageStrategy.  Every check broadcasts over the leading
-axes of its state and gives each state the numbers it gets alone.  The
-tightness attacks' strategies store basis vectors, and adversaries
-measures them, strong and superstrong notions included, by exact counts
-without building a state.
+adversaries.StorageStrategy; random_density makes a stack of Wishart
+states from a stack of normal draws.  Every check broadcasts over the
+leading axes of its state, or of its priors and matrices, and gives
+each state the numbers it gets alone.  The tightness attacks'
+strategies store basis vectors, and adversaries measures them, strong
+and superstrong notions included, by exact counts without building a
+state.
 Consumers work on these arrays by index; every sum over entries runs
 left to right in entry order (np.add.at, np.add.accumulate or Python's
 sum, never np.sum's pairwise order), so the numbers match a per-entry
@@ -94,8 +96,11 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
 
 def stack_chunks(count: int, item_bytes: int) -> list:
     """Consecutive slices of range(count), each of as many items of
-    item_bytes as STACK_BYTES holds, and at least one."""
-    step = max(1, STACK_BYTES // item_bytes)
+    item_bytes as an eighth of STACK_BYTES holds, and at least one.  The
+    work on a stack holds about eight arrays of its size at once (a
+    check's merged or weighted copies, a state map's factors and
+    products), so a whole chunk's work fits in STACK_BYTES."""
+    step = max(1, STACK_BYTES // (8 * item_bytes))
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
@@ -143,6 +148,10 @@ def _square_stack(mats, what: str) -> np.ndarray:
     if stack.ndim < 3 or not stack.shape[-3] or stack.shape[-1] != stack.shape[-2]:
         raise ValidationError(f"{what} must be a nonempty stack of square matrices")
     return stack
+
+
+# -log2 of each value, by math.log2
+_neg_log2 = np.vectorize(lambda p: -math.log2(p), otypes=[float])
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +204,7 @@ class CqState:
         return sum(np.moveaxis(self.weighted(), -3, 0))
 
     def min_entropy(self):
-        return np.vectorize(lambda p: -math.log2(p), otypes=[float])(self.probs.max(axis=-1))
+        return _neg_log2(self.probs.max(axis=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +254,8 @@ def extractor_output_state(x_sources, y_sources, stored: Callable[..., np.ndarra
     product x . y is e, at probability 0 where an instance has none.
 
     The pairs go to stored instance by instance, each in x-major order,
-    one pair and then chunks of an eighth of STACK_BYTES of states (a
-    state map holds a few arrays of its chunk's size besides), and each
-    chunk is added into one running sum per (instance, output).
+    one pair and then stack_chunks of states, and each chunk is added
+    into one running sum per (instance, output).
     """
     if not x_sources or len(x_sources) != len(y_sources) \
             or len({len(s.support) for s in x_sources}) > 1 \
@@ -278,7 +286,7 @@ def extractor_output_state(x_sources, y_sources, stored: Callable[..., np.ndarra
     _add_in_order(sums, rows[:1], first, 0, len(xi))
     del first                   # one chunk of states is alive at a time
     rest = np.arange(1, len(rows))
-    for part in stack_chunks(len(rest), 8 * size):
+    for part in stack_chunks(len(rest), size):
         pairs = rest[part]
         _add_in_order(sums, rows[pairs], states(pairs), int(pairs[0]), len(xi))
     sums *= p_pair
@@ -426,16 +434,18 @@ def guess_success(s: CqState, m: Povm):
     return np.clip(total, 0.0, 1.0)
 
 
-def helstrom_advantage(p0: float, rho0: np.ndarray, p1: float, rho1: np.ndarray) -> float:
-    """Optimal success probability for binary discrimination.
+def helstrom_advantage(p0, rho0: np.ndarray, p1, rho1: np.ndarray):
+    """Optimal success probability for binary discrimination, per pair of
+    a stack: priors (...) and states (..., d, d).
 
     Equals 1/2 + 1/2 ||p0 rho0 - p1 rho1||_1 with the full (unhalved)
     1-norm of the weighted difference.
     """
-    if not abs(p0 + p1 - 1.0) <= 1e-9:
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    if not (np.abs(p0 + p1 - 1.0) <= 1e-9).all():
         raise ParameterError("priors must sum to 1")
-    return 0.5 + 0.5 * l1_norm(p0 * np.asarray(rho0, dtype=complex)
-                               - p1 * np.asarray(rho1, dtype=complex))
+    return 0.5 + 0.5 * l1_norm(p0[..., None, None] * np.asarray(rho0, dtype=complex)
+                               - p1[..., None, None] * np.asarray(rho1, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -447,7 +457,8 @@ class GuessingEntropyBracket:
 
 
 def guessing_entropy_bounds(s: CqState) -> GuessingEntropyBracket:
-    """Bracket on -log2 of the optimal guessing probability.
+    """Bracket on -log2 of the optimal guessing probability, each field
+    one value per state.
 
     The square-root measurement is within a square of optimal, so the
     optimal guessing probability lies in [p_pgm, sqrt(p_pgm)]; the
@@ -455,9 +466,9 @@ def guessing_entropy_bounds(s: CqState) -> GuessingEntropyBracket:
     guessing entropy.
     """
     p_pgm = guess_success(s, pgm(s))
-    upper = -math.log2(p_pgm)
+    upper = _neg_log2(p_pgm)
     floor = s.min_entropy() - math.log2(s.dim)
-    lower = max(-math.log2(math.sqrt(p_pgm)), floor)
+    lower = np.maximum(_neg_log2(np.sqrt(p_pgm)), floor)
     return GuessingEntropyBracket(lower=lower, upper=upper,
                                   pgm_success=p_pgm, storage_floor=floor)
 
@@ -505,8 +516,9 @@ def pgm_reduction_check(s: CqState, f: np.ndarray) -> PgmReductionResult:
                               bound=np.sqrt(0.5 * classical))
 
 
-def trace_norm_weighted_l2_bound(s_op: np.ndarray, sigma: np.ndarray) -> Tuple[float, float]:
-    """Half-1-norm of a Hermitian operator vs its sigma-weighted 2-norm.
+def trace_norm_weighted_l2_bound(s_op: np.ndarray, sigma: np.ndarray) -> Tuple:
+    """Half-1-norm of a Hermitian operator vs its sigma-weighted 2-norm,
+    per pair of a stack: operators and sigmas (..., d, d).
 
     Returns (lhs, rhs) with lhs = half the sum of absolute eigenvalues
     of s_op and rhs = half sqrt(tr(sigma) tr(R s R s)) for R the
@@ -516,24 +528,29 @@ def trace_norm_weighted_l2_bound(s_op: np.ndarray, sigma: np.ndarray) -> Tuple[f
     s_op = np.asarray(s_op, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     lhs = 0.5 * l1_norm(s_op)  # checks that s_op is Hermitian
-    if not hermitian_eigenvalues(sigma)[-1] >= -PSD_ATOL:
+    if not (hermitian_eigenvalues(sigma)[..., -1] >= -PSD_ATOL).all():
         raise ValidationError("sigma is not PSD")
     r, kernel = _pinv_sqrt_and_kernel(sigma)
     if not np.max(np.abs(kernel @ s_op)) <= 1e-8:
         raise ValidationError("support of the operator leaks outside sigma")
-    inner = float(np.real(np.trace(r @ s_op @ r @ s_op)))
-    rhs = 0.5 * math.sqrt(max(float(np.real(np.trace(sigma))), 0.0) * max(inner, 0.0))
-    return lhs, rhs
+    inner = np.real(np.trace(r @ s_op @ r @ s_op, axis1=-2, axis2=-1))
+    trace = np.real(np.trace(sigma, axis1=-2, axis2=-1))
+    return lhs, 0.5 * np.sqrt(np.maximum(trace, 0.0) * np.maximum(inner, 0.0))
 
 
 # --------------------------------------------------------------------------
 # seeded sampling for verification batches
 
 
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.real(np.trace(m))
+def random_density(draws: np.ndarray) -> np.ndarray:
+    """Wishart-drawn density matrices g g^dagger / tr(g g^dagger), one per
+    pair of normal planes in draws (..., 2, d, d): g is the first plane
+    plus i times the second."""
+    g = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    rhos = g @ g.conj().swapaxes(-1, -2)
+    del g
+    rhos /= np.real(np.trace(rhos, axis1=-2, axis2=-1))[..., None, None]
+    return rhos
 
 
 def random_unitary(dim: int, rngs) -> np.ndarray:
@@ -549,7 +566,7 @@ def random_unitary(dim: int, rngs) -> np.ndarray:
 
 def random_cq_state(label_bits: int, qubits: int, seed: int, streams) -> CqState:
     """Seeded cq-states, one per stream: simplex-drawn probabilities (T, K)
-    and Wishart-drawn states (T, K, d, d)."""
+    and random_density states (T, K, d, d)."""
     count = 1 << label_bits
     dim = 1 << qubits
     probs = np.empty((len(streams), count))
@@ -557,13 +574,8 @@ def random_cq_state(label_bits: int, qubits: int, seed: int, streams) -> CqState
     ones = np.ones(count)
     for t, rng in enumerate(derive_rngs((seed, 0xC05, s) for s in streams)):
         probs[t] = rng.dirichlet(ones)
-        # the draws of random_density, label by label, in one call
         g[t] = rng.normal(size=(count, 2, dim, dim))
-    g = g[:, :, 0] + 1j * g[:, :, 1]
-    rhos = g @ g.conj().swapaxes(-1, -2)
-    del g
-    rhos /= np.real(np.trace(rhos, axis1=-2, axis2=-1))[..., None, None]
-    return CqState(probs, rhos)
+    return CqState(probs, random_density(g))
 
 
 def random_boolean_fn(label_bits: int, seed: int, streams) -> np.ndarray:

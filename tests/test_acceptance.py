@@ -108,8 +108,8 @@ def test_criterion_8_pgm():
     for t in range(100):
         dim = 2 if t % 2 else 4
         p0 = float(rng.uniform(0.15, 0.85))
-        rho0 = qsim.random_density(dim, rng)
-        rho1 = qsim.random_density(dim, rng)
+        rho0 = qsim.random_density(rng.normal(size=(2, dim, dim)))
+        rho1 = qsim.random_density(rng.normal(size=(2, dim, dim)))
         s = qsim.CqState([p0, 1 - p0], [rho0, rho1])
         m = qsim.pgm(s)
         total = sum(m.elements)

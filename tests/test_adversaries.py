@@ -25,7 +25,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def bv(s):
-    return BitVector.from_str(s)
+    """The vector of a bit-string literal, its leftmost character coordinate 0."""
+    return BitVector(len(s), int(s[::-1], 2))
 
 
 def _stored(strategy, x: BitVector, y: BitVector) -> np.ndarray:
@@ -35,6 +36,45 @@ def _stored(strategy, x: BitVector, y: BitVector) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # Bell pairs, SMP protocol, superdense coding
+
+
+def _smp_oracle(x: BitVector, y: BitVector):
+    """smp_ip_protocol for one pair: (output, probability, qubits per party)."""
+    if x.length != y.length:
+        raise DimensionError("input length mismatch")
+    n = x.length
+    xb = [x.bit(j) for j in range(n)]
+    yb = [y.bit(j) for j in range(n)]
+    if n % 2:
+        xb.append(0)
+        yb.append(0)
+    w_xor = 0
+    p_total = 1.0
+    for i in range(0, len(xb), 2):
+        c, p = bell_outcome((xb[i], xb[i + 1]), (yb[i], yb[i + 1]))
+        w_xor += sum(c)
+        p_total *= p
+    output = ((x.value.bit_count() % 4 + y.value.bit_count() % 4 - w_xor) % 4) // 2
+    return output, p_total, len(xb) // 2 + 2
+
+
+def _superdense_oracle(message: BitVector) -> BitVector:
+    """superdense_roundtrip for one message."""
+    if message.length % 2:
+        raise ParameterError("message length must be even")
+    out_bits = []
+    for i in range(0, message.length, 2):
+        c, p = bell_outcome((message.bit(i), message.bit(i + 1)), (0, 0))
+        if p < 1 - 1e-9:
+            raise AssertionError("Bell states failed to be distinguishable")
+        out_bits.extend(c)
+    return BitVector.from_bits(out_bits)
+
+
+def _smp(x: BitVector, y: BitVector):
+    """smp_ip_protocol on the single pair (x, y), its stack of one taken alone."""
+    outputs, probs, qubits = smp_ip_protocol([x.value], [y.value], x.length)
+    return int(outputs[0]), float(probs[0]), qubits
 
 
 def test_bell_outcome_is_xor():
@@ -48,46 +88,70 @@ def test_bell_outcome_is_xor():
 
 
 def test_smp_zero_input():
-    res = smp_ip_protocol(bv("0000"), bv("1011"))
-    assert res.output == 0
-    assert res.qubits_per_party == 4
+    output, _, qubits = _smp(bv("0000"), bv("1011"))
+    assert output == 0
+    assert qubits == 4
 
 
 def test_smp_all_ones_n2():
     # |x| = |y| = 2, |x xor y| = 0: ((2 + 2 - 0) mod 4) / 2 = 0 = x . y
-    res = smp_ip_protocol(bv("11"), bv("11"))
-    assert res.output == 0
-    assert res.output == ip_extract(bv("11"), bv("11"))
+    output, _, _ = _smp(bv("11"), bv("11"))
+    assert output == 0
+    assert output == ip_extract(bv("11"), bv("11"))
 
 
 def test_smp_exhaustive_n2():
-    for xv in range(4):
-        for yv in range(4):
-            x, y = BitVector(2, xv), BitVector(2, yv)
-            res = smp_ip_protocol(x, y)
-            assert res.output == ip_extract(x, y)
-            assert abs(res.success_probability - 1.0) <= 1e-9
+    xs, ys = np.divmod(np.arange(16), 4)
+    outputs, probs, _ = smp_ip_protocol(xs, ys, 2)
+    for xv, yv, output, p in zip(xs.tolist(), ys.tolist(), outputs.tolist(), probs.tolist()):
+        assert output == ip_extract(BitVector(2, xv), BitVector(2, yv))
+        assert abs(p - 1.0) <= 1e-9
 
 
 def test_smp_odd_length_pads():
-    res = smp_ip_protocol(bv("101"), bv("110"))
-    assert res.output == ip_extract(bv("101"), bv("110"))
-    assert res.qubits_per_party == 2 + 2  # padded to n = 4
+    output, _, qubits = _smp(bv("101"), bv("110"))
+    assert output == ip_extract(bv("101"), bv("110"))
+    assert qubits == 2 + 2  # padded to n = 4
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_smp_matches_the_per_pair_oracle(n):
+    # every pair of n-bit inputs; odd n pads each side with a zero bit
+    xs, ys = np.divmod(np.arange(1 << 2 * n), 1 << n)
+    outputs, probs, qubits = smp_ip_protocol(xs, ys, n)
+    assert outputs.shape == probs.shape == xs.shape
+    for xv, yv, output, p in zip(xs.tolist(), ys.tolist(), outputs.tolist(), probs.tolist()):
+        assert (output, p, qubits) == _smp_oracle(BitVector(n, xv), BitVector(n, yv))
+
+
+def test_smp_inputs_must_pair_up_within_n_bits():
+    with pytest.raises(DimensionError, match="count"):
+        smp_ip_protocol([1, 2], [3], 2)
+    for xs, ys in (([4], [0]), ([0], [-1])):
+        with pytest.raises(DimensionError, match="2-bit"):
+            smp_ip_protocol(xs, ys, 2)
 
 
 def test_superdense_two_bit_roundtrips():
-    assert superdense_roundtrip(bv("00")).to_str() == "00"
     for a in "01":
         for b in "01":
-            assert superdense_roundtrip(bv(a + b)).to_str() == a + b
+            assert superdense_roundtrip([bv(a + b).value], 2).tolist() == [bv(a + b).value]
 
 
 def test_superdense_vector_roundtrip():
     for n in (2, 4):
-        for v in range(1 << n):
-            assert superdense_roundtrip(BitVector(n, v)).value == v
+        messages = np.arange(1 << n)
+        assert (superdense_roundtrip(messages, n) == messages).all()
     with pytest.raises(ParameterError):
-        superdense_roundtrip(bv("101"))
+        superdense_roundtrip([5], 3)
+    with pytest.raises(DimensionError):
+        superdense_roundtrip([16], 4)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_stacked_superdense_matches_the_per_message_oracle(n):
+    decoded = superdense_roundtrip(np.arange(1 << n), n).tolist()
+    assert decoded == [_superdense_oracle(BitVector(n, v)).value for v in range(1 << n)]
 
 
 # --------------------------------------------------------------------------
@@ -394,7 +458,8 @@ def test_tightness_min_entropy_audit():
 
 def test_tightness_storage_respects_budgets(check_density_matrix):
     attack = tightness_attack(4, 4, 4, 4, 4, "entangled")
-    rho = _stored(attack.storage, attack.x_source.vectors()[3], attack.y_source.vectors()[5])
+    rho = _stored(attack.storage, BitVector(8, attack.x_source.support[3]),
+                  BitVector(8, attack.y_source.support[5]))
     assert rho.shape == (1 << 8, 1 << 8)
     check_density_matrix(rho)
 

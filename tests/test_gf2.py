@@ -15,7 +15,13 @@ from qx2src.rng import derive_rng
 
 
 def bv(s):
-    return BitVector.from_str(s)
+    """The vector of a bit-string literal, its leftmost character coordinate 0."""
+    return BitVector(len(s), int(s[::-1], 2))
+
+
+def bits(v):
+    """The bit-string literal of a vector."""
+    return format(v.value, f"0{v.length}b")[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -26,14 +32,14 @@ def test_bitvector_str_roundtrip():
     v = bv("1011")
     assert v.length == 4
     assert [v.bit(j) for j in range(4)] == [1, 0, 1, 1]
-    assert v.to_str() == "1011"
+    assert v.value == 0b1101 and bits(v) == "1011"
 
 
 def test_bitvector_bytes_little_endian():
     v = BitVector.from_bytes(b"\x01\x80", 16)
     assert v.bit(0) == 1
     assert v.bit(15) == 1
-    assert v.weight() == 2
+    assert v.value.bit_count() == 2
     assert v.to_bytes() == b"\x01\x80"
 
 
@@ -504,9 +510,9 @@ def test_multiplier_second_matrix_columns():
     # multiplication by alpha mod x^3+x+1: 1 -> alpha, alpha -> alpha^2,
     # alpha^2 -> 1 + alpha
     a1 = gf2.multiplier_matrices(3, 2)[1]
-    assert BitVector(3, _column(a1, 0)).to_str() == "010"
-    assert BitVector(3, _column(a1, 1)).to_str() == "001"
-    assert BitVector(3, _column(a1, 2)).to_str() == "110"
+    assert bits(BitVector(3, _column(a1, 0))) == "010"
+    assert bits(BitVector(3, _column(a1, 1))) == "001"
+    assert bits(BitVector(3, _column(a1, 2))) == "110"
 
 
 def test_multiplier_matches_alpha_powers():

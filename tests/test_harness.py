@@ -216,6 +216,17 @@ def test_reduction_suite_fails_on_a_measurement_that_sees_nothing(monkeypatch):
     assert rep.records[0].measured > 0.1
 
 
+def test_normbound_suite_fails_when_the_weighting_is_dropped(monkeypatch):
+    # R = I in place of sigma's pseudo-inverse square root makes the right
+    # side half the Frobenius norm, which the trace norm exceeds
+    pinv_sqrt_and_kernel = qsim._pinv_sqrt_and_kernel
+    monkeypatch.setattr(qsim, "_pinv_sqrt_and_kernel", lambda rho: (
+        np.broadcast_to(np.eye(rho.shape[-1]), rho.shape), pinv_sqrt_and_kernel(rho)[1]))
+    rep = harness.run_verify("normbound", seed=4, trials=20)
+    assert [r.passed for r in rep.records] == [False]
+    assert rep.records[0].measured == pytest.approx(5.957, abs=1e-3)
+
+
 def test_verify_unknown_suite():
     with pytest.raises(Exception):
         harness.run_verify("nonesuch")
@@ -410,6 +421,9 @@ def test_cq_suites_memory_stays_flat_in_the_trial_count():
     assert _peak_mib(lambda: harness.run_xor_suite(
         seed=4, trials=700, equality_trials=700, max_d=6)) < 16
     assert _peak_mib(lambda: harness.run_reduction_suite(seed=4, trials=700, max_d=6)) < 16
+    # about 117 trials a shape: those on 6 qubits hold 15 MiB of operators and
+    # sigmas, and as much again of normal draws
+    assert _peak_mib(lambda: harness.run_normbound_suite(seed=4, trials=700, max_d=6)) < 16
 
 
 def test_security_suite_memory_stays_within_the_chunk_budget():

@@ -59,17 +59,17 @@ def test_trace_distance_triangle_inequality():
     rng = derive_rng(22, 0)
     for _ in range(40):
         dim = 4
-        a = qsim.random_density(dim, rng)
-        b = qsim.random_density(dim, rng)
-        c = qsim.random_density(dim, rng)
+        a = qsim.random_density(rng.normal(size=(2, dim, dim)))
+        b = qsim.random_density(rng.normal(size=(2, dim, dim)))
+        c = qsim.random_density(rng.normal(size=(2, dim, dim)))
         assert (_trace_distance(a, c)
                 <= _trace_distance(a, b) + _trace_distance(b, c) + 1e-9)
 
 
 def test_partial_trace_and_tensor():
     rng = derive_rng(23, 0)
-    a = qsim.random_density(2, rng)
-    b = qsim.random_density(4, rng)
+    a = qsim.random_density(rng.normal(size=(2, 2, 2)))
+    b = qsim.random_density(rng.normal(size=(2, 4, 4)))
     joint = np.kron(a, b)
     assert np.allclose(qsim.partial_trace(joint, [2, 4], [0]), a)
     assert np.allclose(qsim.partial_trace(joint, [2, 4], [1]), b)
@@ -109,6 +109,16 @@ def _stored(state_map, x: BitVector, y: BitVector) -> np.ndarray:
                      np.zeros(1, dtype=np.int64))[0]
 
 
+def _uniform(n):
+    """The flat source of every n-bit value."""
+    return FlatSource.from_values(n, range(1 << n))
+
+
+def _bits(v):
+    """The bit string of a vector, coordinate 0 first."""
+    return format(v.value, f"0{v.length}b")[::-1]
+
+
 def _alone(stack, t=0):
     """State t of a stack as a CqState of its own."""
     return qsim.CqState(stack.probs[t], stack.rhos[t])
@@ -117,7 +127,7 @@ def _alone(stack, t=0):
 def test_output_state_constant_extractor():
     # x = 0 on the whole support, so the inner product is constant
     x = FlatSource.from_values(2, [0])
-    y = FlatSource.uniform(2)
+    y = _uniform(2)
     storage = _trivial_storage()
     state = qsim.extractor_output_state([x], [y], storage)
     assert state.probs.tolist() == [[1.0, 0.0]]
@@ -125,8 +135,8 @@ def test_output_state_constant_extractor():
 
 
 def test_output_state_ip_uniform_n2():
-    x = FlatSource.uniform(2)
-    y = FlatSource.uniform(2)
+    x = _uniform(2)
+    y = _uniform(2)
     state = qsim.extractor_output_state([x], [y], _trivial_storage())
     p0, p1 = state.probs[0]
     assert abs(p0 - 5 / 8) <= 1e-12
@@ -135,8 +145,8 @@ def test_output_state_ip_uniform_n2():
 
 
 def test_output_state_perfect_classical_encoding():
-    x = FlatSource.uniform(2)
-    y = FlatSource.uniform(2)
+    x = _uniform(2)
+    y = _uniform(2)
     storage = _classical_joint_storage(ip_extract, 2, 1)
     state = qsim.extractor_output_state([x], [y], storage)
     rho0, rho1 = state.rhos[0]
@@ -153,13 +163,13 @@ def test_strategy_checks_its_budget_dimension():
     with pytest.raises(DimensionError, match="for 2 pairs"):
         one_short(xs, ys, at)
     with pytest.raises(DimensionError):
-        qsim.extractor_output_state([FlatSource.uniform(1)], [FlatSource.uniform(1)], half)
+        qsim.extractor_output_state([_uniform(1)], [_uniform(1)], half)
     with pytest.raises(ParameterError, match="nonnegative"):
         adversaries.StorageStrategy(-1, 0, lambda xs, ys, at: np.ones((len(xs), 1, 1)))
 
 
 def test_output_state_stacks_need_paired_sources():
-    one, two = FlatSource.uniform(1), FlatSource.uniform(2)
+    one, two = _uniform(1), _uniform(2)
     for xs, ys in (([one, one], [one]), ([one, two], [one, one]), ([], [])):
         with pytest.raises(ParameterError, match="pair up"):
             qsim.extractor_output_state(xs, ys, _trivial_storage())
@@ -174,12 +184,12 @@ def _string_label_oracle(extractor, xs, ys, state_map, exposed):
     """
     p_pair = xs.probability() * ys.probability()
     acc = {}
-    for xv in xs.vectors():
-        for yv in ys.vectors():
+    for xv in (BitVector(xs.n, v) for v in xs.support):
+        for yv in (BitVector(ys.n, v) for v in ys.support):
             out = extractor(xv, yv)
             out = BitVector(1, out) if isinstance(out, int) else out
             side = {"X": xv, "Y": yv}.get(exposed)
-            label = out.to_str() if exposed is None else (out.to_str(), side.to_str())
+            label = _bits(out) if exposed is None else (_bits(out), _bits(side))
             rho = _stored(state_map, xv, yv)
             if label in acc:
                 acc[label][0] += p_pair
@@ -192,7 +202,7 @@ def _string_label_oracle(extractor, xs, ys, state_map, exposed):
 def _oracle_state(extractor, xs, ys, state_map, width):
     """The string-label oracle's entries as a CqState of width-bit outputs,
     an output no pair has at probability 0."""
-    held = {BitVector.from_str(label).value: (p, rho)
+    held = {int(label[::-1], 2): (p, rho)
             for label, p, rho in _string_label_oracle(extractor, xs, ys, state_map, None)}
     absent = (0.0, np.zeros_like(next(iter(held.values()))[1]))
     return qsim.CqState(*zip(*(held.get(out, absent) for out in range(1 << width))))
@@ -247,7 +257,7 @@ def _assert_matches_oracle(conditioned_state, xs, ys, state_map, exposed):
 def test_output_state_matches_string_label_oracle(notion, conditioned_state):
     exposed = NOTIONS[notion][0]
     for n in (1, 2, 3):
-        sources = [(FlatSource.uniform(n), FlatSource.uniform(n)),
+        sources = [(_uniform(n), _uniform(n)),
                    (random_flat_source(n, n - 1, 7, 1), random_flat_source(n, 1, 7, 2))]
         for state_map in _state_maps(notion, n, seed=5 + n):
             for xs, ys in sources:
@@ -268,7 +278,7 @@ def test_output_state_matches_string_label_oracle_at_64_bits(notion, conditioned
 def test_output_state_is_the_same_in_any_chunking(notion, monkeypatch, conditioned_state):
     # chunks of 1 and 3 pairs against the default, where all 32 pairs fit one;
     # with a side exposed, the chunks cross the instances' boundaries
-    xs, ys, exposed = FlatSource.uniform(3), random_flat_source(3, 2, 7, 2), NOTIONS[notion][0]
+    xs, ys, exposed = _uniform(3), random_flat_source(3, 2, 7, 2), NOTIONS[notion][0]
     for state_map in _state_maps(notion, 3, seed=9):
         whole = conditioned_state(xs, ys, state_map, exposed)[2]
         for pairs in (1, 3):
@@ -343,8 +353,8 @@ def test_cq_distance_matches_per_entry_loop():
 
 def test_cq_distance_strong_mode_matches_oracle(conditioned_state):
     # a source exposed with the output, as the mean over its values
-    x = FlatSource.uniform(2)
-    y = FlatSource.uniform(2)
+    x = _uniform(2)
+    y = _uniform(2)
     storage = adversaries.random_storage(1, 1, "entangled", [13])
     for exposed in (None, "X", "Y"):
         _assert_matches_oracle(conditioned_state, x, y, storage, exposed)
@@ -492,7 +502,7 @@ def test_random_cq_state_is_the_per_label_density_draw():
         s = _alone(qsim.random_cq_state(m, qubits, 61, [4 * m + qubits]))
         rng = derive_rng(61, 0xC05, 4 * m + qubits)
         probs = rng.dirichlet(np.ones(1 << m))
-        rhos = [qsim.random_density(1 << qubits, rng) for _ in range(1 << m)]
+        rhos = [_random_density_oracle(1 << qubits, rng) for _ in range(1 << m)]
         assert s.probs.tobytes() == probs.tobytes()
         assert s.rhos.tobytes() == np.array(rhos).tobytes()
 
@@ -625,8 +635,8 @@ def test_pgm_within_square_of_optimal_binary():
     for t in range(100):
         dim = 2 if t % 2 else 4
         p0 = float(rng.uniform(0.1, 0.9))
-        rho0 = qsim.random_density(dim, rng)
-        rho1 = qsim.random_density(dim, rng)
+        rho0 = qsim.random_density(rng.normal(size=(2, dim, dim)))
+        rho1 = qsim.random_density(rng.normal(size=(2, dim, dim)))
         s = qsim.CqState([p0, 1 - p0], [rho0, rho1])
         p_pgm = qsim.guess_success(s, qsim.pgm(s))
         p_opt = qsim.helstrom_advantage(p0, rho0, 1 - p0, rho1)
@@ -661,8 +671,8 @@ def test_guessing_entropy_bracket_contains_optimal_binary():
     rng = derive_rng(41, 0)
     for t in range(100):
         p0 = float(rng.uniform(0.2, 0.8))
-        rho0 = qsim.random_density(2, rng)
-        rho1 = qsim.random_density(2, rng)
+        rho0 = qsim.random_density(rng.normal(size=(2, 2, 2)))
+        rho1 = qsim.random_density(rng.normal(size=(2, 2, 2)))
         s = qsim.CqState([p0, 1 - p0], [rho0, rho1])
         h_opt = -math.log2(qsim.helstrom_advantage(p0, rho0, 1 - p0, rho1))
         bracket = qsim.guessing_entropy_bounds(s)
@@ -724,9 +734,57 @@ def test_weighted_l2_bound_random():
         dim = int(rng.integers(2, 9))
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         s_op = (g + g.conj().T) / 2
-        sigma = qsim.random_density(dim, rng)
+        sigma = qsim.random_density(rng.normal(size=(2, dim, dim)))
         lhs, rhs = qsim.trace_norm_weighted_l2_bound(s_op, sigma)
         assert lhs <= rhs + 1e-8
+
+
+def _random_density_oracle(dim, rng):
+    """random_density for one matrix, drawn from rng."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    return m / np.real(np.trace(m))
+
+
+def _weighted_l2_oracle(s_op, sigma):
+    """trace_norm_weighted_l2_bound for one pair: (lhs, rhs)."""
+    s_op = np.asarray(s_op, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    lhs = 0.5 * qsim.l1_norm(s_op)
+    if not qsim.hermitian_eigenvalues(sigma)[-1] >= -qsim.PSD_ATOL:
+        raise ValidationError("sigma is not PSD")
+    r, kernel = qsim._pinv_sqrt_and_kernel(sigma)
+    if not np.max(np.abs(kernel @ s_op)) <= 1e-8:
+        raise ValidationError("support of the operator leaks outside sigma")
+    inner = float(np.real(np.trace(r @ s_op @ r @ s_op)))
+    rhs = 0.5 * math.sqrt(max(float(np.real(np.trace(sigma))), 0.0) * max(inner, 0.0))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+def test_random_density_is_the_per_draw_wishart_matrix(dim):
+    stack = qsim.random_density(derive_rng(47, dim).normal(size=(5, 2, dim, dim)))
+    rng = derive_rng(47, dim)
+    assert stack.tobytes() == np.array([_random_density_oracle(dim, rng)
+                                        for _ in range(5)]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), count=st.integers(1, 4), qubits=st.integers(0, 4),
+       rank=st.integers(1, 16))
+def test_stacked_weighted_l2_bound_matches_the_per_pair_oracle(seed, count, qubits, rank):
+    # sigma of rank min(rank, dim) with the operator inside its support, so
+    # some stacks have a kernel
+    dim = 1 << qubits
+    draws = derive_rng(seed, 0x12).normal(size=(count, 4, dim, dim))
+    keep = np.diag(np.arange(dim) < rank).astype(complex)
+    g = draws[:, 0] + 1j * draws[:, 1]
+    s_op = keep @ ((g + g.conj().swapaxes(-1, -2)) / 2) @ keep
+    sigma = keep @ qsim.random_density(draws[:, 2:]) @ keep
+    lhs, rhs = qsim.trace_norm_weighted_l2_bound(s_op, sigma)
+    assert lhs.shape == rhs.shape == (count,)
+    for t in range(count):
+        assert (lhs[t], rhs[t]) == _weighted_l2_oracle(s_op[t], sigma[t])
 
 
 def test_weighted_l2_bound_support_violation():
@@ -898,7 +956,7 @@ def test_stacked_checks_match_the_per_state_oracles(monkeypatch, m, d, per_stack
     if per_stack:
         monkeypatch.setattr(qsim, "STACK_BYTES", 8 * per_stack * states[0].rhos.nbytes)
     sizes, got = [], {"xor": [], "pgm": [], "merged": []}
-    for part in qsim.stack_chunks(5, 8 * states[0].rhos.nbytes):
+    for part in qsim.stack_chunks(5, states[0].rhos.nbytes):
         stack = qsim.random_cq_state(m, d, 2024, range(5)[part])
         f = qsim.random_boolean_fn(m, 2024, range(5)[part])
         sizes.append(len(stack.probs))
@@ -988,6 +1046,32 @@ def test_stacked_guessing_probability_and_min_entropy_are_per_state():
     assert qsim.guess_success(stack, qsim.pgm(stack)).tolist() \
         == [qsim.guess_success(s, qsim.pgm(s)) for s in states]
     assert stack.min_entropy().tolist() == [s.min_entropy() for s in states]
+
+
+def test_stacked_guessing_entropy_and_helstrom_are_per_state():
+    stack = qsim.random_cq_state(2, 1, 9, range(3))
+    bracket = qsim.guessing_entropy_bounds(stack)
+    for t in range(3):
+        alone = qsim.guessing_entropy_bounds(_alone(stack, t))
+        for name in qsim.GuessingEntropyBracket.__dataclass_fields__:
+            assert getattr(bracket, name)[t] == getattr(alone, name), name
+    # stacked priors and states, each pair against its scalar call
+    pairs = qsim.random_cq_state(1, 2, 9, range(4))
+    p0, p1 = pairs.probs[:, 0], pairs.probs[:, 1]
+    rho0, rho1 = pairs.rhos[:, 0], pairs.rhos[:, 1]
+    got = qsim.helstrom_advantage(p0, rho0, p1, rho1)
+    assert got.shape == (4,)
+    assert got.tolist() == [qsim.helstrom_advantage(float(p0[t]), rho0[t], float(p1[t]), rho1[t])
+                            for t in range(4)]
+    with pytest.raises(ParameterError, match="priors must sum to 1"):
+        qsim.helstrom_advantage(p0, rho0, p1 + np.array([0, 0, 1e-6, 0]), rho1)
+
+
+def test_stack_chunks_hold_an_eighth_of_the_budget():
+    # the work on a chunk holds about eight arrays of its size
+    assert qsim.stack_chunks(7, qsim.STACK_BYTES // 24) == [slice(0, 3), slice(3, 6),
+                                                             slice(6, 9)]
+    assert qsim.stack_chunks(2, qsim.STACK_BYTES) == [slice(0, 1), slice(1, 2)]
 
 
 def test_stacks_need_shared_outputs_and_dimension():
