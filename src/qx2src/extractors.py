@@ -16,12 +16,16 @@ two-source core and is therefore much shorter than the input).
 Two kernels carry the polynomial arithmetic.  A Toeplitz matrix-vector
 product is one carry-less product (:func:`qx2src.gf2.poly_mul`) of x
 with the seed laid out diagonal by diagonal.  The weak design and the
-Trevisan extractor's Reed-Solomon/Hadamard code share one Horner
-evaluator over GF(2^w), :func:`_horner`, which evaluates a polynomial
-at all requested points at once; for w <= 16 each Horner step is one
-numpy gather through log/antilog tables, built once per w on first
-use, and above that one poly_mul and one poly_mod per point.  The
-seeded composition at t >= 64 (w >= 32) takes that second path.
+Trevisan extractor's Reed-Solomon/Hadamard code evaluate polynomials
+over GF(2^w) by Horner's rule, for w <= 16 through log/antilog tables
+built once per w on first use.  The design is an (m, t) index array,
+cached, whose m polynomials are evaluated at all t points in one table
+pass.  Trevisan gathers the seed's bits through that array, one row per
+sub-seed, and evaluates the code polynomial at every sub-seed's point
+with the blocked Horner of :func:`_horner`: at n = 4096, w = 16 its 256
+coefficients take 16 steps over a (16, points) array instead of 256
+steps over the points.  Above w = 16, that is t >= 64, :func:`_horner`
+runs point by point, one poly_mul and one poly_mod per step.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List
 
 from . import gf2
 from .errors import DimensionError, ParameterError
@@ -144,30 +147,55 @@ def toeplitz_row(seed: BitVector, m: int, i: int, n: int) -> BitVector:
 # polynomial evaluation in GF(2^w)
 
 
-def _horner(w: int, coeffs, points) -> List[int]:
+def _horner(w: int, coeffs, points):
     """Values at each of points of the polynomial with coeffs[j] on x^j, in GF(2^w).
 
-    Elements are w-bit ints modulo find_irreducible(w).  One Horner pass:
-    with w <= _TABLE_MAX_W it runs over all points at once through
-    log/antilog tables, otherwise point by point, each step one poly_mul
-    and one poly_mod.
+    Elements are w-bit ints modulo find_irreducible(w).  With w <=
+    _TABLE_MAX_W the result is a uint16 array from a blocked Horner over
+    all points at once: for a block size B near sqrt(len(coeffs)),
+    p(x) = sum_{r<B} x^r q_r(x^B) where q_r takes coeffs[r], coeffs[r+B],
+    ...  One Horner pass evaluates all B of the q_r at x^B, a (B, points)
+    array per step, and a second one combines them at x.  Above that the
+    result is a list of ints, point by point, each step one poly_mul and
+    one poly_mod.
     """
     import numpy as np
     modulus = gf2.find_irreducible(w).value
-    if w <= _TABLE_MAX_W:
-        antilog, log = _log_tables(w, modulus)
-        log_points = log[np.asarray(points, dtype=np.int64)]
-        acc = np.zeros(len(log_points), dtype=antilog.dtype)
-        for coef in reversed(coeffs):
-            acc = antilog[log[acc] + log_points] ^ coef
-        return acc.tolist()
-    out = []
-    for point in points:
-        acc = 0
-        for coef in reversed(coeffs):
-            acc = gf2.poly_mod(gf2.poly_mul(acc, point), modulus) ^ coef
-        out.append(acc)
-    return out
+    if w > _TABLE_MAX_W:
+        coeffs = [int(coef) for coef in coeffs]
+        out = []
+        for point in points:
+            acc, point = 0, int(point)
+            for coef in reversed(coeffs):
+                acc = gf2.poly_mod(gf2.poly_mul(acc, point), modulus) ^ coef
+            out.append(acc)
+        return out
+    antilog, log = _log_tables(w, modulus)
+    coeffs = np.asarray(coeffs, dtype=antilog.dtype)
+    block = 1 << ((len(coeffs) - 1).bit_length() + 1) // 2
+    # rows[s, r] is coefficient s of q_r
+    rows = np.zeros(-(-len(coeffs) // block) * block, dtype=antilog.dtype)
+    rows[:len(coeffs)] = coeffs
+    points = np.asarray(points, dtype=np.intp)
+    power = points
+    for _ in range(block.bit_length() - 1):
+        power = antilog.take(2 * log.take(power))
+    inner = _table_horner(antilog, log, rows.reshape(-1, block, 1), log.take(power))
+    return _table_horner(antilog, log, inner, log.take(points))
+
+
+def _table_horner(antilog, log, rows, log_points):
+    """Horner's rule through the tables: rows[j] is coefficient j, log_points the logs of the points.
+
+    rows[j] broadcasts against log_points, so one pass evaluates as many
+    polynomials as rows[j] holds coefficients.
+    """
+    import numpy as np
+    acc = np.zeros(np.broadcast_shapes(rows.shape[1:], log_points.shape),
+                   dtype=antilog.dtype)
+    for row in rows[::-1]:
+        acc = antilog.take(log.take(acc) + log_points) ^ row
+    return acc
 
 
 # Largest w for which GF(2^w) multiplies through tables; at w = 16 they
@@ -232,22 +260,46 @@ def weak_design(m: int, t: int, c: int | None = None) -> tuple:
 
     t is a power of two.  Set p is the graph {(a, p(a)) : a in GF(t)} of
     the p-th polynomial of degree < c in lexicographic coefficient
-    order, flattened as a * t + p(a).  Two distinct polynomials of
-    degree < c agree on at most c - 1 points, so pairwise intersections
-    are at most c - 1.
+    order, flattened as a * t + p(a) and so listed in increasing order.
+    Two distinct polynomials of degree < c agree on at most c - 1
+    points, so pairwise intersections are at most c - 1.  The sets are
+    tuples of ints, the rows of _design_array.
     """
-    if t < 2 or t & (t - 1):
-        raise ParameterError(f"field size {t} must be a power of two >= 2")
+    return tuple(map(tuple, _design_array(m, t, c).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _design_array(m: int, t: int, c: int | None = None):
+    """weak_design(m, t, c) as a read-only (m, t) index array, built in one pass.
+
+    Coefficient j of polynomial p is base-t digit j of p, so only the
+    digits of m - 1 can be non-zero and a larger c gives the same sets.
+    One table Horner evaluates all m polynomials at all t points.
+    """
+    import numpy as np
+    if t < 2 or t & (t - 1) or t > 1 << _TABLE_MAX_W:
+        raise ParameterError(
+            f"field size {t} must be a power of two between 2 and 2^{_TABLE_MAX_W}")
     if c is None:
         c = _default_degree_bound(m, t)
-    if m > t ** c:
-        raise ParameterError(f"m={m} exceeds t^c={t ** c} polynomials")
-    sets = []
-    for idx in range(m):
-        coeffs = [idx // t ** j % t for j in range(c)]
-        values = _horner(t.bit_length() - 1, coeffs, range(t))
-        sets.append(tuple(sorted(a * t + v for a, v in enumerate(values))))
-    return tuple(sets)
+    if c < 0:
+        raise ParameterError(f"degree bound c must be >= 0, got {c}")
+    digits = _design_digits(m, t)
+    if digits > c:
+        raise ParameterError(f"m={m} exceeds the t^c polynomials of degree < c={c} "
+                             f"over GF({t})")
+    w = t.bit_length() - 1
+    antilog, log = _log_tables(w, gf2.find_irreducible(w).value)
+    shifts = w * np.arange(digits)[:, None, None]
+    rows = (np.arange(m)[:, None] >> shifts & (t - 1)).astype(antilog.dtype)
+    design = np.arange(t) * t + _table_horner(antilog, log, rows, log[:t])
+    design.flags.writeable = False
+    return design
+
+
+def _design_digits(m: int, t: int) -> int:
+    """Base-t digits of the largest design index m - 1: the least c with m <= t^c."""
+    return -(-(max(m, 1) - 1).bit_length() // (t.bit_length() - 1))
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +328,8 @@ class SeededExtractorSpec:
             raise ParameterError(f"unknown kind {self.kind!r}")
         if self.n < 1 or self.m < 1:
             raise ParameterError("n and m must be positive")
+        if self.c < 0:
+            raise ParameterError(f"degree bound c must be >= 0, got {self.c}")
         if self.kind == "trevisan" and self.m > self.t * self.t + self.n:
             raise ParameterError("cannot output more than d + n bits")
         if self.kind == "trevisan":
@@ -290,7 +344,7 @@ class SeededExtractorSpec:
                 raise ParameterError(
                     f"message of {_rs_symbols(self.n, w)} symbols does not fit "
                     f"GF(2^{w}); increase t")
-            if self.m > self.t ** self.degree_bound:
+            if _design_digits(self.m, self.t) > self.degree_bound:
                 raise ParameterError("m exceeds the weak design capacity")
 
     @property
@@ -305,7 +359,7 @@ class SeededExtractorSpec:
 
 
 def _default_degree_bound(m: int, t: int) -> int:
-    return max(1, math.ceil(math.log(max(m, 2)) / math.log(t)))
+    return max(1, _design_digits(m, t))
 
 
 def _rs_symbols(n: int, w: int) -> int:
@@ -313,7 +367,13 @@ def _rs_symbols(n: int, w: int) -> int:
 
 
 def trevisan_extract(x: BitVector, seed: BitVector, spec: SeededExtractorSpec) -> BitVector:
-    """Bit i = code bit of x indexed by the seed restricted to design set i."""
+    """Bit i = code bit of x indexed by the seed restricted to design set i.
+
+    One gather of the seed's bits through the design array gives every
+    sub-seed at once: row i holds sub-seed i, whose high w bits are the
+    Reed-Solomon point and whose low w bits the Hadamard mask.
+    """
+    import numpy as np
     if spec.kind != "trevisan":
         raise ParameterError("spec kind must be 'trevisan'")
     if x.length != spec.n:
@@ -321,19 +381,34 @@ def trevisan_extract(x: BitVector, seed: BitVector, spec: SeededExtractorSpec) -
     if seed.length != spec.d:
         raise ParameterError(f"seed length {seed.length} != spec d {spec.d}")
     w = spec.t // 2
-    mask = (1 << w) - 1
-    symbols = [(x.value >> (j * w)) & mask for j in range(_rs_symbols(x.length, w))]
-    design = weak_design(spec.m, spec.t, spec.degree_bound)
-    # sub-seed i has bit j = seed bit design[i][j]; seed_bits[k] is seed bit k
-    seed_bits = format(seed.value, "b").zfill(seed.length)[::-1]
-    subs = [int("".join([seed_bits[pos] for pos in reversed(positions)]), 2)
-            for positions in design]
-    values = _horner(w, symbols, [sub >> w for sub in subs])
-    out = 0
-    for i, (sub, value) in enumerate(zip(subs, values)):
-        if (value & sub & mask).bit_count() & 1:
-            out |= 1 << i
-    return BitVector(spec.m, out)
+    count = _rs_symbols(x.length, w)
+    symbols = _pack_rows(_bit_array(x.value, count * w).reshape(count, w))
+    subs = _bit_array(seed.value, seed.length)[
+        _design_array(spec.m, spec.t, spec.degree_bound)]
+    points, masks = _pack_rows(subs[:, w:]), _pack_rows(subs[:, :w])
+    values = _horner(w, symbols, points)
+    if w <= _TABLE_MAX_W:
+        bits = np.bitwise_count(values & masks) & 1
+    else:
+        bits = [(value & mask).bit_count() & 1
+                for value, mask in zip(values, masks.tolist())]
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return BitVector(spec.m, int.from_bytes(packed.tobytes(), "little"))
+
+
+def _bit_array(value: int, length: int):
+    """Bits 0 .. length - 1 of value as a uint8 array."""
+    import numpy as np
+    raw = np.frombuffer(value.to_bytes(-(-length // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:length]
+
+
+def _pack_rows(bits):
+    """Each row of a 0/1 array as an int with column j on 2^j: int64, or Python ints past 62 columns."""
+    import numpy as np
+    width = bits.shape[-1]
+    return bits @ np.array([1 << j for j in range(width)],
+                           dtype=np.int64 if width < 63 else object)
 
 
 # --------------------------------------------------------------------------

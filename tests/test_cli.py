@@ -74,6 +74,9 @@ BAD_CONFIGS = [
      b'{"seeded": {"kind": "toeplitz", "t": 8, "t": 4}}', "config.json: duplicate key 't'"),
     (("verify", "xor"), b'\xff{}', "config.json: 'utf-8' codec can't decode byte 0xff"),
     (("verify", "xor"), b'{"trials": ', "config.json: Expecting value: line 1 column 12"),
+    # a negative weak-design degree bound, once reported as a capacity error
+    (("extract", "--x", "X", "--y", "X", "--n", "64", "--extractor", "composed"),
+     {"seeded": {"kind": "trevisan", "t": 8, "c": -1}}, "c must be >= 0, got -1"),
 ]
 
 

@@ -226,6 +226,61 @@ def test_weak_design_capacity_error():
         weak_design(5, 2, 2)
 
 
+def _design_oracle(m, t, c):
+    """weak_design from its definition: set p is {a * t + p(a)}, p's coefficients its base-t digits."""
+    w = t.bit_length() - 1
+    return [sorted(a * t + _horner_oracle([p // t ** j % t for j in range(c)], a, w)
+                   for a in range(t))
+            for p in range(m)]
+
+
+@pytest.mark.parametrize("t", [4, 8, 16, 32])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_weak_design_matches_the_oracle(t, c):
+    m = min(t ** c, 150)
+    sets = weak_design(m, t, c)
+    assert sets == tuple(map(tuple, _design_oracle(m, t, c)))
+    # coefficients above the digits of m - 1 are zero, so any larger c
+    # gives the same sets; capacity is exactly t^c
+    assert weak_design(m, t, 40000) == sets
+    if t ** c <= 4096:
+        assert len(weak_design(t ** c, t, c)) == t ** c
+    with pytest.raises(ParameterError, match="exceeds"):
+        weak_design(t ** c + 1, t, c)
+
+
+def test_weak_design_rows_are_increasing_python_ints():
+    # perfbench's spot check shifts 1 << pos, which a numpy int would overflow
+    sets = weak_design(1024, 32, 2)
+    assert len(sets) == 1024
+    for positions in sets:
+        assert all(type(pos) is int for pos in positions)
+        assert list(positions) == sorted(set(positions))
+
+
+def test_negative_degree_bound_is_rejected():
+    with pytest.raises(ParameterError, match="c must be >= 0, got -1"):
+        weak_design(4, 4, -1)
+    with pytest.raises(ParameterError, match="c must be >= 0, got -1"):
+        SeededExtractorSpec(kind="trevisan", n=64, m=8, t=8, c=-1)
+
+
+# --------------------------------------------------------------------------
+# polynomial evaluation in GF(2^w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_blocked_horner_matches_the_oracle(data):
+    # counts up to 300 cover block sizes 1 .. 32 and partial last blocks
+    w = data.draw(st.integers(1, 16))
+    element = st.integers(0, (1 << w) - 1)
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), element), min_size=1, max_size=300))
+    points = [0, 1] + data.draw(st.lists(element, max_size=4))
+    assert extractors._horner(w, coeffs, points).tolist() == \
+        [_horner_oracle(coeffs, point, w) for point in points]
+
+
 # --------------------------------------------------------------------------
 # Reed-Solomon/Hadamard code and the Trevisan extractor
 
@@ -308,14 +363,10 @@ def _trevisan_oracle(x, seed, spec):
     """
     w = spec.t // 2
     c = spec.degree_bound
-    design_w = spec.t.bit_length() - 1
     symbols = [(x.value >> (j * w)) & ((1 << w) - 1)
                for j in range(-(-spec.n // w))]
     out = 0
-    for i in range(spec.m):
-        coeffs = [i // spec.t ** j % spec.t for j in range(c)]
-        positions = sorted(a * spec.t + _horner_oracle(coeffs, a, design_w)
-                           for a in range(spec.t))
+    for i, positions in enumerate(_design_oracle(spec.m, spec.t, c)):
         sub = sum(seed.bit(pos) << k for k, pos in enumerate(positions))
         value = _horner_oracle(symbols, sub >> w, w)
         out |= ((value & sub & ((1 << w) - 1)).bit_count() & 1) << i
@@ -349,6 +400,17 @@ def test_trevisan_matches_oracle_t32_n4096():
     spec = SeededExtractorSpec(kind="trevisan", n=4096, m=96, t=32)
     rng = derive_rng(9, 7)
     for _ in range(3):
+        x = BitVector(spec.n, int.from_bytes(rng.bytes(spec.n // 8), "little"))
+        seed = BitVector(spec.d, int.from_bytes(rng.bytes(spec.d // 8), "little"))
+        assert trevisan_extract(x, seed, spec).value == _trevisan_oracle(x, seed, spec)
+
+
+@pytest.mark.parametrize("t", [64, 128])
+def test_trevisan_matches_oracle_wide_fields_n4096(t):
+    # w = 32 and w = 64: the point-by-point path, and sub-seeds past 62 bits
+    spec = SeededExtractorSpec(kind="trevisan", n=4096, m=6, t=t)
+    rng = derive_rng(9, 11, t)
+    for _ in range(2):
         x = BitVector(spec.n, int.from_bytes(rng.bytes(spec.n // 8), "little"))
         seed = BitVector(spec.d, int.from_bytes(rng.bytes(spec.d // 8), "little"))
         assert trevisan_extract(x, seed, spec).value == _trevisan_oracle(x, seed, spec)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -120,6 +121,28 @@ def test_extract_composed_cli(tmp_path):
                    "--out", str(tmp_path / "rep.json"))
     assert code == 0
     assert len(out.read_bytes()) == 1
+
+
+def test_extract_composed_large_degree_bound_keeps_the_default_bits(tmp_path):
+    # digits of a design polynomial above those m - 1 needs are zero, so a
+    # huge c gives the default design; c = 40000 once built t^c and hung
+    x = tmp_path / "x.bin"
+    y = tmp_path / "y.bin"
+    x.write_bytes(bytes(range(8)))
+    y.write_bytes(bytes(range(8, 16)))
+    outs = []
+    for seeded in ({"kind": "trevisan", "t": 8}, {"kind": "trevisan", "t": 8, "c": 40000}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 64, "m": 8, "extractor": "composed",
+                                   "seeded": seeded, "k1": 64, "k2": 64,
+                                   "eps": 0.25, "c_poly": 0.01}))
+        out = tmp_path / "out.bin"
+        start = time.perf_counter()
+        assert run_cli("extract", "--x", str(x), "--y", str(y), "--output", str(out),
+                       "--config", str(cfg), "--out", str(tmp_path / "rep.json")) == 0
+        assert time.perf_counter() - start < 1
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_extract_ip_one_bit(tmp_path):
