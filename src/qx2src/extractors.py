@@ -2,9 +2,11 @@
 
 The two-source core outputs bits of the form (A_i x) . y for the
 multiplier matrix family of :mod:`qx2src.gf2`.  Because matrix i acts
-as multiplication by alpha^i, (A_i x) equals alpha^i * x in GF(2^n)
-and the whole m-bit output can be produced with one field
-multiplication per bit; tests cross-check this against the explicit
+as multiplication by alpha^i, (A_i x) equals alpha^i * x in GF(2^n),
+and by the transposition principle the m bits are the first m
+coefficients of the transposed product of x with y: y extended by the
+modulus recurrence, then one correlation with x, and no field
+multiplication per bit.  Tests cross-check this against the explicit
 matrices at small n.
 
 Two seeded extractors are provided: Toeplitz hashing (simple, seed
@@ -13,14 +15,15 @@ Trevisan-style construction (short seed, the one actually usable in
 the strong-extractor composition, where the seed is produced by the
 two-source core and is therefore much shorter than the input).
 
-Two kernels carry the polynomial arithmetic.  A Toeplitz matrix-vector
-product is one carry-less product (:func:`qx2src.gf2.poly_mul`) of x
-with the seed laid out diagonal by diagonal.  The weak design and the
-Trevisan extractor's Reed-Solomon/Hadamard code evaluate polynomials
-over GF(2^w) by Horner's rule, for w <= 16 through log/antilog tables
-built once per w on first use.  The design is an (m, t) index array,
-cached, whose m polynomials are evaluated at all t points in one table
-pass.  Trevisan gathers the seed's bits through that array, one row per
+Two kernels carry the polynomial arithmetic.  The multi-bit core and a
+Toeplitz matrix-vector product are each one correlation
+(:func:`qx2src.gf2.correlate`) of x with a sequence: y extended by the
+modulus recurrence, or the seed with its low m bits reversed.  The weak
+design and the Trevisan extractor's Reed-Solomon/Hadamard code evaluate
+polynomials over GF(2^w) by Horner's rule, for w <= 16 through
+log/antilog tables built once per w on first use.  The design is an
+(m, t) index array, cached, whose m polynomials are evaluated at all t
+points in one table pass.  Trevisan gathers the seed's bits through that array, one row per
 sub-seed, and evaluates the code polynomial at every sub-seed's point
 with the blocked Horner of :func:`_horner`: at n = 4096, w = 16 its 256
 coefficients take 16 steps over a (16, points) array instead of 256
@@ -90,23 +93,19 @@ def ip_extract(x: BitVector, y: BitVector) -> int:
 def multibit_extract(x: BitVector, y: BitVector, m: int) -> BitVector:
     """m-bit extractor with bit i = (A_i x) . y over the multiplier family.
 
-    Uses the identity A_i x = alpha^i * x in GF(2^n), so the call costs
-    m shift-reduce multiplications plus m inner products regardless of n.
+    A_i x = alpha^i * x in GF(2^n), so bit i is the sum over set bits j
+    of x of z_(i+j) = <x^(i+j) mod f, y>: the first m bits of the
+    transposed product, a correlation of x with y extended to n + m - 1
+    terms by the modulus recurrence (gf2.extend_by_modulus, then
+    gf2.correlate).  No field multiplication is formed.
     """
     n = x.length
     if y.length != n:
         raise DimensionError(f"length mismatch: {n} vs {y.length}")
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}")
-    modulus = gf2.find_irreducible(n).value
-    out = 0
-    u = x.value
-    yv = y.value
-    for i in range(m):
-        if (u & yv).bit_count() & 1:
-            out |= 1 << i
-        u = gf2.multiply_by_alpha(u, n, modulus)
-    return BitVector(m, out)
+    z = gf2.extend_by_modulus(y.value, gf2.find_irreducible(n).value, n + m - 1)
+    return BitVector(m, gf2.correlate(x.value, z, m))
 
 
 # --------------------------------------------------------------------------
@@ -120,10 +119,9 @@ def toeplitz_extract(x: BitVector, seed: BitVector, m: int) -> BitVector:
     T[0][j] = seed[m-1+j] going across the first row, so the seed must
     have n + m - 1 bits.
 
-    Diagonal k = i - j of T is stored at bit k + n - 1 of a polynomial
-    r: the low n - 1 bits are seed bits m .. n+m-2 reversed, the next m
-    bits are seed bits 0 .. m-1.  Then (T x)_i is coefficient i + n - 1
-    of the carry-less product x * r.
+    With s the seed whose low m bits are reversed, T[i][j] =
+    s[m - 1 - i + j], so T x read from its last bit up is the first m
+    bits of the correlation of x with s (gf2.correlate).
     """
     n = x.length
     if m < 1:
@@ -131,9 +129,14 @@ def toeplitz_extract(x: BitVector, seed: BitVector, m: int) -> BitVector:
     if seed.length != n + m - 1:
         raise ParameterError(
             f"seed length {seed.length} != n + m - 1 = {n + m - 1}")
-    above = int(format(seed.value >> m, "b").zfill(n - 1)[::-1], 2)
-    r = above | (seed.value & ((1 << m) - 1)) << (n - 1)
-    return BitVector(m, (gf2.poly_mul(x.value, r) >> (n - 1)) & ((1 << m) - 1))
+    low = seed.value & ((1 << m) - 1)
+    s = seed.value ^ low ^ _reverse(low, m)
+    return BitVector(m, _reverse(gf2.correlate(x.value, s, m), m))
+
+
+def _reverse(value: int, bits: int) -> int:
+    """The low bits of value in reverse order: bit j moves to bit bits - 1 - j."""
+    return int(format(value, f"0{bits}b")[::-1], 2)
 
 
 def toeplitz_row(seed: BitVector, m: int, i: int, n: int) -> BitVector:

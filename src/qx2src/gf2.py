@@ -19,9 +19,13 @@ XOR-basis insertion, are their reference.
 
 Scalar polynomials have one kernel per job: :func:`poly_mul`,
 :func:`poly_mod` and :func:`poly_gcd`.  The carry-less product serves
-the Toeplitz hash and :func:`is_irreducible`, textbook Ben-Or, the
-scalar reference of the modulus search.  Sparse operands take a
-shift-xor loop over set bits, dense ones a byte-windowed table walk.
+:func:`is_irreducible`, textbook Ben-Or, the scalar reference of the
+modulus search, and Horner's rule over GF(2^w) above w = 16.  Sparse
+operands take a shift-xor loop over set bits, dense ones a
+byte-windowed table walk.  :func:`correlate` is the same table walk run
+with right shifts: the first m coefficients of a transposed product,
+which the multi-bit extractor (after :func:`extend_by_modulus`) and the
+Toeplitz hash share.
 numpy lanes of small polynomials have one each too: _clmul_lanes,
 _square_lanes and _mod_lanes, which the sieve and GF(2^w)'s log tables
 share.
@@ -36,8 +40,7 @@ them.  Squarings slice that way; Ben-Or's dense products and gcds do
 not, which is why Rabin's test, slower per candidate, wins here.
 
 numpy is imported inside the functions that use it: the int paths
-(inner products, multiplication by alpha, the memoized moduli) run
-without it.
+(inner products, correlations, the memoized moduli) run without it.
 """
 
 from __future__ import annotations
@@ -193,6 +196,50 @@ def poly_mul(a: int, b: int) -> int:
     for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
         acc = (acc << 8) ^ table[byte]
     return acc
+
+
+def correlate(a: int, b: int, m: int) -> int:
+    """The first m bits of the correlation of a with b: bit i is the parity of a & (b >> i).
+
+    That is the XOR over set bits j of a of b >> j, read in bits 0..m-1.
+    It walks the bytes of a from the top through a 256-entry table whose
+    entry for a byte is the XOR of b << (7 - k) over its set bits k, as
+    acc = (acc >> 8) ^ T[byte], then drops the 7 guard bits.  Right
+    shifts distribute over XOR, so the low coefficients that a full
+    carry-less product would build are never formed.  Bits of b at or
+    above a.bit_length() + m - 1 cannot reach the output.
+    """
+    table = [0, b << 7]
+    for k in range(1, 8):
+        shifted = b << (7 - k)
+        table += [shifted ^ v for v in table]
+    acc = 0
+    for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
+        acc = (acc >> 8) ^ table[byte]
+    return (acc >> 7) & ((1 << m) - 1)
+
+
+def extend_by_modulus(y: int, modulus: int, length: int) -> int:
+    """z_0 .. z_(length-1) packed, with z_k = <x^k mod f, y> for f = modulus of degree n.
+
+    y has degree < n and z_k = y_k for k < n.  Writing f = x^n + tail,
+    x^(k+n) = x^k tail mod f gives the recurrence z_(k+n) = XOR over the
+    set bits j of tail of z_(k+j).  One round XORs one shifted copy of z
+    per set bit of tail and adds the n - deg(tail) terms it determines,
+    so a small tail takes one or two rounds for length <= 2n - 1.
+    """
+    n = modulus.bit_length() - 1
+    tail = modulus ^ (1 << n)
+    taps = [j for j in range(tail.bit_length()) if tail >> j & 1]
+    step = n - max(tail.bit_length() - 1, 0)
+    z, known = y, n
+    while known < length:
+        fresh = 0
+        for j in taps:
+            fresh ^= z >> (known - n + j)
+        z |= (fresh & ((1 << step) - 1)) << known
+        known += step
+    return z & ((1 << length) - 1)
 
 
 def is_irreducible(f: int) -> bool:

@@ -514,6 +514,8 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
     if ignored and extractor != "composed":
         raise ParameterError(f"{', '.join(ignored)}: used only by the composed "
                              f"extractor, not {extractor}")
+    if extractor == "ip" and m != 1:
+        raise ParameterError(f"m must be 1 for the ip extractor, got {m}")
     seeded = {"kind": "trevisan", **(seeded or {})}
     if extractor == "composed" and seeded["kind"] == "trevisan" and "t" not in seeded:
         raise ParameterError("composed extraction with trevisan needs the config key "

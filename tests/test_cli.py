@@ -77,6 +77,9 @@ BAD_CONFIGS = [
     # a negative weak-design degree bound, once reported as a capacity error
     (("extract", "--x", "X", "--y", "X", "--n", "64", "--extractor", "composed"),
      {"seeded": {"kind": "trevisan", "t": 8, "c": -1}}, "c must be >= 0, got -1"),
+    # the ip extractor outputs one bit
+    (("extract", "--x", "X", "--y", "X", "--n", "16", "--extractor", "ip"), {"m": 4},
+     "m must be 1 for the ip extractor, got 4"),
 ]
 
 
@@ -175,6 +178,9 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("verify", "security", "--k", "6"), "k must be between 0 and 4, got 6"),
     # a config file that cannot be read is named
     (("verify", "xor", "--config", "nosuch-config.json"), "nosuch-config.json"),
+    # the ip extractor outputs one bit
+    (("extract", "--x", "nosuch", "--y", "nosuch", "--n", "16", "--extractor", "ip",
+      "--m", "4"), "m must be 1 for the ip extractor, got 4"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1

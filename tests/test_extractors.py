@@ -98,6 +98,41 @@ def test_multibit_linearity():
         assert lhs.value == rhs
 
 
+def _multibit_oracle_bit(x, y, i):
+    """<x * X^i mod f, y>, one field product per bit through poly_mul and poly_mod."""
+    f = gf2.find_irreducible(x.length).value
+    return (gf2.poly_mod(gf2.poly_mul(x.value, 1 << i), f) & y.value).bit_count() & 1
+
+
+def test_multibit_matches_per_bit_oracle_exhaustive():
+    # n = 1 has tail 0; n = 2 and 3 a tail of degree 1, so n - 1 new terms a round
+    for n in range(1, 8):
+        f = gf2.find_irreducible(n).value
+        for xv in range(1 << n):
+            products = [gf2.poly_mod(gf2.poly_mul(xv, 1 << i), f) for i in range(n)]
+            for yv in range(1 << n):
+                want = sum(((p & yv).bit_count() & 1) << i for i, p in enumerate(products))
+                x, y = BitVector(n, xv), BitVector(n, yv)
+                for m in range(1, n + 1):
+                    assert multibit_extract(x, y, m).value == want & ((1 << m) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_multibit_matches_per_bit_oracle_property(data):
+    # the memoized moduli, and live-search degrees
+    n = data.draw(st.one_of(st.sampled_from([1024, 2048, 4096]), st.integers(1, 200)),
+                  label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1), label="x"))
+    y = BitVector(n, data.draw(st.integers(0, (1 << n) - 1), label="y"))
+    out = multibit_extract(x, y, m)
+    assert out.length == m
+    for i in {0, m - 1} | set(data.draw(st.lists(st.integers(0, m - 1), max_size=4),
+                                        label="bits")):
+        assert out.bit(i) == _multibit_oracle_bit(x, y, i)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_ip_bias_exhaustive(n):
     zeros = sum((xv & yv).bit_count() % 2 == 0

@@ -249,6 +249,48 @@ def test_poly_mul_matches_oracle_property(a, b):
     assert gf2.poly_mul(b, a) == want
 
 
+def _oracle_correlation_bit(a, b, i):
+    return (a & (b >> i)).bit_count() & 1
+
+
+def test_correlate_matches_oracle_exhaustive():
+    # a of 0..9 bits, across one byte boundary; b of up to 6 bits, so shorter
+    # than a, and output bits past b's reach, which must read 0
+    for a in range(1 << 9):
+        for b in range(1 << 6):
+            want = sum(_oracle_correlation_bit(a, b, i) << i for i in range(14))
+            assert gf2.correlate(a, b, 14) == want
+    for a in range(1 << 5):
+        for b in range(1 << 5):
+            for m in range(1, 7):
+                assert gf2.correlate(a, b, m) == gf2.correlate(a, b, 14) & ((1 << m) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_correlate_matches_oracle_property(data):
+    a = data.draw(_OPERANDS, label="a")
+    b = data.draw(_OPERANDS, label="b")
+    m = data.draw(st.integers(1, 8192), label="m")
+    out = gf2.correlate(a, b, m)
+    assert out >> m == 0
+    for i in {0, m - 1} | set(data.draw(st.lists(st.integers(0, m - 1), max_size=8),
+                                        label="bits")):
+        assert out >> i & 1 == _oracle_correlation_bit(a, b, i)
+
+
+def test_extend_by_modulus_matches_reduced_powers_exhaustive():
+    # z_k = <x^k mod f, y>, for every modulus the package finds up to degree 7
+    for n in range(1, 8):
+        f = gf2.find_irreducible(n).value
+        powers = [_oracle_mod(1 << k, f) for k in range(2 * n)]
+        for y in range(1 << n):
+            for length in range(1, 2 * n):
+                z = gf2.extend_by_modulus(y, f, length)
+                assert z == sum(((p & y).bit_count() & 1) << k
+                                for k, p in enumerate(powers[:length]))
+
+
 # --------------------------------------------------------------------------
 # irreducible polynomials
 

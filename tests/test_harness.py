@@ -719,7 +719,7 @@ def test_extract_report_names_modulus(tmp_path):
     x = tmp_path / "x.bin"
     x.write_bytes(bytes(range(128)))
     base = {"x_path": str(x), "y_path": str(x), "m": 4}
-    _, ip = harness.run_extract(**dict(base, n=16, extractor="ip"))
+    _, ip = harness.run_extract(**dict(base, n=16, extractor="ip", m=1))
     assert "modulus" not in ip.to_dict()
     for n, source, tail in ((16, "search", "0x2b"), (1024, "memo", "0x2cd")):
         _, report = harness.run_extract(**dict(base, n=n))
