@@ -13,9 +13,9 @@ family is multiplication by a non-zero field element and therefore
 invertible, which is the property the extractor needs.  The
 verification suite checks it by computing every subset matrix's rank:
 :func:`subset_rows` forms a whole stack of subset XORs from per-byte
-tables, and :func:`batched_rank` eliminates the stack one column at a
-time.  :func:`subset_matrix` and :func:`rank`, one matrix at a time by
-XOR-basis insertion, are their reference.
+tables, and :func:`batched_rank` eliminates the stack by row pivots, with
+no search or gather.  :func:`subset_matrix` and :func:`rank`, one matrix
+at a time by XOR-basis insertion, are their reference.
 
 Scalar polynomials have one kernel per job: :func:`poly_mul`,
 :func:`poly_mod` and :func:`poly_gcd`.  The carry-less product serves
@@ -600,20 +600,20 @@ def subset_rows(mats: Sequence[BitMatrix], masks: np.ndarray) -> np.ndarray:
 def batched_rank(rows: np.ndarray) -> np.ndarray:
     """GF(2) rank of each matrix in a (B, r) stack of uint64-packed rows.
 
-    At column c every matrix takes its first row with bit c as pivot and
-    xors it into each row with that bit, the pivot included: the pivot
-    leaves the pool and no row left has bit c.  The rank is the number of
-    columns that found a pivot.
+    Elimination by row pivots on an (r, B) copy, so that row i of every
+    matrix is one contiguous slice.  Row i is the pivot p; low = p & -p is
+    its lowest set bit (1 where p is 0) and q = p // low.  Each row below
+    takes b = (row & low) * q, which is p where the row has bit low and 0
+    otherwise, since low * q = p exactly.  Rows above i are never touched:
+    every row below the pivot loses bit low for good, so the nonzero rows
+    left have distinct lowest bits, and the rank is their count.
     """
     import numpy as np
-    rows = np.array(rows, dtype=np.uint64)
-    rank = np.zeros(len(rows), dtype=np.int64)
-    at = np.arange(len(rows))
-    has = np.empty(rows.shape, dtype=bool)
-    scratch = np.empty_like(rows)  # in-place buffers halve the per-column time
-    for c in range(int(np.bitwise_or.reduce(rows, axis=None)).bit_length()):
-        np.not_equal(np.bitwise_and(rows, np.uint64(1 << c), out=scratch), 0, out=has)
-        pivot = has.argmax(1)
-        rows ^= np.multiply(rows[at, pivot][:, None], has, out=scratch)
-        rank += has[at, pivot]
-    return rank
+    a = np.array(np.asarray(rows, dtype=np.uint64).T, order="C")
+    del rows  # the caller's rows, if it handed them over, are freed here
+    scratch = np.empty_like(a[1:])
+    for i in range(len(a) - 1):
+        p, below, b = a[i], a[i + 1:], scratch[i:]
+        low = np.maximum(p & -p, 1)
+        below ^= np.multiply(np.bitwise_and(below, low, out=b), p // low, out=b)
+    return np.count_nonzero(a, axis=0)

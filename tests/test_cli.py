@@ -151,10 +151,10 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     (("verify", "security", "--instances", "100000000"),
      "instances must be between 1 and 10000, got 100000000"),
     # total work over list-valued sizes: each element passes on its own
-    (("verify", "matrices", "--random-ns", *["64"] * 50),
+    (("verify", "matrices", "--random-ns", *map(str, range(15, 65))),
      "len(random_ns) x random_trials must be between 0 and 100000, got 500000"),
-    (("attack", "smp", "--ns", "8", "8"),
-     "sum of 4^n over ns must be between 0 and 65536, got 131072"),
+    (("attack", "smp", "--ns", "7", "8"),
+     "sum of 4^n over ns must be between 0 and 65536, got 81920"),
     # each flag in range, but about 0.26 s per pair at b = 4: days of work
     (("verify", "security", "--b", "4", "--k", "6", "--instances", "10000"),
      "instances x 4^k pairs x 4^(2b+2) must be between 0 and 268435456, "
@@ -181,6 +181,9 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     # the ip extractor outputs one bit
     (("extract", "--x", "nosuch", "--y", "nosuch", "--n", "16", "--extractor", "ip",
       "--m", "4"), "m must be 1 for the ip extractor, got 4"),
+    # a repeated size would run its work twice and repeat its records
+    (("verify", "matrices", "--random-ns", "8", "8"), "random_ns has a repeated value 8"),
+    (("attack", "smp", "--ns", "2", "4", "2"), "ns has a repeated value 2"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1
@@ -301,6 +304,12 @@ def _fuzz_cases():
             if required:
                 cases.append((f"{command}-{name}-missing", command,
                               {k: v for k, v in base.items() if k != name}, named))
+            if typing.get_origin(tp) is collections.abc.Sequence:
+                default = inspect.signature(harness.COMMANDS[command]).parameters[name].default
+                values = list(base.get(name, default))
+                cases.append((f"{command}-{name}-repeated", command,
+                              dict(base, **{name: values + values[:1]}),
+                              (f"{name} has a repeated value {values[0]!r}",)))
         for name, (low, high, is_seq) in _declared_ranges(command).items():
             for label, value in (("low", low), ("below", low - 1), ("above", high + 1)):
                 cases.append((f"{command}-{name}-{label}", command,
@@ -345,6 +354,8 @@ def test_cli_fuzz(tmp_path, capsys, command, config, needles):
 def test_cli_fuzz_sees_every_declared_range():
     # the 19 single-parameter limits, so that the fuzz cannot pass by seeing none
     assert sum(len(_declared_ranges(c)) for c in harness.COMMANDS) == 19
+    # and the two sequence parameters, random_ns and ns, each with a repeat
+    assert sum(case[0].endswith("-repeated") for case in _FUZZ) == 2
 
 
 # --------------------------------------------------------------------------

@@ -168,6 +168,33 @@ def test_batched_rank_matches_rank_property(data):
     assert got.tolist() == [_rank_of(rows) for rows in stack]
 
 
+@pytest.mark.parametrize("rows_n, cols", [(2, 8), (8, 2), (3, 5), (5, 3)])
+def test_batched_rank_exhaustive_non_square(rows_n, cols):
+    # every rows_n x cols matrix: fewer rows than columns leaves pivots
+    # unused, more rows than columns ends in rows eliminated to zero
+    entries = np.arange(1 << (rows_n * cols), dtype=np.uint64)[:, None]
+    shifts = np.arange(0, rows_n * cols, cols, dtype=np.uint64)
+    stack = entries >> shifts & np.uint64((1 << cols) - 1)
+    assert gf2.batched_rank(stack).tolist() == [_rank_of(rows) for rows in stack.tolist()]
+
+
+def test_batched_rank_row_pivot_edges():
+    # one stack, so that a matrix's zero pivot row (low = 0) sits beside
+    # another's live pivot at the same row index
+    eye = [1 << i for i in range(64)]
+    stack = [
+        eye,
+        [0] + eye[1:],                                  # a zero first row
+        eye[:-1] + [eye[0] ^ eye[40] ^ eye[62]],        # a dependency only in the last row
+        eye[::-1],                                      # first pivot 2^63, where q = 1
+        [1 << 63, 1 << 63] + eye[:62],                  # 2^63 cleared from the row below
+        [(1 << 64) - 1] * 64,                           # every row the first
+        [0] * 64,
+    ]
+    got = gf2.batched_rank(np.array(stack, dtype=np.uint64)).tolist()
+    assert got == [64, 63, 63, 64, 63, 1, 0] == [_rank_of(rows) for rows in stack]
+
+
 def test_batched_rank_of_empty_and_zero_stacks():
     assert gf2.batched_rank(np.zeros((0, 5), dtype=np.uint64)).tolist() == []
     assert gf2.batched_rank(np.zeros((3, 5), dtype=np.uint64)).tolist() == [0, 0, 0]

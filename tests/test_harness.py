@@ -730,6 +730,16 @@ def test_extract_report_names_modulus(tmp_path):
         assert report.to_dict(include_wall_clock=False)["modulus"] == doc["modulus"]
 
 
+def test_matrices_report_times_subset_rows_and_rank():
+    report = harness.run_verify("matrices", seed=3, exhaustive_max_n=4,
+                                random_ns=(8, 64), random_trials=1500)
+    timings = report.to_dict()["timings"]
+    assert sorted(timings) == ["rank_s", "subset_rows_s"]
+    assert all(t >= 0 for t in timings.values())
+    assert sum(timings.values()) <= report.wall_clock_s
+    assert "timings" not in report.to_dict(include_wall_clock=False)
+
+
 # --------------------------------------------------------------------------
 # the benchmark's per-layer tracer
 
