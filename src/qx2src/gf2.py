@@ -8,14 +8,19 @@ literals such as "1011" the leftmost character is coordinate 0, so
 The matrix family used by the multi-bit extractor is built from
 multiplication in GF(2^n): matrix i represents multiplication by
 alpha^i in the basis (1, alpha, ..., alpha^(n-1)) of GF(2)[x] modulo a
-fixed irreducible polynomial.  The XOR of any non-empty subset of the
-family is multiplication by a non-zero field element and therefore
-invertible, which is the property the extractor needs.  The
-verification suite checks it by computing every subset matrix's rank:
-:func:`subset_rows` forms a whole stack of subset XORs from per-byte
-tables, and :func:`batched_rank` eliminates the stack by row pivots, with
-no search or gather.  :func:`subset_matrix` and :func:`rank`, one matrix
-at a time by XOR-basis insertion, are their reference.
+fixed irreducible polynomial.  Its rows come from the power sequence
+that :func:`extend_by_modulus` builds for the extractor itself.  The XOR
+of any non-empty subset of the family is multiplication by a non-zero
+field element and therefore invertible, which is the property the
+extractor needs.  The verification suite checks it by computing every
+subset matrix's rank: :func:`subset_tables` builds, once per family, a
+16-entry table of subset XORs for each group of four matrices,
+:func:`subset_rows` forms a whole stack of subset XORs from them, one
+gather per 4-bit digit of the mask, and :func:`batched_rank` eliminates
+the stack by row pivots, with no search or gather.  Rows are packed in
+the narrowest unsigned type that holds them (uint32 at n = 32), and the
+elimination runs in that type.  :func:`subset_matrix` and :func:`rank`,
+one matrix at a time by XOR-basis insertion, are their reference.
 
 Scalar polynomials have one kernel per job: :func:`poly_mul`,
 :func:`poly_mod` and :func:`poly_gcd`.  The carry-less product serves
@@ -514,17 +519,9 @@ def _search_irreducible(n: int) -> int:
 # the multiplier matrix family
 
 
-def alpha_powers(n: int, count: int) -> List[int]:
-    """Coefficient vectors of alpha^0 .. alpha^(count-1) in GF(2^n)."""
-    modulus = find_irreducible(n).value
-    powers = [1]
-    for _ in range(count - 1):
-        powers.append(multiply_by_alpha(powers[-1], n, modulus))
-    return powers
-
-
 def multiply_by_alpha(v: int, n: int, modulus: int) -> int:
-    """One multiplication by the field generator, reduced."""
+    """One multiplication by the field generator, reduced: the step of the
+    tests' reference for multiplier_matrices."""
     v <<= 1
     if v >> n:
         v ^= modulus
@@ -538,22 +535,16 @@ def multiplier_matrices(n: int, m: int) -> tuple:
     Column j of matrix i is the coefficient vector of alpha^(i+j), so
     the XOR of the matrices selected by any non-empty subset S is the
     matrix of multiplication by the non-zero field element
-    sum_{i in S} alpha^i, hence full rank.
+    sum_{i in S} alpha^i, hence full rank.  Row r of matrix i is then
+    bits i .. i+n-1 of the power sequence z_k = bit r of x^k mod f,
+    which extend_by_modulus builds from y = x^r, as the multi-bit
+    extractor does from its y.
     """
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
-    powers = alpha_powers(n, n + m - 1)
-    mats = []
-    for i in range(m):
-        rows = [0] * n
-        for j in range(n):
-            col = powers[i + j]
-            while col:
-                low = col & -col
-                rows[low.bit_length() - 1] |= 1 << j
-                col ^= low
-        mats.append(BitMatrix(n, n, tuple(rows)))
-    return tuple(mats)
+    modulus, mask = find_irreducible(n).value, (1 << n) - 1
+    powers = [extend_by_modulus(1 << r, modulus, n + m - 1) for r in range(n)]
+    return tuple(BitMatrix(n, n, tuple(z >> i & mask for z in powers)) for i in range(m))
 
 
 def subset_matrix(mats: Sequence[BitMatrix], subset_mask: int) -> BitMatrix:
@@ -573,32 +564,49 @@ def subset_matrix(mats: Sequence[BitMatrix], subset_mask: int) -> BitMatrix:
     return BitMatrix(shape[0], shape[1], tuple(acc))
 
 
-def subset_rows(mats: Sequence[BitMatrix], masks: np.ndarray) -> np.ndarray:
-    """Packed rows of subset_matrix(mats, mask) for a uint64 array of masks.
+def subset_tables(mats: Sequence[BitMatrix]) -> tuple:
+    """The tables subset_rows reads, built once per family of up to 64 matrices.
 
-    For up to 64 matrices of up to 64 columns.  Each byte of a mask indexes
-    a 256-entry table of every XOR of that byte's 8 matrices, so a mask
-    costs one gather and xor per byte.  The result has one row of uint64
-    words per mask.
+    One table per group of four matrices: entry e of group g's table holds
+    the rows of the XOR of matrices 4g + k over the set bits k of e, so the
+    last group's table has 2^(its size) entries.  Rows are packed in the
+    narrowest unsigned type that holds cols bits: uint8, uint16, uint32 or
+    uint64.  Sixteen 16-entry tables at 64 x 64 take 128 KB.
+    """
+    import numpy as np
+    dtype = np.min_scalar_type((1 << mats[0].cols) - 1)
+    rows = np.array([mat.row_values for mat in mats], dtype=dtype)
+    tables = []
+    for lo in range(0, len(mats), 4):
+        table = np.zeros((1, mats[0].rows), dtype=dtype)
+        for row in rows[lo:lo + 4]:
+            table = np.concatenate([table, table ^ row])
+        tables.append(table)
+    return tuple(tables)
+
+
+def subset_rows(tables: tuple, masks: np.ndarray) -> np.ndarray:
+    """Packed rows of subset_matrix(mats, mask) for a uint64 array of masks,
+    given tables = subset_tables(mats).
+
+    Each 4-bit digit of a mask indexes its group's table, so a mask costs
+    one gather and xor per digit.  The result has one row of words, of the
+    tables' type, per mask.
     """
     import numpy as np
     masks = np.asarray(masks, dtype=np.uint64)
     if not masks.all():
         raise ParameterError("empty subset is excluded")
-    if len(mats) < 64 and (masks >> np.uint64(len(mats))).any():
+    if (masks >> np.uint64(4 * len(tables) - 4) >= len(tables[-1])).any():
         raise ParameterError("subset mask has bits beyond the family")
-    rows = np.array([mat.row_values for mat in mats], dtype=np.uint64)
-    out = np.zeros((len(masks), mats[0].rows), dtype=np.uint64)
-    for lo in range(0, len(mats), 8):
-        table = np.zeros((1, mats[0].rows), dtype=np.uint64)
-        for row in rows[lo:lo + 8]:
-            table = np.concatenate([table, table ^ row])
-        out ^= table[(masks >> np.uint64(lo)) & np.uint64(0xFF)]
+    out = tables[0][masks & np.uint64(15)]
+    for g, table in enumerate(tables[1:], 1):
+        out ^= table[(masks >> np.uint64(4 * g)) & np.uint64(15)]
     return out
 
 
 def batched_rank(rows: np.ndarray) -> np.ndarray:
-    """GF(2) rank of each matrix in a (B, r) stack of uint64-packed rows.
+    """GF(2) rank of each matrix in a (B, r) stack of rows packed in unsigned words.
 
     Elimination by row pivots on an (r, B) copy, so that row i of every
     matrix is one contiguous slice.  Row i is the pivot p; low = p & -p is
@@ -606,10 +614,14 @@ def batched_rank(rows: np.ndarray) -> np.ndarray:
     takes b = (row & low) * q, which is p where the row has bit low and 0
     otherwise, since low * q = p exactly.  Rows above i are never touched:
     every row below the pivot loses bit low for good, so the nonzero rows
-    left have distinct lowest bits, and the rank is their count.
+    left have distinct lowest bits, and the rank is their count.  p & -p
+    and p // low are exact in any unsigned type, so rows of at most 32
+    columns rank in uint32 (or narrower) words, at half the traffic.
     """
     import numpy as np
-    a = np.array(np.asarray(rows, dtype=np.uint64).T, order="C")
+    if rows.dtype.kind != "u":
+        raise ParameterError(f"rows must be unsigned integers, got {rows.dtype}")
+    a = np.array(rows.T, order="C")
     del rows  # the caller's rows, if it handed them over, are freed here
     scratch = np.empty_like(a[1:])
     for i in range(len(a) - 1):

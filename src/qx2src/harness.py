@@ -114,10 +114,15 @@ def _config(handler, scope: dict) -> dict:
         if typing.get_origin(hint) is Annotated:
             for v in values:
                 _require_range(name, v, *hint.__metadata__)
-        for i, v in enumerate(values):
-            if v in values[:i]:
-                raise ParameterError(f"{name} has a repeated value {v!r}")
+        _require_distinct(name, values)
     return config
+
+
+def _require_distinct(name: str, values) -> None:
+    """Reject a sequence that repeats a value, which would repeat its work and its output."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ParameterError(f"{name} has a repeated value {v!r}")
 
 
 def _finite(value, floats: bool) -> bool:
@@ -153,7 +158,7 @@ MAX_SECURITY_N = 62
 # each security instance enumerates 2^(2k) source pairs: about 0.08 s per
 # instance at k = 6, b = 1 on two cores
 MAX_SECURITY_K = 6
-# exhaustive subset ranks enumerate 2^n - 1 masks: about 0.06 s at n = 16 on
+# exhaustive subset ranks enumerate 2^n - 1 masks: about 0.03 s at n = 16 on
 # two cores, doubling with each further n
 MAX_EXHAUSTIVE_N = 16
 # the acceptance sizes; each random n builds n matrices of n x n bits
@@ -180,10 +185,12 @@ MAX_TIGHTNESS_K = 20
 # 100,000 of them take about 8-12 s on two cores; a random rank trial at n = 64
 # costs about 5 us, and the cap holds for random_trials summed over random_ns
 MAX_TRIALS = 100_000
-# masks ranked per batch: (1024, 64) uint64 rows, the rank's transposed copy and
-# its scratch hold the suite to a few MB at any trial count, and rank faster
-# than one 10,000-mask stack (0.038 against 0.047 s at n = 64 on two cores)
-RANK_CHUNK = 1024
+# bytes of subset rows formed and ranked per batch: 768 masks at n = 64 (uint64
+# rows), 3,072 at n = 32 (uint32).  The rows, the rank's transposed copy and
+# its scratch hold the suite to about 1 MB at any trial count and any n, and
+# batches form and rank faster than one 10,000-mask stack (0.048-0.060 against
+# 0.068 s at n = 64 on two cores)
+RANK_BYTES = 3 << 17
 # one security instance costs about 1.4 ms at the default sizes: 15 s at 10,000
 MAX_SECURITY_INSTANCES = 10_000
 # the security suite's work, instances x 4^k source pairs x the 4^(2b+2)
@@ -240,13 +247,17 @@ def _random_masks(seed: int, n: int, count: int):
 
 def _full_rank_subsets(n: int, masks, timings: Dict[str, float]) -> int:
     """How many of the uint64 masks select a full-rank subset XOR of the n x n
-    family, adding the time spent forming and ranking them to timings."""
+    family, adding the time spent forming and ranking them to timings.  The
+    family's subset tables are built once and serve every chunk."""
     import numpy as np
     mats = gf2.multiplier_matrices(n, n)
-    good = 0
-    for start in range(0, len(masks), RANK_CHUNK):
+    t0 = time.perf_counter()
+    tables = gf2.subset_tables(mats)
+    timings["subset_rows_s"] += time.perf_counter() - t0
+    good, chunk = 0, RANK_BYTES // (n * tables[0].itemsize)
+    for start in range(0, len(masks), chunk):
         t0 = time.perf_counter()
-        rows = [gf2.subset_rows(mats, masks[start:start + RANK_CHUNK])]
+        rows = [gf2.subset_rows(tables, masks[start:start + chunk])]
         t1 = time.perf_counter()
         # popped, the rows are freed as soon as batched_rank has made its copy
         good += int(np.count_nonzero(gf2.batched_rank(rows.pop()) == n))
@@ -588,6 +599,7 @@ def bounds_table(n: int, k1: int, k2: int, b1: Optional[int] = None,
         (name, values), = sweep.items()
         if not values:
             raise ParameterError(f"sweep of {name} needs at least one value")
+        _require_distinct(f"sweep of {name}", values)
         points = [dict(base, **{name: v}) for v in values]
         for point in points:
             check("bounds", point)

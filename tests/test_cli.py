@@ -80,6 +80,9 @@ BAD_CONFIGS = [
     # the ip extractor outputs one bit
     (("extract", "--x", "X", "--y", "X", "--n", "16", "--extractor", "ip"), {"m": 4},
      "m must be 1 for the ip extractor, got 4"),
+    # a sweep that repeats a point would print the same row twice
+    (("bounds",), {"n": 100, "k1": 80, "k2": 80, "b1": 20, "b2": 20, "sweep": {"b1": [5, 5]}},
+     "sweep of b1 has a repeated value 5"),
 ]
 
 

@@ -203,7 +203,7 @@ def test_batched_rank_of_empty_and_zero_stacks():
 @pytest.mark.parametrize("n, m", [(n, n) for n in range(1, 9)] + [(10, 10), (12, 9)])
 def test_subset_rows_match_subset_matrix_exhaustive(n, m):
     mats = gf2.multiplier_matrices(n, m)
-    rows = gf2.subset_rows(mats, np.arange(1, 1 << m, dtype=np.uint64))
+    rows = gf2.subset_rows(gf2.subset_tables(mats), np.arange(1, 1 << m, dtype=np.uint64))
     assert [tuple(r) for r in rows.tolist()] == [
         gf2.subset_matrix(mats, mask).row_values for mask in range(1, 1 << m)]
 
@@ -213,19 +213,80 @@ def test_subset_rows_match_subset_matrix_n64():
     masks = derive_rng(11, 3).integers(1, 1 << 64, size=200, dtype=np.uint64)
     masks[::2] |= np.uint64(1 << 63)
     masks = np.append(masks, np.array([1 << 63, (1 << 64) - 1], dtype=np.uint64))
-    rows = gf2.subset_rows(mats, masks)
+    rows = gf2.subset_rows(gf2.subset_tables(mats), masks)
     for mask, got in zip(masks.tolist(), rows.tolist()):
         want = gf2.subset_matrix(mats, mask)
         assert tuple(got) == want.row_values
     assert gf2.batched_rank(rows).tolist() == [_rank_of(r) for r in rows]
 
 
+# the column counts where the row type changes, and that type's width in bits
+TYPE_BOUNDARIES = [(8, 8), (9, 16), (16, 16), (17, 32), (32, 32), (33, 64), (64, 64)]
+
+
+def _top_bit_masks(n, count=300):
+    """count random non-empty n-bit masks, half with bit n - 1 set, then
+    2^(n-1) and the full mask."""
+    masks = derive_rng(11, n).integers(1, 1 << n, size=count, dtype=np.uint64)
+    masks[::2] |= np.uint64(1 << (n - 1))
+    return np.append(masks, np.array([1 << (n - 1), (1 << n) - 1], dtype=np.uint64))
+
+
+def _boundary_stack(cols, count=300):
+    """count cols x cols matrices in the narrowest type that holds a row.
+    Every other row has the top column set, and in every other matrix the
+    last row is the XOR of the two rows before it, so only the last pivot
+    row can clear it."""
+    stack = derive_rng(12, cols).integers(0, 1 << cols, size=(count, cols), dtype=np.uint64)
+    stack[:, ::2] |= np.uint64(1 << (cols - 1))
+    stack[1::2, -1] = stack[1::2, -2] ^ stack[1::2, -3]
+    return stack.astype(np.min_scalar_type((1 << cols) - 1))
+
+
+@pytest.mark.parametrize("n, width", TYPE_BOUNDARIES)
+def test_subset_rows_match_subset_matrix_at_type_boundaries(n, width):
+    # every mask where 2^n is small, sampled masks with the top bit set elsewhere
+    mats = gf2.multiplier_matrices(n, n)
+    masks = np.arange(1, 1 << n, dtype=np.uint64) if n <= 9 else _top_bit_masks(n)
+    rows = gf2.subset_rows(gf2.subset_tables(mats), masks)
+    assert rows.dtype.kind == "u" and rows.dtype.itemsize * 8 == width
+    assert [tuple(r) for r in rows.tolist()] == [
+        gf2.subset_matrix(mats, mask).row_values for mask in masks.tolist()]
+
+
+@pytest.mark.parametrize("cols, width", TYPE_BOUNDARIES)
+def test_batched_rank_matches_rank_at_type_boundaries(cols, width):
+    stack = _boundary_stack(cols)
+    assert stack.dtype.itemsize * 8 == width
+    got = gf2.batched_rank(stack).tolist()
+    assert got == [_rank_of(rows) for rows in stack.tolist()]
+    assert cols - 1 in got and cols in got
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_narrow_stacks_rank_as_their_uint64_copies(data):
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    width = 8 * np.dtype(dtype).itemsize
+    cols = data.draw(st.just(width) | st.integers(1, width))
+    rows_n = data.draw(st.integers(1, 40))
+    stack = np.array(data.draw(st.lists(_deficient_rows(rows_n, cols), min_size=1, max_size=6)),
+                     dtype=np.uint64)
+    assert gf2.batched_rank(stack.astype(dtype)).tolist() == gf2.batched_rank(stack).tolist()
+
+
+def test_batched_rank_refuses_signed_rows():
+    # in int64, p & -p of the row 2^63 is negative and the pivot is lost
+    with pytest.raises(ParameterError, match="unsigned"):
+        gf2.batched_rank(np.array([[1 << 62, 1]], dtype=np.int64))
+
+
 def test_subset_rows_errors():
-    mats = gf2.multiplier_matrices(4, 3)
+    tables = gf2.subset_tables(gf2.multiplier_matrices(4, 3))
     with pytest.raises(ParameterError, match="empty"):
-        gf2.subset_rows(mats, np.array([1, 0], dtype=np.uint64))
+        gf2.subset_rows(tables, np.array([1, 0], dtype=np.uint64))
     with pytest.raises(ParameterError, match="beyond"):
-        gf2.subset_rows(mats, np.array([0b1000], dtype=np.uint64))
+        gf2.subset_rows(tables, np.array([0b1000], dtype=np.uint64))
 
 
 # --------------------------------------------------------------------------
@@ -584,13 +645,25 @@ def test_multiplier_second_matrix_columns():
     assert bits(BitVector(3, _column(a1, 2))) == "110"
 
 
+def alpha_powers(n, count):
+    """Coefficient vectors of alpha^0 .. alpha^(count-1) in GF(2^n), one
+    multiplication by alpha at a time."""
+    modulus = gf2.find_irreducible(n).value
+    powers = [1]
+    for _ in range(count - 1):
+        powers.append(gf2.multiply_by_alpha(powers[-1], n, modulus))
+    return powers
+
+
 def test_multiplier_matches_alpha_powers():
-    for n in (4, 6):
-        mats = gf2.multiplier_matrices(n, n)
-        powers = gf2.alpha_powers(n, 2 * n - 1)
-        for i in range(n):
-            for j in range(n):
-                assert _column(mats[i], j) == powers[i + j]
+    # column j of matrix i is alpha^(i+j): 188 families, n <= 64 and m in {1, n // 2, n}
+    for n in range(1, 65):
+        powers = alpha_powers(n, 2 * n - 1)
+        for m in sorted({1, max(1, n // 2), n}):
+            mats = gf2.multiplier_matrices(n, m)
+            assert len(mats) == m and all(mat.rows == mat.cols == n for mat in mats)
+            for i, mat in enumerate(mats):
+                assert [_column(mat, j) for j in range(n)] == powers[i:i + n]
 
 
 def test_subset_matrix_cases():

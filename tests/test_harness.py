@@ -449,6 +449,20 @@ def test_cq_suites_memory_stays_flat_in_the_trial_count():
     assert _peak_mib(lambda: harness.run_normbound_suite(seed=4, trials=700, max_d=6)) < 16
 
 
+def test_matrices_suite_memory_stays_flat_in_the_trial_count():
+    # at n = 64 the peak is two 384 KiB arrays of one batch (its rows and the
+    # rank's copy, or the copy and its scratch) beside the family's 128 KiB of
+    # subset tables and the masks.  The 18,000 extra masks add 141 KiB and
+    # their draw as much again; rows held for every batch would add 9 MiB,
+    # and byte tables kept for the family 1 MiB
+    def peak(trials):
+        return _peak_mib(lambda: harness.run_matrices_suite(
+            seed=4, exhaustive_max_n=1, random_ns=(64,), random_trials=trials))
+    peak(1)     # the modulus search and the family's cache stay out of both peaks
+    small, large = peak(2000), peak(20000)
+    assert large - small < 0.25 and large < 1.5, (small, large)
+
+
 def test_security_suite_memory_stays_within_the_chunk_budget():
     # two instances at k = 3, b = 3: each one's 64 joint states, 256-square,
     # would be 64 MiB whole.  The peak is one output chunk, one joint state's

@@ -1,0 +1,80 @@
+"""Mutants of the matrices suite's GF(2) kernels, each caught by its oracle test.
+
+Each case edits one line of a kernel's source, compiles the edit in the
+kernel's module namespace and patches it in.  On a fixed input, the mutant's
+output must differ from the kernel's (or it must raise), so the mutant is
+real, and the named oracle test must fail.  A snippet that is no longer in
+the source fails loudly, so a refactor has to update its mutants.  This is
+mutation analysis (DeMillo, Lipton and Sayward, IEEE Computer 1978) in a
+table, with each oracle run on one small fixed input.
+"""
+
+import __future__
+import inspect
+
+import numpy as np
+import pytest
+
+import test_gf2
+from qx2src import gf2
+
+# what a wrong value can raise; a mutant that raises anything else (a
+# NameError, say) is broken code, not a wrong kernel, and fails its case
+DATA_ERRORS = (ArithmeticError, IndexError, ValueError)
+
+# name -> (kernel, snippet, replacement, fixed input, oracle test on that input)
+MUTANTS = {
+    # uint8 rows at 9 columns
+    "row type one size too narrow": (
+        gf2.subset_tables, "(1 << mats[0].cols) - 1", "(1 << mats[0].cols - 1) - 1",
+        lambda: (gf2.multiplier_matrices(9, 9),),
+        lambda: test_gf2.test_subset_rows_match_subset_matrix_at_type_boundaries(9, 16)),
+    # the matrices of a mask's top digit are never added
+    "last table dropped": (
+        gf2.subset_rows, "enumerate(tables[1:], 1)", "enumerate(tables[1:-1], 1)",
+        lambda: (gf2.subset_tables(gf2.multiplier_matrices(64, 64)), test_gf2._top_bit_masks(64)),
+        lambda: test_gf2.test_subset_rows_match_subset_matrix_at_type_boundaries(64, 64)),
+    # a row that depends on the row above it is counted as independent
+    "last pivot row skipped": (
+        gf2.batched_rank, "range(len(a) - 1)", "range(len(a) - 2)",
+        lambda: (test_gf2._boundary_stack(17),),
+        lambda: test_gf2.test_batched_rank_matches_rank_at_type_boundaries(17, 32)),
+}
+
+
+def _mutant(kernel, snippet, replacement):
+    """kernel with snippet replaced, compiled in a copy of its module's namespace."""
+    source = inspect.getsource(kernel)
+    assert source.count(snippet) == 1, f"{kernel.__name__} no longer holds {snippet!r}"
+    code = compile(source.replace(snippet, replacement), inspect.getsourcefile(kernel), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace = dict(kernel.__globals__)
+    exec(code, namespace)
+    return namespace[kernel.__name__]
+
+
+def _outcome(function, args):
+    """What function returns on args, each array as (dtype, values), or the
+    type of the error it raises."""
+    try:
+        result = function(*args)
+    except DATA_ERRORS as error:
+        return type(error)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(np.asarray(a).dtype.str, np.asarray(a).tolist()) for a in arrays]
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_changes_its_kernels_output(name):
+    kernel, snippet, replacement, fixed_input, _ = MUTANTS[name]
+    args = fixed_input()
+    assert _outcome(_mutant(kernel, snippet, replacement), args) != _outcome(kernel, args)
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_fails_its_oracle(name, monkeypatch):
+    kernel, snippet, replacement, _, oracle = MUTANTS[name]
+    oracle()    # the oracle passes on the kernel itself
+    monkeypatch.setattr(gf2, kernel.__name__, _mutant(kernel, snippet, replacement))
+    with pytest.raises((AssertionError, *DATA_ERRORS)):
+        oracle()
