@@ -95,8 +95,8 @@ def ip_bias_bound(p: ParamSet, b: int, entangled: bool, clamp: bool = True) -> f
     """
     storage = 2 * b if entangled else b
     exponent = (p.k1 + p.k2 - storage - p.n + 2) / 2
-    raw = 2.0 ** -exponent
-    return min(raw, 0.5) if clamp else raw
+    # a clamped bound at exponent <= 1 is 1/2, unevaluated: 2^-exponent may pass the float range
+    return 0.5 if clamp and exponent <= 1 else 2.0 ** -exponent
 
 
 def one_bit_condition(p: ParamSet, variant: str, entangled: bool) -> BoundReport:

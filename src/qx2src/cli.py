@@ -128,7 +128,7 @@ def _read_config(path: str):
     try:
         return json.loads(Path(path).read_bytes().decode("utf-8"),
                           object_pairs_hook=_unique_keys)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:    # RecursionError: nested too deep
         raise ParameterError(f"config {path}: {exc}") from None
 
 
@@ -153,12 +153,10 @@ def main(argv=None) -> int:
         command, config, out_path = parse(argv)
         result = harness.dispatch(command, config)
         if command == "bounds":
-            code = 0
-            text = json.dumps(result, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            code, text = 0, json.dumps(result, sort_keys=True, indent=2, allow_nan=False) + "\n"
         else:
-            code, report = result if command == "extract" else (
-                0 if result.passed else 3, result)
-            text = report.to_json()
+            code = 0 if result.passed else 2 if command == "extract" else 3
+            text = result.to_json()
         if out_path:
             Path(out_path).write_text(text)
         else:

@@ -13,10 +13,12 @@ command runs: ``bounds`` no numpy, a memo-modulus ``extract`` neither
 numpy nor the verifier.  The registry reads handler signatures from
 this module, bounds and bitio alone.
 
-A limit on one parameter is declared once, as ``Annotated[int, low, high]``
-in its handler's signature.  ``_config``, every handler's first line, checks
-it and that floats are finite, before any work and for direct calls too.
-Only the six limits that join parameters stay in the handler bodies.
+Each handler is a body decorated with ``_command``, which binds the call,
+checks it with ``_config`` and opens, times and returns the report.  A limit
+on one parameter is declared once, as ``Annotated[int, low, high]`` in the
+handler's signature, and ``_config`` checks it and that floats are finite,
+before any work and for direct calls too.  Only the six limits that join
+parameters stay in the bodies; ``bounds_table`` calls ``_config`` itself.
 """
 
 from __future__ import annotations
@@ -64,16 +66,11 @@ class Report:
     wall_clock_s: float = 0.0
     modulus: Optional[Dict] = None     # the GF(2^n) modulus an extraction used
     timings: Dict[str, float] = field(default_factory=dict)
-    opened: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     @property
     def passed(self) -> bool:
         """True when there are checks and every one passed."""
         return bool(self.records) and all(r.passed for r in self.records)
-
-    def stop(self) -> None:
-        """Record the wall clock since the report was opened."""
-        self.wall_clock_s = time.perf_counter() - self.opened
 
     def add(self, name: str, measured: float, bound: float, passed: bool) -> None:
         self.records.append(CheckRecord(name, float(measured), float(bound), passed))
@@ -98,12 +95,12 @@ class Report:
                           sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _config(handler, scope: dict) -> dict:
-    """The handler's parameters that are not None, as scope holds them (the
+def _config(handler, arguments: dict) -> dict:
+    """The handler's parameters that are not None, as arguments holds them (the
     report's config), once each float is finite, each value in range and no
     sequence repeats a value (which would repeat its work and its record)."""
-    config = {name: scope[name] for name in inspect.signature(handler).parameters
-              if scope[name] is not None}
+    config = {name: arguments[name] for name in inspect.signature(handler).parameters
+              if arguments[name] is not None}
     hints = typing.get_type_hints(handler, include_extras=True)
     for name, value in config.items():
         if not _finite(value, _holds_floats(hints[name])):
@@ -116,6 +113,29 @@ def _config(handler, scope: dict) -> dict:
                 _require_range(name, v, *hint.__metadata__)
         _require_distinct(name, values)
     return config
+
+
+def _command(name: str):
+    """Make body(report, **arguments) a handler whose signature is body's less
+    report: it binds a call with the defaults, checks it with _config, runs
+    body on a new Report named name and returns the report, timed."""
+    def decorate(body):
+        signature = inspect.signature(body)
+        public = signature.replace(parameters=list(signature.parameters.values())[1:])
+
+        @functools.wraps(body)
+        def handler(*args, **kwargs):
+            call = public.bind(*args, **kwargs)
+            call.apply_defaults()
+            report = Report(name, _config(handler, call.arguments))
+            start = time.perf_counter()
+            body(report, **call.arguments)
+            report.wall_clock_s = time.perf_counter() - start
+            return report
+
+        handler.__signature__ = public      # functools.wraps copies it to wrappers
+        return handler
+    return decorate
 
 
 def _require_distinct(name: str, values) -> None:
@@ -204,12 +224,12 @@ MAX_SECURITY_WORK = 1 << 28
 # verification suites
 
 
-def run_matrices_suite(seed: int = DEFAULT_SEED,
+@_command("verify:matrices")
+def run_matrices_suite(report: Report, seed: int = DEFAULT_SEED,
                        exhaustive_max_n: Annotated[int, 1, MAX_EXHAUSTIVE_N] = 10,
                        random_ns: Sequence[Annotated[int, 1, MAX_RANDOM_N]] = (32, 64),
-                       random_trials: Annotated[int, 1, MAX_TRIALS] = 10000) -> Report:
+                       random_trials: Annotated[int, 1, MAX_TRIALS] = 10000):
     """Full-rank property of every subset XOR of the multiplier family."""
-    report = Report("verify:matrices", _config(run_matrices_suite, locals()))
     import numpy as np
     _require_range("len(random_ns) x random_trials", len(random_ns) * random_trials,
                    0, MAX_TRIALS)
@@ -222,8 +242,6 @@ def run_matrices_suite(seed: int = DEFAULT_SEED,
         good = _full_rank_subsets(n, _random_masks(seed, n, random_trials), report.timings)
         report.add(f"random subset ranks n={n}", good, random_trials,
                    good == random_trials)
-    report.stop()
-    return report
 
 
 def _random_masks(seed: int, n: int, count: int):
@@ -284,12 +302,13 @@ def _stacked_trials(trials: int, max_m: int, max_d: int, case, check) -> list:
     return values
 
 
-def run_xor_suite(seed: int = DEFAULT_SEED, trials: Annotated[int, 1, MAX_TRIALS] = 1000,
+@_command("verify:xor")
+def run_xor_suite(report: Report, seed: int = DEFAULT_SEED,
+                  trials: Annotated[int, 1, MAX_TRIALS] = 1000,
                   equality_trials: Annotated[int, 1, MAX_TRIALS] = 200,
                   max_m: Annotated[int, 1, MAX_CQ_M] = 3,
-                  max_d: Annotated[int, 0, MAX_CQ_D] = 3, atol: float = 1e-8) -> Report:
+                  max_d: Annotated[int, 0, MAX_CQ_D] = 3, atol: float = 1e-8):
     """The multi-bit-to-characters inequality plus the one-bit merge identity."""
-    report = Report("verify:xor", _config(run_xor_suite, locals()))
     import numpy as np
     from . import qsim
 
@@ -314,17 +333,15 @@ def run_xor_suite(seed: int = DEFAULT_SEED, trials: Annotated[int, 1, MAX_TRIALS
                           qsim.random_boolean_fn(m, seed, ts)), deviation), 0.0)
     report.add("one-bit merge identity max deviation", worst_eq, 1e-9,
                worst_eq <= 1e-9)
-    report.stop()
-    return report
 
 
-def run_reduction_suite(seed: int = DEFAULT_SEED,
+@_command("verify:reduction")
+def run_reduction_suite(report: Report, seed: int = DEFAULT_SEED,
                         trials: Annotated[int, 1, MAX_TRIALS] = 500,
                         max_m: Annotated[int, 1, MAX_CQ_M] = 3,
                         max_d: Annotated[int, 0, MAX_CQ_D] = 3,
-                        atol: float = 1e-8) -> Report:
+                        atol: float = 1e-8):
     """Quantum-to-classical reduction through the square-root measurement."""
-    report = Report("verify:reduction", _config(run_reduction_suite, locals()))
     from . import qsim
 
     def violation(stack, f):
@@ -337,16 +354,14 @@ def run_reduction_suite(seed: int = DEFAULT_SEED,
                           qsim.random_boolean_fn(m, seed, [0x20000 + t for t in ts])),
         violation), -math.inf)
     report.add("pgm reduction max violation", worst, atol, worst <= atol)
-    report.stop()
-    return report
 
 
-def run_normbound_suite(seed: int = DEFAULT_SEED,
+@_command("verify:normbound")
+def run_normbound_suite(report: Report, seed: int = DEFAULT_SEED,
                         trials: Annotated[int, 1, MAX_TRIALS] = 200,
                         max_d: Annotated[int, 1, MAX_CQ_D] = 3,
-                        atol: float = 1e-8) -> Report:
+                        atol: float = 1e-8):
     """Trace norm against the sigma-weighted 2-norm on random instances."""
-    report = Report("verify:normbound", _config(run_normbound_suite, locals()))
     import numpy as np
     from . import qsim
 
@@ -365,18 +380,16 @@ def run_normbound_suite(seed: int = DEFAULT_SEED,
     worst = functools.reduce(max, _stacked_trials(trials, 1, max_d - 1, case, violation),
                              -math.inf)
     report.add("weighted l2 bound max violation", worst, atol, worst <= atol)
-    report.stop()
-    return report
 
 
-def run_security_suite(seed: int = DEFAULT_SEED,
+@_command("verify:security")
+def run_security_suite(report: Report, seed: int = DEFAULT_SEED,
                        instances: Annotated[int, 1, MAX_SECURITY_INSTANCES] = 100,
                        n: Annotated[int, 1, MAX_SECURITY_N] = 4,
                        k: Annotated[int, 0, MAX_SECURITY_K] = 3,
                        b: Annotated[int, 0, MAX_SECURITY_B] = 1,
-                       atol: float = 1e-8) -> Report:
+                       atol: float = 1e-8):
     """Exact one-bit distances never exceed the bias bound, per flavor."""
-    report = Report("verify:security", _config(run_security_suite, locals()))
     _require_range("instances x 4^k pairs x 4^(2b+2)",
                    instances * 4 ** k * 4 ** (2 * b + 2), 0, MAX_SECURITY_WORK)
     _require_range("k", k, 0, n)
@@ -399,8 +412,6 @@ def run_security_suite(seed: int = DEFAULT_SEED,
         worst = functools.reduce(max, [dist - bound for dist in dists], -math.inf)
         report.add(f"ip distance within bound ({flavor})", worst, atol,
                    worst <= atol)
-    report.stop()
-    return report
 
 
 def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
@@ -411,9 +422,9 @@ def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:
 # attacks
 
 
-def run_smp_attack(ns: Sequence[Annotated[int, 1, MAX_SMP_N]] = (2, 4, 6),
-                   seed: int = DEFAULT_SEED) -> Report:
-    report = Report("attack:smp", _config(run_smp_attack, locals()))
+@_command("attack:smp")
+def run_smp_attack(report: Report, ns: Sequence[Annotated[int, 1, MAX_SMP_N]] = (2, 4, 6),
+                   seed: int = DEFAULT_SEED):
     import numpy as np
     from . import adversaries, qsim
     _require_range("sum of 4^n over ns", sum(4 ** n for n in ns), 0, 4 ** MAX_SMP_N)
@@ -429,27 +440,23 @@ def run_smp_attack(ns: Sequence[Annotated[int, 1, MAX_SMP_N]] = (2, 4, 6),
         # odd n is padded with one zero bit: ceil(n/2) EPR pairs plus 2 weight qubits
         want = (n + 1) // 2 + 2
         report.add(f"smp qubits per party n={n}", qubits, want, qubits == want)
-    report.stop()
-    return report
 
 
-def run_superdense_attack(max_n: Annotated[int, 2, MAX_SUPERDENSE_N] = 8,
-                          seed: int = DEFAULT_SEED) -> Report:
-    report = Report("attack:superdense", _config(run_superdense_attack, locals()))
+@_command("attack:superdense")
+def run_superdense_attack(report: Report, max_n: Annotated[int, 2, MAX_SUPERDENSE_N] = 8,
+                          seed: int = DEFAULT_SEED):
     import numpy as np
     from . import adversaries
     for name, n in [("two", 2), *((n, n) for n in range(2, max_n + 1, 2))]:
         messages = np.arange(1 << n)
         good = int(np.count_nonzero(adversaries.superdense_roundtrip(messages, n) == messages))
         report.add(f"{name}-bit roundtrips", good, 1 << n, good == (1 << n))
-    report.stop()
-    return report
 
 
-def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
+@_command("attack:tightness")
+def run_tightness_attack(report: Report, n: int, k1: int, k2: int, b1: int, b2: int,
                          setting: bounds.Setting, branch: bounds.Branch = "auto",
-                         seed: int = DEFAULT_SEED) -> Report:
-    report = Report("attack:tightness", _config(run_tightness_attack, locals()))
+                         seed: int = DEFAULT_SEED):
     from . import adversaries
     _require_range("b1 + b2", b1 + b2, 0, MAX_TIGHTNESS_B)
     _require_range("k1 + k2", k1 + k2, 0, MAX_TIGHTNESS_K)
@@ -473,13 +480,11 @@ def run_tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
     threshold = bounds.one_bit_condition(params, variant, attack.entangled).value
     report.add("advantage within security threshold", measured, threshold,
                measured <= threshold + 1e-9)
-    report.stop()
-    return report
 
 
-def run_knowledge_attack(n: Annotated[int, 3, MAX_KNOWLEDGE_N],
-                         seed: int = DEFAULT_SEED) -> Report:
-    report = Report("attack:knowledge", _config(run_knowledge_attack, locals()))
+@_command("attack:knowledge")
+def run_knowledge_attack(report: Report, n: Annotated[int, 3, MAX_KNOWLEDGE_N],
+                         seed: int = DEFAULT_SEED):
     from . import adversaries
     res = adversaries.guessing_entropy_counterexample(n)
     report.add("referee correctness", res.referee_correct_fraction, 1.0,
@@ -489,8 +494,6 @@ def run_knowledge_attack(n: Annotated[int, 3, MAX_KNOWLEDGE_N],
     report.add("combined-storage guessing entropy floor",
                res.guessing_entropy_combined, n - 4,
                res.guessing_entropy_combined >= n - 4)
-    report.stop()
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +510,8 @@ class Seeded(TypedDict, total=False):
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(bounds.ParamSet)}
 
 
-def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
+@_command("extract")
+def run_extract(report: Report, x_path: str, y_path: str, n: int, m: Optional[int] = None,
                 extractor: Optional[Literal["ip", "multibit", "composed"]] = None,
                 format: Optional[bitio.Format] = None,
                 which: Optional[Literal["X", "Y"]] = None,
@@ -516,18 +520,17 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
                 k2: Optional[int] = None, b1: Optional[int] = None,
                 b2: Optional[int] = None, eps: Optional[float] = None,
                 c_poly: Optional[float] = None,
-                c_o1: Optional[float] = None) -> tuple:
-    """Extract bits from two source files; returns (exit_code, report).
+                c_o1: Optional[float] = None):
+    """Extract bits from two source files.
 
     Parameters left at None are not echoed and take their defaults:
     k1 = k2 = n, the other bound parameters (m among them) as in
     bounds.ParamSet, multibit, raw files, side X, no entanglement and
-    Trevisan.  Exit 0 on success, 2 when the declared parameters fail
-    their feasibility condition (output still written, flagged in the
-    report).  Multibit and composed reports name the GF(2^n) modulus and
+    Trevisan.  The report fails, and the CLI exits 2, when the declared
+    parameters fail their feasibility condition; the output is still
+    written.  Multibit and composed reports name the GF(2^n) modulus and
     where it came from; the time spent finding it is under timings.
     """
-    report = Report("extract", _config(run_extract, locals()))
     from . import extractors
     params = bounds.ParamSet(**{"k1": n, "k2": n, **{
         k: v for k, v in report.config.items() if k in _PARAM_FIELDS}})
@@ -571,8 +574,6 @@ def run_extract(x_path: str, y_path: str, n: int, m: Optional[int] = None,
         bitio.write_bits(out_path, out, format or "raw")
     report.add("declared m within computed capacity", m, capacity, m <= capacity)
     report.add("output bits", out.length, m, out.length == m)
-    report.stop()
-    return (0 if report.passed else 2), report
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,18 @@ def test_ip_bias_bound_clamps_vacuous():
     assert ip_bias_bound(p, 0, entangled=False) == 0.5
 
 
+def test_ip_bias_bound_clamps_past_the_float_range():
+    # exponents from -1 to 2.5 by halves: the clamp is min(2^-exponent, 1/2)
+    for k in range(1, 9):
+        p = ParamSet(n=8, k1=k, k2=3)
+        raw = ip_bias_bound(p, 0, entangled=False, clamp=False)
+        assert ip_bias_bound(p, 0, entangled=False) == min(raw, 0.5)
+    huge = ParamSet(n=10 ** 20, k1=5, k2=5)
+    assert ip_bias_bound(huge, 0, entangled=True) == 0.5
+    with pytest.raises(OverflowError):
+        ip_bias_bound(huge, 0, entangled=True, clamp=False)
+
+
 def test_one_bit_condition_golden():
     p = ParamSet(n=100, k1=80, k2=80, b1=20, b2=20, eps=2.0 ** -11)
     rep = one_bit_condition(p, "weak-min", entangled=True)

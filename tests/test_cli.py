@@ -187,10 +187,25 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
     # a repeated size would run its work twice and repeat its records
     (("verify", "matrices", "--random-ns", "8", "8"), "random_ns has a repeated value 8"),
     (("attack", "smp", "--ns", "2", "4", "2"), "ns has a repeated value 2"),
+    # bias bounds past the float range, once an OverflowError traceback
+    (("bounds", "--n", "100000000000000000000", "--k1", "5", "--k2", "5"),
+     "eps threshold out of float range"),
+    (("bounds", "--n", "1", "--k1", "0", "--k2", "0", "--b1", "100000000000000000000",
+      "--b2", "100000000000000000000"), "eps threshold out of float range"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1
     _assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("payload", [b"[" * 100_000, b'{"n": ' + b"[" * 100_000],
+                         ids=["alone", "as-n"])
+def test_deeply_nested_config_exits_1(tmp_path, capsys, payload):
+    # the JSON decoder runs out of recursion depth before it sees the file is cut
+    cfg = tmp_path / "deep.json"
+    cfg.write_bytes(payload)
+    assert cli.main(["bounds", "--config", str(cfg)]) == 1
+    _assert_one_line_error(capsys, "deep.json: maximum recursion depth exceeded")
 
 
 def test_help_exits_0(capsys):

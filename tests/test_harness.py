@@ -1,7 +1,9 @@
 """CLI commands, reports, exit codes, reproducibility."""
 
+import functools
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -36,13 +38,12 @@ def test_extract_zero_files_multibit(tmp_path):
     out = tmp_path / "out.bin"
     x.write_bytes(bytes(2))
     y.write_bytes(bytes(2))
-    code, report = harness.run_extract(**{
+    report = harness.run_extract(**{
         "x_path": str(x), "y_path": str(y), "out_path": str(out),
         "n": 16, "m": 8, "extractor": "multibit",
         "k1": 16, "k2": 16, "eps": 0.5,
     })
     assert out.read_bytes() == b"\x00"
-    assert code == 0
     assert report.passed
 
 
@@ -54,12 +55,12 @@ def test_extract_deterministic(tmp_path):
     outs = []
     for name in ("o1.bin", "o2.bin"):
         out = tmp_path / name
-        code, _ = harness.run_extract(**{
+        report = harness.run_extract(**{
             "x_path": str(x), "y_path": str(y), "out_path": str(out),
             "n": 32, "m": 16, "extractor": "multibit",
             "k1": 32, "k2": 32, "eps": 0.5,
         })
-        assert code == 0
+        assert report.passed
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -70,12 +71,11 @@ def test_extract_infeasible_warning_exit_2(tmp_path):
     out = tmp_path / "out.bin"
     x.write_bytes(bytes(4))
     y.write_bytes(bytes(4))
-    code, report = harness.run_extract(**{
+    report = harness.run_extract(**{
         "x_path": str(x), "y_path": str(y), "out_path": str(out),
         "n": 32, "m": 16, "extractor": "multibit",
         "k1": 8, "k2": 8, "eps": 2.0 ** -10,
     })
-    assert code == 2
     assert not report.passed
     assert out.exists()  # output still produced, flagged
 
@@ -150,11 +150,11 @@ def test_extract_ip_one_bit(tmp_path):
     y = tmp_path / "y.bin"
     x.write_bytes(b"\xff")
     y.write_bytes(b"\x01")
-    code, report = harness.run_extract(**{
+    report = harness.run_extract(**{
         "x_path": str(x), "y_path": str(y),
         "n": 8, "m": 1, "extractor": "ip", "k1": 8, "k2": 8, "eps": 0.25,
     })
-    assert code == 0
+    assert report.passed
 
 
 # --------------------------------------------------------------------------
@@ -340,16 +340,48 @@ def test_cli_attack_missing_params():
     assert run_cli("attack", "tightness", "--n", "4") == 1
 
 
-def test_cli_exit_3_on_verification_failure(monkeypatch, tmp_path):
-    def failing_suite(seed: int = 0):
-        rep = harness.Report("verify:demo", {"seed": seed})
-        rep.add("always fails", 1.0, 0.0, False)
-        return rep
+@pytest.mark.parametrize("command, code", [
+    ("extract", 2), ("verify demo", 3), ("attack demo", 3)])
+def test_cli_exit_code_of_a_failing_report(monkeypatch, tmp_path, command, code):
+    # a report that fails exits 2 from extract and 3 from any verify or attack command
+    @harness._command(command.replace(" ", ":"))
+    def failing(report, seed: int = 0):
+        report.add("always fails", 1.0, 0.0, False)
 
-    monkeypatch.setitem(harness.COMMANDS, "verify demo", failing_suite)
+    monkeypatch.setitem(harness.COMMANDS, command, failing)
     out = tmp_path / "rep.json"
-    assert run_cli("verify", "demo", "--out", str(out)) == 3
-    assert json.loads(out.read_text())["passed"] is False
+    assert run_cli(*command.split(), "--seed", "5", "--out", str(out)) == code
+    doc = json.loads(out.read_text())
+    assert (doc["command"], doc["config"], doc["passed"]) == (
+        command.replace(" ", ":"), {"seed": 5}, False)
+
+
+@pytest.mark.parametrize("command", [c for c in harness.COMMANDS if c != "bounds"])
+def test_handler_signature_survives_a_wraps_layer(monkeypatch, command):
+    # the benchmark's tracer wraps each handler with functools.wraps; the
+    # wrapped handler must show the registry, and so the CLI, the same
+    # parameters, and none of them the report the body receives
+    handler = harness.COMMANDS[command]
+    signature, params = inspect.signature(handler), harness.parameters(command)
+    assert "report" not in signature.parameters
+
+    @functools.wraps(handler)
+    def traced(*args, **kwargs):
+        return handler(*args, **kwargs)
+
+    monkeypatch.setitem(harness.COMMANDS, command, traced)
+    assert inspect.signature(traced) == signature
+    assert harness.parameters(command) == params
+
+
+def test_positional_and_keyword_calls_give_one_config():
+    assert harness.run_knowledge_attack(3).config == harness.run_knowledge_attack(n=3).config \
+        == {"n": 3, "seed": harness.DEFAULT_SEED}
+    args = (4, 4, 4, 4, 4, "non-entangled")
+    assert harness.run_tightness_attack(*args).config == harness.run_tightness_attack(
+        **dict(zip(("n", "k1", "k2", "b1", "b2", "setting"), args))).config
+    with pytest.raises(TypeError):
+        harness.run_knowledge_attack(3, 4, 5)
 
 
 def test_cli_bounds_table(tmp_path):
@@ -733,10 +765,10 @@ def test_extract_report_names_modulus(tmp_path):
     x = tmp_path / "x.bin"
     x.write_bytes(bytes(range(128)))
     base = {"x_path": str(x), "y_path": str(x), "m": 4}
-    _, ip = harness.run_extract(**dict(base, n=16, extractor="ip", m=1))
+    ip = harness.run_extract(**dict(base, n=16, extractor="ip", m=1))
     assert "modulus" not in ip.to_dict()
     for n, source, tail in ((16, "search", "0x2b"), (1024, "memo", "0x2cd")):
-        _, report = harness.run_extract(**dict(base, n=n))
+        report = harness.run_extract(**dict(base, n=n))
         doc = report.to_dict()
         assert doc["modulus"] == {"degree": n, "tail": tail, "source": source}
         assert doc["timings"]["modulus_s"] >= 0

@@ -1,4 +1,4 @@
-"""Mutants of the matrices suite's GF(2) kernels, each caught by its oracle test.
+"""Mutants of the GF(2) kernels, each caught by its oracle test.
 
 Each case edits one line of a kernel's source, compiles the edit in the
 kernel's module namespace and patches it in.  On a fixed input, the mutant's
@@ -39,6 +39,16 @@ MUTANTS = {
         gf2.batched_rank, "range(len(a) - 1)", "range(len(a) - 2)",
         lambda: (test_gf2._boundary_stack(17),),
         lambda: test_gf2.test_batched_rank_matches_rank_at_type_boundaries(17, 32)),
+    # each tap of the modulus' tail reads the term one past its own
+    "tail taps shifted by one": (
+        gf2.extend_by_modulus, "known - n + j", "known - n + j + 1",
+        lambda: (0b1011001, gf2.find_irreducible(7).value, 13),
+        test_gf2.test_extend_by_modulus_matches_reduced_powers_exhaustive),
+    # one guard bit is left in, so output bit i reads the correlation at i - 1
+    "guard bits dropped one short": (
+        gf2.correlate, "(acc >> 7)", "(acc >> 6)",
+        lambda: (0b101101, 0b110011, 8),
+        test_gf2.test_correlate_matches_oracle_exhaustive),
 }
 
 
