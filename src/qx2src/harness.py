@@ -201,6 +201,12 @@ MAX_KNOWLEDGE_N = 10
 # pairs; the counted measurement takes about 0.06 s and 50 MiB at 2^20 pairs
 MAX_TIGHTNESS_B = 10
 MAX_TIGHTNESS_K = 20
+# sources are n-bit ints, but the work is in the pairs: at n = 2000 the worst
+# in-range command (k1 = k2 = 10, b1 + b2 = 10) takes 0.5-0.7 s as a cold
+# process on two cores, as at n = 64.  Past n = 2031 the security threshold
+# 2^((n + s - k1 - k2 - 2) / 2), with storage s up to 2 x 10, leaves the float
+# range at k1 = k2 = 1
+MAX_TIGHTNESS_N = 2000
 # an xor, merge or reduction trial costs 0.08-0.12 ms at the default sizes, so
 # 100,000 of them take about 8-12 s on two cores; a random rank trial at n = 64
 # costs about 5 us, and the cap holds for random_trials summed over random_ns
@@ -454,7 +460,8 @@ def run_superdense_attack(report: Report, max_n: Annotated[int, 2, MAX_SUPERDENS
 
 
 @_command("attack:tightness")
-def run_tightness_attack(report: Report, n: int, k1: int, k2: int, b1: int, b2: int,
+def run_tightness_attack(report: Report, n: Annotated[int, 1, MAX_TIGHTNESS_N],
+                         k1: int, k2: int, b1: int, b2: int,
                          setting: bounds.Setting, branch: bounds.Branch = "auto",
                          seed: int = DEFAULT_SEED):
     from . import adversaries
@@ -608,17 +615,22 @@ def bounds_table(n: int, k1: int, k2: int, b1: Optional[int] = None,
     for point in points:
         p = bounds.ParamSet(**point)
         row = {"params": point}
-        row["ip_bias_product"] = bounds.ip_bias_bound(p, min(p.b1, p.b2), False)
-        row["ip_bias_entangled"] = bounds.ip_bias_bound(p, min(p.b1, p.b2), True)
-        for variant in ("weak-min", "superstrong-max"):
-            for ent in (False, True):
-                rep = bounds.one_bit_condition(p, variant, ent)
-                row[rep.name.replace(" ", "_")] = rep.to_dict()
-        for setting in bounds.COMPOSED_SETTINGS:
-            row[f"composed_{setting}"] = bounds.composed_output_len(p, setting).to_dict()
-        row["strong_m_X_product"] = bounds.strong_output_len(p, "X", False)
-        row["strong_m_X_entangled"] = bounds.strong_output_len(p, "X", True)
-        row["strong_m_knowledge"] = bounds.strong_output_len(p, "X", False, knowledge=True)
+        # the calculators are float formulas: an int past the float range
+        # (n with 400 digits) overflows in whichever one meets it first
+        try:
+            row["ip_bias_product"] = bounds.ip_bias_bound(p, min(p.b1, p.b2), False)
+            row["ip_bias_entangled"] = bounds.ip_bias_bound(p, min(p.b1, p.b2), True)
+            for variant in ("weak-min", "superstrong-max"):
+                for ent in (False, True):
+                    rep = bounds.one_bit_condition(p, variant, ent)
+                    row[rep.name.replace(" ", "_")] = rep.to_dict()
+            for setting in bounds.COMPOSED_SETTINGS:
+                row[f"composed_{setting}"] = bounds.composed_output_len(p, setting).to_dict()
+            row["strong_m_X_product"] = bounds.strong_output_len(p, "X", False)
+            row["strong_m_X_entangled"] = bounds.strong_output_len(p, "X", True)
+            row["strong_m_knowledge"] = bounds.strong_output_len(p, "X", False, knowledge=True)
+        except OverflowError:
+            raise ParameterError(f"bounds out of float range at {p}") from None
         rows.append(row)
     return {"command": "bounds", "config": config, "rows": rows}
 

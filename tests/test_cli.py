@@ -192,6 +192,11 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, argv, payload, need
      "eps threshold out of float range"),
     (("bounds", "--n", "1", "--k1", "0", "--k2", "0", "--b1", "100000000000000000000",
       "--b2", "100000000000000000000"), "eps threshold out of float range"),
+    # an n past the float range, once an OverflowError traceback from a division
+    (("bounds", "--n", "9" * 400, "--k1", "5", "--k2", "5"), "bounds out of float range"),
+    # an n that would shift every source value past 400 digits
+    (("attack", "tightness", "--n", "9" * 400, "--k1", "5", "--k2", "5", "--b1", "1",
+      "--b2", "1", "--setting", "entangled"), "n must be between 1 and 2000"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, needle):
     assert cli.main(list(argv)) == 1
@@ -251,7 +256,8 @@ SMALL_CONFIGS = {
     "verify security": {"instances": 1, "n": 2, "k": 1, "b": 0},
     "attack smp": {"ns": [2]},
     "attack superdense": {"max_n": 2},
-    "attack tightness": {"n": 4, "k1": 4, "k2": 4, "b1": 4, "b2": 4,
+    # k1 = k2 = 1, so that n = 1, its declared low, runs too
+    "attack tightness": {"n": 4, "k1": 1, "k2": 1, "b1": 1, "b2": 1,
                          "setting": "non-entangled"},
     "attack knowledge": {"n": 3},
     "bounds": {"n": 100, "k1": 80, "k2": 80, "b1": 5},
@@ -370,8 +376,8 @@ def test_cli_fuzz(tmp_path, capsys, command, config, needles):
 
 
 def test_cli_fuzz_sees_every_declared_range():
-    # the 19 single-parameter limits, so that the fuzz cannot pass by seeing none
-    assert sum(len(_declared_ranges(c)) for c in harness.COMMANDS) == 19
+    # the 20 single-parameter limits, so that the fuzz cannot pass by seeing none
+    assert sum(len(_declared_ranges(c)) for c in harness.COMMANDS) == 20
     # and the two sequence parameters, random_ns and ns, each with a repeat
     assert sum(case[0].endswith("-repeated") for case in _FUZZ) == 2
 

@@ -312,6 +312,10 @@ def test_blocked_horner_matches_the_oracle(data):
     element = st.integers(0, (1 << w) - 1)
     coeffs = data.draw(st.lists(st.one_of(st.just(0), element), min_size=1, max_size=300))
     points = [0, 1] + data.draw(st.lists(element, max_size=4))
+    assert_horner_matches_the_oracle(w, coeffs, points)
+
+
+def assert_horner_matches_the_oracle(w, coeffs, points):
     assert extractors._horner(w, coeffs, points).tolist() == \
         [_horner_oracle(coeffs, point, w) for point in points]
 

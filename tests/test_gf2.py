@@ -367,6 +367,30 @@ def test_correlate_matches_oracle_property(data):
         assert out >> i & 1 == _oracle_correlation_bit(a, b, i)
 
 
+_S = gf2._SEGMENT_BITS
+
+
+@pytest.mark.parametrize("a_bits", [_S - 1, _S, _S + 1, 3 * _S // 2 - 1, 3 * _S // 2,
+                                    2 * _S, 2 * _S + 1, 3 * _S + 5])
+def test_correlate_matches_oracle_at_segment_edges(a_bits):
+    # a of one, two and three segments (the split starts at 1.5 widths); every
+    # output bit, so a segment edge that drops or doubles a bit of a, or of a
+    # segment's window of b, shows
+    rng = derive_rng(31, a_bits)
+
+    def dense(bits):
+        return int.from_bytes(rng.bytes(-(-bits // 8)), "little") & ((1 << bits) - 1)
+
+    for a in ((1 << a_bits) - 1, dense(a_bits) | 1 << (a_bits - 1)):
+        for m in (1, 8, 9, _S - 1, _S + 1):
+            longer, shorter = a_bits + m + 20, a_bits // 2
+            # one bit a byte, at the offset where a byte-aligned window ends
+            sparse = sum(1 << k for k in range((m - 2) % 8, longer, 8))
+            for b in (dense(longer), dense(shorter), sparse, sparse & ((1 << shorter) - 1)):
+                assert gf2.correlate(a, b, m) == \
+                    sum(_oracle_correlation_bit(a, b, i) << i for i in range(m))
+
+
 def test_extend_by_modulus_matches_reduced_powers_exhaustive():
     # z_k = <x^k mod f, y>, for every modulus the package finds up to degree 7
     for n in range(1, 8):
