@@ -481,7 +481,7 @@ class TightnessAttack:
     x_source: FlatSource
     y_source: FlatSource
     storage: StorageStrategy  # the state map measured
-    exposed: Optional[str]   # the source held with the output, if any
+    exposed: Optional[str]   # "Y" when that source is held with the output, else None
     entangled: bool
     superstrong: bool
     predicted_advantage: float
@@ -602,26 +602,36 @@ def measure_attack_advantage(attack: TightnessAttack) -> float:
     With c0 and c1 the pairs of each group whose inner product is 0 and
     1, it is sum |c0 - c1| / (2 |X| |Y|), integers up to one division.
     The exposed side is keyed by its position in its source's support.
+    The pairs are counted in qsim.stack_chunks of whole values of the
+    outer side: the exposed Y, each chunk closing its (y, basis index)
+    groups, or else X, each chunk adding to the counts by basis index.
+    Memory is O(STACK_BYTES), or one outer value's pairs when more.
     """
     storage = attack.storage
     xs = qsim._int_array(attack.x_source.support)
     ys = qsim._int_array(attack.y_source.support)
-    xv, yv = np.repeat(xs, len(ys)), np.tile(ys, len(xs))      # the pairs, x-major
-    odd = qsim.character(xv, yv) == 1
-    key = storage.index(xv, yv)
-    del xv, yv                  # before np.unique makes its copies of key
     dim = 1 << (storage.b1 + storage.b2)
-    if int(key.min()) < 0 or int(key.max()) >= dim:
-        raise DimensionError(f"basis index beyond the budget dim {dim}")
-    if attack.exposed == "X":
-        key += np.repeat(np.arange(len(xs)) * dim, len(ys))
-    elif attack.exposed == "Y":
-        key += np.tile(np.arange(len(ys)) * dim, len(xs))
-    _, group = np.unique(key, return_inverse=True)
-    del key
-    pairs = np.bincount(group)
-    ones = np.bincount(group[odd], minlength=len(pairs))
-    return int(np.abs(pairs - 2 * ones).sum()) / (2 * len(xs) * len(ys))
+    outer, inner = (ys, xs) if attack.exposed else (xs, ys)
+    total, signed = 0, np.zeros(dim, dtype=np.int64)    # signed: c0 - c1 by basis index
+    # an outer value's pairs, and with Y exposed its groups, 8 bytes each
+    for part in qsim.stack_chunks(len(outer), 8 * max(len(inner), dim if attack.exposed else 0)):
+        rows = len(outer[part])
+        xv, yv = np.repeat(outer[part], len(inner)), np.tile(inner, rows)
+        if attack.exposed:
+            xv, yv = yv, xv
+        odd = qsim.character(xv, yv) == 1
+        key = storage.index(xv, yv)
+        del xv, yv
+        if int(key.min()) < 0 or int(key.max()) >= dim:
+            raise DimensionError(f"basis index beyond the budget dim {dim}")
+        if attack.exposed:      # the chunk's r-th y value keys its groups from r * dim
+            key = (key.reshape(rows, -1) + np.arange(rows)[:, None] * dim).ravel()
+            counts = np.bincount(key)
+            total += int(np.abs(counts - 2 * np.bincount(key[odd], minlength=len(counts))).sum())
+        else:
+            signed += np.bincount(key, minlength=dim) - 2 * np.bincount(key[odd], minlength=dim)
+    total += int(np.abs(signed).sum())
+    return total / (2 * len(xs) * len(ys))
 
 
 # --------------------------------------------------------------------------

@@ -197,15 +197,16 @@ MAX_SUPERDENSE_N = 14
 # the knowledge counterexample loops over 2^n pads on (2^n)^2 arrays: about 5 s
 # at n = 10 on two cores
 MAX_KNOWLEDGE_N = 10
-# tightness strategies hold 2^(b1+b2)-dimensional states over 2^(k1+k2) source
-# pairs; the counted measurement takes about 0.06 s and 50 MiB at 2^20 pairs
+# tightness strategies index 2^(b1+b2) basis states over 2^(k1+k2) source pairs;
+# counted in chunks of 2^14 pairs, 2^20 pairs take about 0.03 s and 0.9 MiB
+# (tracemalloc) on two cores
 MAX_TIGHTNESS_B = 10
 MAX_TIGHTNESS_K = 20
 # sources are n-bit ints, but the work is in the pairs: at n = 2000 the worst
-# in-range command (k1 = k2 = 10, b1 + b2 = 10) takes 0.5-0.7 s as a cold
-# process on two cores, as at n = 64.  Past n = 2031 the security threshold
-# 2^((n + s - k1 - k2 - 2) / 2), with storage s up to 2 x 10, leaves the float
-# range at k1 = k2 = 1
+# in-range command (k1 = k2 = 10, b1 + b2 = 10) takes about 0.33 s and 32 MB
+# as a cold process on two cores, against 0.22 s at n = 12.  Past n = 2031 the
+# security threshold 2^((n + s - k1 - k2 - 2) / 2), with storage s up to
+# 2 x 10, leaves the float range at k1 = k2 = 1
 MAX_TIGHTNESS_N = 2000
 # an xor, merge or reduction trial costs 0.08-0.12 ms at the default sizes, so
 # 100,000 of them take about 8-12 s on two cores; a random rank trial at n = 64

@@ -19,6 +19,7 @@ from qx2src.adversaries import (biased_product_sources, bell_outcome,
 from qx2src.errors import DimensionError, ParameterError, SearchExhaustedError
 from qx2src.extractors import ip_extract, random_flat_source
 from qx2src.gf2 import BitVector, inner_product
+from test_harness import _peak_mib
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -573,48 +574,135 @@ def _basis_state_map(storage):
     return stored
 
 
-@pytest.mark.parametrize("setting, branch", COUNTED)
-def test_counted_advantage_matches_the_dense_cq_state(setting, branch, conditioned_state):
-    # the constructed sources, which at n <= 6 reach the full 1/2, and random
-    # sources of the same min-entropies, whose groups mix both outputs
-    measured = set()
+def _counted_probes(setting, branch):
+    """The COUNTED attacks of a setting and branch at seeds 0 and 1: the
+    constructed sources, which at n <= 6 reach the full 1/2, and random
+    sources of the same min-entropies, whose groups mix both outputs."""
     for n, k1, k2, b1, b2 in COUNTED[setting, branch]:
         for seed in (0, 1):
             attack = tightness_attack(n, k1, k2, b1, b2, setting, branch=branch, seed=seed)
-            for sources in ({}, {"x_source": random_flat_source(n, k1, seed, 1),
-                                 "y_source": random_flat_source(n, k2, seed, 2)}):
-                probe = dataclasses.replace(attack, **sources)
-                # with a side exposed, the mean over its values
-                state = conditioned_state(probe.x_source, probe.y_source,
-                                          _basis_state_map(probe.storage), probe.exposed)[2]
-                dense = float(np.mean(qsim.cq_distance_from_uniform(state)))
-                measured.add(measure_attack_advantage(probe))
-                assert abs(measure_attack_advantage(probe) - dense) <= 1e-12
+            yield attack
+            yield dataclasses.replace(attack, x_source=random_flat_source(n, k1, seed, 1),
+                                      y_source=random_flat_source(n, k2, seed, 2))
+
+
+@pytest.mark.parametrize("setting, branch", COUNTED)
+def test_counted_advantage_matches_the_dense_cq_state(setting, branch, conditioned_state):
+    measured = set()
+    for probe in _counted_probes(setting, branch):
+        # with a side exposed, the mean over its values
+        state = conditioned_state(probe.x_source, probe.y_source,
+                                  _basis_state_map(probe.storage), probe.exposed)[2]
+        dense = float(np.mean(qsim.cq_distance_from_uniform(state)))
+        measured.add(measure_attack_advantage(probe))
+        assert abs(measure_attack_advantage(probe) - dense) <= 1e-12
     assert 0.5 in measured and min(measured) < 0.5
+
+
+def _benchmark_attacks(workloads):
+    """The benchmark's tightness attacks, each tuple at input seeds 1-3."""
+    for params in workloads.TIGHTNESS:
+        for seed in (1, 2, 3):
+            yield params, tightness_attack(
+                *params, seed=workloads.derive_seed("cli-attack", seed) % (1 << 32))
 
 
 def test_benchmark_tightness_tuples_measure_exact_rationals(monkeypatch):
     # the exact branch is 1/2 by construction; the biased branch's storage bit
     # flips the output exactly when the biased block is odd
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
-    for params in workloads.TIGHTNESS:
-        for seed in (1, 2, 3):
-            attack = tightness_attack(
-                *params, seed=workloads.derive_seed("cli-attack", seed) % (1 << 32))
-            measured = measure_attack_advantage(attack)
-            if attack.branch == "exact":
-                assert measured == 0.5, params
-            else:
-                assert measured == attack.bias_found - 0.5, params
+    for params, attack in _benchmark_attacks(importlib.import_module("workloads")):
+        measured = measure_attack_advantage(attack)
+        if attack.branch == "exact":
+            assert measured == 0.5, params
+        else:
+            assert measured == attack.bias_found - 0.5, params
 
 
-def test_measurement_rejects_indices_beyond_the_budget():
+def _one_stack_advantage(attack) -> float:
+    """measure_attack_advantage's counts with every source pair in one stack:
+    the groups are np.unique's of (exposed position, basis index) keys."""
+    storage = attack.storage
+    xs = qsim._int_array(attack.x_source.support)
+    ys = qsim._int_array(attack.y_source.support)
+    xv, yv = np.repeat(xs, len(ys)), np.tile(ys, len(xs))      # the pairs, x-major
+    odd = qsim.character(xv, yv) == 1
+    key = storage.index(xv, yv)
+    dim = 1 << (storage.b1 + storage.b2)
+    if int(key.min()) < 0 or int(key.max()) >= dim:
+        raise DimensionError(f"basis index beyond the budget dim {dim}")
+    if attack.exposed == "Y":
+        key += np.tile(np.arange(len(ys)) * dim, len(xs))
+    _, group = np.unique(key, return_inverse=True)
+    pairs = np.bincount(group)
+    ones = np.bincount(group[odd], minlength=len(pairs))
+    return int(np.abs(pairs - 2 * ones).sum()) / (2 * len(xs) * len(ys))
+
+
+def _stack_bytes(attack, values: int) -> int:
+    """The STACK_BYTES at which measure_attack_advantage counts values outer
+    values a chunk: 8 bytes a pair for each value's inner side, or for each
+    basis index of its groups when Y is exposed and those are more."""
+    dim = 1 << (attack.storage.b1 + attack.storage.b2)
+    inner = len((attack.x_source if attack.exposed else attack.y_source).support)
+    return 64 * values * max(inner, dim if attack.exposed else 0)
+
+
+def assert_counts_match_the_one_stack(attack):
+    """The chunked count equals the one-stack count exactly, in chunks of the
+    default size, of one outer value and of three, where the outer side's
+    power-of-two count leaves the last chunk partial.  It calls the count
+    through its module, so that a patched count is the one checked."""
+    want = _one_stack_advantage(attack)
+    assert adversaries.measure_attack_advantage(attack) == want
+    for values in (1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsim, "STACK_BYTES", _stack_bytes(attack, values))
+            assert adversaries.measure_attack_advantage(attack) == want, values
+
+
+@pytest.mark.parametrize("setting, branch", COUNTED)
+def test_counted_advantage_is_the_same_in_any_chunking(setting, branch):
+    for probe in _counted_probes(setting, branch):
+        assert_counts_match_the_one_stack(probe)
+
+
+def test_benchmark_tightness_counts_are_the_same_in_any_chunking(monkeypatch):
+    # the n = 12 tuple's 2^16 pairs take four chunks at the default size
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for _, attack in _benchmark_attacks(importlib.import_module("workloads")):
+        assert_counts_match_the_one_stack(attack)
+
+
+@pytest.mark.parametrize("n, setting", [(12, "superstrong-entangled"), (15, "non-entangled")])
+def test_counted_advantage_memory_stays_flat_in_the_pair_count(n, setting):
+    # 2^16 and 2^20 pairs at b1 = b2 = 5, with Y exposed and with nothing
+    # exposed.  The pairs in one stack took 52 MiB at 2^20; a chunk of 2^14
+    # pairs, its keys, parities and counts, takes about 1 MiB.
+    small, large = (tightness_attack(n, k, k, 5, 5, setting) for k in (8, 10))
+    peaks = [_peak_mib(lambda: measure_attack_advantage(a)) for a in (small, large)]
+    assert peaks[1] - peaks[0] < 0.25 and peaks[1] < 2, peaks
+
+
+def test_measurement_rejects_indices_beyond_the_budget(monkeypatch):
     attack = tightness_attack(4, 4, 4, 4, 4, "non-entangled")
     wide = adversaries.StorageStrategy(1, 1, attack.storage.stored,
                                        lambda xs, ys: np.full(len(xs), 4))
     with pytest.raises(DimensionError, match="budget dim 4"):
         measure_attack_advantage(dataclasses.replace(attack, storage=wide))
+    # only the outer side's last value, x or the exposed y, keys index 4: in
+    # the one chunk, and in the last of one chunk per outer value
+    default = qsim.STACK_BYTES
+    for setting in ("non-entangled", "superstrong-entangled"):
+        attack = tightness_attack(4, 4, 4, 4, 4, setting)
+        last = (attack.y_source if attack.exposed else attack.x_source).support[-1]
+        wide = adversaries.StorageStrategy(1, 1, attack.storage.stored, lambda xs, ys: np.where(
+            (ys if attack.exposed else xs) == last, 4, 0))
+        probe = dataclasses.replace(attack, storage=wide)
+        for stack_bytes in (default, _stack_bytes(probe, 1)):
+            monkeypatch.setattr(qsim, "STACK_BYTES", stack_bytes)
+            with pytest.raises(DimensionError, match="budget dim 4"):
+                measure_attack_advantage(probe)
 
 
 # --------------------------------------------------------------------------

@@ -590,18 +590,19 @@ def _lane_chunks(count):
         lo, k = hi, k + 1
 
 
+def assert_rabin_lanes_match_oracle(n: int) -> int:
+    """_rabin_lanes on every tail below 2^n, forwards and backwards, in calls
+    of 1..129 lanes, against the scalar oracle.  Returns how many reducible
+    f divide x^(2^n) - x all the same, which only the gcds reject."""
+    for tails in (list(range(1 << n)), list(range(1 << n))[::-1]):
+        want = [_rabin_irreducible((1 << n) | t) for t in tails]
+        for lo, hi in _lane_chunks(len(tails)):
+            assert gf2._rabin_lanes(n, tails[lo:hi]).tolist() == want[lo:hi], (n, lo)
+    return sum(_frobenius(n, (1 << n) | t) == 2 and not ok for t, ok in zip(tails, want))
+
+
 def test_rabin_lanes_match_oracle_over_the_whole_domain():
-    # every tail below 2^n, forwards and backwards, in calls of 1..129 lanes
-    split = 0
-    for n in range(2, 11):
-        for tails in (list(range(1 << n)), list(range(1 << n))[::-1]):
-            want = [_rabin_irreducible((1 << n) | t) for t in tails]
-            for lo, hi in _lane_chunks(len(tails)):
-                assert gf2._rabin_lanes(n, tails[lo:hi]).tolist() == want[lo:hi], (n, lo)
-        # reducible f that still divides x^(2^n) - x: only the gcds reject them
-        split += sum(_frobenius(n, (1 << n) | t) == 2 and not ok
-                     for t, ok in zip(tails, want))
-    assert split > 0
+    assert sum(assert_rabin_lanes_match_oracle(n) for n in range(2, 11)) > 0
     f = _oracle_mul(0b10011, 0b11001)  # (x^4 + x + 1)(x^4 + x^3 + 1)
     assert f >> 8 == 1 and _frobenius(8, f) == 2
     assert gf2._rabin_lanes(8, [f ^ (1 << 8)]).tolist() == [False]

@@ -1,4 +1,5 @@
-"""Mutants of the GF(2) and extractor kernels, each caught by its oracle test.
+"""Mutants of the GF(2), extractor, verifier and attack kernels, each caught
+by its oracle test.
 
 Each case edits one line of a kernel's source, compiles the edit in the
 kernel's module namespace and patches it into that module.  On a fixed
@@ -10,15 +11,20 @@ Computer 1978) in a table, with each oracle run on one small fixed input.
 """
 
 import __future__
+import dataclasses
 import inspect
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
+import conftest
+import test_adversaries
 import test_extractors
 import test_gf2
-from qx2src import extractors, gf2
+import test_qsim
+from qx2src import adversaries, extractors, gf2, qsim
 
 # what a wrong value can raise; a mutant that raises anything else (a
 # NameError, say) is broken code, not a wrong kernel, and fails its case
@@ -70,6 +76,42 @@ MUTANTS = {
         "np.arange(digits)[::-1, None, None]",
         lambda: (16, 4, 2),
         test_extractors.test_trevisan_matches_oracle_t32_n4096),
+    # a row past the top is dropped, not folded back by the tail: tails of
+    # three bits and more overflow the squarings
+    "overflow fold skipped": (
+        gf2._rabin_lanes, "r[:, :folded.shape[1]] ^= folded", "pass",
+        lambda: (6, list(range(64))),
+        lambda: test_gf2.assert_rabin_lanes_match_oracle(6)),
+    # every block marks the residues of the first, x^n mod p
+    "block start not folded into the residue": (
+        gf2._sieve_blocks, "_mod_lanes(r ^ start,", "_mod_lanes(r,",
+        lambda: (16, 16),
+        lambda: test_gf2.test_sieve_marks_exactly_the_tails_a_small_irreducible_divides(16)),
+    # an output no pair has loses its marginal term
+    "absent outputs' marginal term dropped": (
+        qsim.cq_distance_from_uniform, "(count - held.sum(axis=-1))", "0",
+        lambda: (qsim.CqState([1.0, 0.0], [np.eye(2) / 2, np.zeros((2, 2))]),),
+        test_qsim.test_cq_distance_matches_per_entry_loop),
+    # the state of each instance's second pair is never added
+    "second pair dropped": (
+        qsim.extractor_output_state, "np.arange(1, len(rows))", "np.arange(2, len(rows))",
+        lambda: ([test_qsim._uniform(2)], [test_qsim._uniform(2)],
+                 adversaries.classical_block_storage([0], [1], 1, 1)),
+        lambda: test_qsim.test_output_state_matches_string_label_oracle(
+            "weak", conftest._conditioned_state)),
+    # the 2^16 pairs take four chunks of 64 x values; the last is never counted
+    "last chunk dropped": (
+        adversaries.measure_attack_advantage, "dim if attack.exposed else 0))",
+        "dim if attack.exposed else 0))[:-1]",
+        lambda: (adversaries.tightness_attack(12, 8, 8, 2, 2, "non-entangled"),),
+        lambda: test_adversaries.assert_counts_match_the_one_stack(
+            adversaries.tightness_attack(12, 8, 8, 2, 2, "non-entangled"))),
+    # with Y exposed, a chunk's y values share their basis indices' groups
+    "per-chunk group offset dropped": (
+        adversaries.measure_attack_advantage, "np.arange(rows)[:, None] * dim", "0",
+        lambda: (adversaries.tightness_attack(10, 7, 7, 2, 2, "superstrong-entangled"),),
+        lambda: test_adversaries.assert_counts_match_the_one_stack(
+            adversaries.tightness_attack(10, 7, 7, 2, 2, "superstrong-entangled"))),
 }
 
 
@@ -91,11 +133,16 @@ def _mutant(kernel, snippet, replacement):
 
 def _outcome(function, args):
     """What function returns on args, each array as (dtype, values), or the
-    type of the error it raises."""
+    type of the error it raises.  A dataclass is taken as the tuple of its
+    fields, and a generator as the items of its first two yields."""
     try:
         result = function(*args)
+        if inspect.isgenerator(result):     # the sieve: its first two blocks
+            result = tuple(itertools.chain(*itertools.islice(result, 2)))
     except DATA_ERRORS as error:
         return type(error)
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
     arrays = result if isinstance(result, tuple) else (result,)
     return [(np.asarray(a).dtype.str, np.asarray(a).tolist()) for a in arrays]
 
