@@ -605,31 +605,39 @@ def measure_attack_advantage(attack: TightnessAttack) -> float:
     The pairs are counted in qsim.stack_chunks of whole values of the
     outer side: the exposed Y, each chunk closing its (y, basis index)
     groups, or else X, each chunk adding to the counts by basis index.
-    Memory is O(STACK_BYTES), or one outer value's pairs when more.
+    When one outer value's pairs fill more than a chunk, its inner values
+    are cut into chunks too, and its groups are closed after the last.
+    Memory is O(STACK_BYTES) at any pair count.
     """
     storage = attack.storage
-    xs = qsim._int_array(attack.x_source.support)
-    ys = qsim._int_array(attack.y_source.support)
+    xs, ys = attack.x_source.support, attack.y_source.support
     dim = 1 << (storage.b1 + storage.b2)
     outer, inner = (ys, xs) if attack.exposed else (xs, ys)
-    total, signed = 0, np.zeros(dim, dtype=np.int64)    # signed: c0 - c1 by basis index
+    cuts = qsim.stack_chunks(len(inner), 8)     # one outer value's pairs, 8 bytes each
+    if len(cuts) == 1:                          # converted once, not once per chunk
+        inner = qsim._int_array(inner)
+    total, signed = 0, np.zeros(dim, dtype=np.int64)    # signed: c0 - c1 by group
     # an outer value's pairs, and with Y exposed its groups, 8 bytes each
     for part in qsim.stack_chunks(len(outer), 8 * max(len(inner), dim if attack.exposed else 0)):
-        rows = len(outer[part])
-        xv, yv = np.repeat(outer[part], len(inner)), np.tile(inner, rows)
-        if attack.exposed:
-            xv, yv = yv, xv
-        odd = qsim.character(xv, yv) == 1
-        key = storage.index(xv, yv)
-        del xv, yv
-        if int(key.min()) < 0 or int(key.max()) >= dim:
-            raise DimensionError(f"basis index beyond the budget dim {dim}")
-        if attack.exposed:      # the chunk's r-th y value keys its groups from r * dim
-            key = (key.reshape(rows, -1) + np.arange(rows)[:, None] * dim).ravel()
-            counts = np.bincount(key)
-            total += int(np.abs(counts - 2 * np.bincount(key[odd], minlength=len(counts))).sum())
-        else:
-            signed += np.bincount(key, minlength=dim) - 2 * np.bincount(key[odd], minlength=dim)
+        values = qsim._int_array(outer[part])
+        rows = len(values)
+        if attack.exposed:      # the last chunk's y values are closed
+            total += int(np.abs(signed).sum())
+            signed = np.zeros(rows * dim, dtype=np.int64)
+        for cut in cuts:
+            others = qsim._int_array(inner[cut])
+            xv, yv = np.repeat(values, len(others)), np.tile(others, rows)
+            if attack.exposed:
+                xv, yv = yv, xv
+            odd = qsim.character(xv, yv) == 1
+            key = storage.index(xv, yv)
+            del xv, yv
+            if int(key.min()) < 0 or int(key.max()) >= dim:
+                raise DimensionError(f"basis index beyond the budget dim {dim}")
+            if attack.exposed:  # the chunk's r-th y value keys its groups from r * dim
+                key = (key.reshape(rows, -1) + np.arange(rows)[:, None] * dim).ravel()
+            signed += (np.bincount(key, minlength=len(signed))
+                       - 2 * np.bincount(key[odd], minlength=len(signed)))
     total += int(np.abs(signed).sum())
     return total / (2 * len(xs) * len(ys))
 
@@ -665,7 +673,8 @@ def guessing_entropy_counterexample(n: int) -> CounterexampleReport:
     size = 1 << n
     # the narrowest unsigned values, uint8 weights: the referee loop below
     # moves about half the bytes of int64 arrays; weights - pop wraps mod
-    # 2^8, a multiple of 4, so the residues mod 4 stay exact
+    # 2^8, a multiple of 4, so the residues mod 4 stay exact, and on
+    # unsigned values & 3 and >> 1 are % 4 and // 2 without a division
     vals = np.arange(size, dtype=np.min_scalar_type(size - 1))
     pop = np.bitwise_count(vals).astype(np.uint8)
 
@@ -677,7 +686,7 @@ def guessing_entropy_counterexample(n: int) -> CounterexampleReport:
     truth = pop[x & y] % 2
     agree = 0
     for r in range(size):
-        out = ((weights - pop[(x ^ r) ^ (y ^ r)]) % 4) // 2
+        out = ((weights - pop[(x ^ r) ^ (y ^ r)]) & 3) >> 1
         agree += int(np.count_nonzero(out == truth))
     correct = agree / size ** 3
 

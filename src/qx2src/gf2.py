@@ -16,11 +16,12 @@ extractor needs.  The verification suite checks it by computing every
 subset matrix's rank: :func:`subset_tables` builds, once per family, a
 16-entry table of subset XORs for each group of four matrices,
 :func:`subset_rows` forms a whole stack of subset XORs from them, one
-gather per 4-bit digit of the mask, and :func:`batched_rank` eliminates
-the stack by row pivots, with no search or gather.  Rows are packed in
-the narrowest unsigned type that holds them (uint32 at n = 32), and the
-elimination runs in that type.  :func:`subset_matrix` and :func:`rank`,
-one matrix at a time by XOR-basis insertion, are their reference.
+gather per 4-bit digit of the mask, and :func:`batched_rank` reduces the
+stack on leading bits, each row below a pivot p becoming min(row, row ^ p),
+with no search, gather or multiply.  Rows are packed in the narrowest
+unsigned type that holds them (uint32 at n = 32), and the reduction runs
+in that type.  :func:`subset_matrix` and :func:`rank`, one matrix at a
+time by XOR-basis insertion, are their reference.
 
 Scalar polynomials have one kernel per job: :func:`poly_mul`,
 :func:`poly_mod` and :func:`poly_gcd`.  The carry-less product serves
@@ -648,15 +649,15 @@ def subset_rows(tables: tuple, masks: np.ndarray) -> np.ndarray:
 def batched_rank(rows: np.ndarray) -> np.ndarray:
     """GF(2) rank of each matrix in a (B, r) stack of rows packed in unsigned words.
 
-    Elimination by row pivots on an (r, B) copy, so that row i of every
-    matrix is one contiguous slice.  Row i is the pivot p; low = p & -p is
-    its lowest set bit (1 where p is 0) and q = p // low.  Each row below
-    takes b = (row & low) * q, which is p where the row has bit low and 0
-    otherwise, since low * q = p exactly.  Rows above i are never touched:
-    every row below the pivot loses bit low for good, so the nonzero rows
-    left have distinct lowest bits, and the rank is their count.  p & -p
-    and p // low are exact in any unsigned type, so rows of at most 32
-    columns rank in uint32 (or narrower) words, at half the traffic.
+    XOR-basis reduction on leading bits, over an (r, B) copy so that row i
+    of every matrix is one contiguous slice.  Row i is the pivot p, and
+    each row below it becomes min(row, row ^ p): in unsigned words,
+    row ^ p < row exactly when the row has p's top bit set, so the rows
+    below lose that bit, and a zero pivot changes nothing.  Rows above i
+    are never touched, and no later pivot holds p's top bit, so the nonzero
+    rows left have distinct top bits and the rank is their count.  Rows of
+    at most 32 columns rank in uint32 (or narrower) words, at half the
+    traffic.
     """
     import numpy as np
     if rows.dtype.kind != "u":
@@ -665,7 +666,6 @@ def batched_rank(rows: np.ndarray) -> np.ndarray:
     del rows  # the caller's rows, if it handed them over, are freed here
     scratch = np.empty_like(a[1:])
     for i in range(len(a) - 1):
-        p, below, b = a[i], a[i + 1:], scratch[i:]
-        low = np.maximum(p & -p, 1)
-        below ^= np.multiply(np.bitwise_and(below, low, out=b), p // low, out=b)
+        below = a[i + 1:]
+        np.minimum(below, np.bitwise_xor(below, a[i], out=scratch[i:]), out=below)
     return np.count_nonzero(a, axis=0)

@@ -178,8 +178,8 @@ MAX_SECURITY_N = 62
 # each security instance enumerates 2^(2k) source pairs: about 0.08 s per
 # instance at k = 6, b = 1 on two cores
 MAX_SECURITY_K = 6
-# exhaustive subset ranks enumerate 2^n - 1 masks: about 0.03 s at n = 16 on
-# two cores, doubling with each further n
+# exhaustive subset ranks enumerate 2^n - 1 masks: every n up to 16 takes
+# about 0.016 s on two cores, doubling with each further n
 MAX_EXHAUSTIVE_N = 16
 # the acceptance sizes; each random n builds n matrices of n x n bits
 MAX_RANDOM_N = 64
@@ -210,13 +210,13 @@ MAX_TIGHTNESS_K = 20
 MAX_TIGHTNESS_N = 2000
 # an xor, merge or reduction trial costs 0.08-0.12 ms at the default sizes, so
 # 100,000 of them take about 8-12 s on two cores; a random rank trial at n = 64
-# costs about 5 us, and the cap holds for random_trials summed over random_ns
+# costs about 3 us, and the cap holds for random_trials summed over random_ns
 MAX_TRIALS = 100_000
 # bytes of subset rows formed and ranked per batch: 768 masks at n = 64 (uint64
 # rows), 3,072 at n = 32 (uint32).  The rows, the rank's transposed copy and
 # its scratch hold the suite to about 1 MB at any trial count and any n, and
-# batches form and rank faster than one 10,000-mask stack (0.048-0.060 against
-# 0.068 s at n = 64 on two cores)
+# batches form and rank faster than one 10,000-mask stack (0.028-0.033 against
+# 0.049-0.053 s at n = 64 on two cores)
 RANK_BYTES = 3 << 17
 # one security instance costs about 1.4 ms at the default sizes: 15 s at 10,000
 MAX_SECURITY_INSTANCES = 10_000

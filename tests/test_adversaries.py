@@ -684,6 +684,42 @@ def test_counted_advantage_memory_stays_flat_in_the_pair_count(n, setting):
     assert peaks[1] - peaks[0] < 0.25 and peaks[1] < 2, peaks
 
 
+@pytest.mark.parametrize("params", [(20, 19, 1, 5, 5, "superstrong-entangled"),
+                                    (20, 1, 19, 5, 5, "non-entangled")])
+def test_counted_advantage_memory_stays_flat_when_one_value_fills_many_chunks(params):
+    # 2^20 pairs with an outer side of two values: each value's 2^19 inner
+    # values are cut into 32 chunks (25 MiB when each value took one stack)
+    attack = tightness_attack(*params)
+    peak = _peak_mib(lambda: measure_attack_advantage(attack))
+    assert measure_attack_advantage(attack) == 0.5 and peak < 2, peak
+
+
+def assert_counts_match_with_inner_values_cut(attack):
+    """The chunked count equals the one-stack count exactly at the default
+    size and when each outer value's inner values are cut into chunks of
+    one and of three.  It calls the count through its module."""
+    want = _one_stack_advantage(attack)
+    assert adversaries.measure_attack_advantage(attack) == want
+    for values in (1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qsim, "STACK_BYTES", 64 * values)
+            assert adversaries.measure_attack_advantage(attack) == want, values
+
+
+@pytest.mark.parametrize("setting, branch", COUNTED)
+def test_counted_advantage_is_the_same_with_inner_values_cut(setting, branch):
+    for probe in _counted_probes(setting, branch):
+        assert_counts_match_with_inner_values_cut(probe)
+
+
+def test_counted_advantage_cuts_inner_values_at_the_default_size():
+    # 2^15 inner values take two chunks of 2^14 each, with Y exposed and not
+    for params in ((15, 15, 1, 1, 1, "superstrong-entangled"), (16, 1, 15, 1, 1, "non-entangled")):
+        attack = tightness_attack(*params)
+        assert len(qsim.stack_chunks(2 ** 15, 8)) == 2
+        assert adversaries.measure_attack_advantage(attack) == _one_stack_advantage(attack)
+
+
 def test_measurement_rejects_indices_beyond_the_budget(monkeypatch):
     attack = tightness_attack(4, 4, 4, 4, 4, "non-entangled")
     wide = adversaries.StorageStrategy(1, 1, attack.storage.stored,

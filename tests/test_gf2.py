@@ -179,14 +179,14 @@ def test_batched_rank_exhaustive_non_square(rows_n, cols):
 
 
 def test_batched_rank_row_pivot_edges():
-    # one stack, so that a matrix's zero pivot row (low = 0) sits beside
-    # another's live pivot at the same row index
+    # one stack, so that a matrix's zero pivot row (row ^ 0 = row, a no-op)
+    # sits beside another's live pivot at the same row index
     eye = [1 << i for i in range(64)]
     stack = [
         eye,
         [0] + eye[1:],                                  # a zero first row
         eye[:-1] + [eye[0] ^ eye[40] ^ eye[62]],        # a dependency only in the last row
-        eye[::-1],                                      # first pivot 2^63, where q = 1
+        eye[::-1],                                      # first pivot 2^63, the word's top bit
         [1 << 63, 1 << 63] + eye[:62],                  # 2^63 cleared from the row below
         [(1 << 64) - 1] * 64,                           # every row the first
         [0] * 64,
@@ -276,7 +276,9 @@ def test_narrow_stacks_rank_as_their_uint64_copies(data):
 
 
 def test_batched_rank_refuses_signed_rows():
-    # in int64, p & -p of the row 2^63 is negative and the pivot is lost
+    # in int64 a row with bit 63 set is negative: where that is p's top bit,
+    # row ^ p (the bit cleared) compares above row, min keeps row, and bit 63
+    # is never cleared
     with pytest.raises(ParameterError, match="unsigned"):
         gf2.batched_rank(np.array([[1 << 62, 1]], dtype=np.int64))
 

@@ -47,6 +47,12 @@ MUTANTS = {
         gf2.batched_rank, "range(len(a) - 1)", "range(len(a) - 2)",
         lambda: (test_gf2._boundary_stack(17),),
         lambda: test_gf2.test_batched_rank_matches_rank_at_type_boundaries(17, 32)),
+    # a row below the pivot keeps the larger of row and row ^ p, so it gains
+    # p's top bit where it lacked it, and two rows can share a top bit
+    "larger of row and row ^ pivot kept": (
+        gf2.batched_rank, "np.minimum", "np.maximum",
+        lambda: (test_gf2._boundary_stack(17),),
+        lambda: test_gf2.test_batched_rank_matches_rank_at_type_boundaries(17, 32)),
     # each tap of the modulus' tail reads the term one past its own
     "tail taps shifted by one": (
         gf2.extend_by_modulus, "known - n + j", "known - n + j + 1",
@@ -106,6 +112,11 @@ MUTANTS = {
         lambda: (adversaries.tightness_attack(12, 8, 8, 2, 2, "non-entangled"),),
         lambda: test_adversaries.assert_counts_match_the_one_stack(
             adversaries.tightness_attack(12, 8, 8, 2, 2, "non-entangled"))),
+    # 2^15 x values take two chunks for each y; the last is never counted
+    "last inner chunk dropped": (
+        adversaries.measure_attack_advantage, "for cut in cuts:", "for cut in cuts[:-1]:",
+        lambda: (adversaries.tightness_attack(15, 15, 1, 1, 1, "superstrong-entangled"),),
+        test_adversaries.test_counted_advantage_cuts_inner_values_at_the_default_size),
     # with Y exposed, a chunk's y values share their basis indices' groups
     "per-chunk group offset dropped": (
         adversaries.measure_attack_advantage, "np.arange(rows)[:, None] * dim", "0",
