@@ -209,8 +209,8 @@ def random_storage(b1: int, b2: int, flavor: str, seeds) -> StorageStrategy:
 
         @functools.lru_cache(maxsize=1)
         def pure(i):
-            rng = derive_rng(seeds[i], 0xE27)
-            g = rng.normal(size=1 << (wa + wb)) + 1j * rng.normal(size=1 << (wa + wb))
+            re, im = derive_rng(seeds[i], 0xE27).normal(size=(2, 1 << (wa + wb)))
+            g = re + 1j * im
             shared = g / np.linalg.norm(g)
             return np.outer(shared, shared.conj())
 
@@ -241,8 +241,9 @@ def random_storage(b1: int, b2: int, flavor: str, seeds) -> StorageStrategy:
     if flavor == "product":
         def side(stream, b):
             def build(keys):
-                g = np.array([r.normal(size=1 << (b + 1)) + 1j * r.normal(size=1 << (b + 1))
+                g = np.array([r.normal(size=(2, 1 << (b + 1)))
                               for r in derive_rngs((seeds[i], stream, v) for i, v in keys)])
+                g = g[:, 0] + 1j * g[:, 1]
                 # np.linalg.norm's sqrt(re . re + im . im), row by row:
                 # norm(g, axis=-1) rounds differently
                 re, im = g.real[:, None, :], g.imag[:, None, :]

@@ -80,7 +80,7 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     of one matrix or of each in a stack."""
     dims = list(dims)
     keep = sorted(keep)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if rho.shape[-2:] != (total, total):
         raise DimensionError("density matrix shape disagrees with dims")
     batch = list(rho.shape[:-2])
@@ -90,7 +90,7 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     for offset, i in enumerate(traced):
         axis = len(batch) + i - offset
         t = np.trace(t, axis1=axis, axis2=axis + (n - offset))
-    kd = int(np.prod([dims[i] for i in keep])) if keep else 1
+    kd = math.prod(dims[i] for i in keep)
     return t.reshape(batch + [kd, kd])
 
 
@@ -141,8 +141,9 @@ def _int_array(values) -> np.ndarray:
 
 def _square_stack(mats, what: str) -> np.ndarray:
     """A nonempty sequence of equal-sized square matrices as one (K, d, d)
-    stack, or a sequence of such stacks as one (..., K, d, d)."""
-    if len({np.shape(m) for m in mats}) > 1:
+    stack, or a sequence of such stacks as one (..., K, d, d).  A numeric
+    array cannot be ragged, so only other sequences are walked for shapes."""
+    if getattr(mats, "dtype", object) == object and len({np.shape(m) for m in mats}) > 1:
         raise ValidationError(f"{what} differ in dimension")
     stack = np.asarray(mats, dtype=complex)
     if stack.ndim < 3 or not stack.shape[-3] or stack.shape[-1] != stack.shape[-2]:
@@ -558,23 +559,24 @@ def random_unitary(dim: int, rngs) -> np.ndarray:
     yields (each is drawn from before the next is taken, so a lazy
     rng.derive_rngs serves); a stacked QR gives each matrix the Q and R it
     gets alone."""
-    g = np.array([r.normal(size=(dim, dim)) + 1j * r.normal(size=(dim, dim)) for r in rngs])
-    q, r = np.linalg.qr(g)
+    g = np.array([r.normal(size=(2, dim, dim)) for r in rngs])
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_cq_state(label_bits: int, qubits: int, seed: int, streams) -> CqState:
-    """Seeded cq-states, one per stream: simplex-drawn probabilities (T, K)
-    and random_density states (T, K, d, d)."""
-    count = 1 << label_bits
-    dim = 1 << qubits
+    """Seeded cq-states, one per stream: Dirichlet(1) probabilities (T, K),
+    drawn as Generator.dirichlet draws them, exponentials times the reciprocal
+    of their sequential sum (tests keep dirichlet as the oracle), and
+    random_density states (T, K, d, d)."""
+    count, dim = 1 << label_bits, 1 << qubits
     probs = np.empty((len(streams), count))
     g = np.empty((len(streams), count, 2, dim, dim))
-    ones = np.ones(count)
     for t, rng in enumerate(derive_rngs((seed, 0xC05, s) for s in streams)):
-        probs[t] = rng.dirichlet(ones)
+        probs[t] = rng.standard_exponential(count)
         g[t] = rng.normal(size=(count, 2, dim, dim))
+    probs *= 1.0 / np.add.accumulate(probs, axis=-1)[:, -1:]
     return CqState(probs, random_density(g))
 
 

@@ -7,10 +7,9 @@ counter-based, so trial i's generator is independent of whether trials
 same numbers.
 
 A key fully determines a Philox stream, so derive_rngs re-keys one
-private bit generator per call in place of building a fresh one per key:
-on two cores building one costs 12-21 us, most of it seeding a
-SeedSequence from OS entropy that the key then replaces, and a re-key,
-key fold included, about 4 us.
+private bit generator per call, from Python ints, in place of building a
+fresh one per key: on two cores a fresh one costs 11-17 us, most of it
+seeding a SeedSequence from OS entropy, and a re-key, key fold included, 1.6 us.
 """
 
 from __future__ import annotations
@@ -52,10 +51,8 @@ def derive_rngs(keys: Iterable[tuple]) -> Iterator[np.random.Generator]:
     import numpy as np
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
     for seed, *streams in keys:
         bits.state = {"bit_generator": "Philox",
-                      "state": {"counter": zeros, "key": np.array(_key(seed, streams),
-                                                                  dtype=np.uint64)},
-                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                      "state": {"counter": [0, 0, 0, 0], "key": _key(seed, streams)},
+                      "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         yield rng

@@ -1,6 +1,8 @@
 """CLI commands, reports, exit codes, reproducibility."""
 
+import ctypes
 import functools
+import glob
 import hashlib
 import importlib
 import inspect
@@ -562,7 +564,10 @@ def test_stacked_security_distances_match_the_per_instance_oracle(
 
 
 # sha256 of to_json(include_wall_clock=False) at default sizes: a change to
-# any reported bit fails here
+# any reported bit fails here.  The bits hold for the numpy and the OpenBLAS
+# core they were frozen under: another core's BLAS and LAPACK kernels round
+# some records differently, so a failure names both environments.
+FROZEN_UNDER = "numpy 2.4.6, OpenBLAS core SkylakeX"
 REPORT_DIGESTS = [
     ("matrices", 4, "8c4332a2fbd6deec2393b22b53db7f39face20541fc92ed1faaa87f012d8e35b"),
     ("matrices", 5, "67a7b6fe03199d5b052cd3720d8d26f5e805d063f2768900d976ae6cb674792e"),
@@ -592,14 +597,33 @@ def _digest(report) -> str:
     return hashlib.sha256(report.to_json(include_wall_clock=False).encode()).hexdigest()
 
 
+def _environment() -> str:
+    """This process's numpy version and the core of numpy's bundled OpenBLAS,
+    in FROZEN_UNDER's form."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return f"numpy {np.__version__}, OpenBLAS core unknown"
+    corename.restype = ctypes.c_char_p
+    return f"numpy {np.__version__}, OpenBLAS core {corename().decode()}"
+
+
+def test_the_environment_names_numpy_and_the_blas_core():
+    assert _environment().startswith(f"numpy {np.__version__}, OpenBLAS core ")
+
+
 @pytest.mark.parametrize("suite, seed, digest", REPORT_DIGESTS)
 def test_suite_reports_match_their_frozen_digests(suite, seed, digest):
-    assert _digest(harness.run_verify(suite, seed=seed)) == digest
+    assert _digest(harness.run_verify(suite, seed=seed)) == digest, \
+        f"frozen under {FROZEN_UNDER}, run under {_environment()}"
 
 
 @pytest.mark.parametrize("config, digest", SECURITY_DIGESTS)
 def test_security_reports_off_the_default_sizes_match_their_frozen_digests(config, digest):
-    assert _digest(harness.run_verify("security", seed=4, **config)) == digest
+    assert _digest(harness.run_verify("security", seed=4, **config)) == digest, \
+        f"frozen under {FROZEN_UNDER}, run under {_environment()}"
 
 
 def test_float_limits_leave_integer_seeds_masked():

@@ -1,5 +1,5 @@
-"""Mutants of the GF(2), extractor, verifier and attack kernels, each caught
-by its oracle test.
+"""Mutants of the GF(2), extractor, verifier, sampler and attack kernels,
+each caught by its oracle test.
 
 Each case edits one line of a kernel's source, compiles the edit in the
 kernel's module namespace and patches it into that module.  On a fixed
@@ -24,11 +24,33 @@ import test_adversaries
 import test_extractors
 import test_gf2
 import test_qsim
-from qx2src import adversaries, extractors, gf2, qsim
+import test_rng
+from qx2src import adversaries, extractors, gf2, qsim, rng
 
 # what a wrong value can raise; a mutant that raises anything else (a
 # NameError, say) is broken code, not a wrong kernel, and fails its case
 DATA_ERRORS = (ArithmeticError, IndexError, ValueError)
+
+# the pairs a storage strategy's outcome stores, all under its first seed
+STORED_PAIRS = (np.array([0, 1, 2, 3]), np.array([1, 0, 3, 2]), np.zeros(4, dtype=np.int64))
+
+
+def _rebound(test_module, kernel, oracle):
+    """oracle, run with test_module's own import of kernel pointed at the
+    kernel's module's, which may be a mutant."""
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(test_module, kernel.__name__,
+                          getattr(sys.modules[kernel.__module__], kernel.__name__))
+            oracle()
+    return run
+
+
+def _storage_stacks_match_per_pair_products(flavor):
+    with pytest.MonkeyPatch.context() as patch:
+        test_adversaries.test_random_storage_stacks_match_per_pair_products(
+            flavor, qsim.STACK_BYTES, patch, conftest._random_storage_oracle)
+
 
 # name -> (kernel, snippet, replacement, fixed input, oracle test on that input)
 MUTANTS = {
@@ -123,6 +145,36 @@ MUTANTS = {
         lambda: (adversaries.tightness_attack(10, 7, 7, 2, 2, "superstrong-entangled"),),
         lambda: test_adversaries.assert_counts_match_the_one_stack(
             adversaries.tightness_attack(10, 7, 7, 2, 2, "superstrong-entangled"))),
+    # each probability is divided by its state's sum, not multiplied by the
+    # sum's reciprocal as Generator.dirichlet does: some round one ulp apart
+    "probabilities divided by their sum": (
+        qsim.random_cq_state, "probs *= 1.0 / np.add", "probs /= np.add",
+        lambda: (6, 0, 61, range(8)),
+        test_qsim.test_random_cq_state_is_the_per_label_density_draw),
+    # a re-keyed stream keeps a spare 32-bit half, so its first 32-bit draw
+    # is that half, not the stream's
+    "spare 32-bit half kept across a re-key": (
+        rng.derive_rngs, '"has_uint32": 0', '"has_uint32": 1',
+        lambda: ([(4, 1), (5, 0xC05, 3)],),
+        _rebound(test_rng, rng.derive_rngs,
+                 test_rng.test_a_key_after_a_spare_32_bit_half_starts_fresh)),
+    # each unitary is drawn from its second normal plane plus i times its first
+    "unitary's real and imaginary planes swapped": (
+        qsim.random_unitary, "qr(g[:, 0] + 1j * g[:, 1])", "qr(g[:, 1] + 1j * g[:, 0])",
+        lambda: (4, rng.derive_rngs([(1, 2), (1, 3)])),
+        lambda: _storage_stacks_match_per_pair_products("entangled")),
+    # the same in a product strategy's purifications
+    "purification's real and imaginary planes swapped": (
+        adversaries.random_storage, "g = g[:, 0] + 1j * g[:, 1]", "g = g[:, 1] + 1j * g[:, 0]",
+        lambda: (1, 1, "product", [17]),
+        _rebound(test_adversaries, adversaries.random_storage,
+                 lambda: _storage_stacks_match_per_pair_products("product"))),
+    # the same in an entangled strategy's shared state
+    "shared state's real and imaginary planes swapped": (
+        adversaries.random_storage, "g = re + 1j * im", "g = im + 1j * re",
+        lambda: (1, 1, "entangled", [17]),
+        _rebound(test_adversaries, adversaries.random_storage,
+                 lambda: _storage_stacks_match_per_pair_products("entangled"))),
 }
 
 
@@ -142,14 +194,25 @@ def _mutant(kernel, snippet, replacement):
     return namespace[kernel.__name__]
 
 
+def _drawn(item):
+    """A yielded generator as its first three 32-bit draws, taken before the
+    next yield; any other item as it is."""
+    if isinstance(item, np.random.Generator):
+        return item.integers(0, 1 << 32, size=3, dtype=np.uint32)
+    return item
+
+
 def _outcome(function, args):
     """What function returns on args, each array as (dtype, values), or the
-    type of the error it raises.  A dataclass is taken as the tuple of its
-    fields, and a generator as the items of its first two yields."""
+    type of the error it raises.  A storage strategy is taken as its states
+    on STORED_PAIRS, another dataclass as the tuple of its fields, and a
+    generator as the items of its first two yields."""
     try:
         result = function(*args)
-        if inspect.isgenerator(result):     # the sieve: its first two blocks
-            result = tuple(itertools.chain(*itertools.islice(result, 2)))
+        if inspect.isgenerator(result):     # the sieve's blocks or re-keyed generators
+            result = tuple(itertools.chain(*map(_drawn, itertools.islice(result, 2))))
+        if isinstance(result, adversaries.StorageStrategy):
+            result = result(*STORED_PAIRS)
     except DATA_ERRORS as error:
         return type(error)
     if dataclasses.is_dataclass(result):
@@ -160,9 +223,10 @@ def _outcome(function, args):
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_mutant_changes_its_kernels_output(name):
+    # each side gets its own input, as an input can be a one-pass iterator
     kernel, snippet, replacement, fixed_input, _ = MUTANTS[name]
-    args = fixed_input()
-    assert _outcome(_mutant(kernel, snippet, replacement), args) != _outcome(kernel, args)
+    mutant = _mutant(kernel, snippet, replacement)
+    assert _outcome(mutant, fixed_input()) != _outcome(kernel, fixed_input())
 
 
 @pytest.mark.parametrize("name", MUTANTS)

@@ -13,6 +13,7 @@ from qx2src import adversaries, qsim
 from qx2src.errors import DimensionError, ParameterError, ValidationError
 from qx2src.extractors import FlatSource, ip_extract, multibit_extract, random_flat_source
 from qx2src.gf2 import BitVector
+from qx2src.harness import MAX_CQ_M
 from qx2src.rng import derive_rng
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -498,7 +499,7 @@ def test_xor_lemma_checks_each_character_probability_sum():
 
 
 def test_random_cq_state_is_the_per_label_density_draw():
-    for m, qubits in itertools.product(range(1, 4), range(4)):
+    for m, qubits in itertools.product(range(1, MAX_CQ_M + 1), range(4)):
         s = _alone(qsim.random_cq_state(m, qubits, 61, [4 * m + qubits]))
         rng = derive_rng(61, 0xC05, 4 * m + qubits)
         probs = rng.dirichlet(np.ones(1 << m))
@@ -831,6 +832,34 @@ def test_povm_validation():
         qsim.Povm([np.eye(2), np.zeros((4, 4))])
 
 
+class _Unwalked(np.ndarray):
+    """An array that fails when walked item by item."""
+
+    def __iter__(self):
+        raise AssertionError("a stack was walked state by state")
+
+
+def test_array_stacks_are_checked_whole_and_sequences_item_by_item():
+    s = qsim.random_cq_state(2, 1, 6, range(3))
+    assert qsim.CqState(s.probs, s.rhos.view(_Unwalked)).rhos.tobytes() == s.rhos.tobytes()
+    assert qsim.Povm(np.broadcast_to(np.eye(2) / 2, (2, 2, 2)).view(_Unwalked)).elements.shape \
+        == (2, 2, 2)
+    # a numeric array cannot be ragged, so its shape errors name the stack's shape
+    for bad in (np.ones((2, 2, 3)), np.ones((0, 2, 2)), np.ones((2, 2))):
+        with pytest.raises(ValidationError, match="states must be a nonempty stack of square"):
+            qsim.CqState(np.ones(bad.shape[:-2]), bad.view(_Unwalked))
+        with pytest.raises(ValidationError, match="POVM elements must be a nonempty stack"):
+            qsim.Povm(bad.view(_Unwalked))
+    # a sequence or an object array is walked, and one of mixed shapes says so
+    ragged = np.empty(2, dtype=object)
+    ragged[0], ragged[1] = KET0, np.eye(4) / 4
+    for mats in ([KET0, np.eye(4) / 4], ragged):
+        with pytest.raises(ValidationError, match="states differ in dimension"):
+            qsim.CqState([0.5, 0.5], mats)
+        with pytest.raises(ValidationError, match="POVM elements differ in dimension"):
+            qsim.Povm(mats)
+
+
 def test_guess_success_rejects_broken_povm():
     # 2 I passes no Povm validation, so build it around __post_init__
     s = qsim.CqState([0.5, 0.5], [KET0, KET1])
@@ -925,6 +954,18 @@ def _cq_state_oracle(m, d, seed, stream):
     g = g[:, 0] + 1j * g[:, 1]
     rhos = g @ g.conj().swapaxes(-1, -2)
     return probs, rhos / np.real(np.trace(rhos, axis1=1, axis2=2))[:, None, None]
+
+
+@pytest.mark.parametrize("m", range(1, MAX_CQ_M + 1))
+def test_random_cq_state_probabilities_are_dirichlet_draws_at_every_allowed_size(m):
+    # the probabilities are Dirichlet(1) drawn as normalised exponentials;
+    # rng.dirichlet stays the oracle, in case numpy changes its algorithm, and
+    # the normal draws after it must still line up
+    stack = qsim.random_cq_state(m, 1, 2026, range(200))
+    for t in range(200):
+        probs, rhos = _cq_state_oracle(m, 1, 2026, t)
+        assert stack.probs[t].tobytes() == probs.tobytes(), t
+        assert stack.rhos[t].tobytes() == rhos.tobytes(), t
 
 
 @pytest.mark.parametrize("m, d", STACK_SHAPES)

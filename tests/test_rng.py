@@ -4,14 +4,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qx2src.rng import derive_rng, derive_rngs
+from qx2src.rng import _key, derive_rng, derive_rngs
 
 # seeds beyond 64 bits and below 0 are taken mod 2^64, as derive_rng takes them
 SEEDS = [0, 1, 4, 2024, (1 << 64) - 1, -5, (1 << 70) + 3]
 STREAMS = [0, 1, 0xC05, 0xB001, (1 << 64) + 7]
 KEYS = [(seed, *streams) for seed in SEEDS for count in (1, 2, 3)
         for streams in itertools.islice(itertools.product(STREAMS, repeat=count), 0, None, 4)]
+
+# 64-bit words with the top bit set, which a signed or narrowed state would
+# lose, and streams past 64 bits; each key's folded words have it too
+TOP_WORDS = st.integers(1 << 63, (1 << 64) - 1)
+TOP_KEYS = st.tuples(TOP_WORDS, st.lists(
+    st.builds(lambda high, low: high << 64 | low, st.integers(1, 1 << 20), TOP_WORDS),
+    min_size=1, max_size=3)).filter(lambda key: min(_key(*key)) >= 1 << 63)
 
 
 def _draws(rng, turn: int) -> list:
@@ -70,3 +79,21 @@ def test_interleaved_iterators_keep_their_own_streams():
 def test_short_and_repeated_key_lists(keys):
     got = [rng.normal(size=2).tolist() for rng in derive_rngs(keys)]
     assert got == [derive_rng(*key).normal(size=2).tolist() for key in keys]
+
+
+def _fields(state: dict, path: tuple = ()):
+    """A bit generator's state, field by field: (path, dtype, values)."""
+    for name, value in state.items():
+        if isinstance(value, dict):
+            yield from _fields(value, path + (name,))
+        else:
+            yield path + (name,), np.asarray(value).dtype.str, np.asarray(value).tolist()
+
+
+@given(st.lists(TOP_KEYS, min_size=1, max_size=3), st.integers(1, 9))
+def test_a_rekeyed_state_is_a_fresh_philox_state(keys, draws):
+    for (seed, streams), rng in zip(keys, derive_rngs((seed, *streams) for seed, streams in keys)):
+        fresh = np.random.Philox(key=np.array(_key(seed, streams), dtype=np.uint64))
+        assert list(_fields(rng.bit_generator.state)) == list(_fields(fresh.state)), (seed, streams)
+        # an odd count of 32-bit draws leaves a spare half for the next re-key
+        rng.integers(0, 1 << 20, size=draws, dtype=np.uint32)
