@@ -13,12 +13,12 @@ command runs: ``bounds`` no numpy, a memo-modulus ``extract`` neither
 numpy nor the verifier.  The registry reads handler signatures from
 this module, bounds and bitio alone.
 
-Each handler is a body decorated with ``_command``, which binds the call,
-checks it with ``_config`` and opens, times and returns the report.  A limit
-on one parameter is declared once, as ``Annotated[int, low, high]`` in the
-handler's signature, and ``_config`` checks it and that floats are finite,
-before any work and for direct calls too.  Only the six limits that join
-parameters stay in the bodies; ``bounds_table`` calls ``_config`` itself.
+Each handler is a body decorated with ``_command``, which walks a call once
+(``_walk``: keys, types, finite floats, declared ranges and no repeats) and
+opens, times and returns the report: before any work, and alike for the CLI,
+config files, ``dispatch`` and direct calls.  A limit on one parameter is
+declared once, as ``Annotated[int, low, high]`` in the handler's signature;
+only the six limits that join parameters stay in the bodies.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import functools
 import inspect
 import json
 import math
-import numbers
 import sys
 import time
 import typing
@@ -95,71 +94,95 @@ class Report:
                           sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _config(handler, arguments: dict) -> dict:
-    """The handler's parameters that are not None, as arguments holds them (the
-    report's config), once each float is finite, each value in range and no
-    sequence repeats a value (which would repeat its work and its record)."""
-    config = {name: arguments[name] for name in inspect.signature(handler).parameters
-              if arguments[name] is not None}
-    hints = typing.get_type_hints(handler, include_extras=True)
-    for name, value in config.items():
-        if not _finite(value, _holds_floats(hints[name])):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
-        hint, values = _non_none(hints[name]), (value,)
-        if typing.get_origin(hint) is collections.abc.Sequence:
-            (hint,), values = typing.get_args(hint), value
-        if typing.get_origin(hint) is Annotated:
-            for v in values:
-                _require_range(name, v, *hint.__metadata__)
-        _require_distinct(name, values)
-    return config
-
-
 def _command(name: str):
     """Make body(report, **arguments) a handler whose signature is body's less
-    report: it binds a call with the defaults, checks it with _config, runs
-    body on a new Report named name and returns the report, timed."""
+    report: it walks a call once (_walk), None given for an optional parameter
+    read as its default, runs body on a new Report named name and returns
+    body's result (bounds' table) or, if that is None, the report, timed."""
     def decorate(body):
         signature = inspect.signature(body)
         public = signature.replace(parameters=list(signature.parameters.values())[1:])
+        defaults = {k: p.default for k, p in public.parameters.items()}
+        optional = {k for k, default in defaults.items() if default is None}
 
         @functools.wraps(body)
         def handler(*args, **kwargs):
-            call = public.bind(*args, **kwargs)
-            call.apply_defaults()
-            report = Report(name, _config(handler, call.arguments))
+            given = dict(**public.bind_partial(*args).arguments, **kwargs)
+            hints = typing.get_type_hints(handler, include_extras=True)
+            config = _walk(name.replace(":", " "), {
+                k: v for k, v in given.items() if v is not None or k not in optional},
+                {k: (hints[k], p.default is p.empty) for k, p in public.parameters.items()})
+            arguments = dict(defaults, **config)
+            report = Report(name, {k: v for k, v in arguments.items() if v is not None})
             start = time.perf_counter()
-            body(report, **call.arguments)
+            table = body(report, **arguments)
             report.wall_clock_s = time.perf_counter() - start
-            return report
+            return report if table is None else table
 
         handler.__signature__ = public      # functools.wraps copies it to wrappers
         return handler
     return decorate
 
 
-def _require_distinct(name: str, values) -> None:
-    """Reject a sequence that repeats a value, which would repeat its work and its output."""
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ParameterError(f"{name} has a repeated value {v!r}")
+def _walk(where: str, config, params: dict, bounded: bool = True) -> dict:
+    """config, once each key is one of params (name -> (hint, required)), each
+    required one is present and each value fits its hint (_fit)."""
+    if not isinstance(config, dict):
+        raise ParameterError(f"{where}: expected a JSON object, got {config!r}")
+    unknown = sorted(set(config) - set(params))
+    if unknown:
+        raise ParameterError(f"unknown parameter(s) for {where}: {', '.join(unknown)}")
+    missing = [k for k, (_, required) in params.items() if required and k not in config]
+    if missing:
+        raise ParameterError(f"{where} needs {', '.join(missing)}")
+    for key, value in config.items():
+        _fit(where, key, value, params[key][0], params, bounded)
+    return config
 
 
-def _finite(value, floats: bool) -> bool:
-    """Whether value holds no nan or infinity, nor, where it holds floats,
-    an integer too large for a float."""
-    if isinstance(value, (dict, list, tuple)):
-        return all(_finite(v, floats)
-                   for v in (value.values() if isinstance(value, dict) else value))
-    if floats and isinstance(value, int):
-        return abs(value) <= sys.float_info.max
-    return not isinstance(value, float) or math.isfinite(value)
-
-
-def _holds_floats(hint) -> bool:
-    """Whether a value of type hint is a float or holds floats."""
+def _fit(where: str, key: str, value, hint, params: dict, bounded: bool) -> None:
+    """Raise ParameterError unless value has type hint (bool is not int, an int
+    passes for a float) and, if bounded, keeps its limits: floats finite (an
+    int past the float range is not), the declared range and no repeated value
+    (which would repeat its work and its record).  A TypedDict is walked as a
+    config, and a dict is bounds' sweep, whose lists hold values of the
+    parameters in params that they sweep."""
     hint = _non_none(hint)
-    return hint is float or any(map(_holds_floats, typing.get_args(hint)))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if typing.is_typeddict(hint):
+        _walk(f"{where} {key}", value, {
+            k: (h, k in hint.__required_keys__)
+            for k, h in typing.get_type_hints(hint, include_extras=True).items()}, bounded)
+    elif origin is Annotated:
+        _fit(where, key, value, args[0], params, bounded)
+        if bounded:
+            _require_range(key, value, *hint.__metadata__)
+    elif origin is collections.abc.Sequence and isinstance(value, (list, tuple)):
+        for stage in (False, True) if bounded else (False,):     # every type first
+            for v in value:
+                _fit(where, key, v, args[0], params, stage)
+        for i, v in enumerate(value if bounded else ()):
+            if v in value[:i]:
+                raise ParameterError(f"{key} has a repeated value {v!r}")
+    elif origin is dict and isinstance(value, dict):
+        for name, values in value.items():
+            _fit(where, key, name, args[0], params, False)
+            _fit(where, key, values, args[1], params, False)
+            if bounded:
+                for v in values:
+                    _fit(where, key, v, float, params, True)
+                if name not in params:
+                    raise ParameterError(f"unknown parameter(s) for {where}: {name}")
+                _fit(where, f"{key} of {name}", values,
+                     Sequence[_non_none(params[name][0])], params, True)
+    else:
+        if not (value in args if origin is Literal else origin is None and (
+                hint is bool if isinstance(value, bool) else
+                isinstance(value, (int, float) if hint is float else hint))):
+            name = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ParameterError(f"{where}: {key} must be {name}, got {value!r}")
+        if bounded and hint is float and not abs(value) <= sys.float_info.max:
+            raise ParameterError(f"{key} must be finite, got {value!r}")
 
 
 def _require_range(name: str, value, low: int, high: int) -> None:
@@ -588,7 +611,8 @@ def run_extract(report: Report, x_path: str, y_path: str, n: int, m: Optional[in
 # bounds tables
 
 
-def bounds_table(n: int, k1: int, k2: int, b1: Optional[int] = None,
+@_command("bounds")
+def bounds_table(report: Report, n: int, k1: int, k2: int, b1: Optional[int] = None,
                  b2: Optional[int] = None, m: Optional[int] = None,
                  eps: Optional[float] = None, c_poly: Optional[float] = None,
                  c_o1: Optional[float] = None,
@@ -599,19 +623,15 @@ def bounds_table(n: int, k1: int, k2: int, b1: Optional[int] = None,
     echoed.  A sweep maps one parameter to the values it takes; each
     point is checked like the command's own config.
     """
-    config = _config(bounds_table, locals())
-    base = {k: v for k, v in config.items() if k != "sweep"}
+    base = {k: v for k, v in report.config.items() if k != "sweep"}
     points = [base]
-    if sweep:
+    if sweep is not None:
         if len(sweep) != 1:
             raise ParameterError("sweep must vary exactly one parameter")
         (name, values), = sweep.items()
         if not values:
             raise ParameterError(f"sweep of {name} needs at least one value")
-        _require_distinct(f"sweep of {name}", values)
         points = [dict(base, **{name: v}) for v in values]
-        for point in points:
-            check("bounds", point)
     rows = []
     for point in points:
         p = bounds.ParamSet(**point)
@@ -633,7 +653,7 @@ def bounds_table(n: int, k1: int, k2: int, b1: Optional[int] = None,
         except OverflowError:
             raise ParameterError(f"bounds out of float range at {p}") from None
         rows.append(row)
-    return {"command": "bounds", "config": config, "rows": rows}
+    return {"command": "bounds", "config": report.config, "rows": rows}
 
 
 # --------------------------------------------------------------------------
@@ -659,7 +679,7 @@ def parameters(command: str) -> dict:
     """name -> (type, required) for each parameter of the command's handler.
 
     Optional[X] reads as X: None only marks a parameter as optional.  So
-    does Annotated[X, low, high], whose range _config checks.
+    does Annotated[X, low, high], whose range _walk checks.
     """
     if command not in COMMANDS:
         raise ParameterError(
@@ -681,46 +701,12 @@ def check(command: str, config) -> None:
 
     Keys the handler lacks, required ones absent, and values of the wrong
     type are bad: bool is not int, int passes for float, and None never
-    passes (a None default only marks a parameter as optional).
+    passes here, though a handler reads None as an optional parameter's
+    default.  Ranges, finiteness and repeats are left to the handler's walk.
     """
-    _check(command, config, parameters(command))
-
-
-def _check(where: str, config, params: dict) -> None:
-    if not isinstance(config, dict):
-        raise ParameterError(f"{where}: expected a JSON object, got {config!r}")
-    unknown = sorted(set(config) - set(params))
-    if unknown:
-        raise ParameterError(f"unknown parameter(s) for {where}: {', '.join(unknown)}")
-    missing = [k for k, (_, required) in params.items() if required and k not in config]
-    if missing:
-        raise ParameterError(f"{where} needs {', '.join(missing)}")
-    for key, value in config.items():
-        tp = params[key][0]
-        if typing.is_typeddict(tp):
-            _check(f"{where} {key}", value, {
-                k: (v, k in tp.__required_keys__)
-                for k, v in typing.get_type_hints(tp).items()})
-        elif not _fits(value, tp):
-            name = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
-            raise ParameterError(f"{where}: {key} must be {name}, got {value!r}")
-
-
-def _fits(value, tp) -> bool:
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is Literal:
-        return value in args
-    if origin is collections.abc.Sequence:
-        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
-    if isinstance(value, bool):
-        return tp is bool
-    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(tp, tp))
+    _walk(command, config, parameters(command), bounded=False)
 
 
 def dispatch(command: str, config: dict):
-    """Run the command's handler on config, once config fits its signature."""
-    check(command, config)
+    """Run the command's handler on config, which the handler walks."""
     return COMMANDS[command](**config)

@@ -12,10 +12,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 from qx2src import adversaries, cli, gf2, harness, qsim
 from qx2src.errors import DimensionError, ParameterError, ValidationError
@@ -386,6 +388,60 @@ def test_positional_and_keyword_calls_give_one_config():
         harness.run_knowledge_attack(3, 4, 5)
 
 
+@pytest.mark.parametrize("handler, kwargs, needle", [
+    ("run_xor_suite", {"atol": "0.1", "trials": 2, "equality_trials": 1, "max_m": 1,
+                       "max_d": 0}, "atol must be float"),
+    ("run_security_suite", {"instances": 1, "n": 2, "k": 1, "b": 0, "atol": None},
+     "atol must be float, got None"),
+    ("run_extract", {"x_path": 1, "y_path": 2, "n": 8}, "x_path must be str"),
+    ("run_smp_attack", {"ns": (True,)}, "ns must be int, got True"),
+    ("bounds_table", {"n": 100, "k1": 80.5, "k2": 80}, "k1 must be int"),
+    ("run_matrices_suite", {"random_ns": "88"}, "random_ns must be Sequence"),
+    # None is the default of an Optional parameter, and is not echoed
+    ("bounds_table", {"n": 100, "k1": 80, "k2": 80, "b1": None, "sweep": None}, None),
+    ("run_extract", {"x_path": "X", "y_path": "X", "n": 16, "m": None, "seeded": None,
+                     "format": None}, None),
+])
+def test_direct_calls_are_checked_like_configs_before_any_work(
+        monkeypatch, tmp_path, handler, kwargs, needle):
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(range(8)))
+    kwargs = {k: str(x) if v == "X" else v for k, v in kwargs.items()}
+    if needle is None:
+        call = getattr(harness, handler)
+        results = [call(**kwargs), call(**{k: v for k, v in kwargs.items() if v is not None})]
+        if handler != "bounds_table":
+            results = [report.to_dict(include_wall_clock=False) for report in results]
+        assert results[0] == results[1]
+        return
+
+    def no_work(*args):
+        raise AssertionError("the handler opened its report")
+
+    monkeypatch.setattr(harness, "Report", no_work)
+    with pytest.raises(ParameterError, match=needle):
+        getattr(harness, handler)(**kwargs)
+
+
+def test_each_command_walks_its_config_once(monkeypatch, tmp_path):
+    from test_cli import SMALL_CONFIGS
+    x = tmp_path / "x.bin"
+    x.write_bytes(bytes(range(8)))
+    configs = [(command, {k: str(x) if v == "X" else v for k, v in config.items()})
+               for command, config in SMALL_CONFIGS.items()]
+    configs.append(("bounds", {"n": 100, "k1": 80, "k2": 80, "sweep": {"b1": [1, 2, 3]}}))
+    walks, hints = [], []
+    walk, get_type_hints = harness._walk, typing.get_type_hints
+    monkeypatch.setattr(harness, "_walk", lambda *a, **k: walks.append(a) or walk(*a, **k))
+    monkeypatch.setattr(typing, "get_type_hints",
+                        lambda *a, **k: hints.append(a) or get_type_hints(*a, **k))
+    for command, config in configs:
+        walks.clear()
+        hints.clear()
+        harness.dispatch(command, config)
+        assert (command, len(walks), len(hints)) == (command, 1, 1)
+
+
 def test_cli_bounds_table(tmp_path):
     out = tmp_path / "bounds.json"
     code = run_cli("bounds", "--n", "100", "--k1", "80", "--k2", "80",
@@ -405,6 +461,9 @@ def test_bounds_table_sweep_and_empty():
     # an empty sweep used to pass with no rows
     with pytest.raises(ParameterError, match="sweep of b2 needs at least one value"):
         harness.bounds_table(**{"n": 64, "k1": 60, "k2": 60, "sweep": {"b2": []}})
+    # and a sweep of no parameter, with one row
+    with pytest.raises(ParameterError, match="sweep must vary exactly one parameter"):
+        harness.bounds_table(n=64, k1=60, k2=60, sweep={})
 
 
 def test_bounds_single_point_echoes_calculator():
@@ -567,7 +626,7 @@ def test_stacked_security_distances_match_the_per_instance_oracle(
 # any reported bit fails here.  The bits hold for the numpy and the OpenBLAS
 # core they were frozen under: another core's BLAS and LAPACK kernels round
 # some records differently, so a failure names both environments.
-FROZEN_UNDER = "numpy 2.4.6, OpenBLAS core SkylakeX"
+FROZEN_UNDER = "numpy 2.4.6, OpenBLAS core SkylakeX, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 REPORT_DIGESTS = [
     ("matrices", 4, "8c4332a2fbd6deec2393b22b53db7f39face20541fc92ed1faaa87f012d8e35b"),
     ("matrices", 5, "67a7b6fe03199d5b052cd3720d8d26f5e805d063f2768900d976ae6cb674792e"),
@@ -598,20 +657,26 @@ def _digest(report) -> str:
 
 
 def _environment() -> str:
-    """This process's numpy version and the core of numpy's bundled OpenBLAS,
-    in FROZEN_UNDER's form."""
+    """This process's numpy version, the core of numpy's bundled OpenBLAS and
+    the SIMD targets numpy dispatches to on this CPU, in FROZEN_UNDER's form."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "libscipy_openblas*"))
     try:
         corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
     except (IndexError, OSError, AttributeError):
-        return f"numpy {np.__version__}, OpenBLAS core unknown"
-    corename.restype = ctypes.c_char_p
-    return f"numpy {np.__version__}, OpenBLAS core {corename().decode()}"
+        core = "unknown"
+    simd = [f for f in _multiarray_umath.__cpu_dispatch__
+            if _multiarray_umath.__cpu_features__.get(f)]
+    return f"numpy {np.__version__}, OpenBLAS core {core}, SIMD {' '.join(simd)}"
 
 
 def test_the_environment_names_numpy_and_the_blas_core():
-    assert _environment().startswith(f"numpy {np.__version__}, OpenBLAS core ")
+    numpy_part, core, simd = _environment().split(", ")
+    assert numpy_part == f"numpy {np.__version__}" and core.startswith("OpenBLAS core ")
+    assert simd.startswith("SIMD") and set(simd.split()[1:]) <= set(
+        _multiarray_umath.__cpu_dispatch__)
 
 
 @pytest.mark.parametrize("suite, seed, digest", REPORT_DIGESTS)
@@ -670,7 +735,8 @@ def test_reports_do_not_depend_on_the_blas_thread_count(monkeypatch):
         reports.append(subprocess.run([sys.executable, "-c", script, json.dumps(attacks)],
                                       env=env, check=True, capture_output=True, text=True,
                                       timeout=300).stdout)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1], \
+        f"frozen under {FROZEN_UNDER}, run under {_environment()}"
     docs = [json.loads(doc) for doc in reports[0].split("\0")]
     assert len(docs) == 9 and all(doc["passed"] for doc in docs)
 

@@ -15,6 +15,7 @@ from qx2src.extractors import FlatSource, ip_extract, multibit_extract, random_f
 from qx2src.gf2 import BitVector
 from qx2src.harness import MAX_CQ_M
 from qx2src.rng import derive_rng
+from test_harness import FROZEN_UNDER, _environment
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -1041,7 +1042,8 @@ def test_character_sums_square_with_pow():
     # the reports sum pow's squares
     s = qsim.random_cq_state(1, 3, 1, [849])
     x = qsim.cq_distance_from_uniform(qsim.boolean_reduce(s, np.array([0, 1]))).tolist()[0]
-    assert x == 0.2828725197186212 and x ** 2 != x * x
+    assert x == 0.2828725197186212 and x ** 2 != x * x, \
+        f"frozen under {FROZEN_UNDER}, run under {_environment()}"
     assert qsim.xor_lemma_check(s).character_sum.tolist() == [x ** 2]
     stack = qsim.random_cq_state(1, 3, 1, [846, 849])
     assert qsim.xor_lemma_check(stack).character_sum[1] == x ** 2
