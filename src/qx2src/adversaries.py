@@ -282,8 +282,7 @@ def _basis_strategy(b1: int, b2: int, basis: Callable[[], np.ndarray],
 
 
 def _block_code(vs: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Bit positions[j] of each v as bit j of an int64 code; vs may hold
-    Python ints of any length."""
+    """Bit positions[j] of each v as bit j of an int64 code."""
     code = np.zeros(len(vs), dtype=np.int64)
     for j, p in enumerate(positions):
         code |= (vs >> p & 1).astype(np.int64) << j
@@ -395,7 +394,7 @@ def _ip_zero_table(l: int) -> np.ndarray:
     return (1 - (np.bitwise_count(v[:, None] & v[None, :]) & 1)).astype(np.int32)
 
 
-def _hill_climb(l: int, seed: int) -> Tuple[float, tuple, tuple]:
+def _hill_climb(l: int, seed: int) -> Tuple[float, np.ndarray, np.ndarray]:
     restarts, iters = 4, 4000
     size = 1 << (l - 3)
     univ = 1 << l
@@ -443,7 +442,8 @@ def _hill_climb(l: int, seed: int) -> Tuple[float, tuple, tuple]:
                 score += gain_y
         prob = score / (size * size)
         if prob > best_overall[0]:
-            best_overall = (prob, tuple(np.flatnonzero(xsel)), tuple(np.flatnonzero(ysel)))
+            best_overall = (prob, np.flatnonzero(xsel).astype(np.uint64),
+                            np.flatnonzero(ysel).astype(np.uint64))
     return best_overall
 
 
@@ -468,8 +468,7 @@ def biased_product_sources(l: int, seed: int = 0) -> BiasedSourcePair:
         raise SearchExhaustedError(
             f"search stalled at Pr={prob:.6f} <= bound {bound:.6f} for l={l}",
             best=prob)
-    return BiasedSourcePair(x=FlatSource.from_values(l, xsup),
-                            y=FlatSource.from_values(l, ysup),
+    return BiasedSourcePair(x=FlatSource(l, xsup), y=FlatSource(l, ysup),
                             prob_zero=prob, bound=bound, l=l)
 
 
@@ -521,12 +520,15 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
     blocks that keep the min-entropies at k1 and k2, and a highly
     biased pair on l = Delta + 6 - b bits - so that the storage's block
     bit matches the full inner product with probability beyond
-    1/2 + 2^(-(Delta + 5 - b)/2).
+    1/2 + 2^(-(Delta + 5 - b)/2).  Source values take min(n, k1 + k2) <= 64 bits.
     """
     if setting not in SETTINGS:
         raise ParameterError(f"unknown setting {setting!r}")
     if not (0 < k1 <= n and 0 < k2 <= n):
         raise ParameterError("need 0 < k1, k2 <= n")
+    if min(n, k1 + k2) > 64:
+        raise ParameterError(
+            f"source values need min(n, k1 + k2) = {min(n, k1 + k2)} bits, over 64")
     if b1 < 0 or b2 < 0:
         raise ParameterError(f"need storage budgets b1, b2 >= 0, got b1={b1}, b2={b2}")
     if branch not in get_args(Branch):
@@ -557,10 +559,12 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
         if delta > b:
             raise ParameterError(
                 f"exact branch needs Delta={delta} <= covered block b={b}")
-        x_source = FlatSource.from_values(n, range(1 << k1))
-        y_source = FlatSource.from_values(
-            n, (v << (n - k2) for v in range(1 << k2)))
-        block = list(range(n - k2, k1))  # the overlap, empty when Delta <= 0
+        # Y at bit k1, not the paper's n - k2, when Delta <= 0: the same attack up
+        # to a permutation of bits neither source sets, in k1 + k2 bits, not n
+        shift = min(n - k2, k1)
+        x_source = FlatSource(n, np.arange(1 << k1, dtype=np.uint64))
+        y_source = FlatSource(n, np.arange(0, 1 << (k2 + shift), 1 << shift, dtype=np.uint64))
+        block = list(range(shift, k1))  # the overlap, empty when Delta <= 0
         predicted = 0.5
     else:
         l = delta + 6 - b
@@ -571,18 +575,11 @@ def tightness_attack(n: int, k1: int, k2: int, b1: int, b2: int,
                 f"biased construction infeasible: l={l}, filler lengths ({len2}, {len4})")
         biased = biased_product_sources(l, seed=seed)
         shift3 = b + len2
-        x_vals = []
-        for x3 in biased.x.support:
-            for x2 in range(1 << len2):
-                for x1 in range(1 << b):
-                    x_vals.append(x1 | (x2 << b) | (x3 << shift3))
-        y_vals = []
-        for y3 in biased.y.support:
-            for y4 in range(1 << len4):
-                for y1 in range(1 << b):
-                    y_vals.append(y1 | (y3 << shift3) | (y4 << (shift3 + l)))
-        x_source = FlatSource.from_values(n, x_vals)
-        y_source = FlatSource.from_values(n, y_vals)
+        # x3 | x2 | x1 and y4 | y3 | x1, most significant block first: increasing
+        x1, x2, y4 = (np.arange(1 << w, dtype=np.uint64) for w in (b, len2, len4))
+        xs = biased.x.support[:, None, None] << shift3 | x2[:, None] << b | x1
+        ys = y4[:, None, None] << (shift3 + l) | biased.y.support[:, None] << shift3 | x1
+        x_source, y_source = FlatSource(n, xs.ravel()), FlatSource(n, ys.ravel())
         block = list(range(b))
         predicted = 2.0 ** (-(k1 + k2 - b - n + 5) / 2)
         bias_found = biased.prob_zero
@@ -615,19 +612,15 @@ def measure_attack_advantage(attack: TightnessAttack) -> float:
     dim = 1 << (storage.b1 + storage.b2)
     outer, inner = (ys, xs) if attack.exposed else (xs, ys)
     cuts = qsim.stack_chunks(len(inner), 8)     # one outer value's pairs, 8 bytes each
-    if len(cuts) == 1:                          # converted once, not once per chunk
-        inner = qsim._int_array(inner)
     total, signed = 0, np.zeros(dim, dtype=np.int64)    # signed: c0 - c1 by group
     # an outer value's pairs, and with Y exposed its groups, 8 bytes each
     for part in qsim.stack_chunks(len(outer), 8 * max(len(inner), dim if attack.exposed else 0)):
-        values = qsim._int_array(outer[part])
-        rows = len(values)
+        rows = len(outer[part])
         if attack.exposed:      # the last chunk's y values are closed
             total += int(np.abs(signed).sum())
             signed = np.zeros(rows * dim, dtype=np.int64)
         for cut in cuts:
-            others = qsim._int_array(inner[cut])
-            xv, yv = np.repeat(values, len(others)), np.tile(others, rows)
+            xv, yv = np.repeat(outer[part], len(inner[cut])), np.tile(inner[cut], rows)
             if attack.exposed:
                 xv, yv = yv, xv
             odd = qsim.character(xv, yv) == 1

@@ -46,24 +46,43 @@ from .rng import derive_rng
 # flat sources
 
 
-@dataclass(frozen=True)
+def _uint64(values):
+    """values as uint64, exact for Python ints; ParameterError unless integers in [0, 2^64)."""
+    import numpy as np
+    given = np.asarray(values)
+    try:    # exact for Python ints, which np.asarray alone makes floats past 2^63
+        support = np.asarray(values, dtype=np.uint64)
+    except (OverflowError, ValueError):     # past 2^64, below 0 or NaN
+        support = None
+    if support is None or (given.dtype != np.uint64 and not np.array_equal(support, given)):
+        raise ParameterError("support values must be integers in [0, 2^64)")
+    return support
+
+
+@dataclass(frozen=True, eq=False)
 class FlatSource:
-    """Uniform distribution over an explicit support of n-bit strings."""
+    """Uniform over a support of n-bit strings: a read-only, increasing uint64 array."""
 
     n: int
-    support: tuple
+    support: "np.ndarray"
 
     def __post_init__(self):
-        if not self.support:
-            raise ParameterError("support must be nonempty")
-        if list(self.support) != sorted(set(self.support)):
+        import numpy as np
+        support = _uint64(self.support).view()
+        if support.ndim != 1 or not support.size:
+            raise ParameterError("support must be a nonempty sequence")
+        if np.count_nonzero(support[1:] <= support[:-1]):
             raise ParameterError("support must be sorted and duplicate-free")
-        if self.support[0] < 0 or self.support[-1] >> self.n:
+        if int(support[-1]) >> self.n:
             raise ParameterError("support value out of range for n bits")
+        support.flags.writeable = False
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def from_values(cls, n: int, values) -> "FlatSource":
-        return cls(n, tuple(sorted(set(int(v) for v in values))))
+        import numpy as np
+        support = np.sort(_uint64(values))
+        return cls(n, np.concatenate((support[:1], support[1:][support[1:] != support[:-1]])))
 
     def min_entropy(self) -> float:
         return math.log2(len(self.support))
@@ -78,7 +97,7 @@ def random_flat_source(n: int, k: int, seed: int, *streams: int) -> FlatSource:
         raise ParameterError("need 0 <= k <= n")
     rng = derive_rng(seed, 0x5053, *streams)
     values = rng.choice(1 << n, size=1 << k, replace=False)
-    return FlatSource.from_values(n, values)
+    return FlatSource.from_values(n, values.astype("uint64"))
 
 
 # --------------------------------------------------------------------------

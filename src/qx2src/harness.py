@@ -221,15 +221,14 @@ MAX_SUPERDENSE_N = 14
 # at n = 10 on two cores
 MAX_KNOWLEDGE_N = 10
 # tightness strategies index 2^(b1+b2) basis states over 2^(k1+k2) source pairs;
-# counted in chunks of 2^14 pairs, 2^20 pairs take about 0.03 s and 0.9 MiB
+# counted in chunks of 2^14 pairs, 2^20 pairs take about 0.009 s and 0.9 MiB
 # (tracemalloc) on two cores
 MAX_TIGHTNESS_B = 10
 MAX_TIGHTNESS_K = 20
-# sources are n-bit ints, but the work is in the pairs: at n = 2000 the worst
-# in-range command (k1 = k2 = 10, b1 + b2 = 10) takes about 0.33 s and 32 MB
-# as a cold process on two cores, against 0.22 s at n = 12.  Past n = 2031 the
-# security threshold 2^((n + s - k1 - k2 - 2) / 2), with storage s up to
-# 2 x 10, leaves the float range at k1 = k2 = 1
+# n does not set the cost: values take min(n, k1 + k2) <= 20 bits, and at n = 2000
+# (k1 = k2 = 10, b1 + b2 = 10) a cold command takes 0.25-0.3 s and 32 MB on two
+# cores, as long as at n = 12.  Past n = 2031 the threshold 2^((n + s - k1 - k2 - 2) / 2),
+# with storage s up to 2 x 10, leaves the float range at k1 = k2 = 1
 MAX_TIGHTNESS_N = 2000
 # an xor, merge or reduction trial costs 0.08-0.12 ms at the default sizes, so
 # 100,000 of them take about 8-12 s on two cores; a random rank trial at n = 64

@@ -14,13 +14,13 @@ does not hold.  Samplers and builders take sequences and return a stack
 with a leading axis: random_cq_state draws one state per stream through
 one re-keyed generator (rng.derive_rngs), and extractor_output_state
 builds one per pair of sources from a state map, usually an
-adversaries.StorageStrategy; random_density makes a stack of Wishart
-states from a stack of normal draws.  Every check broadcasts over the
-leading axes of its state, or of its priors and matrices, and gives
-each state the numbers it gets alone.  The tightness attacks'
-strategies store basis vectors, and adversaries measures them, strong
-and superstrong notions included, by exact counts without building a
-state.
+adversaries.StorageStrategy, with each pair's inner product a popcount
+parity on the sources' uint64 supports; random_density makes a stack of
+Wishart states from a stack of normal draws.  Every check broadcasts over
+the leading axes of its state, or of its priors and matrices, and gives
+each state the numbers it gets alone.  The tightness attacks' strategies
+store basis vectors, and adversaries measures them, strong and superstrong
+notions included, by exact counts without building a state.
 Consumers work on these arrays by index; every sum over entries runs
 left to right in entry order (np.add.at, np.add.accumulate or Python's
 sum, never np.sum's pairwise order), so the numbers match a per-entry
@@ -129,14 +129,6 @@ PAULIS: Dict[Tuple[int, int], np.ndarray] = {
 
 # --------------------------------------------------------------------------
 # density matrices, cq-states, POVMs
-
-
-def _int_array(values) -> np.ndarray:
-    """values as int64, or as Python ints when one needs 64 bits or more."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def _square_stack(mats, what: str) -> np.ndarray:
@@ -263,8 +255,8 @@ def extractor_output_state(x_sources, y_sources, stored: Callable[..., np.ndarra
             or len({len(s.support) for s in y_sources}) > 1:
         raise ParameterError("stacked sources must pair up, each side's of one support size")
     # (instance, support position) arrays of source values
-    xs = _int_array([s.support for s in x_sources])
-    ys = _int_array([s.support for s in y_sources])
+    xs = np.stack([s.support for s in x_sources])
+    ys = np.stack([s.support for s in y_sources])
     count = len(xs)
     xi = np.repeat(np.arange(xs.shape[1]), ys.shape[1])
     yi = np.tile(np.arange(ys.shape[1]), xs.shape[1])
@@ -345,13 +337,9 @@ def boolean_reduce(s: CqState, f: np.ndarray) -> CqState:
 
 def character(labels: np.ndarray, mask) -> np.ndarray:
     """chi_S(z) as int64 0/1: the parity of the mask-selected bits of each
-    label, which is also the inner product z . S over GF(2).  Labels or
-    masks of 64 bits or more are Python ints in object arrays."""
-    bits = labels & mask
-    if bits.dtype == object:
-        return np.array([int(v).bit_count() & 1 for v in bits.ravel().tolist()],
-                        dtype=np.int64).reshape(bits.shape)
-    return (np.bitwise_count(bits) & 1).astype(np.int64)
+    label, which is also the inner product z . S over GF(2), on integer
+    arrays of up to 64 bits such as flat sources' uint64 supports."""
+    return (np.bitwise_count(labels & mask) & 1).astype(np.int64)
 
 
 @dataclass(frozen=True)

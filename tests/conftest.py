@@ -74,10 +74,10 @@ def _conditioned_state(xs, ys, state_map, exposed):
     the exposed state's distance from uniform is the mean of theirs."""
     x_list, y_list = [xs], [ys]
     if exposed == "X":
-        x_list = [FlatSource.from_values(xs.n, [v]) for v in xs.support]
+        x_list = [FlatSource.from_values(xs.n, [v]) for v in xs.support.tolist()]
         y_list = [ys] * len(x_list)
     elif exposed == "Y":
-        y_list = [FlatSource.from_values(ys.n, [v]) for v in ys.support]
+        y_list = [FlatSource.from_values(ys.n, [v]) for v in ys.support.tolist()]
         x_list = [xs] * len(y_list)
     return x_list, y_list, qsim.extractor_output_state(
         x_list, y_list, lambda xs, ys, at: state_map(xs, ys, np.zeros_like(at)))

@@ -17,7 +17,7 @@ from qx2src.adversaries import (biased_product_sources, bell_outcome,
                                 smp_ip_protocol, superdense_roundtrip,
                                 tightness_attack)
 from qx2src.errors import DimensionError, ParameterError, SearchExhaustedError
-from qx2src.extractors import ip_extract, random_flat_source
+from qx2src.extractors import FlatSource, ip_extract, random_flat_source
 from qx2src.gf2 import BitVector, inner_product
 from test_harness import _peak_mib
 
@@ -373,7 +373,7 @@ def test_biased_sources_l4_exhaustive():
     assert pair.y.min_entropy() == 1.0
     # verify the bias claim directly on the returned supports
     zeros = sum((xv & yv).bit_count() % 2 == 0
-                for xv in pair.x.support for yv in pair.y.support)
+                for xv in pair.x.support.tolist() for yv in pair.y.support.tolist())
     assert zeros == 4
 
 
@@ -391,7 +391,8 @@ def _exhaustive_l4_optimum():
 def test_biased_sources_l4_match_exhaustive_optimum(seed):
     xs, ys, prob = _exhaustive_l4_optimum()
     pair = biased_product_sources(4, seed)
-    assert (pair.x.support, pair.y.support, pair.prob_zero) == (xs, ys, prob)
+    assert (tuple(pair.x.support.tolist()), tuple(pair.y.support.tolist()),
+            pair.prob_zero) == (xs, ys, prob)
 
 
 @pytest.mark.parametrize("l", [5, 6, 7, 8])
@@ -401,7 +402,7 @@ def test_biased_sources_hill_climb(l):
     assert pair.x.min_entropy() == l - 3
     assert pair.y.min_entropy() == l - 3
     zeros = sum((xv & yv).bit_count() % 2 == 0
-                for xv in pair.x.support for yv in pair.y.support)
+                for xv in pair.x.support.tolist() for yv in pair.y.support.tolist())
     assert zeros / (len(pair.x.support) * len(pair.y.support)) == pair.prob_zero
 
 
@@ -552,13 +553,17 @@ def test_tightness_biased_hill_climb_end_to_end():
     assert abs(measured - (attack.bias_found - 0.5)) <= 1e-9
 
 
-# (n, k1, k2, b1, b2) per setting and branch, all at n <= 6; the first exact
-# tuple of each setting has an empty overlap, the biased ones run l = 4..6
+# (n, k1, k2, b1, b2) per setting and branch; the exact tuples at n = 10
+# and 62 and the first at n = 6 have an empty overlap (Delta <= 0), the
+# biased ones run l = 4..6
 COUNTED = {
-    ("non-entangled", "exact"): [(6, 3, 2, 1, 1), (4, 3, 3, 2, 2)],
-    ("entangled", "exact"): [(6, 3, 3, 2, 2), (4, 3, 3, 3, 3)],
-    ("superstrong-non-entangled", "exact"): [(6, 2, 3, 1, 1), (4, 3, 3, 2, 1)],
-    ("superstrong-entangled", "exact"): [(6, 3, 3, 1, 0), (4, 3, 3, 1, 1), (3, 3, 3, 2, 0)],
+    ("non-entangled", "exact"): [(6, 3, 2, 1, 1), (4, 3, 3, 2, 2), (10, 3, 3, 1, 1),
+                                 (62, 3, 2, 1, 1)],
+    ("entangled", "exact"): [(6, 3, 3, 2, 2), (4, 3, 3, 3, 3), (10, 3, 3, 2, 2)],
+    ("superstrong-non-entangled", "exact"): [(6, 2, 3, 1, 1), (4, 3, 3, 2, 1),
+                                             (10, 3, 3, 1, 1)],
+    ("superstrong-entangled", "exact"): [(6, 3, 3, 1, 0), (4, 3, 3, 1, 1), (3, 3, 3, 2, 0),
+                                         (10, 3, 3, 1, 1)],
     ("non-entangled", "biased"): [(6, 3, 3, 1, 1), (6, 3, 3, 2, 2), (6, 3, 3, 0, 0)],
     ("entangled", "biased"): [(6, 3, 3, 2, 2), (6, 3, 3, 3, 3)],
     ("superstrong-non-entangled", "biased"): [(6, 3, 3, 1, 0), (6, 3, 3, 2, 1)],
@@ -576,7 +581,7 @@ def _basis_state_map(storage):
 
 def _counted_probes(setting, branch):
     """The COUNTED attacks of a setting and branch at seeds 0 and 1: the
-    constructed sources, which at n <= 6 reach the full 1/2, and random
+    constructed sources, which reach the full 1/2 where n <= 6, and random
     sources of the same min-entropies, whose groups mix both outputs."""
     for n, k1, k2, b1, b2 in COUNTED[setting, branch]:
         for seed in (0, 1):
@@ -597,6 +602,32 @@ def test_counted_advantage_matches_the_dense_cq_state(setting, branch, condition
         measured.add(measure_attack_advantage(probe))
         assert abs(measure_attack_advantage(probe) - dense) <= 1e-12
     assert 0.5 in measured and min(measured) < 0.5
+
+
+@pytest.mark.parametrize("setting", adversaries.SETTINGS)
+def test_exact_sources_without_overlap_measure_as_the_papers_top_bits(setting):
+    # with Delta < 0, Y at bit k1 and the paper's Y at bit n - k2 differ by a
+    # permutation of bits that neither source sets
+    for n, k1, k2, b1, b2 in COUNTED[setting, "exact"]:
+        if k1 + k2 < n:
+            attack = tightness_attack(n, k1, k2, b1, b2, setting)
+            top = dataclasses.replace(
+                attack, y_source=FlatSource(n, np.arange(1 << k2) << (n - k2)))
+            assert measure_attack_advantage(top) == measure_attack_advantage(attack)
+
+
+def test_tightness_sources_at_n_2000_are_uint64_below_2_to_the_20():
+    attack = tightness_attack(2000, 10, 10, 5, 5, "non-entangled")
+    for source in (attack.x_source, attack.y_source):
+        assert source.support.dtype == np.uint64 and int(source.support[-1]) < 1 << 20
+    assert measure_attack_advantage(attack) == 0.5
+
+
+def test_tightness_refuses_values_beyond_64_bits():
+    # 2^35-value supports would take 256 GiB each; the refusal comes first
+    with pytest.raises(ParameterError, match="= 70 bits") as err:
+        tightness_attack(100, 35, 35, 1, 1, "non-entangled")
+    assert "\n" not in str(err.value)
 
 
 def _benchmark_attacks(workloads):
@@ -623,8 +654,7 @@ def _one_stack_advantage(attack) -> float:
     """measure_attack_advantage's counts with every source pair in one stack:
     the groups are np.unique's of (exposed position, basis index) keys."""
     storage = attack.storage
-    xs = qsim._int_array(attack.x_source.support)
-    ys = qsim._int_array(attack.y_source.support)
+    xs, ys = attack.x_source.support, attack.y_source.support
     xv, yv = np.repeat(xs, len(ys)), np.tile(ys, len(xs))      # the pairs, x-major
     odd = qsim.character(xv, yv) == 1
     key = storage.index(xv, yv)

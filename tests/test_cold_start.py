@@ -39,7 +39,11 @@ def _fresh(script, *args):
     # n = 768 runs the live search, which needs numpy but not the verifier
     (["extract", "--x", "X", "--y", "Y", "--n", "768", "--m", "64"],
      {"qx2src.qsim", "qx2src.adversaries"}),
-], ids=["bounds", "extract memo", "extract search"])
+    # the benchmark's largest attack builds its sources in increasing order:
+    # np.unique, which imports numpy.ma, would add about 1 MB to its peak
+    (["attack", "tightness", "--n", "12", "--k1", "8", "--k2", "8", "--b1", "2", "--b2", "2",
+      "--setting", "non-entangled"], {"numpy.ma"}),
+], ids=["bounds", "extract memo", "extract search", "attack tightness"])
 def test_command_loads_only_its_layers(tmp_path, argv, absent):
     x, y = tmp_path / "x.bin", tmp_path / "y.bin"
     x.write_bytes(bytes(range(256)) * 2)

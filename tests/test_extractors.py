@@ -543,17 +543,31 @@ def test_compose_end_to_end_matches_calculator():
 
 def test_flat_source_validation():
     src = FlatSource.from_values(3, [5, 1, 1])
-    assert src.support == (1, 5)
+    assert src.support.dtype == "uint64" and src.support.tolist() == [1, 5]
     assert src.min_entropy() == 1.0
-    with pytest.raises(ParameterError):
-        FlatSource(3, ())
-    with pytest.raises(ParameterError):
-        FlatSource(2, (1, 7))
+    with pytest.raises(ValueError, match="read-only"):
+        src.support[0] = 3
+    top = FlatSource.from_values(64, [(1 << 64) - 1, 1 << 63, 1])
+    assert top.support.tolist() == [1, 1 << 63, (1 << 64) - 1]
+    for n, support in [(3, ()), (2, (1, 7)),                    # empty, beyond n bits
+                       (3, (5, 1)), (3, (1, 1, 5)),             # unsorted, repeated
+                       (3, (-1, 1)), (64, (1, 1 << 64)),        # below 0, 2^64
+                       (64, [1 << 63, 1 << 64]),                # 2^64 beside 2^63
+                       (3, [1.5, 2]), (3, [float("nan")])]:     # not integers
+        with pytest.raises(ParameterError) as err:
+            FlatSource(n, support)
+        assert "\n" not in str(err.value), support
+    for values in ([-1, 5], extractors.random_flat_source(6, 3, 1).support.astype(int) - 64,
+                   [1, 1 << 64]):
+        with pytest.raises(ParameterError, match=r"integers in \[0, 2\^64\)"):
+            FlatSource.from_values(65, values)
+    with pytest.raises(ParameterError, match="nonempty"):
+        FlatSource.from_values(3, [])
 
 
 def test_random_flat_source_support_size_and_determinism():
     a = extractors.random_flat_source(6, 3, seed=42, )
     b = extractors.random_flat_source(6, 3, seed=42)
-    assert a.support == b.support
+    assert a.support.tolist() == b.support.tolist()
     assert len(a.support) == 8
     assert a.min_entropy() == 3.0

@@ -304,8 +304,8 @@ def test_cli_attack_tightness(tmp_path):
 
 
 def test_cli_attack_tightness_beyond_64_bits(tmp_path):
-    # Y's values reach bit 69, so sources, parities and basis indices are
-    # computed on Python ints rather than int64
+    # n = 70 bits, but with Delta < 0 Y sits at bit k1 = 10, so every source
+    # value, parity and basis index fits 20 bits of a uint64
     out = tmp_path / "attack.json"
     code = run_cli("attack", "tightness", "--n", "70", "--k1", "10", "--k2", "10",
                    "--b1", "2", "--b2", "2", "--setting", "non-entangled",
@@ -576,8 +576,8 @@ def _security_oracle(storage_oracle, seed, instances, n, k, b, flavor) -> list:
         stored = storage_oracle(b, b, flavor, (seed ^ 0xF1A) + i)
         p_pair = xs.probability() * ys.probability()
         sums = {}
-        for x in xs.support:
-            for y in ys.support:
+        for x in xs.support.tolist():
+            for y in ys.support.tolist():
                 bit = (x & y).bit_count() & 1
                 p, total = sums.get(bit, (0.0, complex(-0.0, -0.0)))
                 sums[bit] = (p + p_pair, total + stored(x, y))

@@ -186,8 +186,8 @@ def _string_label_oracle(extractor, xs, ys, state_map, exposed):
     """
     p_pair = xs.probability() * ys.probability()
     acc = {}
-    for xv in (BitVector(xs.n, v) for v in xs.support):
-        for yv in (BitVector(ys.n, v) for v in ys.support):
+    for xv in (BitVector(xs.n, v) for v in xs.support.tolist()):
+        for yv in (BitVector(ys.n, v) for v in ys.support.tolist()):
             out = extractor(xv, yv)
             out = BitVector(1, out) if isinstance(out, int) else out
             side = {"X": xv, "Y": yv}.get(exposed)
