@@ -47,7 +47,8 @@ from .rng import derive_rng
 
 
 def _uint64(values):
-    """values as uint64, exact for Python ints; ParameterError unless integers in [0, 2^64)."""
+    """values as a 1-D uint64 array, exact for Python ints; ParameterError unless
+    a nonempty sequence of integers in [0, 2^64)."""
     import numpy as np
     given = np.asarray(values)
     try:    # exact for Python ints, which np.asarray alone makes floats past 2^63
@@ -56,6 +57,8 @@ def _uint64(values):
         support = None
     if support is None or (given.dtype != np.uint64 and not np.array_equal(support, given)):
         raise ParameterError("support values must be integers in [0, 2^64)")
+    if support.ndim != 1 or not support.size:
+        raise ParameterError("support must be a nonempty sequence")
     return support
 
 
@@ -69,8 +72,6 @@ class FlatSource:
     def __post_init__(self):
         import numpy as np
         support = _uint64(self.support).view()
-        if support.ndim != 1 or not support.size:
-            raise ParameterError("support must be a nonempty sequence")
         if np.count_nonzero(support[1:] <= support[:-1]):
             raise ParameterError("support must be sorted and duplicate-free")
         if int(support[-1]) >> self.n:

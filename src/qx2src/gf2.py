@@ -26,15 +26,16 @@ time by XOR-basis insertion, are their reference.
 Scalar polynomials have one kernel per job: :func:`poly_mul`,
 :func:`poly_mod` and :func:`poly_gcd`.  The carry-less product serves
 :func:`is_irreducible`, textbook Ben-Or, the scalar reference of the
-modulus search, and Horner's rule over GF(2^w) above w = 16.  Sparse
-operands take a shift-xor loop over set bits, dense ones a
-byte-windowed table walk.  :func:`correlate` is the same table walk run
-with right shifts: the first m coefficients of a transposed product,
-which the multi-bit extractor (after :func:`extend_by_modulus`) and the
-Toeplitz hash share.  From about 3000 bits it cuts a into byte-aligned
-segments of about S = 2000 bits and walks each against only the window
-of b it can reach, S + m - 1 bits: n/S tables and n/8 steps on
-(S + m)-bit ints, where one walk would take n/8 steps on (n + m)-bit ints.
+modulus search, and Horner's rule over GF(2^w) above w = 16.  It XORs
+one shifted copy of one operand per set bit of the other, the sparser.
+:func:`correlate` walks the bytes of a through a 256-entry table of b's
+shifted XORs, shifting right, so it forms only the first m coefficients
+of a transposed product, which the multi-bit extractor (after
+:func:`extend_by_modulus`) and the Toeplitz hash share.  From about
+3000 bits it cuts a into byte-aligned segments of about S = 2000 bits
+and walks each against only the window of b it can reach, S + m - 1
+bits: n/S tables and n/8 steps on (S + m)-bit ints, where one walk would
+take n/8 steps on (n + m)-bit ints.
 numpy lanes of small polynomials have one each too: _clmul_lanes,
 _square_lanes and _mod_lanes, which the sieve and GF(2^w)'s log tables
 share.
@@ -174,36 +175,20 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-# Set bits in the sparser operand from which poly_mul walks bytes through
-# a table: building the table costs about as much as 75 shifted xors.
-_WINDOW_MIN_WEIGHT = 80
-
-
 def poly_mul(a: int, b: int) -> int:
     """Carry-less product.
 
-    Walks the operand with fewer set bits.  With few set bits it xors
-    one shifted copy of the other operand per set bit; otherwise it
-    walks the bytes from the top through a 256-entry table of the other
-    operand's products with every byte, as acc = (acc << 8) ^ T[byte].
-    The choice follows the set-bit count, not the length, because a long
-    sparse operand such as x^1000 costs one xor in the first loop.
+    Swaps the operands so that a has fewer set bits, then XORs one
+    shifted copy of b per set bit of a.  The count follows the set bits,
+    not the length, so a long sparse operand such as x^1000 costs one xor.
     """
     if a.bit_count() > b.bit_count():
         a, b = b, a
     acc = 0
-    if a.bit_count() < _WINDOW_MIN_WEIGHT:
-        while a:
-            low = a & -a
-            acc ^= b << (low.bit_length() - 1)
-            a ^= low
-        return acc
-    table = [0, b]
-    for k in range(1, 8):
-        shifted = b << k
-        table += [shifted ^ v for v in table]
-    for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
-        acc = (acc << 8) ^ table[byte]
+    while a:
+        low = a & -a
+        acc ^= b << (low.bit_length() - 1)
+        a ^= low
     return acc
 
 
@@ -509,11 +494,9 @@ def find_irreducible(n: int) -> Gf2Poly:
     """
     if n < 1:
         raise ParameterError("degree must be at least 1")
-    if n == 1:
-        return Gf2Poly(2)  # x comes before x + 1
-    if n in _KNOWN_TAILS:
-        return Gf2Poly((1 << n) | _KNOWN_TAILS[n])
-    return Gf2Poly(_search_irreducible(n))
+    if modulus_source(n) == "search":
+        return Gf2Poly(_search_irreducible(n))
+    return Gf2Poly((1 << n) | _KNOWN_TAILS.get(n, 0))  # at n = 1, x comes before x + 1
 
 
 def modulus_source(n: int) -> str:

@@ -67,7 +67,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         raise DimensionError("matrix must be square")
     if not np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_ATOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
-    return np.sort(np.linalg.eigvalsh(m), axis=-1)[..., ::-1]
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
 def l1_norm(m: np.ndarray):

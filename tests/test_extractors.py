@@ -561,8 +561,9 @@ def test_flat_source_validation():
                    [1, 1 << 64]):
         with pytest.raises(ParameterError, match=r"integers in \[0, 2\^64\)"):
             FlatSource.from_values(65, values)
-    with pytest.raises(ParameterError, match="nonempty"):
-        FlatSource.from_values(3, [])
+    for values in ([], 5, [[1, 2], [3, 4]]):                   # empty, scalar, 2-D
+        with pytest.raises(ParameterError, match="^support must be a nonempty sequence$"):
+            FlatSource.from_values(3, values)
 
 
 def test_random_flat_source_support_size_and_determinism():

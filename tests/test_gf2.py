@@ -319,14 +319,13 @@ def test_poly_mul_matches_oracle_exhaustive_7_bits():
             assert gf2.poly_mul(a, b) == _oracle_mul(a, b)
 
 
-_CUTOFF = gf2._WINDOW_MIN_WEIGHT
 _OPERANDS = st.one_of(
     st.just(0),
     st.integers(0, 8191).map(lambda k: 1 << k),
     # dense, of any length up to 8192 bits
     st.integers(0, 8192).flatmap(lambda k: st.integers((1 << k) >> 1, (1 << k) - 1)),
-    # set-bit counts on both sides of the cutoff
-    st.lists(st.integers(0, 8191), min_size=_CUTOFF - 1, max_size=_CUTOFF + 1,
+    # 79 to 81 set bits spread over 8192
+    st.lists(st.integers(0, 8191), min_size=79, max_size=81,
              unique=True).map(lambda ks: sum(1 << k for k in ks)))
 
 

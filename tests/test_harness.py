@@ -625,35 +625,56 @@ def test_stacked_security_distances_match_the_per_instance_oracle(
 # sha256 of to_json(include_wall_clock=False) at default sizes: a change to
 # any reported bit fails here.  The bits hold for the numpy and the OpenBLAS
 # core they were frozen under: another core's BLAS and LAPACK kernels round
-# some records differently, so a failure names both environments.
+# some records differently, so a failure names both environments.  Beside
+# each sits a portable digest of every record's (name, measured, bound,
+# passed), numbers at 9 significant digits and |x| < 1e-9 read as 0
+# (perfbench's workloads.records_digest), which such rounding leaves alone.
 FROZEN_UNDER = "numpy 2.4.6, OpenBLAS core SkylakeX, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 REPORT_DIGESTS = [
-    ("matrices", 4, "8c4332a2fbd6deec2393b22b53db7f39face20541fc92ed1faaa87f012d8e35b"),
-    ("matrices", 5, "67a7b6fe03199d5b052cd3720d8d26f5e805d063f2768900d976ae6cb674792e"),
-    ("xor", 4, "fd0a299a0f13e22ca1a4c23608bdd2d0baa5e0269b2c65087f6ee86ad9499961"),
-    ("xor", 5, "cfd2d2e63a31a4f4a1c9f4e3fb296395b9cd692443ac36ae5d6a748d60ef4957"),
-    ("reduction", 4, "436c01f2a2955a89aa33366bc09cd641f0f7b0fcd5390c5e11eec34cea260178"),
-    ("reduction", 5, "bdfe2362441f221fcf541780fd4652376456b7ac4f9a28c5258163647526d30b"),
-    ("normbound", 4, "00d9d7420b2e1f96f8c2eca9b30e36306b425976e187f90388dbf933189cdce0"),
-    ("normbound", 5, "e42835bb2645bcaece77cb559fe104b12e8ced59e7d7265aa398bc15e7a4c820"),
-    ("security", 4, "af7145ca55af56f0fa1605d439869a8fef1d2af333e8deeb7268150b8c888887"),
-    ("security", 5, "15321461f6455620370cee5dcce9371689a332881c5aa5723fe4a6406416018a"),
+    ("matrices", 4, "8c4332a2fbd6deec2393b22b53db7f39face20541fc92ed1faaa87f012d8e35b",
+     "b3038b0553bbefdc"),
+    ("matrices", 5, "67a7b6fe03199d5b052cd3720d8d26f5e805d063f2768900d976ae6cb674792e",
+     "b3038b0553bbefdc"),
+    ("xor", 4, "fd0a299a0f13e22ca1a4c23608bdd2d0baa5e0269b2c65087f6ee86ad9499961",
+     "cef7511cfdd85ac0"),
+    ("xor", 5, "cfd2d2e63a31a4f4a1c9f4e3fb296395b9cd692443ac36ae5d6a748d60ef4957",
+     "cef7511cfdd85ac0"),
+    ("reduction", 4, "436c01f2a2955a89aa33366bc09cd641f0f7b0fcd5390c5e11eec34cea260178",
+     "1c7bdcce2656d514"),
+    ("reduction", 5, "bdfe2362441f221fcf541780fd4652376456b7ac4f9a28c5258163647526d30b",
+     "1c7bdcce2656d514"),
+    ("normbound", 4, "00d9d7420b2e1f96f8c2eca9b30e36306b425976e187f90388dbf933189cdce0",
+     "bd79748f3c7bab88"),
+    ("normbound", 5, "e42835bb2645bcaece77cb559fe104b12e8ced59e7d7265aa398bc15e7a4c820",
+     "9fddf2adadb46af5"),
+    ("security", 4, "af7145ca55af56f0fa1605d439869a8fef1d2af333e8deeb7268150b8c888887",
+     "5862e17e7b0677fe"),
+    ("security", 5, "15321461f6455620370cee5dcce9371689a332881c5aa5723fe4a6406416018a",
+     "2e5c9d621ae6e8e3"),
 ]
 # the same at seed 4 for security configs off the default: one pair and one
 # label, larger states, instances whose bit is constant, and 62-bit sources
 SECURITY_DIGESTS = [
-    ({"k": 0}, "6010e37d6c16ee9edbd5109f58eaa7436f5d83de4dcf8252a9742bce8944b333"),
+    ({"k": 0}, "6010e37d6c16ee9edbd5109f58eaa7436f5d83de4dcf8252a9742bce8944b333",
+     "cb95a248c076be7f"),
     ({"b": 2, "instances": 4},
-     "fe53878096a7bce865c76bf1d4a7f8873d638e925773b935911a18602f6c719a"),
+     "fe53878096a7bce865c76bf1d4a7f8873d638e925773b935911a18602f6c719a", "f443d7606d74d493"),
     ({"n": 1, "k": 1, "b": 0},
-     "a08a0c2ad6318f31667cb706fcc82d81cd6dc9035bbe421a90464aaa7af3cc60"),
+     "a08a0c2ad6318f31667cb706fcc82d81cd6dc9035bbe421a90464aaa7af3cc60", "42fed8ed420667db"),
     ({"n": 62, "k": 6, "b": 0, "instances": 1},
-     "a202884da0b7ed0e154fb0bfe13f5cc5e1ef9604ded322e2fd219f46b4232ac4"),
+     "a202884da0b7ed0e154fb0bfe13f5cc5e1ef9604ded322e2fd219f46b4232ac4", "26001bcc03cb5ba4"),
 ]
 
 
-def _digest(report) -> str:
-    return hashlib.sha256(report.to_json(include_wall_clock=False).encode()).hexdigest()
+@functools.lru_cache(maxsize=None)
+def _frozen_report(suite, seed, config=()) -> str:
+    """run_verify's report as to_json(include_wall_clock=False), run once for
+    both of its checks; config is a tuple of (key, value) pairs."""
+    return harness.run_verify(suite, seed=seed, **dict(config)).to_json(include_wall_clock=False)
+
+
+def _digest(report_json: str) -> str:
+    return hashlib.sha256(report_json.encode()).hexdigest()
 
 
 def _environment() -> str:
@@ -679,16 +700,26 @@ def test_the_environment_names_numpy_and_the_blas_core():
         _multiarray_umath.__cpu_dispatch__)
 
 
-@pytest.mark.parametrize("suite, seed, digest", REPORT_DIGESTS)
+@pytest.mark.parametrize("suite, seed, digest", [case[:3] for case in REPORT_DIGESTS])
 def test_suite_reports_match_their_frozen_digests(suite, seed, digest):
-    assert _digest(harness.run_verify(suite, seed=seed)) == digest, \
+    assert _digest(_frozen_report(suite, seed)) == digest, \
         f"frozen under {FROZEN_UNDER}, run under {_environment()}"
 
 
-@pytest.mark.parametrize("config, digest", SECURITY_DIGESTS)
+@pytest.mark.parametrize("config, digest", [case[:2] for case in SECURITY_DIGESTS])
 def test_security_reports_off_the_default_sizes_match_their_frozen_digests(config, digest):
-    assert _digest(harness.run_verify("security", seed=4, **config)) == digest, \
+    assert _digest(_frozen_report("security", 4, tuple(config.items()))) == digest, \
         f"frozen under {FROZEN_UNDER}, run under {_environment()}"
+
+
+@pytest.mark.parametrize("suite, seed, config, portable", [
+    *((suite, seed, (), portable) for suite, seed, _, portable in REPORT_DIGESTS),
+    *(("security", 4, tuple(config.items()), portable)
+      for config, _, portable in SECURITY_DIGESTS)])
+def test_reports_match_their_portable_digests(suite, seed, config, portable, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    records = json.loads(_frozen_report(suite, seed, config))["records"]
+    assert importlib.import_module("workloads").records_digest(records) == portable
 
 
 def test_float_limits_leave_integer_seeds_masked():

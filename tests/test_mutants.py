@@ -75,6 +75,11 @@ MUTANTS = {
         gf2.batched_rank, "np.minimum", "np.maximum",
         lambda: (test_gf2._boundary_stack(17),),
         lambda: test_gf2.test_batched_rank_matches_rank_at_type_boundaries(17, 32)),
+    # each shifted copy lands one bit above its set bit, so the product gains a factor x
+    "shifted copy one bit too high": (
+        gf2.poly_mul, "low.bit_length() - 1", "low.bit_length()",
+        lambda: (0b101, 0b11),
+        test_gf2.test_poly_mul_matches_oracle_exhaustive_7_bits),
     # each tap of the modulus' tail reads the term one past its own
     "tail taps shifted by one": (
         gf2.extend_by_modulus, "known - n + j", "known - n + j + 1",

@@ -32,6 +32,21 @@ def test_eigenvalues_examples():
     assert np.allclose(qsim.hermitian_eigenvalues(np.array([[2.5]])), [2.5])
 
 
+def test_eigenvalues_are_eigvalsh_reversed_bit_for_bit():
+    # eigvalsh returns ascending values, so reversing them is the whole
+    # ordering: stacks of rank-deficient states, whose zero eigenvalues
+    # repeat, and of zero matrices and projectors
+    rng = derive_rng(22, 0)
+    for dim, rank in [(2, 0), (2, 1), (4, 1), (4, 2), (8, 3)]:
+        g = rng.normal(size=(6, dim, rank)) + 1j * rng.normal(size=(6, dim, rank))
+        projectors = [np.kron(np.eye(dim // 2), p) for p in (KET0, KET1, PLUS)]
+        stack = np.concatenate([g @ g.conj().swapaxes(-1, -2), np.zeros((1, dim, dim)),
+                                projectors])
+        got = qsim.hermitian_eigenvalues(stack)
+        assert got.tobytes() == np.linalg.eigvalsh(stack)[..., ::-1].tobytes()
+        assert (np.diff(got, axis=-1) <= 0).all()
+
+
 def test_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         qsim.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
