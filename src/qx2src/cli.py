@@ -153,7 +153,7 @@ def main(argv=None) -> int:
         command, config, out_path = parse(argv)
         result = harness.dispatch(command, config)
         if command == "bounds":
-            code, text = 0, json.dumps(result, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            code, text = 0, harness.json_text(result)
         else:
             code = 0 if result.passed else 2 if command == "extract" else 3
             text = result.to_json()

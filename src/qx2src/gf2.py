@@ -28,14 +28,13 @@ Scalar polynomials have one kernel per job: :func:`poly_mul`,
 :func:`is_irreducible`, textbook Ben-Or, the scalar reference of the
 modulus search, and Horner's rule over GF(2^w) above w = 16.  It XORs
 one shifted copy of one operand per set bit of the other, the sparser.
-:func:`correlate` walks the bytes of a through a 256-entry table of b's
-shifted XORs, shifting right, so it forms only the first m coefficients
-of a transposed product, which the multi-bit extractor (after
-:func:`extend_by_modulus`) and the Toeplitz hash share.  From about
-3000 bits it cuts a into byte-aligned segments of about S = 2000 bits
-and walks each against only the window of b it can reach, S + m - 1
-bits: n/S tables and n/8 steps on (S + m)-bit ints, where one walk would
-take n/8 steps on (n + m)-bit ints.
+:func:`correlate` cuts a into byte-aligned segments of about S = 2000
+bits, one below about 3000 bits, and walks each segment's bytes, shifting
+right, through a 256-entry table of shifted XORs of the S + m - 1 bits of
+b it can reach.  So it forms only the first m coefficients of a
+transposed product, which the multi-bit extractor (after
+:func:`extend_by_modulus`) and the Toeplitz hash share, in n/S tables and
+n/8 steps on (S + m)-bit ints.
 numpy lanes of small polynomials have one each too: _clmul_lanes,
 _square_lanes and _mod_lanes, which the sieve and GF(2^w)'s log tables
 share.
@@ -162,6 +161,8 @@ class Gf2Poly:
 
 def poly_mod(a: int, b: int) -> int:
     """Remainder of carry-less division of a by b."""
+    if a < 0 or b <= 0:
+        raise ParameterError(f"poly_mod needs a >= 0 and b > 0, got {a} and {b}")
     db = b.bit_length() - 1
     while a and a.bit_length() - 1 >= db:
         a ^= b << (a.bit_length() - 1 - db)
@@ -182,6 +183,8 @@ def poly_mul(a: int, b: int) -> int:
     shifted copy of b per set bit of a.  The count follows the set bits,
     not the length, so a long sparse operand such as x^1000 costs one xor.
     """
+    if a < 0 or b < 0:
+        raise ParameterError(f"poly_mul needs operands >= 0, got {a} and {b}")
     if a.bit_count() > b.bit_count():
         a, b = b, a
     acc = 0
@@ -193,9 +196,9 @@ def poly_mul(a: int, b: int) -> int:
 
 
 # Nominal width in bits of correlate's segments: an a of n bits is cut into
-# round(n / _SEGMENT_BITS) near-equal ones, so the split starts at 3000 bits.
-# Each segment pays for a 256-entry table of its window of b, about as much
-# as walking 256 of its bytes.  Against one walk (in process, alternated
+# round(n / _SEGMENT_BITS) near-equal ones, one below 3000 bits.  Each
+# segment pays for a 256-entry table of its window of b, about as much as
+# walking 256 of its bytes.  Against one walk (in process, alternated
 # medians, two cores) two segments were even at 2560 bits and 2-8% faster at
 # 2816-3072, and widths of 1536 and 2048 read the same from 4096 bits up.
 # At m = 64: 3000 bits 86 -> 81 us, 4096 151 -> 107, 16384 1486 -> 427.
@@ -206,48 +209,35 @@ def correlate(a: int, b: int, m: int) -> int:
     """The first m bits of the correlation of a with b: bit i is the parity of a & (b >> i).
 
     That is the XOR over set bits j of a of b >> j, read in bits 0..m-1.
-    It walks the bytes of a from the top through a 256-entry table whose
-    entry for a byte is the XOR of b << (7 - k) over its set bits k, as
-    acc = (acc >> 8) ^ T[byte], then drops the 7 guard bits.  Right
-    shifts distribute over XOR, so the low coefficients that a full
-    carry-less product would build are never formed.  Bits of b at or
-    above a.bit_length() + m - 1 cannot reach the output.
-
-    An a of fewer than 1.5 _SEGMENT_BITS bits takes that one walk.  A
-    longer one is cut into round(n / _SEGMENT_BITS) near-equal
-    byte-aligned segments of S bits (the top one a few bytes shorter),
-    and the walks' results are XORed.  The segment at bits lo .. lo + S - 1
-    reads only its window of b, bits lo .. lo + S + m - 2 shifted down to
-    bit 0, so each is again the first m coefficients of a transposed
-    product.  That costs n/S tables and n/8 steps on (S + m)-bit ints, in
-    place of one table and n/8 steps on (n + m)-bit ints: time linear in
-    n, not quadratic.
+    a of n bits is cut into round(n / _SEGMENT_BITS) byte-aligned segments
+    of near-equal width S (one below about 3000 bits; the top one a few
+    bytes shorter).  The segment at bits lo .. lo + S - 1 can reach only
+    bits lo .. lo + S + m - 2 of b, its window, shifted down to bit 0.  It
+    walks its bytes from the top through a 256-entry table whose entry for
+    a byte is the XOR of window << (7 - k) over its set bits k, as
+    walk = (walk >> 8) ^ T[byte]; right shifts distribute over XOR, so the
+    low coefficients of the full carry-less product are never formed.  The
+    walks are XORed and the 7 guard bits dropped.  That costs n/S tables
+    and n/8 steps on (S + m)-bit ints, where one walk of a long a would
+    take n/8 steps on (n + m)-bit ints: time linear in n, not quadratic.
     """
     n = a.bit_length()
     data = a.to_bytes((n + 7) // 8, "big")
-    segments = (n + _SEGMENT_BITS // 2) // _SEGMENT_BITS
-    if segments < 2:
-        acc = _table_walk(data, b)
-    else:
-        step = -(-len(data) // segments)
-        reach = (1 << (8 * step + m - 1)) - 1
-        acc = 0
-        for end in range(len(data), 0, -step):
-            window = (b >> 8 * (len(data) - end)) & reach
-            acc ^= _table_walk(data[max(end - step, 0):end], window)
-    return (acc >> 7) & ((1 << m) - 1)
-
-
-def _table_walk(data: bytes, b: int) -> int:
-    """correlate's walk: the XOR of (b << 7) >> j over set bits j of a, whose big-endian bytes are data."""
-    table = [0, b << 7]
-    for k in range(1, 8):
-        shifted = b << (7 - k)
-        table += [shifted ^ v for v in table]
+    segments = max((n + _SEGMENT_BITS // 2) // _SEGMENT_BITS, 1)
+    step = max(-(-len(data) // segments), 1)    # a = 0 has no bytes; range refuses 0
+    reach = (1 << (8 * step + m - 1)) - 1
     acc = 0
-    for byte in data:
-        acc = (acc >> 8) ^ table[byte]
-    return acc
+    for end in range(len(data), 0, -step):
+        window = (b >> 8 * (len(data) - end)) & reach
+        table = [0, window << 7]
+        for k in range(1, 8):
+            shifted = window << (7 - k)
+            table += [shifted ^ v for v in table]
+        walk = 0
+        for byte in data[max(end - step, 0):end]:
+            walk = (walk >> 8) ^ table[byte]
+        acc ^= walk
+    return (acc >> 7) & ((1 << m) - 1)
 
 
 def extend_by_modulus(y: int, modulus: int, length: int) -> int:
@@ -259,6 +249,8 @@ def extend_by_modulus(y: int, modulus: int, length: int) -> int:
     per set bit of tail and adds the n - deg(tail) terms it determines,
     so a small tail takes one or two rounds for length <= 2n - 1.
     """
+    if modulus < 2:
+        raise ParameterError(f"modulus must have degree >= 1, got {modulus}")
     n = modulus.bit_length() - 1
     tail = modulus ^ (1 << n)
     taps = [j for j in range(tail.bit_length()) if tail >> j & 1]

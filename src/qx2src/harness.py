@@ -3,9 +3,11 @@
 Every run is driven by an explicit 64-bit seed recorded in the report;
 per-trial generators are derived from (seed, trial index) with a
 counter-based generator, so repeating a run with the same configuration
-reproduces every measured number bit for bit.  Reports serialize with
-sorted keys; the wall-clock field is the only part expected to differ
-between identical runs.
+reproduces every measured number bit for bit.  Reports and the bounds
+table serialize through ``json_text``, with sorted keys; the wall-clock
+field is the only part expected to differ between identical runs.  A
+suite's worst case is recorded by ``Report.worst``, which keeps the first
+of equal values in trial (or instance) order.
 
 Each handler imports numpy, the extractors, the verifier and the attacks
 only as it needs them, so that a process loads just the layers its
@@ -28,7 +30,6 @@ import dataclasses
 import functools
 import inspect
 import json
-import math
 import sys
 import time
 import typing
@@ -74,6 +75,13 @@ class Report:
     def add(self, name: str, measured: float, bound: float, passed: bool) -> None:
         self.records.append(CheckRecord(name, float(measured), float(bound), passed))
 
+    def worst(self, name: str, values: Sequence[float], bound: float) -> None:
+        """Record the largest of values, in trial (or instance) order, against
+        bound.  max keeps the first of equal values, so of 0.0 and -0.0 the
+        report holds whichever came first."""
+        measured = max(values)
+        self.add(name, measured, bound, measured <= bound)
+
     def to_dict(self, include_wall_clock: bool = True) -> dict:
         out = {
             "command": self.command,
@@ -90,8 +98,13 @@ class Report:
         return out
 
     def to_json(self, include_wall_clock: bool = True) -> str:
-        return json.dumps(self.to_dict(include_wall_clock),
-                          sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json_text(self.to_dict(include_wall_clock))
+
+
+def json_text(data) -> str:
+    """The one JSON format of reports and tables: sorted keys, indent 2, no
+    NaN or infinity, one trailing newline."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _command(name: str):
@@ -351,17 +364,13 @@ def run_xor_suite(report: Report, seed: int = DEFAULT_SEED,
         np.add.at(rho, (np.arange(len(f))[:, None], f), stack.weighted())
         return np.abs(lhs - qsim.l1_norm(rho[:, 0] - rho[:, 1]))
 
-    # worst cases in trial order: max keeps the first of equal values
-    worst = functools.reduce(max, _stacked_trials(
+    report.worst("xor inequality max violation", _stacked_trials(
         trials, max_m, max_d, lambda m, d, ts: (qsim.random_cq_state(m, d, seed, ts),),
-        violation), -math.inf)
-    report.add("xor inequality max violation", worst, atol, worst <= atol)
-    worst_eq = functools.reduce(max, _stacked_trials(
+        violation), atol)
+    report.worst("one-bit merge identity max deviation", _stacked_trials(
         equality_trials, max_m, max_d,
         lambda m, d, ts: (qsim.random_cq_state(m, d, seed, [0x10000 + t for t in ts]),
-                          qsim.random_boolean_fn(m, seed, ts)), deviation), 0.0)
-    report.add("one-bit merge identity max deviation", worst_eq, 1e-9,
-               worst_eq <= 1e-9)
+                          qsim.random_boolean_fn(m, seed, ts)), deviation), 1e-9)
 
 
 @_command("verify:reduction")
@@ -377,12 +386,11 @@ def run_reduction_suite(report: Report, seed: int = DEFAULT_SEED,
         res = qsim.pgm_reduction_check(stack, f)
         return res.lhs - res.bound
 
-    worst = functools.reduce(max, _stacked_trials(
+    report.worst("pgm reduction max violation", _stacked_trials(
         trials, max_m, max_d,
         lambda m, d, ts: (qsim.random_cq_state(m, d, seed, [0x20000 + t for t in ts]),
                           qsim.random_boolean_fn(m, seed, [0x20000 + t for t in ts])),
-        violation), -math.inf)
-    report.add("pgm reduction max violation", worst, atol, worst <= atol)
+        violation), atol)
 
 
 @_command("verify:normbound")
@@ -406,9 +414,8 @@ def run_normbound_suite(report: Report, seed: int = DEFAULT_SEED,
         lhs, rhs = qsim.trace_norm_weighted_l2_bound(s_op, sigma)
         return lhs - rhs
 
-    worst = functools.reduce(max, _stacked_trials(trials, 1, max_d - 1, case, violation),
-                             -math.inf)
-    report.add("weighted l2 bound max violation", worst, atol, worst <= atol)
+    report.worst("weighted l2 bound max violation",
+                 _stacked_trials(trials, 1, max_d - 1, case, violation), atol)
 
 
 @_command("verify:security")
@@ -437,10 +444,8 @@ def run_security_suite(report: Report, seed: int = DEFAULT_SEED,
             strategy = adversaries.random_storage(b, b, flavor, seeds[part])
             state = qsim.extractor_output_state(xs, ys, strategy)
             dists += qsim.cq_distance_from_uniform(state).tolist()
-        # the worst case in instance order: max keeps the first of equal values
-        worst = functools.reduce(max, [dist - bound for dist in dists], -math.inf)
-        report.add(f"ip distance within bound ({flavor})", worst, atol,
-                   worst <= atol)
+        report.worst(f"ip distance within bound ({flavor})",
+                     [dist - bound for dist in dists], atol)
 
 
 def run_verify(suite: str, seed: int = DEFAULT_SEED, **overrides) -> Report:

@@ -367,13 +367,8 @@ def xor_lemma_check(s: CqState) -> XorLemmaResult:
     # one table per mask, each broadcast over the stack
     masks = np.arange(1, 1 << m).reshape((-1,) + (1,) * np.ndim(lhs) + (1,))
     dists = cq_distance_from_uniform(boolean_reduce(s, character(np.arange(1 << m), masks)))
-    char_sums = []
-    for row in np.moveaxis(dists, 0, -1).reshape(-1, len(dists)).tolist():
-        char_sum = 0.0
-        for dist in row:
-            char_sum += dist ** 2
-        char_sums.append(char_sum)
-    char_sum = np.reshape(char_sums, np.shape(lhs))
+    rows = np.moveaxis(dists, 0, -1).reshape(-1, len(dists)).tolist()
+    char_sum = np.reshape([sum(dist ** 2 for dist in row) for row in rows], np.shape(lhs))
     return XorLemmaResult(
         lhs_squared=lhs * lhs,
         rhs_bound=(1 << min(d, m)) * char_sum,

@@ -404,6 +404,20 @@ def test_extend_by_modulus_matches_reduced_powers_exhaustive():
                                 for k, p in enumerate(powers[:length]))
 
 
+_NO_FINISH = [(gf2.poly_mod, (5, 0)), (gf2.poly_mod, (-5, 3)), (gf2.poly_mod, (5, -3)),
+              (gf2.poly_mul, (-1, 3)), (gf2.poly_mul, (3, -1)),
+              (gf2.extend_by_modulus, (1, 1, 4)), (gf2.extend_by_modulus, (1, 0, 4))]
+
+
+@pytest.mark.parametrize("kernel, args", _NO_FINISH,
+                         ids=[f"{kernel.__name__}{args}" for kernel, args in _NO_FINISH])
+def test_operands_no_loop_can_finish_raise(kernel, args):
+    # a modulus of degree 0 or less, or a negative operand with its endless
+    # run of set bits, on which a kernel's loop would never finish
+    with pytest.raises(ParameterError):
+        kernel(*args)
+
+
 # --------------------------------------------------------------------------
 # irreducible polynomials
 

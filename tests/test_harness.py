@@ -780,6 +780,16 @@ def test_report_pass_flag_consistency():
     assert not rep.passed
 
 
+def test_worst_keeps_the_first_of_equal_values():
+    # 0.0 == -0.0, so only the order decides which one the report holds
+    rep = harness.Report("demo", {"seed": 1})
+    rep.worst("zero first", [0.0, -0.0], 1e-9)
+    rep.worst("minus zero first", [-0.0, 0.0], 1e-9)
+    records = json.loads(rep.to_json())["records"]
+    assert [str(r["measured"]) for r in records] == ["0.0", "-0.0"]
+    assert rep.passed
+
+
 # --------------------------------------------------------------------------
 # bad input: exit 1 with a one-line message, never a traceback or a vacuous pass
 

@@ -15,6 +15,7 @@ import dataclasses
 import inspect
 import itertools
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ import conftest
 import test_adversaries
 import test_extractors
 import test_gf2
+import test_harness
 import test_qsim
 import test_rng
-from qx2src import adversaries, extractors, gf2, qsim, rng
+from qx2src import adversaries, extractors, gf2, harness, qsim, rng
 
 # what a wrong value can raise; a mutant that raises anything else (a
 # NameError, say) is broken code, not a wrong kernel, and fails its case
@@ -98,6 +100,11 @@ MUTANTS = {
         lambda: (1 << 2 * gf2._SEGMENT_BITS - 2 | (1 << gf2._SEGMENT_BITS) - 1,
                  (1 << 2 * gf2._SEGMENT_BITS + 20) - 1, 9),
         lambda: test_gf2.test_correlate_matches_oracle_at_segment_edges(2 * gf2._SEGMENT_BITS)),
+    # a tie keeps the later value, so of 0.0 and -0.0 the report holds -0.0
+    "later of equal worst values kept": (
+        harness.Report.worst, "max(values)", "max(values[::-1])",
+        lambda: (harness.Report("demo", {}), "tie", [0.0, -0.0], 1e-9),
+        test_harness.test_worst_keeps_the_first_of_equal_values),
     # one squaring too few, so the inner Horner runs at x^(B/2), not x^B
     "one squaring too few for x^B": (
         extractors._horner, "range(block.bit_length() - 1)", "range(block.bit_length() - 2)",
@@ -183,6 +190,14 @@ MUTANTS = {
 }
 
 
+def _owner(kernel):
+    """The module, or for a method the class, that holds kernel."""
+    owner = sys.modules[kernel.__module__]
+    for name in kernel.__qualname__.split(".")[:-1]:
+        owner = getattr(owner, name)
+    return owner
+
+
 def _mutant(kernel, snippet, replacement):
     """kernel with snippet replaced, compiled in a copy of its module's namespace.
 
@@ -190,7 +205,7 @@ def _mutant(kernel, snippet, replacement):
     has a cache of its own.
     """
     function = inspect.unwrap(kernel)
-    source = inspect.getsource(function)
+    source = textwrap.dedent(inspect.getsource(function))     # a method's too
     assert source.count(snippet) == 1, f"{kernel.__name__} no longer holds {snippet!r}"
     code = compile(source.replace(snippet, replacement), inspect.getsourcefile(function), "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
@@ -210,10 +225,13 @@ def _drawn(item):
 def _outcome(function, args):
     """What function returns on args, each array as (dtype, values), or the
     type of the error it raises.  A storage strategy is taken as its states
-    on STORED_PAIRS, another dataclass as the tuple of its fields, and a
-    generator as the items of its first two yields."""
+    on STORED_PAIRS, another dataclass as the tuple of its fields, a
+    generator as the items of its first two yields, and a call on a Report
+    as that report's JSON."""
     try:
         result = function(*args)
+        if isinstance(args[0], harness.Report):
+            result = args[0].to_json()
         if inspect.isgenerator(result):     # the sieve's blocks or re-keyed generators
             result = tuple(itertools.chain(*map(_drawn, itertools.islice(result, 2))))
         if isinstance(result, adversaries.StorageStrategy):
@@ -238,7 +256,6 @@ def test_mutant_changes_its_kernels_output(name):
 def test_mutant_fails_its_oracle(name, monkeypatch):
     kernel, snippet, replacement, _, oracle = MUTANTS[name]
     oracle()    # the oracle passes on the kernel itself
-    monkeypatch.setattr(sys.modules[kernel.__module__], kernel.__name__,
-                        _mutant(kernel, snippet, replacement))
+    monkeypatch.setattr(_owner(kernel), kernel.__name__, _mutant(kernel, snippet, replacement))
     with pytest.raises((AssertionError, *DATA_ERRORS)):
         oracle()
